@@ -327,9 +327,14 @@ def finite_equilibria(
             raise PositiveDimensionalError(
                 "P and Q share a common factor: a curve of equilibria"
             )
-        points = _eliminate(sys, q_first=True)
+        # eliminate x instead: swap the variables, so ry becomes an x-eliminant
+        swap = (MPoly.var_y(), MPoly.var_x())
+        swapped = PlanarSystem(P=p.subst(*swap), Q=q.subst(*swap))
+        points = [
+            AlgebraicPoint(pt.y, pt.x) for pt in _eliminate(swapped, ry.subst(*swap))
+        ]
     else:
-        points = _eliminate(sys, q_first=False)
+        points = _eliminate(sys, rx)
 
     records = [classify_point(sys, pt) for pt in points]
     if positive_quadrant_only:
@@ -361,28 +366,20 @@ def _record_sort_key(rec: EquilibriumRecord):
     return (_SortAdapter(rec.point.x), _SortAdapter(rec.point.y))
 
 
-def _eliminate(sys: PlanarSystem, q_first: bool) -> List[AlgebraicPoint]:
-    """Resultant elimination; q_first swaps the roles of x and y."""
-    if q_first:
-        swapped = PlanarSystem(
-            P=sys.P.subst(MPoly.var_y(), MPoly.var_x()),
-            Q=sys.Q.subst(MPoly.var_y(), MPoly.var_x()),
-        )
-        pts = _eliminate(swapped, q_first=False)
-        return [AlgebraicPoint(pt.y, pt.x) for pt in pts]
-
-    p, q = sys.P, sys.Q
-    rx = resultant_wrt(p, q, "y")
-    assert not rx.is_zero
+def _eliminate(sys: PlanarSystem, rx: MPoly) -> List[AlgebraicPoint]:
+    """Solutions above the real roots of the nonzero eliminant rx = Res_y(P, Q)."""
     if rx.is_constant:
         return []
-    roots_x = isolate_real_roots(_upoly(rx, "x"))
+    ux = _upoly(rx, "x")
+    fibers: Optional[_IrrationalFibers] = None
     out: List[AlgebraicPoint] = []
-    for rt in roots_x:
+    for rt in isolate_real_roots(ux):
         if rt.exact is not None:
             out.extend(_fiber_exact_x(sys, rt.exact))
         else:
-            out.extend(_fiber_algebraic_x(sys, _upoly(rx, "x").squarefree_part(), rt))
+            if fibers is None:
+                fibers = _IrrationalFibers(sys, ux.squarefree_part())
+            out.extend(fibers.points(rt))
     return out
 
 
@@ -416,53 +413,77 @@ def _x_content_gcd(s: UPoly, f: MPoly) -> UPoly:
     return g
 
 
-def _fiber_algebraic_x(
-    sys: PlanarSystem, s: UPoly, xroot: RootInterval
-) -> List[AlgebraicPoint]:
-    """Solutions above one irrational x-root (s square-free, xroot its
-    isolating interval)."""
-    d_p = _x_content_gcd(s, sys.P)
-    d_q = _x_content_gcd(s, sys.Q)
-    p_on_fiber = d_p.degree >= 1 and _count_roots(d_p, xroot.lo, xroot.hi) == 1
-    q_on_fiber = d_q.degree >= 1 and _count_roots(d_q, xroot.lo, xroot.hi) == 1
-    if p_on_fiber and q_on_fiber:
-        raise PositiveDimensionalError(
-            "a vertical line of equilibria at an irrational abscissa"
+class _IrrationalFibers:
+    """Solutions above the irrational roots of one square-free x-eliminant s.
+
+    What depends on s but not on the root -- the pure-x factors s shares
+    with P and Q, the y-eliminants Res_x(s / d, f) and the real roots of
+    their gcd -- is computed once, on first use, and lives only as long
+    as the elimination that made it.
+    """
+
+    def __init__(self, sys: PlanarSystem, s: UPoly):
+        self.sys = sys
+        self.s = s
+        self.shared = (_x_content_gcd(s, sys.P), _x_content_gcd(s, sys.Q))
+        self._eliminants: List[Optional[UPoly]] = [None, None]
+        self._y_roots: Dict[Tuple[bool, bool], Tuple[UPoly, List[RootInterval]]] = {}
+
+    def _eliminant(self, side: int) -> UPoly:
+        r = self._eliminants[side]
+        if r is None:
+            d = self.shared[side]
+            base = self.s // d if d.degree >= 1 else self.s
+            f = (self.sys.P, self.sys.Q)[side]
+            res = resultant_wrt(_mpoly_from_upoly(base, "x"), f, "x")
+            if res.is_zero:
+                raise InternalInvariantError("stripped fiber eliminant vanished")
+            r = self._eliminants[side] = _upoly(res, "y")
+        return r
+
+    def _candidates(self, on_fiber: Tuple[bool, bool]) -> Tuple[UPoly, List[RootInterval]]:
+        """The y-constraint for the sides that do not vanish on the fiber,
+        and its real roots."""
+        hit = self._y_roots.get(on_fiber)
+        if hit is None:
+            # eliminant of the y-coordinate from each side that constrains
+            # it; shared pure-x factors are stripped so it is nonzero
+            sides = [k for k in (0, 1) if not on_fiber[k]]
+            g = self._eliminant(sides[0])
+            for k in sides[1:]:
+                g = g.gcd(self._eliminant(k))
+            hit = self._y_roots[on_fiber] = (g, isolate_real_roots(g) if g.degree >= 1 else [])
+        return hit
+
+    def points(self, xroot: RootInterval) -> List[AlgebraicPoint]:
+        """Solutions above the root of s isolated by xroot."""
+        sys, s = self.sys, self.s
+        p_on_fiber, q_on_fiber = (
+            d.degree >= 1 and _count_roots(d, xroot.lo, xroot.hi) == 1
+            for d in self.shared
         )
+        if p_on_fiber and q_on_fiber:
+            raise PositiveDimensionalError(
+                "a vertical line of equilibria at an irrational abscissa"
+            )
+        g, yroots = self._candidates((p_on_fiber, q_on_fiber))
 
-    # eliminant of the y-coordinate from each side that constrains it;
-    # shared pure-x factors are stripped first so the resultant is nonzero
-    constraints: List[UPoly] = []
-    for on_fiber, d, f in ((p_on_fiber, d_p, sys.P), (q_on_fiber, d_q, sys.Q)):
-        if on_fiber:
-            continue
-        base = s // d if d.degree >= 1 else s
-        r = resultant_wrt(_mpoly_from_upoly(base, "x"), f, "x")
-        if r.is_zero:
-            raise InternalInvariantError("stripped fiber eliminant vanished")
-        constraints.append(_upoly(r, "y"))
-    g = constraints[0]
-    for extra in constraints[1:]:
-        g = g.gcd(extra)
-    if g.degree < 1:
-        return []
-
-    xc = AlgebraicCoord(poly=s, root=xroot)
-    out: List[AlgebraicPoint] = []
-    for yrt in isolate_real_roots(g):
-        yc = AlgebraicCoord.from_root(g, yrt)
-        pt = AlgebraicPoint(xc, yc)
-        if yc.is_exact:
-            assert yc.exact is not None
-            if _exact_y_on_fiber(
-                sys, s, xroot, yc.exact, not p_on_fiber, not q_on_fiber
-            ):
-                out.append(pt)
-        else:
-            accepted = _box_pair_check(sys, pt)
-            if accepted is not None:
-                out.append(accepted)
-    return out
+        xc = AlgebraicCoord(poly=s, root=xroot)
+        out: List[AlgebraicPoint] = []
+        for yrt in yroots:
+            yc = AlgebraicCoord.from_root(g, yrt)
+            pt = AlgebraicPoint(xc, yc)
+            if yc.is_exact:
+                assert yc.exact is not None
+                if _exact_y_on_fiber(
+                    sys, s, xroot, yc.exact, not p_on_fiber, not q_on_fiber
+                ):
+                    out.append(pt)
+            else:
+                accepted = _box_pair_check(sys, pt)
+                if accepted is not None:
+                    out.append(accepted)
+        return out
 
 
 def _exact_y_on_fiber(

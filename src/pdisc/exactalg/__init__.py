@@ -3,6 +3,8 @@
 Sparse bivariate polynomials over Fraction, dense univariate polynomials,
 real-root isolation, interval arithmetic with rational endpoints, and
 fraction-free determinants.  No floating point anywhere in this subpackage.
+Values cross the API as `Fraction`s, but the inner loops of determinants
+and resultants run on Python `int` after clearing denominators.
 """
 
 from pdisc.exactalg.interval import Interval, eval_box

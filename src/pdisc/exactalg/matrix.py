@@ -4,18 +4,20 @@ Sylvester resultants, and Gaussian elimination over the rationals."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-from pdisc.exactalg.mpoly import MPoly
-from pdisc.exactalg.upoly import UPoly
+from pdisc.exactalg.mpoly import MPoly, _divide, _mul_add, _pack, _raw, _unpack
 
 
 def ffdet(rows: Sequence[Sequence[MPoly]]) -> MPoly:
     """Determinant of a square MPoly matrix by Bareiss one-step elimination.
 
-    Every division the algorithm performs is exact in the polynomial
-    ring; a failed division means the input was not a matrix over the
-    ring and is reported as a programming error.
+    Each row is scaled by the lcm of its coefficient denominators, so the
+    elimination runs on integer coefficients, and the result is divided
+    by the product of the scales.  Every division the algorithm performs
+    is exact over Z; a failed division means the input was not a matrix
+    over the ring and is reported as a programming error.
     """
     n = len(rows)
     for row in rows:
@@ -23,27 +25,45 @@ def ffdet(rows: Sequence[Sequence[MPoly]]) -> MPoly:
             raise ValueError("ffdet requires a square matrix")
     if n == 0:
         return MPoly.one()
-    a: List[List[MPoly]] = [list(row) for row in rows]
+    scale = 1
+    a: List[List[dict]] = []
+    for row in rows:
+        den = 1
+        for p in row:
+            for c in p._terms.values():
+                den = lcm(den, c.denominator)
+        scale *= den
+        a.append([
+            _pack({e: c.numerator * (den // c.denominator) for e, c in p._terms.items()})
+            for p in row
+        ])
     sign = 1
-    prev = MPoly.one()
+    prev: Optional[dict] = None
     for k in range(n - 1):
-        if a[k][k].is_zero:
-            pivot_row = next((i for i in range(k + 1, n) if not a[i][k].is_zero), None)
+        if not a[k][k]:
+            pivot_row = next((i for i in range(k + 1, n) if a[i][k]), None)
             if pivot_row is None:
                 return MPoly.zero()
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
+        akk = a[k][k]
         for i in range(k + 1, n):
+            neg_aik = {e: -c for e, c in a[i][k].items()}
             for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                q = num.exact_div(prev)
-                if q is None:
+                num: dict = {}
+                _mul_add(num, a[i][j], akk)
+                _mul_add(num, neg_aik, a[k][j])
+                if prev is None:
+                    a[i][j] = {e: c for e, c in num.items() if c}
+                    continue
+                out = _divide(num, prev, exact=True)
+                if out is None:
                     raise ArithmeticError("Bareiss division not exact")
-                a[i][j] = q
-            a[i][k] = MPoly.zero()
-        prev = a[k][k]
+                a[i][j] = out[0]
+            a[i][k] = {}
+        prev = akk
     det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
+    return _raw(_unpack({key: Fraction(sign * c, scale) for key, c in det.items()}))
 
 
 def sylvester_resultant(fc: Sequence[MPoly], gc: Sequence[MPoly]) -> MPoly:
@@ -93,14 +113,6 @@ def _trim(cs: Sequence[MPoly]) -> List[MPoly]:
     while out and out[-1].is_zero:
         out.pop()
     return out
-
-
-def resultant_univariate(f: UPoly, g: UPoly) -> Fraction:
-    """Resultant of two univariate rational polynomials."""
-    fc = [MPoly.const(c) for c in f.coeffs]
-    gc = [MPoly.const(c) for c in g.coeffs]
-    r = sylvester_resultant(fc, gc)
-    return r.constant_value()
 
 
 def _pivot_choice(col: Sequence[Fraction]) -> Optional[int]:

@@ -16,11 +16,13 @@ line search reports.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from heapq import heapify, heappop, heappush
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 Rat = Fraction
 Exponents = Tuple[int, int]
 _Scalar = Union[int, Fraction]
+_C = TypeVar("_C", int, Fraction)  # coefficient ring of a raw term dict: Z or Q
 
 
 class _NegInfDegree:
@@ -233,20 +235,9 @@ class MPoly:
             return _raw({e: v * c for e, v in self._terms.items()})
         if not isinstance(other, MPoly):
             return NotImplemented
-        acc: dict[Exponents, Fraction] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                e = (i1 + i2, j1 + j2)
-                s = acc.get(e)
-                if s is None:
-                    acc[e] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        acc[e] = s
-                    else:
-                        del acc[e]
-        return _raw(acc)
+        acc: _Packed[Fraction] = {}
+        _mul_add(acc, _pack(self._terms), _pack(other._terms))
+        return _raw(_unpack(acc))
 
     __rmul__ = __mul__
 
@@ -289,59 +280,17 @@ class MPoly:
         """
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        (di, dj), dc = divisor.leading()
-        q: dict[Exponents, Fraction] = {}
-        r: dict[Exponents, Fraction] = {}
-        work = dict(self._terms)
-        while work:
-            e = max(work, key=grlex_key)
-            c = work.pop(e)
-            i, j = e
-            if i >= di and j >= dj:
-                qe = (i - di, j - dj)
-                qc = c / dc
-                q[qe] = q.get(qe, Fraction(0)) + qc
-                for (ti, tj), tc in divisor._terms.items():
-                    if (ti, tj) == (di, dj):
-                        continue
-                    we = (qe[0] + ti, qe[1] + tj)
-                    s = work.get(we, Fraction(0)) - qc * tc
-                    if s:
-                        work[we] = s
-                    elif we in work:
-                        del work[we]
-            else:
-                r[e] = c
-        return _raw({e: c for e, c in q.items() if c}), _raw(r)
+        out = _divide(_pack(self._terms), _pack(divisor._terms), exact=False)
+        assert out is not None  # only an integer division can fail
+        q, r = out
+        return _raw(_unpack(q)), _raw(_unpack(r))
 
     def exact_div(self, divisor: "MPoly") -> Optional["MPoly"]:
         """Exact quotient self/divisor, or None when no exact quotient exists."""
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return _ZERO
-        (di, dj), dc = divisor.leading()
-        q: dict[Exponents, Fraction] = {}
-        work = dict(self._terms)
-        while work:
-            e = max(work, key=grlex_key)
-            i, j = e
-            if i < di or j < dj:
-                return None
-            c = work.pop(e)
-            qe = (i - di, j - dj)
-            qc = c / dc
-            q[qe] = q.get(qe, Fraction(0)) + qc
-            for (ti, tj), tc in divisor._terms.items():
-                if (ti, tj) == (di, dj):
-                    continue
-                we = (qe[0] + ti, qe[1] + tj)
-                s = work.get(we, Fraction(0)) - qc * tc
-                if s:
-                    work[we] = s
-                elif we in work:
-                    del work[we]
-        return _raw({e: c for e, c in q.items() if c})
+        out = _divide(_pack(self._terms), _pack(divisor._terms), exact=True)
+        return None if out is None else _raw(_unpack(out[0]))
 
     # -- evaluation / substitution --------------------------------------
 
@@ -480,6 +429,102 @@ def _raw(terms: dict[Exponents, Fraction]) -> MPoly:
     object.__setattr__(p, "_terms", terms)
     object.__setattr__(p, "_hash", None)
     return p
+
+
+# The kernel loops below key each monomial x^i y^j by one int,
+# (i + j) << _SHIFT | j.  Adding two keys multiplies the monomials, and
+# integer order on keys is the graded-lex order.  _pack refuses degrees
+# from 2^31 up, so no sum of keys the kernel forms carries into the
+# degree field.
+_SHIFT = 64
+_LOW = (1 << _SHIFT) - 1
+_MAX_DEGREE_BITS = 31
+
+_Packed = dict[int, _C]
+
+
+def _pack(terms: Mapping[Exponents, _C]) -> "_Packed[_C]":
+    packed = {((i + j) << _SHIFT) | j: c for (i, j), c in terms.items()}
+    if packed and max(packed) >> (_SHIFT + _MAX_DEGREE_BITS):
+        raise OverflowError("monomial degree beyond the polynomial kernel's range")
+    return packed
+
+
+def _unpack(packed: "_Packed[_C]") -> dict[Exponents, _C]:
+    """Exponent-pair terms of a packed dict, dropping zero coefficients."""
+    return {((k >> _SHIFT) - (k & _LOW), k & _LOW): c for k, c in packed.items() if c}
+
+
+def _mul_add(acc: "_Packed[_C]", a: "_Packed[_C]", b: "_Packed[_C]") -> None:
+    """acc += a*b on packed term dicts over Z or Q.
+
+    Cancelled terms stay in acc with coefficient zero; the caller filters
+    them once, outside this loop.
+    """
+    get = acc.get
+    bl = list(b.items())
+    for k1, c1 in a.items():
+        for k2, c2 in bl:
+            k = k1 + k2
+            p = c1 * c2
+            s = get(k)
+            acc[k] = p if s is None else s + p
+
+
+def _divide(
+    terms: "_Packed[_C]", divisor: "_Packed[_C]", exact: bool
+) -> Optional[Tuple["_Packed[_C]", "_Packed[_C]"]]:
+    """Leading-term division of packed term dicts: terms = q*divisor + r.
+
+    The running remainder's terms are popped from a heap in descending
+    graded-lex order; every term the reduction creates lies below the
+    one being reduced, so each monomial is popped at most once.  Over Q
+    every coefficient divides.  Over Z (an `int` leading coefficient) a
+    coefficient that leaves a `divmod` remainder means the quotient is not
+    in Z[x, y], and the result is None.  With exact=True a term that the
+    divisor's leading monomial does not divide also gives None; otherwise
+    it moves to r.  Zero coefficients in `terms` are skipped.
+    """
+    lead = max(divisor)
+    dc = divisor[lead]
+    dj = lead & _LOW
+    di = (lead >> _SHIFT) - dj
+    integral = isinstance(dc, int)
+    tail = [(k, c) for k, c in divisor.items() if k != lead]
+    work = dict(terms)
+    heap = [-k for k in work]
+    heapify(heap)
+    q: _Packed[_C] = {}
+    r: _Packed[_C] = {}
+    get = work.get
+    while heap:
+        k = -heappop(heap)
+        c = work.pop(k)
+        if not c:
+            continue
+        j = k & _LOW
+        if j < dj or (k >> _SHIFT) - j < di:
+            if exact:
+                return None
+            r[k] = c
+            continue
+        if integral:
+            qc, rem = divmod(c, dc)
+            if rem:
+                return None
+        else:
+            qc = c / dc
+        qk = k - lead
+        q[qk] = qc
+        for t, tc in tail:
+            w = qk + t
+            s = get(w)
+            if s is None:
+                work[w] = -qc * tc
+                heappush(heap, -w)
+            else:
+                work[w] = s - qc * tc
+    return q, r
 
 
 def _var_index(var: str) -> int:

@@ -9,8 +9,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence
 
+import pytest
 from hypothesis import given, strategies as st
 
+import pdisc.exactalg.matrix as matrix
 from pdisc.exactalg import MPoly, ffdet, nullspace, solve_linear
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -57,6 +59,70 @@ def test_ffdet_with_polynomial_entries():
         [y, MPoly.zero(), x],
     ]
     assert (ffdet(m) - _cofactor_det(m)).is_zero
+
+
+@st.composite
+def poly_entries(draw) -> MPoly:
+    """Zero, or up to three terms of degree <= 2 with denominators up to 6."""
+    p = MPoly.zero()
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=2))
+        j = draw(st.integers(min_value=0, max_value=2 - i))
+        num = draw(st.integers(min_value=-7, max_value=7))
+        den = draw(st.integers(min_value=1, max_value=6))
+        p = p + MPoly.monomial(i, j, Fraction(num, den))
+    return p
+
+
+def poly_matrices(n: int):
+    return st.lists(
+        st.lists(poly_entries(), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+
+
+@given(poly_matrices(3))
+def test_ffdet_bivariate_3x3_matches_cofactor_expansion(m):
+    assert ffdet(m) == _cofactor_det(m)
+
+
+@given(poly_matrices(4))
+def test_ffdet_bivariate_4x4_matches_cofactor_expansion(m):
+    assert ffdet(m) == _cofactor_det(m)
+
+
+def test_ffdet_zero_pivots_swap_rows():
+    x = MPoly.var_x()
+    y = MPoly.var_y()
+    one = MPoly.one()
+    half = MPoly.const(Fraction(1, 2))
+    zero = MPoly.zero()
+    leading = [[zero, x, one], [y, half, x], [one, y, zero]]
+    # the (1, 1) pivot cancels to zero after the first elimination step
+    later = [[x, y, half], [x, y, 2 * one], [one, x, y * half]]
+    for m in (leading, later):
+        det = ffdet(m)
+        assert not det.is_zero
+        assert det == _cofactor_det(m)
+
+
+def test_ffdet_zero_column_gives_zero():
+    x = MPoly.var_x()
+    y = MPoly.var_y()
+    one = MPoly.one()
+    zero = MPoly.zero()
+    first = [[zero, x, one], [zero, y, 2 * one], [zero, one, x]]
+    middle = [[x, zero, one], [y, zero, 2 * one], [one, zero, x]]
+    for m in (first, middle):
+        assert ffdet(m).is_zero
+
+
+def test_ffdet_reports_inexact_division(monkeypatch):
+    x = MPoly.var_x()
+    y = MPoly.var_y()
+    m = [[x, y, MPoly.one()], [MPoly.one(), x * y, y], [y, MPoly.zero(), x]]
+    monkeypatch.setattr(matrix, "_divide", lambda terms, divisor, exact: None)
+    with pytest.raises(ArithmeticError):
+        ffdet(m)
 
 
 @given(square3)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pdisc.exactalg import Interval, MPoly, NEG_INF, eval_box
+from pdisc.exactalg.mpoly import _divide, _pack, _unpack
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -104,6 +105,87 @@ def test_reduce_mod_identity(f, pt):
     x0, y0 = pt
     assert f.eval_rat(x0, y0) == (q * g + r).eval_rat(x0, y0)
     assert r.degree_in("x") < 2
+
+
+def _full_quadratic(coeffs) -> MPoly:
+    """A polynomial with every monomial of degree <= 2 (leading term y^2)."""
+    exps = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    return MPoly({e: c for e, c in zip(exps, coeffs)})
+
+
+def test_division_recreates_cancelled_terms():
+    # Dividing a*g by g, the terms x*y and x*y^2 of the running remainder
+    # cancel to zero and are created again by later reduction steps.
+    g = _full_quadratic([1] * 6)
+    x = MPoly.var_x()
+    y = MPoly.var_y()
+    a = y * y - x * y + x - MPoly.one()
+    assert (a * g).exact_div(g) == a
+    assert (a * g).reduce_mod(g) == (a, MPoly.zero())
+    r = 3 * x * y + 5 * x**4 - MPoly.one()
+    assert (a * g + r).reduce_mod(g) == (a, r)
+    assert (a * g + r).exact_div(g) is None
+
+
+nonzero_rationals = rationals.filter(lambda c: c != 0)
+
+
+@given(
+    mpolys(),
+    st.lists(nonzero_rationals, min_size=6, max_size=6),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 1), rationals), max_size=4),
+)
+def test_division_by_dense_divisor_is_unique(a, coeffs, rest):
+    """With one divisor, q and r are unique once no term of r is divisible
+    by the leading monomial y^2; a dense divisor makes every reduction
+    step touch terms that earlier steps cancelled."""
+    g = _full_quadratic(coeffs)
+    r = MPoly({(i, j): c for i, j, c in rest})
+    f = a * g + r
+    assert f.reduce_mod(g) == (a, r)
+    q = f.exact_div(g)
+    if r.is_zero:
+        assert q == a
+    else:
+        assert q is None
+
+
+def test_exact_div_fails_after_several_steps():
+    # the quotient's first four terms divide out; the constant 2 is left
+    # over only once every higher term is gone
+    y = MPoly.var_y()
+    one = MPoly.one()
+    g = y + one
+    f = g * (y**4 + y**3 + y**2 + y) + 2 * one
+    assert f.exact_div(g) is None
+    assert f.reduce_mod(g)[1] == 2 * one
+
+
+def _int_terms(p: MPoly, scale: int = 1):
+    return _pack({e: int(scale * c) for e, c in p.items()})
+
+
+def test_integer_division_checks_coefficients():
+    x = MPoly.var_x()
+    y = MPoly.var_y()
+    g = x * x + 2 * x * y - 3 * y + 4
+    a = x * y - 5 * x + 7
+    q, r = _divide(_int_terms(a * g), _int_terms(g), exact=True)
+    assert q == _int_terms(a) and not r
+    assert all(type(c) is int for c in q.values())
+    # a*g / (2*g) is a/2, not in Z[x, y]: the first quotient coefficient fails
+    assert _divide(_int_terms(a * g), _int_terms(g, 2), exact=True) is None
+    # the quotient x*y - 5*x + 7/2 passes the coefficient test until its last term
+    b = 2 * x * y - 10 * x + 7
+    assert _divide(_int_terms(b * g, 2), _int_terms(g, 4), exact=True) is None
+    assert _divide(_int_terms(b * g, 4), _int_terms(g, 4), exact=True)[0] == _int_terms(b)
+
+
+def test_packed_kernel_rejects_huge_degrees():
+    big = MPoly.monomial(0, 2**31)
+    with pytest.raises(OverflowError):
+        big * MPoly.var_y()
+    assert MPoly.monomial(0, 2**31 - 1) * MPoly.var_x() == MPoly.monomial(1, 2**31 - 1)
 
 
 def test_zero_degree_sentinel():
