@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -34,7 +33,7 @@ from pdisc.equilibria import (
     leslie_labels,
 )
 from pdisc.errors import InputError, InternalInvariantError, PDiscError
-from pdisc.integrability import SearchBounds, run_pipeline, verdict_fragment
+from pdisc.integrability import MAX_CURVE_DEGREE, SearchBounds, run_pipeline, verdict_fragment
 from pdisc.darboux import darboux_fragment
 from pdisc.modelio import (
     LeslieGowerParams,
@@ -50,25 +49,6 @@ from pdisc.modelio import (
 from pdisc.portrait import build_portrait, render_portrait
 
 DEFAULT_BOUNDS = SearchBounds()
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved CLI invocation."""
-
-    input_path: Optional[str] = None
-    overrides: Optional[Dict[str, Fraction]] = None
-    bounds: SearchBounds = DEFAULT_BOUNDS
-    out_path: Optional[str] = None
-    svg_path: Optional[str] = None
-    quadrant: bool = False
-    seed: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.bounds.max_curve_degree < 1 or self.bounds.max_exp_degree < 1:
-            raise InputError("search bounds must be positive")
-        if self.bounds.extactic_order < 1:
-            raise InputError("extactic order must be positive")
 
 
 def _fraction(text: str) -> Fraction:
@@ -105,15 +85,12 @@ def _params_arg(text: str) -> Dict[str, Fraction]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _load_system(cfg: RunConfig) -> PlanarSystem:
-    if cfg.input_path is None:
-        raise InputError("no input file given")
-    path = Path(cfg.input_path)
+def _load_system(input_path: str, overrides: Optional[Dict[str, Fraction]]) -> PlanarSystem:
     try:
-        source = path.read_text(encoding="utf-8")
+        source = Path(input_path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise InputError(f"cannot read {cfg.input_path}: {exc}") from exc
-    return parse_system(source, cfg.overrides)
+        raise InputError(f"cannot read {input_path}: {exc}") from exc
+    return parse_system(source, overrides)
 
 
 def _leslie_bindings(sys: PlanarSystem) -> Optional[ParamBindings]:
@@ -129,14 +106,6 @@ def _leslie_bindings(sys: PlanarSystem) -> Optional[ParamBindings]:
     if (sys.P - reference.P).is_zero and (sys.Q - reference.Q).is_zero:
         return ParamBindings(a, b, c)
     return None
-
-
-def _regime_name(value: Fraction) -> str:
-    if value > 0:
-        return "positive"
-    if value < 0:
-        return "negative"
-    return "zero"
 
 
 def _dump_json(obj: object) -> str:
@@ -195,7 +164,7 @@ def analyze_report(sys: PlanarSystem, quadrant: bool = False) -> Dict[str, objec
     report: Dict[str, object] = {
         "system": format_system(sys),
         "params": {name: str(value) for name, value in sorted(sys.params.items())},
-        "regime": None if bindings is None else _regime_name(bindings.regime_value),
+        "regime": None if bindings is None else bindings.regime,
         "finite_equilibria": [equilibrium_fragment(rec) for rec in finite],
     }
     chart_ids = ["U1", "U2"] if quadrant else ["U1", "U2", "V1", "V2"]
@@ -236,7 +205,7 @@ def darboux_report(
         "system": format_system(sys),
         "params": {name: str(value) for name, value in sorted(sys.params.items())},
         "bounds": {
-            "max_curve_degree": bounds.max_curve_degree,
+            "max_curve_degree": MAX_CURVE_DEGREE,
             "max_exp_degree": bounds.max_exp_degree,
             "extactic_order": bounds.extactic_order,
         },
@@ -263,67 +232,46 @@ def darboux_report(
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        input_path=args.input,
-        overrides=args.params,
-        out_path=args.out,
-        quadrant=args.quadrant,
-    )
-    sys_ = _load_system(cfg)
-    report = analyze_report(sys_, quadrant=cfg.quadrant)
-    _write_output(_dump_json(report), cfg.out_path)
+    sys_ = _load_system(args.input, args.params)
+    report = analyze_report(sys_, quadrant=args.quadrant)
+    _write_output(_dump_json(report), args.out)
     return 0
 
 
 def _cmd_darboux(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        input_path=args.input,
-        overrides=args.params,
-        bounds=SearchBounds(
-            max_curve_degree=args.max_curve_degree,
-            max_exp_degree=args.max_exp_degree,
-            extactic_order=args.extactic_order,
-        ),
-        out_path=args.out,
-        seed=args.seed,
+    bounds = SearchBounds(
+        max_exp_degree=args.max_exp_degree, extactic_order=args.extactic_order
     )
-    sys_ = _load_system(cfg)
+    sys_ = _load_system(args.input, args.params)
     if args.sample > 0 and _leslie_bindings(sys_) is None:
         raise InputError("--sample requires the reduced predator-prey model")
     report = darboux_report(
         sys_,
-        cfg.bounds,
+        bounds,
         dump_extactic=args.dump_extactic,
         sample=args.sample,
-        seed=cfg.seed,
+        seed=args.seed,
     )
-    _write_output(_dump_json(report), cfg.out_path)
+    _write_output(_dump_json(report), args.out)
     return 0
 
 
 def _cmd_portrait(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        input_path=args.input,
-        overrides=args.params,
-        out_path=args.out,
-        svg_path=args.svg,
-        quadrant=args.quadrant,
-    )
-    sys_ = _load_system(cfg)
+    sys_ = _load_system(args.input, args.params)
     doc = build_portrait(
         sys_,
         params=_leslie_bindings(sys_),
-        positive_quadrant_only=cfg.quadrant,
+        positive_quadrant_only=args.quadrant,
         grid=args.grid,
         tmax=args.tmax,
         tol=args.tol,
     )
     svg_bytes, json_bytes = render_portrait(doc)
-    if cfg.svg_path is not None:
-        _write_bytes(svg_bytes, cfg.svg_path)
-    if cfg.out_path is not None:
-        _write_bytes(json_bytes, cfg.out_path)
-    if cfg.svg_path is None and cfg.out_path is None:
+    if args.svg is not None:
+        _write_bytes(svg_bytes, args.svg)
+    if args.out is not None:
+        _write_bytes(json_bytes, args.out)
+    if args.svg is None and args.out is None:
         sys.stdout.write(json_bytes.decode("utf-8"))
         if not json_bytes.endswith(b"\n"):
             sys.stdout.write("\n")
@@ -335,10 +283,9 @@ def _cmd_leslie(args: argparse.Namespace) -> int:
         r=args.r, k=args.k, q=args.q, s=args.s, n=args.n, c=args.c
     )
     bindings, sys_ = leslie_transform(biological)
-    value = bindings.regime_value
     print(f"A={bindings.A}, B={bindings.B}, C={bindings.C}")
-    print(f"1-AC = {value}")
-    print(f"regime: {_regime_name(value)}")
+    print(f"1-AC = {bindings.regime_value}")
+    print(f"regime: {bindings.regime}")
     if args.emit is not None:
         Path(args.emit).write_text(leslie_source(bindings), encoding="utf-8")
         print(f"wrote {args.emit}", file=sys.stderr)
@@ -382,12 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         "darboux", help="invariant curves, exponential factors, verdict"
     )
     add_common(p_darboux)
-    p_darboux.add_argument(
-        "--max-curve-degree",
-        type=int,
-        default=DEFAULT_BOUNDS.max_curve_degree,
-        help="invariant-curve degree bound",
-    )
     p_darboux.add_argument(
         "--max-exp-degree",
         type=int,

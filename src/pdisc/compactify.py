@@ -147,10 +147,6 @@ def to_chart(sys: PlanarSystem, chart: str) -> ChartSystem:
     return ChartSystem(chart, du, dv, sys, d)
 
 
-def all_charts(sys: PlanarSystem) -> List[ChartSystem]:
-    return [to_chart(sys, c) for c in CHART_IDS]
-
-
 def infinite_equilibria(
     cs: ChartSystem, positive_quadrant_only: bool = False
 ) -> List[EquilibriumRecord]:

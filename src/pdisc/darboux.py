@@ -86,11 +86,6 @@ class ExtacticResult:
         return len(self.basis)
 
 
-def divergence(sys: PlanarSystem) -> MPoly:
-    """dP/dx + dQ/dy."""
-    return sys.divergence()
-
-
 def verify_invariant_curve(sys: PlanarSystem, f: MPoly) -> Optional[InvariantCurve]:
     """Exact check that f = 0 is invariant; returns the curve with its
     cofactor, or None when X(f) is not divisible by f."""

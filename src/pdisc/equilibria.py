@@ -773,11 +773,6 @@ def _semi_hyperbolic(
     )
 
 
-def classify(rec: EquilibriumRecord, sys: PlanarSystem) -> str:
-    """Recompute the classification for a record's point."""
-    return classify_point(sys, rec.point, rec.label).classification
-
-
 # ---------------------------------------------------------------------------
 # Leslie-Gower labels and reporting
 

@@ -35,15 +35,8 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def contains(self, v: _Scalar) -> bool:
         return self.lo <= Fraction(v) <= self.hi
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
 
     def sign(self) -> Optional[int]:
         """-1, 0 (exact zero point), or +1; None when the sign is unresolved."""

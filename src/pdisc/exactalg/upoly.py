@@ -194,16 +194,6 @@ class UPoly:
         v = self.eval(t)
         return (v > 0) - (v < 0)
 
-    def compose_linear(self, a: _Scalar, b: _Scalar) -> "UPoly":
-        """p(a*t + b)."""
-        a = Fraction(a)
-        b = Fraction(b)
-        lin = UPoly((b, a))
-        acc = UPoly.zero()
-        for c in reversed(self._c):
-            acc = acc * lin + c
-        return acc
-
     def __str__(self) -> str:
         if not self._c:
             return "0"

@@ -36,20 +36,19 @@ NOT_LIOUVILLIAN = "NotLiouvillianWithinBounds"
 INCONCLUSIVE = "Inconclusive"
 
 
+# The automatic curve search finds invariant lines only; higher-degree
+# candidates must be supplied explicitly.  Reports record it as a bound.
+MAX_CURVE_DEGREE = 1
+
+
 @dataclass(frozen=True)
 class SearchBounds:
     """Bounds the Darboux search ran under; nonexistence is relative to these."""
 
-    max_curve_degree: int = 1
     max_exp_degree: int = 2
     extactic_order: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_curve_degree != 1:
-            raise InputError(
-                "automatic curve search is limited to degree 1; "
-                "higher-degree candidates must be supplied explicitly"
-            )
         if self.max_exp_degree < 1:
             raise InputError("exponential-factor degree bound must be at least 1")
         if self.extactic_order not in (1, 2):
@@ -322,23 +321,12 @@ def run_pipeline(
     )
 
 
-def liouville_verdict(
-    sys: PlanarSystem,
-    bounds: SearchBounds = SearchBounds(),
-    extra_curves: Sequence[MPoly] = (),
-) -> IntegrabilityVerdict:
-    """Decide Liouville integrability within the bounds: first integral
-    beats integrating factor; a family sentinel downgrades nonexistence
-    to Inconclusive."""
-    return run_pipeline(sys, bounds, extra_curves).verdict
-
-
 def verdict_fragment(v: IntegrabilityVerdict) -> Dict:
     """JSON-ready summary of a verdict."""
     doc: Dict = {
         "verdict": v.verdict,
         "bounds": {
-            "max_curve_degree": v.bounds.max_curve_degree,
+            "max_curve_degree": MAX_CURVE_DEGREE,
             "max_exp_degree": v.bounds.max_exp_degree,
             "extactic_order": v.bounds.extactic_order,
         },

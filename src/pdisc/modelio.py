@@ -406,10 +406,10 @@ class ParamBindings:
         return 1 - self.A * self.C
 
     @property
-    def regime(self) -> int:
-        """Exact sign of 1 - A*C: +1, 0, or -1."""
+    def regime(self) -> str:
+        """The exact sign of 1 - A*C by name: "positive", "zero" or "negative"."""
         v = self.regime_value
-        return (v > 0) - (v < 0)
+        return "positive" if v > 0 else ("zero" if v == 0 else "negative")
 
 
 def leslie_system(A: Fraction, B: Fraction, C: Fraction) -> PlanarSystem:

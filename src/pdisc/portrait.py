@@ -34,7 +34,7 @@ from pdisc.equilibria import (
     leslie_labels,
 )
 from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError
-from pdisc.exactalg import MPoly
+from pdisc.exactalg import Interval, MPoly
 from pdisc.modelio import ParamBindings, PlanarSystem, format_system
 
 RTOL_DEFAULT = 1e-9
@@ -156,7 +156,6 @@ class Trajectory:
     role: str  # generic | separatrix | axis
     direction: str  # forward | backward
     points: List[Tuple[float, float]]
-    times: List[float]
     reason: str
 
     def endpoint(self) -> Tuple[float, float]:
@@ -177,37 +176,64 @@ class _ChartState:
         self.side = side
         self.orient = orient
 
+    def disc(self) -> Tuple[float, float]:
+        if self.chart == "U3":
+            return disc_from_plane(self.x, self.y)
+        return _disc_from_chart(self.chart, self.x, self.y, self.side)
 
-class _Integrator:
-    def __init__(self, sys: PlanarSystem, equilibria_disc: Sequence[Tuple[float, float]]):
-        self.sys = sys
-        self.d = sys.degree
-        self.f3 = (compile_poly(sys.P), compile_poly(sys.Q))
+
+class Flow:
+    """A system's vector field compiled once for every orbit of a
+    portrait: the finite chart U3 and the charts U1/U2 at infinity, the
+    restrictions to invariant coordinate axes, and the disc points of
+    the equilibria where orbits stop.
+
+    Without `equilibria`, the stop points are the finite equilibria,
+    located exactly, and the equator points of the whole disc.
+    """
+
+    def __init__(
+        self, sys: PlanarSystem, equilibria: Optional[Sequence[Tuple[float, float]]] = None
+    ):
+        if equilibria is None:
+            markers = [_marker_for_finite(rec) for rec in finite_equilibria(sys)]
+            markers.extend(_infinite_markers(sys, False))
+            equilibria = [m.disc for m in markers]
+        self.equilibria = list(equilibria)
+        self.even_degree = sys.degree % 2 == 0
         u1 = to_chart(sys, "U1")
         u2 = to_chart(sys, "U2")
-        self.f1 = (compile_poly(u1.du), compile_poly(u1.dv))
-        self.f2 = (compile_poly(u2.du), compile_poly(u2.dv))
-        self.eqs = list(equilibria_disc)
+        self.fields = {
+            "U3": (compile_poly(sys.P), compile_poly(sys.Q)),
+            "U1": (compile_poly(u1.du), compile_poly(u1.dv)),
+            "U2": (compile_poly(u2.du), compile_poly(u2.dv)),
+        }
+        # an axis is invariant when the transverse component vanishes on it
+        zero = Fraction(0)
+        self.axes: Dict[str, Callable[[float, float], float]] = {}
+        if sys.Q.subst_y(zero).is_zero:
+            self.axes["x"] = compile_poly(sys.P.subst_y(zero))
+        if sys.P.subst_x(zero).is_zero:
+            self.axes["y"] = compile_poly(sys.Q.subst_x(zero))
 
-    # -- chart bookkeeping ------------------------------------------------
+    def speed(self, st: _ChartState) -> float:
+        fx, fy = self.fields[st.chart]
+        return math.hypot(fx(st.x, st.y), fy(st.x, st.y))
 
-    def _orientation(self, chart: str, v: float) -> float:
-        if chart == "U3":
-            return 1.0
-        if (self.d - 1) % 2 == 0:
+    def converged(self, speed: float, p: Tuple[float, float]) -> bool:
+        """The stop rule: field speed below CONVERGE_SPEED and an
+        equilibrium within CONVERGE_POS of the disc point p."""
+        return speed < CONVERGE_SPEED and any(
+            _dist(p, e) < CONVERGE_POS for e in self.equilibria
+        )
+
+    def _orientation(self, v: float) -> float:
+        # for even degree the U1/U2 fields reverse time on the v < 0 half
+        if not self.even_degree:
             return 1.0
         return 1.0 if v >= 0 else -1.0
 
-    def _field(self, st: _ChartState) -> Tuple[float, float]:
-        fx, fy = {"U3": self.f3, "U1": self.f1, "U2": self.f2}[st.chart]
-        return (st.orient * fx(st.x, st.y), st.orient * fy(st.x, st.y))
-
-    def _disc(self, st: _ChartState) -> Tuple[float, float]:
-        if st.chart == "U3":
-            return disc_from_plane(st.x, st.y)
-        return _disc_from_chart(st.chart, st.x, st.y, st.side)
-
-    def _switch(self, st: _ChartState) -> None:
+    def switch(self, st: _ChartState) -> None:
         if st.chart == "U3":
             if abs(st.x) + abs(st.y) > CHART_OUT:
                 if abs(st.x) >= abs(st.y):
@@ -218,7 +244,7 @@ class _Integrator:
                     st.chart = "U2"
                 st.x, st.y = u, v
                 st.side = 1 if v > 0 else -1
-                st.orient = self._orientation(st.chart, v)
+                st.orient = self._orientation(v)
             return
         u, v = st.x, st.y
         if v != 0.0 and (1.0 + abs(u)) / abs(v) < CHART_IN:
@@ -234,119 +260,92 @@ class _Integrator:
             st.chart = "U2" if st.chart == "U1" else "U1"
             st.x, st.y = 1.0 / u, v / u
             st.side = 1 if st.y > 0 else (-1 if st.y < 0 else st.side)
-            st.orient = self._orientation(st.chart, st.y)
+            st.orient = self._orientation(st.y)
 
-    # -- termination ------------------------------------------------------
 
-    def _near_equilibrium(self, st: _ChartState) -> bool:
-        p = self._disc(st)
-        for e in self.eqs:
-            if _dist(p, e) < CONVERGE_POS:
-                fx, fy = self._field(st)
-                if math.hypot(fx, fy) < CONVERGE_SPEED:
-                    return True
-        return False
+def _planar_orbit(
+    flow: Flow,
+    x0: float,
+    y0: float,
+    direction: str,
+    tmax: float,
+    rtol: float,
+    atol: float,
+    seed_id: str,
+    role: str,
+) -> Trajectory:
+    sgn = 1.0 if direction == "forward" else -1.0
+    st = _ChartState("U3", x0, y0, 1, 1.0)
+    flow.switch(st)
+    pts: List[Tuple[float, float]] = [st.disc()]
+    if flow.speed(st) < CONVERGE_SPEED:
+        return Trajectory(seed_id, role, direction, pts, REASON_EQ)
 
-    # -- main loop ----------------------------------------------------------
+    fields = flow.fields
 
-    def run(
-        self,
-        seed_disc: Tuple[float, float],
-        direction: str,
-        tmax: float,
-        rtol: float,
-        atol: float,
-        seed_id: str,
-        role: str,
-    ) -> Trajectory:
-        if direction not in ("forward", "backward"):
-            raise InputError("direction must be 'forward' or 'backward'")
-        r2 = seed_disc[0] ** 2 + seed_disc[1] ** 2
-        if r2 >= 1.0:
-            raise InputError("seed must lie strictly inside the disc")
-        sgn = 1.0 if direction == "forward" else -1.0
-        x0, y0 = plane_from_disc(*seed_disc)
-        st = _ChartState("U3", x0, y0, 1, 1.0)
-        self._switch(st)
+    def fld(a: float, b: float) -> Tuple[float, float]:
+        fx, fy = fields[st.chart]
+        k = sgn * st.orient
+        return (k * fx(a, b), k * fy(a, b))
 
-        pts: List[Tuple[float, float]] = [self._disc(st)]
-        times: List[float] = [0.0]
-        reason = REASON_TMAX
-
-        fx, fy = self._field(st)
-        if math.hypot(fx, fy) < CONVERGE_SPEED or self._near_equilibrium(st):
-            return Trajectory(seed_id, role, direction, pts, times, REASON_EQ)
-
-        t = 0.0
-        h = 1e-3
-        steps = 0
-        last_recorded = pts[0]
-        while steps < MAX_STEPS:
-            steps += 1
-            if t >= tmax:
-                reason = REASON_TMAX
+    reason = REASON_TMAX
+    t = 0.0
+    h = 1e-3
+    last_recorded = pts[0]
+    for _ in range(MAX_STEPS):
+        if t >= tmax:
+            break
+        h = min(h, tmax - t, 0.5)
+        nx, ny, ex, ey = _dp_step(fld, st.x, st.y, h)
+        sx = atol + rtol * max(abs(st.x), abs(nx))
+        sy = atol + rtol * max(abs(st.y), abs(ny))
+        err = math.sqrt(((ex / sx) ** 2 + (ey / sy) ** 2) / 2.0)
+        if err > 1.0:
+            h *= max(0.2, 0.9 * err ** -0.2)
+            if h < 1e-13 * max(1.0, abs(t)):
+                reason = REASON_UNDERFLOW
                 break
-            h = min(h, tmax - t, 0.5)
+            continue
+        # keep recorded polylines locally short on the disc
+        if st.chart == "U3" and _dist(disc_from_plane(nx, ny), st.disc()) > 0.05:
+            h *= 0.5
+            if h < 1e-13 * max(1.0, abs(t)):
+                reason = REASON_UNDERFLOW
+                break
+            continue
 
-            def fld(a: float, b: float) -> Tuple[float, float]:
-                fx, fy = {"U3": self.f3, "U1": self.f1, "U2": self.f2}[st.chart]
-                k = sgn * st.orient
-                return (k * fx(a, b), k * fy(a, b))
+        st.x, st.y = nx, ny
+        t += h
+        if err > 1e-30:
+            h *= min(5.0, 0.9 * err ** -0.2)
+        else:
+            h *= 5.0
 
-            nx, ny, ex, ey = _dp_step(fld, st.x, st.y, h)
-            sx = atol + rtol * max(abs(st.x), abs(nx))
-            sy = atol + rtol * max(abs(st.y), abs(ny))
-            err = math.sqrt(((ex / sx) ** 2 + (ey / sy) ** 2) / 2.0)
-            if err > 1.0:
-                h *= max(0.2, 0.9 * err ** -0.2)
-                if h < 1e-13 * max(1.0, abs(t)):
-                    reason = REASON_UNDERFLOW
-                    break
-                continue
-            # keep recorded polylines locally short on the disc
-            if st.chart == "U3" and _dist(disc_from_plane(nx, ny), self._disc(st)) > 0.05:
-                h *= 0.5
-                if h < 1e-13 * max(1.0, abs(t)):
-                    reason = REASON_UNDERFLOW
-                    break
-                continue
+        if st.chart != "U3" and abs(st.y) < EQUATOR_EPS:
+            p = st.disc()
+            pts.append(p)
+            reason = REASON_EQ if flow.converged(flow.speed(st), p) else REASON_BOUNDARY
+            break
+        flow.switch(st)
 
-            st.x, st.y = nx, ny
-            t += h
-            if err > 1e-30:
-                h *= min(5.0, 0.9 * err ** -0.2)
-            else:
-                h *= 5.0
-
-            if st.chart != "U3" and abs(st.y) < EQUATOR_EPS:
-                p = self._disc(st)
+        p = st.disc()
+        if _dist(p, last_recorded) >= 0.004:
+            pts.append(p)
+            last_recorded = p
+        if flow.converged(flow.speed(st), p):
+            if pts[-1] != p:
                 pts.append(p)
-                times.append(t)
-                reason = REASON_EQ if self._near_equilibrium(st) else REASON_BOUNDARY
-                break
-            self._switch(st)
+            reason = REASON_EQ
+            break
 
-            p = self._disc(st)
-            if _dist(p, last_recorded) >= 0.004:
-                pts.append(p)
-                times.append(t)
-                last_recorded = p
-            if self._near_equilibrium(st):
-                if pts[-1] != p:
-                    pts.append(p)
-                    times.append(t)
-                reason = REASON_EQ
-                break
-
-        final = self._disc(st)
-        if pts[-1] != final:
-            pts.append(final)
-            times.append(t)
-        return Trajectory(seed_id, role, direction, pts, times, reason)
+    final = st.disc()
+    if pts[-1] != final:
+        pts.append(final)
+    return Trajectory(seed_id, role, direction, pts, reason)
 
 
 def _axis_orbit(
-    sys: PlanarSystem,
+    flow: Flow,
     axis: str,
     start: float,
     direction: str,
@@ -354,21 +353,22 @@ def _axis_orbit(
     rtol: float,
     atol: float,
     seed_id: str,
-    eqs: Sequence[Tuple[float, float]],
-    role: str = "axis",
+    role: str,
 ) -> Trajectory:
     """Integrate the exact one-dimensional restriction to an invariant
     axis; the transverse coordinate is identically zero."""
-    poly = sys.P.subst_y(Fraction(0)) if axis == "x" else sys.Q.subst_x(Fraction(0))
-    g = compile_poly(poly)
+    g = flow.axes[axis]
     evalf = (lambda s: g(s, 0.0)) if axis == "x" else (lambda s: g(0.0, s))
     sgn = 1.0 if direction == "forward" else -1.0
 
     def embed(s: float) -> Tuple[float, float]:
         return disc_from_plane(s, 0.0) if axis == "x" else disc_from_plane(0.0, s)
 
+    def f2(a: float, b: float) -> Tuple[float, float]:
+        # scalar DP45 via the planar stepper with a frozen second component
+        return (sgn * evalf(a), 0.0)
+
     pts = [embed(start)]
-    times = [0.0]
     pos = start
     t = 0.0
     h = 1e-3
@@ -377,17 +377,13 @@ def _axis_orbit(
     for _ in range(MAX_STEPS):
         if t >= tmax:
             break
-        speed = abs(evalf(pos))
-        near = any(_dist(embed(pos), e) < CONVERGE_POS for e in eqs)
-        if speed < CONVERGE_SPEED and near:
+        if flow.converged(abs(evalf(pos)), embed(pos)):
             reason = REASON_EQ
             break
         if abs(pos) > 1e9:
             reason = REASON_BOUNDARY
             break
         h = min(h, tmax - t, 0.5)
-        # scalar DP45 via the planar stepper with a frozen second component
-        f2 = lambda a, b: (sgn * evalf(a), 0.0)
         np_, _, err, _ = _dp_step(f2, pos, 0.0, h)
         sc = atol + rtol * max(abs(pos), abs(np_))
         e = abs(err) / sc
@@ -403,58 +399,38 @@ def _axis_orbit(
         p = embed(pos)
         if _dist(p, last) >= 0.004:
             pts.append(p)
-            times.append(t)
             last = p
     final = embed(pos)
     if pts[-1] != final:
         pts.append(final)
-        times.append(t)
-    return Trajectory(seed_id, role, direction, pts, times, reason)
+    return Trajectory(seed_id, role, direction, pts, reason)
 
 
 def integrate_orbit(
-    sys: PlanarSystem,
+    flow: Flow,
     seed: Tuple[float, float],
     direction: str = "forward",
     tmax: float = TMAX_DEFAULT,
     tol: float = RTOL_DEFAULT,
     atol: float = ATOL_DEFAULT,
-    equilibria: Optional[Sequence[Tuple[float, float]]] = None,
     seed_id: str = "seed",
     role: str = "generic",
 ) -> Trajectory:
-    """Integrate one orbit from a disc-coordinate seed.
+    """Integrate one orbit of `flow` from a disc-coordinate seed.
 
     Seeds on an invariant coordinate axis are integrated in the exact
     one-dimensional restriction so the transverse coordinate never
-    drifts.  `equilibria` supplies disc points used for the
-    convergence-to-equilibrium stop; by default the finite equilibria
-    are located exactly and used.
+    drifts.  An orbit stops at the equilibria the flow was built with.
     """
     if direction not in ("forward", "backward"):
         raise InputError("direction must be 'forward' or 'backward'")
-    if equilibria is None:
-        eqs = []
-        for rec in finite_equilibria(sys):
-            ax, ay = rec.point.approx()
-            eqs.append(disc_from_plane(ax, ay))
-        for chart in ("U1", "U2"):
-            try:
-                for rec in infinite_equilibria(to_chart(sys, chart)):
-                    u = rec.point.x.approx()
-                    eqs.append(_disc_from_chart(chart, u, 0.0, 1))
-                    eqs.append(_disc_from_chart(chart, u, 0.0, -1))
-            except LineOfEquilibriaError:
-                pass
-        equilibria = eqs
-
     x0, y0 = plane_from_disc(*seed)
     axis_role = "axis" if role == "generic" else role
-    if y0 == 0.0 and sys.Q.subst_y(Fraction(0)).is_zero:
-        return _axis_orbit(sys, "x", x0, direction, tmax, tol, atol, seed_id, equilibria, axis_role)
-    if x0 == 0.0 and sys.P.subst_x(Fraction(0)).is_zero:
-        return _axis_orbit(sys, "y", y0, direction, tmax, tol, atol, seed_id, equilibria, axis_role)
-    return _Integrator(sys, equilibria).run(seed, direction, tmax, tol, atol, seed_id, role)
+    if y0 == 0.0 and "x" in flow.axes:
+        return _axis_orbit(flow, "x", x0, direction, tmax, tol, atol, seed_id, axis_role)
+    if x0 == 0.0 and "y" in flow.axes:
+        return _axis_orbit(flow, "y", y0, direction, tmax, tol, atol, seed_id, axis_role)
+    return _planar_orbit(flow, x0, y0, direction, tmax, tol, atol, seed_id, role)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +481,13 @@ def _marker_for_infinite(rec: EquilibriumRecord, chart: str, side: int) -> Marke
 
 def _eig_directions(rec: EquilibriumRecord) -> List[Tuple[float, Tuple[float, float]]]:
     """(eigenvalue, unit eigenvector) pairs for a record with a real
-    spectrum, from the float Jacobian."""
-    (a, b), (c, d) = [[float(v) for v in row] for row in rec.jacobian]
+    spectrum, from the float Jacobian.  At an irrational point the
+    entries are intervals (refined to width 2^-60 by classify_point) and
+    are read at their midpoints."""
+    (a, b), (c, d) = [
+        [float((v.lo + v.hi) / 2) if isinstance(v, Interval) else float(v) for v in row]
+        for row in rec.jacobian
+    ]
     tr = a + d
     disc = tr * tr - 4.0 * (a * d - b * c)
     if disc < 0:
@@ -550,21 +531,12 @@ def separatrix_seeds(
     stable side and into the unstable one."""
     seeds: List[SeedSpec] = []
     for m in markers:
-        k = 0
+        # (unit direction, offset sign, integration direction) in seed-id order
+        offsets: List[Tuple[Tuple[float, float], float, str]] = []
         if m.classification == "saddle":
             for lam, vec in _eig_directions(m.record):
                 direction = "forward" if lam > 0 else "backward"
-                for s in (1.0, -1.0):
-                    u = m.local[0] + s * epsilon * vec[0]
-                    v = m.local[1] + s * epsilon * vec[1]
-                    if m.chart != "U3" and abs(v) < 1e-15:
-                        continue  # equator direction: lies on the disc rim
-                    if positive_quadrant_only and not _in_quadrant(m.chart, m.side, u, v):
-                        continue
-                    seeds.append(
-                        SeedSpec(f"sep:{m.marker_id}:{k}", _local_to_disc(m.chart, m.side, u, v), direction, "separatrix")
-                    )
-                    k += 1
+                offsets += [(vec, 1.0, direction), (vec, -1.0, direction)]
         elif m.classification == "saddle-node" and m.record.reduction is not None:
             red = m.record.reduction
             cv = (float(red.center_vector[0]), float(red.center_vector[1]))
@@ -572,32 +544,24 @@ def separatrix_seeds(
             cv = (cv[0] / n, cv[1] / n)
             a2 = float(red.a2)
             for s in (1.0, -1.0):
-                u = m.local[0] + s * epsilon * cv[0]
-                v = m.local[1] + s * epsilon * cv[1]
-                if m.chart != "U3" and abs(v) < 1e-15:
-                    continue  # equator direction: lies on the disc rim
-                if positive_quadrant_only and not _in_quadrant(m.chart, m.side, u, v):
-                    continue
-                direction = "forward" if (a2 > 0) == (s > 0) else "backward"
-                seeds.append(
-                    SeedSpec(f"sep:{m.marker_id}:{k}", _local_to_disc(m.chart, m.side, u, v), direction, "separatrix")
-                )
-                k += 1
+                offsets.append((cv, s, "forward" if (a2 > 0) == (s > 0) else "backward"))
             lam = float(red.nonzero_eigenvalue)
             strong = [p for p in _eig_directions(m.record) if abs(p[0] - lam) < 1e-9]
             for lamv, vec in strong[:1]:
                 direction = "backward" if lamv < 0 else "forward"
-                for s in (1.0, -1.0):
-                    u = m.local[0] + s * epsilon * vec[0]
-                    v = m.local[1] + s * epsilon * vec[1]
-                    if m.chart != "U3" and abs(v) < 1e-15:
-                        continue  # equator direction: lies on the disc rim
-                    if positive_quadrant_only and not _in_quadrant(m.chart, m.side, u, v):
-                        continue
-                    seeds.append(
-                        SeedSpec(f"sep:{m.marker_id}:{k}", _local_to_disc(m.chart, m.side, u, v), direction, "separatrix")
-                    )
-                    k += 1
+                offsets += [(vec, 1.0, direction), (vec, -1.0, direction)]
+        k = 0
+        for vec, s, direction in offsets:
+            u = m.local[0] + s * epsilon * vec[0]
+            v = m.local[1] + s * epsilon * vec[1]
+            if m.chart != "U3" and abs(v) < 1e-15:
+                continue  # equator direction: lies on the disc rim
+            if positive_quadrant_only and not _in_quadrant(m.chart, m.side, u, v):
+                continue
+            seeds.append(
+                SeedSpec(f"sep:{m.marker_id}:{k}", _local_to_disc(m.chart, m.side, u, v), direction, "separatrix")
+            )
+            k += 1
     return seeds
 
 
@@ -631,7 +595,6 @@ class PortraitDoc:
     markers: List[Marker]
     trajectories: List[Trajectory]
     positive_quadrant_only: bool
-    canonical_regions: Optional[int] = None
 
 
 def _infinite_markers(
@@ -678,8 +641,7 @@ def build_portrait(
     regime: Optional[str] = None
     if params is not None:
         finite = leslie_labels(finite, params.A, params.B, params.C)
-        rv = params.regime_value
-        regime = "positive" if rv > 0 else ("zero" if rv == 0 else "negative")
+        regime = params.regime
 
     markers = [_marker_for_finite(r) for r in finite]
     markers.extend(_infinite_markers(sys, positive_quadrant_only))
@@ -701,29 +663,21 @@ def build_portrait(
 
     if params is not None:
         has_star = any(m.label == "Estar" and m.local[0] > 0 for m in markers)
-        if (params.regime_value > 0) != has_star:
+        if (regime == "positive") != has_star:
             raise InternalInvariantError(
                 "interior-equilibrium marker disagrees with the 1-AC regime"
             )
 
-    eq_points = [m.disc for m in markers]
+    flow = Flow(sys, [m.disc for m in markers])
     seeds = default_seeds(positive_quadrant_only, grid)
     seeds.extend(separatrix_seeds(markers, EPS_SEPARATRIX, positive_quadrant_only))
 
-    trajectories: List[Trajectory] = []
-    for seed in seeds:
-        trajectories.append(
-            integrate_orbit(
-                sys,
-                seed.disc,
-                seed.direction,
-                tmax=tmax,
-                tol=tol,
-                equilibria=eq_points,
-                seed_id=seed.seed_id,
-                role=seed.role,
-            )
+    trajectories = [
+        integrate_orbit(
+            flow, seed.disc, seed.direction, tmax=tmax, tol=tol, seed_id=seed.seed_id, role=seed.role
         )
+        for seed in seeds
+    ]
     trajectories.sort(key=lambda tr: tr.seed_id)
     return PortraitDoc(
         system_text=format_system(sys),

@@ -18,7 +18,6 @@ from pdisc.compactify import (
     verify_blowdown,
 )
 from pdisc.darboux import (
-    divergence,
     extactic,
     find_exponential_factors,
     find_invariant_lines,
@@ -33,7 +32,7 @@ from pdisc.integrability import (
     run_pipeline,
 )
 from pdisc.modelio import ParamBindings, leslie_system, seeded_parameter_triples
-from pdisc.portrait import build_portrait, disc_from_plane, integrate_orbit
+from pdisc.portrait import Flow, build_portrait, disc_from_plane, integrate_orbit
 
 X = MPoly.var_x()
 Y = MPoly.var_y()
@@ -177,7 +176,7 @@ def test_criterion_04_not_liouvillian(capfd):
             for i, coef in enumerate(vec):
                 assert coef == 0 or pipe.matrix.degenerate[i]
         # integrating-factor system: inconsistent
-        assert integrating_factor_test(pipe.matrix, divergence(sys)) is None
+        assert integrating_factor_test(pipe.matrix, sys.divergence()) is None
         assert pipe.verdict.rank == pipe.verdict.rank_aug - 1
 
 
@@ -196,7 +195,7 @@ def test_criterion_05_divergence(capfd):
             + _c(-3) * X * X
             + _c(-2 * a) * X * Y
         )
-        assert (divergence(sys) - want).is_zero
+        assert (sys.divergence() - want).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +339,7 @@ def test_criterion_10_regime_dichotomy(capfd):
                 disc_from_plane(1.0, 0.0),
                 disc_from_plane(float(target[0]), float(target[1])),
             ]
-            tr = integrate_orbit(sys, seed, tmax=2500.0, equilibria=known)
+            tr = integrate_orbit(Flow(sys, known), seed, tmax=2500.0)
             assert tr.reason == "converged-to-equilibrium", (a, c, tr.reason)
             goal = disc_from_plane(float(target[0]), float(target[1]))
             assert math.hypot(tr.endpoint()[0] - goal[0], tr.endpoint()[1] - goal[1]) < 1e-6
@@ -430,10 +429,11 @@ def test_criterion_11_soundness(capfd):
     rng = random.Random(11)
     from pdisc.portrait import plane_from_disc
 
+    flow = Flow(sys)
     for _ in range(50):
         x0 = rng.uniform(0.02, 0.98)
         y0 = rng.uniform(0.05, 2.5)
-        tr = integrate_orbit(sys, disc_from_plane(x0, y0), tmax=25.0)
+        tr = integrate_orbit(flow, disc_from_plane(x0, y0), tmax=25.0)
         for p in tr.points:
             px, py = plane_from_disc(*p)
             assert -1e-9 <= px <= 1.0 + 1e-9
@@ -441,7 +441,7 @@ def test_criterion_11_soundness(capfd):
 
     # (d) trajectory reversibility within 1e-5
     for seed in [(0.3, 0.4), (0.1, 0.55), (0.45, 0.2), (0.2, 0.25), (0.5, 0.35)]:
-        fwd = integrate_orbit(sys, seed, "forward", tmax=3.0)
-        back = integrate_orbit(sys, fwd.endpoint(), "backward", tmax=3.0)
+        fwd = integrate_orbit(flow, seed, "forward", tmax=3.0)
+        back = integrate_orbit(flow, fwd.endpoint(), "backward", tmax=3.0)
         err = math.hypot(back.endpoint()[0] - seed[0], back.endpoint()[1] - seed[1])
         assert err < 1e-5

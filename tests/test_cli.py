@@ -225,7 +225,7 @@ def test_darboux_sample_requires_reduced_model(tmp_path, capsys):
 
 
 def test_darboux_rejects_bad_bounds(model_file, capsys):
-    rc, _, err = _run(capsys, ["darboux", str(model_file), "--max-curve-degree", "0"])
+    rc, _, err = _run(capsys, ["darboux", str(model_file), "--max-exp-degree", "0"])
     assert rc == 2
     assert "error:" in err
 

@@ -15,7 +15,6 @@ from pdisc.darboux import (
     FAMILY,
     attach_multiplicities,
     darboux_fragment,
-    divergence,
     extactic,
     find_exponential_factors,
     find_invariant_lines,
@@ -190,7 +189,6 @@ def test_divergence_closed_form():
             - 3 * x * x
             - MPoly.const(2 * a) * x * y
         )
-        assert (divergence(sys) - expected).is_zero
         assert (sys.divergence() - expected).is_zero
 
 

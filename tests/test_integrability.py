@@ -22,7 +22,6 @@ from pdisc.integrability import (
     build_cofactor_matrix,
     first_integral_test,
     integrating_factor_test,
-    liouville_verdict,
     run_pipeline,
     verdict_fragment,
 )
@@ -131,23 +130,13 @@ def test_cofactor_matrix_shape():
 
 def test_bounds_validation():
     with pytest.raises(InputError):
-        SearchBounds(max_curve_degree=2)
-    with pytest.raises(InputError):
         SearchBounds(extactic_order=3)
     with pytest.raises(InputError):
         SearchBounds(max_exp_degree=0)
 
 
-def test_liouville_verdict_wrapper_matches_pipeline():
-    sys = leslie_system(F(1), F(2), F(1, 2))
-    verdict = liouville_verdict(sys)
-    pipe = run_pipeline(sys)
-    assert verdict.verdict == pipe.verdict.verdict
-    assert verdict_fragment(verdict) == verdict_fragment(pipe.verdict)
-
-
 def test_fragment_records_bounds_and_notes():
-    frag = verdict_fragment(liouville_verdict(leslie_system(F(1), F(2), F(1, 2))))
+    frag = verdict_fragment(run_pipeline(leslie_system(F(1), F(2), F(1, 2))).verdict)
     assert frag["verdict"] == NOT_LIOUVILLIAN
     assert frag["bounds"] == {
         "max_curve_degree": 1,

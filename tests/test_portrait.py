@@ -13,10 +13,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from pdisc.cli import main
 from pdisc.compactify import SectorDecomposition
 from pdisc.errors import InputError
 from pdisc.modelio import ParamBindings, leslie_system, parse_system
 from pdisc.portrait import (
+    Flow,
     PortraitDoc,
     _disc_from_chart,
     _dp_step,
@@ -118,9 +120,8 @@ def test_stepper_accuracy_on_rotation():
 def test_orbit_matches_exponential_flow():
     # x' = x, y' = -y from (1, 1): the time-1 map is (e, 1/e)
     sys = parse_system("dx = x\ndy = -y\n")
-    tr = integrate_orbit(sys, disc_from_plane(1.0, 1.0), tmax=1.0)
+    tr = integrate_orbit(Flow(sys), disc_from_plane(1.0, 1.0), tmax=1.0)
     assert tr.reason == REASON_TMAX
-    assert tr.times == sorted(tr.times)
     assert len(tr.points) >= 2
     want = disc_from_plane(math.e, 1.0 / math.e)
     assert _dist(tr.endpoint(), want) < 1e-6
@@ -130,20 +131,20 @@ def test_orbit_escapes_to_equator_node():
     # the saddle flow sends generic forward orbits to the equator point
     # in the +x direction
     sys = parse_system("dx = x\ndy = -y\n")
-    tr = integrate_orbit(sys, disc_from_plane(2.0, 3.0))
+    tr = integrate_orbit(Flow(sys), disc_from_plane(2.0, 3.0))
     assert tr.reason in (REASON_EQ, REASON_BOUNDARY)
     assert _dist(tr.endpoint(), (1.0, 0.0)) < 1e-6
 
 
 def test_axis_orbits_stay_exactly_on_axis():
-    sys = leslie_system(F(1), F(1), F(1, 2))
-    tr = integrate_orbit(sys, disc_from_plane(3.0, 0.0))
+    flow = Flow(leslie_system(F(1), F(1), F(1, 2)))
+    tr = integrate_orbit(flow, disc_from_plane(3.0, 0.0))
     assert all(p[1] == 0.0 for p in tr.points)
     assert tr.reason == REASON_EQ
     # on the positive x axis the flow is x' = x(C+x)(1-x): x -> 1
     assert _dist(tr.endpoint(), disc_from_plane(1.0, 0.0)) < 1e-6
 
-    tr = integrate_orbit(sys, disc_from_plane(0.0, 2.0))
+    tr = integrate_orbit(flow, disc_from_plane(0.0, 2.0))
     assert all(p[0] == 0.0 for p in tr.points)
     assert tr.reason == REASON_EQ
     # on the positive y axis the flow is y' = By(C-y): y -> C
@@ -151,26 +152,26 @@ def test_axis_orbits_stay_exactly_on_axis():
 
 
 def test_orbit_reversibility():
-    sys = leslie_system(F(1), F(1), F(1, 2))
+    flow = Flow(leslie_system(F(1), F(1), F(1, 2)))
     seed = (0.3, 0.4)
-    fwd = integrate_orbit(sys, seed, "forward", tmax=2.0)
+    fwd = integrate_orbit(flow, seed, "forward", tmax=2.0)
     assert fwd.reason == REASON_TMAX
-    back = integrate_orbit(sys, fwd.endpoint(), "backward", tmax=2.0)
+    back = integrate_orbit(flow, fwd.endpoint(), "backward", tmax=2.0)
     assert back.reason == REASON_TMAX
     assert _dist(back.endpoint(), seed) < 1e-5
 
 
 def test_orbit_input_validation():
-    sys = leslie_system(F(1), F(1), F(1, 2))
+    flow = Flow(leslie_system(F(1), F(1), F(1, 2)))
     with pytest.raises(InputError):
-        integrate_orbit(sys, (1.0, 0.0))
+        integrate_orbit(flow, (1.0, 0.0))
     with pytest.raises(InputError):
-        integrate_orbit(sys, (1.2, 0.3))
+        integrate_orbit(flow, (1.2, 0.3))
     with pytest.raises(InputError):
-        integrate_orbit(sys, (0.2, 0.1), direction="sideways")
+        integrate_orbit(flow, (0.2, 0.1), direction="sideways")
     with pytest.raises(InputError):
         # axis seeds take the one-dimensional route; same validation
-        integrate_orbit(sys, disc_from_plane(2.0, 0.0), direction="up")
+        integrate_orbit(flow, disc_from_plane(2.0, 0.0), direction="up")
 
 
 # ---------------------------------------------------------------------------
@@ -385,3 +386,52 @@ def test_separatrix_seeds_respect_quadrant_filter(leslie_doc):
     }
     for s in filtered:
         assert s.disc[0] >= -1e-6 and s.disc[1] >= -1e-6
+
+
+def test_full_disc_portrait_compiles_each_polynomial_once(monkeypatch):
+    # one Flow per portrait: the U3, U1 and U2 components and the two
+    # invariant-axis restrictions, however many orbits are drawn
+    compiled = []
+
+    def counting(p):
+        compiled.append(p)
+        return compile_poly(p)
+
+    monkeypatch.setattr("pdisc.portrait.compile_poly", counting)
+    params = ParamBindings(F(1), F(1), F(1, 2))
+    sys = leslie_system(params.A, params.B, params.C)
+    doc = build_portrait(sys, params, positive_quadrant_only=False, grid=2, tmax=10.0)
+    assert len(doc.trajectories) > 8
+    assert len(compiled) <= 8
+
+
+# ---------------------------------------------------------------------------
+# irrational saddles: interval Jacobians
+
+
+@pytest.mark.parametrize(
+    "source, quadrant",
+    [
+        ("dx = x^2 - 2\ndy = y^2 - x*y - 3\n", False),
+        ("dx = x^2 + y^2 - 3\ndy = x*y - 1\n", True),
+    ],
+    ids=["saddle-full", "saddle-quadrant"],
+)
+def test_irrational_saddles_get_separatrices(source, quadrant, tmp_path, capsys):
+    doc = build_portrait(parse_system(source), positive_quadrant_only=quadrant)
+    saddles = [
+        m for m in doc.markers if m.classification == "saddle" and not m.record.point.is_exact
+    ]
+    assert saddles
+    for m in saddles:
+        seps = [t for t in doc.trajectories if t.seed_id.startswith(f"sep:{m.marker_id}:")]
+        assert seps and all(t.role == "separatrix" for t in seps)
+    svg, js = render_portrait(doc)
+    assert json.loads(js)["trajectories"]
+
+    path = tmp_path / "saddle.vf"
+    path.write_text(source, encoding="utf-8")
+    flag = "--quadrant" if quadrant else "--no-quadrant"
+    out = tmp_path / "saddle.json"
+    assert main(["portrait", str(path), flag, "--out", str(out)]) == 0
+    assert out.read_bytes() == js
