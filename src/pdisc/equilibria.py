@@ -2,20 +2,26 @@
 linear classification, including the semi-hyperbolic (saddle-node)
 reduction.
 
-Coordinates are exact rationals whenever possible; irrational
-coordinates are carried as a square-free defining polynomial plus an
-isolating interval, refinable on demand.  Sign decisions about such
-points are made exactly where a GCD/Sturm certificate applies and by
-interval refinement (capped) otherwise, falling back to an explicit
+Abscissas are the real roots of sqfree(Res_y(P, Q)).  Above a rational
+one the ordinates are the roots of an exact gcd in Q[y]; above an
+irrational one, a, the ordinate is -S10(a)/S11(a) from the first
+subresultant S11*y + S10 of P and Q, certified as the one root of
+sqfree(Res_x(P, Q)) whose isolating interval meets its enclosure.  Where
+S11(a) = 0 the same lifting runs on P(x - t*y, y), Q(x - t*y, y).
+
+Irrational coordinates are carried as a square-free defining polynomial
+plus an isolating interval, refinable on demand.  Sign decisions about
+such points are made exactly where a GCD/Sturm certificate applies and
+by interval refinement (capped) otherwise, falling back to an explicit
 "undetermined" classification rather than a guess.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from pdisc.errors import InputError, InternalInvariantError, PositiveDimensionalError
 from pdisc.exactalg import (
@@ -28,6 +34,7 @@ from pdisc.exactalg import (
     refine_root,
     resultant_wrt,
 )
+from pdisc.exactalg.matrix import first_subresultant
 from pdisc.exactalg.roots import sturm_chain, sign_variations
 from pdisc.modelio import PlanarSystem
 
@@ -43,7 +50,6 @@ DEGENERATE = "degenerate-needs-blowup"
 UNDETERMINED = "undetermined"
 
 _REFINE_CAP = 128
-_START_WIDTH = Fraction(1, 2**40)
 
 
 # ---------------------------------------------------------------------------
@@ -108,18 +114,7 @@ class AlgebraicCoord:
 
     def sign(self) -> int:
         """Exact sign; zero only for the exact rational 0."""
-        if self.exact is not None:
-            v = self.exact
-            return (v > 0) - (v < 0)
-        assert self.poly is not None and self.root is not None
-        # an irrational root is nonzero; refine until 0 leaves the interval
-        r = self.root
-        while r.lo <= 0 <= r.hi:
-            r = refine_root(self.poly, r, (r.hi - r.lo) / 4)
-            if r.exact is not None:
-                v = r.exact
-                return (v > 0) - (v < 0)
-        return 1 if r.lo > 0 else -1
+        return self.compare(AlgebraicCoord.of(0))
 
     def compare(self, other: "AlgebraicCoord") -> int:
         """Exact three-way comparison."""
@@ -255,14 +250,9 @@ class EquilibriumRecord:
     classification: str
     label: Optional[str] = None
     reduction: Optional[SemiHyperbolicReduction] = None
-    residual: Optional[Tuple[Interval, Interval]] = None
 
     def with_label(self, label: Optional[str]) -> "EquilibriumRecord":
-        return EquilibriumRecord(
-            self.point, self.jacobian, self.trace, self.det, self.disc,
-            self.eigenvalues, self.classification, label, self.reduction,
-            self.residual,
-        )
+        return replace(self, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +261,6 @@ class EquilibriumRecord:
 
 def _upoly(p: MPoly, var: str) -> UPoly:
     return UPoly(tuple(p.univariate_coeffs(var)))
-
-
-def _fiber_gcd(px: UPoly, qx: UPoly) -> Optional[UPoly]:
-    """gcd treating identically-zero restrictions correctly; None when
-    both vanish (a whole line of solutions)."""
-    if px.is_zero and qx.is_zero:
-        return None
-    if px.is_zero:
-        return qx
-    if qx.is_zero:
-        return px
-    return px.gcd(qx)
 
 
 def finite_equilibria(
@@ -303,22 +281,15 @@ def finite_equilibria(
             "one right-hand side vanishes identically; equilibria form curves"
         )
 
-    if p.degree_in("y") == 0 and q.degree_in("y") == 0:
-        g = _upoly(p, "x").gcd(_upoly(q, "x"))
-        if g.degree >= 1 and isolate_real_roots(g):
-            raise PositiveDimensionalError(
-                "P and Q depend only on x and share a root: vertical lines "
-                "of equilibria"
-            )
-        return []
-    if p.degree_in("x") == 0 and q.degree_in("x") == 0:
-        g = _upoly(p, "y").gcd(_upoly(q, "y"))
-        if g.degree >= 1 and isolate_real_roots(g):
-            raise PositiveDimensionalError(
-                "P and Q depend only on y and share a root: horizontal lines "
-                "of equilibria"
-            )
-        return []
+    for var, other, lines in (("x", "y", "vertical"), ("y", "x", "horizontal")):
+        if p.degree_in(other) == 0 and q.degree_in(other) == 0:
+            g = _upoly(p, var).gcd(_upoly(q, var))
+            if g.degree >= 1 and isolate_real_roots(g):
+                raise PositiveDimensionalError(
+                    f"P and Q depend only on {var} and share a root: {lines} "
+                    "lines of equilibria"
+                )
+            return []
 
     rx = resultant_wrt(p, q, "y")
     if rx.is_zero:
@@ -367,27 +338,37 @@ def _record_sort_key(rec: EquilibriumRecord):
 
 
 def _eliminate(sys: PlanarSystem, rx: MPoly) -> List[AlgebraicPoint]:
-    """Solutions above the real roots of the nonzero eliminant rx = Res_y(P, Q)."""
+    """Solutions above the real roots of the nonzero eliminant rx = Res_y(P, Q).
+
+    _lift takes the irrational roots, in the coordinates (x + t*y, y) for
+    t = 0 and then for shears t != 0 until none is left."""
     if rx.is_constant:
         return []
     ux = _upoly(rx, "x")
-    fibers: Optional[_IrrationalFibers] = None
+    xroots = isolate_real_roots(ux)
     out: List[AlgebraicPoint] = []
-    for rt in isolate_real_roots(ux):
+    for rt in xroots:
         if rt.exact is not None:
             out.extend(_fiber_exact_x(sys, rt.exact))
-        else:
-            if fibers is None:
-                fibers = _IrrationalFibers(sys, ux.squarefree_part())
-            out.extend(fibers.points(rt))
-    return out
+    pending = [rt for rt in xroots if rt.exact is None]
+    if not pending:
+        return out
+    p, q = _without_vertical_factor(sys.P, sys.Q)
+    # every ordinate is a root of Res_x(P, Q), which lies in the ideal (P, Q)
+    r = _upoly(resultant_wrt(p, q, "x"), "y").squarefree_part()
+    x_elim = (ux.squarefree_part(), xroots)
+    y_elim = (r, isolate_real_roots(r))
+    for t in _SHEARS:
+        found, pending = _lift(p, q, t, x_elim, y_elim, pending)
+        out.extend(found)
+        if not pending:
+            return out
+    raise InternalInvariantError("no shear lifts the equilibria above an irrational abscissa")
 
 
 def _fiber_exact_x(sys: PlanarSystem, x0: Fraction) -> List[AlgebraicPoint]:
-    py = _upoly(sys.P.subst_x(x0), "y")
-    qy = _upoly(sys.Q.subst_x(x0), "y")
-    g = _fiber_gcd(py, qy)
-    if g is None:
+    g = _upoly(sys.P.subst_x(x0), "y").gcd(_upoly(sys.Q.subst_x(x0), "y"))
+    if g.is_zero:
         raise PositiveDimensionalError(
             f"the vertical line x = {x0} consists of equilibria"
         )
@@ -400,146 +381,135 @@ def _fiber_exact_x(sys: PlanarSystem, x0: Fraction) -> List[AlgebraicPoint]:
     ]
 
 
-def _x_content_gcd(s: UPoly, f: MPoly) -> UPoly:
-    """gcd of s with every x-coefficient of f: the pure-x factor shared
-    by s and f (constant when there is none)."""
-    g = s
-    for c in f.coeffs_in("y"):
-        if g.degree < 1:
-            break
-        if c.is_zero:
-            continue
-        g = g.gcd(_upoly(c, "x"))
-    return g
+_SHEARS = (0, 1, -1, 2, -2, 3, -3, 4, -4)
+
+_Eliminant = Tuple[UPoly, List[RootInterval]]
 
 
-class _IrrationalFibers:
-    """Solutions above the irrational roots of one square-free x-eliminant s.
+def _lift(
+    p: MPoly,
+    q: MPoly,
+    t: int,
+    x_elim: _Eliminant,
+    y_elim: _Eliminant,
+    pending: List[RootInterval],
+) -> Tuple[List[AlgebraicPoint], List[RootInterval]]:
+    """Points above the roots `pending` of x_elim found in the coordinates
+    u = x + t*y, and the roots still pending.
 
-    What depends on s but not on the root -- the pure-x factors s shares
-    with P and Q, the y-eliminants Res_x(s / d, f) and the real roots of
-    their gcd -- is computed once, on first use, and lives only as long
-    as the elimination that made it.
+    The first subresultant S1 = S11*y + S10 of the sheared P and Q lies in
+    their ideal, so above a u-root a with S11(a) != 0 (a gcd and a Sturm
+    count decide it) the only ordinate is y = -S10(a)/S11(a).  S11(a) is
+    also 0 where both y-leading coefficients vanish (its matrix then has
+    a zero first column).  With t = 0 the u-roots are the pending roots;
+    with t != 0 every real solution is lifted and x = u - t*y located, and
+    one root that cannot be lifted fails the shear.
     """
-
-    def __init__(self, sys: PlanarSystem, s: UPoly):
-        self.sys = sys
-        self.s = s
-        self.shared = (_x_content_gcd(s, sys.P), _x_content_gcd(s, sys.Q))
-        self._eliminants: List[Optional[UPoly]] = [None, None]
-        self._y_roots: Dict[Tuple[bool, bool], Tuple[UPoly, List[RootInterval]]] = {}
-
-    def _eliminant(self, side: int) -> UPoly:
-        r = self._eliminants[side]
-        if r is None:
-            d = self.shared[side]
-            base = self.s // d if d.degree >= 1 else self.s
-            f = (self.sys.P, self.sys.Q)[side]
-            res = resultant_wrt(_mpoly_from_upoly(base, "x"), f, "x")
-            if res.is_zero:
-                raise InternalInvariantError("stripped fiber eliminant vanished")
-            r = self._eliminants[side] = _upoly(res, "y")
-        return r
-
-    def _candidates(self, on_fiber: Tuple[bool, bool]) -> Tuple[UPoly, List[RootInterval]]:
-        """The y-constraint for the sides that do not vanish on the fiber,
-        and its real roots."""
-        hit = self._y_roots.get(on_fiber)
-        if hit is None:
-            # eliminant of the y-coordinate from each side that constrains
-            # it; shared pure-x factors are stripped so it is nonzero
-            sides = [k for k in (0, 1) if not on_fiber[k]]
-            g = self._eliminant(sides[0])
-            for k in sides[1:]:
-                g = g.gcd(self._eliminant(k))
-            hit = self._y_roots[on_fiber] = (g, isolate_real_roots(g) if g.degree >= 1 else [])
-        return hit
-
-    def points(self, xroot: RootInterval) -> List[AlgebraicPoint]:
-        """Solutions above the root of s isolated by xroot."""
-        sys, s = self.sys, self.s
-        p_on_fiber, q_on_fiber = (
-            d.degree >= 1 and _count_roots(d, xroot.lo, xroot.hi) == 1
-            for d in self.shared
-        )
-        if p_on_fiber and q_on_fiber:
-            raise PositiveDimensionalError(
-                "a vertical line of equilibria at an irrational abscissa"
-            )
-        g, yroots = self._candidates((p_on_fiber, q_on_fiber))
-
-        xc = AlgebraicCoord(poly=s, root=xroot)
-        out: List[AlgebraicPoint] = []
-        for yrt in yroots:
-            yc = AlgebraicCoord.from_root(g, yrt)
-            pt = AlgebraicPoint(xc, yc)
-            if yc.is_exact:
-                assert yc.exact is not None
-                if _exact_y_on_fiber(
-                    sys, s, xroot, yc.exact, not p_on_fiber, not q_on_fiber
-                ):
-                    out.append(pt)
-            else:
-                accepted = _box_pair_check(sys, pt)
-                if accepted is not None:
-                    out.append(accepted)
-        return out
-
-
-def _exact_y_on_fiber(
-    sys: PlanarSystem,
-    s: UPoly,
-    xroot: RootInterval,
-    y0: Fraction,
-    need_p: bool,
-    need_q: bool,
-) -> bool:
-    """Exact test: does the root of s inside xroot satisfy the required
-    restrictions P(x, y0) = 0 and/or Q(x, y0) = 0?"""
-    h = s
-    for need, f in ((need_p, sys.P), (need_q, sys.Q)):
-        if not need:
+    s, xroots = x_elim
+    r, yroots = y_elim
+    if t:
+        shear = (MPoly.var_x() - MPoly.const(t) * MPoly.var_y(), MPoly.var_y())
+        p, q = p.subst(*shear), q.subst(*shear)
+    if p.degree_in("y") < 1 or q.degree_in("y") < 1:
+        return [], pending
+    s10, s11 = (_upoly(c, "x") for c in first_subresultant(p, q, "y"))
+    if t:
+        base = _upoly(resultant_wrt(p, q, "y"), "x").squarefree_part()
+        roots = isolate_real_roots(base)
+    else:
+        base, roots = s, pending
+    degenerate = base.gcd(s11)
+    out: List[AlgebraicPoint] = []
+    stuck: List[RootInterval] = []
+    for rt in roots:
+        if rt.exact is not None:
+            # only with t != 0: the fiber above a rational u is an exact gcd
+            u = Interval.point(rt.exact)
+            lifts = [
+                ((u, iy) for iy in _tightening(pt.y))
+                for pt in _fiber_exact_x(PlanarSystem(P=p, Q=q), rt.exact)
+            ]
+        elif degenerate.degree >= 1 and _count_roots(degenerate, rt.lo, rt.hi) == 1:
+            if t:
+                return [], pending
+            stuck.append(rt)
             continue
-        sub = f.subst_y(y0)
-        if sub.is_zero:
-            continue  # the horizontal line y = y0 solves this side
-        h = h.gcd(_upoly(sub, "x"))
-        if h.degree < 1:
-            return False
-    return _count_roots(h, xroot.lo, xroot.hi) == 1
+        else:
+            lifts = [_quotient_boxes(AlgebraicCoord(poly=base, root=rt), s10, s11)]
+        for boxes in lifts:
+            # one refinement sequence serves both locations, y first
+            yroot = _locate(yroots, (iy for _, iy in boxes))
+            xroot = rt
+            if t:
+                xroot = _locate(
+                    xroots, (None if iy is None else iu - iy * t for iu, iy in boxes)
+                )
+                if xroot not in pending:
+                    continue
+            out.append(
+                AlgebraicPoint(
+                    AlgebraicCoord(poly=s, root=xroot), AlgebraicCoord(poly=r, root=yroot)
+                )
+            )
+    # a shear lifts every real solution: pending roots it missed carry none
+    return out, stuck
 
 
-def _box_pair_check(
-    sys: PlanarSystem, pt: AlgebraicPoint
-) -> Optional[AlgebraicPoint]:
-    """Interval acceptance for a both-irrational candidate pair: reject
-    as soon as a residual excludes zero; accept with the residual
-    certificate when ambiguity survives the refinement cap."""
-    cur = pt.refined(_START_WIDTH)
-    for _ in range(_REFINE_CAP):
-        bx, by = cur.box()
-        rp = eval_box(sys.P, bx, by)
-        rq = eval_box(sys.Q, bx, by)
-        if rp.sign() not in (0, None) or rq.sign() not in (0, None):
-            return None
-        if cur.is_exact:
-            fx, fy = cur.exact_pair()
-            if sys.P.eval_rat(fx, fy) == 0 and sys.Q.eval_rat(fx, fy) == 0:
-                return cur
-            return None
-        w = bx.width + by.width
-        if w < Fraction(1, 2**100):
-            return cur
-        cur = cur.refined(max(bx.width, by.width) / 4)
-    return cur
+def _without_vertical_factor(p: MPoly, q: MPoly) -> Tuple[MPoly, MPoly]:
+    """P and Q divided by their common factor in x alone, which must have
+    no real root (else it is a vertical line of equilibria)."""
+    d = UPoly.zero()
+    for c in p.coeffs_in("y") + q.coeffs_in("y"):
+        d = d.gcd(_upoly(c, "x"))
+        if d.degree == 0:
+            return p, q
+    if isolate_real_roots(d):
+        raise PositiveDimensionalError(
+            "a vertical line of equilibria at an irrational abscissa"
+        )
+    factor = MPoly({(i, 0): c for i, c in enumerate(d.coeffs)})
+    p_, q_ = p.exact_div(factor), q.exact_div(factor)
+    assert p_ is not None and q_ is not None
+    return p_, q_
 
 
-def _mpoly_from_upoly(u: UPoly, var: str) -> MPoly:
-    terms = {}
-    for i, c in enumerate(u.coeffs):
-        if c != 0:
-            terms[(i, 0) if var == "x" else (0, i)] = c
-    return MPoly(terms)
+def _tightening(c: AlgebraicCoord) -> Iterator[Interval]:
+    """Enclosures of c, each a quarter as wide as the one before."""
+    while True:
+        box = c.interval()
+        yield box
+        c = c.refined(box.width / 4)
+
+
+def _quotient_boxes(
+    a: AlgebraicCoord, num: UPoly, den: UPoly
+) -> Iterator[Tuple[Interval, Optional[Interval]]]:
+    """Enclosures of a paired with enclosures of -num(a)/den(a); None
+    while the enclosure of den(a) still holds zero."""
+    for box in _tightening(a):
+        d = _enclose(den, box)
+        yield box, None if d.lo <= 0 <= d.hi else -_enclose(num, box) / d
+
+
+def _enclose(u: UPoly, box: Interval) -> Interval:
+    acc = Interval.point(0)
+    for c in reversed(u.coeffs):
+        acc = acc * box + c
+    return acc
+
+
+def _locate(roots: List[RootInterval], boxes: Iterator[Optional[Interval]]) -> RootInterval:
+    """The one of `roots`, known to hold the enclosed value, whose isolating
+    interval alone meets a box of the sequence."""
+    for _, box in zip(range(_REFINE_CAP), boxes):
+        if box is None:
+            continue
+        hits = [rt for rt in roots if rt.lo <= box.hi and box.lo <= rt.hi]
+        if len(hits) == 1:
+            return hits[0]
+        if not hits:
+            break
+    raise InternalInvariantError("an enclosure did not single out a root of an eliminant")
 
 
 # ---------------------------------------------------------------------------
@@ -579,22 +549,17 @@ def _sign_by_refinement(
         return (v > 0) - (v < 0)
 
     # certify an exact zero when one coordinate is rational
-    if pt.y.is_exact and not pt.x.is_exact:
-        assert pt.y.exact is not None and pt.x.poly is not None and pt.x.root is not None
-        restr = _upoly(sys_poly.subst_y(pt.y.exact), "x")
-        if restr.is_zero:
-            return 0
-        common = restr.gcd(pt.x.poly)
-        if common.degree >= 1 and _count_roots(common, pt.x.root.lo, pt.x.root.hi) == 1:
-            return 0
-    if pt.x.is_exact and not pt.y.is_exact:
-        assert pt.x.exact is not None and pt.y.poly is not None and pt.y.root is not None
-        restr = _upoly(sys_poly.subst_x(pt.x.exact), "y")
-        if restr.is_zero:
-            return 0
-        common = restr.gcd(pt.y.poly)
-        if common.degree >= 1 and _count_roots(common, pt.y.root.lo, pt.y.root.hi) == 1:
-            return 0
+    for fixed, free, subst, var in (
+        (pt.y, pt.x, sys_poly.subst_y, "x"), (pt.x, pt.y, sys_poly.subst_x, "y")
+    ):
+        if fixed.exact is not None and free.exact is None:
+            assert free.poly is not None and free.root is not None
+            restr = _upoly(subst(fixed.exact), var)
+            if restr.is_zero:
+                return 0
+            common = restr.gcd(free.poly)
+            if common.degree >= 1 and _count_roots(common, free.root.lo, free.root.hi) == 1:
+                return 0
 
     cur = pt
     for _ in range(_REFINE_CAP):
@@ -624,13 +589,11 @@ def classify_point(
     sys: PlanarSystem, pt: AlgebraicPoint, label: Optional[str] = None
 ) -> EquilibriumRecord:
     """Build the full equilibrium record at a solution of P = Q = 0."""
-    jac = jacobian_at(sys, pt)
-    residual: Optional[Tuple[Interval, Interval]] = None
-
     if pt.is_exact:
         x0, y0 = pt.exact_pair()
         if sys.P.eval_rat(x0, y0) != 0 or sys.Q.eval_rat(x0, y0) != 0:
             raise InputError(f"({x0}, {y0}) is not an equilibrium")
+        jac = jacobian_at(sys, pt)
         a, b = jac[0]
         c, d = jac[1]
         assert isinstance(a, Fraction)
@@ -638,15 +601,12 @@ def classify_point(
         det = a * d - b * c
         disc = tr * tr - 4 * det
         cls, eigs, red = _classify_exact(sys, pt, jac, tr, det, disc)
-        return EquilibriumRecord(
-            pt, jac, tr, det, disc, eigs, cls, label, red, residual
-        )
+        return EquilibriumRecord(pt, jac, tr, det, disc, eigs, cls, label, red)
 
     refined = pt.refined(Fraction(1, 2**60))
     bx, by = refined.box()
-    residual = (eval_box(sys.P, bx, by), eval_box(sys.Q, bx, by))
-    for r in residual:
-        if r.sign() not in (0, None):
+    for f in (sys.P, sys.Q):
+        if eval_box(f, bx, by).sign() not in (0, None):
             raise InputError("point residual excludes zero: not an equilibrium")
 
     # sign table over interval data
@@ -655,12 +615,14 @@ def classify_point(
     tr_poly = p_.diff("x") + q_.diff("y")
     disc_poly = tr_poly * tr_poly - MPoly.const(Fraction(4)) * det_poly
     s_det = _sign_by_refinement(det_poly, refined)
-    s_tr = _sign_by_refinement(tr_poly, refined)
-    s_disc = _sign_by_refinement(disc_poly, refined)
-    cls = _table(s_det, s_tr, s_disc, semi_ok=False)
+    if s_det is not None and s_det < 0:
+        cls = SADDLE  # whatever the trace, which may be an unresolvable zero
+    else:
+        s_tr = _sign_by_refinement(tr_poly, refined)
+        s_disc = _sign_by_refinement(disc_poly, refined)
+        cls = _table(s_det, s_tr, s_disc, semi_ok=False)
     return EquilibriumRecord(
-        refined, jacobian_at(sys, refined), None, None, None, None, cls,
-        label, None, residual,
+        refined, jacobian_at(sys, refined), None, None, None, None, cls, label
     )
 
 

@@ -75,6 +75,12 @@ class Interval:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other: Union["Interval", _Scalar]) -> "Interval":
+        other = _coerce(other)
+        if other.lo <= 0 <= other.hi:
+            raise ZeroDivisionError("interval divisor contains zero")
+        return self * Interval(1 / other.hi, 1 / other.lo)
+
     def ipow(self, n: int) -> "Interval":
         if n < 0:
             raise ValueError("negative interval power")

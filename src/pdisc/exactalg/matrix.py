@@ -86,16 +86,40 @@ def sylvester_resultant(fc: Sequence[MPoly], gc: Sequence[MPoly]) -> MPoly:
         return f[0] ** n
     if n == 0:
         return g[0] ** m
-    size = m + n
+    return ffdet(_sylvester_rows(f, g, 0))
+
+
+def first_subresultant(p: MPoly, q: MPoly, var: str) -> Tuple[MPoly, MPoly]:
+    """(S10, S11) of the first subresultant S1 = S11*v + S10 = U*p + V*q of
+    two polynomials of v-degrees m, n >= 1 in v = var: determinants of the
+    index-1 Sylvester rows over all but their last two columns plus the
+    column of v^1 (S11) or v^0 (S10).  For m = n = 1, S1 is p itself."""
+    f = p.coeffs_in(var)
+    g = q.coeffs_in(var)
+    if len(f) < 2 or len(g) < 2:
+        raise ValueError("first subresultant needs degrees of at least 1")
+    if len(f) == len(g) == 2:
+        return f[0], f[1]
+    rows = _sylvester_rows(f, g, 1)
+    s11 = ffdet([row[:-1] for row in rows])
+    s10 = ffdet([row[:-2] + row[-1:] for row in rows])
+    return s10, s11
+
+
+def _sylvester_rows(f: List[MPoly], g: List[MPoly], j: int) -> List[List[MPoly]]:
+    """The n-j shifts of f and m-j of g (degrees m, n) over v^(m+n-j-1)..v^0."""
+    m = len(f) - 1
+    n = len(g) - 1
+    size = m + n - j
     zero = MPoly.zero()
-    rows: List[List[MPoly]] = []
     fd = list(reversed(f))
     gd = list(reversed(g))
-    for i in range(n):
+    rows: List[List[MPoly]] = []
+    for i in range(n - j):
         rows.append([zero] * i + fd + [zero] * (size - m - 1 - i))
-    for i in range(m):
+    for i in range(m - j):
         rows.append([zero] * i + gd + [zero] * (size - n - 1 - i))
-    return ffdet(rows)
+    return rows
 
 
 def resultant_wrt(p: MPoly, q: MPoly, var: str) -> MPoly:
@@ -103,9 +127,7 @@ def resultant_wrt(p: MPoly, q: MPoly, var: str) -> MPoly:
 
     The result is a polynomial in the other variable only.
     """
-    fc = [MPoly.const(c) if isinstance(c, Fraction) else c for c in p.coeffs_in(var)]
-    gc = [MPoly.const(c) if isinstance(c, Fraction) else c for c in q.coeffs_in(var)]
-    return sylvester_resultant(fc, gc)
+    return sylvester_resultant(p.coeffs_in(var), q.coeffs_in(var))
 
 
 def _trim(cs: Sequence[MPoly]) -> List[MPoly]:

@@ -227,11 +227,11 @@ def _refine_interval(
 
 
 def refine_root(p: UPoly, ri: RootInterval, width: _Scalar = DEFAULT_REFINE_WIDTH) -> RootInterval:
-    """Shrink an isolating interval of p's square-free part to the given width."""
+    """Shrink an isolating interval of p to the given width; p must be
+    square-free (the bisection reads the sign changes of p itself)."""
     if ri.is_exact:
         return ri
-    s = p.squarefree_part()
-    lo, hi = _refine_interval(s, ri.lo, ri.hi, Fraction(width))
+    lo, hi = _refine_interval(p, ri.lo, ri.hi, Fraction(width))
     if lo == hi:
         return RootInterval(lo=lo, hi=hi, exact=lo)
     return RootInterval(lo=lo, hi=hi)

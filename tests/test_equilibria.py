@@ -224,3 +224,13 @@ def test_fragment_shape():
     assert frag["det"] == "9/32"
     assert frag["discriminant"] == "-63/256"
     assert len(frag["eigenvalues_approx"]) == 2
+
+
+def test_negative_determinant_is_a_saddle_whatever_the_trace():
+    # Jacobian diag(2x, 2y): at (sqrt2, -sqrt2) and (-sqrt2, sqrt2) the trace
+    # is an exact zero no interval refinement resolves, and det = -8
+    records = finite_equilibria(parse_system("dx = x^2 - 2\ndy = y^2 - 2\n"))
+    assert len(records) == 4
+    mixed = [rec for rec in records if rec.point.x.sign() != rec.point.y.sign()]
+    assert len(mixed) == 2
+    assert all(rec.classification == SADDLE for rec in mixed)

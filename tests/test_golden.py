@@ -1,0 +1,66 @@
+"""Byte-identity of the Leslie reports.
+
+The sha256 of the JSON that `pdisc analyze` (full disc and quadrant) and
+`pdisc darboux` (extactic orders 1 and 2) print for one Leslie triple in
+each sign of 1-AC and for the bundled parameters.  The digests were
+recorded before irrational equilibria were paired through the first
+subresultant; Leslie inputs have only rational equilibria, so no change
+to that pairing may move a byte here.  Portrait floats are left out.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from pdisc.cli import analyze_report, darboux_report
+from pdisc.integrability import SearchBounds
+from pdisc.modelio import parse_system
+
+TRIPLES = {
+    "bundled": ("1", "1", "1/2"),
+    "positive": ("3/5", "3/5", "7/5"),
+    "zero": ("2", "3/5", "1/2"),
+    "negative": ("5/2", "3/7", "5/3"),
+}
+
+GOLDEN = {
+    "bundled:analyze": "d72c4efe726d500603ff66c57743228c51166c2592a98e06800cb9e86bc68125",
+    "bundled:analyze-quadrant": "153e21bf0c0e80c9a91f6132e657ac8f1ef329ec8755d40d6c98d9cc94a7000d",
+    "bundled:darboux-1": "4b3c483db8196783430630a069f2ad677cd863d0abb97a44152e28ecb5366b54",
+    "bundled:darboux-2": "95a5c22871367c38347ed76da6b88ceddae6b1f69919bba9aa799d98f1f9cda0",
+    "positive:analyze": "ce948737b6dc03d9ddee847d94e3654966fbb96bf9f36ec139a6a3dbc639e7a4",
+    "positive:analyze-quadrant": "3c58a67d1c58c14f5805f9995ef247eab8f1fc716ad98da6776d68bc769acdef",
+    "positive:darboux-1": "4a1c38a7cc9151ffc35e16ec78986bf2e99a11b882166c156ef7022e77a002a0",
+    "positive:darboux-2": "ee9cac5bda02151584d952661308adf52261b8b1ded8e9ce46f66834b7394c46",
+    "zero:analyze": "88b98a95e4a78b16bea648bc6eae6330907ca46762c8a478e65e9c09cbd71f09",
+    "zero:analyze-quadrant": "6ab74dae18e094ad47b09c7965aded2de8a407502a5feb410ead1885035d41ce",
+    "zero:darboux-1": "e05c7f9b1419b7039cd757520512dfaa43237387a133e133e140b95d14fdf29f",
+    "zero:darboux-2": "9bcfe7a8f9d4136a48c42e13f1af28b7c36c40491d2268898a1f4e3ab9520a4d",
+    "negative:analyze": "174e29063f5f5778883a4c0ff7ecab0e66f1111eb57d3f970cabaf4ebd37e789",
+    "negative:analyze-quadrant": "116ef0b299abe724cd3cec05fe189a6c5c12aab4bac967397ee3608f4513901a",
+    "negative:darboux-1": "2366658291027b23ec4c0cabbe96622604f8d051aff727c4dbff77c33ca52339",
+    "negative:darboux-2": "1a7fc803419aaaa282392dc3dc57670450a34932723dc81fcc3d885418b416b4",
+}
+
+
+def _source(a: str, b: str, c: str) -> str:
+    return f"params: A={a}, B={b}, C={c}\ndx = x*(C+x)*(1-x-A*y)\ndy = B*y*(C+x-y)\n"
+
+
+def _report(name: str, kind: str) -> dict:
+    sys = parse_system(_source(*TRIPLES[name]))
+    if kind == "analyze":
+        return analyze_report(sys)
+    if kind == "analyze-quadrant":
+        return analyze_report(sys, quadrant=True)
+    return darboux_report(sys, SearchBounds(extactic_order=int(kind[-1])))
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_leslie_report_bytes(key):
+    name, kind = key.split(":")
+    text = json.dumps(_report(name, kind), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[key]
