@@ -182,28 +182,30 @@ def test_line_conic_systems_match_closed_forms(case):
 S2, S3, S5, S14 = (math.sqrt(v) for v in (2, 3, 5, 14))
 PHI = (1 + S5) / 2
 
+# source -> (whether _lift must shear, closed-form points)
 FIXED = {
     # P has no y: two points above each irrational abscissa
-    "dx = x^2 - 2\ndy = y^2 - 3\n": [(sx * S2, sy * S3) for sx in (-1, 1) for sy in (-1, 1)],
+    "dx = x^2 - 2\ndy = y^2 - 3\n": (True, [(sx * S2, sy * S3) for sx in (-1, 1) for sy in (-1, 1)]),
     # Q has no y, two points above each abscissa
-    "dx = x^2 + y^2 - 4\ndy = x^2 - 2\n": [(sx * S2, sy * S2) for sx in (-1, 1) for sy in (-1, 1)],
-    "dx = x^2 - 2\ndy = y - x\n": [(-S2, -S2), (S2, S2)],
+    "dx = x^2 + y^2 - 4\ndy = x^2 - 2\n": (True, [(sx * S2, sy * S2) for sx in (-1, 1) for sy in (-1, 1)]),
+    "dx = x^2 - 2\ndy = y - x\n": (True, [(-S2, -S2), (S2, S2)]),
     # the benchmark's two irrational-saddle inputs
-    "dx = x^2 - 2\ndy = y^2 - x*y - 3\n": [
+    "dx = x^2 - 2\ndy = y^2 - x*y - 3\n": (True, [
         (sx * S2, (sx * S2 + sy * S14) / 2) for sx in (-1, 1) for sy in (-1, 1)
-    ],
+    ]),
     # Q has y-degree 1: y = 1/x, x = +-phi or +-1/phi
-    "dx = x^2 + y^2 - 3\ndy = x*y - 1\n": [
-        (x, 1 / x) for x in (PHI, -PHI, 1 / PHI, -1 / PHI)
-    ],
+    "dx = x^2 + y^2 - 3\ndy = x*y - 1\n": (False, [(x, 1 / x) for x in (PHI, -PHI, 1 / PHI, -1 / PHI)]),
+    # both sides have y, but their fibers above x = +-sqrt2 share a quadratic
+    "dx = x^2 + y^2 - 5\ndy = y^2 - 3\n": (True, [(sx * S2, sy * S3) for sx in (-1, 1) for sy in (-1, 1)]),
+    "dx = y^2 - x^2\ndy = (x^2 - 2)*(y + 5)\n": (True, [
+        (sx * S2, sy * S2) for sx in (-1, 1) for sy in (-1, 1)
+    ] + [(F(-5), F(-5)), (F(5), F(-5))]),
+    # both y-leading coefficients vanish above x = +-sqrt2
+    "dx = (x^2-2)*y^2 + y - 1\ndy = (x^2-2)*y^3 + y - 1\n": (True, [(-S2, F(1)), (S2, F(1))]),
     # Res_y(P, Q) vanishes: y^2 + 1 is a common factor without real points
-    "dx = (y^2+1)*(x-1)\ndy = (y^2+1)*(y-2)\n": [(F(1), F(2))],
-    "dx = (y^2+1)*(x^2-2)\ndy = (y^2+1)*(y-x)\n": [(-S2, -S2), (S2, S2)],
+    "dx = (y^2+1)*(x-1)\ndy = (y^2+1)*(y-2)\n": (False, [(F(1), F(2))]),
+    "dx = (y^2+1)*(x^2-2)\ndy = (y^2+1)*(y-x)\n": (False, [(-S2, -S2), (S2, S2)]),
 }
-
-
-# P or Q has no y, so the first subresultant is undefined on the fiber
-SHEARED = set(list(FIXED)[:4])
 
 
 @pytest.mark.parametrize("source", sorted(FIXED))
@@ -216,12 +218,13 @@ def test_fixed_irrational_systems(source, monkeypatch):
         return lift(p, q, t, *rest)
 
     monkeypatch.setattr(equilibria, "_lift", spy)
-    _check(source, FIXED[source])
-    assert any(shears) == (source in SHEARED)
+    sheared, points = FIXED[source]
+    _check(source, points)
+    assert any(shears) == sheared
 
 
 def test_sheared_points_are_classified():
-    records = _check("dx = x^2 - 2\ndy = y^2 - 3\n", FIXED["dx = x^2 - 2\ndy = y^2 - 3\n"])
+    records = _check("dx = x^2 - 2\ndy = y^2 - 3\n", FIXED["dx = x^2 - 2\ndy = y^2 - 3\n"][1])
     # the Jacobian is diag(2x, 2y)
     by_quadrant = {(rec.point.x.sign(), rec.point.y.sign()): rec.classification for rec in records}
     assert by_quadrant == {
