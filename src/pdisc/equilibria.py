@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -34,7 +35,8 @@ from pdisc.exactalg import (
     refine_root,
     resultant_wrt,
 )
-from pdisc.exactalg.matrix import first_subresultant
+from pdisc.exactalg import interval
+from pdisc.exactalg.matrix import subresultant
 from pdisc.exactalg.roots import sturm_chain, sign_variations
 from pdisc.modelio import PlanarSystem
 
@@ -341,15 +343,15 @@ def _eliminate(sys: PlanarSystem, rx: MPoly) -> List[AlgebraicPoint]:
     """Solutions above the real roots of the nonzero eliminant rx = Res_y(P, Q).
 
     _lift takes the irrational roots, in the coordinates (x + t*y, y) for
-    t = 0 and then for shears t != 0 until none is left."""
+    t = 0 and then for the shears t = 1, -1, 2, -2, ... until one lifts them.
+    A shear fails only if the top-degree part of P or Q vanishes at (-t, 1)
+    or two of the at most deg P * deg Q complex solutions share x + t*y, and
+    each of these rules out finitely many t, so the bound below is never met."""
     if rx.is_constant:
         return []
     ux = _upoly(rx, "x")
     xroots = isolate_real_roots(ux)
-    out: List[AlgebraicPoint] = []
-    for rt in xroots:
-        if rt.exact is not None:
-            out.extend(_fiber_exact_x(sys, rt.exact))
+    out = [pt for rt in xroots if rt.exact is not None for pt in _fiber_exact_x(sys, rt.exact)]
     pending = [rt for rt in xroots if rt.exact is None]
     if not pending:
         return out
@@ -358,11 +360,12 @@ def _eliminate(sys: PlanarSystem, rx: MPoly) -> List[AlgebraicPoint]:
     r = _upoly(resultant_wrt(p, q, "x"), "y").squarefree_part()
     x_elim = (ux.squarefree_part(), xroots)
     y_elim = (r, isolate_real_roots(r))
-    for t in _SHEARS:
-        found, pending = _lift(p, q, t, x_elim, y_elim, pending)
-        out.extend(found)
-        if not pending:
-            return out
+    dp, dq = int(p.degree), int(q.degree)
+    for k in range(dp + dq + dp * dq * (dp * dq - 1) // 2 + 2):
+        t = (k + 1) // 2 * (-1) ** (k + 1)
+        found = _lift(p, q, t, x_elim, y_elim, pending)
+        if found is not None:
+            return out + found
     raise InternalInvariantError("no shear lifts the equilibria above an irrational abscissa")
 
 
@@ -381,8 +384,6 @@ def _fiber_exact_x(sys: PlanarSystem, x0: Fraction) -> List[AlgebraicPoint]:
     ]
 
 
-_SHEARS = (0, 1, -1, 2, -2, 3, -3, 4, -4)
-
 _Eliminant = Tuple[UPoly, List[RootInterval]]
 
 
@@ -393,34 +394,51 @@ def _lift(
     x_elim: _Eliminant,
     y_elim: _Eliminant,
     pending: List[RootInterval],
-) -> Tuple[List[AlgebraicPoint], List[RootInterval]]:
-    """Points above the roots `pending` of x_elim found in the coordinates
-    u = x + t*y, and the roots still pending.
+) -> Optional[List[AlgebraicPoint]]:
+    """Points above the roots `pending` of x_elim, found in the coordinates
+    u = x + t*y; None if some u-root cannot be lifted.
 
-    The first subresultant S1 = S11*y + S10 of the sheared P and Q lies in
-    their ideal, so above a u-root a with S11(a) != 0 (a gcd and a Sturm
-    count decide it) the only ordinate is y = -S10(a)/S11(a).  S11(a) is
-    also 0 where both y-leading coefficients vanish (its matrix then has
-    a zero first column).  With t = 0 the u-roots are the pending roots;
-    with t != 0 every real solution is lifted and x = u - t*y located, and
-    one root that cannot be lifted fails the shear.
+    With t = 0 the u-roots are the pending roots; with t != 0, all real
+    roots of the sheared Res_y, so every real solution is lifted and
+    pending roots it misses carry none.  Above an irrational u-root a
+    where neither y-leading coefficient vanishes, gcd(P(a, y), Q(a, y)) is
+    the subresultant Sj(a, y) of the first j with Sjj(a) != 0; if it is a
+    power of a linear factor, the fiber holds the one point
+    y = -Sj,j-1(a) / (j*Sjj(a)).  Zero tests at a are a gcd with the
+    u-eliminant and a Sturm count.  Each point is certified by locating y
+    among the roots of y_elim and x = u - t*y among those of x_elim.
     """
     s, xroots = x_elim
     r, yroots = y_elim
+    base, roots = s, pending
     if t:
         shear = (MPoly.var_x() - MPoly.const(t) * MPoly.var_y(), MPoly.var_y())
         p, q = p.subst(*shear), q.subst(*shear)
-    if p.degree_in("y") < 1 or q.degree_in("y") < 1:
-        return [], pending
-    s10, s11 = (_upoly(c, "x") for c in first_subresultant(p, q, "y"))
-    if t:
         base = _upoly(resultant_wrt(p, q, "y"), "x").squarefree_part()
         roots = isolate_real_roots(base)
-    else:
-        base, roots = s, pending
-    degenerate = base.gcd(s11)
+    # both memos live for this call only
+    sres = lru_cache(None)(lambda j: subresultant(p, q, "y", j))
+    common = lru_cache(None)(lambda c: base.gcd(_upoly(c, "x")))
+
+    def vanishes(c: MPoly, rt: RootInterval) -> bool:
+        g = common(c)
+        return g.degree >= 1 and _count_roots(g, rt.lo, rt.hi) == 1
+
+    def fiber_gcd(rt: RootInterval) -> Optional[List[MPoly]]:
+        # a side without y is its own leading coefficient, zero at every root
+        if any(vanishes(f.coeffs_in("y")[-1], rt) for f in (p, q)):
+            return None
+        j = 1  # the loop ends by the smaller degree, where Sjj is a leading coefficient
+        while vanishes(sres(j)[j], rt):
+            j += 1
+        c = sres(j)
+        # Sj = Sjj*(y - y0)^j iff j^(j-k) Sjj^(j-1-k) Sjk = C(j, k) Sj,j-1^(j-k), k < j - 1
+        for k in range(j - 1):
+            if not vanishes(c[k] * c[j] ** (j - 1 - k) * j ** (j - k) - c[j - 1] ** (j - k) * math.comb(j, k), rt):
+                return None
+        return c
+
     out: List[AlgebraicPoint] = []
-    stuck: List[RootInterval] = []
     for rt in roots:
         if rt.exact is not None:
             # only with t != 0: the fiber above a rational u is an exact gcd
@@ -429,30 +447,20 @@ def _lift(
                 ((u, iy) for iy in _tightening(pt.y))
                 for pt in _fiber_exact_x(PlanarSystem(P=p, Q=q), rt.exact)
             ]
-        elif degenerate.degree >= 1 and _count_roots(degenerate, rt.lo, rt.hi) == 1:
-            if t:
-                return [], pending
-            stuck.append(rt)
-            continue
         else:
-            lifts = [_quotient_boxes(AlgebraicCoord(poly=base, root=rt), s10, s11)]
+            c = fiber_gcd(rt)
+            if c is None:
+                return None
+            j = len(c) - 1
+            lifts = [_quotient_boxes(AlgebraicCoord(poly=base, root=rt), c[j - 1], c[j] * j)]
         for boxes in lifts:
             # one refinement sequence serves both locations, y first
             yroot = _locate(yroots, (iy for _, iy in boxes))
-            xroot = rt
-            if t:
-                xroot = _locate(
-                    xroots, (None if iy is None else iu - iy * t for iu, iy in boxes)
-                )
-                if xroot not in pending:
-                    continue
-            out.append(
-                AlgebraicPoint(
-                    AlgebraicCoord(poly=s, root=xroot), AlgebraicCoord(poly=r, root=yroot)
-                )
-            )
-    # a shear lifts every real solution: pending roots it missed carry none
-    return out, stuck
+            xroot = _locate(xroots, (None if iy is None else iu - iy * t for iu, iy in boxes))
+            if xroot in pending:
+                x_, y_ = AlgebraicCoord(poly=s, root=xroot), AlgebraicCoord(poly=r, root=yroot)
+                out.append(AlgebraicPoint(x_, y_))
+    return out
 
 
 def _without_vertical_factor(p: MPoly, q: MPoly) -> Tuple[MPoly, MPoly]:
@@ -482,20 +490,14 @@ def _tightening(c: AlgebraicCoord) -> Iterator[Interval]:
 
 
 def _quotient_boxes(
-    a: AlgebraicCoord, num: UPoly, den: UPoly
+    a: AlgebraicCoord, num: MPoly, den: MPoly
 ) -> Iterator[Tuple[Interval, Optional[Interval]]]:
-    """Enclosures of a paired with enclosures of -num(a)/den(a); None
-    while the enclosure of den(a) still holds zero."""
+    """Enclosures of a paired with enclosures of -num(a)/den(a), for num
+    and den in x alone; None while the enclosure of den(a) holds zero."""
+    zero = Interval.point(0)
     for box in _tightening(a):
-        d = _enclose(den, box)
-        yield box, None if d.lo <= 0 <= d.hi else -_enclose(num, box) / d
-
-
-def _enclose(u: UPoly, box: Interval) -> Interval:
-    acc = Interval.point(0)
-    for c in reversed(u.coeffs):
-        acc = acc * box + c
-    return acc
+        d = interval.eval_box(den, box, zero)
+        yield box, None if d.lo <= 0 <= d.hi else -interval.eval_box(num, box, zero) / d
 
 
 def _locate(roots: List[RootInterval], boxes: Iterator[Optional[Interval]]) -> RootInterval:

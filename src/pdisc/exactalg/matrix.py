@@ -89,21 +89,22 @@ def sylvester_resultant(fc: Sequence[MPoly], gc: Sequence[MPoly]) -> MPoly:
     return ffdet(_sylvester_rows(f, g, 0))
 
 
-def first_subresultant(p: MPoly, q: MPoly, var: str) -> Tuple[MPoly, MPoly]:
-    """(S10, S11) of the first subresultant S1 = S11*v + S10 = U*p + V*q of
-    two polynomials of v-degrees m, n >= 1 in v = var: determinants of the
-    index-1 Sylvester rows over all but their last two columns plus the
-    column of v^1 (S11) or v^0 (S10).  For m = n = 1, S1 is p itself."""
-    f = p.coeffs_in(var)
-    g = q.coeffs_in(var)
-    if len(f) < 2 or len(g) < 2:
-        raise ValueError("first subresultant needs degrees of at least 1")
-    if len(f) == len(g) == 2:
-        return f[0], f[1]
-    rows = _sylvester_rows(f, g, 1)
-    s11 = ffdet([row[:-1] for row in rows])
-    s10 = ffdet([row[:-2] + row[-1:] for row in rows])
-    return s10, s11
+def subresultant(p: MPoly, q: MPoly, var: str, j: int) -> List[MPoly]:
+    """Coefficients [Sj0, ..., Sjj], ascending in v = var, of the j-th
+    subresultant Sj = U*p + V*q, up to sign, for 1 <= j <= n = the smaller
+    of the v-degrees: the determinants of the index-j Sylvester rows over
+    all but their last j + 1 columns plus the column of v^k (Sjk); for
+    j = n the lower-degree polynomial itself (q if the degrees are equal)."""
+    f, g = p.coeffs_in(var), q.coeffs_in(var)
+    if len(g) > len(f):
+        f, g = g, f
+    if not 1 <= j < len(g):
+        raise ValueError(f"no subresultant of index {j} for v-degrees {len(f) - 1}, {len(g) - 1}")
+    if j == len(g) - 1:
+        return g
+    rows = _sylvester_rows(f, g, j)
+    lead = len(rows) - 1
+    return [ffdet([row[:lead] + [row[-1 - k]] for row in rows]) for k in range(j + 1)]
 
 
 def _sylvester_rows(f: List[MPoly], g: List[MPoly], j: int) -> List[List[MPoly]]:

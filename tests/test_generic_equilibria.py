@@ -6,7 +6,8 @@ other way round), so every equilibrium is a line-line intersection
 (the quadratic formula, irrational unless its discriminant is a square).
 Classifications at rational points are checked against the exact
 Jacobian with an independent sign table.  Fixed cases cover every way
-the first subresultant can fail to lift an irrational abscissa.
+the first subresultant can fail to lift an irrational abscissa,
+including points where both curves are singular.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 import pdisc.equilibria as equilibria
 from pdisc.equilibria import (
     CENTER_CANDIDATE,
+    DEGENERATE,
     SADDLE,
     STABLE_FOCUS,
     STABLE_NODE,
@@ -202,6 +204,16 @@ FIXED = {
     ] + [(F(-5), F(-5)), (F(5), F(-5))]),
     # both y-leading coefficients vanish above x = +-sqrt2
     "dx = (x^2-2)*y^2 + y - 1\ndy = (x^2-2)*y^3 + y - 1\n": (True, [(-S2, F(1)), (S2, F(1))]),
+    # both curves are singular at the points above x = +-sqrt2, so every
+    # fiber gcd there has degree 2: the shear lifts them with S2
+    "dx = (x^2-2)*(y-1)\ndy = (y-1)^2 + (x^2-2)^2\n": (True, [(-S2, F(1)), (S2, F(1))]),
+    "dx = (x^2-2)*(y^2-3)\ndy = (y^2-3)^2 + (x^2-2)^2\n": (True, [
+        (sx * S2, sy * S3) for sx in (-1, 1) for sy in (-1, 1)
+    ]),
+    # above x = +-sqrt2 the fiber gcd (y-1)^2*(y-5) is S3 but not a cube
+    "dx = (y-1)^2*(y-5) + (x^2-2)^2\ndy = (y-1)^2*(y-5) + (x^2-2)*(y-1)\n": (True, [
+        (sx * v, w) for sx in (-1, 1) for v, w in ((S2, F(1)), (S2, F(5)), (S5, F(4)))
+    ]),
     # Res_y(P, Q) vanishes: y^2 + 1 is a common factor without real points
     "dx = (y^2+1)*(x-1)\ndy = (y^2+1)*(y-2)\n": (False, [(F(1), F(2))]),
     "dx = (y^2+1)*(x^2-2)\ndy = (y^2+1)*(y-x)\n": (False, [(-S2, -S2), (S2, S2)]),
@@ -221,6 +233,11 @@ def test_fixed_irrational_systems(source, monkeypatch):
     sheared, points = FIXED[source]
     _check(source, points)
     assert any(shears) == sheared
+
+
+def test_points_singular_on_both_curves_are_degenerate():
+    records = _check("dx = (x^2-2)*(y-1)\ndy = (y-1)^2 + (x^2-2)^2\n", [(-S2, F(1)), (S2, F(1))])
+    assert [rec.classification for rec in records] == [DEGENERATE, DEGENERATE]
 
 
 def test_sheared_points_are_classified():

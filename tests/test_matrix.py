@@ -197,38 +197,35 @@ def _poly_in_y(roots: Sequence[Fraction], lead: Fraction = Fraction(1)) -> MPoly
 
 
 @given(
-    small_rationals,
+    st.lists(small_rationals, min_size=1, max_size=2, unique=True),
     st.lists(small_rationals, min_size=0, max_size=3, unique=True),
     st.lists(small_rationals, min_size=0, max_size=3, unique=True),
     small_rationals.filter(lambda v: v != 0),
 )
-def test_first_subresultant_reads_the_one_common_root(r, fr, gr, lead):
-    """f and g share exactly the root r: S1 is their gcd, so -S10/S11 = r."""
-    fr = [v for v in fr if v != r]
-    gr = [v for v in gr if v != r and v not in fr]
-    f = _poly_in_y([r] + fr, lead)
-    g = _poly_in_y([r] + gr)
-    s10, s11 = matrix.first_subresultant(f, g, "y")
-    assert s11.is_constant and s11.constant_value() != 0
-    assert -s10.constant_value() / s11.constant_value() == r
+def test_subresultant_is_the_gcd_at_its_degree(common, fr, gr, lead):
+    """f and g share exactly the roots `common`: S1, ..., S(j-1) vanish and
+    Sj is the gcd times a nonzero constant, j = len(common)."""
+    fr = [v for v in fr if v not in common]
+    gr = [v for v in gr if v not in common and v not in fr]
+    f = _poly_in_y(common + fr, lead)
+    g = _poly_in_y(common + gr)
+    j = len(common)
+    for i in range(1, j):
+        assert all(c.is_zero for c in matrix.subresultant(f, g, "y", i))
+    sj = [c.constant_value() for c in matrix.subresultant(f, g, "y", j)]
+    gcd = [c.constant_value() for c in _poly_in_y(common).coeffs_in("y")]
+    assert sj[j] != 0
+    assert [c / sj[j] for c in sj] == gcd
 
 
-def test_first_subresultant_vanishes_on_a_quadratic_gcd():
-    f = _poly_in_y([Fraction(1), Fraction(2), Fraction(3)])
-    g = _poly_in_y([Fraction(1), Fraction(2), Fraction(-1)])
-    s10, s11 = matrix.first_subresultant(f, g, "y")
-    assert s11.is_zero and s10.is_zero
-
-
-def test_first_subresultant_polynomial_coefficients():
+def test_subresultant_polynomial_coefficients():
     x, y = MPoly.var_x(), MPoly.var_y()
     # y^2 = 2 and y^2 - x*y - 3 = 0 give x*y = -1
-    s10, s11 = matrix.first_subresultant(y * y - 2, y * y - x * y - 3, "y")
-    assert (s10, s11) == (MPoly.const(-1), -x)
-    # a side of degree 1 is its own first subresultant, up to a factor
-    s10, s11 = matrix.first_subresultant(x * y - 1, x * x + y * y - 3, "y")
-    assert (s10, s11) == (MPoly.const(-1), x)
-    s10, s11 = matrix.first_subresultant(x * x + y * y - 3, x * y - 1, "y")
-    assert (s10, s11) == (MPoly.const(-1), x)
-    with pytest.raises(ValueError):
-        matrix.first_subresultant(x - 1, y - x, "y")
+    assert matrix.subresultant(y * y - 2, y * y - x * y - 3, "y", 1) == [MPoly.const(-1), -x]
+    # the last index is the lower-degree side itself, whichever comes first
+    assert matrix.subresultant(x * y - 1, x * x + y * y - 3, "y", 1) == [MPoly.const(-1), x]
+    assert matrix.subresultant(x * x + y * y - 3, x * y - 1, "y", 1) == [MPoly.const(-1), x]
+    assert matrix.subresultant(y * y - x, y * y - 3, "y", 2) == [MPoly.const(-3), MPoly.zero(), MPoly.one()]
+    for f, g, j in ((x - 1, y - x, 1), (y * y - x, y - 3, 2), (y * y - x, y - 3, 0)):
+        with pytest.raises(ValueError):
+            matrix.subresultant(f, g, "y", j)
