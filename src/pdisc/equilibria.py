@@ -4,10 +4,12 @@ reduction.
 
 Abscissas are the real roots of sqfree(Res_y(P, Q)).  Above a rational
 one the ordinates are the roots of an exact gcd in Q[y]; above an
-irrational one, a, the ordinate is -S10(a)/S11(a) from the first
-subresultant S11*y + S10 of P and Q, certified as the one root of
-sqfree(Res_x(P, Q)) whose isolating interval meets its enclosure.  Where
-S11(a) = 0 the same lifting runs on P(x - t*y, y), Q(x - t*y, y).
+irrational one, a, the fiber gcd is the subresultant Sj(a, y) of P and Q
+of the first index j with Sjj(a) != 0 (j = 1 unless both curves are
+singular there), and the ordinate -Sj,j-1(a)/(j*Sjj(a)) is certified as
+the one root of sqfree(Res_x(P, Q)) whose isolating interval meets its
+enclosure.  Where that fails (a vanishing y-leading coefficient, or two
+points on one fiber) the same lifting runs on P(x - t*y, y), Q(x - t*y, y).
 
 Irrational coordinates are carried as a square-free defining polynomial
 plus an isolating interval, refinable on demand.  Sign decisions about
