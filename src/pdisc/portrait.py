@@ -4,12 +4,14 @@ This is the only module that computes in binary64: every seed,
 equilibrium location, and chart polynomial is handed over from exact
 data and only the trajectory integration itself is floating point.
 
-Orbits are integrated with an embedded Dormand-Prince 4(5) pair in
-whichever chart is well scaled: the finite chart while |x| + |y| stays
-small, the U1/U2 charts near infinity (switch out above 10, back below
-5).  For even-degree systems the chart polynomials reverse time on the
-v < 0 half, which the integrator compensates with a sign factor, so
-drawn orbits always follow the true flow.
+Every orbit is integrated by one loop, an embedded Dormand-Prince 4(5)
+pair whose last stage is the next step's first (FSAL), in whichever
+chart is well scaled: the finite chart while |x| + |y| stays small, the
+U1/U2 charts near infinity (switch out above 10, back below 5).  For
+even-degree systems the chart polynomials reverse time on the v < 0
+half, which the integrator compensates with a sign factor, so drawn
+orbits always follow the true flow.  Orbits seeded on an invariant
+coordinate axis stay in the finite chart and exactly on the axis.
 """
 
 from __future__ import annotations
@@ -113,37 +115,51 @@ def compile_poly(p: MPoly) -> Callable[[float, float], float]:
 # Dormand-Prince 4(5)
 
 _DP_A = (
-    (),
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def _dp_step(f, x, y, h):
-    """One embedded step; returns (x5, y5, err_x, err_y)."""
-    kx = [0.0] * 7
-    ky = [0.0] * 7
-    kx[0], ky[0] = f(x, y)
-    for i in range(1, 7):
+def _dot(b, k):
+    # left to right on purpose: CPython 3.12 made float sum() compensated,
+    # which would make the portrait bytes depend on the interpreter
+    acc = 0.0
+    for bi, ki in zip(b, k):
+        acc += bi * ki
+    return acc
+
+
+def _dp_step(f, x, y, h, k1):
+    """One embedded step from (x, y), given its first stage k1 = f(x, y);
+    returns (x5, y5, err_x, err_y, f(x5, y5)).
+
+    The seventh stage is taken at the fifth-order solution itself, so an
+    accepted step hands it on as the next step's first stage (FSAL).
+    """
+    kx = [k1[0]]
+    ky = [k1[1]]
+    for row in _DP_A:
         ax = x
         ay = y
-        row = _DP_A[i]
-        for j, a in enumerate(row):
-            if a != 0.0:
-                ax += h * a * kx[j]
-                ay += h * a * ky[j]
-        kx[i], ky[i] = f(ax, ay)
-    x5 = x + h * sum(b * k for b, k in zip(_DP_B5, kx))
-    y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ky))
-    x4 = x + h * sum(b * k for b, k in zip(_DP_B4, kx))
-    y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ky))
-    return x5, y5, x5 - x4, y5 - y4
+        for a, px, py in zip(row, kx, ky):
+            ax += h * a * px
+            ay += h * a * py
+        k = f(ax, ay)
+        kx.append(k[0])
+        ky.append(k[1])
+    x5 = x + h * _dot(_DP_B5, kx)
+    y5 = y + h * _dot(_DP_B5, ky)
+    k7 = f(x5, y5)
+    kx.append(k7[0])
+    ky.append(k7[1])
+    x4 = x + h * _dot(_DP_B4, kx)
+    y4 = y + h * _dot(_DP_B4, ky)
+    return x5, y5, x5 - x4, y5 - y4, k7
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +201,8 @@ class _ChartState:
 class Flow:
     """A system's vector field compiled once for every orbit of a
     portrait: the finite chart U3 and the charts U1/U2 at infinity, the
-    restrictions to invariant coordinate axes, and the disc points of
-    the equilibria where orbits stop.
+    invariant coordinate axes, and the disc points of the equilibria
+    where orbits stop.
 
     Without `equilibria`, the stop points are the finite equilibria,
     located exactly, and the equator points of the whole disc.
@@ -210,15 +226,11 @@ class Flow:
         }
         # an axis is invariant when the transverse component vanishes on it
         zero = Fraction(0)
-        self.axes: Dict[str, Callable[[float, float], float]] = {}
-        if sys.Q.subst_y(zero).is_zero:
-            self.axes["x"] = compile_poly(sys.P.subst_y(zero))
-        if sys.P.subst_x(zero).is_zero:
-            self.axes["y"] = compile_poly(sys.Q.subst_x(zero))
-
-    def speed(self, st: _ChartState) -> float:
-        fx, fy = self.fields[st.chart]
-        return math.hypot(fx(st.x, st.y), fy(st.x, st.y))
+        self.axes = {
+            axis
+            for axis, transverse in (("x", sys.Q.subst_y(zero)), ("y", sys.P.subst_x(zero)))
+            if transverse.is_zero
+        }
 
     def converged(self, speed: float, p: Tuple[float, float]) -> bool:
         """The stop rule: field speed below CONVERGE_SPEED and an
@@ -263,30 +275,46 @@ class Flow:
             st.orient = self._orientation(st.y)
 
 
-def _planar_orbit(
+def integrate_orbit(
     flow: Flow,
-    x0: float,
-    y0: float,
-    direction: str,
-    tmax: float,
-    rtol: float,
-    atol: float,
-    seed_id: str,
-    role: str,
+    seed: Tuple[float, float],
+    direction: str = "forward",
+    tmax: float = TMAX_DEFAULT,
+    tol: float = RTOL_DEFAULT,
+    atol: float = ATOL_DEFAULT,
+    seed_id: str = "seed",
+    role: str = "generic",
 ) -> Trajectory:
+    """Integrate one orbit of `flow` from a disc-coordinate seed.
+
+    Each accepted step hands its last stage on as the next step's first
+    stage, and the stop rule reads the field speed from it; both are
+    evaluated afresh only after a chart switch.  A seed on an invariant
+    coordinate axis stays on it exactly, because the transverse
+    component evaluates to 0.0 there; such an orbit keeps to the finite
+    chart and ends at the boundary once |x| + |y| exceeds 1e9.  An orbit
+    stops at the equilibria the flow was built with.
+    """
+    if direction not in ("forward", "backward"):
+        raise InputError("direction must be 'forward' or 'backward'")
+    x0, y0 = plane_from_disc(*seed)
+    # the U2 (or U1) origin an axis runs into is degenerate; stay in U3
+    on_axis = (y0 == 0.0 and "x" in flow.axes) or (x0 == 0.0 and "y" in flow.axes)
     sgn = 1.0 if direction == "forward" else -1.0
     st = _ChartState("U3", x0, y0, 1, 1.0)
-    flow.switch(st)
-    pts: List[Tuple[float, float]] = [st.disc()]
-    if flow.speed(st) < CONVERGE_SPEED:
-        return Trajectory(seed_id, role, direction, pts, REASON_EQ)
-
     fields = flow.fields
 
     def fld(a: float, b: float) -> Tuple[float, float]:
         fx, fy = fields[st.chart]
         k = sgn * st.orient
         return (k * fx(a, b), k * fy(a, b))
+
+    if not on_axis:
+        flow.switch(st)
+    k1 = fld(st.x, st.y)
+    pts: List[Tuple[float, float]] = [st.disc()]
+    if math.hypot(*k1) < CONVERGE_SPEED:
+        return Trajectory(seed_id, role, direction, pts, REASON_EQ)
 
     reason = REASON_TMAX
     t = 0.0
@@ -296,9 +324,9 @@ def _planar_orbit(
         if t >= tmax:
             break
         h = min(h, tmax - t, 0.5)
-        nx, ny, ex, ey = _dp_step(fld, st.x, st.y, h)
-        sx = atol + rtol * max(abs(st.x), abs(nx))
-        sy = atol + rtol * max(abs(st.y), abs(ny))
+        nx, ny, ex, ey, k7 = _dp_step(fld, st.x, st.y, h, k1)
+        sx = atol + tol * max(abs(st.x), abs(nx))
+        sy = atol + tol * max(abs(st.y), abs(ny))
         err = math.sqrt(((ex / sx) ** 2 + (ey / sy) ** 2) / 2.0)
         if err > 1.0:
             h *= max(0.2, 0.9 * err ** -0.2)
@@ -315,6 +343,7 @@ def _planar_orbit(
             continue
 
         st.x, st.y = nx, ny
+        k1 = k7
         t += h
         if err > 1e-30:
             h *= min(5.0, 0.9 * err ** -0.2)
@@ -324,113 +353,31 @@ def _planar_orbit(
         if st.chart != "U3" and abs(st.y) < EQUATOR_EPS:
             p = st.disc()
             pts.append(p)
-            reason = REASON_EQ if flow.converged(flow.speed(st), p) else REASON_BOUNDARY
+            reason = REASON_EQ if flow.converged(math.hypot(*k1), p) else REASON_BOUNDARY
             break
-        flow.switch(st)
+        if not on_axis:
+            chart = st.chart
+            flow.switch(st)
+            if st.chart != chart:
+                k1 = fld(st.x, st.y)
 
         p = st.disc()
         if _dist(p, last_recorded) >= 0.004:
             pts.append(p)
             last_recorded = p
-        if flow.converged(flow.speed(st), p):
+        if flow.converged(math.hypot(*k1), p):
             if pts[-1] != p:
                 pts.append(p)
             reason = REASON_EQ
+            break
+        if on_axis and abs(st.x) + abs(st.y) > 1e9:
+            reason = REASON_BOUNDARY
             break
 
     final = st.disc()
     if pts[-1] != final:
         pts.append(final)
     return Trajectory(seed_id, role, direction, pts, reason)
-
-
-def _axis_orbit(
-    flow: Flow,
-    axis: str,
-    start: float,
-    direction: str,
-    tmax: float,
-    rtol: float,
-    atol: float,
-    seed_id: str,
-    role: str,
-) -> Trajectory:
-    """Integrate the exact one-dimensional restriction to an invariant
-    axis; the transverse coordinate is identically zero."""
-    g = flow.axes[axis]
-    evalf = (lambda s: g(s, 0.0)) if axis == "x" else (lambda s: g(0.0, s))
-    sgn = 1.0 if direction == "forward" else -1.0
-
-    def embed(s: float) -> Tuple[float, float]:
-        return disc_from_plane(s, 0.0) if axis == "x" else disc_from_plane(0.0, s)
-
-    def f2(a: float, b: float) -> Tuple[float, float]:
-        # scalar DP45 via the planar stepper with a frozen second component
-        return (sgn * evalf(a), 0.0)
-
-    pts = [embed(start)]
-    pos = start
-    t = 0.0
-    h = 1e-3
-    reason = REASON_TMAX
-    last = pts[0]
-    for _ in range(MAX_STEPS):
-        if t >= tmax:
-            break
-        if flow.converged(abs(evalf(pos)), embed(pos)):
-            reason = REASON_EQ
-            break
-        if abs(pos) > 1e9:
-            reason = REASON_BOUNDARY
-            break
-        h = min(h, tmax - t, 0.5)
-        np_, _, err, _ = _dp_step(f2, pos, 0.0, h)
-        sc = atol + rtol * max(abs(pos), abs(np_))
-        e = abs(err) / sc
-        if e > 1.0:
-            h *= max(0.2, 0.9 * e ** -0.2)
-            if h < 1e-13 * max(1.0, abs(t)):
-                reason = REASON_UNDERFLOW
-                break
-            continue
-        pos = np_
-        t += h
-        h *= min(5.0, 0.9 * e ** -0.2) if e > 1e-30 else 5.0
-        p = embed(pos)
-        if _dist(p, last) >= 0.004:
-            pts.append(p)
-            last = p
-    final = embed(pos)
-    if pts[-1] != final:
-        pts.append(final)
-    return Trajectory(seed_id, role, direction, pts, reason)
-
-
-def integrate_orbit(
-    flow: Flow,
-    seed: Tuple[float, float],
-    direction: str = "forward",
-    tmax: float = TMAX_DEFAULT,
-    tol: float = RTOL_DEFAULT,
-    atol: float = ATOL_DEFAULT,
-    seed_id: str = "seed",
-    role: str = "generic",
-) -> Trajectory:
-    """Integrate one orbit of `flow` from a disc-coordinate seed.
-
-    Seeds on an invariant coordinate axis are integrated in the exact
-    one-dimensional restriction so the transverse coordinate never
-    drifts.  An orbit stops at the equilibria the flow was built with.
-    """
-    if direction not in ("forward", "backward"):
-        raise InputError("direction must be 'forward' or 'backward'")
-    x0, y0 = plane_from_disc(*seed)
-    axis_role = "axis" if role == "generic" else role
-    if y0 == 0.0 and "x" in flow.axes:
-        return _axis_orbit(flow, "x", x0, direction, tmax, tol, atol, seed_id, axis_role)
-    if x0 == 0.0 and "y" in flow.axes:
-        return _axis_orbit(flow, "y", y0, direction, tmax, tol, atol, seed_id, axis_role)
-    return _planar_orbit(flow, x0, y0, direction, tmax, tol, atol, seed_id, role)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
-"""Byte-identity of the Leslie reports.
+"""Byte-identity of the Leslie reports and portraits.
 
 The sha256 of the JSON that `pdisc analyze` (full disc and quadrant) and
 `pdisc darboux` (extactic orders 1 and 2) print for one Leslie triple in
 each sign of 1-AC and for the bundled parameters.  The digests were
 recorded before irrational equilibria were paired through the first
 subresultant; Leslie inputs have only rational equilibria, so no change
-to that pairing may move a byte here.  Portrait floats are left out.
+to that pairing may move a byte here.
+
+The portrait JSON and SVG of the bundled parameters (quadrant and full
+disc) are pinned too, as recorded once the integrator reused its last
+stage.  Their floats come from a fixed sequence of binary64 operations,
+so they match on every supported CPython; a change to the integrator
+that moves them must say so.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ import pytest
 
 from pdisc.cli import analyze_report, darboux_report
 from pdisc.integrability import SearchBounds
-from pdisc.modelio import parse_system
+from pdisc.modelio import ParamBindings, parse_system
+from pdisc.portrait import build_portrait, render_portrait
 
 TRIPLES = {
     "bundled": ("1", "1", "1/2"),
@@ -45,6 +52,18 @@ GOLDEN = {
     "negative:darboux-2": "1a7fc803419aaaa282392dc3dc57670450a34932723dc81fcc3d885418b416b4",
 }
 
+# (JSON, SVG) of the bundled-parameter portrait
+PORTRAITS = {
+    "quadrant": (
+        "5a7fc361fbb81abd088ab60c4a25e2cd10e215b3c1b0b8507bc7780bc14c1c85",
+        "037f0279770aebcb08f392ebbbdc90e59633e1fb73c8a37037054cfb755937d0",
+    ),
+    "full": (
+        "ea3420c5243eb3383a568f2778a971dff08c6b79f23a63d5fa11fe5d252aa876",
+        "85f7257dfbb03b852c631ae90ac8fbde935f1bd431019e705ae9f26d19e07c6a",
+    ),
+}
+
 
 def _source(a: str, b: str, c: str) -> str:
     return f"params: A={a}, B={b}, C={c}\ndx = x*(C+x)*(1-x-A*y)\ndy = B*y*(C+x-y)\n"
@@ -64,3 +83,13 @@ def test_leslie_report_bytes(key):
     name, kind = key.split(":")
     text = json.dumps(_report(name, kind), sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[key]
+
+
+@pytest.mark.parametrize("view", sorted(PORTRAITS))
+def test_bundled_portrait_bytes(view):
+    sys = parse_system(_source(*TRIPLES["bundled"]))
+    params = ParamBindings(sys.params["A"], sys.params["B"], sys.params["C"])
+    doc = build_portrait(sys, params, positive_quadrant_only=view == "quadrant")
+    svg, js = render_portrait(doc)
+    digests = (hashlib.sha256(js).hexdigest(), hashlib.sha256(svg).hexdigest())
+    assert digests == PORTRAITS[view]

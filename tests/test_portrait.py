@@ -106,7 +106,7 @@ def test_stepper_accuracy_on_rotation():
     f = lambda x, y: (y, -x)
 
     def endpoint_error(h):
-        nx, ny, _, _ = _dp_step(f, 1.0, 0.0, h)
+        nx, ny, _, _, _ = _dp_step(f, 1.0, 0.0, h, f(1.0, 0.0))
         return math.hypot(nx - math.cos(h), ny + math.sin(h))
 
     e_coarse = endpoint_error(0.2)
@@ -115,6 +115,23 @@ def test_stepper_accuracy_on_rotation():
     # at least fifth order: halving the step cuts the error far more
     # than the fourth-order factor of 16
     assert e_coarse / e_fine > 10.0
+
+
+def test_stepper_reuses_its_last_stage():
+    # given the first stage, a step evaluates the field six times and the
+    # last evaluation, at the new point itself, is the next first stage
+    calls = []
+
+    def f(x, y):
+        calls.append((x, y))
+        return (y - x * x, -x - 0.5 * y)
+
+    k1 = f(0.3, -0.7)
+    calls.clear()
+    nx, ny, _, _, k7 = _dp_step(f, 0.3, -0.7, 0.05, k1)
+    assert len(calls) == 6
+    assert calls[-1] == (nx, ny)
+    assert k7 == f(nx, ny)
 
 
 def test_orbit_matches_exponential_flow():
@@ -170,7 +187,7 @@ def test_orbit_input_validation():
     with pytest.raises(InputError):
         integrate_orbit(flow, (0.2, 0.1), direction="sideways")
     with pytest.raises(InputError):
-        # axis seeds take the one-dimensional route; same validation
+        # axis seeds run the same loop; same validation
         integrate_orbit(flow, disc_from_plane(2.0, 0.0), direction="up")
 
 
@@ -389,8 +406,8 @@ def test_separatrix_seeds_respect_quadrant_filter(leslie_doc):
 
 
 def test_full_disc_portrait_compiles_each_polynomial_once(monkeypatch):
-    # one Flow per portrait: the U3, U1 and U2 components and the two
-    # invariant-axis restrictions, however many orbits are drawn
+    # one Flow per portrait: the U3, U1 and U2 components, however many
+    # orbits are drawn
     compiled = []
 
     def counting(p):
@@ -402,7 +419,7 @@ def test_full_disc_portrait_compiles_each_polynomial_once(monkeypatch):
     sys = leslie_system(params.A, params.B, params.C)
     doc = build_portrait(sys, params, positive_quadrant_only=False, grid=2, tmax=10.0)
     assert len(doc.trajectories) > 8
-    assert len(compiled) <= 8
+    assert len(compiled) == 6
 
 
 # ---------------------------------------------------------------------------
