@@ -3,9 +3,11 @@
 Strategy: reduce to the square-free part, then Sturm-sequence bisection
 inside a window clipped to the Cauchy root bound.  Rational roots are
 recovered exactly: bisection midpoints that happen to hit a root deflate
-the polynomial, and every isolating interval is refined to width 2^-80
-and handed to a Stern-Brocot reconstruction whose candidate is accepted
-only when it verifies to an exact zero.  A rational root p/q with
+the polynomial, and every isolating interval is refined and handed to a
+Stern-Brocot reconstruction whose candidate is accepted only when it
+verifies to an exact zero.  The reconstruction is tried at width 2^-32,
+which recovers every root p/q with q <= 2^16 after a few dozen
+bisections, and again at width 2^-80.  A rational root p/q with
 q <= 2^35 is always recovered (any other rational in a 2^-80 interval
 around it has a larger denominator, so the simplest-in-interval
 candidate is the root itself); roots with larger denominators stay
@@ -23,6 +25,7 @@ from pdisc.exactalg.upoly import UPoly
 _Scalar = Union[int, Fraction]
 
 DEFAULT_REFINE_WIDTH = Fraction(1, 2**40)
+_SCREEN_WIDTH = Fraction(1, 2**32)
 _RECONSTRUCT_WIDTH = Fraction(1, 2**80)
 _DENOMINATOR_CAP = 2**35
 
@@ -195,13 +198,15 @@ def _bisect(
 
 
 def _identify(s: UPoly, lo: Fraction, hi: Fraction) -> RootInterval:
-    """Refine an isolating interval and attempt exact rational recovery."""
-    lo, hi = _refine_interval(s, lo, hi, _RECONSTRUCT_WIDTH)
-    if lo == hi:
-        return RootInterval(lo=lo, hi=hi, exact=lo)
-    candidate = simplest_between(lo, hi)
-    if candidate.denominator <= _DENOMINATOR_CAP and s.eval(candidate) == 0:
-        return RootInterval(lo=candidate, hi=candidate, exact=candidate)
+    """Refine an isolating interval and attempt exact rational recovery,
+    first at the cheap screening width, then at the full one."""
+    for width in (_SCREEN_WIDTH, _RECONSTRUCT_WIDTH):
+        lo, hi = _refine_interval(s, lo, hi, width)
+        if lo == hi:
+            return RootInterval(lo=lo, hi=hi, exact=lo)
+        candidate = simplest_between(lo, hi)
+        if candidate.denominator <= _DENOMINATOR_CAP and s.eval(candidate) == 0:
+            return RootInterval(lo=candidate, hi=candidate, exact=candidate)
     return RootInterval(lo=lo, hi=hi)
 
 

@@ -82,6 +82,21 @@ def test_exact_rational_root_detected():
     assert ri.lo <= Fraction(3, 7) <= ri.hi
 
 
+def test_rational_recovery_at_both_widths():
+    # 3/7 is recovered at the 2^-32 screening width, 5/(2^20+1) only at
+    # 2^-80; a denominator past the 2^35 cap stays an isolating interval
+    sqrt2 = UPoly((Fraction(-2), Fraction(0), Fraction(1)))
+    for root in (Fraction(3, 7), Fraction(5, 2**20 + 1)):
+        isolated = isolate_real_roots(UPoly.from_roots([root]) * sqrt2)
+        assert len(isolated) == 3
+        assert [ri.exact for ri in isolated if ri.is_exact] == [root]
+    root = Fraction(1, 2**36 + 1)
+    (ri,) = isolate_real_roots(UPoly.from_roots([root]))
+    assert not ri.is_exact
+    assert ri.lo < root < ri.hi
+    assert ri.width <= Fraction(1, 2**80)
+
+
 @given(st.lists(small_rationals, min_size=0, max_size=3))
 def test_cauchy_bound_contains_roots(roots):
     p = UPoly.from_roots(roots) if roots else UPoly((Fraction(1), Fraction(1)))
