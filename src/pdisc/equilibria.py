@@ -241,6 +241,7 @@ class SemiHyperbolicReduction:
     nonzero_eigenvalue: Fraction
     center_vector: Tuple[Fraction, Fraction]
     stability: str  # "attractor" or "repeller" along the hyperbolic direction
+    hyperbolic_vector: Tuple[Fraction, Fraction]  # eigenvector of nonzero_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -735,7 +736,11 @@ def _semi_hyperbolic(
     a2 = u_dot.subst_y(Fraction(0)).coeff(2, 0)
     stability = "attractor" if lam < 0 else "repeller"
     return SemiHyperbolicReduction(
-        a2=a2, nonzero_eigenvalue=lam, center_vector=v0, stability=stability
+        a2=a2,
+        nonzero_eigenvalue=lam,
+        center_vector=v0,
+        stability=stability,
+        hyperbolic_vector=vl,
     )
 
 

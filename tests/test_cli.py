@@ -6,6 +6,7 @@ usage errors, 3 internal invariant violations.
 """
 
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -283,6 +284,31 @@ def test_portrait_svg_only_writes_nothing_to_stdout(model_file, tmp_path, capsys
     assert rc == 0
     assert out == ""
     assert svg.read_bytes().startswith(b"<svg ")
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "dx = x^4 - 3*x^2*y + y^2 - 2*x + 1\ndy = y^4 - x*y^2 + 2*x^2 - y - 3\n",
+        # the error norm of one step overflowed here: OverflowError, exit 1
+        "dx = x^5 - 3*x^2*y^2 + y^3 - 2*x + 1\ndy = y^5 - x*y^3 + 2*x^2 - y - 3\n",
+        "dx = (x - y)*(x + 2*y - 1)\ndy = x^2 + 2*y^2 - 3\n",
+        "dx = (x - y)*(x + 2*y - 1)*(2*x - y + 1)\ndy = x^2 + 2*y^2 - 3\n",
+    ],
+    ids=["quartic", "quintic", "lines-2", "lines-3"],
+)
+def test_full_disc_portraits_of_generic_systems(source, tmp_path, capsys):
+    path = tmp_path / "system.vf"
+    path.write_text(source, encoding="utf-8")
+    rc, out, _ = _run(capsys, ["portrait", str(path), "--no-quadrant", "--grid", "2"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["trajectories"]
+    for tr in doc["trajectories"]:
+        for x, y in tr["points"]:
+            # the JSON rounds each coordinate to 6 decimals
+            assert math.isfinite(x) and math.isfinite(y)
+            assert math.hypot(x, y) <= 1.0 + 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ subresultant; Leslie inputs have only rational equilibria, so no change
 to that pairing may move a byte here.
 
 The portrait JSON and SVG of the bundled parameters (quadrant and full
-disc) are pinned too, as recorded once the integrator reused its last
-stage.  Their floats come from a fixed sequence of binary64 operations,
-so they match on every supported CPython; a change to the integrator
-that moves them must say so.
+disc) are pinned too: the quadrant as recorded once the integrator
+reused its last stage, the full disc as recorded once orbits ended in
+the capture regions of saddle-nodes and blown-up points.  Their floats
+come from a fixed sequence of binary64 operations, so they match on
+every supported CPython; a change to the integrator that moves them
+must say so.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ PORTRAITS = {
         "037f0279770aebcb08f392ebbbdc90e59633e1fb73c8a37037054cfb755937d0",
     ),
     "full": (
-        "ea3420c5243eb3383a568f2778a971dff08c6b79f23a63d5fa11fe5d252aa876",
-        "85f7257dfbb03b852c631ae90ac8fbde935f1bd431019e705ae9f26d19e07c6a",
+        "9937d8d11d159ad6cf74b4f1697c757d2da2febd97ecacde5c77837aa2e45ea6",
+        "2b77cdc29beb1afd47e4235bc6ff6062469d31c9f8786cef3d79b0607f8085fb",
     ),
 }
 

@@ -14,14 +14,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pdisc.cli import main
-from pdisc.compactify import SectorDecomposition
+from pdisc.compactify import SectorDecomposition, blowup_analysis, infinite_equilibria, to_chart
+from pdisc.equilibria import finite_equilibria
 from pdisc.errors import InputError
 from pdisc.modelio import ParamBindings, leslie_system, parse_system
 from pdisc.portrait import (
+    CAPTURE_RADIUS,
+    EPS_SEPARATRIX,
     Flow,
     PortraitDoc,
+    _BlowupNodeCapture,
+    _ChartState,
+    _SaddleNodeCapture,
     _disc_from_chart,
     _dp_step,
+    _marker_for_finite,
+    _marker_for_infinite,
     build_portrait,
     compile_poly,
     default_seeds,
@@ -452,3 +460,179 @@ def test_irrational_saddles_get_separatrices(source, quadrant, tmp_path, capsys)
     out = tmp_path / "saddle.json"
     assert main(["portrait", str(path), flag, "--out", str(out)]) == 0
     assert out.read_bytes() == js
+
+
+# ---------------------------------------------------------------------------
+# capture regions of saddle-nodes and blown-up degenerate points
+
+# x' = x^2, y' = -y: a saddle-node at the origin whose node half is x < 0
+SADDLE_NODE = "dx = x^2\ndy = -y\n"
+
+
+def _saddle_node_capture():
+    sys = parse_system(SADDLE_NODE)
+    (rec,) = finite_equilibria(sys)
+    assert rec.classification == "saddle-node"
+    return sys, _SaddleNodeCapture(_marker_for_finite(rec), rec.reduction)
+
+
+def test_saddle_node_captures_only_its_node_half_forward():
+    _, cap = _saddle_node_capture()
+    assert cap.hit(-0.01, 0.002, 1.0)  # node half, forward time
+    assert not cap.hit(0.01, 0.002, 1.0)  # saddle half
+    assert not cap.hit(-0.01, 0.002, -1.0)  # node half repels backward
+    # backward, c > 0 creeps in along the center direction, but w' = +w
+    assert not cap.hit(0.01, 0.002, -1.0)
+    assert not cap.hit(-0.01, 0.02, 1.0)  # outside the cone |w| <= |c|
+    assert not cap.hit(-2.0 * CAPTURE_RADIUS, 0.0, 1.0)  # outside the ball
+
+
+def test_captured_orbit_ends_at_the_marker():
+    sys, cap = _saddle_node_capture()
+    seed = disc_from_plane(-0.5, 0.3)
+    # the approach is algebraic (x ~ -1/t), so the speed rule alone runs to tmax
+    bare = integrate_orbit(Flow(sys), seed, tmax=50.0)
+    assert bare.reason == REASON_TMAX
+    tr = integrate_orbit(Flow(sys, captures=[cap]), seed, tmax=50.0)
+    assert tr.reason == REASON_EQ
+    assert tr.endpoint() == (0.0, 0.0)
+    assert len(tr.points) < len(bare.points)
+    # backward, the same seed leaves the node half
+    back = integrate_orbit(Flow(sys, captures=[cap]), seed, "backward", tmax=5.0)
+    assert back.endpoint() != (0.0, 0.0)
+
+
+def test_axis_orbits_are_never_captured():
+    sys, cap = _saddle_node_capture()
+    # the x axis is invariant and runs into the node half
+    tr = integrate_orbit(Flow(sys, captures=[cap]), disc_from_plane(-0.5, 0.0), tmax=50.0)
+    assert all(p[1] == 0.0 for p in tr.points)
+    assert tr.reason == REASON_TMAX
+
+
+def _bundled_u2_node():
+    sys = leslie_system(F(1), F(1), F(1, 2))
+    cs = to_chart(sys, "U2")
+    (rec,) = [r for r in infinite_equilibria(cs) if r.point.x.exact == 0]
+    analysis = blowup_analysis(cs.system, rec.point)
+    (node,) = [r for r in analysis.x_divisor if r.classification == "stable node"]
+    assert node.point.approx() == (0.0, -2.0)
+    assert (analysis.x_system.rescale_x, analysis.x_system.rescale_y) == (1, 0)
+    return sys, _BlowupNodeCapture(_marker_for_infinite(rec, "U2", 1), analysis.x_system, node)
+
+
+def test_blowup_node_respects_the_rescaling_sign():
+    sys, cap = _bundled_u2_node()
+    # about the stable node (p, q) = (0, -2) of the x-directional blow-up
+    # (p, q) = (a, b/a); the blown-up field is the true one divided by p
+    a = 0.01
+    assert cap.hit(a, -2.0 * a, 1.0)
+    assert not cap.hit(a, -2.0 * a, -1.0)
+    # for p < 0 the division reverses time: the node repels forward
+    assert not cap.hit(-a, 2.0 * a, 1.0)
+    assert cap.hit(-a, 2.0 * a, -1.0)
+    assert not cap.hit(a, -3.0 * a, 1.0)  # q = -3: outside the ball
+    assert not cap.hit(0.0, 0.0, 1.0)
+    # this marker is the side +1 point U2+; (a, -2a) has v < 0, so it lies
+    # near the antipodal point U2- instead
+    flow = Flow(sys, captures=[cap])
+    assert flow.capture(_ChartState("U2", -a, 2.0 * a, 1, 1.0), -1.0) == cap.disc
+    assert flow.capture(_ChartState("U2", a, -2.0 * a, -1, 1.0), 1.0) is None
+
+
+def test_capture_across_the_chart_overlap():
+    sys = leslie_system(F(1), F(1), F(1, 2))
+    cs = to_chart(sys, "U1")
+    (rec,) = [r for r in infinite_equilibria(cs) if r.classification == "saddle-node"]
+    red = rec.reduction
+    assert (red.a2, red.nonzero_eigenvalue, red.center_vector) == (2, -1, (1, -1))
+    m = _marker_for_infinite(rec, "U1", 1)
+    assert m.local == (-1.0, 0.0)
+    flow = Flow(sys, captures=[_SaddleNodeCapture(m, red)])
+    # c = -0.01 along the center vector: the node half, forward, inside the disc
+    u1, v1 = -1.01, 0.01
+    assert flow.capture(_ChartState("U1", u1, v1, 1, 1.0), 1.0) == m.disc
+    # the same plane point held in U2, as by an orbit that came from the U2 side
+    u2, v2 = 1.0 / u1, v1 / u1
+    assert flow.capture(_ChartState("U2", u2, v2, -1, 1.0), 1.0) == m.disc
+    assert flow.capture(_ChartState("U2", u2, v2, -1, 1.0), -1.0) is None
+    # the antipodal point (v < 0) is not near this side +1 marker
+    assert flow.capture(_ChartState("U1", u1, -v1, -1, 1.0), 1.0) is None
+
+
+def test_finite_marker_captures_from_a_chart_at_infinity():
+    # x' = (x-7)^2, y' = -y: an orbit from (6.9, 50) comes down to the
+    # saddle-node (7, 0) without |x| + |y| falling below 5, so it stays in
+    # the U1/U2 charts and is tested against the U3 marker there
+    sys = parse_system("dx = (x - 7)^2\ndy = -y\n")
+    (rec,) = finite_equilibria(sys)
+    m = _marker_for_finite(rec)
+    flow = Flow(sys, captures=[_SaddleNodeCapture(m, rec.reduction)])
+    tr = integrate_orbit(flow, disc_from_plane(6.9, 50.0))
+    assert tr.reason == REASON_EQ
+    assert tr.endpoint() == m.disc
+
+
+LESLIE = {"bundled": (F(1), F(1), F(1, 2)), "zero": (F(2), F(1), F(1, 2)), "negative": (F(3), F(1), F(1, 2))}
+OTHER = {
+    "saddle-full": ("dx = x^2 - 2\ndy = y^2 - x*y - 3\n", False),
+    "saddle-quadrant": ("dx = x^2 + y^2 - 3\ndy = x*y - 1\n", True),
+    # even degree: the U1 field reverses time on the side -1 half, where
+    # the blow-up of the degenerate point inf:U1-:1 must be read in V1
+    "even-degree": ("dx = y^2 - x*y + y - 1\ndy = x*y - x^2 + x\n", False),
+}
+
+
+def _case(case):
+    """(system, params, quadrant) for "<regime>:<view>" with a Leslie
+    regime (A*C = 1 in the zero regime), or a key of OTHER."""
+    if case in OTHER:
+        source, quadrant = OTHER[case]
+        return parse_system(source), None, quadrant
+    name, view = case.split(":")
+    params = ParamBindings(*LESLIE[name])
+    return leslie_system(params.A, params.B, params.C), params, view == "quadrant"
+
+
+@pytest.mark.parametrize("case", ["bundled:full", "zero:quadrant", "saddle-quadrant"])
+def test_few_orbits_run_to_tmax(case):
+    # before capture and finite stop points outside the quadrant:
+    # 198/288, 65/78 and 70/76 orbits ended reached-tmax
+    sys, params, quadrant = _case(case)
+    doc = build_portrait(sys, params, positive_quadrant_only=quadrant)
+    tmax = [t for t in doc.trajectories if t.reason == REASON_TMAX]
+    assert len(tmax) < 0.1 * len(doc.trajectories)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [f"{r}:{v}" for r in LESLIE for v in ("quadrant", "full")] + sorted(OTHER),
+)
+def test_captured_orbits_reach_their_marker_without_capture(case):
+    """An independent check of every capture region that fires: rerun
+    one captured orbit per (marker, direction) with a bare flow (speed
+    rule only) to t = 1e4; it must end within 1e-3 of the same marker."""
+    sys, params, quadrant = _case(case)
+    doc = build_portrait(sys, params, positive_quadrant_only=quadrant, grid=2)
+    seeds = {
+        s.seed_id: s
+        for s in default_seeds(quadrant, 2) + separatrix_seeds(doc.markers, EPS_SEPARATRIX, quadrant)
+    }
+    targets = {
+        m.disc: m for m in doc.markers if m.classification in ("saddle-node", "degenerate-needs-blowup")
+    }
+    picked = {}
+    for tr in doc.trajectories:
+        m = targets.get(tr.endpoint())
+        # an axis orbit that ends exactly at a marker started on it
+        if m is not None and tr.reason == REASON_EQ and tr.role != "axis":
+            picked.setdefault((m.marker_id, tr.direction), (m, tr))
+    if params is not None and not quadrant:
+        assert picked
+    if case == "even-degree":
+        assert {m.side for m, _ in picked.values()} == {1, -1}
+    flow = Flow(sys)
+    for m, tr in picked.values():
+        seed = seeds[tr.seed_id]
+        rerun = integrate_orbit(flow, seed.disc, seed.direction, tmax=1e4)
+        assert _dist(rerun.endpoint(), m.disc) < 1e-3, (tr.seed_id, m.marker_id)
