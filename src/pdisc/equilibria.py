@@ -314,15 +314,18 @@ def finite_equilibria(
 
     records = [classify_point(sys, pt) for pt in points]
     if positive_quadrant_only:
-        records = [
-            r for r in records if r.point.x.sign() >= 0 and r.point.y.sign() >= 0
-        ]
+        records = [r for r in records if in_positive_quadrant(r)]
     records.sort(key=_record_sort_key)
     for i in range(len(records) - 1):
         a, b = records[i].point, records[i + 1].point
         if a.x.compare(b.x) == 0 and a.y.compare(b.y) == 0:
             raise InternalInvariantError("duplicate equilibrium records")
     return records
+
+
+def in_positive_quadrant(rec: EquilibriumRecord) -> bool:
+    """Whether the exact point lies in the closed quadrant x, y >= 0."""
+    return rec.point.x.sign() >= 0 and rec.point.y.sign() >= 0
 
 
 class _SortAdapter:

@@ -17,13 +17,15 @@ An orbit ends at an equilibrium in one of two ways.  Near a hyperbolic
 point the field speed falls below CONVERGE_SPEED.  A saddle-node or a
 degenerate point is approached only algebraically, so the speed rule
 would not fire before `tmax`; instead the portrait gives each such
-marker capture regions taken from its exact local analysis, inside
-which every orbit tends to the marker.  At a saddle-node that is a
-cone about the center direction on the side of its node sector; at a
-degenerate point resolved by one level of directional blow-ups, a
-small ball about each hyperbolic node on an exceptional divisor.  A
-region captures only in the time direction in which it attracts, and
-an orbit that lands in one ends at the marker's disc point.
+marker capture regions built from its exact local analysis.  At a
+saddle-node that is a triangle about the center direction on the side
+of its node sector; at a degenerate point resolved by one level of
+directional blow-ups, a small disc about each hyperbolic node on an
+exceptional divisor.  Each region is sized by an exact proof that
+every orbit in it tends to the marker, so it never reaches past
+another equilibrium (see `pdisc.capture`).  A region captures only in the time direction in
+which it attracts, and an orbit that lands in one ends at the marker's
+disc point.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from pdisc.capture import Capture, blowup_node_captures, saddle_node_capture
 from pdisc.compactify import (
     BlowupAnalysis,
-    BlowupSystem,
     SectorDecomposition,
     blowup_analysis,
     direct_sectors,
@@ -45,9 +47,9 @@ from pdisc.compactify import (
 )
 from pdisc.equilibria import (
     EquilibriumRecord,
-    SemiHyperbolicReduction,
     equilibrium_fragment,
     finite_equilibria,
+    in_positive_quadrant,
     leslie_labels,
 )
 from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError
@@ -64,7 +66,6 @@ CHART_OUT = 10.0  # leave the finite chart when |x| + |y| exceeds this
 CHART_IN = 5.0  # return below this (hysteresis factor 2)
 EQUATOR_EPS = 1e-12
 MAX_STEPS = 60000
-CAPTURE_RADIUS = 3e-2  # of the capture regions, in their own coordinates
 
 REASON_EQ = "converged-to-equilibrium"
 REASON_TMAX = "reached-tmax"
@@ -214,97 +215,6 @@ class _ChartState:
         return _disc_from_chart(self.chart, self.x, self.y, self.side)
 
 
-class _Capture:
-    """A region beside one marker in which every orbit tends to the
-    marker, in one direction of time.  `hit` takes the offset (a, b) of
-    the state from the marker in the marker's own chart system: U3, or
-    U1/U2 on the equator side `side`, whose system for side -1 is the V
-    chart.  Both run in the true time, so the time sign of an orbit is
-    its direction alone.  Every region lies in the box |a|, |b| < reach.
-    """
-
-    __slots__ = ("chart", "side", "x0", "y0", "reach", "disc")
-
-    def __init__(self, marker: "Marker", reach: float):
-        self.chart = marker.chart
-        self.side = marker.side
-        self.x0, self.y0 = marker.local
-        self.reach = reach
-        self.disc = marker.disc
-
-    def hit(self, a: float, b: float, sgn: float) -> bool:
-        raise NotImplementedError
-
-
-class _SaddleNodeCapture(_Capture):
-    """The node half of a saddle-node.  In the eigen-coordinates
-    (c, w) = T^-1 (a, b), T = [center vector | hyperbolic vector], the
-    flow is c' = a2 c^2 + ..., w' = lam w + ...  (semi-hyperbolic normal
-    form), so for time sign s the half s*a2*c < 0 attracts when
-    s*lam < 0.  The region is the cone |w| <= |c| of that half, within
-    CAPTURE_RADIUS of the point; the saddle half never captures."""
-
-    __slots__ = ("inv", "a2", "lam")
-
-    def __init__(self, marker: "Marker", red: SemiHyperbolicReduction):
-        (c0, c1), (h0, h1) = red.center_vector, red.hyperbolic_vector
-        det = c0 * h1 - h0 * c1
-        self.inv = tuple(float(e / det) for e in (h1, -h0, -c1, c0))
-        self.a2 = float(red.a2)
-        self.lam = float(red.nonzero_eigenvalue)
-        norms = math.hypot(float(c0), float(c1)) + math.hypot(float(h0), float(h1))
-        super().__init__(marker, CAPTURE_RADIUS * norms)
-
-    def hit(self, a: float, b: float, sgn: float) -> bool:
-        if sgn * self.lam >= 0.0:
-            return False
-        i00, i01, i10, i11 = self.inv
-        c = i00 * a + i01 * b
-        w = i10 * a + i11 * b
-        return sgn * self.a2 * c < 0.0 and abs(w) <= abs(c) and c * c + w * w < CAPTURE_RADIUS ** 2
-
-
-class _BlowupNodeCapture(_Capture):
-    """A hyperbolic node on the exceptional divisor of one directional
-    blow-up: the ball of radius CAPTURE_RADIUS about it in the blown-up
-    coordinates, (p, q) = (a, b/a) about (0, w0) for the x-direction and
-    (a/b, b) about (z0, 0) for the y-direction.  The blown-up field is
-    the original one divided by p^rx q^ry, so the ball attracts where
-    the time sign times the sign of that monomial matches the node's
-    stability."""
-
-    __slots__ = ("x_dir", "node", "rescale", "stab")
-
-    def __init__(self, marker: "Marker", bs: BlowupSystem, node: EquilibriumRecord):
-        self.x_dir = bs.direction == "x"
-        self.node = node.point.approx()
-        self.rescale = (bs.rescale_x, bs.rescale_y)
-        self.stab = 1.0 if node.classification == "stable node" else -1.0
-        slope = abs(self.node[1] if self.x_dir else self.node[0])
-        super().__init__(marker, CAPTURE_RADIUS * max(1.0, slope + CAPTURE_RADIUS))
-
-    def hit(self, a: float, b: float, sgn: float) -> bool:
-        if self.x_dir:
-            if a == 0.0:
-                return False
-            p, q = a, b / a
-        else:
-            if b == 0.0:
-                return False
-            p, q = a / b, b
-        dp = p - self.node[0]
-        dq = q - self.node[1]
-        if dp * dp + dq * dq >= CAPTURE_RADIUS ** 2:
-            return False
-        rx, ry = self.rescale
-        m = sgn * self.stab
-        if rx % 2 and p < 0.0:
-            m = -m
-        if ry % 2 and q < 0.0:
-            m = -m
-        return m > 0.0
-
-
 class Flow:
     """A system's vector field compiled once for every orbit of a
     portrait: the finite chart U3 and the charts U1/U2 at infinity, the
@@ -312,22 +222,33 @@ class Flow:
     orbits stop by the speed rule, and the capture regions.
 
     Without `equilibria`, the stop points are the finite equilibria,
-    located exactly, and the equator points of the whole disc.  Capture
-    regions come only from `build_portrait`; a bare flow has none.
+    located exactly, and the equator points of the whole disc.  Every
+    one of `markers` (as resolved by `build_portrait`) is a stop point
+    too, and its local analysis gives the capture regions: the node half
+    of a saddle-node with an exact reduction, and the hyperbolic nodes
+    on the divisors of a blown-up degenerate point.  A flow without
+    markers keeps the speed rule only.
     """
 
     def __init__(
         self,
         sys: PlanarSystem,
         equilibria: Optional[Sequence[Tuple[float, float]]] = None,
-        captures: Sequence[_Capture] = (),
+        markers: Sequence["Marker"] = (),
     ):
         if equilibria is None:
-            markers = [_marker_for_finite(rec) for rec in finite_equilibria(sys)]
-            markers.extend(_infinite_markers(sys, False))
-            equilibria = [m.disc for m in markers]
-        self.equilibria = list(equilibria)
-        self.captures = list(captures)
+            every = [_marker_for_finite(rec) for rec in finite_equilibria(sys)]
+            every.extend(_infinite_markers(sys, False))
+            equilibria = [m.disc for m in every]
+        self.equilibria = list(equilibria) + [m.disc for m in markers]
+        self.captures: List[Capture] = []
+        for m in markers:
+            if m.classification == "saddle-node" and m.record.reduction is not None:
+                cap = saddle_node_capture(m, _local_system(sys, m))
+                if cap is not None:
+                    self.captures.append(cap)
+            elif m.blowup is not None:
+                self.captures.extend(blowup_node_captures(m, m.blowup))
         self.even_degree = sys.degree % 2 == 0
         u1 = to_chart(sys, "U1")
         u2 = to_chart(sys, "U2")
@@ -358,7 +279,7 @@ class Flow:
             u, v = st.x, st.y
             if r.chart != st.chart:
                 if st.chart == "U3":
-                    continue  # the finite chart stays far from the equator
+                    continue  # regions at infinity are tested from U1/U2 only
                 if r.chart == "U3":
                     if v == 0.0:
                         continue
@@ -367,13 +288,9 @@ class Flow:
                     if u == 0.0:
                         continue
                     u, v = 1.0 / u, v / u  # across the U1/U2 overlap
-            a = u - r.x0
-            b = v - r.y0
-            if abs(a) >= r.reach or abs(b) >= r.reach:
-                continue
             if r.chart != "U3" and (v > 0.0) != (r.side > 0):
                 continue
-            if r.hit(a, b, sgn):
+            if r.hit(u - r.x0, v - r.y0, sgn):
                 return r.disc
         return None
 
@@ -553,6 +470,7 @@ class Marker:
     disc: Tuple[float, float]
     record: EquilibriumRecord
     sectors: Optional[SectorDecomposition] = None
+    blowup: Optional[BlowupAnalysis] = None  # of a degenerate point, when one was made
 
     @property
     def classification(self) -> str:
@@ -723,18 +641,12 @@ def _infinite_markers(
     return out
 
 
-def _captures(m: Marker, analysis: Optional[BlowupAnalysis]) -> List[_Capture]:
-    """The capture regions of a non-hyperbolic marker."""
-    if m.classification == "saddle-node" and m.record.reduction is not None:
-        return [_SaddleNodeCapture(m, m.record.reduction)]
-    if analysis is None:
-        return []
-    return [
-        _BlowupNodeCapture(m, bs, node)
-        for bs, nodes in ((analysis.x_system, analysis.x_divisor), (analysis.y_system, analysis.y_divisor))
-        for node in nodes
-        if node.classification in ("stable node", "unstable node")
-    ]
+def _local_system(sys: PlanarSystem, m: Marker) -> PlanarSystem:
+    """The system a marker's record was computed in: U3, or its chart
+    at infinity, whose V form runs in the true time on the side -1 half."""
+    if m.chart == "U3":
+        return sys
+    return to_chart(sys, m.chart if m.side > 0 else "V" + m.chart[1]).system
 
 
 def build_portrait(
@@ -752,7 +664,7 @@ def build_portrait(
     every_finite = finite_equilibria(sys)
     finite = every_finite
     if positive_quadrant_only:
-        finite = [r for r in finite if r.point.x.sign() >= 0 and r.point.y.sign() >= 0]
+        finite = [r for r in finite if in_positive_quadrant(r)]
     regime: Optional[str] = None
     if params is not None:
         finite = leslie_labels(finite, params.A, params.B, params.C)
@@ -762,27 +674,20 @@ def build_portrait(
     markers.extend(_infinite_markers(sys, positive_quadrant_only))
 
     resolved: List[Marker] = []
-    captures: List[_Capture] = []
     for m in markers:
-        analysis: Optional[BlowupAnalysis] = None
         if m.classification == "degenerate-needs-blowup":
-            if m.chart == "U3":
-                local_sys = sys
-            else:
-                # the V chart runs in the true time on the side -1 half
-                local_sys = to_chart(sys, m.chart if m.side > 0 else "V" + m.chart[1]).system
             # one level of directional blow-ups at an exact degenerate point
+            analysis: Optional[BlowupAnalysis] = None
             try:
-                analysis = blowup_analysis(local_sys, m.record.point)
+                analysis = blowup_analysis(_local_system(sys, m), m.record.point)
             except LineOfEquilibriaError:
                 pass
             sec = None if analysis is None else analysis.sectors
-            resolved.append(Marker(m.marker_id, m.chart, m.local, m.side, m.disc, m.record, sec))
+            resolved.append(Marker(m.marker_id, m.chart, m.local, m.side, m.disc, m.record, sec, analysis))
         elif m.classification in ("saddle", "stable node", "unstable node", "stable focus", "unstable focus"):
             resolved.append(Marker(m.marker_id, m.chart, m.local, m.side, m.disc, m.record, direct_sectors(m.classification)))
         else:
             resolved.append(m)
-        captures.extend(_captures(m, analysis))
     markers = resolved
 
     if params is not None:
@@ -792,9 +697,7 @@ def build_portrait(
                 "interior-equilibrium marker disagrees with the 1-AC regime"
             )
 
-    stops = [disc_from_plane(*r.point.approx()) for r in every_finite]
-    stops.extend(m.disc for m in markers if m.chart != "U3")
-    flow = Flow(sys, stops, captures)
+    flow = Flow(sys, [disc_from_plane(*r.point.approx()) for r in every_finite], markers)
     seeds = default_seeds(positive_quadrant_only, grid)
     seeds.extend(separatrix_seeds(markers, EPS_SEPARATRIX, positive_quadrant_only))
 

@@ -10,7 +10,7 @@ to that pairing may move a byte here.
 The portrait JSON and SVG of the bundled parameters (quadrant and full
 disc) are pinned too: the quadrant as recorded once the integrator
 reused its last stage, the full disc as recorded once orbits ended in
-the capture regions of saddle-nodes and blown-up points.  Their floats
+the proved capture regions of saddle-nodes and blown-up points.  Their floats
 come from a fixed sequence of binary64 operations, so they match on
 every supported CPython; a change to the integrator that moves them
 must say so.
@@ -61,8 +61,8 @@ PORTRAITS = {
         "037f0279770aebcb08f392ebbbdc90e59633e1fb73c8a37037054cfb755937d0",
     ),
     "full": (
-        "9937d8d11d159ad6cf74b4f1697c757d2da2febd97ecacde5c77837aa2e45ea6",
-        "2b77cdc29beb1afd47e4235bc6ff6062469d31c9f8786cef3d79b0607f8085fb",
+        "668bbf5fc1b38023d195ab24e49b21fc0f63a128fe1812179c760479b42bb4a0",
+        "03fbd69c488f4e3731d5c311ff6b98902d7a4428c369a1b2cc1aaaa6867f4ce3",
     ),
 }
 

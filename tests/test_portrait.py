@@ -8,6 +8,7 @@ inventory.  Rendering must be byte-deterministic.
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -17,15 +18,14 @@ from pdisc.cli import main
 from pdisc.compactify import SectorDecomposition, blowup_analysis, infinite_equilibria, to_chart
 from pdisc.equilibria import finite_equilibria
 from pdisc.errors import InputError
+from pdisc.exactalg import MPoly
 from pdisc.modelio import ParamBindings, leslie_system, parse_system
+from pdisc.capture import CAPTURE_RADIUS, blowup_node_captures, positive_on, saddle_node_capture
 from pdisc.portrait import (
-    CAPTURE_RADIUS,
     EPS_SEPARATRIX,
     Flow,
     PortraitDoc,
-    _BlowupNodeCapture,
     _ChartState,
-    _SaddleNodeCapture,
     _disc_from_chart,
     _dp_step,
     _marker_for_finite,
@@ -469,45 +469,89 @@ def test_irrational_saddles_get_separatrices(source, quadrant, tmp_path, capsys)
 SADDLE_NODE = "dx = x^2\ndy = -y\n"
 
 
-def _saddle_node_capture():
-    sys = parse_system(SADDLE_NODE)
-    (rec,) = finite_equilibria(sys)
+def _origin_saddle_node(source=SADDLE_NODE):
+    sys = parse_system(source)
+    (rec,) = [r for r in finite_equilibria(sys) if r.point.approx() == (0.0, 0.0)]
     assert rec.classification == "saddle-node"
-    return sys, _SaddleNodeCapture(_marker_for_finite(rec), rec.reduction)
+    m = _marker_for_finite(rec)
+    return sys, m, saddle_node_capture(m, sys)
 
 
-def test_saddle_node_captures_only_its_node_half_forward():
-    _, cap = _saddle_node_capture()
+def testsaddle_node_captures_only_its_node_half_forward():
+    _, _, cap = _origin_saddle_node()
+    assert cap.r == float(CAPTURE_RADIUS)
     assert cap.hit(-0.01, 0.002, 1.0)  # node half, forward time
     assert not cap.hit(0.01, 0.002, 1.0)  # saddle half
     assert not cap.hit(-0.01, 0.002, -1.0)  # node half repels backward
     # backward, c > 0 creeps in along the center direction, but w' = +w
     assert not cap.hit(0.01, 0.002, -1.0)
     assert not cap.hit(-0.01, 0.02, 1.0)  # outside the cone |w| <= |c|
-    assert not cap.hit(-2.0 * CAPTURE_RADIUS, 0.0, 1.0)  # outside the ball
+    assert not cap.hit(-2.0 * CAPTURE_RADIUS, 0.0, 1.0)  # beyond the triangle
 
 
 def test_captured_orbit_ends_at_the_marker():
-    sys, cap = _saddle_node_capture()
+    sys, m, _ = _origin_saddle_node()
     seed = disc_from_plane(-0.5, 0.3)
     # the approach is algebraic (x ~ -1/t), so the speed rule alone runs to tmax
     bare = integrate_orbit(Flow(sys), seed, tmax=50.0)
     assert bare.reason == REASON_TMAX
-    tr = integrate_orbit(Flow(sys, captures=[cap]), seed, tmax=50.0)
+    flow = Flow(sys, markers=[m])
+    tr = integrate_orbit(flow, seed, tmax=50.0)
     assert tr.reason == REASON_EQ
     assert tr.endpoint() == (0.0, 0.0)
     assert len(tr.points) < len(bare.points)
     # backward, the same seed leaves the node half
-    back = integrate_orbit(Flow(sys, captures=[cap]), seed, "backward", tmax=5.0)
+    back = integrate_orbit(flow, seed, "backward", tmax=5.0)
     assert back.endpoint() != (0.0, 0.0)
 
 
 def test_axis_orbits_are_never_captured():
-    sys, cap = _saddle_node_capture()
+    sys, m, _ = _origin_saddle_node()
     # the x axis is invariant and runs into the node half
-    tr = integrate_orbit(Flow(sys, captures=[cap]), disc_from_plane(-0.5, 0.0), tmax=50.0)
+    tr = integrate_orbit(Flow(sys, markers=[m]), disc_from_plane(-0.5, 0.0), tmax=50.0)
     assert all(p[1] == 0.0 for p in tr.points)
     assert tr.reason == REASON_TMAX
+
+
+def test_capture_region_stops_short_of_a_nearby_saddle():
+    # x' = x^2 + 100 x^3: the center flow turns back at the saddle
+    # (-1/100, 0), so the node half is a basin only up to it; beyond it
+    # the orbit from (-0.02, 0.001) runs away to x = -inf
+    sys, m, cap = _origin_saddle_node("dx = x^2 + 100*x^3\ndy = -y\n")
+    assert cap.r < 0.01
+    assert not cap.hit(-0.02, 0.001, 1.0)
+    tr = integrate_orbit(Flow(sys, markers=[m]), disc_from_plane(-0.02, 0.001))
+    assert _dist(tr.endpoint(), (-1.0, 0.0)) < 1e-6
+
+
+def test_capture_triangle_keeps_its_orbits():
+    # y' = -y + 100 x^2: on the side w = -c of the node half the field
+    # points out of the triangle once t > 1/101, though c still falls
+    _, _, cap = _origin_saddle_node("dx = x^2\ndy = -y + 100*x^2\n")
+    assert cap.k == 1.0 and cap.r < 1 / 101
+
+
+def test_capture_region_is_measured_in_scaled_eigenvectors():
+    # center vector (1, 1000): c is the y coordinate, and at y = -20 the
+    # center flow y' = y^2/1000 + y^3/10^4 already runs away from 0
+    source = "dx = -x + 1/1000*y + 1/1000000*y^2 + 1/10000000*y^3\ndy = 1/1000*y^2 + 1/10000*y^3\n"
+    sys, m, cap = _origin_saddle_node(source)
+    assert m.record.reduction.center_vector == (1, 1000)
+    assert not cap.hit(-0.02, -20.0, 1.0)
+    assert cap.hit(-0.02 / 1000, -0.02, 1.0)
+    tr = integrate_orbit(Flow(sys, markers=[m]), disc_from_plane(-0.02, -20.0))
+    assert tr.endpoint() != m.disc
+
+
+def test_certificate_needs_strict_positivity_on_the_closed_box():
+    x, y = MPoly.var_x(), MPoly.var_y()
+    zero, half, one = F(0), F(1, 2), F(1)
+    assert positive_on(one - x, (zero, half), (zero, zero))
+    assert not positive_on(one - x, (zero, one), (zero, zero))  # a root at the end
+    # positive with a near-root off the centre: proved only after bisection
+    near = (x - F(1, 3)) ** 2 + y * y
+    assert positive_on(near + F(1, 100), (zero, one), (-one, one))
+    assert not positive_on(near - F(1, 10**6), (zero, one), (-one, one))
 
 
 def _bundled_u2_node():
@@ -518,11 +562,28 @@ def _bundled_u2_node():
     (node,) = [r for r in analysis.x_divisor if r.classification == "stable node"]
     assert node.point.approx() == (0.0, -2.0)
     assert (analysis.x_system.rescale_x, analysis.x_system.rescale_y) == (1, 0)
-    return sys, _BlowupNodeCapture(_marker_for_infinite(rec, "U2", 1), analysis.x_system, node)
+    m = replace(_marker_for_infinite(rec, "U2", 1), blowup=analysis)
+    (cap,) = [c for c in blowup_node_captures(m, analysis) if c.node == (0.0, -2.0)]
+    return sys, m, cap
+
+
+def test_blowup_node_disc_stops_short_of_a_divisor_saddle():
+    # x' = -x^2, y' = -2xy + 100y^2 blows up in the x-direction to
+    # u' = -u, w' = -w + 100w^2: a stable node at w = 0 and a saddle at
+    # w = 1/100 on the divisor; beyond the saddle orbits leave the node
+    sys = parse_system("dx = -(x^2)\ndy = -2*x*y + 100*y^2\n")
+    (rec,) = finite_equilibria(sys)
+    analysis = blowup_analysis(sys, rec.point)
+    m = replace(_marker_for_finite(rec), blowup=analysis)
+    (cap,) = [c for c in blowup_node_captures(m, analysis) if c.x_dir]
+    assert cap.node == (0.0, 0.0) and cap.r < 0.01
+    p = 0.001
+    assert cap.hit(p, p * 0.001, 1.0)
+    assert not cap.hit(p, p * 0.02, 1.0)
 
 
 def test_blowup_node_respects_the_rescaling_sign():
-    sys, cap = _bundled_u2_node()
+    sys, m, cap = _bundled_u2_node()
     # about the stable node (p, q) = (0, -2) of the x-directional blow-up
     # (p, q) = (a, b/a); the blown-up field is the true one divided by p
     a = 0.01
@@ -531,11 +592,11 @@ def test_blowup_node_respects_the_rescaling_sign():
     # for p < 0 the division reverses time: the node repels forward
     assert not cap.hit(-a, 2.0 * a, 1.0)
     assert cap.hit(-a, 2.0 * a, -1.0)
-    assert not cap.hit(a, -3.0 * a, 1.0)  # q = -3: outside the ball
+    assert not cap.hit(a, -3.0 * a, 1.0)  # q = -3: outside the disc
     assert not cap.hit(0.0, 0.0, 1.0)
     # this marker is the side +1 point U2+; (a, -2a) has v < 0, so it lies
     # near the antipodal point U2- instead
-    flow = Flow(sys, captures=[cap])
+    flow = Flow(sys, markers=[m])
     assert flow.capture(_ChartState("U2", -a, 2.0 * a, 1, 1.0), -1.0) == cap.disc
     assert flow.capture(_ChartState("U2", a, -2.0 * a, -1, 1.0), 1.0) is None
 
@@ -548,7 +609,8 @@ def test_capture_across_the_chart_overlap():
     assert (red.a2, red.nonzero_eigenvalue, red.center_vector) == (2, -1, (1, -1))
     m = _marker_for_infinite(rec, "U1", 1)
     assert m.local == (-1.0, 0.0)
-    flow = Flow(sys, captures=[_SaddleNodeCapture(m, red)])
+    flow = Flow(sys, markers=[m])
+    assert len(flow.captures) == 1
     # c = -0.01 along the center vector: the node half, forward, inside the disc
     u1, v1 = -1.01, 0.01
     assert flow.capture(_ChartState("U1", u1, v1, 1, 1.0), 1.0) == m.disc
@@ -567,8 +629,7 @@ def test_finite_marker_captures_from_a_chart_at_infinity():
     sys = parse_system("dx = (x - 7)^2\ndy = -y\n")
     (rec,) = finite_equilibria(sys)
     m = _marker_for_finite(rec)
-    flow = Flow(sys, captures=[_SaddleNodeCapture(m, rec.reduction)])
-    tr = integrate_orbit(flow, disc_from_plane(6.9, 50.0))
+    tr = integrate_orbit(Flow(sys, markers=[m]), disc_from_plane(6.9, 50.0))
     assert tr.reason == REASON_EQ
     assert tr.endpoint() == m.disc
 
