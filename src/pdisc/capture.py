@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from pdisc.compactify import BlowupAnalysis, BlowupSystem
-from pdisc.exactalg import Interval, MPoly, eval_box, simplest_between
+from pdisc.exactalg import Interval, MPoly, eval_box
 from pdisc.modelio import PlanarSystem
 
 if TYPE_CHECKING:
@@ -260,7 +260,7 @@ def blowup_node_captures(m: "Marker", analysis: BlowupAnalysis) -> List[BlowupNo
                 continue
             stab = 1 if node.classification == "stable node" else -1
             box = [co.refined(Fraction(1, 2**30)).interval() for co in (node.point.x, node.point.y)]
-            z = tuple(simplest_between(b.lo, b.hi) for b in box)
+            z = tuple((b.lo + b.hi) / 2 for b in box)
             at_z = [e.eval_rat(*z) for e in jac]
             t, inv = _frame(_node_basis((at_z[:2], at_z[2:])))
             m00, m01, m10, m11 = _matmul(inv, _matmul([_in_frame(e, z, t) for e in jac], t))

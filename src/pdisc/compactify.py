@@ -79,10 +79,8 @@ class BlowupSystem:
     substitution: str
     first: MPoly  # du/dt resp. dz/dt
     second: MPoly  # dw/dt resp. dv/dt
-    divisor_var: str  # "u" (x-directional) or "v" (y-directional)
     rescale_x: int
     rescale_y: int
-    swap_note: str
 
     @property
     def system(self) -> PlanarSystem:
@@ -215,9 +213,7 @@ def directional_blowup(sys: PlanarSystem, direction: str) -> BlowupSystem:
         if second is None:
             raise InternalInvariantError("x-directional numerator not divisible by u")
         first = pu
-        divisor_var = "u"
         substitution = "(x, y) = (u, u*w)"
-        swap_note = "u < 0 branch swaps the sign of y: second and third quadrants trade"
     else:
         # (x, y) = (z v, v); first = dz/dt, second = dv/dt
         pv = sys.P.subst(x * y, y)  # P(zv, v)
@@ -227,16 +223,12 @@ def directional_blowup(sys: PlanarSystem, direction: str) -> BlowupSystem:
         if first is None:
             raise InternalInvariantError("y-directional numerator not divisible by v")
         second = qv
-        divisor_var = "v"
         substitution = "(x, y) = (z*v, v)"
-        swap_note = "v < 0 branch swaps the sign of x: third and fourth quadrants trade"
 
     ax, ay = _common_monomial([first, second])
     first = _divide_monomial(first, ax, ay)
     second = _divide_monomial(second, ax, ay)
-    bs = BlowupSystem(
-        direction, substitution, first, second, divisor_var, ax, ay, swap_note
-    )
+    bs = BlowupSystem(direction, substitution, first, second, ax, ay)
     _check_divisor_invariant(bs)
     return bs
 

@@ -12,17 +12,22 @@ enclosure.  Where that fails (a vanishing y-leading coefficient, or two
 points on one fiber) the same lifting runs on P(x - t*y, y), Q(x - t*y, y).
 
 Irrational coordinates are carried as a square-free defining polynomial
-plus an isolating interval, refinable on demand.  Sign decisions about
-such points are made exactly where a GCD/Sturm certificate applies and
-by interval refinement (capped) otherwise, falling back to an explicit
-"undetermined" classification rather than a guess.
+plus an isolating interval, refinable on demand.  An irrational point
+also carries a rational univariate representation (Rouillier 1999):
+x = X(a)/D(a), y = Y(a)/D(a) at one root a of a square-free s(u).  The
+lifting above produces it, and a point with one rational coordinate has
+a trivial one.  Every sign at the point, of the residuals and of the
+Jacobian's determinant, trace and discriminant, is decided exactly from
+it: zero by a gcd with s, a nonzero sign by refining a alone.
+"undetermined" is left only where no exact rule applies (a
+semi-hyperbolic point whose reduction is unavailable or degenerate).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -37,9 +42,7 @@ from pdisc.exactalg import (
     refine_root,
     resultant_wrt,
 )
-from pdisc.exactalg import interval
 from pdisc.exactalg.matrix import subresultant
-from pdisc.exactalg.roots import sturm_chain, sign_variations
 from pdisc.modelio import PlanarSystem
 
 # classification labels
@@ -63,7 +66,9 @@ _REFINE_CAP = 128
 @dataclass(frozen=True)
 class AlgebraicCoord:
     """A real algebraic number: exact rational, or a square-free
-    defining polynomial with an isolating interval."""
+    defining polynomial with an isolating interval.  isolate_real_roots
+    returns every rational root exactly, so an interval coordinate is
+    irrational and no refinement of it meets the root."""
 
     exact: Optional[Fraction] = None
     poly: Optional[UPoly] = None
@@ -102,17 +107,12 @@ class AlgebraicCoord:
         if self.exact is not None:
             return self
         assert self.poly is not None and self.root is not None
-        r = refine_root(self.poly, self.root, width)
-        if r.exact is not None:
-            return AlgebraicCoord(exact=r.exact)
-        return AlgebraicCoord(poly=self.poly, root=r)
+        return AlgebraicCoord(poly=self.poly, root=refine_root(self.poly, self.root, width))
 
     def approx(self) -> float:
         if self.exact is not None:
             return float(self.exact)
         c = self.refined(Fraction(1, 2**60))
-        if c.exact is not None:
-            return float(c.exact)
         assert c.root is not None
         return float((c.root.lo + c.root.hi) / 2)
 
@@ -134,11 +134,7 @@ class AlgebraicCoord:
         assert self.poly is not None and self.root is not None
         r = self.root
         while r.lo < v < r.hi:
-            if self.poly.eval(v) == 0:
-                return 0  # v is the unique root isolated by r
             r = refine_root(self.poly, r, (r.hi - r.lo) / 4)
-            if r.exact is not None:
-                return (r.exact > v) - (r.exact < v)
         # isolating endpoints are never roots, so the root is strictly inside
         return 1 if v <= r.lo else -1
 
@@ -154,16 +150,12 @@ class AlgebraicCoord:
                 return 1
             lo = max(a.lo, b.lo)
             hi = min(a.hi, b.hi)
-            if g.degree >= 1 and _count_roots(g, lo, hi) >= 1:
+            if _holds_root(g, lo, hi):
                 # the overlap holds a common root; each interval isolates
                 # exactly one root, so both coordinates equal it
                 return 0
             a = refine_root(self.poly, a, (a.hi - a.lo) / 4)
             b = refine_root(other.poly, b, (b.hi - b.lo) / 4)
-            if a.exact is not None or b.exact is not None:
-                ca = AlgebraicCoord(exact=a.exact) if a.exact is not None else AlgebraicCoord(poly=self.poly, root=a)
-                cb = AlgebraicCoord(exact=b.exact) if b.exact is not None else AlgebraicCoord(poly=other.poly, root=b)
-                return ca.compare(cb)
 
     def text(self) -> str:
         if self.exact is not None:
@@ -190,17 +182,89 @@ def _upoly_text(p: UPoly) -> str:
     return " ".join([head] + terms[1:])
 
 
-def _count_roots(p: UPoly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in (lo, hi]."""
-    s = p.squarefree_part()
-    chain = sturm_chain(s)
-    return sign_variations(chain, lo) - sign_variations(chain, hi)
+def _holds_root(g: UPoly, lo: Fraction, hi: Fraction) -> bool:
+    """Whether g has a root in (lo, hi), where g divides a square-free
+    polynomial with one root there and none at lo or hi: then g has at
+    most that one root, a simple one, so a sign change finds it."""
+    return g.degree >= 1 and g.sign_at(lo) != g.sign_at(hi)
+
+
+class Rur:
+    """A rational univariate representation: the points
+    x = X(a)/D(a), y = Y(a)/D(a) at the real roots a of the square-free
+    `base` s(u), with D(a) != 0.  Points above the roots of one s share
+    one object, so each polynomial's image under it is computed once."""
+
+    def __init__(self, base: UPoly, X: UPoly, Y: UPoly, D: UPoly):
+        self.base, self.X, self.Y, self.D = base, X, Y, D
+        self._powers: Tuple[List[UPoly], ...] = ([UPoly.const(1)], [UPoly.const(1)], [UPoly.const(1)])
+        self._images: Dict[MPoly, UPoly] = {}
+        self._zeros: Dict[MPoly, UPoly] = {}
+
+    @cached_property
+    def swapped(self) -> "Rur":
+        """The same points with x and y exchanged."""
+        return Rur(self.base, self.Y, self.X, self.D)
+
+    def unsheared(self, t: int) -> "Rur":
+        """The same points, read in (x, y) from the coordinates (x + t*y, y)."""
+        return Rur(self.base, self.X - self.Y * t, self.Y, self.D)
+
+    def _power(self, which: int, k: int) -> UPoly:
+        table, f = self._powers[which], (self.X, self.Y, self.D)[which]
+        while len(table) <= k:
+            table.append(table[-1] * f % self.base)
+        return table[k]
+
+    def _image(self, f: MPoly) -> UPoly:
+        """G = D^deg f * f(X/D, Y/D) mod s."""
+        g = self._images.get(f)
+        if g is None:
+            g = UPoly.zero()
+            for (i, j), c in f.items():
+                g = g + self._power(0, i) * self._power(1, j) * self._power(2, int(f.degree) - i - j) * c
+            g = self._images[f] = g % self.base
+        return g
+
+    def sign(self, f: MPoly, a: RootInterval) -> int:
+        """The exact sign of f at the point above the irrational root a of s."""
+        g = self._image(f)
+        if g.is_zero:
+            return 0
+        while True:
+            # D(a) != 0, so once G(a) != 0 too both enclosures exclude 0 when narrow
+            box = Interval(a.lo, a.hi)
+            s_g, s_d = _enclosure(g, box).sign(), _enclosure(self.D, box).sign()
+            if s_g and s_d:
+                return s_g * s_d ** int(f.degree)
+            if f not in self._zeros:
+                self._zeros[f] = g.gcd(self.base)
+            if _holds_root(self._zeros[f], a.lo, a.hi):
+                return 0
+            a = refine_root(self.base, a, a.width / 4)
+
+
+def _enclosure(p: UPoly, box: Interval) -> Interval:
+    """An enclosure of p over box = [n/q, m/q]: interval Horner over the
+    integers on q^deg * c * p, where c * p has integer coefficients."""
+    q = math.lcm(box.lo.denominator, box.hi.denominator)
+    n, m = int(box.lo * q), int(box.hi * q)
+    lo = hi = 0
+    qk = 1
+    for c in reversed(p.int_coeffs()):
+        ends = (lo * n, lo * m, hi * n, hi * m)
+        lo, hi = min(ends) + c * qk, max(ends) + c * qk
+        qk *= q
+    scale = math.lcm(*(c.denominator for c in p.coeffs)) * q ** max(len(p.coeffs) - 1, 0)
+    return Interval(Fraction(lo, scale), Fraction(hi, scale))
 
 
 @dataclass(frozen=True)
 class AlgebraicPoint:
     x: AlgebraicCoord
     y: AlgebraicCoord
+    # an irrational point's representation and the interval of its root a
+    rur: Optional[Tuple[Rur, RootInterval]] = field(default=None, compare=False)
 
     @staticmethod
     def rational(x: Union[int, Fraction], y: Union[int, Fraction]) -> "AlgebraicPoint":
@@ -220,7 +284,12 @@ class AlgebraicPoint:
         return self.x.interval(), self.y.interval()
 
     def refined(self, width: Fraction) -> "AlgebraicPoint":
-        return AlgebraicPoint(self.x.refined(width), self.y.refined(width))
+        rur = None if self.rur is None else (self.rur[0], refine_root(self.rur[0].base, self.rur[1], width))
+        return AlgebraicPoint(self.x.refined(width), self.y.refined(width), rur)
+
+    def swapped(self) -> "AlgebraicPoint":
+        rur = None if self.rur is None else (self.rur[0].swapped, self.rur[1])
+        return AlgebraicPoint(self.y, self.x, rur)
 
     def approx(self) -> Tuple[float, float]:
         return self.x.approx(), self.y.approx()
@@ -306,9 +375,7 @@ def finite_equilibria(
         # eliminate x instead: swap the variables, so ry becomes an x-eliminant
         swap = (MPoly.var_y(), MPoly.var_x())
         swapped = PlanarSystem(P=p.subst(*swap), Q=q.subst(*swap))
-        points = [
-            AlgebraicPoint(pt.y, pt.x) for pt in _eliminate(swapped, ry.subst(*swap))
-        ]
+        points = [pt.swapped() for pt in _eliminate(swapped, ry.subst(*swap))]
     else:
         points = _eliminate(sys, rx)
 
@@ -384,8 +451,10 @@ def _fiber_exact_x(sys: PlanarSystem, x0: Fraction) -> List[AlgebraicPoint]:
     if g.degree < 1:
         return []
     xc = AlgebraicCoord.of(x0)
+    g = g.squarefree_part()
+    rur = Rur(g, UPoly.const(x0), UPoly.variable(), UPoly.const(1))
     return [
-        AlgebraicPoint(xc, AlgebraicCoord.from_root(g, rt))
+        AlgebraicPoint(xc, AlgebraicCoord.from_root(g, rt), (rur, rt))
         for rt in isolate_real_roots(g)
     ]
 
@@ -410,9 +479,10 @@ def _lift(
     where neither y-leading coefficient vanishes, gcd(P(a, y), Q(a, y)) is
     the subresultant Sj(a, y) of the first j with Sjj(a) != 0; if it is a
     power of a linear factor, the fiber holds the one point
-    y = -Sj,j-1(a) / (j*Sjj(a)).  Zero tests at a are a gcd with the
-    u-eliminant and a Sturm count.  Each point is certified by locating y
-    among the roots of y_elim and x = u - t*y among those of x_elim.
+    y = -Sj,j-1(a) / (j*Sjj(a)), which with x = a - t*y is the point's
+    Rur.  Zero tests at a are a gcd with the u-eliminant and a sign
+    change.  Each point is certified by locating y among the roots of
+    y_elim and x = u - t*y among those of x_elim.
     """
     s, xroots = x_elim
     r, yroots = y_elim
@@ -422,13 +492,18 @@ def _lift(
         p, q = p.subst(*shear), q.subst(*shear)
         base = _upoly(resultant_wrt(p, q, "y"), "x").squarefree_part()
         roots = isolate_real_roots(base)
-    # both memos live for this call only
+    # the memos live for this call only
     sres = lru_cache(None)(lambda j: subresultant(p, q, "y", j))
     common = lru_cache(None)(lambda c: base.gcd(_upoly(c, "x")))
 
+    @lru_cache(None)
+    def rur(j: int) -> Rur:
+        c = sres(j)
+        y, d = -_upoly(c[j - 1], "x"), _upoly(c[j], "x") * j
+        return Rur(base, UPoly.variable() * d - y * t, y, d)
+
     def vanishes(c: MPoly, rt: RootInterval) -> bool:
-        g = common(c)
-        return g.degree >= 1 and _count_roots(g, rt.lo, rt.hi) == 1
+        return _holds_root(common(c), rt.lo, rt.hi)
 
     def fiber_gcd(rt: RootInterval) -> Optional[List[MPoly]]:
         # a side without y is its own leading coefficient, zero at every root
@@ -449,23 +524,23 @@ def _lift(
         if rt.exact is not None:
             # only with t != 0: the fiber above a rational u is an exact gcd
             u = Interval.point(rt.exact)
-            lifts = [
-                ((u, iy) for iy in _tightening(pt.y))
-                for pt in _fiber_exact_x(PlanarSystem(P=p, Q=q), rt.exact)
-            ]
+            fiber = _fiber_exact_x(PlanarSystem(P=p, Q=q), rt.exact)
+            # the points of one fiber share one Rur, so unshear it once
+            back = fiber[0].rur[0].unsheared(t) if fiber else None
+            lifts = [(((u, iy) for iy in _tightening(pt.y)), (back, pt.rur[1])) for pt in fiber]
         else:
             c = fiber_gcd(rt)
             if c is None:
                 return None
-            j = len(c) - 1
-            lifts = [_quotient_boxes(AlgebraicCoord(poly=base, root=rt), c[j - 1], c[j] * j)]
-        for boxes in lifts:
+            at = (rur(len(c) - 1), rt)
+            lifts = [(_quotient_boxes(*at), at)]
+        for boxes, at in lifts:
             # one refinement sequence serves both locations, y first
             yroot = _locate(yroots, (iy for _, iy in boxes))
             xroot = _locate(xroots, (None if iy is None else iu - iy * t for iu, iy in boxes))
             if xroot in pending:
                 x_, y_ = AlgebraicCoord(poly=s, root=xroot), AlgebraicCoord(poly=r, root=yroot)
-                out.append(AlgebraicPoint(x_, y_))
+                out.append(AlgebraicPoint(x_, y_, at))
     return out
 
 
@@ -495,15 +570,12 @@ def _tightening(c: AlgebraicCoord) -> Iterator[Interval]:
         c = c.refined(box.width / 4)
 
 
-def _quotient_boxes(
-    a: AlgebraicCoord, num: MPoly, den: MPoly
-) -> Iterator[Tuple[Interval, Optional[Interval]]]:
-    """Enclosures of a paired with enclosures of -num(a)/den(a), for num
-    and den in x alone; None while the enclosure of den(a) holds zero."""
-    zero = Interval.point(0)
-    for box in _tightening(a):
-        d = interval.eval_box(den, box, zero)
-        yield box, None if d.lo <= 0 <= d.hi else -interval.eval_box(num, box, zero) / d
+def _quotient_boxes(rur: Rur, a: RootInterval) -> Iterator[Tuple[Interval, Optional[Interval]]]:
+    """Enclosures of a paired with enclosures of Y(a)/D(a); None while the
+    enclosure of D(a) holds zero."""
+    for box in _tightening(AlgebraicCoord(poly=rur.base, root=a)):
+        d = _enclosure(rur.D, box)
+        yield box, None if d.lo <= 0 <= d.hi else _enclosure(rur.Y, box) / d
 
 
 def _locate(roots: List[RootInterval], boxes: Iterator[Optional[Interval]]) -> RootInterval:
@@ -544,45 +616,6 @@ def jacobian_at(
     )  # type: ignore[return-value]
 
 
-def _sign_by_refinement(
-    sys_poly: MPoly, pt: AlgebraicPoint
-) -> Optional[int]:
-    """Sign of a polynomial expression at an algebraic point: exact for
-    rational points; GCD-certified zero tests when one coordinate is
-    rational; otherwise interval refinement up to the cap (None when
-    still ambiguous)."""
-    if pt.is_exact:
-        x0, y0 = pt.exact_pair()
-        v = sys_poly.eval_rat(x0, y0)
-        return (v > 0) - (v < 0)
-
-    # certify an exact zero when one coordinate is rational
-    for fixed, free, subst, var in (
-        (pt.y, pt.x, sys_poly.subst_y, "x"), (pt.x, pt.y, sys_poly.subst_x, "y")
-    ):
-        if fixed.exact is not None and free.exact is None:
-            assert free.poly is not None and free.root is not None
-            restr = _upoly(subst(fixed.exact), var)
-            if restr.is_zero:
-                return 0
-            common = restr.gcd(free.poly)
-            if common.degree >= 1 and _count_roots(common, free.root.lo, free.root.hi) == 1:
-                return 0
-
-    cur = pt
-    for _ in range(_REFINE_CAP):
-        bx, by = cur.box()
-        s = eval_box(sys_poly, bx, by).sign()
-        if s is not None:
-            return s
-        cur = cur.refined(max(bx.width, by.width, Fraction(1, 2**20)) / 4)
-        if cur.is_exact:
-            x0, y0 = cur.exact_pair()
-            v = sys_poly.eval_rat(x0, y0)
-            return (v > 0) - (v < 0)
-    return None
-
-
 def _sqrt_fraction(v: Fraction) -> Optional[Fraction]:
     if v < 0:
         return None
@@ -611,48 +644,47 @@ def classify_point(
         cls, eigs, red = _classify_exact(sys, pt, jac, tr, det, disc)
         return EquilibriumRecord(pt, jac, tr, det, disc, eigs, cls, label, red)
 
-    refined = pt.refined(Fraction(1, 2**60))
-    bx, by = refined.box()
-    for f in (sys.P, sys.Q):
-        if eval_box(f, bx, by).sign() not in (0, None):
-            raise InputError("point residual excludes zero: not an equilibrium")
-
-    # sign table over interval data
+    if pt.rur is None:
+        pt = replace(pt, rur=_trivial_rur(pt))
+    # the stored point is refined for text(), approx() and the interval Jacobian
+    pt = pt.refined(Fraction(1, 2**60))
+    rur, a = pt.rur
+    if rur.sign(sys.P, a) or rur.sign(sys.Q, a):
+        raise InputError("the point is not an equilibrium")
     p_, q_ = sys.P, sys.Q
     det_poly = p_.diff("x") * q_.diff("y") - p_.diff("y") * q_.diff("x")
     tr_poly = p_.diff("x") + q_.diff("y")
-    disc_poly = tr_poly * tr_poly - MPoly.const(Fraction(4)) * det_poly
-    s_det = _sign_by_refinement(det_poly, refined)
-    if s_det is not None and s_det < 0:
-        cls = SADDLE  # whatever the trace, which may be an unresolvable zero
-    else:
-        s_tr = _sign_by_refinement(tr_poly, refined)
-        s_disc = _sign_by_refinement(disc_poly, refined)
-        cls = _table(s_det, s_tr, s_disc, semi_ok=False)
+    s_det, s_tr = rur.sign(det_poly, a), rur.sign(tr_poly, a)
+    # the discriminant tells a node from a focus, and only then is it read
+    s_disc = rur.sign(tr_poly * tr_poly - MPoly.const(4) * det_poly, a) if s_det > 0 and s_tr else 0
     return EquilibriumRecord(
-        refined, jacobian_at(sys, refined), None, None, None, None, cls, label
+        pt, jacobian_at(sys, pt), None, None, None, None,
+        _table(s_det, s_tr, s_disc), label,
     )
 
 
-def _table(
-    s_det: Optional[int], s_tr: Optional[int], s_disc: Optional[int], semi_ok: bool
-) -> str:
-    if s_det is None or s_tr is None:
-        return UNDETERMINED
+def _trivial_rur(pt: AlgebraicPoint) -> Tuple[Rur, RootInterval]:
+    """The representation u = the irrational coordinate, for a point
+    whose other coordinate is rational."""
+    u, one = UPoly.variable(), UPoly.const(1)
+    if pt.y.exact is not None:
+        return Rur(pt.x.poly, u, UPoly.const(pt.y.exact), one), pt.x.root
+    if pt.x.exact is not None:
+        return Rur(pt.y.poly, UPoly.const(pt.x.exact), u, one), pt.y.root
+    raise InputError("a point with two irrational coordinates needs its parametrization")
+
+
+def _table(s_det: int, s_tr: int, s_disc: int) -> str:
     if s_det < 0:
         return SADDLE
     if s_det > 0:
         if s_tr == 0:
             return CENTER_CANDIDATE
-        if s_disc is None:
-            return UNDETERMINED
         if s_disc >= 0:
             return STABLE_NODE if s_tr < 0 else UNSTABLE_NODE
         return STABLE_FOCUS if s_tr < 0 else UNSTABLE_FOCUS
-    # det == 0
-    if s_tr == 0:
-        return DEGENERATE
-    return SADDLE_NODE if semi_ok else UNDETERMINED
+    # det == 0: with tr != 0 only an exact point has the semi-hyperbolic reduction
+    return DEGENERATE if s_tr == 0 else UNDETERMINED
 
 
 def _classify_exact(
@@ -680,7 +712,7 @@ def _classify_exact(
             cls = SADDLE_NODE
         return cls, eigs, red
 
-    cls = _table(s_det, s_tr, s_disc, semi_ok=True)
+    cls = _table(s_det, s_tr, s_disc)
     return cls, eigs, None
 
 

@@ -10,7 +10,7 @@ and resultants run on Python `int` after clearing denominators.
 from pdisc.exactalg.interval import Interval, eval_box
 from pdisc.exactalg.matrix import ffdet, nullspace, resultant_wrt, solve_linear, sylvester_resultant
 from pdisc.exactalg.mpoly import NEG_INF, MPoly, Rat
-from pdisc.exactalg.roots import RootInterval, isolate_real_roots, refine_root, simplest_between
+from pdisc.exactalg.roots import RootInterval, isolate_real_roots, refine_root
 from pdisc.exactalg.upoly import UPoly
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "nullspace",
     "refine_root",
     "resultant_wrt",
-    "simplest_between",
     "solve_linear",
     "sylvester_resultant",
 ]

@@ -377,9 +377,9 @@ class MPoly:
         """Canonical text form, parseable by the vector-field grammar.
 
         Terms in descending graded-lex order.  A leading negative
-        coefficient is written as an explicit factor (e.g. "-1*x^2") so
-        the text re-parses to the same polynomial under a grammar where
-        unary minus binds before exponentiation.
+        coefficient is written as an explicit factor (e.g. "-1*x^2"),
+        which re-parses to the same polynomial; the grammar's unary minus
+        binds looser than "^".
         """
         if not self._terms:
             return "0"

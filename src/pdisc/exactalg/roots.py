@@ -1,21 +1,19 @@
 """Real-root isolation for univariate rational polynomials.
 
 Strategy: reduce to the square-free part, then Sturm-sequence bisection
-inside a window clipped to the Cauchy root bound.  Rational roots are
-recovered exactly: bisection midpoints that happen to hit a root deflate
-the polynomial, and every isolating interval is refined and handed to a
-Stern-Brocot reconstruction whose candidate is accepted only when it
-verifies to an exact zero.  The reconstruction is tried at width 2^-32,
-which recovers every root p/q with q <= 2^16 after a few dozen
-bisections, and again at width 2^-80.  A rational root p/q with
-q <= 2^35 is always recovered (any other rational in a 2^-80 interval
-around it has a larger denominator, so the simplest-in-interval
-candidate is the root itself); roots with larger denominators stay
-interval-isolated, which downstream code treats as irrational.
+inside a window clipped to the Cauchy root bound.  Every rational root
+is recovered exactly.  Bisection midpoints that happen to hit a root
+deflate the polynomial.  For the rest, the rational root theorem: a
+rational root of the primitive integer multiple of s is k/L for an
+integer k, where L is its leading coefficient.  Each isolating interval
+is refined to width at most 1/(2L), so it holds at most one such point,
+and that one candidate is tested for an exact zero.  A miss proves the
+root irrational.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
@@ -23,11 +21,6 @@ from typing import List, Optional, Tuple, Union
 from pdisc.exactalg.upoly import UPoly
 
 _Scalar = Union[int, Fraction]
-
-DEFAULT_REFINE_WIDTH = Fraction(1, 2**40)
-_SCREEN_WIDTH = Fraction(1, 2**32)
-_RECONSTRUCT_WIDTH = Fraction(1, 2**80)
-_DENOMINATOR_CAP = 2**35
 
 
 @dataclass(frozen=True)
@@ -41,14 +34,11 @@ class RootInterval:
 
     lo: Fraction
     hi: Fraction
-    multiplicity_of_squarefree: int = 1
     exact: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise ValueError("root interval endpoints out of order")
-        if self.multiplicity_of_squarefree < 1:
-            raise ValueError("multiplicity must be positive")
         if self.exact is not None and not (self.lo <= self.exact <= self.hi):
             raise ValueError("exact root outside its interval")
 
@@ -59,9 +49,6 @@ class RootInterval:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
 
 def cauchy_bound(p: UPoly) -> Fraction:
@@ -86,77 +73,20 @@ def sign_variations(chain: List[UPoly], t: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with smallest denominator (then numerator) in [lo, hi]."""
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    if lo > hi:
-        raise ValueError("empty interval")
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -_simplest_pos(-hi, -lo)
-    return _simplest_pos(lo, hi)
-
-
-def _simplest_pos(lo: Fraction, hi: Fraction) -> Fraction:
-    # 0 < lo <= hi
-    fl = lo.numerator // lo.denominator
-    if lo == fl:
-        return Fraction(fl)
-    if fl + 1 <= hi:
-        return Fraction(fl + 1)
-    return fl + 1 / _simplest_pos(1 / (hi - fl), 1 / (lo - fl))
-
-
-def isolate_real_roots(p: UPoly, window: Optional[Tuple[_Scalar, _Scalar]] = None) -> List[RootInterval]:
-    """Disjoint isolating intervals for every distinct real root in the closed window.
-
-    The window defaults to the Cauchy bound.  Roots exactly at window
-    endpoints are included.
-    """
+def isolate_real_roots(p: UPoly) -> List[RootInterval]:
+    """Disjoint isolating intervals for every distinct real root."""
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     s = p.squarefree_part()
-    if s.degree == 0:
-        return []
-    bound = cauchy_bound(s)
-    if window is None:
-        lo, hi = -bound, bound
-    else:
-        lo, hi = Fraction(window[0]), Fraction(window[1])
-        if lo > hi:
-            raise ValueError("window endpoints out of order")
-        lo = max(lo, -bound)
-        hi = min(hi, bound)
-        if lo > hi:
-            return []
-
+    bound = cauchy_bound(s)  # every root lies strictly inside (-bound, bound)
     exact_roots: List[Fraction] = []
-    intervals: List[Tuple[Fraction, Fraction]] = []
-
     # deflate-and-restart loop; each pass either finishes or removes one rational root
     while True:
-        if s.degree == 0:
-            break
-        if s.eval(lo) == 0:
-            exact_roots.append(lo)
-            s = s // UPoly((-lo, 1))
-            continue
-        if hi != lo and s.eval(hi) == 0:
-            exact_roots.append(hi)
-            s = s // UPoly((-hi, 1))
-            continue
-        if lo == hi:
-            break
         chain = sturm_chain(s)
-        v_lo = sign_variations(chain, lo)
-        v_hi = sign_variations(chain, hi)
-        collected: List[Tuple[Fraction, Fraction]] = []
-        hit = _bisect(s, chain, lo, hi, v_lo, v_hi, collected)
+        intervals: List[Tuple[Fraction, Fraction]] = []
+        v_lo, v_hi = sign_variations(chain, -bound), sign_variations(chain, bound)
+        hit = _bisect(s, chain, -bound, bound, v_lo, v_hi, intervals)
         if hit is None:
-            # only a completed pass's intervals are valid for the current s
-            intervals = collected
             break
         exact_roots.append(hit)
         s = s // UPoly((-hit, 1))
@@ -165,7 +95,7 @@ def isolate_real_roots(p: UPoly, window: Optional[Tuple[_Scalar, _Scalar]] = Non
     for r in exact_roots:
         out.append(RootInterval(lo=r, hi=r, exact=r))
     for a, b in intervals:
-        out.append(_identify(s, a, b))
+        out.append(_identify(s, a, b, exact_roots))
     out.sort(key=lambda ri: (ri.lo, ri.hi))
     return out
 
@@ -188,7 +118,7 @@ def _bisect(
         found.append((lo, hi))
         return None
     mid = (lo + hi) / 2
-    if s.eval(mid) == 0:
+    if s.sign_at(mid) == 0:
         return mid
     v_mid = sign_variations(chain, mid)
     hit = _bisect(s, chain, lo, mid, v_lo, v_mid, found)
@@ -197,16 +127,21 @@ def _bisect(
     return _bisect(s, chain, mid, hi, v_mid, v_hi, found)
 
 
-def _identify(s: UPoly, lo: Fraction, hi: Fraction) -> RootInterval:
-    """Refine an isolating interval and attempt exact rational recovery,
-    first at the cheap screening width, then at the full one."""
-    for width in (_SCREEN_WIDTH, _RECONSTRUCT_WIDTH):
-        lo, hi = _refine_interval(s, lo, hi, width)
-        if lo == hi:
-            return RootInterval(lo=lo, hi=hi, exact=lo)
-        candidate = simplest_between(lo, hi)
-        if candidate.denominator <= _DENOMINATOR_CAP and s.eval(candidate) == 0:
-            return RootInterval(lo=candidate, hi=candidate, exact=candidate)
+def _identify(s: UPoly, lo: Fraction, hi: Fraction, deflated: List[Fraction]) -> RootInterval:
+    """Refine an isolating interval of s until it holds at most one k/L
+    and none of the rational roots deflated from s, so it isolates the
+    root for the undeflated polynomial too; return the root exactly if
+    that candidate is it."""
+    ints = s.int_coeffs()
+    lead = abs(ints[-1]) // math.gcd(*ints)
+    lo, hi = _refine_interval(s, lo, hi, Fraction(1, 2 * lead))
+    while lo != hi and any(lo <= r <= hi for r in deflated):
+        lo, hi = _refine_interval(s, lo, hi, (hi - lo) / 2)
+    if lo == hi:
+        return RootInterval(lo=lo, hi=hi, exact=lo)
+    candidate = Fraction(math.ceil(lo * lead), lead)
+    if candidate <= hi and s.sign_at(candidate) == 0:
+        return RootInterval(lo=candidate, hi=candidate, exact=candidate)
     return RootInterval(lo=lo, hi=hi)
 
 
@@ -231,7 +166,7 @@ def _refine_interval(
     return lo, hi
 
 
-def refine_root(p: UPoly, ri: RootInterval, width: _Scalar = DEFAULT_REFINE_WIDTH) -> RootInterval:
+def refine_root(p: UPoly, ri: RootInterval, width: _Scalar) -> RootInterval:
     """Shrink an isolating interval of p to the given width; p must be
     square-free (the bisection reads the sign changes of p itself)."""
     if ri.is_exact:

@@ -6,8 +6,9 @@ division, gcd, square-free part, Sturm-chain building blocks.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from pdisc.exactalg.mpoly import NEG_INF, Degree
 
@@ -17,13 +18,14 @@ _Scalar = Union[int, Fraction]
 class UPoly:
     """Immutable dense univariate polynomial; coeffs[k] multiplies t^k."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_ints")
 
     def __init__(self, coeffs: Iterable[_Scalar] = ()):
         c = [Fraction(v) for v in coeffs]
         while c and not c[-1]:
             c.pop()
         self._c: Tuple[Fraction, ...] = tuple(c)
+        self._ints: Optional[Tuple[int, ...]] = None
 
     @classmethod
     def zero(cls) -> "UPoly":
@@ -62,6 +64,14 @@ class UPoly:
         if not self._c:
             raise ValueError("zero polynomial has no leading coefficient")
         return self._c[-1]
+
+    def int_coeffs(self) -> Tuple[int, ...]:
+        """The coefficients times the lcm of their denominators: a positive
+        multiple of the polynomial over the integers."""
+        if self._ints is None:
+            den = math.lcm(*(c.denominator for c in self._c))
+            self._ints = tuple(c.numerator * (den // c.denominator) for c in self._c)
+        return self._ints
 
     def coeff(self, k: int) -> Fraction:
         if 0 <= k < len(self._c):
@@ -165,11 +175,12 @@ class UPoly:
         return UPoly(self._c[k] * k for k in range(1, len(self._c)))
 
     def gcd(self, other: "UPoly") -> "UPoly":
-        """Monic greatest common divisor (1 for coprime, 0 only for gcd(0,0))."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
+        """Monic greatest common divisor (1 for coprime, 0 only for gcd(0,0)),
+        by a primitive pseudo-remainder sequence over the integers."""
+        a, b = _primitive(self.int_coeffs()), _primitive(other.int_coeffs())
+        while b:
+            a, b = b, _primitive(_pseudo_remainder(a, b))
+        return UPoly(a).monic()
 
     def squarefree_part(self) -> "UPoly":
         """self / gcd(self, self'), made monic; same real roots, all simple."""
@@ -191,8 +202,15 @@ class UPoly:
         return acc
 
     def sign_at(self, t: _Scalar) -> int:
-        v = self.eval(t)
-        return (v > 0) - (v < 0)
+        """The sign of the value at t = n/d, read from the integer
+        d^deg * (a positive multiple of self)(n/d)."""
+        t = Fraction(t)
+        n, d = t.numerator, t.denominator
+        acc, dk = 0, 1
+        for c in reversed(self.int_coeffs()):
+            acc = acc * n + c * dk
+            dk *= d
+        return (acc > 0) - (acc < 0)
 
     def __str__(self) -> str:
         if not self._c:
@@ -220,3 +238,21 @@ def _coerce(v: object) -> "UPoly":
     if isinstance(v, (int, Fraction)):
         return UPoly.const(v)
     raise TypeError(f"cannot coerce {type(v).__name__} to UPoly")
+
+
+def _primitive(c: Sequence[int]) -> Tuple[int, ...]:
+    g = math.gcd(*c)
+    return tuple(v // g for v in c) if g > 1 else tuple(c)
+
+
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list:
+    """A nonzero integer multiple of a mod b, for integer coefficient lists."""
+    r, lead, db = list(a), b[-1], len(b) - 1
+    while len(r) > db:
+        c, shift = r[-1], len(r) - 1 - db
+        r = [v * lead for v in r]
+        for i, v in enumerate(b):
+            r[shift + i] -= c * v
+        while r and not r[-1]:
+            r.pop()
+    return r

@@ -203,6 +203,11 @@ class _ExprParser:
                 return node
 
     def _factor(self) -> MPoly:
+        # unary minus binds looser than "^": -x^2 is -(x^2)
+        t = self._peek()
+        if t is not None and t.kind == _TOK_PUNCT and t.text == "-":
+            self._next()
+            return -self._factor()
         b = self._base()
         t = self._peek()
         if t is not None and t.kind == _TOK_PUNCT and t.text == "^":
@@ -225,8 +230,6 @@ class _ExprParser:
                 return self.symbols[t.text]
             except KeyError:
                 raise self._fail(f"unbound identifier {t.text!r}", t) from None
-        if t.kind == _TOK_PUNCT and t.text == "-":
-            return -self._base()
         if t.kind == _TOK_PUNCT and t.text == "(":
             inner = self._expr()
             closing = self._next()

@@ -7,7 +7,10 @@ other way round), so every equilibrium is a line-line intersection
 Classifications at rational points are checked against the exact
 Jacobian with an independent sign table.  Fixed cases cover every way
 the first subresultant can fail to lift an irrational abscissa,
-including points where both curves are singular.
+including points where both curves are singular.  At irrational points
+the classes are checked against closed-form Jacobians, including exact
+zeros of the trace, determinant or discriminant, and against the float
+Jacobian diag(f'(x), f'(y)) of dx = f(x), dy = f(y) for random cubics f.
 """
 
 from __future__ import annotations
@@ -26,11 +29,16 @@ from pdisc.equilibria import (
     SADDLE,
     STABLE_FOCUS,
     STABLE_NODE,
+    UNDETERMINED,
     UNSTABLE_FOCUS,
     UNSTABLE_NODE,
+    AlgebraicCoord,
+    AlgebraicPoint,
+    classify_point,
     finite_equilibria,
 )
-from pdisc.exactalg import Interval
+from pdisc.errors import InputError
+from pdisc.exactalg import Interval, UPoly, isolate_real_roots
 from pdisc.modelio import parse_system
 
 F = Fraction
@@ -256,3 +264,91 @@ def test_pairing_reads_no_residual_box(monkeypatch):
     monkeypatch.setattr(equilibria, "eval_box", lambda p, ix, iy: Interval(-1, 1))
     y = math.sqrt(3 / 5)
     _check("dx = x^2 + y^2 - 3\ndy = x - 2*y\n", [(-2 * y, -y), (2 * y, y)], classes=False)
+
+
+def _diagonal_class(fx: float, fy: float) -> str:
+    """The class of an equilibrium with Jacobian diag(fx, fy), fx, fy != 0."""
+    if fx * fy < 0:
+        return SADDLE
+    return STABLE_NODE if fx < 0 else UNSTABLE_NODE
+
+
+# source -> (number of points, class as a function of the point), from the
+# closed-form Jacobian; every point has two irrational coordinates
+CLOSED_FORM = {
+    # diag(2x, 2y): the discriminant (2x - 2y)^2 is 0 at the nodes
+    "dx = x^2 - 2\ndy = y^2 - 2\n": (4, lambda x, y: _diagonal_class(2 * x, 2 * y)),
+    # diag(3x^2 - 3, 3y^2 - 3): the discriminant is 0 on the diagonal
+    "dx = x^3 - 3*x + 1\ndy = y^3 - 3*y + 1\n": (
+        9, lambda x, y: _diagonal_class(3 * x * x - 3, 3 * y * y - 3)
+    ),
+    # [[2x, -4y], [4x, -2y]] at x^2 = y^2 = 2: trace 2x - 2y, det 12xy
+    "dx = x^2 - 2*y^2 + 2\ndy = 2*x^2 - y^2 - 2\n": (
+        4, lambda x, y: CENTER_CANDIDATE if x * y > 0 else SADDLE
+    ),
+    # [[2x, 2y], [2x, 0]]: det -4xy, trace 2x, discriminant 4x^2 + 16xy;
+    # the shear u = x + y puts two points above the rational u = 0
+    "dx = x^2 + y^2 - 4\ndy = x^2 - 2\n": (
+        4, lambda x, y: SADDLE if x * y > 0 else (UNSTABLE_FOCUS if x > 0 else STABLE_FOCUS)
+    ),
+    # both curves singular at every point: det = tr = 0
+    "dx = (x^2-2)*(y^2-3)\ndy = (y^2-3)^2 + (x^2-2)^2\n": (4, lambda x, y: DEGENERATE),
+    "dx = (x^2-2)*(y-x)\ndy = (y-x)^2 + (x^2-2)^2\n": (2, lambda x, y: DEGENERATE),
+}
+
+
+@pytest.mark.parametrize("source", sorted(CLOSED_FORM))
+def test_irrational_points_match_closed_form_classes(source):
+    count, expected = CLOSED_FORM[source]
+    records = finite_equilibria(parse_system(source))
+    assert len(records) == count
+    for rec in records:
+        assert not rec.point.x.is_exact and not rec.point.y.is_exact
+        assert rec.classification == expected(*rec.point.approx()), (source, rec.point.approx())
+
+
+def _cubic_roots(b: int, c: int, d: int) -> List[float]:
+    """The three real roots of t^3 + b t^2 + c t + d, trigonometrically."""
+    p = c - b * b / 3
+    q = 2 * b**3 / 27 - b * c / 3 + d
+    m = 2 * math.sqrt(-p / 3)
+    phi = math.acos(max(-1.0, min(1.0, 3 * q / (p * m))))
+    return sorted(m * math.cos((phi - 2 * math.pi * k) / 3) - b / 3 for k in range(3))
+
+
+@st.composite
+def irrational_cubics(draw):
+    """(b, c, d) for t^3 + b t^2 + c t + d with three irrational real roots."""
+    b, c, d = (draw(st.integers(-6, 6)) for _ in range(3))
+    # a rational root of a monic integer cubic is an integer dividing d
+    divisors = [k for k in range(-abs(d), abs(d) + 1) if k and d % k == 0]
+    assume(d != 0 and all(k**3 + b * k * k + c * k + d for k in divisors))
+    assume(18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d > 0)
+    return b, c, d
+
+
+@settings(max_examples=15, deadline=None)
+@given(irrational_cubics())
+def test_separable_cubic_systems_match_the_float_jacobian(coeffs):
+    b, c, d = coeffs
+    f = f"x^3 + {b}*x^2 + {c}*x + {d}"
+    source = f"dx = {f}\ndy = {f.replace('x', 'y')}\n"
+    roots = _cubic_roots(b, c, d)
+    slope = [3 * r * r + 2 * b * r + c for r in roots]
+    records = finite_equilibria(parse_system(source))
+    assert len(records) == 9
+    for rec in records:
+        x, y = rec.point.approx()
+        i = min(range(3), key=lambda k: abs(roots[k] - x))
+        j = min(range(3), key=lambda k: abs(roots[k] - y))
+        assert abs(roots[i] - x) < 1e-9 and abs(roots[j] - y) < 1e-9, source
+        assert rec.classification == _diagonal_class(slope[i], slope[j]), (source, x, y)
+        assert rec.classification != UNDETERMINED
+
+
+def test_irrational_non_equilibrium_is_rejected():
+    sys = parse_system("dx = x^2 - 2\ndy = y - 1\n")
+    p = UPoly((F(-2), F(0), F(1)))
+    root = [ri for ri in isolate_real_roots(p) if ri.lo > 0][0]
+    with pytest.raises(InputError):
+        classify_point(sys, AlgebraicPoint(AlgebraicCoord.from_root(p, root), AlgebraicCoord.of(0)))

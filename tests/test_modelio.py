@@ -83,6 +83,24 @@ def test_format_parse_roundtrip():
     assert (again.Q - sys.Q).is_zero
 
 
+@pytest.mark.parametrize(
+    "expr, expected",
+    [
+        ("-x^2", -MPoly.var_x() ** 2),
+        ("2*-x^2", -2 * MPoly.var_x() ** 2),
+        ("-2^2", MPoly.const(-4)),
+        ("(-x)^2", MPoly.var_x() ** 2),
+        ("-x^3", -MPoly.var_x() ** 3),
+        ("--x^2", MPoly.var_x() ** 2),
+        ("1 - x^2", 1 - MPoly.var_x() ** 2),
+    ],
+)
+def test_unary_minus_binds_looser_than_power(expr, expected):
+    sys = parse_system(f"dx = {expr}\ndy = y\n")
+    assert sys.P == expected
+    assert parse_system(format_system(sys)).P == expected
+
+
 def test_degree_and_divergence():
     sys = parse_system("dx = x^2*y\ndy = -x*y^2\n")
     assert sys.degree == 3

@@ -17,7 +17,6 @@ from pdisc.exactalg import (
     isolate_real_roots,
     refine_root,
     resultant_wrt,
-    simplest_between,
     sylvester_resultant,
 )
 from pdisc.exactalg.roots import cauchy_bound, sign_variations, sturm_chain
@@ -83,8 +82,8 @@ def test_exact_rational_root_detected():
 
 
 def test_rational_recovery_at_both_widths():
-    # 3/7 is recovered at the 2^-32 screening width, 5/(2^20+1) only at
-    # 2^-80; a denominator past the 2^35 cap stays an isolating interval
+    # the rational root theorem recovers a rational root whatever its
+    # denominator: 3/7, 5/(2^20+1) and 1/(2^36+1) alike
     sqrt2 = UPoly((Fraction(-2), Fraction(0), Fraction(1)))
     for root in (Fraction(3, 7), Fraction(5, 2**20 + 1)):
         isolated = isolate_real_roots(UPoly.from_roots([root]) * sqrt2)
@@ -92,9 +91,7 @@ def test_rational_recovery_at_both_widths():
         assert [ri.exact for ri in isolated if ri.is_exact] == [root]
     root = Fraction(1, 2**36 + 1)
     (ri,) = isolate_real_roots(UPoly.from_roots([root]))
-    assert not ri.is_exact
-    assert ri.lo < root < ri.hi
-    assert ri.width <= Fraction(1, 2**80)
+    assert ri.is_exact and ri.exact == root
 
 
 @given(st.lists(small_rationals, min_size=0, max_size=3))
@@ -117,6 +114,25 @@ def test_gcd_extracts_common_factor(ra, rb):
     assert h.eval(Fraction(5)) == 0
     assert f % h == UPoly.zero() or (f % h).is_zero
     assert (g % h).is_zero
+
+
+@given(
+    st.lists(small_rationals, max_size=5),
+    st.lists(small_rationals, max_size=5),
+    st.lists(small_rationals, max_size=3),
+    small_rationals,
+)
+def test_integer_gcd_and_sign_match_fraction_arithmetic(ca, cb, cc, t):
+    # gcd and sign_at run over the integers; the reference is Euclid and
+    # Horner over Fraction
+    common = UPoly(tuple(cc))
+    f, g = UPoly(tuple(ca)) * common, UPoly(tuple(cb)) * common
+    a, b = f, g
+    while not b.is_zero:
+        a, b = b, a % b
+    assert f.gcd(g) == a.monic()
+    v = f.eval(t)
+    assert f.sign_at(t) == (v > 0) - (v < 0)
 
 
 @given(st.lists(small_rationals, min_size=2, max_size=5), st.lists(small_rationals, min_size=1, max_size=3))
@@ -157,16 +173,6 @@ def test_sturm_counts_roots_in_window():
     assert total == 3
     half = sign_variations(chain, Fraction(-1)) - sign_variations(chain, Fraction(10))
     assert half == 2
-
-
-@given(small_rationals, small_rationals)
-def test_simplest_between_stays_inside(a, b):
-    if a == b:
-        return
-    lo, hi = (a, b) if a < b else (b, a)
-    r = simplest_between(lo, hi)
-    assert lo <= r <= hi
-    assert r.denominator <= max(lo.denominator, hi.denominator)
 
 
 def test_resultant_product_formula():
