@@ -316,7 +316,9 @@ class SemiHyperbolicReduction:
 @dataclass(frozen=True)
 class EquilibriumRecord:
     point: AlgebraicPoint
-    jacobian: Tuple[Tuple[JacEntry, JacEntry], Tuple[JacEntry, JacEntry]]
+    # exact at a rational point; None at an irrational one, where
+    # jacobian_at encloses it on demand from the refined point
+    jacobian: Optional[Tuple[Tuple[JacEntry, JacEntry], Tuple[JacEntry, JacEntry]]]
     trace: Optional[Fraction]
     det: Optional[Fraction]
     disc: Optional[Fraction]
@@ -657,10 +659,7 @@ def classify_point(
     s_det, s_tr = rur.sign(det_poly, a), rur.sign(tr_poly, a)
     # the discriminant tells a node from a focus, and only then is it read
     s_disc = rur.sign(tr_poly * tr_poly - MPoly.const(4) * det_poly, a) if s_det > 0 and s_tr else 0
-    return EquilibriumRecord(
-        pt, jacobian_at(sys, pt), None, None, None, None,
-        _table(s_det, s_tr, s_disc), label,
-    )
+    return EquilibriumRecord(pt, None, None, None, None, None, _table(s_det, s_tr, s_disc), label)
 
 
 def _trivial_rur(pt: AlgebraicPoint) -> Tuple[Rur, RootInterval]:

@@ -7,7 +7,9 @@ data and only the trajectory integration itself is floating point.
 Every orbit is integrated by one loop, an embedded Dormand-Prince 4(5)
 pair whose last stage is the next step's first (FSAL), in whichever
 chart is well scaled: the finite chart while |x| + |y| stays small, the
-U1/U2 charts near infinity (switch out above 10, back below 5).  For
+U1/U2 charts near infinity (switch out above 10, back below 5).  The
+step is straight-line code whose sums run in one fixed order, so every
+trajectory float is the same on every supported interpreter.  For
 even-degree systems the chart polynomials reverse time on the v < 0
 half, which the integrator compensates with a sign factor, so drawn
 orbits always follow the true flow.  Orbits seeded on an invariant
@@ -50,6 +52,7 @@ from pdisc.equilibria import (
     equilibrium_fragment,
     finite_equilibria,
     in_positive_quadrant,
+    jacobian_at,
     leslie_labels,
 )
 from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError
@@ -131,52 +134,55 @@ def compile_poly(p: MPoly) -> Callable[[float, float], float]:
 # ---------------------------------------------------------------------------
 # Dormand-Prince 4(5)
 
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
-
-def _dot(b, k):
-    # left to right on purpose: CPython 3.12 made float sum() compensated,
-    # which would make the portrait bytes depend on the interpreter
-    acc = 0.0
-    for bi, ki in zip(b, k):
-        acc += bi * ki
-    return acc
-
-
-def _dp_step(f, x, y, h, k1):
-    """One embedded step from (x, y), given its first stage k1 = f(x, y);
-    returns (x5, y5, err_x, err_y, f(x5, y5)).
+def _dp_step(fx, fy, k, x, y, h, k1x, k1y):
+    """One embedded step of x' = k * fx, y' = k * fy from (x, y), given
+    its first stage (k1x, k1y); returns (x5, y5, err_x, err_y, k7x, k7y).
 
     The seventh stage is taken at the fifth-order solution itself, so an
     accepted step hands it on as the next step's first stage (FSAL).
+    Each sum runs left to right in tableau order, not through sum(),
+    which CPython 3.12 made compensated; each weighted sum starts from
+    0.0 and keeps the zero weight of stage 2, so signed zeros,
+    infinities and NaNs come out as the tableau's loop gives them.
     """
-    kx = [k1[0]]
-    ky = [k1[1]]
-    for row in _DP_A:
-        ax = x
-        ay = y
-        for a, px, py in zip(row, kx, ky):
-            ax += h * a * px
-            ay += h * a * py
-        k = f(ax, ay)
-        kx.append(k[0])
-        ky.append(k[1])
-    x5 = x + h * _dot(_DP_B5, kx)
-    y5 = y + h * _dot(_DP_B5, ky)
-    k7 = f(x5, y5)
-    kx.append(k7[0])
-    ky.append(k7[1])
-    x4 = x + h * _dot(_DP_B4, kx)
-    y4 = y + h * _dot(_DP_B4, ky)
-    return x5, y5, x5 - x4, y5 - y4, k7
+    ax = x + h * (1 / 5) * k1x
+    ay = y + h * (1 / 5) * k1y
+    k2x = k * fx(ax, ay)
+    k2y = k * fy(ax, ay)
+    ax = x + h * (3 / 40) * k1x + h * (9 / 40) * k2x
+    ay = y + h * (3 / 40) * k1y + h * (9 / 40) * k2y
+    k3x = k * fx(ax, ay)
+    k3y = k * fy(ax, ay)
+    ax = x + h * (44 / 45) * k1x + h * (-56 / 15) * k2x + h * (32 / 9) * k3x
+    ay = y + h * (44 / 45) * k1y + h * (-56 / 15) * k2y + h * (32 / 9) * k3y
+    k4x = k * fx(ax, ay)
+    k4y = k * fy(ax, ay)
+    ax = (x + h * (19372 / 6561) * k1x + h * (-25360 / 2187) * k2x
+          + h * (64448 / 6561) * k3x + h * (-212 / 729) * k4x)
+    ay = (y + h * (19372 / 6561) * k1y + h * (-25360 / 2187) * k2y
+          + h * (64448 / 6561) * k3y + h * (-212 / 729) * k4y)
+    k5x = k * fx(ax, ay)
+    k5y = k * fy(ax, ay)
+    ax = (x + h * (9017 / 3168) * k1x + h * (-355 / 33) * k2x + h * (46732 / 5247) * k3x
+          + h * (49 / 176) * k4x + h * (-5103 / 18656) * k5x)
+    ay = (y + h * (9017 / 3168) * k1y + h * (-355 / 33) * k2y + h * (46732 / 5247) * k3y
+          + h * (49 / 176) * k4y + h * (-5103 / 18656) * k5y)
+    k6x = k * fx(ax, ay)
+    k6y = k * fy(ax, ay)
+    x5 = x + h * (0.0 + (35 / 384) * k1x + 0.0 * k2x + (500 / 1113) * k3x
+                  + (125 / 192) * k4x + (-2187 / 6784) * k5x + (11 / 84) * k6x)
+    y5 = y + h * (0.0 + (35 / 384) * k1y + 0.0 * k2y + (500 / 1113) * k3y
+                  + (125 / 192) * k4y + (-2187 / 6784) * k5y + (11 / 84) * k6y)
+    k7x = k * fx(x5, y5)
+    k7y = k * fy(x5, y5)
+    x4 = x + h * (0.0 + (5179 / 57600) * k1x + 0.0 * k2x + (7571 / 16695) * k3x
+                  + (393 / 640) * k4x + (-92097 / 339200) * k5x + (187 / 2100) * k6x
+                  + (1 / 40) * k7x)
+    y4 = y + h * (0.0 + (5179 / 57600) * k1y + 0.0 * k2y + (7571 / 16695) * k3y
+                  + (393 / 640) * k4y + (-92097 / 339200) * k5y + (187 / 2100) * k6y
+                  + (1 / 40) * k7y)
+    return x5, y5, x5 - x4, y5 - y4, k7x, k7y
 
 
 # ---------------------------------------------------------------------------
@@ -366,30 +372,28 @@ def integrate_orbit(
     sgn = 1.0 if direction == "forward" else -1.0
     capturing = bool(flow.captures) and not on_axis
     st = _ChartState("U3", x0, y0, 1, 1.0)
-    fields = flow.fields
-
-    def fld(a: float, b: float) -> Tuple[float, float]:
-        fx, fy = fields[st.chart]
-        k = sgn * st.orient
-        return (k * fx(a, b), k * fy(a, b))
-
     if not on_axis:
         flow.switch(st)
-    k1 = fld(st.x, st.y)
-    pts: List[Tuple[float, float]] = [st.disc()]
-    if math.hypot(*k1) < CONVERGE_SPEED:
+    # the chart's field and time sign change only when the chart does
+    fx, fy = flow.fields[st.chart]
+    k = sgn * st.orient
+    k1x = k * fx(st.x, st.y)
+    k1y = k * fy(st.x, st.y)
+    p = st.disc()
+    pts: List[Tuple[float, float]] = [p]
+    if math.hypot(k1x, k1y) < CONVERGE_SPEED:
         return Trajectory(seed_id, role, direction, pts, REASON_EQ)
 
     reason = REASON_TMAX
     final: Optional[Tuple[float, float]] = None
     t = 0.0
     h = 1e-3
-    last_recorded = pts[0]
+    last_recorded = p
     for _ in range(MAX_STEPS):
         if t >= tmax:
             break
         h = min(h, tmax - t, 0.5)
-        nx, ny, ex, ey, k7 = _dp_step(fld, st.x, st.y, h, k1)
+        nx, ny, ex, ey, k7x, k7y = _dp_step(fx, fy, k, st.x, st.y, h, k1x, k1y)
         sx = atol + tol * max(abs(st.x), abs(nx))
         sy = atol + tol * max(abs(st.y), abs(ny))
         try:
@@ -402,38 +406,44 @@ def integrate_orbit(
                 reason = REASON_UNDERFLOW
                 break
             continue
-        # keep recorded polylines locally short on the disc
-        if st.chart == "U3" and _dist(disc_from_plane(nx, ny), st.disc()) > 0.05:
-            h *= 0.5
-            if h < 1e-13 * max(1.0, abs(t)):
-                reason = REASON_UNDERFLOW
-                break
-            continue
+        chart = st.chart
+        if chart == "U3":
+            # keep recorded polylines locally short on the disc; p is the
+            # disc point of (st.x, st.y)
+            q = disc_from_plane(nx, ny)
+            if _dist(q, p) > 0.05:
+                h *= 0.5
+                if h < 1e-13 * max(1.0, abs(t)):
+                    reason = REASON_UNDERFLOW
+                    break
+                continue
 
         st.x, st.y = nx, ny
-        k1 = k7
+        k1x, k1y = k7x, k7y
         t += h
         if err > 1e-30:
             h *= min(5.0, 0.9 * err ** -0.2)
         else:
             h *= 5.0
 
-        if st.chart != "U3" and abs(st.y) < EQUATOR_EPS:
+        if chart != "U3" and abs(ny) < EQUATOR_EPS:
             p = st.disc()
             pts.append(p)
-            reason = REASON_EQ if flow.converged(math.hypot(*k1), p) else REASON_BOUNDARY
+            reason = REASON_EQ if flow.converged(math.hypot(k1x, k1y), p) else REASON_BOUNDARY
             break
         if not on_axis:
-            chart = st.chart
             flow.switch(st)
             if st.chart != chart:
-                k1 = fld(st.x, st.y)
+                fx, fy = flow.fields[st.chart]
+                k = sgn * st.orient
+                k1x = k * fx(st.x, st.y)
+                k1y = k * fy(st.x, st.y)
 
-        p = st.disc()
+        p = q if st.chart == chart == "U3" else st.disc()
         if _dist(p, last_recorded) >= 0.004:
             pts.append(p)
             last_recorded = p
-        if flow.converged(math.hypot(*k1), p):
+        if flow.converged(math.hypot(k1x, k1y), p):
             if pts[-1] != p:
                 pts.append(p)
             reason = REASON_EQ
@@ -501,14 +511,17 @@ def _marker_for_infinite(rec: EquilibriumRecord, chart: str, side: int) -> Marke
     return Marker(mid, chart, (u, 0.0), side, _disc_from_chart(chart, u, 0.0, side), rec)
 
 
-def _eig_directions(rec: EquilibriumRecord) -> List[Tuple[float, Tuple[float, float]]]:
-    """(eigenvalue, unit eigenvector) pairs for a record with a real
+def _eig_directions(sys: PlanarSystem, m: Marker) -> List[Tuple[float, Tuple[float, float]]]:
+    """(eigenvalue, unit eigenvector) pairs for a marker with a real
     spectrum, from the float Jacobian.  At an irrational point the
-    entries are intervals (refined to width 2^-60 by classify_point) and
-    are read at their midpoints."""
+    entries are intervals, enclosed here on the point as classify_point
+    refined it (width 2^-60), and are read at their midpoints."""
+    jac = m.record.jacobian
+    if jac is None:
+        jac = jacobian_at(_local_system(sys, m), m.record.point)
     (a, b), (c, d) = [
         [float((v.lo + v.hi) / 2) if isinstance(v, Interval) else float(v) for v in row]
-        for row in rec.jacobian
+        for row in jac
     ]
     tr = a + d
     disc = tr * tr - 4.0 * (a * d - b * c)
@@ -544,19 +557,20 @@ def _in_quadrant(chart: str, side: int, u: float, v: float) -> bool:
 
 
 def separatrix_seeds(
+    sys: PlanarSystem,
     markers: Sequence[Marker],
     epsilon: float = EPS_SEPARATRIX,
     positive_quadrant_only: bool = False,
 ) -> List[SeedSpec]:
-    """Seeds tracing saddle and saddle-node separatrices: offsets of
-    epsilon along the relevant eigendirections, integrated away from the
-    stable side and into the unstable one."""
+    """Seeds tracing saddle and saddle-node separatrices of `sys`:
+    offsets of epsilon along the relevant eigendirections, integrated
+    away from the stable side and into the unstable one."""
     seeds: List[SeedSpec] = []
     for m in markers:
         # (unit direction, offset sign, integration direction) in seed-id order
         offsets: List[Tuple[Tuple[float, float], float, str]] = []
         if m.classification == "saddle":
-            for lam, vec in _eig_directions(m.record):
+            for lam, vec in _eig_directions(sys, m):
                 direction = "forward" if lam > 0 else "backward"
                 offsets += [(vec, 1.0, direction), (vec, -1.0, direction)]
         elif m.classification == "saddle-node" and m.record.reduction is not None:
@@ -568,7 +582,7 @@ def separatrix_seeds(
             for s in (1.0, -1.0):
                 offsets.append((cv, s, "forward" if (a2 > 0) == (s > 0) else "backward"))
             lam = float(red.nonzero_eigenvalue)
-            strong = [p for p in _eig_directions(m.record) if abs(p[0] - lam) < 1e-9]
+            strong = [p for p in _eig_directions(sys, m) if abs(p[0] - lam) < 1e-9]
             for lamv, vec in strong[:1]:
                 direction = "backward" if lamv < 0 else "forward"
                 offsets += [(vec, 1.0, direction), (vec, -1.0, direction)]
@@ -699,7 +713,7 @@ def build_portrait(
 
     flow = Flow(sys, [disc_from_plane(*r.point.approx()) for r in every_finite], markers)
     seeds = default_seeds(positive_quadrant_only, grid)
-    seeds.extend(separatrix_seeds(markers, EPS_SEPARATRIX, positive_quadrant_only))
+    seeds.extend(separatrix_seeds(sys, markers, EPS_SEPARATRIX, positive_quadrant_only))
 
     trajectories = [
         integrate_orbit(

@@ -36,6 +36,7 @@ from pdisc.equilibria import (
     AlgebraicPoint,
     classify_point,
     finite_equilibria,
+    jacobian_at,
 )
 from pdisc.errors import InputError
 from pdisc.exactalg import Interval, UPoly, isolate_real_roots
@@ -305,6 +306,22 @@ def test_irrational_points_match_closed_form_classes(source):
     for rec in records:
         assert not rec.point.x.is_exact and not rec.point.y.is_exact
         assert rec.classification == expected(*rec.point.approx()), (source, rec.point.approx())
+
+
+def test_irrational_records_leave_the_jacobian_to_the_portrait():
+    # a rational point keeps its exact Jacobian; at an irrational one
+    # only the portrait reads it, enclosing it on demand from the point
+    sys = parse_system("dx = (x^2 - 2)*(x - 1)\ndy = y - x\n")
+    records = finite_equilibria(sys)
+    rational = [rec for rec in records if rec.point.is_exact]
+    irrational = [rec for rec in records if not rec.point.is_exact]
+    assert [rec.jacobian for rec in rational] == [((F(-1), F(0)), (F(-1), F(1)))]
+    assert len(irrational) == 2
+    for rec in irrational:
+        assert rec.jacobian is None
+        (a, _), _ = jacobian_at(sys, rec.point)
+        # dP/dx = 4 - 2x at x^2 = 2
+        assert abs(float((a.lo + a.hi) / 2) - (4 - 2 * rec.point.approx()[0])) < 1e-12
 
 
 def _cubic_roots(b: int, c: int, d: int) -> List[float]:

@@ -23,6 +23,7 @@ import json
 
 import pytest
 
+from pdisc import portrait
 from pdisc.cli import analyze_report, darboux_report
 from pdisc.integrability import SearchBounds
 from pdisc.modelio import ParamBindings, parse_system
@@ -95,3 +96,71 @@ def test_bundled_portrait_bytes(view):
     svg, js = render_portrait(doc)
     digests = (hashlib.sha256(js).hexdigest(), hashlib.sha256(svg).hexdigest())
     assert digests == PORTRAITS[view]
+
+
+# (JSON, SVG) of portraits outside the Leslie family: the two irrational
+# saddle inputs, and the degree 4 and 5 systems of the ROADMAP baseline
+# on the full disc at grid 2 (the quintic's first steps overflow and are
+# rejected).  Recorded before the Dormand-Prince step was written out as
+# straight-line code.
+OTHER_PORTRAITS = {
+    "saddle-full": (
+        "dx = x^2 - 2\ndy = y^2 - x*y - 3\n",
+        False,
+        8,
+        "dea9984f190726b5f9b530eb3cf63553a2d8073840df2236102581842f69fe8f",
+        "1b6ed743304e7a765cf567bfe70330d64942d3c950eee07a4cc45cccfbad3044",
+    ),
+    "saddle-quadrant": (
+        "dx = x^2 + y^2 - 3\ndy = x*y - 1\n",
+        True,
+        8,
+        "d2ab22e8c06d11e0dc7c7ffe930db88507ce44a5a7874815d4e7c690b9a6c894",
+        "0c56bab41ea1b5ce6a2bc29a881d55b671c695ad0e225f52ec19c457d7262261",
+    ),
+    "quartic": (
+        "dx = x^4 - 3*x^2*y + y^2 - 2*x + 1\ndy = y^4 - x*y^2 + 2*x^2 - y - 3\n",
+        False,
+        2,
+        "eaa0104e8c2eb9132e188cb3db207f6829216cd792a20046f9b82e4e389a3487",
+        "2f2de5dbc3da857876bb05681e47bfcad36bd5df3adcec3e442defcb75cdf3ba",
+    ),
+    "quintic": (
+        "dx = x^5 - 3*x^2*y^2 + y^3 - 2*x + 1\ndy = y^5 - x*y^3 + 2*x^2 - y - 3\n",
+        False,
+        2,
+        "2d00ffa7fb935de35c9f2acb7fdf6637369bb61e4f45dcdb842f99e8ef9b5e52",
+        "c1f70c007eccbd9d46d7daa257d93b099bc0c3f8d47edb6a78bef44f81e37955",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_PORTRAITS))
+def test_other_portrait_bytes(name):
+    source, quadrant, grid, js_digest, svg_digest = OTHER_PORTRAITS[name]
+    doc = build_portrait(parse_system(source), positive_quadrant_only=quadrant, grid=grid)
+    svg, js = render_portrait(doc)
+    assert (hashlib.sha256(js).hexdigest(), hashlib.sha256(svg).hexdigest()) == (js_digest, svg_digest)
+
+
+# field-component evaluations of the bundled-parameter portrait: one per
+# component at each seed and after each chart switch, six per step after
+@pytest.mark.parametrize("view, evals", [("quadrant", 153276), ("full", 578146)])
+def test_bundled_portrait_evaluation_count(view, evals, monkeypatch):
+    calls = [0]
+    compile_poly = portrait.compile_poly
+
+    def counting(p):
+        f = compile_poly(p)
+
+        def g(x, y):
+            calls[0] += 1
+            return f(x, y)
+
+        return g
+
+    monkeypatch.setattr(portrait, "compile_poly", counting)
+    sys = parse_system(_source(*TRIPLES["bundled"]))
+    params = ParamBindings(sys.params["A"], sys.params["B"], sys.params["C"])
+    build_portrait(sys, params, positive_quadrant_only=view == "quadrant")
+    assert calls[0] == evals

@@ -8,6 +8,7 @@ inventory.  Rendering must be byte-deterministic.
 
 import json
 import math
+import struct
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -111,10 +112,11 @@ def test_compile_poly_matches_exact_evaluation(d, a, b):
 
 def test_stepper_accuracy_on_rotation():
     # x' = y, y' = -x from (1, 0): exact solution (cos t, -sin t)
-    f = lambda x, y: (y, -x)
+    fx = lambda x, y: y
+    fy = lambda x, y: -x
 
     def endpoint_error(h):
-        nx, ny, _, _, _ = _dp_step(f, 1.0, 0.0, h, f(1.0, 0.0))
+        nx, ny, _, _, _, _ = _dp_step(fx, fy, 1.0, 1.0, 0.0, h, fx(1.0, 0.0), fy(1.0, 0.0))
         return math.hypot(nx - math.cos(h), ny + math.sin(h))
 
     e_coarse = endpoint_error(0.2)
@@ -126,20 +128,130 @@ def test_stepper_accuracy_on_rotation():
 
 
 def test_stepper_reuses_its_last_stage():
-    # given the first stage, a step evaluates the field six times and the
-    # last evaluation, at the new point itself, is the next first stage
-    calls = []
+    # given the first stage, a step evaluates each field component six
+    # times and the last evaluation, at the new point itself, is the next
+    # first stage
+    calls = {"x": [], "y": []}
 
-    def f(x, y):
-        calls.append((x, y))
-        return (y - x * x, -x - 0.5 * y)
+    def fx(x, y):
+        calls["x"].append((x, y))
+        return y - x * x
 
-    k1 = f(0.3, -0.7)
-    calls.clear()
-    nx, ny, _, _, k7 = _dp_step(f, 0.3, -0.7, 0.05, k1)
-    assert len(calls) == 6
-    assert calls[-1] == (nx, ny)
-    assert k7 == f(nx, ny)
+    def fy(x, y):
+        calls["y"].append((x, y))
+        return -x - 0.5 * y
+
+    k1x, k1y = fx(0.3, -0.7), fy(0.3, -0.7)
+    calls = {"x": [], "y": []}
+    nx, ny, _, _, k7x, k7y = _dp_step(fx, fy, 1.0, 0.3, -0.7, 0.05, k1x, k1y)
+    assert len(calls["x"]) == len(calls["y"]) == 6
+    assert calls["x"][-1] == calls["y"][-1] == (nx, ny)
+    assert (k7x, k7y) == (fx(nx, ny), fy(nx, ny))
+
+
+# the loop-form step the straight-line one replaced, kept as an oracle
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def _dot(b, k):
+    acc = 0.0
+    for bi, ki in zip(b, k):
+        acc += bi * ki
+    return acc
+
+
+def _loop_dp_step(f, x, y, h, k1):
+    kx = [k1[0]]
+    ky = [k1[1]]
+    for row in _DP_A:
+        ax = x
+        ay = y
+        for a, px, py in zip(row, kx, ky):
+            ax += h * a * px
+            ay += h * a * py
+        k = f(ax, ay)
+        kx.append(k[0])
+        ky.append(k[1])
+    x5 = x + h * _dot(_DP_B5, kx)
+    y5 = y + h * _dot(_DP_B5, ky)
+    k7 = f(x5, y5)
+    kx.append(k7[0])
+    ky.append(k7[1])
+    x4 = x + h * _dot(_DP_B4, kx)
+    y4 = y + h * _dot(_DP_B4, ky)
+    return x5, y5, x5 - x4, y5 - y4, k7
+
+
+def _assert_same_step(fx, fy, k, x, y, h):
+    # compared as bytes, so that -0.0 and NaN count
+    k1x, k1y = k * fx(x, y), k * fy(x, y)
+    new = _dp_step(fx, fy, k, x, y, h, k1x, k1y)
+    x5, y5, ex, ey, k7 = _loop_dp_step(lambda a, b: (k * fx(a, b), k * fy(a, b)), x, y, h, (k1x, k1y))
+    assert struct.pack("<6d", *new) == struct.pack("<6d", x5, y5, ex, ey, *k7)
+
+
+def _quadratic(c):
+    return lambda x, y: c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
+
+
+_coeffs = st.tuples(*[st.floats(min_value=-5.0, max_value=5.0)] * 6)
+
+
+@given(
+    _coeffs,
+    _coeffs,
+    st.sampled_from([1.0, -1.0]),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=1e-6, max_value=0.5),
+)
+def test_straight_line_step_is_bit_identical_to_the_loop(cx, cy, k, x, y, h):
+    _assert_same_step(_quadratic(cx), _quadratic(cy), k, x, y, h)
+
+
+def test_straight_line_sums_start_from_zero():
+    # from (-0.0, -0.0), stages of -0.0 but for a 0.0 fifth stage, whose
+    # weight is negative: every term of the fifth-order sums is -0.0, and
+    # only their leading 0.0 makes the new point 0.0 rather than -0.0
+    def scripted():
+        stages = iter([-0.0, -0.0, -0.0, 0.0, -0.0, -0.0])
+        return lambda x, y: next(stages)
+
+    new = _dp_step(scripted(), scripted(), 1.0, -0.0, -0.0, 0.5, -0.0, -0.0)
+    fx, fy = scripted(), scripted()
+    x5, y5, ex, ey, k7 = _loop_dp_step(lambda a, b: (fx(a, b), fy(a, b)), -0.0, -0.0, 0.5, (-0.0, -0.0))
+    assert struct.pack("<6d", *new) == struct.pack("<6d", x5, y5, ex, ey, *k7)
+    assert math.copysign(1.0, new[0]) == 1.0
+
+
+def _spike(x, y):
+    # infinite only near the second stage of a step of h = 0.5 from the origin
+    return math.inf if 0.05 < abs(x) < 0.15 else 1.0
+
+
+@pytest.mark.parametrize("k", [1.0, -1.0])
+@pytest.mark.parametrize(
+    "fx, fy, x, y",
+    [
+        # overflows to inf at once, and then to NaN (inf - inf, 0 * inf)
+        (_quadratic((1.0, 0.0, 1.0, 1e300, 0.0, 0.0)), _quadratic((0.0, -1.0, 0.0, 0.0, 0.0, -1e300)), 1e10, -1e10),
+        # only the zero weight of stage 2 makes the new point NaN
+        (_spike, _spike, 0.0, 0.0),
+    ],
+    ids=["overflow", "second-stage-inf"],
+)
+def test_straight_line_step_matches_the_loop_off_the_finite_floats(fx, fy, x, y, k):
+    new = _dp_step(fx, fy, k, x, y, 0.5, k * fx(x, y), k * fy(x, y))
+    assert math.isnan(new[0])
+    _assert_same_step(fx, fy, k, x, y, 0.5)
 
 
 def test_orbit_matches_exponential_flow():
@@ -401,9 +513,10 @@ def test_full_disc_marker_count():
 
 
 def test_separatrix_seeds_respect_quadrant_filter(leslie_doc):
+    sys = leslie_system(F(1), F(1), F(1, 2))
     markers = leslie_doc.markers
-    unfiltered = separatrix_seeds(markers, positive_quadrant_only=False)
-    filtered = separatrix_seeds(markers, positive_quadrant_only=True)
+    unfiltered = separatrix_seeds(sys, markers, positive_quadrant_only=False)
+    filtered = separatrix_seeds(sys, markers, positive_quadrant_only=True)
     assert len(filtered) == 6
     assert len(unfiltered) == 8
     assert {s.seed_id for s in filtered} <= {s.seed_id for s in unfiltered} | {
@@ -677,7 +790,7 @@ def test_captured_orbits_reach_their_marker_without_capture(case):
     doc = build_portrait(sys, params, positive_quadrant_only=quadrant, grid=2)
     seeds = {
         s.seed_id: s
-        for s in default_seeds(quadrant, 2) + separatrix_seeds(doc.markers, EPS_SEPARATRIX, quadrant)
+        for s in default_seeds(quadrant, 2) + separatrix_seeds(sys, doc.markers, EPS_SEPARATRIX, quadrant)
     }
     targets = {
         m.disc: m for m in doc.markers if m.classification in ("saddle-node", "degenerate-needs-blowup")
