@@ -162,10 +162,9 @@ def infinite_equilibria(
         )
     if restricted.is_constant:
         return []
-    roots = isolate_real_roots(UPoly(tuple(restricted.univariate_coeffs("x"))))
     poly = UPoly(tuple(restricted.univariate_coeffs("x"))).squarefree_part()
     out: List[EquilibriumRecord] = []
-    for rt in roots:
+    for rt in isolate_real_roots(poly):
         coord = AlgebraicCoord.from_root(poly, rt)
         if positive_quadrant_only and coord.sign() < 0:
             continue

@@ -43,6 +43,7 @@ from pdisc.exactalg import (
     resultant_wrt,
 )
 from pdisc.exactalg.matrix import subresultant
+from pdisc.exactalg.upoly import linear_combination
 from pdisc.modelio import PlanarSystem
 
 # classification labels
@@ -89,9 +90,11 @@ class AlgebraicCoord:
 
     @staticmethod
     def from_root(poly: UPoly, root: RootInterval) -> "AlgebraicCoord":
+        """The root isolated by `root` of `poly`, which must be square-free
+        (as `squarefree_part` returns it): it is stored as given."""
         if root.exact is not None:
             return AlgebraicCoord(exact=root.exact)
-        return AlgebraicCoord(poly=poly.squarefree_part(), root=root)
+        return AlgebraicCoord(poly=poly, root=root)
 
     @property
     def is_exact(self) -> bool:
@@ -217,12 +220,15 @@ class Rur:
         return table[k]
 
     def _image(self, f: MPoly) -> UPoly:
-        """G = D^deg f * f(X/D, Y/D) mod s."""
+        """G = D^deg f * f(X/D, Y/D) mod s, summed over one common
+        denominator and reduced by pseudo-division over the integers."""
         g = self._images.get(f)
         if g is None:
-            g = UPoly.zero()
-            for (i, j), c in f.items():
-                g = g + self._power(0, i) * self._power(1, j) * self._power(2, int(f.degree) - i - j) * c
+            d = int(f.degree)
+            g = linear_combination(
+                (c, self._power(0, i) * self._power(1, j) * self._power(2, d - i - j))
+                for (i, j), c in f.items()
+            )
             g = self._images[f] = g % self.base
         return g
 
@@ -246,7 +252,7 @@ class Rur:
 
 def _enclosure(p: UPoly, box: Interval) -> Interval:
     """An enclosure of p over box = [n/q, m/q]: interval Horner over the
-    integers on q^deg * c * p, where c * p has integer coefficients."""
+    integers on q^deg times the primitive part of p, then the content."""
     q = math.lcm(box.lo.denominator, box.hi.denominator)
     n, m = int(box.lo * q), int(box.hi * q)
     lo = hi = 0
@@ -255,8 +261,9 @@ def _enclosure(p: UPoly, box: Interval) -> Interval:
         ends = (lo * n, lo * m, hi * n, hi * m)
         lo, hi = min(ends) + c * qk, max(ends) + c * qk
         qk *= q
-    scale = math.lcm(*(c.denominator for c in p.coeffs)) * q ** max(len(p.coeffs) - 1, 0)
-    return Interval(Fraction(lo, scale), Fraction(hi, scale))
+    c = p.content
+    scale = c.denominator * q ** max(len(p.int_coeffs()) - 1, 0)
+    return Interval(Fraction(lo * c.numerator, scale), Fraction(hi * c.numerator, scale))
 
 
 @dataclass(frozen=True)
@@ -735,11 +742,14 @@ def _semi_hyperbolic(
 ) -> Optional[SemiHyperbolicReduction]:
     """Quadratic coefficient of the flow along the center direction.
 
-    Translate to the equilibrium, send (center, hyperbolic) eigenvectors
-    to the axes, and read the u^2 coefficient of u'.  The center
-    manifold deviates from the axis at quadratic order, which perturbs
-    u' only at cubic order, so a2 is exactly the quadratic Taylor
-    coefficient.
+    Translate to the equilibrium and send the (center, hyperbolic)
+    eigenvectors v0, vl to the axes: (x, y) = pt + T (u, w) with
+    T = [v0 | vl], so u' = r0 . (P, Q) for r0 the first row of T^-1.  Its
+    linear part r0 J T vanishes because J v0 = 0 and J vl = lam vl, and
+    its u^2 coefficient is a2 = r0 . (v0' H_P v0, v0' H_Q v0) / 2, with
+    H_P, H_Q the Hessians at the point.  The center manifold deviates
+    from the axis at quadratic order, which perturbs u' only at cubic
+    order, so a2 is exactly the quadratic Taylor coefficient.
     """
     if not pt.is_exact:
         return None
@@ -752,22 +762,12 @@ def _semi_hyperbolic(
     det_t = v0[0] * vl[1] - v0[1] * vl[0]
     if det_t == 0:
         raise InternalInvariantError("eigenvector matrix is singular")
-
-    xs = MPoly.var_x()
-    ys = MPoly.var_y()
-    # (x, y) = (x0, y0) + T (u, w) with T = [v0 | vl]
-    sub_x = MPoly.const(x0) + MPoly.const(v0[0]) * xs + MPoly.const(vl[0]) * ys
-    sub_y = MPoly.const(y0) + MPoly.const(v0[1]) * xs + MPoly.const(vl[1]) * ys
-    pt_trans = sys.P.subst(sub_x, sub_y)
-    qt_trans = sys.Q.subst(sub_x, sub_y)
-    # u' = first row of T^{-1} (P, Q)
-    inv00 = vl[1] / det_t
-    inv01 = -vl[0] / det_t
-    u_dot = MPoly.const(inv00) * pt_trans + MPoly.const(inv01) * qt_trans
-
-    if u_dot.coeff(1, 0) != 0 or u_dot.coeff(0, 1) != 0:
+    j_v0 = (a * v0[0] + b * v0[1], c * v0[0] + d * v0[1])
+    j_vl = (a * vl[0] + b * vl[1], c * vl[0] + d * vl[1])
+    if j_v0 != (0, 0) or j_vl != (lam * vl[0], lam * vl[1]):
         raise InternalInvariantError("center direction carries a linear term")
-    a2 = u_dot.subst_y(Fraction(0)).coeff(2, 0)
+
+    a2 = (vl[1] * _half_hessian(sys.P, x0, y0, v0) - vl[0] * _half_hessian(sys.Q, x0, y0, v0)) / det_t
     stability = "attractor" if lam < 0 else "repeller"
     return SemiHyperbolicReduction(
         a2=a2,
@@ -776,6 +776,37 @@ def _semi_hyperbolic(
         stability=stability,
         hyperbolic_vector=vl,
     )
+
+
+def _half_hessian(f: MPoly, x0: Fraction, y0: Fraction, v: Tuple[Fraction, Fraction]) -> Fraction:
+    """v' H_f v / 2 at (x0, y0): the t^2 coefficient of f((x0, y0) + t v).
+
+    Over the integers: with x0 + t*v[0] = (a + t*b)/m, y0 + t*v[1] =
+    (c + t*e)/n and each coefficient k/L, it is the t^2 coefficient of
+    sum k (a + t*b)^i m^(dx-i) (c + t*e)^j n^(dy-j), over L m^dx n^dy."""
+    if f.is_zero:
+        return Fraction(0)
+    dx, dy = int(f.degree_in("x")), int(f.degree_in("y"))
+    xs, m = _scaled_powers(x0, v[0], dx)
+    ys, n = _scaled_powers(y0, v[1], dy)
+    den = math.lcm(*(c.denominator for _, c in f.items()))
+    total = 0
+    for (i, j), c in f.items():
+        (x_0, x_1, x_2), (y_0, y_1, y_2) = xs[i], ys[j]
+        total += c.numerator * (den // c.denominator) * (x_0 * y_2 + x_1 * y_1 + x_2 * y_0)
+    return Fraction(total, den * m**dx * n**dy)
+
+
+def _scaled_powers(a: Fraction, b: Fraction, d: int) -> Tuple[List[Tuple[int, int, int]], int]:
+    """With a + t*b = (p + t*q)/m over the integers: the coefficients of
+    1, t, t^2 in (p + t*q)^k * m^(d-k) for k = 0..d, and m."""
+    m = math.lcm(a.denominator, b.denominator)
+    p, q = a.numerator * (m // a.denominator), b.numerator * (m // b.denominator)
+    pows = [(1, 0, 0)]
+    for _ in range(d):
+        c0, c1, c2 = pows[-1]
+        pows.append((c0 * p, c1 * p + c0 * q, c2 * p + c1 * q))
+    return [(c0 * m ** (d - k), c1 * m ** (d - k), c2 * m ** (d - k)) for k, (c0, c1, c2) in enumerate(pows)], m
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Exact rational arithmetic kernel.
 
-Sparse bivariate polynomials over Fraction, dense univariate polynomials,
-real-root isolation, interval arithmetic with rational endpoints, and
-fraction-free determinants.  No floating point anywhere in this subpackage.
-Values cross the API as `Fraction`s, but the inner loops of determinants
-and resultants run on Python `int` after clearing denominators.
+Sparse bivariate polynomials over Fraction, dense univariate polynomials
+stored as a primitive integer tuple times a rational content, real-root
+isolation, interval arithmetic with rational endpoints, and fraction-free
+determinants.  No floating point anywhere in this subpackage.  Values
+cross the API as `Fraction`s, but the inner loops of determinants,
+resultants and all univariate arithmetic, Sturm chains and bisection run
+on Python `int`.
 """
 
 from pdisc.exactalg.interval import Interval, eval_box

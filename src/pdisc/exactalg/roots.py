@@ -9,6 +9,13 @@ integer k, where L is its leading coefficient.  Each isolating interval
 is refined to width at most 1/(2L), so it holds at most one such point,
 and that one candidate is tested for an exact zero.  A miss proves the
 root irrational.
+
+Everything runs on the primitive integer coefficients of `UPoly`: the
+Sturm chain is built by pseudo-division over Z, and refinement keeps
+both endpoints as integer numerators over one shared denominator,
+doubling all three at each halving and reading the sign at the
+unreduced midpoint by integer Horner.  The endpoints it returns are the
+ones halving over Fraction gives.
 """
 
 from __future__ import annotations
@@ -55,9 +62,8 @@ def cauchy_bound(p: UPoly) -> Fraction:
     """All real roots of p lie in [-bound, bound]."""
     if p.is_zero:
         raise ValueError("zero polynomial has no root bound")
-    lc = abs(p.leading_coeff())
-    m = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return 1 + m / lc
+    c = p.int_coeffs()
+    return 1 + Fraction(max((abs(v) for v in c[:-1]), default=0), abs(c[-1]))
 
 
 def sturm_chain(p: UPoly) -> List[UPoly]:
@@ -132,8 +138,7 @@ def _identify(s: UPoly, lo: Fraction, hi: Fraction, deflated: List[Fraction]) ->
     and none of the rational roots deflated from s, so it isolates the
     root for the undeflated polynomial too; return the root exactly if
     that candidate is it."""
-    ints = s.int_coeffs()
-    lead = abs(ints[-1]) // math.gcd(*ints)
+    lead = abs(s.int_coeffs()[-1])
     lo, hi = _refine_interval(s, lo, hi, Fraction(1, 2 * lead))
     while lo != hi and any(lo <= r <= hi for r in deflated):
         lo, hi = _refine_interval(s, lo, hi, (hi - lo) / 2)
@@ -154,16 +159,22 @@ def _refine_interval(
         return lo, lo
     if s.sign_at(hi) == 0:
         return hi, hi
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        sm = s.sign_at(mid)
+    # lo = a/q and hi = b/q; a halving doubles a, b and q, and the
+    # midpoint a + b over the doubled q needs no reduction
+    q = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+    wn, wd = width.numerator, width.denominator
+    while (b - a) * wd > wn * q:
+        mid = a + b
+        a, b, q = 2 * a, 2 * b, 2 * q
+        sm = s.sign_at_ratio(mid, q)
         if sm == 0:
-            return mid, mid
+            return Fraction(mid, q), Fraction(mid, q)
         if sm == s_lo:
-            lo = mid
+            a = mid
         else:
-            hi = mid
-    return lo, hi
+            b = mid
+    return Fraction(a, q), Fraction(b, q)
 
 
 def refine_root(p: UPoly, ri: RootInterval, width: _Scalar) -> RootInterval:

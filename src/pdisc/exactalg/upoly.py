@@ -1,43 +1,64 @@
-"""Dense univariate polynomials over Fraction.
+"""Dense univariate polynomials over Q, stored over Z.
 
-Plumbing for resultant byproducts and root isolation: euclidean
-division, gcd, square-free part, Sturm-chain building blocks.
+A polynomial is content * prim: `prim` is a primitive tuple of Python
+ints (coefficient gcd 1; prim[k] multiplies t^k) and `content` a positive
+Fraction, so prim is a positive multiple of the polynomial and every sign
+is read from integers.  The representation is canonical, so equality
+compares the pair.  Products multiply the integer tuples and the contents
+(a product of primitive polynomials is primitive, by Gauss's lemma).
+Euclidean division keeps its meaning over Q but runs as pseudo-division
+over Z, scaling by only as much of the divisor's leading coefficient as
+each step needs and tracking that factor exactly.  The gcd is a
+primitive pseudo-remainder sequence (Brown & Traub 1971).  Sturm chains
+and square-free parts built from these operations are the ones over
+Fraction, element for element.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from pdisc.exactalg.mpoly import NEG_INF, Degree
 
 _Scalar = Union[int, Fraction]
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class UPoly:
-    """Immutable dense univariate polynomial; coeffs[k] multiplies t^k."""
+    """Immutable dense univariate polynomial content * sum prim[k] t^k."""
 
-    __slots__ = ("_c", "_ints")
+    __slots__ = ("_p", "_c")
 
     def __init__(self, coeffs: Iterable[_Scalar] = ()):
-        c = [Fraction(v) for v in coeffs]
-        while c and not c[-1]:
-            c.pop()
-        self._c: Tuple[Fraction, ...] = tuple(c)
-        self._ints: Optional[Tuple[int, ...]] = None
+        c = list(coeffs)
+        den = math.lcm(*(v.denominator for v in c))
+        self._p, self._c = _normalize([v.numerator * (den // v.denominator) for v in c], Fraction(1, den))
+
+    @classmethod
+    def _make(cls, prim: Tuple[int, ...], content: Fraction) -> "UPoly":
+        obj = object.__new__(cls)
+        obj._p, obj._c = prim, content
+        return obj
+
+    @classmethod
+    def _from_ints(cls, ints: List[int], scale: Fraction) -> "UPoly":
+        """The polynomial scale * sum ints[k] t^k."""
+        return cls._make(*_normalize(ints, scale))
 
     @classmethod
     def zero(cls) -> "UPoly":
-        return cls(())
+        return cls._make((), _ZERO)
 
     @classmethod
     def const(cls, v: _Scalar) -> "UPoly":
-        return cls((Fraction(v),))
+        return cls((v,))
 
     @classmethod
     def variable(cls) -> "UPoly":
-        return cls((0, 1))
+        return cls._make((0, 1), _ONE)
 
     @classmethod
     def from_roots(cls, roots: Sequence[_Scalar]) -> "UPoly":
@@ -48,66 +69,70 @@ class UPoly:
 
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:
+        return tuple(self._c * v for v in self._p)
+
+    @property
+    def content(self) -> Fraction:
+        """The positive rational c with self = c * int_coeffs(); 0 for 0."""
         return self._c
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._p
 
     @property
     def degree(self) -> Degree:
-        if not self._c:
+        if not self._p:
             return NEG_INF
-        return len(self._c) - 1
+        return len(self._p) - 1
 
     def leading_coeff(self) -> Fraction:
-        if not self._c:
+        if not self._p:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._c[-1]
+        return self._c * self._p[-1]
 
     def int_coeffs(self) -> Tuple[int, ...]:
-        """The coefficients times the lcm of their denominators: a positive
-        multiple of the polynomial over the integers."""
-        if self._ints is None:
-            den = math.lcm(*(c.denominator for c in self._c))
-            self._ints = tuple(c.numerator * (den // c.denominator) for c in self._c)
-        return self._ints
+        """The primitive integer coefficients: a positive multiple of the
+        polynomial over the integers."""
+        return self._p
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self._c):
-            return self._c[k]
-        return Fraction(0)
+        if 0 <= k < len(self._p):
+            return self._c * self._p[k]
+        return _ZERO
 
     def monic(self) -> "UPoly":
-        if not self._c:
+        if not self._p:
             return self
-        lc = self._c[-1]
-        if lc == 1:
-            return self
-        return UPoly(v / lc for v in self._c)
+        lc = self._p[-1]
+        prim = self._p if lc > 0 else tuple(-v for v in self._p)
+        return UPoly._make(prim, Fraction(1, abs(lc)))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, UPoly):
-            return self._c == other._c
+            return self._p == other._p and self._c == other._c
         if isinstance(other, (int, Fraction)):
             return self == UPoly.const(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        return hash((self._p, self._c))
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._p)
 
     def __add__(self, other: Union["UPoly", _Scalar]) -> "UPoly":
         other = _coerce(other)
-        n = max(len(self._c), len(other._c))
-        return UPoly(self.coeff(k) + other.coeff(k) for k in range(n))
+        if not other._p:
+            return self
+        if not self._p:
+            return other
+        return linear_combination(((1, self), (1, other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "UPoly":
-        return UPoly(-v for v in self._c)
+        return UPoly._make(tuple(-v for v in self._p), self._c)
 
     def __sub__(self, other: Union["UPoly", _Scalar]) -> "UPoly":
         return self + (-_coerce(other))
@@ -117,18 +142,21 @@ class UPoly:
 
     def __mul__(self, other: Union["UPoly", _Scalar]) -> "UPoly":
         if isinstance(other, (int, Fraction)):
-            return UPoly(v * Fraction(other) for v in self._c)
+            if not other or not self._p:
+                return UPoly.zero()
+            c = self._c * other
+            return UPoly._make(self._p, c) if c > 0 else UPoly._make(tuple(-v for v in self._p), -c)
         if not isinstance(other, UPoly):
             return NotImplemented
-        if not self._c or not other._c:
+        a, b = self._p, other._p
+        if not a or not b:
             return UPoly.zero()
-        out = [Fraction(0)] * (len(self._c) + len(other._c) - 1)
-        for i, a in enumerate(self._c):
-            if not a:
-                continue
-            for j, b in enumerate(other._c):
-                out[i + j] += a * b
-        return UPoly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return UPoly._make(tuple(out), self._c * other._c)
 
     __rmul__ = __mul__
 
@@ -146,24 +174,14 @@ class UPoly:
         return result
 
     def divmod(self, divisor: "UPoly") -> Tuple["UPoly", "UPoly"]:
+        """Quotient and remainder over Q.  With m * A = Q * B + R over Z
+        for the primitive parts, self = (cA / (cB * m)) Q * divisor + (cA / m) R."""
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        r = list(self._c)
-        d = divisor._c
-        dn = len(d) - 1
-        lc = d[-1]
-        if len(r) <= dn:
+        if len(self._p) < len(divisor._p):
             return UPoly.zero(), self
-        q = [Fraction(0)] * (len(r) - dn)
-        for k in range(len(r) - 1, dn - 1, -1):
-            coef = r[k]
-            if not coef:
-                continue
-            qc = coef / lc
-            q[k - dn] = qc
-            for idx in range(dn + 1):
-                r[k - dn + idx] -= qc * d[idx]
-        return UPoly(q), UPoly(r)
+        q, r, m = _pseudo_divmod(self._p, divisor._p)
+        return UPoly._from_ints(q, self._c / (divisor._c * m)), UPoly._from_ints(r, self._c / m)
 
     def __floordiv__(self, other: "UPoly") -> "UPoly":
         return self.divmod(other)[0]
@@ -172,15 +190,15 @@ class UPoly:
         return self.divmod(other)[1]
 
     def diff(self) -> "UPoly":
-        return UPoly(self._c[k] * k for k in range(1, len(self._c)))
+        return UPoly._from_ints([k * v for k, v in enumerate(self._p)][1:], self._c)
 
     def gcd(self, other: "UPoly") -> "UPoly":
         """Monic greatest common divisor (1 for coprime, 0 only for gcd(0,0)),
         by a primitive pseudo-remainder sequence over the integers."""
-        a, b = _primitive(self.int_coeffs()), _primitive(other.int_coeffs())
+        a, b = self._p, other._p
         while b:
-            a, b = b, _primitive(_pseudo_remainder(a, b))
-        return UPoly(a).monic()
+            a, b = b, (_normalize(_pseudo_divmod(a, b)[1], _ONE)[0] if len(a) >= len(b) else a)
+        return UPoly._make(a, _ONE).monic() if a else UPoly.zero()
 
     def squarefree_part(self) -> "UPoly":
         """self / gcd(self, self'), made monic; same real roots, all simple."""
@@ -195,29 +213,29 @@ class UPoly:
         return q.monic()
 
     def eval(self, t: _Scalar) -> Fraction:
-        t = Fraction(t)
-        acc = Fraction(0)
-        for c in reversed(self._c):
-            acc = acc * t + c
-        return acc
-
-    def sign_at(self, t: _Scalar) -> int:
-        """The sign of the value at t = n/d, read from the integer
-        d^deg * (a positive multiple of self)(n/d)."""
+        if not self._p:
+            return _ZERO
         t = Fraction(t)
         n, d = t.numerator, t.denominator
-        acc, dk = 0, 1
-        for c in reversed(self.int_coeffs()):
-            acc = acc * n + c * dk
-            dk *= d
-        return (acc > 0) - (acc < 0)
+        return self._c * Fraction(_homogeneous(self._p, n, d), d ** (len(self._p) - 1))
+
+    def sign_at(self, t: _Scalar) -> int:
+        """The sign of the value at t."""
+        t = Fraction(t)
+        return self.sign_at_ratio(t.numerator, t.denominator)
+
+    def sign_at_ratio(self, n: int, d: int) -> int:
+        """The sign of the value at n/d for d > 0, not necessarily in
+        lowest terms: the sign of d^deg * prim(n/d), by integer Horner."""
+        v = _homogeneous(self._p, n, d)
+        return (v > 0) - (v < 0)
 
     def __str__(self) -> str:
-        if not self._c:
+        if not self._p:
             return "0"
         parts = []
-        for k in range(len(self._c) - 1, -1, -1):
-            c = self._c[k]
+        for k in range(len(self._p) - 1, -1, -1):
+            c = self.coeff(k)
             if not c:
                 continue
             if k == 0:
@@ -232,6 +250,21 @@ class UPoly:
         return f"UPoly({self})"
 
 
+def linear_combination(terms: Iterable[Tuple[_Scalar, UPoly]]) -> UPoly:
+    """sum c * p over the (c, p) terms: the integer tuples are added over
+    one common denominator and the content is extracted once."""
+    weighted = [(Fraction(c) * p._c, p._p) for c, p in terms if c and p._p]
+    if not weighted:
+        return UPoly.zero()
+    den = math.lcm(*(w.denominator for w, _ in weighted))
+    out = [0] * max(len(p) for _, p in weighted)
+    for w, p in weighted:
+        k = w.numerator * (den // w.denominator)
+        for i, v in enumerate(p):
+            out[i] += k * v
+    return UPoly._from_ints(out, Fraction(1, den))
+
+
 def _coerce(v: object) -> "UPoly":
     if isinstance(v, UPoly):
         return v
@@ -240,19 +273,51 @@ def _coerce(v: object) -> "UPoly":
     raise TypeError(f"cannot coerce {type(v).__name__} to UPoly")
 
 
-def _primitive(c: Sequence[int]) -> Tuple[int, ...]:
-    g = math.gcd(*c)
-    return tuple(v // g for v in c) if g > 1 else tuple(c)
+def _normalize(ints: List[int], scale: Fraction) -> Tuple[Tuple[int, ...], Fraction]:
+    """(prim, content) of the polynomial scale * sum ints[k] t^k."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints or not scale:
+        return (), _ZERO
+    g = math.gcd(*ints)
+    if scale < 0:
+        g = -g
+    return (tuple(v // g for v in ints) if g != 1 else tuple(ints)), scale * g
 
 
-def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list:
-    """A nonzero integer multiple of a mod b, for integer coefficient lists."""
+def _homogeneous(c: Sequence[int], n: int, d: int) -> int:
+    """sum c[k] n^k d^(deg-k): d^deg times the polynomial at n/d."""
+    acc, dk = 0, 1
+    for v in reversed(c):
+        acc = acc * n + v * dk
+        dk *= d
+    return acc
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int], int]:
+    """(q, r, m) with m * a = q * b + r, deg r < deg b and m a positive
+    integer, for integer coefficient lists with len(a) >= len(b).  Each
+    step scales by only the part of the leading coefficient of b that the
+    current leading coefficient of the remainder lacks; r is stripped of
+    trailing zeros."""
     r, lead, db = list(a), b[-1], len(b) - 1
-    while len(r) > db:
-        c, shift = r[-1], len(r) - 1 - db
-        r = [v * lead for v in r]
+    q, m = [0] * (len(a) - db), 1
+    for k in range(len(r) - 1, db - 1, -1):
+        c = r[k]
+        if not c:
+            continue
+        s = abs(lead) // math.gcd(c, lead)
+        if s != 1:
+            for i in range(k + 1):
+                r[i] *= s
+            for i in range(k - db + 1, len(q)):
+                q[i] *= s
+            m *= s
+        qc = r[k] // lead
+        q[k - db] = qc
         for i, v in enumerate(b):
-            r[shift + i] -= c * v
-        while r and not r[-1]:
-            r.pop()
-    return r
+            r[k - db + i] -= qc * v
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r, m

@@ -164,3 +164,55 @@ def test_bundled_portrait_evaluation_count(view, evals, monkeypatch):
     params = ParamBindings(sys.params["A"], sys.params["B"], sys.params["C"])
     build_portrait(sys, params, positive_quadrant_only=view == "quadrant")
     assert calls[0] == evals
+
+
+# sha256 of the `pdisc analyze` JSON (full disc, quadrant) of systems
+# outside the Leslie family, most with irrational equilibria: the degree
+# 4 and 5 systems of the ROADMAP baseline, an irrational saddle, and three
+# products of lines cut by an ellipse.  Recorded while the univariate
+# kernel still ran over Fraction; the exact decisions do not depend on
+# how the coefficients are stored, so no byte may move.
+OTHER_ANALYZE = {
+    "quartic": (
+        "dx = x^4 - 3*x^2*y + y^2 - 2*x + 1\ndy = y^4 - x*y^2 + 2*x^2 - y - 3\n",
+        "1afc5687d9c770f37f5f41be4c7ff0ee80f28d8d5f9fc061ec910009a7bd86d4",
+        "3c0efb4ddb6836ae8e4a447c03b127a6f5ff4d5aa1f8d4205b99c80d91fda9ac",
+    ),
+    "quintic": (
+        "dx = x^5 - 3*x^2*y^2 + y^3 - 2*x + 1\ndy = y^5 - x*y^3 + 2*x^2 - y - 3\n",
+        "6f4e4a2207db4b5d11c2d2b27d99f1be7f8eed34a120ac3b29b63d4cda6ef9da",
+        "239cb27f0ec4f2fae49db193c1fb882c8cf186aa1247ec7a9e8d1059ede20dcc",
+    ),
+    "saddle": (
+        "dx = x^2 - 2\ndy = y^2 - x*y - 3\n",
+        "127cbd91ff1ae4c0d59b270ad69ca07f5337755ee84e956c6a664c4ff0682461",
+        "e6292cc114074e6412d00a029740e8042fdc52b623e4aee73cf7b3f3b2788645",
+    ),
+    "line-ellipse-2": (
+        "dx = (-3*x + 1*y + 1)*(-3*x + 3*y + 1)\n"
+        "dy = (1*x^2 + 0*x*y + 1*y^2 + -1*x + 2*y + -4)\n",
+        "e06c7d86fdb191e7738c8974c5cbe49ef9edf4c5a9abbd25765f667826354ebc",
+        "0ee12e7501466ea15e437e3aa7eea4743ba4af1206e5a3f8740ef875c0266cae",
+    ),
+    "line-ellipse-3": (
+        "dx = (-3*x + 1*y + 1)*(-3*x + 3*y + 1)*(2*x + 2*y + -1)\n"
+        "dy = (1*x^2 + 1*x*y + 1*y^2 + 0*x + -2*y + -1)\n",
+        "d0f64de52a45564af43fba7e9515604e3c1e20314e36565c4ec4e330db0c3388",
+        "42693a988395256ceec4dd3bd2cb858a64d214e4ff8aa83172a1a94621f287a6",
+    ),
+    "line-ellipse-4": (
+        "dx = (-3*x + 1*y + 1)*(-3*x + 3*y + 1)*(2*x + 2*y + -1)*(2*x + 2*y + 1)\n"
+        "dy = (1*x^2 + -1*x*y + 2*y^2 + -2*x + 1*y + -3)\n",
+        "a17a286dfab2280e9369e78735e8a7cea10b199ca85bd77540be028ba2e79874",
+        "a256b27e069973f824fe0d8158035f24383551533959cf16ddbcf69c09758d3b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_ANALYZE))
+def test_other_analyze_bytes(name):
+    source, full_digest, quadrant_digest = OTHER_ANALYZE[name]
+    sys = parse_system(source)
+    texts = (json.dumps(analyze_report(sys, quadrant=q), sort_keys=True, indent=2) + "\n" for q in (False, True))
+    digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in texts)
+    assert digests == (full_digest, quadrant_digest)

@@ -3,23 +3,34 @@
 Oracles: root counts are cross-checked by dense sign-change scans,
 constructed root sets by the from_roots factorization, and resultants
 by the product formula Res(f, g) = lc(f)^deg(g) * prod g(root_i).
+UPoly stores primitive integer coefficients; its arithmetic, Sturm
+chains and bisection are checked against plain tuple-of-Fraction
+references kept in this file, and the exact signs of a rational
+univariate representation against interval evaluation on a tiny box.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import math
+from typing import Tuple
+
 from hypothesis import given, strategies as st
 
+from pdisc.equilibria import finite_equilibria
 from pdisc.exactalg import (
+    Interval,
     MPoly,
     UPoly,
+    eval_box,
     isolate_real_roots,
     refine_root,
     resultant_wrt,
     sylvester_resultant,
 )
 from pdisc.exactalg.roots import cauchy_bound, sign_variations, sturm_chain
+from pdisc.modelio import parse_system
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 
@@ -208,3 +219,222 @@ def test_sylvester_matches_resultant_wrt():
     gc = g.coeffs_in("x")
     via_matrix = sylvester_resultant(fc, gc)
     assert (direct - via_matrix).is_zero
+
+
+# ---------------------------------------------------------------------------
+# tuple-of-Fraction references for the integer kernel
+
+Ref = Tuple[Fraction, ...]
+
+
+def _ref(c) -> Ref:
+    c = [Fraction(v) for v in c]
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+def _ref_add(a: Ref, b: Ref) -> Ref:
+    n = max(len(a), len(b))
+    return _ref((a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n))
+
+
+def _ref_mul(a: Ref, b: Ref) -> Ref:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref(out)
+
+
+def _ref_divmod(a: Ref, b: Ref) -> Tuple[Ref, Ref]:
+    r, q = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(r) - 1, len(b) - 2, -1):
+        c = r[k] / b[-1]
+        q[k - len(b) + 1] = c
+        for i, v in enumerate(b):
+            r[k - len(b) + 1 + i] -= c * v
+    return _ref(q), _ref(r)
+
+
+def _ref_diff(a: Ref) -> Ref:
+    return _ref(k * a[k] for k in range(1, len(a)))
+
+
+def _ref_monic(a: Ref) -> Ref:
+    return tuple(v / a[-1] for v in a) if a else a
+
+
+def _ref_gcd(a: Ref, b: Ref) -> Ref:
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return _ref_monic(a)
+
+
+def _ref_squarefree(a: Ref) -> Ref:
+    return _ref_monic(_ref_divmod(a, _ref_gcd(a, _ref_diff(a)))[0])
+
+
+def _ref_eval(a: Ref, t: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * t + c
+    return acc
+
+
+def _ref_sign(a: Ref, t: Fraction) -> int:
+    v = _ref_eval(a, t)
+    return (v > 0) - (v < 0)
+
+
+def _ref_sturm(a: Ref):
+    chain = [a, _ref_diff(a)]
+    while chain[-1]:
+        chain.append(tuple(-v for v in _ref_divmod(chain[-2], chain[-1])[1]))
+    chain.pop()
+    return chain
+
+
+def _ref_variations(chain, t: Fraction) -> int:
+    signs = [s for s in (_ref_sign(q, t) for q in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _ref_refine_interval(s: Ref, lo: Fraction, hi: Fraction, width: Fraction):
+    """Bisection refinement over Fraction, as the kernel ran it before it
+    moved to integers."""
+    s_lo = _ref_sign(s, lo)
+    if s_lo == 0:
+        return lo, lo
+    if _ref_sign(s, hi) == 0:
+        return hi, hi
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        sm = _ref_sign(s, mid)
+        if sm == 0:
+            return mid, mid
+        if sm == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+coeff_lists = st.lists(small_rationals, max_size=6)
+
+
+@given(coeff_lists, coeff_lists, coeff_lists, small_rationals, st.integers(-5, 5))
+def test_integer_ring_ops_match_fraction_reference(ca, cb, cc, t, k):
+    f, g, h = UPoly(tuple(ca)), UPoly(tuple(cb)), UPoly(tuple(cc))
+    rf, rg, rh = _ref(ca), _ref(cb), _ref(cc)
+    assert f.coeffs == rf
+    assert (f + g).coeffs == _ref_add(rf, rg)
+    assert (f - g).coeffs == _ref_add(rf, tuple(-v for v in rg))
+    assert (f * g).coeffs == _ref_mul(rf, rg)
+    assert (f * g * h).coeffs == _ref_mul(_ref_mul(rf, rg), rh)
+    assert (f * t).coeffs == _ref(v * t for v in rf)
+    assert (f * k + g).coeffs == _ref_add(_ref(v * k for v in rf), rg)
+    assert f.diff().coeffs == _ref_diff(rf)
+    assert f.eval(t) == _ref_eval(rf, t)
+    assert f.sign_at(t) == _ref_sign(rf, t)
+    # equal polynomials have equal representations however they were built
+    assert f * g + h == UPoly(_ref_add(_ref_mul(rf, rg), rh))
+    # the integer tuple is a positive multiple of the polynomial
+    ints = f.int_coeffs()
+    assert math.gcd(*ints) in (0, 1)
+    assert all(f.content * v == c for v, c in zip(ints, rf))
+    assert (f.content > 0) == bool(ints)
+
+
+@given(coeff_lists, coeff_lists, coeff_lists)
+def test_integer_division_matches_fraction_reference(ca, cb, cc):
+    f, g = UPoly(tuple(ca)) * UPoly(tuple(cc)), UPoly(tuple(cb))
+    rf, rg = _ref_mul(_ref(ca), _ref(cc)), _ref(cb)
+    if not rg:
+        return
+    q, r = _ref_divmod(rf, rg)
+    assert (f // g).coeffs == q
+    assert (f % g).coeffs == r
+    assert f.gcd(g).coeffs == _ref_gcd(rf, rg)
+    if rf:
+        assert f.squarefree_part().coeffs == _ref_squarefree(rf)
+        assert f.monic().coeffs == _ref_monic(rf)
+
+
+def _positive_multiple(p: UPoly, ref: Ref) -> bool:
+    c = p.coeffs
+    return len(c) == len(ref) and all(a * ref[-1] == b * c[-1] for a, b in zip(c, ref)) and c[-1] / ref[-1] > 0
+
+
+@given(st.lists(small_rationals, min_size=1, max_size=4), st.lists(small_rationals, min_size=3, max_size=8))
+def test_sturm_chain_matches_fraction_reference(roots, ts):
+    # distinct and repeated rational roots times a quadratic without real roots
+    p = UPoly.from_roots(roots) * UPoly((3, 1, 2))
+    s, rs = p.squarefree_part(), _ref_squarefree(_ref(p.coeffs))
+    chain, ref = sturm_chain(s), _ref_sturm(rs)
+    assert len(chain) == len(ref)
+    assert all(_positive_multiple(a, b) for a, b in zip(chain, ref))
+    for t in ts:
+        assert sign_variations(chain, t) == _ref_variations(ref, t)
+
+
+@given(
+    st.lists(st.integers(2, 30), min_size=1, max_size=3, unique=True),
+    st.lists(small_rationals, max_size=2, unique=True),
+    st.integers(1, 120),
+)
+def test_refine_root_matches_fraction_bisection(squares, roots, bits):
+    # irrational roots +-sqrt(k) for non-squares k, beside rational roots
+    p = UPoly.from_roots(roots)
+    for k in squares:
+        if math.isqrt(k) ** 2 != k:
+            p = p * UPoly((-k, 0, 1))
+    s = p.squarefree_part()
+    rs = _ref(s.coeffs)
+    width = Fraction(1, 2**bits)
+    for ri in isolate_real_roots(p):
+        if ri.is_exact:
+            continue
+        got = refine_root(s, ri, width)
+        assert (got.lo, got.hi) == _ref_refine_interval(rs, ri.lo, ri.hi, width)
+        assert not got.is_exact and got.width <= width
+
+
+def _sqrt_box(n: int, bits: int) -> Interval:
+    """An interval of width 2^-bits around sqrt(n), n not a square."""
+    lo = math.isqrt(n << (2 * bits))
+    return Interval(Fraction(lo, 2**bits), Fraction(lo + 1, 2**bits))
+
+
+def test_rur_sign_matches_tiny_box_at_sqrt_points():
+    sys = parse_system("dx = x^2 - 2\ndy = y^2 - 3\n")
+    x, y = MPoly.var_x(), MPoly.var_y()
+    one = MPoly.one()
+    probes = [
+        x - y,
+        x * y - 2 * one,
+        x + y - 3 * one,
+        x * x * y - 2 * y,  # zero at every point
+        y * y - x * x - one,  # zero at every point
+        x * y * y - 3 * x + y - MPoly.const(Fraction(17, 10)),
+        (x - y) * (x + y) + MPoly.const(Fraction(1, 3)) * x,
+    ]
+    records = finite_equilibria(sys)
+    assert len(records) == 4
+    for rec in records:
+        rur, a = rec.point.rur
+        sx, sy = rec.point.x.sign(), rec.point.y.sign()
+        bx, by = _sqrt_box(2, 200), _sqrt_box(3, 200)
+        if sx < 0:
+            bx = Interval(-bx.hi, -bx.lo)
+        if sy < 0:
+            by = Interval(-by.hi, -by.lo)
+        for f in probes:
+            want = eval_box(f, bx, by)
+            got = rur.sign(f, a)
+            if got == 0:
+                assert want.lo <= 0 <= want.hi and want.width < Fraction(1, 2**190)
+            else:
+                assert want.sign() == got
