@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from pdisc.compactify import BlowupAnalysis, BlowupSystem
 from pdisc.exactalg import Interval, MPoly, eval_box
-from pdisc.modelio import PlanarSystem
 
 if TYPE_CHECKING:
     from pdisc.portrait import Marker
@@ -184,7 +183,7 @@ def _along(f: MPoly, e: int, slope: Optional[Fraction], power: int) -> MPoly:
     return MPoly({(i - power, j): v for (i, j), v in g.items()})
 
 
-def saddle_node_capture(m: "Marker", sys: PlanarSystem) -> Optional[SaddleNodeCapture]:
+def saddle_node_capture(m: "Marker") -> Optional[SaddleNodeCapture]:
     """The node half of an exact saddle-node as a certified region.
 
     In the eigen-coordinates (c, w) the field is c' = a2 c^2 + ...,
@@ -199,7 +198,7 @@ def saddle_node_capture(m: "Marker", sys: PlanarSystem) -> Optional[SaddleNodeCa
     red = m.record.reduction
     p0 = m.record.point.exact_pair()
     t, inv = _frame((red.center_vector, red.hyperbolic_vector))
-    fp, fq = (_in_frame(f, p0, t) for f in (sys.P, sys.Q))
+    fp, fq = (_in_frame(f, p0, t) for f in (m.system.P, m.system.Q))
     gc = fp * inv[0] + fq * inv[1]
     gw = fp * inv[2] + fq * inv[3]
     sgn = -1 if gw.coeff(0, 1) > 0 else 1
@@ -254,7 +253,7 @@ def blowup_node_captures(m: "Marker", analysis: BlowupAnalysis) -> List[BlowupNo
         # the coordinate along the divisor: q for the x-direction, p for the y-direction
         i = 1 if bs.direction == "x" else 0
         odd = (bs.rescale_x, bs.rescale_y)[i] % 2
-        jac = [f.diff(v) for f in (bs.first, bs.second) for v in ("x", "y")]
+        jac = [f for row in bs.system.jacobian for f in row]
         for node in nodes:
             if node.classification not in ("stable node", "unstable node"):
                 continue

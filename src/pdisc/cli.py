@@ -15,23 +15,10 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from pdisc.compactify import (
-    ChartSystem,
-    blowup_analysis,
-    blowup_fragment,
-    chart_fragment,
-    infinite_equilibria,
-    to_chart,
-)
-from pdisc.equilibria import (
-    DEGENERATE,
-    EquilibriumRecord,
-    equilibrium_fragment,
-    finite_equilibria,
-    leslie_labels,
-)
+from pdisc.compactify import blowup_analysis, blowup_fragment, chart_fragment, disc_equilibria
+from pdisc.equilibria import DEGENERATE, EquilibriumRecord, equilibrium_fragment, leslie_labels
 from pdisc.errors import InputError, InternalInvariantError, PDiscError
 from pdisc.integrability import MAX_CURVE_DEGREE, SearchBounds, run_pipeline, verdict_fragment
 from pdisc.darboux import darboux_fragment
@@ -158,7 +145,12 @@ def _blowup_entry(
 def analyze_report(sys: PlanarSystem, quadrant: bool = False) -> Dict[str, object]:
     """Full JSON-ready report: finite/infinite equilibria and blow-ups."""
     bindings = _leslie_bindings(sys)
-    finite = finite_equilibria(sys, positive_quadrant_only=quadrant)
+    disc = disc_equilibria(sys, quadrant)
+    if disc.lines:
+        # every chart is reported, so an equator of equilibria ends the
+        # run, named by the first such chart in U1, U2, V1, V2 order
+        raise next(iter(disc.lines.values()))
+    finite = disc.finite_in_view
     if bindings is not None:
         finite = leslie_labels(finite, bindings.A, bindings.B, bindings.C)
     report: Dict[str, object] = {
@@ -166,28 +158,19 @@ def analyze_report(sys: PlanarSystem, quadrant: bool = False) -> Dict[str, objec
         "params": {name: str(value) for name, value in sorted(sys.params.items())},
         "regime": None if bindings is None else bindings.regime,
         "finite_equilibria": [equilibrium_fragment(rec) for rec in finite],
+        "charts": {cid: chart_fragment(cs) for cid, cs in disc.charts.items()},
+        "infinite_equilibria": {
+            cid: [equilibrium_fragment(rec) for rec in recs] for cid, recs in disc.equator.items()
+        },
     }
-    chart_ids = ["U1", "U2"] if quadrant else ["U1", "U2", "V1", "V2"]
-    charts: Dict[str, object] = {}
-    infinite: Dict[str, object] = {}
-    chart_records: Dict[str, Tuple[ChartSystem, List[EquilibriumRecord]]] = {}
-    for chart_id in chart_ids:
-        cs = to_chart(sys, chart_id)
-        records = infinite_equilibria(cs, positive_quadrant_only=quadrant)
-        chart_records[chart_id] = (cs, records)
-        charts[chart_id] = chart_fragment(cs)
-        infinite[chart_id] = [equilibrium_fragment(rec) for rec in records]
-    report["charts"] = charts
-    report["infinite_equilibria"] = infinite
     blowups: List[Dict[str, object]] = []
     for rec in finite:
         if rec.classification == DEGENERATE:
             blowups.append(_blowup_entry("finite", sys, rec))
     for chart_id in ("U1", "U2"):
-        cs, records = chart_records[chart_id]
-        for rec in records:
+        for rec in disc.equator[chart_id]:
             if rec.classification == DEGENERATE:
-                blowups.append(_blowup_entry(chart_id, cs.system, rec))
+                blowups.append(_blowup_entry(chart_id, disc.charts[chart_id].system, rec))
     report["blowups"] = blowups
     return report
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError
 from pdisc.exactalg import NEG_INF, MPoly, UPoly, isolate_real_roots
@@ -30,6 +31,8 @@ from pdisc.equilibria import (
     EquilibriumRecord,
     classify_point,
     equilibrium_fragment,
+    finite_equilibria,
+    in_positive_quadrant,
 )
 from pdisc.modelio import PlanarSystem
 
@@ -60,7 +63,7 @@ class ChartSystem:
         if self.chart != "U3" and not self.dv.subst_y(Fraction(0)).is_zero:
             raise InternalInvariantError("equator v = 0 is not invariant")
 
-    @property
+    @cached_property
     def system(self) -> PlanarSystem:
         return PlanarSystem(P=self.du, Q=self.dv)
 
@@ -82,7 +85,7 @@ class BlowupSystem:
     rescale_x: int
     rescale_y: int
 
-    @property
+    @cached_property
     def system(self) -> PlanarSystem:
         return PlanarSystem(P=self.first, Q=self.second)
 
@@ -145,6 +148,31 @@ def to_chart(sys: PlanarSystem, chart: str) -> ChartSystem:
     return ChartSystem(chart, du, dv, sys, d)
 
 
+def _axis_equilibria(
+    sys: PlanarSystem, along: str, line_message: str, nonnegative: bool = False
+) -> List[EquilibriumRecord]:
+    """Equilibria of `sys` on its invariant x-axis (along = "x") or
+    y-axis: the zeros of the field component along it, those below 0
+    dropped before classification when `nonnegative`, classified in
+    `sys`.  Raises LineOfEquilibriaError when it vanishes on the axis."""
+    zero = Fraction(0)
+    flow = sys.P.subst_y(zero) if along == "x" else sys.Q.subst_x(zero)
+    if flow.is_zero:
+        raise LineOfEquilibriaError(line_message)
+    if flow.is_constant:
+        return []
+    poly = UPoly(tuple(flow.univariate_coeffs(along))).squarefree_part()
+    origin = AlgebraicCoord.of(0)
+    out: List[EquilibriumRecord] = []
+    for rt in isolate_real_roots(poly):
+        coord = AlgebraicCoord.from_root(poly, rt)
+        if nonnegative and coord.sign() < 0:
+            continue
+        pt = AlgebraicPoint(coord, origin) if along == "x" else AlgebraicPoint(origin, coord)
+        out.append(classify_point(sys, pt))
+    return out
+
+
 def infinite_equilibria(
     cs: ChartSystem, positive_quadrant_only: bool = False
 ) -> List[EquilibriumRecord]:
@@ -155,22 +183,47 @@ def infinite_equilibria(
         raise InputError("the finite chart has no equator")
     if positive_quadrant_only and cs.chart.startswith("V"):
         return []
-    restricted = cs.du.subst_y(Fraction(0))
-    if restricted.is_zero:
-        raise LineOfEquilibriaError(
-            f"the equator of chart {cs.chart} consists of equilibria"
-        )
-    if restricted.is_constant:
-        return []
-    poly = UPoly(tuple(restricted.univariate_coeffs("x"))).squarefree_part()
-    out: List[EquilibriumRecord] = []
-    for rt in isolate_real_roots(poly):
-        coord = AlgebraicCoord.from_root(poly, rt)
-        if positive_quadrant_only and coord.sign() < 0:
-            continue
-        pt = AlgebraicPoint(coord, AlgebraicCoord.of(0))
-        out.append(classify_point(cs.system, pt))
-    return out
+    line = f"the equator of chart {cs.chart} consists of equilibria"
+    return _axis_equilibria(cs.system, "x", line, positive_quadrant_only)
+
+
+@dataclass(frozen=True)
+class DiscEquilibria:
+    """Every equilibrium one run reads on the Poincaré disc, found once:
+    all finite ones, in the quadrant or not; the charts U1 and U2, plus
+    V1 and V2 for the whole disc; and the equator equilibria of each
+    chart, with u < 0 dropped for the quadrant.  A chart whose equator
+    consists of equilibria keeps its error in `lines` instead."""
+
+    system: PlanarSystem
+    quadrant: bool
+    finite: Tuple[EquilibriumRecord, ...]
+    charts: Mapping[str, ChartSystem]
+    equator: Mapping[str, Tuple[EquilibriumRecord, ...]]
+    lines: Mapping[str, LineOfEquilibriaError]
+
+    @property
+    def finite_in_view(self) -> List[EquilibriumRecord]:
+        """The finite equilibria in the view: the closed quadrant or all."""
+        if not self.quadrant:
+            return list(self.finite)
+        return [r for r in self.finite if in_positive_quadrant(r)]
+
+
+def disc_equilibria(sys: PlanarSystem, quadrant: bool = False) -> DiscEquilibria:
+    """The disc analysis of `sys`, for the closed positive quadrant or
+    the whole disc; each chart is built once."""
+    finite = tuple(finite_equilibria(sys))
+    charts: Dict[str, ChartSystem] = {}
+    equator: Dict[str, Tuple[EquilibriumRecord, ...]] = {}
+    lines: Dict[str, LineOfEquilibriaError] = {}
+    for chart in ("U1", "U2") if quadrant else ("U1", "U2", "V1", "V2"):
+        cs = charts[chart] = to_chart(sys, chart)
+        try:
+            equator[chart] = tuple(infinite_equilibria(cs, quadrant))
+        except LineOfEquilibriaError as exc:
+            lines[chart] = exc
+    return DiscEquilibria(sys, quadrant, finite, charts, equator, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -250,24 +303,9 @@ def _check_divisor_invariant(bs: BlowupSystem) -> None:
 def divisor_equilibria(bs: BlowupSystem) -> List[EquilibriumRecord]:
     """Equilibria on the exceptional divisor, classified through the
     blown-up Jacobian."""
-    if bs.direction == "x":
-        flow = bs.second.subst_x(Fraction(0))  # dw/dt on u = 0
-        var = "y"
-    else:
-        flow = bs.first.subst_y(Fraction(0))  # dz/dt on v = 0
-        var = "x"
-    if flow.is_zero:
-        raise LineOfEquilibriaError("the exceptional divisor consists of equilibria")
-    if flow.is_constant:
-        return []
-    poly = UPoly(tuple(flow.univariate_coeffs(var))).squarefree_part()
-    out: List[EquilibriumRecord] = []
-    for rt in isolate_real_roots(poly):
-        coord = AlgebraicCoord.from_root(poly, rt)
-        zero = AlgebraicCoord.of(0)
-        pt = AlgebraicPoint(zero, coord) if bs.direction == "x" else AlgebraicPoint(coord, zero)
-        out.append(classify_point(bs.system, pt))
-    return out
+    # the divisor is u = 0 in (u, w), the second axis; v = 0 in (z, v)
+    along = "y" if bs.direction == "x" else "x"
+    return _axis_equilibria(bs.system, along, "the exceptional divisor consists of equilibria")
 
 
 def verify_blowdown(

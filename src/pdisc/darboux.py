@@ -370,22 +370,20 @@ def extactic(
     sys: PlanarSystem,
     m: int,
     curves: Optional[Sequence[InvariantCurve]] = None,
-    max_order: int = 2,
 ) -> ExtacticResult:
     """Order-m extactic curve E_m and the multiplicity of each known
     invariant curve of degree <= m inside it.
 
     The matrix rows are X^0, X^1, ..., X^(l-1) applied to the monomial
     basis of degree <= m, with l = (m+1)(m+2)/2.  The order is capped at
-    2 by default (raise max_order to override; determinant size and
-    coefficient growth escalate quickly).  Any verified invariant curve
-    of degree <= m must divide a nonvanishing E_m; a violation is
-    reported as an internal error.
+    2 (determinant size and coefficient growth escalate quickly).  Any
+    verified invariant curve of degree <= m must divide a nonvanishing
+    E_m; a violation is reported as an internal error.
     """
     if m < 1:
         raise ValueError("extactic order must be at least 1")
-    if m > max_order:
-        raise ValueError(f"extactic order capped at {max_order}")
+    if m > 2:
+        raise ValueError("extactic order capped at 2")
     basis = _monomial_basis(m)
     l = len(basis)
     rows: List[List[MPoly]] = [list(basis)]

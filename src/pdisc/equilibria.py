@@ -346,9 +346,7 @@ def _upoly(p: MPoly, var: str) -> UPoly:
     return UPoly(tuple(p.univariate_coeffs(var)))
 
 
-def finite_equilibria(
-    sys: PlanarSystem, positive_quadrant_only: bool = False
-) -> List[EquilibriumRecord]:
+def finite_equilibria(sys: PlanarSystem) -> List[EquilibriumRecord]:
     """All real solutions of P = Q = 0, classified and sorted
     lexicographically by coordinates.
 
@@ -389,8 +387,6 @@ def finite_equilibria(
         points = _eliminate(sys, rx)
 
     records = [classify_point(sys, pt) for pt in points]
-    if positive_quadrant_only:
-        records = [r for r in records if in_positive_quadrant(r)]
     records.sort(key=_record_sort_key)
     for i in range(len(records) - 1):
         a, b = records[i].point, records[i + 1].point
@@ -610,10 +606,7 @@ def jacobian_at(
 ) -> Tuple[Tuple[JacEntry, JacEntry], Tuple[JacEntry, JacEntry]]:
     """Partial derivatives at the point; exact for rational points,
     interval enclosures otherwise."""
-    parts = (
-        (sys.P.diff("x"), sys.P.diff("y")),
-        (sys.Q.diff("x"), sys.Q.diff("y")),
-    )
+    parts = sys.jacobian
     if p.is_exact:
         x0, y0 = p.exact_pair()
         return tuple(
@@ -660,12 +653,9 @@ def classify_point(
     rur, a = pt.rur
     if rur.sign(sys.P, a) or rur.sign(sys.Q, a):
         raise InputError("the point is not an equilibrium")
-    p_, q_ = sys.P, sys.Q
-    det_poly = p_.diff("x") * q_.diff("y") - p_.diff("y") * q_.diff("x")
-    tr_poly = p_.diff("x") + q_.diff("y")
-    s_det, s_tr = rur.sign(det_poly, a), rur.sign(tr_poly, a)
+    s_det, s_tr = rur.sign(sys.det, a), rur.sign(sys.trace, a)
     # the discriminant tells a node from a focus, and only then is it read
-    s_disc = rur.sign(tr_poly * tr_poly - MPoly.const(4) * det_poly, a) if s_det > 0 and s_tr else 0
+    s_disc = rur.sign(sys.discriminant, a) if s_det > 0 and s_tr else 0
     return EquilibriumRecord(pt, None, None, None, None, None, _table(s_det, s_tr, s_disc), label)
 
 

@@ -26,7 +26,6 @@ from pdisc.darboux import (
     extactic,
     find_exponential_factors,
     find_invariant_lines,
-    verify_invariant_curve,
 )
 from pdisc.modelio import PlanarSystem
 
@@ -36,8 +35,8 @@ NOT_LIOUVILLIAN = "NotLiouvillianWithinBounds"
 INCONCLUSIVE = "Inconclusive"
 
 
-# The automatic curve search finds invariant lines only; higher-degree
-# candidates must be supplied explicitly.  Reports record it as a bound.
+# The automatic curve search finds invariant lines only.  Reports record
+# it as a bound.
 MAX_CURVE_DEGREE = 1
 
 
@@ -228,26 +227,12 @@ class DarbouxPipeline:
     verdict: IntegrabilityVerdict
 
 
-def run_pipeline(
-    sys: PlanarSystem,
-    bounds: SearchBounds = SearchBounds(),
-    extra_curves: Sequence[MPoly] = (),
-) -> DarbouxPipeline:
+def run_pipeline(sys: PlanarSystem, bounds: SearchBounds = SearchBounds()) -> DarbouxPipeline:
     """Curve search, extactic multiplicities, exponential factors, and
-    the two cofactor tests, in order.
-
-    extra_curves are user-supplied higher-degree candidates; each is
-    verified exactly before being admitted to the inventory.
-    """
+    the two cofactor tests, in order."""
     found = find_invariant_lines(sys)
     families = [c for c in found if c.is_family]
     curves = [c for c in found if not c.is_family]
-    for f in extra_curves:
-        cur = verify_invariant_curve(sys, f)
-        if cur is None:
-            raise InputError(f"supplied curve {f.format()} is not invariant")
-        if all(cur.f != c.f for c in curves):
-            curves.append(cur)
 
     ext = extactic(sys, bounds.extactic_order, curves=curves)
     curves = attach_multiplicities(curves, ext)

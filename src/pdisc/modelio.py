@@ -16,6 +16,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from pdisc.errors import InputError, ParseError
@@ -47,8 +48,27 @@ class PlanarSystem:
         """X(f) = P df/dx + Q df/dy."""
         return self.P * f.diff("x") + self.Q * f.diff("y")
 
+    @cached_property
+    def jacobian(self) -> Tuple[Tuple[MPoly, MPoly], Tuple[MPoly, MPoly]]:
+        """((P_x, P_y), (Q_x, Q_y)); it and the trace, determinant and
+        discriminant are built once, for every point of the system."""
+        return ((self.P.diff("x"), self.P.diff("y")), (self.Q.diff("x"), self.Q.diff("y")))
+
+    @cached_property
+    def trace(self) -> MPoly:
+        return self.jacobian[0][0] + self.jacobian[1][1]
+
+    @cached_property
+    def det(self) -> MPoly:
+        (px, py), (qx, qy) = self.jacobian
+        return px * qy - py * qx
+
+    @cached_property
+    def discriminant(self) -> MPoly:
+        return self.trace * self.trace - MPoly.const(4) * self.det
+
     def divergence(self) -> MPoly:
-        return self.P.diff("x") + self.Q.diff("y")
+        return self.trace
 
     def eval_rat(self, x: Fraction, y: Fraction) -> Tuple[Fraction, Fraction]:
         return self.P.eval_rat(x, y), self.Q.eval_rat(x, y)

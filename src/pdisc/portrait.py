@@ -36,25 +36,19 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from pdisc.capture import Capture, blowup_node_captures, saddle_node_capture
 from pdisc.compactify import (
+    HYPERBOLIC,
     BlowupAnalysis,
+    DiscEquilibria,
     SectorDecomposition,
     blowup_analysis,
     direct_sectors,
-    infinite_equilibria,
-    to_chart,
+    disc_equilibria,
 )
-from pdisc.equilibria import (
-    EquilibriumRecord,
-    equilibrium_fragment,
-    finite_equilibria,
-    in_positive_quadrant,
-    jacobian_at,
-    leslie_labels,
-)
+from pdisc.equilibria import EquilibriumRecord, equilibrium_fragment, jacobian_at, leslie_labels
 from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError
 from pdisc.exactalg import Interval, MPoly
 from pdisc.modelio import ParamBindings, PlanarSystem, format_system
@@ -227,37 +221,40 @@ class Flow:
     invariant coordinate axes, the disc points of the equilibria where
     orbits stop by the speed rule, and the capture regions.
 
-    Without `equilibria`, the stop points are the finite equilibria,
-    located exactly, and the equator points of the whole disc.  Every
-    one of `markers` (as resolved by `build_portrait`) is a stop point
-    too, and its local analysis gives the capture regions: the node half
-    of a saddle-node with an exact reduction, and the hyperbolic nodes
-    on the divisors of a blown-up degenerate point.  A flow without
-    markers keeps the speed rule only.
+    The chart systems come from `disc`.  So do the stop points, unless
+    `equilibria` gives them: every finite equilibrium, drawn or not,
+    and every equator point drawn on the disc.  Every one of `markers`
+    (as built by `build_portrait`) is a stop point too, and its local
+    analysis gives the capture regions: the node half of a saddle-node
+    with an exact reduction, and the hyperbolic nodes on the divisors of
+    a blown-up degenerate point.  A flow without markers keeps the speed
+    rule only.
     """
 
     def __init__(
         self,
-        sys: PlanarSystem,
-        equilibria: Optional[Sequence[Tuple[float, float]]] = None,
+        disc: DiscEquilibria,
         markers: Sequence["Marker"] = (),
+        equilibria: Optional[Sequence[Tuple[float, float]]] = None,
     ):
+        sys = disc.system
         if equilibria is None:
-            every = [_marker_for_finite(rec) for rec in finite_equilibria(sys)]
-            every.extend(_infinite_markers(sys, False))
-            equilibria = [m.disc for m in every]
+            equilibria = [disc_from_plane(*rec.point.approx()) for rec in disc.finite]
+            equilibria += [
+                _disc_from_chart(chart, rec.point.x.approx(), 0.0, side)
+                for chart, side, _, rec in _drawn_equator(disc)
+            ]
         self.equilibria = list(equilibria) + [m.disc for m in markers]
         self.captures: List[Capture] = []
         for m in markers:
             if m.classification == "saddle-node" and m.record.reduction is not None:
-                cap = saddle_node_capture(m, _local_system(sys, m))
+                cap = saddle_node_capture(m)
                 if cap is not None:
                     self.captures.append(cap)
             elif m.blowup is not None:
                 self.captures.extend(blowup_node_captures(m, m.blowup))
         self.even_degree = sys.degree % 2 == 0
-        u1 = to_chart(sys, "U1")
-        u2 = to_chart(sys, "U2")
+        u1, u2 = disc.charts["U1"], disc.charts["U2"]
         self.fields = {
             "U3": (compile_poly(sys.P), compile_poly(sys.Q)),
             "U1": (compile_poly(u1.du), compile_poly(u1.dv)),
@@ -471,7 +468,9 @@ def integrate_orbit(
 @dataclass(frozen=True)
 class Marker:
     """One equilibrium drawn on the disc: finite (chart U3) or at
-    infinity (chart U1/U2 with equator side)."""
+    infinity (chart U1/U2 with equator side).  `system` is the one its
+    record was computed in: the finite system, or the chart at infinity,
+    whose V form runs in the true time on the side -1 half."""
 
     marker_id: str
     chart: str
@@ -479,8 +478,14 @@ class Marker:
     side: int
     disc: Tuple[float, float]
     record: EquilibriumRecord
-    sectors: Optional[SectorDecomposition] = None
+    system: PlanarSystem
     blowup: Optional[BlowupAnalysis] = None  # of a degenerate point, when one was made
+
+    @property
+    def sectors(self) -> Optional[SectorDecomposition]:
+        if self.blowup is not None:
+            return self.blowup.sectors
+        return direct_sectors(self.classification) if self.classification in HYPERBOLIC else None
 
     @property
     def classification(self) -> str:
@@ -499,26 +504,37 @@ class SeedSpec:
     role: str
 
 
-def _marker_for_finite(rec: EquilibriumRecord) -> Marker:
+def _blowup(rec: EquilibriumRecord, sys: PlanarSystem) -> Optional[BlowupAnalysis]:
+    """One level of directional blow-ups at a degenerate point, when it
+    is exact and isolated."""
+    if rec.classification != "degenerate-needs-blowup":
+        return None
+    try:
+        return blowup_analysis(sys, rec.point)
+    except LineOfEquilibriaError:
+        return None
+
+
+def _marker_for_finite(rec: EquilibriumRecord, sys: PlanarSystem) -> Marker:
     ax, ay = rec.point.approx()
     mid = rec.label or f"finite:{rec.point.x.text()},{rec.point.y.text()}"
-    return Marker(mid, "U3", (ax, ay), 1, disc_from_plane(ax, ay), rec)
+    return Marker(mid, "U3", (ax, ay), 1, disc_from_plane(ax, ay), rec, sys, _blowup(rec, sys))
 
 
-def _marker_for_infinite(rec: EquilibriumRecord, chart: str, side: int) -> Marker:
+def _marker_for_infinite(rec: EquilibriumRecord, chart: str, side: int, sys: PlanarSystem) -> Marker:
     u = rec.point.x.approx()
     mid = f"inf:{chart}{'+' if side > 0 else '-'}:{rec.point.x.text()}"
-    return Marker(mid, chart, (u, 0.0), side, _disc_from_chart(chart, u, 0.0, side), rec)
+    return Marker(mid, chart, (u, 0.0), side, _disc_from_chart(chart, u, 0.0, side), rec, sys, _blowup(rec, sys))
 
 
-def _eig_directions(sys: PlanarSystem, m: Marker) -> List[Tuple[float, Tuple[float, float]]]:
+def _eig_directions(m: Marker) -> List[Tuple[float, Tuple[float, float]]]:
     """(eigenvalue, unit eigenvector) pairs for a marker with a real
     spectrum, from the float Jacobian.  At an irrational point the
     entries are intervals, enclosed here on the point as classify_point
     refined it (width 2^-60), and are read at their midpoints."""
     jac = m.record.jacobian
     if jac is None:
-        jac = jacobian_at(_local_system(sys, m), m.record.point)
+        jac = jacobian_at(m.system, m.record.point)
     (a, b), (c, d) = [
         [float((v.lo + v.hi) / 2) if isinstance(v, Interval) else float(v) for v in row]
         for row in jac
@@ -557,12 +573,11 @@ def _in_quadrant(chart: str, side: int, u: float, v: float) -> bool:
 
 
 def separatrix_seeds(
-    sys: PlanarSystem,
     markers: Sequence[Marker],
     epsilon: float = EPS_SEPARATRIX,
     positive_quadrant_only: bool = False,
 ) -> List[SeedSpec]:
-    """Seeds tracing saddle and saddle-node separatrices of `sys`:
+    """Seeds tracing the saddle and saddle-node separatrices of markers:
     offsets of epsilon along the relevant eigendirections, integrated
     away from the stable side and into the unstable one."""
     seeds: List[SeedSpec] = []
@@ -570,7 +585,7 @@ def separatrix_seeds(
         # (unit direction, offset sign, integration direction) in seed-id order
         offsets: List[Tuple[Tuple[float, float], float, str]] = []
         if m.classification == "saddle":
-            for lam, vec in _eig_directions(sys, m):
+            for lam, vec in _eig_directions(m):
                 direction = "forward" if lam > 0 else "backward"
                 offsets += [(vec, 1.0, direction), (vec, -1.0, direction)]
         elif m.classification == "saddle-node" and m.record.reduction is not None:
@@ -582,7 +597,7 @@ def separatrix_seeds(
             for s in (1.0, -1.0):
                 offsets.append((cv, s, "forward" if (a2 > 0) == (s > 0) else "backward"))
             lam = float(red.nonzero_eigenvalue)
-            strong = [p for p in _eig_directions(sys, m) if abs(p[0] - lam) < 1e-9]
+            strong = [p for p in _eig_directions(m) if abs(p[0] - lam) < 1e-9]
             for lamv, vec in strong[:1]:
                 direction = "backward" if lamv < 0 else "forward"
                 offsets += [(vec, 1.0, direction), (vec, -1.0, direction)]
@@ -633,34 +648,19 @@ class PortraitDoc:
     positive_quadrant_only: bool
 
 
-def _infinite_markers(
-    sys: PlanarSystem, positive_quadrant_only: bool
-) -> List[Marker]:
-    """Equator markers: U-charts give the side = +1 points; when the
-    whole disc is drawn, the antipodal points take their classifications
-    from the V-chart systems (they differ for even degree)."""
-    out: List[Marker] = []
-    plan = [("U1", 1, None), ("U2", 1, None)]
-    if not positive_quadrant_only:
-        plan.extend([("V1", -1, "U1"), ("V2", -1, "U2")])
-    for chart, side, disc_chart in plan:
-        try:
-            recs = infinite_equilibria(to_chart(sys, chart), positive_quadrant_only)
-        except LineOfEquilibriaError:
-            continue
+def _drawn_equator(
+    disc: DiscEquilibria,
+) -> Iterator[Tuple[str, int, PlanarSystem, EquilibriumRecord]]:
+    """Equator points drawn on the disc, as (chart, side, system,
+    record): the U-charts give the side +1 points; the V-charts give the
+    antipodal side -1 points of U1/U2 with their own classifications
+    (they differ for even degree).  A 2-chart gives only its vertical
+    direction u = 0, the 1-charts cover the others."""
+    for chart, recs in disc.equator.items():
         for rec in recs:
             if chart.endswith("2") and rec.point.x.exact != 0:
-                continue  # nonvertical directions already covered by the 1-charts
-            out.append(_marker_for_infinite(rec, disc_chart or chart, side))
-    return out
-
-
-def _local_system(sys: PlanarSystem, m: Marker) -> PlanarSystem:
-    """The system a marker's record was computed in: U3, or its chart
-    at infinity, whose V form runs in the true time on the side -1 half."""
-    if m.chart == "U3":
-        return sys
-    return to_chart(sys, m.chart if m.side > 0 else "V" + m.chart[1]).system
+                continue
+            yield "U" + chart[1], 1 if chart[0] == "U" else -1, disc.charts[chart].system, rec
 
 
 def build_portrait(
@@ -675,34 +675,15 @@ def build_portrait(
 
     Every finite equilibrium is a stop point of the flow, drawn or not;
     saddle-nodes and blown-up degenerate markers add capture regions."""
-    every_finite = finite_equilibria(sys)
-    finite = every_finite
-    if positive_quadrant_only:
-        finite = [r for r in finite if in_positive_quadrant(r)]
+    disc = disc_equilibria(sys, positive_quadrant_only)
+    finite = disc.finite_in_view
     regime: Optional[str] = None
     if params is not None:
         finite = leslie_labels(finite, params.A, params.B, params.C)
         regime = params.regime
 
-    markers = [_marker_for_finite(r) for r in finite]
-    markers.extend(_infinite_markers(sys, positive_quadrant_only))
-
-    resolved: List[Marker] = []
-    for m in markers:
-        if m.classification == "degenerate-needs-blowup":
-            # one level of directional blow-ups at an exact degenerate point
-            analysis: Optional[BlowupAnalysis] = None
-            try:
-                analysis = blowup_analysis(_local_system(sys, m), m.record.point)
-            except LineOfEquilibriaError:
-                pass
-            sec = None if analysis is None else analysis.sectors
-            resolved.append(Marker(m.marker_id, m.chart, m.local, m.side, m.disc, m.record, sec, analysis))
-        elif m.classification in ("saddle", "stable node", "unstable node", "stable focus", "unstable focus"):
-            resolved.append(Marker(m.marker_id, m.chart, m.local, m.side, m.disc, m.record, direct_sectors(m.classification)))
-        else:
-            resolved.append(m)
-    markers = resolved
+    markers = [_marker_for_finite(r, sys) for r in finite]
+    markers.extend(_marker_for_infinite(rec, chart, side, cs) for chart, side, cs, rec in _drawn_equator(disc))
 
     if params is not None:
         has_star = any(m.label == "Estar" and m.local[0] > 0 for m in markers)
@@ -711,9 +692,9 @@ def build_portrait(
                 "interior-equilibrium marker disagrees with the 1-AC regime"
             )
 
-    flow = Flow(sys, [disc_from_plane(*r.point.approx()) for r in every_finite], markers)
+    flow = Flow(disc, markers)
     seeds = default_seeds(positive_quadrant_only, grid)
-    seeds.extend(separatrix_seeds(sys, markers, EPS_SEPARATRIX, positive_quadrant_only))
+    seeds.extend(separatrix_seeds(markers, EPS_SEPARATRIX, positive_quadrant_only))
 
     trajectories = [
         integrate_orbit(

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 
 from pdisc.compactify import (
     blowup_analysis,
+    disc_equilibria,
     infinite_equilibria,
     to_chart,
     verify_blowdown,
@@ -23,7 +24,7 @@ from pdisc.darboux import (
     find_invariant_lines,
     verify_invariant_curve,
 )
-from pdisc.equilibria import AlgebraicPoint, finite_equilibria, leslie_labels
+from pdisc.equilibria import AlgebraicPoint, finite_equilibria, in_positive_quadrant, leslie_labels
 from pdisc.exactalg import MPoly, nullspace
 from pdisc.integrability import (
     SearchBounds,
@@ -206,7 +207,7 @@ def _labelled(a: F, b: F, c: F):
     # the closed positive quadrant is the biologically meaningful
     # domain; the interior-point formula lands outside it when 1-AC < 0
     sys = leslie_system(a, b, c)
-    recs = leslie_labels(finite_equilibria(sys, positive_quadrant_only=True), a, b, c)
+    recs = leslie_labels([r for r in finite_equilibria(sys) if in_positive_quadrant(r)], a, b, c)
     return {r.label: r for r in recs}
 
 
@@ -339,7 +340,7 @@ def test_criterion_10_regime_dichotomy(capfd):
                 disc_from_plane(1.0, 0.0),
                 disc_from_plane(float(target[0]), float(target[1])),
             ]
-            tr = integrate_orbit(Flow(sys, known), seed, tmax=2500.0)
+            tr = integrate_orbit(Flow(disc_equilibria(sys), equilibria=known), seed, tmax=2500.0)
             assert tr.reason == "converged-to-equilibrium", (a, c, tr.reason)
             goal = disc_from_plane(float(target[0]), float(target[1]))
             assert math.hypot(tr.endpoint()[0] - goal[0], tr.endpoint()[1] - goal[1]) < 1e-6
@@ -429,7 +430,7 @@ def test_criterion_11_soundness(capfd):
     rng = random.Random(11)
     from pdisc.portrait import plane_from_disc
 
-    flow = Flow(sys)
+    flow = Flow(disc_equilibria(sys))
     for _ in range(50):
         x0 = rng.uniform(0.02, 0.98)
         y0 = rng.uniform(0.05, 2.5)

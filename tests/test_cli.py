@@ -311,6 +311,39 @@ def test_full_disc_portraits_of_generic_systems(source, tmp_path, capsys):
             assert math.hypot(x, y) <= 1.0 + 1e-6
 
 
+def test_equator_of_equilibria_ends_analyze_but_not_portrait(tmp_path, capsys):
+    # analyze reports every chart, so an equator made of equilibria is an
+    # input it cannot report; portrait only leaves such a chart undrawn
+    path = tmp_path / "radial.vf"
+    path.write_text("dx = x\ndy = y\n", encoding="utf-8")
+    rc, _, err = _run(capsys, ["analyze", str(path)])
+    assert rc == 2
+    assert "the equator of chart U1 consists of equilibria" in err
+    rc, out, _ = _run(capsys, ["portrait", str(path), "--no-quadrant", "--grid", "2"])
+    assert rc == 0
+    assert json.loads(out)["trajectories"]
+
+
+@pytest.mark.parametrize("quadrant, charts", [(True, 2), (False, 4)])
+def test_each_chart_is_built_once(model_file, quadrant, charts, capsys, monkeypatch):
+    from pdisc import compactify
+
+    calls = []
+    to_chart = compactify.to_chart
+
+    def counting(sys, chart):
+        calls.append(chart)
+        return to_chart(sys, chart)
+
+    monkeypatch.setattr(compactify, "to_chart", counting)
+    view = ["--quadrant"] if quadrant else ["--no-quadrant"]
+    for argv in (["portrait", str(model_file), "--grid", "2", "--tmax", "10"], ["analyze", str(model_file)]):
+        calls.clear()
+        rc, _, _ = _run(capsys, argv + view)
+        assert rc == 0
+        assert len(calls) == charts == len(set(calls))
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -339,7 +372,7 @@ def test_internal_invariant_exits_3(model_file, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise InternalInvariantError("forced for the exit-code contract")
 
-    monkeypatch.setattr("pdisc.cli.finite_equilibria", boom)
+    monkeypatch.setattr("pdisc.compactify.finite_equilibria", boom)
     rc, _, err = _run(capsys, ["analyze", str(model_file)])
     assert rc == 3
     assert "internal invariant violation" in err

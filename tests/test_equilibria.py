@@ -27,6 +27,7 @@ from pdisc.equilibria import (
     classify_point,
     equilibrium_fragment,
     finite_equilibria,
+    in_positive_quadrant,
     leslie_labels,
 )
 from pdisc.errors import InputError, PositiveDimensionalError
@@ -93,7 +94,7 @@ def test_leslie_interior_absent_when_regime_negative():
 
 def test_positive_quadrant_filter():
     a, b, c = F(1), F(1), F(1, 2)
-    records = finite_equilibria(leslie_system(a, b, c), positive_quadrant_only=True)
+    records = [r for r in finite_equilibria(leslie_system(a, b, c)) if in_positive_quadrant(r)]
     xs = {rec.point.exact_pair() for rec in records}
     assert (F(-1, 2), F(0)) not in xs
     assert len(records) == 4

@@ -132,6 +132,14 @@ OTHER_PORTRAITS = {
         "2d00ffa7fb935de35c9f2acb7fdf6637369bb61e4f45dcdb842f99e8ef9b5e52",
         "c1f70c007eccbd9d46d7daa257d93b099bc0c3f8d47edb6a78bef44f81e37955",
     ),
+    # finite saddle-nodes, blown-up points on both sides of U2 and in V1
+    "chart-plan": (
+        "dx = y^2 - x*y + y - 1\ndy = x*y - x^2 + x\n",
+        False,
+        8,
+        "9c9328c87f2c0b6247d360775518d1c850998a9d1e154d9d52d154ac924476c4",
+        "c2ff59226a4de8ce14a2cc2f084563f89db5b4128183cf6850e4b1ec77de1f0d",
+    ),
 }
 
 
@@ -140,6 +148,40 @@ def test_other_portrait_bytes(name):
     source, quadrant, grid, js_digest, svg_digest = OTHER_PORTRAITS[name]
     doc = build_portrait(parse_system(source), positive_quadrant_only=quadrant, grid=grid)
     svg, js = render_portrait(doc)
+    assert (hashlib.sha256(js).hexdigest(), hashlib.sha256(svg).hexdigest()) == (js_digest, svg_digest)
+
+
+# (JSON, SVG) of Leslie portraits with their parameters: the 1-AC = 0
+# triple, where E1 and Estar merge into a saddle-node, and one with
+# 1-AC < 0.
+LESLIE_PORTRAITS = {
+    "zero-quadrant": (
+        ("2", "1", "1/2"),
+        True,
+        "3250b59d2fb34604054fbfd4f67e1481044251862019796f0ff15229d1f60e30",
+        "44a3b9d3756523a250e07ab62579800f2737e9032ae67cbf87d589040a5aac71",
+    ),
+    "zero-full": (
+        ("2", "1", "1/2"),
+        False,
+        "c9ac7b6cf5d7ab8cf9d48390b1e67d187a37551f6e217560ded48e3498a66006",
+        "7fac0465f55b4fa544c439c225a6ce5b7f5e250cd8b02198dbedbdd0bc80786c",
+    ),
+    "negative-full": (
+        ("3", "1", "1/2"),
+        False,
+        "543216bcb104afb59c8e6fa3630f94a3afa17a9266e9b3f1e5b7448246db1b0c",
+        "e75f11080a4c6957ee279982279ff3dccb5cce5e7936ede64900706a6d936506",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LESLIE_PORTRAITS))
+def test_leslie_portrait_bytes(name):
+    triple, quadrant, js_digest, svg_digest = LESLIE_PORTRAITS[name]
+    sys = parse_system(_source(*triple))
+    params = ParamBindings(sys.params["A"], sys.params["B"], sys.params["C"])
+    svg, js = render_portrait(build_portrait(sys, params, positive_quadrant_only=quadrant))
     assert (hashlib.sha256(js).hexdigest(), hashlib.sha256(svg).hexdigest()) == (js_digest, svg_digest)
 
 
@@ -205,6 +247,11 @@ OTHER_ANALYZE = {
         "dy = (1*x^2 + -1*x*y + 2*y^2 + -2*x + 1*y + -3)\n",
         "a17a286dfab2280e9369e78735e8a7cea10b199ca85bd77540be028ba2e79874",
         "a256b27e069973f824fe0d8158035f24383551533959cf16ddbcf69c09758d3b",
+    ),
+    "chart-plan": (
+        "dx = y^2 - x*y + y - 1\ndy = x*y - x^2 + x\n",
+        "256789506cde592e0896ec6f7c14676c2a0740e3c97f90081f6abbf4dacf20e8",
+        "af1af4d1b19cc4b2eecfbd9e94e90734f39ee865447b4472fadb6e18a0f5c90f",
     ),
 }
 

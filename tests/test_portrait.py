@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pdisc.cli import main
-from pdisc.compactify import SectorDecomposition, blowup_analysis, infinite_equilibria, to_chart
+from pdisc.compactify import SectorDecomposition, blowup_analysis, disc_equilibria, infinite_equilibria, to_chart
 from pdisc.equilibria import finite_equilibria
 from pdisc.errors import InputError
 from pdisc.exactalg import MPoly
@@ -257,7 +257,7 @@ def test_straight_line_step_matches_the_loop_off_the_finite_floats(fx, fy, x, y,
 def test_orbit_matches_exponential_flow():
     # x' = x, y' = -y from (1, 1): the time-1 map is (e, 1/e)
     sys = parse_system("dx = x\ndy = -y\n")
-    tr = integrate_orbit(Flow(sys), disc_from_plane(1.0, 1.0), tmax=1.0)
+    tr = integrate_orbit(Flow(disc_equilibria(sys)), disc_from_plane(1.0, 1.0), tmax=1.0)
     assert tr.reason == REASON_TMAX
     assert len(tr.points) >= 2
     want = disc_from_plane(math.e, 1.0 / math.e)
@@ -268,13 +268,13 @@ def test_orbit_escapes_to_equator_node():
     # the saddle flow sends generic forward orbits to the equator point
     # in the +x direction
     sys = parse_system("dx = x\ndy = -y\n")
-    tr = integrate_orbit(Flow(sys), disc_from_plane(2.0, 3.0))
+    tr = integrate_orbit(Flow(disc_equilibria(sys)), disc_from_plane(2.0, 3.0))
     assert tr.reason in (REASON_EQ, REASON_BOUNDARY)
     assert _dist(tr.endpoint(), (1.0, 0.0)) < 1e-6
 
 
 def test_axis_orbits_stay_exactly_on_axis():
-    flow = Flow(leslie_system(F(1), F(1), F(1, 2)))
+    flow = Flow(disc_equilibria(leslie_system(F(1), F(1), F(1, 2))))
     tr = integrate_orbit(flow, disc_from_plane(3.0, 0.0))
     assert all(p[1] == 0.0 for p in tr.points)
     assert tr.reason == REASON_EQ
@@ -289,7 +289,7 @@ def test_axis_orbits_stay_exactly_on_axis():
 
 
 def test_orbit_reversibility():
-    flow = Flow(leslie_system(F(1), F(1), F(1, 2)))
+    flow = Flow(disc_equilibria(leslie_system(F(1), F(1), F(1, 2))))
     seed = (0.3, 0.4)
     fwd = integrate_orbit(flow, seed, "forward", tmax=2.0)
     assert fwd.reason == REASON_TMAX
@@ -299,7 +299,7 @@ def test_orbit_reversibility():
 
 
 def test_orbit_input_validation():
-    flow = Flow(leslie_system(F(1), F(1), F(1, 2)))
+    flow = Flow(disc_equilibria(leslie_system(F(1), F(1), F(1, 2))))
     with pytest.raises(InputError):
         integrate_orbit(flow, (1.0, 0.0))
     with pytest.raises(InputError):
@@ -515,8 +515,8 @@ def test_full_disc_marker_count():
 def test_separatrix_seeds_respect_quadrant_filter(leslie_doc):
     sys = leslie_system(F(1), F(1), F(1, 2))
     markers = leslie_doc.markers
-    unfiltered = separatrix_seeds(sys, markers, positive_quadrant_only=False)
-    filtered = separatrix_seeds(sys, markers, positive_quadrant_only=True)
+    unfiltered = separatrix_seeds(markers, positive_quadrant_only=False)
+    filtered = separatrix_seeds(markers, positive_quadrant_only=True)
     assert len(filtered) == 6
     assert len(unfiltered) == 8
     assert {s.seed_id for s in filtered} <= {s.seed_id for s in unfiltered} | {
@@ -586,8 +586,8 @@ def _origin_saddle_node(source=SADDLE_NODE):
     sys = parse_system(source)
     (rec,) = [r for r in finite_equilibria(sys) if r.point.approx() == (0.0, 0.0)]
     assert rec.classification == "saddle-node"
-    m = _marker_for_finite(rec)
-    return sys, m, saddle_node_capture(m, sys)
+    m = _marker_for_finite(rec, sys)
+    return sys, m, saddle_node_capture(m)
 
 
 def testsaddle_node_captures_only_its_node_half_forward():
@@ -606,9 +606,9 @@ def test_captured_orbit_ends_at_the_marker():
     sys, m, _ = _origin_saddle_node()
     seed = disc_from_plane(-0.5, 0.3)
     # the approach is algebraic (x ~ -1/t), so the speed rule alone runs to tmax
-    bare = integrate_orbit(Flow(sys), seed, tmax=50.0)
+    bare = integrate_orbit(Flow(disc_equilibria(sys)), seed, tmax=50.0)
     assert bare.reason == REASON_TMAX
-    flow = Flow(sys, markers=[m])
+    flow = Flow(disc_equilibria(sys), markers=[m])
     tr = integrate_orbit(flow, seed, tmax=50.0)
     assert tr.reason == REASON_EQ
     assert tr.endpoint() == (0.0, 0.0)
@@ -621,7 +621,7 @@ def test_captured_orbit_ends_at_the_marker():
 def test_axis_orbits_are_never_captured():
     sys, m, _ = _origin_saddle_node()
     # the x axis is invariant and runs into the node half
-    tr = integrate_orbit(Flow(sys, markers=[m]), disc_from_plane(-0.5, 0.0), tmax=50.0)
+    tr = integrate_orbit(Flow(disc_equilibria(sys), markers=[m]), disc_from_plane(-0.5, 0.0), tmax=50.0)
     assert all(p[1] == 0.0 for p in tr.points)
     assert tr.reason == REASON_TMAX
 
@@ -633,7 +633,7 @@ def test_capture_region_stops_short_of_a_nearby_saddle():
     sys, m, cap = _origin_saddle_node("dx = x^2 + 100*x^3\ndy = -y\n")
     assert cap.r < 0.01
     assert not cap.hit(-0.02, 0.001, 1.0)
-    tr = integrate_orbit(Flow(sys, markers=[m]), disc_from_plane(-0.02, 0.001))
+    tr = integrate_orbit(Flow(disc_equilibria(sys), markers=[m]), disc_from_plane(-0.02, 0.001))
     assert _dist(tr.endpoint(), (-1.0, 0.0)) < 1e-6
 
 
@@ -652,7 +652,7 @@ def test_capture_region_is_measured_in_scaled_eigenvectors():
     assert m.record.reduction.center_vector == (1, 1000)
     assert not cap.hit(-0.02, -20.0, 1.0)
     assert cap.hit(-0.02 / 1000, -0.02, 1.0)
-    tr = integrate_orbit(Flow(sys, markers=[m]), disc_from_plane(-0.02, -20.0))
+    tr = integrate_orbit(Flow(disc_equilibria(sys), markers=[m]), disc_from_plane(-0.02, -20.0))
     assert tr.endpoint() != m.disc
 
 
@@ -675,7 +675,7 @@ def _bundled_u2_node():
     (node,) = [r for r in analysis.x_divisor if r.classification == "stable node"]
     assert node.point.approx() == (0.0, -2.0)
     assert (analysis.x_system.rescale_x, analysis.x_system.rescale_y) == (1, 0)
-    m = replace(_marker_for_infinite(rec, "U2", 1), blowup=analysis)
+    m = replace(_marker_for_infinite(rec, "U2", 1, cs.system), blowup=analysis)
     (cap,) = [c for c in blowup_node_captures(m, analysis) if c.node == (0.0, -2.0)]
     return sys, m, cap
 
@@ -687,7 +687,7 @@ def test_blowup_node_disc_stops_short_of_a_divisor_saddle():
     sys = parse_system("dx = -(x^2)\ndy = -2*x*y + 100*y^2\n")
     (rec,) = finite_equilibria(sys)
     analysis = blowup_analysis(sys, rec.point)
-    m = replace(_marker_for_finite(rec), blowup=analysis)
+    m = replace(_marker_for_finite(rec, sys), blowup=analysis)
     (cap,) = [c for c in blowup_node_captures(m, analysis) if c.x_dir]
     assert cap.node == (0.0, 0.0) and cap.r < 0.01
     p = 0.001
@@ -709,7 +709,7 @@ def test_blowup_node_respects_the_rescaling_sign():
     assert not cap.hit(0.0, 0.0, 1.0)
     # this marker is the side +1 point U2+; (a, -2a) has v < 0, so it lies
     # near the antipodal point U2- instead
-    flow = Flow(sys, markers=[m])
+    flow = Flow(disc_equilibria(sys), markers=[m])
     assert flow.capture(_ChartState("U2", -a, 2.0 * a, 1, 1.0), -1.0) == cap.disc
     assert flow.capture(_ChartState("U2", a, -2.0 * a, -1, 1.0), 1.0) is None
 
@@ -720,9 +720,9 @@ def test_capture_across_the_chart_overlap():
     (rec,) = [r for r in infinite_equilibria(cs) if r.classification == "saddle-node"]
     red = rec.reduction
     assert (red.a2, red.nonzero_eigenvalue, red.center_vector) == (2, -1, (1, -1))
-    m = _marker_for_infinite(rec, "U1", 1)
+    m = _marker_for_infinite(rec, "U1", 1, cs.system)
     assert m.local == (-1.0, 0.0)
-    flow = Flow(sys, markers=[m])
+    flow = Flow(disc_equilibria(sys), markers=[m])
     assert len(flow.captures) == 1
     # c = -0.01 along the center vector: the node half, forward, inside the disc
     u1, v1 = -1.01, 0.01
@@ -741,8 +741,8 @@ def test_finite_marker_captures_from_a_chart_at_infinity():
     # the U1/U2 charts and is tested against the U3 marker there
     sys = parse_system("dx = (x - 7)^2\ndy = -y\n")
     (rec,) = finite_equilibria(sys)
-    m = _marker_for_finite(rec)
-    tr = integrate_orbit(Flow(sys, markers=[m]), disc_from_plane(6.9, 50.0))
+    m = _marker_for_finite(rec, sys)
+    tr = integrate_orbit(Flow(disc_equilibria(sys), markers=[m]), disc_from_plane(6.9, 50.0))
     assert tr.reason == REASON_EQ
     assert tr.endpoint() == m.disc
 
@@ -790,7 +790,7 @@ def test_captured_orbits_reach_their_marker_without_capture(case):
     doc = build_portrait(sys, params, positive_quadrant_only=quadrant, grid=2)
     seeds = {
         s.seed_id: s
-        for s in default_seeds(quadrant, 2) + separatrix_seeds(sys, doc.markers, EPS_SEPARATRIX, quadrant)
+        for s in default_seeds(quadrant, 2) + separatrix_seeds(doc.markers, EPS_SEPARATRIX, quadrant)
     }
     targets = {
         m.disc: m for m in doc.markers if m.classification in ("saddle-node", "degenerate-needs-blowup")
@@ -805,7 +805,7 @@ def test_captured_orbits_reach_their_marker_without_capture(case):
         assert picked
     if case == "even-degree":
         assert {m.side for m, _ in picked.values()} == {1, -1}
-    flow = Flow(sys)
+    flow = Flow(disc_equilibria(sys))
     for m, tr in picked.values():
         seed = seeds[tr.seed_id]
         rerun = integrate_orbit(flow, seed.disc, seed.direction, tmax=1e4)
