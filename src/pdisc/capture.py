@@ -1,16 +1,11 @@
-"""Capture regions of non-hyperbolic equilibria.
-
-A saddle-node or a degenerate point is approached only algebraically,
-so an orbit that tends to one never meets the speed stop rule of the
-portrait integrator.  A capture region is a set beside such a point in
-which every orbit provably tends to it, in one direction of time:
-
-- at a saddle-node, a triangle about the center direction on the side
-  of its node sector, in eigen-coordinates of the semi-hyperbolic
-  reduction;
-- at a degenerate point resolved by one level of directional blow-ups,
-  a disc about each hyperbolic node on an exceptional divisor, in
-  eigen-coordinates of the blown-up field.
+"""Capture regions: sets beside an equilibrium in which every orbit
+provably tends to it in one direction of time, the only way an orbit of
+the portrait integrator ends at an equilibrium.  A node or focus,
+finite, on the equator in its own chart system, or on an exceptional
+divisor of a blow-up, gets an ellipse on which an exact quadratic
+Lyapunov function decreases; the node half of a saddle-node, which is
+approached only algebraically, gets a triangle about its center
+direction.
 
 Each region is sized from the exact field: a polynomial inequality on
 the closed region, proved by exact interval enclosures over a bisection
@@ -22,33 +17,39 @@ binary64.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from pdisc.compactify import BlowupAnalysis, BlowupSystem
+from pdisc.compactify import HYPERBOLIC, BlowupAnalysis, BlowupSystem
+from pdisc.equilibria import EquilibriumRecord
 from pdisc.exactalg import Interval, MPoly, eval_box
+from pdisc.modelio import PlanarSystem
 
 if TYPE_CHECKING:
     from pdisc.portrait import Marker
 
 CAPTURE_RADIUS = Fraction(3, 100)  # largest capture region tried, in its own coordinates
 CAPTURE_SHRINK = Fraction(1, 4)  # factor by which an unproved region shrinks
+NODE_CLASSES = HYPERBOLIC - {"saddle"}
 _CAPTURE_TRIES = 3
+_NODE_TRIES = 6  # a node near a bifurcation is hyperbolic only on a small box
 _PROOF_BUDGET = 200
 
 
 class Capture:
     """A region beside one marker in which every orbit tends to the
     marker in one direction of time.  `hit` takes the offset (a, b) of
-    the state from the marker in the marker's own chart system: U3, or
+    the state from (x0, y0) in the marker's own chart system: U3, or
     U1/U2 on the equator side `side`, whose system for side -1 is the V
     chart.  Both run in the true time, so the time sign of an orbit is
     its direction alone.
     """
 
-    __slots__ = ("chart", "side", "x0", "y0", "disc")
+    __slots__ = ("marker_id", "chart", "side", "x0", "y0", "disc")
 
     def __init__(self, marker: "Marker"):
+        self.marker_id = marker.marker_id
         self.chart = marker.chart
         self.side = marker.side
         self.x0, self.y0 = marker.local
@@ -56,6 +57,24 @@ class Capture:
 
     def hit(self, a: float, b: float, sgn: float) -> bool:
         raise NotImplementedError
+
+
+class NodeCapture(Capture):
+    """A node or focus, as the ellipse s00 a^2 + 2 s01 a b + s11 b^2 < thr
+    in the offsets (a, b) from a rational point z near it, for the time
+    sign `sgn` in which it attracts; it was proved on the box of
+    half-widths `half` about z (see `node_region`)."""
+
+    __slots__ = ("z", "form", "thr", "sgn", "half")
+
+    def __init__(self, marker: "Marker", region: tuple):
+        super().__init__(marker)
+        self.z, self.form, self.thr, self.sgn, self.half = region
+        self.x0, self.y0 = self.z
+
+    def hit(self, a: float, b: float, sgn: float) -> bool:
+        s00, s01, s11 = self.form
+        return sgn == self.sgn and a * (s00 * a + 2.0 * s01 * b) + s11 * b * b < self.thr
 
 
 class SaddleNodeCapture(Capture):
@@ -78,21 +97,21 @@ class SaddleNodeCapture(Capture):
         return 0.0 < c <= self.r and abs(i10 * a + i11 * b) <= self.k * c
 
 
-class BlowupNodeCapture(Capture):
+class BlowupNodeCapture(NodeCapture):
     """A hyperbolic node on the exceptional divisor of one directional
-    blow-up, as the disc c^2 + w^2 < r^2 in eigen-coordinates (c, w)
-    about it (see `blowup_node_captures`).  The blown-up coordinates
-    are (p, q) = (a, b/a) for the x-direction and (a/b, b) for the
-    y-direction, and the blown-up field is the true one divided by
-    p^rx q^ry, so the disc attracts where the time sign times the sign
-    of that monomial matches the node's stability."""
+    blow-up, as its ellipse in the blown-up coordinates (see
+    `blowup_node_captures`).  These are (p, q) = (a, b/a) for the
+    x-direction and (a/b, b) for the y-direction, and the blown-up field
+    is the true one divided by p^rx q^ry, so the ellipse attracts where
+    the time sign times the sign of that monomial matches the node's
+    stability."""
 
-    __slots__ = ("x_dir", "node", "inv", "r", "rescale", "stab")
+    __slots__ = ("x_dir", "rescale")
 
-    def __init__(self, marker: "Marker", bs: BlowupSystem, node, inv, r: float, stab: float):
-        super().__init__(marker)
+    def __init__(self, marker: "Marker", bs: BlowupSystem, region: tuple):
+        super().__init__(marker, region)
+        self.x0, self.y0 = marker.local
         self.x_dir = bs.direction == "x"
-        self.node, self.inv, self.r, self.stab = node, inv, r, stab
         self.rescale = (bs.rescale_x, bs.rescale_y)
 
     def hit(self, a: float, b: float, sgn: float) -> bool:
@@ -104,20 +123,12 @@ class BlowupNodeCapture(Capture):
             if b == 0.0:
                 return False
             p, q = a / b, b
-        dp = p - self.node[0]
-        dq = q - self.node[1]
-        i00, i01, i10, i11 = self.inv
-        c = i00 * dp + i01 * dq
-        w = i10 * dp + i11 * dq
-        if c * c + w * w >= self.r * self.r:
-            return False
         rx, ry = self.rescale
-        m = sgn * self.stab
         if rx % 2 and p < 0.0:
-            m = -m
+            sgn = -sgn
         if ry % 2 and q < 0.0:
-            m = -m
-        return m > 0.0
+            sgn = -sgn
+        return super().hit(p - self.z[0], q - self.z[1], sgn)
 
 
 def positive_on(p: MPoly, xs: Tuple[Fraction, Fraction], ys: Tuple[Fraction, Fraction]) -> bool:
@@ -137,7 +148,8 @@ def positive_on(p: MPoly, xs: Tuple[Fraction, Fraction], ys: Tuple[Fraction, Fra
         hy = (y1 - y0) / 2
         if any(p.eval_rat(x, y) <= 0 for x in (x0, x1) for y in (y0, y1)):
             return False
-        centred = p.subst(MPoly.var_x() + (x0 + hx), MPoly.var_y() + (y0 + hy))
+        cx, cy = x0 + hx, y0 + hy
+        centred = p.subst(MPoly.var_x() + cx, MPoly.var_y() + cy) if cx or cy else p
         if centred.coeff(0, 0) <= 0:
             return False
         if eval_box(centred, Interval(-hx, hx), Interval(-hy, hy)).lo > 0:
@@ -163,16 +175,6 @@ def _in_frame(f: MPoly, p0: Tuple[Fraction, Fraction], t: Tuple[Fraction, ...]) 
     """f(p0 + T (c, w)) as a polynomial in (c, w)."""
     c, w = MPoly.var_x(), MPoly.var_y()
     return f.subst(c * t[0] + w * t[1] + p0[0], c * t[2] + w * t[3] + p0[1])
-
-
-def _matmul(a, b):
-    """The product of two 2x2 matrices given as rows (a00, a01, a10, a11)."""
-    return (
-        a[0] * b[0] + a[1] * b[2],
-        a[0] * b[1] + a[1] * b[3],
-        a[2] * b[0] + a[3] * b[2],
-        a[2] * b[1] + a[3] * b[3],
-    )
 
 
 def _along(f: MPoly, e: int, slope: Optional[Fraction], power: int) -> MPoly:
@@ -218,66 +220,95 @@ def saddle_node_capture(m: "Marker") -> Optional[SaddleNodeCapture]:
     return None
 
 
-def _node_basis(j) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
-    """Eigenvectors of a triangular 2x2 matrix with distinct diagonal
-    entries (the Jacobian on an invariant divisor); the coordinate axes
-    otherwise."""
-    (a, b), (c, d) = j
-    one, zero = Fraction(1), Fraction(0)
-    if a == d or (b != 0 and c != 0):
-        return (one, zero), (zero, one)
-    return ((one, zero) if c == 0 else (a - d, c)), ((zero, one) if b == 0 else (b, d - a))
+def node_region(sys: PlanarSystem, rec: EquilibriumRecord, nonzero: Optional[int] = None) -> Optional[tuple]:
+    """A certified ellipse about a node or focus of `sys`.
+
+    Take a rational point z within 2^-30 of the point (the point itself
+    when it is exact) and the Jacobian A of the field there, and let
+    sgn = 1 for a stable point and -1 for an unstable one.  S solves the
+    Lyapunov equation (sgn A)^T S + S (sgn A) = -I over Q.  The box is
+    the bounding box of an S-ellipse of radius rho about z, r wide along
+    its shorter extent.  On it the flow in time sgn is certified to
+    contract the S-distance: the symmetric part of sgn S J is negative
+    definite there.  Then the point is the only equilibrium in the box,
+    and every orbit within S-distance rho - d of it stays there and
+    tends to it, where d <= rho/4 bounds the point's S-distance from z.
+    The ellipse of radius rho - 2d about z lies within that.  With
+    `nonzero`, that coordinate must not vanish on the box.
+    """
+    sgn = 1 if rec.classification.startswith("stable") else -1
+    box = [co.refined(Fraction(1, 2**30)).interval() for co in (rec.point.x, rec.point.y)]
+    z = tuple((b.lo + b.hi) / 2 for b in box)
+    # the Jacobian about z, so that every proof box is centred at the origin
+    x, y = MPoly.var_x() + z[0], MPoly.var_y() + z[1]
+    j00, j01, j10, j11 = (e.subst(x, y) for row in sys.jacobian for e in row)
+    a, b, c, d = (sgn * e.coeff(0, 0) for e in (j00, j01, j10, j11))
+    tr, det = a + d, a * d - b * c
+    if not tr < 0 < det:
+        return None
+    # -2 tr det S = det I + adj(sgn A)^T adj(sgn A); the positive factor is dropped
+    s00, s01, s11 = det + c * c + d * d, -(a * c + b * d), det + a * a + b * b
+    n00 = (j00 * s00 + j10 * s01) * sgn
+    n11 = (j01 * s01 + j11 * s11) * sgn
+    n01 = (j01 * s00 + j11 * s01 + j00 * s01 + j10 * s11) * Fraction(sgn, 2)
+    proofs = (-n00, n00 * n11 - n01 * n01)
+    det_s = s00 * s11 - s01 * s01
+    # the point lies within half of each box width of z
+    w0, w1 = (bx.width / 2 for bx in box)
+    slack2 = s00 * w0 * w0 + 2 * abs(s01) * w0 * w1 + s11 * w1 * w1
+    # the ellipse's extent along axis i is proportional to sqrt(s_jj), j != i;
+    # the box is its bounding box, r along the shorter extent
+    low, high = sorted((s00, s11))
+    q = high / low
+    long = Fraction(math.isqrt(q.numerator * 64 // q.denominator) + 1, 8)  # >= sqrt(q)
+    r = CAPTURE_RADIUS
+    for _ in range(_NODE_TRIES):
+        half = (r, r * long) if s11 <= s00 else (r * long, r)
+        rho2 = r * r * det_s / low
+        if (
+            16 * slack2 <= rho2
+            and (nonzero is None or abs(z[nonzero]) > half[nonzero])
+            and all(positive_on(p, (-half[0], half[0]), (-half[1], half[1])) for p in proofs)
+        ):
+            radius = math.sqrt(float(rho2)) - 2 * math.sqrt(float(slack2))
+            form = (float(s00 / high), float(s01 / high), float(s11 / high))
+            return tuple(map(float, z)), form, radius * radius / float(high), float(sgn), tuple(map(float, half))
+        r *= CAPTURE_SHRINK
+    return None
 
 
 def blowup_node_captures(m: "Marker", analysis: BlowupAnalysis) -> List[BlowupNodeCapture]:
-    """A certified disc about each hyperbolic node on an exceptional
-    divisor.
-
-    Take a rational point z within 2^-30 of the node (the node itself
-    when it is exact) and coordinates (c, w) about z along the
-    eigenvectors of the Jacobian there.  On the box |c|, |w| <= r the
-    blown-up flow, in the node's attracting time, is certified to
-    contract the Euclidean distance in (c, w): the symmetric part S of
-    its Jacobian M in these coordinates is negative definite, that is
-    stab*M11 < 0 and det S > 0.  Then the node is the only equilibrium
-    in the box, and every orbit within r - d of it stays there and
-    tends to it, where d <= r/4 bounds the node's distance from z.
-    The disc of radius r - 2d about z lies within that.  The divisor is
-    invariant, so each half of the disc is too, and the blow-down maps
-    the node to the marker.  Where the rescaling monomial has an odd
-    power of the coordinate along the divisor, that coordinate must not
-    vanish on the box.
+    """A certified ellipse (see `node_region`) about each hyperbolic node
+    on an exceptional divisor, in the blown-up coordinates.  The divisor
+    is invariant, so each half of the ellipse is too, and the blow-down
+    maps the node to the marker.  Where the rescaling monomial has an
+    odd power of the coordinate along the divisor, that coordinate must
+    not vanish on the proof box.
     """
     out: List[BlowupNodeCapture] = []
     for bs, nodes in ((analysis.x_system, analysis.x_divisor), (analysis.y_system, analysis.y_divisor)):
         # the coordinate along the divisor: q for the x-direction, p for the y-direction
         i = 1 if bs.direction == "x" else 0
         odd = (bs.rescale_x, bs.rescale_y)[i] % 2
-        jac = [f for row in bs.system.jacobian for f in row]
         for node in nodes:
-            if node.classification not in ("stable node", "unstable node"):
-                continue
-            stab = 1 if node.classification == "stable node" else -1
-            box = [co.refined(Fraction(1, 2**30)).interval() for co in (node.point.x, node.point.y)]
-            z = tuple((b.lo + b.hi) / 2 for b in box)
-            at_z = [e.eval_rat(*z) for e in jac]
-            t, inv = _frame(_node_basis((at_z[:2], at_z[2:])))
-            m00, m01, m10, m11 = _matmul(inv, _matmul([_in_frame(e, z, t) for e in jac], t))
-            sym = (m01 + m10) * Fraction(1, 2)
-            proofs = (m00 * (-stab), m00 * m11 - sym * sym)
-            # a bound on the node's distance from z, in (c, w)
-            slack = float(sum(abs(e) for e in inv) * max(b.width for b in box))
-            spread = abs(t[2 * i]) + abs(t[2 * i + 1])
-            r = CAPTURE_RADIUS
-            for _ in range(_CAPTURE_TRIES):
-                if (
-                    slack <= r / 4
-                    and not (odd and abs(z[i]) <= r * spread + box[i].width)
-                    and all(positive_on(p, (-r, r), (-r, r)) for p in proofs)
-                ):
-                    node_xy = (float(z[0]), float(z[1]))
-                    rows = tuple(map(float, inv))
-                    out.append(BlowupNodeCapture(m, bs, node_xy, rows, float(r) - 2 * slack, float(stab)))
-                    break
-                r *= CAPTURE_SHRINK
+            if node.classification in NODE_CLASSES:
+                region = node_region(bs.system, node, i if odd else None)
+                if region is not None:
+                    out.append(BlowupNodeCapture(m, bs, region))
     return out
+
+
+def marker_captures(m: "Marker") -> List[Capture]:
+    """The capture regions of one marker: an ellipse at a node or focus,
+    the node half of a saddle-node with an exact reduction, and an
+    ellipse about each hyperbolic node on the divisors of a blown-up
+    degenerate point."""
+    if m.classification in NODE_CLASSES:
+        region = node_region(m.system, m.record)
+        return [] if region is None else [NodeCapture(m, region)]
+    if m.classification == "saddle-node" and m.record.reduction is not None:
+        cap = saddle_node_capture(m)
+        return [] if cap is None else [cap]
+    if m.blowup is not None:
+        return blowup_node_captures(m, m.blowup)
+    return []

@@ -176,13 +176,12 @@ def _axis_equilibria(
 def infinite_equilibria(
     cs: ChartSystem, positive_quadrant_only: bool = False
 ) -> List[EquilibriumRecord]:
-    """Equilibria on the equator v = 0 of one chart, classified through
-    the chart Jacobian.  Raises LineOfEquilibriaError when the equator
+    """Equilibria on the equator v = 0 of one chart, those with u < 0
+    dropped when `positive_quadrant_only`, classified through the chart
+    Jacobian.  Raises LineOfEquilibriaError when the equator
     consists entirely of equilibria in this chart."""
     if cs.chart == "U3":
         raise InputError("the finite chart has no equator")
-    if positive_quadrant_only and cs.chart.startswith("V"):
-        return []
     line = f"the equator of chart {cs.chart} consists of equilibria"
     return _axis_equilibria(cs.system, "x", line, positive_quadrant_only)
 

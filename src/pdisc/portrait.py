@@ -4,30 +4,27 @@ This is the only module that computes in binary64: every seed,
 equilibrium location, and chart polynomial is handed over from exact
 data and only the trajectory integration itself is floating point.
 
-Every orbit is integrated by one loop, an embedded Dormand-Prince 4(5)
-pair whose last stage is the next step's first (FSAL), in whichever
-chart is well scaled: the finite chart while |x| + |y| stays small, the
-U1/U2 charts near infinity (switch out above 10, back below 5).  The
-step is straight-line code whose sums run in one fixed order, so every
-trajectory float is the same on every supported interpreter.  For
-even-degree systems the chart polynomials reverse time on the v < 0
-half, which the integrator compensates with a sign factor, so drawn
-orbits always follow the true flow.  Orbits seeded on an invariant
-coordinate axis stay in the finite chart and exactly on the axis.
+Every orbit off the invariant coordinate axes is integrated by one
+loop, an embedded Dormand-Prince 4(5) pair whose last stage is the
+next step's first (FSAL), in whichever chart is well scaled: the finite
+chart while |x| + |y| stays small, the U1/U2 charts near infinity
+(switch out above 10, back below 5).  The step is straight-line code
+whose sums run in one fixed order, so every trajectory float is the
+same on every supported interpreter.  For even-degree systems the chart
+polynomials reverse time on the v < 0 half, which the integrator
+compensates with a sign factor, so drawn orbits always follow the true
+flow.
 
-An orbit ends at an equilibrium in one of two ways.  Near a hyperbolic
-point the field speed falls below CONVERGE_SPEED.  A saddle-node or a
-degenerate point is approached only algebraically, so the speed rule
-would not fire before `tmax`; instead the portrait gives each such
-marker capture regions built from its exact local analysis.  At a
-saddle-node that is a triangle about the center direction on the side
-of its node sector; at a degenerate point resolved by one level of
-directional blow-ups, a small disc about each hyperbolic node on an
-exceptional divisor.  Each region is sized by an exact proof that
-every orbit in it tends to the marker, so it never reaches past
-another equilibrium (see `pdisc.capture`).  A region captures only in the time direction in
-which it attracts, and an orbit that lands in one ends at the marker's
-disc point.
+An orbit ends at an equilibrium only where that is proved.  Every
+marker gets capture regions from its exact local analysis (see
+`pdisc.capture`): an ellipse at each node or focus, finite or on the
+equator, a triangle on the node side of a saddle-node, and an ellipse
+about each hyperbolic node on the divisors of a blown-up degenerate
+point.  A region captures only in the time direction in which it
+attracts, and an orbit that lands in one ends at the marker's disc
+point.  An orbit seeded on an invariant coordinate axis is not
+integrated at all: its limit on the axis follows exactly from the sign
+of the field along it.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from pdisc.capture import Capture, blowup_node_captures, saddle_node_capture
+from pdisc.capture import Capture, marker_captures
 from pdisc.compactify import (
     HYPERBOLIC,
     BlowupAnalysis,
@@ -48,7 +45,14 @@ from pdisc.compactify import (
     direct_sectors,
     disc_equilibria,
 )
-from pdisc.equilibria import EquilibriumRecord, equilibrium_fragment, jacobian_at, leslie_labels
+from pdisc.equilibria import (
+    AlgebraicCoord,
+    EquilibriumRecord,
+    equilibrium_fragment,
+    in_positive_quadrant,
+    jacobian_at,
+    leslie_labels,
+)
 from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError
 from pdisc.exactalg import Interval, MPoly
 from pdisc.modelio import ParamBindings, PlanarSystem, format_system
@@ -57,8 +61,6 @@ RTOL_DEFAULT = 1e-9
 ATOL_DEFAULT = 1e-12
 TMAX_DEFAULT = 200.0
 EPS_SEPARATRIX = 1e-3
-CONVERGE_POS = 1e-8
-CONVERGE_SPEED = 1e-10
 CHART_OUT = 10.0  # leave the finite chart when |x| + |y| exceeds this
 CHART_IN = 5.0  # return below this (hysteresis factor 2)
 EQUATOR_EPS = 1e-12
@@ -190,6 +192,7 @@ class Trajectory:
     direction: str  # forward | backward
     points: List[Tuple[float, float]]
     reason: str
+    limit: Optional[str] = None  # id of the marker the orbit ends at, where that is decided
 
     def endpoint(self) -> Tuple[float, float]:
         return self.points[-1]
@@ -218,41 +221,18 @@ class _ChartState:
 class Flow:
     """A system's vector field compiled once for every orbit of a
     portrait: the finite chart U3 and the charts U1/U2 at infinity, the
-    invariant coordinate axes, the disc points of the equilibria where
-    orbits stop by the speed rule, and the capture regions.
-
-    The chart systems come from `disc`.  So do the stop points, unless
-    `equilibria` gives them: every finite equilibrium, drawn or not,
-    and every equator point drawn on the disc.  Every one of `markers`
-    (as built by `build_portrait`) is a stop point too, and its local
-    analysis gives the capture regions: the node half of a saddle-node
-    with an exact reduction, and the hyperbolic nodes on the divisors of
-    a blown-up degenerate point.  A flow without markers keeps the speed
-    rule only.
+    markers where orbits end, and their capture regions (see
+    `pdisc.capture`).  `markers` default to every equilibrium of `disc`
+    (see `disc_markers`).  `axes` holds each invariant coordinate axis
+    as the field component along it, a polynomial in the axis coordinate
+    alone; its finite markers with their exact coordinates along it; and
+    its rim markers by side.
     """
 
-    def __init__(
-        self,
-        disc: DiscEquilibria,
-        markers: Sequence["Marker"] = (),
-        equilibria: Optional[Sequence[Tuple[float, float]]] = None,
-    ):
+    def __init__(self, disc: DiscEquilibria, markers: Optional[Sequence["Marker"]] = None):
         sys = disc.system
-        if equilibria is None:
-            equilibria = [disc_from_plane(*rec.point.approx()) for rec in disc.finite]
-            equilibria += [
-                _disc_from_chart(chart, rec.point.x.approx(), 0.0, side)
-                for chart, side, _, rec in _drawn_equator(disc)
-            ]
-        self.equilibria = list(equilibria) + [m.disc for m in markers]
-        self.captures: List[Capture] = []
-        for m in markers:
-            if m.classification == "saddle-node" and m.record.reduction is not None:
-                cap = saddle_node_capture(m)
-                if cap is not None:
-                    self.captures.append(cap)
-            elif m.blowup is not None:
-                self.captures.extend(blowup_node_captures(m, m.blowup))
+        self.markers = disc_markers(disc) if markers is None else list(markers)
+        self.captures: List[Capture] = [c for m in self.markers for c in marker_captures(m)]
         self.even_degree = sys.degree % 2 == 0
         u1, u2 = disc.charts["U1"], disc.charts["U2"]
         self.fields = {
@@ -262,22 +242,41 @@ class Flow:
         }
         # an axis is invariant when the transverse component vanishes on it
         zero = Fraction(0)
-        self.axes = {
-            axis
-            for axis, transverse in (("x", sys.Q.subst_y(zero)), ("y", sys.P.subst_x(zero)))
-            if transverse.is_zero
-        }
+        self.axes: Dict[str, Tuple[MPoly, List[Tuple[AlgebraicCoord, Marker]], Dict[int, Marker]]] = {}
+        for axis, i, along, transverse, chart in (
+            ("x", 0, sys.P.subst_y(zero), sys.Q.subst_y(zero), "U1"),
+            ("y", 1, sys.Q.subst_x(zero), sys.P.subst_x(zero), "U2"),
+        ):
+            if not transverse.is_zero:
+                continue
+            stops, rim = [], {}
+            for m in self.markers:
+                pt = (m.record.point.x, m.record.point.y)
+                if m.chart == "U3" and pt[1 - i].exact == 0:
+                    stops.append((pt[i], m))
+                elif m.chart == chart and pt[0].exact == 0:
+                    rim[m.side] = m
+            self.axes[axis] = (along, stops, rim)
 
-    def converged(self, speed: float, p: Tuple[float, float]) -> bool:
-        """The stop rule: field speed below CONVERGE_SPEED and an
-        equilibrium within CONVERGE_POS of the disc point p."""
-        return speed < CONVERGE_SPEED and any(
-            _dist(p, e) < CONVERGE_POS for e in self.equilibria
-        )
+    def axis_limit(self, axis: str, s: float, sgn: float) -> Tuple[int, Optional["Marker"]]:
+        """The direction (+1, -1, or 0 at an equilibrium) in which the
+        orbit of time sign `sgn` from coordinate s on an invariant axis
+        runs, and the marker it tends to: the next finite marker on the
+        axis that way, or else the rim marker on that side, if any."""
+        along, stops, rim = self.axes[axis]
+        v = Fraction(s)
+        f = along.eval_rat(v, v)
+        step = 0 if f == 0 else (1 if (f > 0) == (sgn > 0) else -1)
+        at = AlgebraicCoord.of(v)
+        best: Optional[Tuple[AlgebraicCoord, Marker]] = None
+        for c, m in stops:
+            if c.compare(at) == step and (best is None or c.compare(best[0]) == -step):
+                best = (c, m)
+        return step, rim.get(step) if best is None else best[1]
 
-    def capture(self, st: _ChartState, sgn: float) -> Optional[Tuple[float, float]]:
-        """The disc point of the marker whose capture region holds the
-        state for time sign `sgn`, or None."""
+    def capture(self, st: _ChartState, sgn: float) -> Optional[Capture]:
+        """The capture region that holds the state for time sign `sgn`,
+        or None."""
         for r in self.captures:
             u, v = st.x, st.y
             if r.chart != st.chart:
@@ -294,7 +293,7 @@ class Flow:
             if r.chart != "U3" and (v > 0.0) != (r.side > 0):
                 continue
             if r.hit(u - r.x0, v - r.y0, sgn):
-                return r.disc
+                return r
         return None
 
     def _orientation(self, v: float) -> float:
@@ -345,44 +344,43 @@ def integrate_orbit(
 ) -> Trajectory:
     """Integrate one orbit of `flow` from a disc-coordinate seed.
 
-    Each accepted step hands its last stage on as the next step's first
-    stage, and the stop rule reads the field speed from it; both are
-    evaluated afresh only after a chart switch.  A step whose error
-    norm overflows or is not a number is rejected.  A seed on an
-    invariant coordinate axis stays on it exactly, because the
-    transverse component evaluates to 0.0 there; such an orbit keeps to
-    the finite chart and ends at the boundary once |x| + |y| exceeds
-    1e9.
-
-    An orbit ends `converged-to-equilibrium` where the field speed
-    falls below CONVERGE_SPEED within CONVERGE_POS of one of the flow's
-    equilibria, or once an accepted step lands in one of the flow's
-    capture regions that attracts in the orbit's direction; the last
-    point is then the capturing marker's disc point.  Axis orbits are
-    never captured.
+    A seed on an invariant coordinate axis is not integrated: its
+    polyline is the segment, on the axis and on the diameter that is its
+    image, to its exact limit (see `Flow.axis_limit`); it ends
+    `converged-to-equilibrium` at a finite marker, `reached-boundary` on
+    the rim.  Any other orbit is integrated; each accepted step hands
+    its last stage on as the next step's first, which is evaluated
+    afresh only after a chart switch, and a step whose error norm
+    overflows or is not a number is rejected.  It ends
+    `converged-to-equilibrium` once an accepted step lands in a capture
+    region that attracts in the orbit's direction, at the capturing
+    marker's disc point.  `limit` is the id of the marker decided so.
     """
     if direction not in ("forward", "backward"):
         raise InputError("direction must be 'forward' or 'backward'")
     x0, y0 = plane_from_disc(*seed)
-    # the U2 (or U1) origin an axis runs into is degenerate; stay in U3
-    on_axis = (y0 == 0.0 and "x" in flow.axes) or (x0 == 0.0 and "y" in flow.axes)
     sgn = 1.0 if direction == "forward" else -1.0
-    capturing = bool(flow.captures) and not on_axis
+    p = disc_from_plane(x0, y0)
+    for axis, s, t in (("x", x0, y0), ("y", y0, x0)):
+        if t == 0.0 and axis in flow.axes:
+            step, m = flow.axis_limit(axis, s, sgn)
+            rim = (float(step), 0.0) if axis == "x" else (0.0, float(step))
+            end = m.disc if m is not None else (rim if step else p)
+            reason = REASON_BOUNDARY if step and (m is None or m.chart != "U3") else REASON_EQ
+            pts = [p] if end == p else [p, end]
+            return Trajectory(seed_id, role, direction, pts, reason, None if m is None else m.marker_id)
+
     st = _ChartState("U3", x0, y0, 1, 1.0)
-    if not on_axis:
-        flow.switch(st)
+    flow.switch(st)
     # the chart's field and time sign change only when the chart does
     fx, fy = flow.fields[st.chart]
     k = sgn * st.orient
     k1x = k * fx(st.x, st.y)
     k1y = k * fy(st.x, st.y)
     p = st.disc()
-    pts: List[Tuple[float, float]] = [p]
-    if math.hypot(k1x, k1y) < CONVERGE_SPEED:
-        return Trajectory(seed_id, role, direction, pts, REASON_EQ)
-
+    pts = [p]
     reason = REASON_TMAX
-    final: Optional[Tuple[float, float]] = None
+    cap: Optional[Capture] = None
     t = 0.0
     h = 1e-3
     last_recorded = p
@@ -424,41 +422,28 @@ def integrate_orbit(
             h *= 5.0
 
         if chart != "U3" and abs(ny) < EQUATOR_EPS:
-            p = st.disc()
-            pts.append(p)
-            reason = REASON_EQ if flow.converged(math.hypot(k1x, k1y), p) else REASON_BOUNDARY
+            reason = REASON_BOUNDARY
             break
-        if not on_axis:
-            flow.switch(st)
-            if st.chart != chart:
-                fx, fy = flow.fields[st.chart]
-                k = sgn * st.orient
-                k1x = k * fx(st.x, st.y)
-                k1y = k * fy(st.x, st.y)
+        flow.switch(st)
+        if st.chart != chart:
+            fx, fy = flow.fields[st.chart]
+            k = sgn * st.orient
+            k1x = k * fx(st.x, st.y)
+            k1y = k * fy(st.x, st.y)
 
         p = q if st.chart == chart == "U3" else st.disc()
         if _dist(p, last_recorded) >= 0.004:
             pts.append(p)
             last_recorded = p
-        if flow.converged(math.hypot(k1x, k1y), p):
-            if pts[-1] != p:
-                pts.append(p)
+        cap = flow.capture(st, sgn)
+        if cap is not None:
             reason = REASON_EQ
             break
-        if capturing:
-            final = flow.capture(st, sgn)
-            if final is not None:
-                reason = REASON_EQ
-                break
-        if on_axis and abs(st.x) + abs(st.y) > 1e9:
-            reason = REASON_BOUNDARY
-            break
 
-    if final is None:
-        final = st.disc()
+    final = st.disc() if cap is None else cap.disc
     if pts[-1] != final:
         pts.append(final)
-    return Trajectory(seed_id, role, direction, pts, reason)
+    return Trajectory(seed_id, role, direction, pts, reason, None if cap is None else cap.marker_id)
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +648,18 @@ def _drawn_equator(
             yield "U" + chart[1], 1 if chart[0] == "U" else -1, disc.charts[chart].system, rec
 
 
+def disc_markers(disc: DiscEquilibria, params: Optional[ParamBindings] = None) -> List[Marker]:
+    """A marker for every equilibrium of the disc analysis: each finite
+    one, in the view or not, with the Leslie labels when `params` is
+    given, then each equator point drawn on the disc."""
+    finite = list(disc.finite)
+    if params is not None:
+        finite = leslie_labels(finite, params.A, params.B, params.C)
+    markers = [_marker_for_finite(r, disc.system) for r in finite]
+    markers.extend(_marker_for_infinite(rec, chart, side, cs) for chart, side, cs, rec in _drawn_equator(disc))
+    return markers
+
+
 def build_portrait(
     sys: PlanarSystem,
     params: Optional[ParamBindings] = None,
@@ -673,17 +670,13 @@ def build_portrait(
 ) -> PortraitDoc:
     """Assemble markers, seeds, and trajectories for one system.
 
-    Every finite equilibrium is a stop point of the flow, drawn or not;
-    saddle-nodes and blown-up degenerate markers add capture regions."""
+    The flow holds a marker, and its capture regions, for every
+    equilibrium of the disc analysis; the portrait draws those in the
+    view and seeds separatrices from them."""
     disc = disc_equilibria(sys, positive_quadrant_only)
-    finite = disc.finite_in_view
-    regime: Optional[str] = None
-    if params is not None:
-        finite = leslie_labels(finite, params.A, params.B, params.C)
-        regime = params.regime
-
-    markers = [_marker_for_finite(r, sys) for r in finite]
-    markers.extend(_marker_for_infinite(rec, chart, side, cs) for chart, side, cs, rec in _drawn_equator(disc))
+    flow = Flow(disc, disc_markers(disc, params))
+    markers = [m for m in flow.markers if m.chart != "U3" or not disc.quadrant or in_positive_quadrant(m.record)]
+    regime = None if params is None else params.regime
 
     if params is not None:
         has_star = any(m.label == "Estar" and m.local[0] > 0 for m in markers)
@@ -692,7 +685,6 @@ def build_portrait(
                 "interior-equilibrium marker disagrees with the 1-AC regime"
             )
 
-    flow = Flow(disc, markers)
     seeds = default_seeds(positive_quadrant_only, grid)
     seeds.extend(separatrix_seeds(markers, EPS_SEPARATRIX, positive_quadrant_only))
 

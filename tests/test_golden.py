@@ -8,9 +8,9 @@ subresultant; Leslie inputs have only rational equilibria, so no change
 to that pairing may move a byte here.
 
 The portrait JSON and SVG of the bundled parameters (quadrant and full
-disc) are pinned too: the quadrant as recorded once the integrator
-reused its last stage, the full disc as recorded once orbits ended in
-the proved capture regions of saddle-nodes and blown-up points.  Their floats
+disc) are pinned too, as recorded once orbits ended only in proved
+capture regions (at every node and focus, saddle-node and blown-up
+point) and orbits on an invariant axis took their exact limit.  Their floats
 come from a fixed sequence of binary64 operations, so they match on
 every supported CPython; a change to the integrator that moves them
 must say so.
@@ -58,12 +58,12 @@ GOLDEN = {
 # (JSON, SVG) of the bundled-parameter portrait
 PORTRAITS = {
     "quadrant": (
-        "5a7fc361fbb81abd088ab60c4a25e2cd10e215b3c1b0b8507bc7780bc14c1c85",
-        "037f0279770aebcb08f392ebbbdc90e59633e1fb73c8a37037054cfb755937d0",
+        "4f2a9f235998c431a16e13e65ba735deafe8cbdb105c458b1595cc342b07bd8d",
+        "5af15328fc2f646e73a0d341d7969d67b3f22b9666697da242845145e881db1f",
     ),
     "full": (
-        "668bbf5fc1b38023d195ab24e49b21fc0f63a128fe1812179c760479b42bb4a0",
-        "03fbd69c488f4e3731d5c311ff6b98902d7a4428c369a1b2cc1aaaa6867f4ce3",
+        "3f424aa9f23b6dde264ac2b9b327b16db704f65430bd71c81aa4dd9498dbf372",
+        "ca6d88713702d7c9ba03b318af01ddb0ea0bccb90499b532e2615987090103a6",
     ),
 }
 
@@ -101,44 +101,44 @@ def test_bundled_portrait_bytes(view):
 # (JSON, SVG) of portraits outside the Leslie family: the two irrational
 # saddle inputs, and the degree 4 and 5 systems of the ROADMAP baseline
 # on the full disc at grid 2 (the quintic's first steps overflow and are
-# rejected).  Recorded before the Dormand-Prince step was written out as
-# straight-line code.
+# rejected).  Recorded, like all portrait pins, once every node and focus
+# had a capture region.
 OTHER_PORTRAITS = {
     "saddle-full": (
         "dx = x^2 - 2\ndy = y^2 - x*y - 3\n",
         False,
         8,
-        "dea9984f190726b5f9b530eb3cf63553a2d8073840df2236102581842f69fe8f",
-        "1b6ed743304e7a765cf567bfe70330d64942d3c950eee07a4cc45cccfbad3044",
+        "ad9134d68fe8474720624fa74993885beda7f4df87781ae337fc37282499ef3f",
+        "46618702a7da671af83105787e7c7e7295c8a1c794aa8fc525d74c4ad1d495ad",
     ),
     "saddle-quadrant": (
         "dx = x^2 + y^2 - 3\ndy = x*y - 1\n",
         True,
         8,
-        "d2ab22e8c06d11e0dc7c7ffe930db88507ce44a5a7874815d4e7c690b9a6c894",
-        "0c56bab41ea1b5ce6a2bc29a881d55b671c695ad0e225f52ec19c457d7262261",
+        "239ecc3f1f5692a6f9e8a8728795d4fbaa8d5c40bc15c294ec73e0345265be04",
+        "886aae9304258bc67984aabd144fc02fd9169b3ed64d194e4062214168107e3f",
     ),
     "quartic": (
         "dx = x^4 - 3*x^2*y + y^2 - 2*x + 1\ndy = y^4 - x*y^2 + 2*x^2 - y - 3\n",
         False,
         2,
-        "eaa0104e8c2eb9132e188cb3db207f6829216cd792a20046f9b82e4e389a3487",
-        "2f2de5dbc3da857876bb05681e47bfcad36bd5df3adcec3e442defcb75cdf3ba",
+        "4ddef27f3f121bc70af8c9c14983dbfe06dcdf0668dbb502525e879965328751",
+        "99710b68d12d3c3bad657bb5e499803508d59532efdd19a444b05f65f76cbae0",
     ),
     "quintic": (
         "dx = x^5 - 3*x^2*y^2 + y^3 - 2*x + 1\ndy = y^5 - x*y^3 + 2*x^2 - y - 3\n",
         False,
         2,
-        "2d00ffa7fb935de35c9f2acb7fdf6637369bb61e4f45dcdb842f99e8ef9b5e52",
-        "c1f70c007eccbd9d46d7daa257d93b099bc0c3f8d47edb6a78bef44f81e37955",
+        "6b8b41b34d470ef587a79fd87020d33534273adede42865124c5bb257d516c95",
+        "03eda39fb6b43d776e5bd75d9a8feecd2284f2315f12770b93e589b4846c2153",
     ),
     # finite saddle-nodes, blown-up points on both sides of U2 and in V1
     "chart-plan": (
         "dx = y^2 - x*y + y - 1\ndy = x*y - x^2 + x\n",
         False,
         8,
-        "9c9328c87f2c0b6247d360775518d1c850998a9d1e154d9d52d154ac924476c4",
-        "c2ff59226a4de8ce14a2cc2f084563f89db5b4128183cf6850e4b1ec77de1f0d",
+        "883c7947285614cf846d6557c889d48eeecd013ba9a7e72e79432766ef22663d",
+        "93685be5fa3bcaa0a8b8dfa69ba8177d65f9f84b2db463a876d7a6996485696e",
     ),
 }
 
@@ -158,20 +158,20 @@ LESLIE_PORTRAITS = {
     "zero-quadrant": (
         ("2", "1", "1/2"),
         True,
-        "3250b59d2fb34604054fbfd4f67e1481044251862019796f0ff15229d1f60e30",
-        "44a3b9d3756523a250e07ab62579800f2737e9032ae67cbf87d589040a5aac71",
+        "ac17012683bdc56ad55e415c9392f22680efa89b4e5e94dce9a3ff4000d51e8e",
+        "42f1b6005c3cec2a3cfb0d3bd378779662f32793d2e13c37560938a388d5c8ae",
     ),
     "zero-full": (
         ("2", "1", "1/2"),
         False,
-        "c9ac7b6cf5d7ab8cf9d48390b1e67d187a37551f6e217560ded48e3498a66006",
-        "7fac0465f55b4fa544c439c225a6ce5b7f5e250cd8b02198dbedbdd0bc80786c",
+        "8451ab630ec37210fc2ec904901eb9b9d7b1c3ed06dcc6167151dc7f51ea5ec5",
+        "3a85373be8f7476c4d06da519ab534f635ff8b513bb2889a2dfe97675e735c79",
     ),
     "negative-full": (
         ("3", "1", "1/2"),
         False,
-        "543216bcb104afb59c8e6fa3630f94a3afa17a9266e9b3f1e5b7448246db1b0c",
-        "e75f11080a4c6957ee279982279ff3dccb5cce5e7936ede64900706a6d936506",
+        "a026a798e8f8053f67ecbe96d772b7c617206674b2c5dd6ebe25a4762ebfe0e0",
+        "e42af9d5c179dd463a59193c8b3da2388e4d2bfe81c3985eb589d98a096e69e3",
     ),
 }
 
@@ -187,7 +187,7 @@ def test_leslie_portrait_bytes(name):
 
 # field-component evaluations of the bundled-parameter portrait: one per
 # component at each seed and after each chart switch, six per step after
-@pytest.mark.parametrize("view, evals", [("quadrant", 153276), ("full", 578146)])
+@pytest.mark.parametrize("view, evals", [("quadrant", 45948), ("full", 419330)])
 def test_bundled_portrait_evaluation_count(view, evals, monkeypatch):
     calls = [0]
     compile_poly = portrait.compile_poly

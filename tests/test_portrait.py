@@ -21,7 +21,14 @@ from pdisc.equilibria import finite_equilibria
 from pdisc.errors import InputError
 from pdisc.exactalg import MPoly
 from pdisc.modelio import ParamBindings, leslie_system, parse_system
-from pdisc.capture import CAPTURE_RADIUS, blowup_node_captures, positive_on, saddle_node_capture
+from pdisc.capture import (
+    CAPTURE_RADIUS,
+    NODE_CLASSES,
+    blowup_node_captures,
+    node_region,
+    positive_on,
+    saddle_node_capture,
+)
 from pdisc.portrait import (
     EPS_SEPARATRIX,
     Flow,
@@ -35,6 +42,7 @@ from pdisc.portrait import (
     compile_poly,
     default_seeds,
     disc_from_plane,
+    disc_markers,
     integrate_orbit,
     plane_from_disc,
     render_portrait,
@@ -605,25 +613,39 @@ def testsaddle_node_captures_only_its_node_half_forward():
 def test_captured_orbit_ends_at_the_marker():
     sys, m, _ = _origin_saddle_node()
     seed = disc_from_plane(-0.5, 0.3)
-    # the approach is algebraic (x ~ -1/t), so the speed rule alone runs to tmax
-    bare = integrate_orbit(Flow(disc_equilibria(sys)), seed, tmax=50.0)
+    # the approach is algebraic (x ~ -1/t), so without the region the orbit runs to tmax
+    bare_flow = Flow(disc_equilibria(sys), markers=[m])
+    bare_flow.captures.clear()
+    bare = integrate_orbit(bare_flow, seed, tmax=50.0)
     assert bare.reason == REASON_TMAX
     flow = Flow(disc_equilibria(sys), markers=[m])
     tr = integrate_orbit(flow, seed, tmax=50.0)
     assert tr.reason == REASON_EQ
     assert tr.endpoint() == (0.0, 0.0)
+    assert tr.limit == m.marker_id
     assert len(tr.points) < len(bare.points)
     # backward, the same seed leaves the node half
     back = integrate_orbit(flow, seed, "backward", tmax=5.0)
     assert back.endpoint() != (0.0, 0.0)
 
 
-def test_axis_orbits_are_never_captured():
+def test_axis_orbits_end_at_their_exact_limit():
     sys, m, _ = _origin_saddle_node()
-    # the x axis is invariant and runs into the node half
-    tr = integrate_orbit(Flow(disc_equilibria(sys), markers=[m]), disc_from_plane(-0.5, 0.0), tmax=50.0)
-    assert all(p[1] == 0.0 for p in tr.points)
-    assert tr.reason == REASON_TMAX
+    flow = Flow(disc_equilibria(sys))
+    seed = disc_from_plane(-0.5, 0.0)
+    # the x axis is invariant and x' = x^2 > 0 on it: forward the orbit
+    # creeps into the saddle-node, which a speed rule never caught
+    tr = integrate_orbit(flow, seed, tmax=50.0)
+    assert tr.points == [seed, m.disc]
+    assert (tr.reason, tr.limit) == (REASON_EQ, m.marker_id)
+    # backward it runs to the rim point of the negative x axis
+    tr = integrate_orbit(flow, seed, "backward")
+    assert tr.points == [seed, (-1.0, 0.0)]
+    assert (tr.reason, tr.limit) == (REASON_BOUNDARY, "inf:U1-:0")
+    # a seed at an equilibrium on an axis stays there
+    tr = integrate_orbit(flow, (0.0, 0.0))
+    assert tr.points == [(0.0, 0.0)]
+    assert (tr.reason, tr.limit) == (REASON_EQ, m.marker_id)
 
 
 def test_capture_region_stops_short_of_a_nearby_saddle():
@@ -676,7 +698,7 @@ def _bundled_u2_node():
     assert node.point.approx() == (0.0, -2.0)
     assert (analysis.x_system.rescale_x, analysis.x_system.rescale_y) == (1, 0)
     m = replace(_marker_for_infinite(rec, "U2", 1, cs.system), blowup=analysis)
-    (cap,) = [c for c in blowup_node_captures(m, analysis) if c.node == (0.0, -2.0)]
+    (cap,) = [c for c in blowup_node_captures(m, analysis) if c.z == (0.0, -2.0)]
     return sys, m, cap
 
 
@@ -689,7 +711,7 @@ def test_blowup_node_disc_stops_short_of_a_divisor_saddle():
     analysis = blowup_analysis(sys, rec.point)
     m = replace(_marker_for_finite(rec, sys), blowup=analysis)
     (cap,) = [c for c in blowup_node_captures(m, analysis) if c.x_dir]
-    assert cap.node == (0.0, 0.0) and cap.r < 0.01
+    assert cap.z == (0.0, 0.0) and cap.half[1] < 0.01
     p = 0.001
     assert cap.hit(p, p * 0.001, 1.0)
     assert not cap.hit(p, p * 0.02, 1.0)
@@ -710,7 +732,7 @@ def test_blowup_node_respects_the_rescaling_sign():
     # this marker is the side +1 point U2+; (a, -2a) has v < 0, so it lies
     # near the antipodal point U2- instead
     flow = Flow(disc_equilibria(sys), markers=[m])
-    assert flow.capture(_ChartState("U2", -a, 2.0 * a, 1, 1.0), -1.0) == cap.disc
+    assert flow.capture(_ChartState("U2", -a, 2.0 * a, 1, 1.0), -1.0).disc == cap.disc
     assert flow.capture(_ChartState("U2", a, -2.0 * a, -1, 1.0), 1.0) is None
 
 
@@ -726,10 +748,10 @@ def test_capture_across_the_chart_overlap():
     assert len(flow.captures) == 1
     # c = -0.01 along the center vector: the node half, forward, inside the disc
     u1, v1 = -1.01, 0.01
-    assert flow.capture(_ChartState("U1", u1, v1, 1, 1.0), 1.0) == m.disc
+    assert flow.capture(_ChartState("U1", u1, v1, 1, 1.0), 1.0).disc == m.disc
     # the same plane point held in U2, as by an orbit that came from the U2 side
     u2, v2 = 1.0 / u1, v1 / u1
-    assert flow.capture(_ChartState("U2", u2, v2, -1, 1.0), 1.0) == m.disc
+    assert flow.capture(_ChartState("U2", u2, v2, -1, 1.0), 1.0).disc == m.disc
     assert flow.capture(_ChartState("U2", u2, v2, -1, 1.0), -1.0) is None
     # the antipodal point (v < 0) is not near this side +1 marker
     assert flow.capture(_ChartState("U1", u1, -v1, -1, 1.0), 1.0) is None
@@ -757,6 +779,9 @@ OTHER = {
 }
 
 
+TARGETS = NODE_CLASSES | {"saddle-node", "degenerate-needs-blowup"}
+
+
 def _case(case):
     """(system, params, quadrant) for "<regime>:<view>" with a Leslie
     regime (A*C = 1 in the zero regime), or a key of OTHER."""
@@ -778,35 +803,112 @@ def test_few_orbits_run_to_tmax(case):
     assert len(tmax) < 0.1 * len(doc.trajectories)
 
 
+def _flow(sys, params, quadrant):
+    """The flow of `build_portrait`: every equilibrium of the disc
+    analysis as a marker."""
+    disc = disc_equilibria(sys, quadrant)
+    return Flow(disc, disc_markers(disc, params))
+
+
+def _on_axis(flow, seed):
+    x, y = plane_from_disc(*seed)
+    return (y == 0.0 and "x" in flow.axes) or (x == 0.0 and "y" in flow.axes)
+
+
 @pytest.mark.parametrize(
     "case",
     [f"{r}:{v}" for r in LESLIE for v in ("quadrant", "full")] + sorted(OTHER),
 )
 def test_captured_orbits_reach_their_marker_without_capture(case):
     """An independent check of every capture region that fires: rerun
-    one captured orbit per (marker, direction) with a bare flow (speed
-    rule only) to t = 1e4; it must end within 1e-3 of the same marker."""
+    one captured orbit per (marker, direction) with the flow's capture
+    regions removed to t = 1e4; it must end within 1e-3 of the same
+    marker.  Orbits on an invariant axis end by the axis rule instead."""
     sys, params, quadrant = _case(case)
     doc = build_portrait(sys, params, positive_quadrant_only=quadrant, grid=2)
     seeds = {
         s.seed_id: s
         for s in default_seeds(quadrant, 2) + separatrix_seeds(doc.markers, EPS_SEPARATRIX, quadrant)
     }
-    targets = {
-        m.disc: m for m in doc.markers if m.classification in ("saddle-node", "degenerate-needs-blowup")
-    }
+    flow = _flow(sys, params, quadrant)
+    targets = {m.marker_id: m for m in flow.markers if m.classification in TARGETS}
     picked = {}
     for tr in doc.trajectories:
-        m = targets.get(tr.endpoint())
-        # an axis orbit that ends exactly at a marker started on it
-        if m is not None and tr.reason == REASON_EQ and tr.role != "axis":
+        m = targets.get(tr.limit)
+        if m is not None and tr.reason == REASON_EQ and not _on_axis(flow, seeds[tr.seed_id].disc):
             picked.setdefault((m.marker_id, tr.direction), (m, tr))
     if params is not None and not quadrant:
         assert picked
     if case == "even-degree":
         assert {m.side for m, _ in picked.values()} == {1, -1}
-    flow = Flow(disc_equilibria(sys))
+    assert {m.classification for m, _ in picked.values()} & NODE_CLASSES
+    flow.captures.clear()
     for m, tr in picked.values():
         seed = seeds[tr.seed_id]
         rerun = integrate_orbit(flow, seed.disc, seed.direction, tmax=1e4)
         assert _dist(rerun.endpoint(), m.disc) < 1e-3, (tr.seed_id, m.marker_id)
+
+
+@pytest.mark.parametrize("case", ["bundled:quadrant", "bundled:full"] + sorted(OTHER))
+def test_converged_orbits_end_exactly_at_their_limit(case):
+    sys, params, quadrant = _case(case)
+    doc = build_portrait(sys, params, positive_quadrant_only=quadrant, grid=2)
+    markers = {m.marker_id: m for m in _flow(sys, params, quadrant).markers}
+    converged = [t for t in doc.trajectories if t.reason == REASON_EQ]
+    assert converged
+    for tr in converged:
+        assert tr.endpoint() == markers[tr.limit].disc, tr.seed_id
+
+
+# a quartic of four lines and an ellipse; before every node had a capture
+# region, 36 of its 48 full-disc orbits ended reached-tmax beside an
+# irrational hyperbolic node that the absolute speed rule never caught
+QUARTIC = (
+    "dx = (-3*x + 1*y + 1)*(-3*x + 3*y + 1)*(2*x + 2*y + -1)*(2*x + 2*y + 1)\n"
+    "dy = 1*x^2 + -1*x*y + 2*y^2 + -2*x + 1*y + -3\n"
+)
+
+
+def test_no_orbit_stalls_beside_a_node():
+    doc = build_portrait(parse_system(QUARTIC), positive_quadrant_only=False, grid=2)
+    nodes = [m for m in doc.markers if m.classification in NODE_CLASSES]
+    assert sum(not m.record.point.is_exact for m in nodes) == 4
+    stalled = [
+        t.seed_id
+        for t in doc.trajectories
+        if t.reason == REASON_TMAX and any(_dist(t.endpoint(), m.disc) < 1e-3 for m in nodes)
+    ]
+    assert stalled == []
+
+
+def test_node_region_solves_the_lyapunov_equation_exactly():
+    # a stable node whose Jacobian is far from normal: the Euclidean
+    # distance grows at first, the S-distance falls at once
+    sys = parse_system("dx = -x + 10*y + x^2\ndy = -2*y\n")
+    rec = [r for r in finite_equilibria(sys) if r.point.approx() == (0.0, 0.0)][0]
+    z, (s00, s01, s11), _, sgn, half = node_region(sys, rec)
+    a, b, c, d = -1.0, 10.0, 0.0, -2.0
+    # A^T S + S A is a negative multiple of the identity
+    m00 = 2 * (a * s00 + c * s01)
+    m01 = b * s00 + d * s01 + a * s01 + c * s11
+    m11 = 2 * (b * s01 + d * s11)
+    assert m00 < 0 and math.isclose(m00, m11) and abs(m01) < 1e-12
+    assert sgn == 1.0 and z == (0.0, 0.0)
+    # the ellipse lies in its proof box and is not captured backward
+    m = _marker_for_finite(rec, sys)
+    (cap,) = Flow(disc_equilibria(sys), markers=[m]).captures
+    assert cap.hit(0.0, 0.0, 1.0) and not cap.hit(0.0, 0.0, -1.0)
+    assert not cap.hit(half[0], 0.0, 1.0) and not cap.hit(0.0, half[1], 1.0)
+
+
+def test_irrational_node_region_is_centred_within_its_slack():
+    # an unstable node at (sqrt 2, y0): the region sits about a rational
+    # point within 2^-30 of it and attracts backward
+    sys = parse_system("dx = x^2 - 2\ndy = y - x\n")
+    (rec,) = [r for r in finite_equilibria(sys) if r.classification == "unstable node"]
+    assert not rec.point.is_exact
+    z, _, _, sgn, _ = node_region(sys, rec)
+    assert sgn == -1.0
+    assert abs(z[0] - math.sqrt(2.0)) < 2.0**-30 and abs(z[1] - math.sqrt(2.0)) < 2.0**-30
+    tr = integrate_orbit(Flow(disc_equilibria(sys)), disc_from_plane(1.5, 1.3), "backward")
+    assert tr.reason == REASON_EQ and tr.endpoint() == _marker_for_finite(rec, sys).disc
