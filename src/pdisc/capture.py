@@ -9,21 +9,25 @@ direction.
 
 Each region is sized from the exact field: a polynomial inequality on
 the closed region, proved by exact interval enclosures over a bisection
-of a box.  The largest region is tried first and shrunk by
-CAPTURE_SHRINK until the proof goes through; a point whose proof fails
-at every size gets no region.  The regions themselves are tested in
-binary64.
+of a box, computed on integer coefficients (see `positive_on`).  The
+largest region is tried first and shrunk by CAPTURE_SHRINK until the
+proof goes through; a point whose proof fails at every size gets no
+region.  The regions themselves are tested in binary64, each only after
+a conservative box test: a float box that holds the region in its own
+chart, carried into each chart a state may be in and widened outward
+(see `prefilters`), so a state far from every region costs a few
+comparisons per region.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from pdisc.compactify import HYPERBOLIC, BlowupAnalysis, BlowupSystem
 from pdisc.equilibria import EquilibriumRecord
-from pdisc.exactalg import Interval, MPoly, eval_box
+from pdisc.exactalg import MPoly
 from pdisc.modelio import PlanarSystem
 
 if TYPE_CHECKING:
@@ -37,16 +41,31 @@ _NODE_TRIES = 6  # a node near a bifurcation is hyperbolic only on a small box
 _PROOF_BUDGET = 200
 
 
+_Range = Tuple[float, float]
+_Box = Tuple[float, float, float, float]
+# A prefilter on a state's raw coordinates (u, v) in one chart:
+# (ulo, uhi, vlo, vhi, umin, vmin) holds every state whose image in the
+# region's chart `hit` can accept, inside the box and with |u| >= umin
+# and |v| >= vmin; None where the region is never tested from that chart.
+Prefilter = Optional[Tuple[float, float, float, float, float, float]]
+
+_WIDTH_PAD = 2.0**-16  # of a box's width: rounding in `hit`
+_SIZE_PAD = 2.0**-40  # of its endpoints' size: rounding in the chart maps
+
+
 class Capture:
     """A region beside one marker in which every orbit tends to the
     marker in one direction of time.  `hit` takes the offset (a, b) of
     the state from (x0, y0) in the marker's own chart system: U3, or
     U1/U2 on the equator side `side`, whose system for side -1 is the V
     chart.  Both run in the true time, so the time sign of an orbit is
-    its direction alone.
+    its direction alone.  `box` bounds the region in that chart, and
+    `near` maps each state chart to the `Prefilter` a state there must
+    pass before it is carried into that chart and tested (see
+    `prefilters`).
     """
 
-    __slots__ = ("marker_id", "chart", "side", "x0", "y0", "disc")
+    __slots__ = ("marker_id", "chart", "side", "x0", "y0", "disc", "near")
 
     def __init__(self, marker: "Marker"):
         self.marker_id = marker.marker_id
@@ -57,6 +76,53 @@ class Capture:
 
     def hit(self, a: float, b: float, sgn: float) -> bool:
         raise NotImplementedError
+
+    def box(self) -> _Box:
+        """(ulo, uhi, vlo, vhi): a float box in the region's own chart that
+        holds every point (x0 + a, y0 + b) that `hit` accepts."""
+        raise NotImplementedError
+
+
+def _out(lo: float, hi: float) -> _Range:
+    """[lo, hi] widened outward past the rounding of the float operations
+    that made it and of those that test against it."""
+    pad = (hi - lo) * _WIDTH_PAD + max(abs(lo), abs(hi)) * _SIZE_PAD + 1e-300
+    return lo - pad, hi + pad
+
+
+def _mul(a: _Range, b: _Range) -> _Range:
+    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return _out(min(ps), max(ps))
+
+
+def _shift(c: float, a: _Range) -> _Range:
+    return _out(c + a[0], c + a[1])
+
+
+def _through(d: _Range, n: _Range) -> Tuple[_Range, _Range, float]:
+    """For a point with d' in d and n' in n: the ranges of 1/d' and
+    n'/d', and a lower bound on |1/d'|.  Where d holds 0 the ranges are
+    unbounded and only the bound is left."""
+    if d[0] > 0.0 or d[1] < 0.0:
+        r = _out(1.0 / d[1], 1.0 / d[0])
+        return r, _mul(n, r), 0.0
+    inf = (-math.inf, math.inf)
+    return inf, inf, (1.0 - _SIZE_PAD) / max(-d[0], d[1])
+
+
+def prefilters(cap: Capture) -> Dict[str, Prefilter]:
+    """The region's box carried into each chart a state may be in.  A
+    finite region is seen from U1 through v = 1/x, u = y/x and from U2
+    through v = 1/y, u = x/y; a region at infinity is seen from the
+    other of U1/U2 through u = 1/u', v = v'/u', and never from U3."""
+    ulo, uhi, vlo, vhi = cap.box()
+    u, v = (ulo, uhi), (vlo, vhi)
+    own = (ulo, uhi, vlo, vhi, 0.0, 0.0)
+    if cap.chart == "U3":
+        (vx, ux, cx), (vy, uy, cy) = _through(u, v), _through(v, u)
+        return {"U3": own, "U1": (*ux, *vx, 0.0, cx), "U2": (*uy, *vy, 0.0, cy)}
+    r, q, cut = _through(u, v)
+    return {"U3": None, cap.chart: own, "U2" if cap.chart == "U1" else "U1": (*r, *q, cut, 0.0)}
 
 
 class NodeCapture(Capture):
@@ -75,6 +141,10 @@ class NodeCapture(Capture):
     def hit(self, a: float, b: float, sgn: float) -> bool:
         s00, s01, s11 = self.form
         return sgn == self.sgn and a * (s00 * a + 2.0 * s01 * b) + s11 * b * b < self.thr
+
+    def box(self) -> _Box:
+        # the ellipse lies in its proof box
+        return (*_shift(self.x0, (-self.half[0], self.half[0])), *_shift(self.y0, (-self.half[1], self.half[1])))
 
 
 class SaddleNodeCapture(Capture):
@@ -95,6 +165,15 @@ class SaddleNodeCapture(Capture):
         i00, i01, i10, i11 = self.inv
         c = i00 * a + i01 * b
         return 0.0 < c <= self.r and abs(i10 * a + i11 * b) <= self.k * c
+
+    def box(self) -> _Box:
+        # the triangle is the hull of its vertices (0, 0) and (r, +-k r)
+        i00, i01, i10, i11 = self.inv
+        det = i00 * i11 - i01 * i10
+        r, w = self.r, self.k * self.r
+        corners = [(0.0, 0.0)] + [((i11 * r - i01 * s) / det, (i00 * s - i10 * r) / det) for s in (w, -w)]
+        a, b = ([p[i] for p in corners] for i in (0, 1))
+        return (*_shift(self.x0, _out(min(a), max(a))), *_shift(self.y0, _out(min(b), max(b))))
 
 
 class BlowupNodeCapture(NodeCapture):
@@ -130,36 +209,95 @@ class BlowupNodeCapture(NodeCapture):
             sgn = -sgn
         return super().hit(p - self.z[0], q - self.z[1], sgn)
 
+    def box(self) -> _Box:
+        # the blow-down of the ellipse's proof box: (a, b) = (p, p q) or (p q, q)
+        (z0, z1), (h0, h1) = self.z, self.half
+        p, q = _out(z0 - h0, z0 + h0), _out(z1 - h1, z1 + h1)
+        a, b = (p, _mul(p, q)) if self.x_dir else (_mul(p, q), q)
+        return (*_shift(self.x0, a), *_shift(self.y0, b))
+
+
+def _affine(rows: List[List[int]], axis: int, a: int, b: int, m: int) -> List[List[int]]:
+    """m^d r((a + b s)/m) for each polynomial r(s) = r[0] + ... + r[d] s^d
+    along `axis` (0: each row, 1: each column) of an integer coefficient
+    grid, by Horner's rule; d is the grid's degree along that axis."""
+    lines = rows if axis == 0 else [list(col) for col in zip(*rows)]
+    out = []
+    for r in lines:
+        acc = [r[-1]]
+        mk = 1
+        for c in reversed(r[:-1]):
+            mk *= m
+            # acc * (a + b s) + c m^(d-i)
+            acc = [a * acc[0] + c * mk] + [a * acc[k] + b * acc[k - 1] for k in range(1, len(acc))] + [b * acc[-1]]
+        out.append(acc)
+    return out if axis == 0 else [list(row) for row in zip(*out)]
+
+
+def _ratio(c: Fraction, h: Fraction) -> Tuple[int, int, int]:
+    """Integers (a, b, m) with c + h s = (a + b s)/m."""
+    m = math.lcm(c.denominator, h.denominator)
+    return c.numerator * (m // c.denominator), h.numerator * (m // h.denominator), m
+
 
 def positive_on(p: MPoly, xs: Tuple[Fraction, Fraction], ys: Tuple[Fraction, Fraction]) -> bool:
     """True when p > 0 on the closed box xs * ys is proved within
     _PROOF_BUDGET interval enclosures, by bisecting the side that is
-    widest relative to the whole box.  Each enclosure is taken of p
-    re-expanded about the box centre, which keeps it tight where the
-    terms of p nearly cancel."""
-    wx = xs[1] - xs[0]
-    wy = ys[1] - ys[0]
-    todo = [(xs, ys)]
+    widest relative to the whole box, which is the side halved fewer
+    times.
+
+    Each box is held as q(s, t) = p(cx + hx s, cy + hy t) on [-1, 1]^2,
+    about its centre (cx, cy) with half-widths (hx, hy), times a positive
+    integer that clears every denominator; a half is 2^d q((s -+ 1)/2, t)
+    for d the degree in s, and the same in t.  The corners are
+    q(+-1, +-1), and the enclosure's lower end is q(0, 0), minus |c| for
+    every term with an odd exponent, plus min(0, c) for every other
+    term: the exact enclosure of p re-expanded about the box centre,
+    which keeps it tight where the terms of p nearly cancel, times a
+    positive integer.  So every decision, and the order of the boxes, is
+    that of the same bisection in rational interval arithmetic."""
+    hx = (xs[1] - xs[0]) / 2
+    hy = (ys[1] - ys[0]) / 2
+    ds = max((i for (i, _), _ in p.items()), default=0)
+    dt = max((j for (_, j), _ in p.items()), default=0)
+    scale = math.lcm(*(c.denominator for _, c in p.items()))
+    rows = [[0] * (ds + 1) for _ in range(dt + 1)]
+    for (i, j), c in p.items():
+        rows[j][i] = c.numerator * (scale // c.denominator)
+    rows = _affine(_affine(rows, 0, *_ratio(xs[0] + hx, hx)), 1, *_ratio(ys[0] + hy, hy))
+    todo = [(rows, 0, 0)]
     for _ in range(_PROOF_BUDGET):
         if not todo:
             return True
-        (x0, x1), (y0, y1) = bx, by = todo.pop()
-        hx = (x1 - x0) / 2
-        hy = (y1 - y0) / 2
-        if any(p.eval_rat(x, y) <= 0 for x in (x0, x1) for y in (y0, y1)):
+        rows, kx, ky = todo.pop()
+        lo = rows[0][0]
+        if lo <= 0:
             return False
-        cx, cy = x0 + hx, y0 + hy
-        centred = p.subst(MPoly.var_x() + cx, MPoly.var_y() + cy) if cx or cy else p
-        if centred.coeff(0, 0) <= 0:
+        # sums of the coefficients by the parity of their (s, t) exponents
+        ee = eo = oe = oo = 0
+        for j, row in enumerate(rows):
+            for i, c in enumerate(row):
+                if i & 1:
+                    lo -= abs(c)
+                    if j & 1:
+                        oo += c
+                    else:
+                        oe += c
+                elif j & 1:
+                    lo -= abs(c)
+                    eo += c
+                else:
+                    ee += c
+                    if c < 0:
+                        lo += c
+        if min(ee + oe + eo + oo, ee + oe - eo - oo, ee - oe + eo - oo, ee - oe - eo + oo) <= 0:
             return False
-        if eval_box(centred, Interval(-hx, hx), Interval(-hy, hy)).lo > 0:
+        if lo > 0:
             continue
-        if wy == 0 or (wx != 0 and (x1 - x0) * wy >= (y1 - y0) * wx):
-            xm = (x0 + x1) / 2
-            todo += [((x0, xm), by), ((xm, x1), by)]
+        if hy == 0 or (hx != 0 and kx <= ky):
+            todo += [(_affine(rows, 0, sign, 1, 2), kx + 1, ky) for sign in (-1, 1)]
         else:
-            ym = (y0 + y1) / 2
-            todo += [(bx, (y0, ym)), (bx, (ym, y1))]
+            todo += [(_affine(rows, 1, sign, 1, 2), kx, ky + 1) for sign in (-1, 1)]
     return not todo
 
 
@@ -303,12 +441,15 @@ def marker_captures(m: "Marker") -> List[Capture]:
     the node half of a saddle-node with an exact reduction, and an
     ellipse about each hyperbolic node on the divisors of a blown-up
     degenerate point."""
+    caps: List[Capture] = []
     if m.classification in NODE_CLASSES:
         region = node_region(m.system, m.record)
-        return [] if region is None else [NodeCapture(m, region)]
-    if m.classification == "saddle-node" and m.record.reduction is not None:
+        caps = [] if region is None else [NodeCapture(m, region)]
+    elif m.classification == "saddle-node" and m.record.reduction is not None:
         cap = saddle_node_capture(m)
-        return [] if cap is None else [cap]
-    if m.blowup is not None:
-        return blowup_node_captures(m, m.blowup)
-    return []
+        caps = [] if cap is None else [cap]
+    elif m.blowup is not None:
+        caps += blowup_node_captures(m, m.blowup)
+    for cap in caps:
+        cap.near = prefilters(cap)
+    return caps

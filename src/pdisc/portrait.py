@@ -275,17 +275,25 @@ class Flow:
         return step, rim.get(step) if best is None else best[1]
 
     def capture(self, st: _ChartState, sgn: float) -> Optional[Capture]:
-        """The capture region that holds the state for time sign `sgn`,
-        or None."""
+        """The first capture region in `captures` that holds the state for
+        time sign `sgn`, or None.  A region is carried into the state's
+        chart and tested only once the raw state passes its prefilter
+        for that chart (see `Capture.near`), which every state it holds
+        passes."""
+        chart, su, sv = st.chart, st.x, st.y
         for r in self.captures:
-            u, v = st.x, st.y
-            if r.chart != st.chart:
-                if st.chart == "U3":
-                    continue  # regions at infinity are tested from U1/U2 only
+            near = r.near[chart]
+            if near is None:
+                continue  # regions at infinity are tested from U1/U2 only
+            ulo, uhi, vlo, vhi, umin, vmin = near
+            if not (ulo <= su <= uhi and vlo <= sv <= vhi) or abs(su) < umin or abs(sv) < vmin:
+                continue
+            u, v = su, sv
+            if r.chart != chart:
                 if r.chart == "U3":
                     if v == 0.0:
                         continue
-                    u, v = (1.0 / v, u / v) if st.chart == "U1" else (u / v, 1.0 / v)
+                    u, v = (1.0 / v, u / v) if chart == "U1" else (u / v, 1.0 / v)
                 else:
                     if u == 0.0:
                         continue

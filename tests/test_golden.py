@@ -23,7 +23,7 @@ import json
 
 import pytest
 
-from pdisc import portrait
+from pdisc import capture, portrait
 from pdisc.cli import analyze_report, darboux_report
 from pdisc.integrability import SearchBounds
 from pdisc.modelio import ParamBindings, parse_system
@@ -206,6 +206,29 @@ def test_bundled_portrait_evaluation_count(view, evals, monkeypatch):
     params = ParamBindings(sys.params["A"], sys.params["B"], sys.params["C"])
     build_portrait(sys, params, positive_quadrant_only=view == "quadrant")
     assert calls[0] == evals
+
+
+# calls to `hit` of any capture region in the bundled-parameter portrait,
+# a blown-up node's test of its ellipse counted again; a region is tested
+# only once the state passes its per-chart prefilter (11340 and 176305
+# calls before the prefilter)
+@pytest.mark.parametrize("view, hits", [("quadrant", 251), ("full", 23177)])
+def test_bundled_portrait_capture_test_count(view, hits, monkeypatch):
+    calls = [0]
+
+    def counting(hit):
+        def g(self, a, b, sgn):
+            calls[0] += 1
+            return hit(self, a, b, sgn)
+
+        return g
+
+    for cls in (capture.NodeCapture, capture.SaddleNodeCapture, capture.BlowupNodeCapture):
+        monkeypatch.setattr(cls, "hit", counting(cls.hit))
+    sys = parse_system(_source(*TRIPLES["bundled"]))
+    params = ParamBindings(sys.params["A"], sys.params["B"], sys.params["C"])
+    build_portrait(sys, params, positive_quadrant_only=view == "quadrant")
+    assert calls[0] == hits
 
 
 # sha256 of the `pdisc analyze` JSON (full disc, quadrant) of systems

@@ -6,6 +6,7 @@ inverse, and the assembled documents against the exact equilibrium
 inventory.  Rendering must be byte-deterministic.
 """
 
+import functools
 import json
 import math
 import struct
@@ -13,17 +14,20 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pdisc.cli import main
 from pdisc.compactify import SectorDecomposition, blowup_analysis, disc_equilibria, infinite_equilibria, to_chart
 from pdisc.equilibria import finite_equilibria
 from pdisc.errors import InputError
-from pdisc.exactalg import MPoly
+from pdisc.exactalg import Interval, MPoly, eval_box
 from pdisc.modelio import ParamBindings, leslie_system, parse_system
 from pdisc.capture import (
+    _PROOF_BUDGET,
     CAPTURE_RADIUS,
     NODE_CLASSES,
+    BlowupNodeCapture,
+    SaddleNodeCapture,
     blowup_node_captures,
     node_region,
     positive_on,
@@ -767,6 +771,197 @@ def test_finite_marker_captures_from_a_chart_at_infinity():
     tr = integrate_orbit(Flow(disc_equilibria(sys), markers=[m]), disc_from_plane(6.9, 50.0))
     assert tr.reason == REASON_EQ
     assert tr.endpoint() == m.disc
+
+
+# ---------------------------------------------------------------------------
+# the capture loop and the proofs against the forms they replaced
+
+# ROADMAP's degree 4 and 5 systems, and the two irrational-saddle inputs
+FULL_DISC = {
+    "bundled": (leslie_system(F(1), F(1), F(1, 2)), ParamBindings(F(1), F(1), F(1, 2)), 8),
+    "quartic": (parse_system("dx = x^4 - 3*x^2*y + y^2 - 2*x + 1\ndy = y^4 - x*y^2 + 2*x^2 - y - 3\n"), None, 2),
+    "quintic": (parse_system("dx = x^5 - 3*x^2*y^2 + y^3 - 2*x + 1\ndy = y^5 - x*y^3 + 2*x^2 - y - 3\n"), None, 2),
+    "saddle-full": (parse_system("dx = x^2 - 2\ndy = y^2 - x*y - 3\n"), None, 8),
+    "saddle-quadrant": (parse_system("dx = x^2 + y^2 - 3\ndy = x*y - 1\n"), None, 8),
+}
+
+
+def _unfiltered_capture(flow, st, sgn):
+    """`Flow.capture` as it was before the prefilter: every region, carried
+    into its own chart and tested."""
+    for r in flow.captures:
+        u, v = st.x, st.y
+        if r.chart != st.chart:
+            if st.chart == "U3":
+                continue
+            if r.chart == "U3":
+                if v == 0.0:
+                    continue
+                u, v = (1.0 / v, u / v) if st.chart == "U1" else (u / v, 1.0 / v)
+            else:
+                if u == 0.0:
+                    continue
+                u, v = 1.0 / u, v / u
+        if r.chart != "U3" and (v > 0.0) != (r.side > 0):
+            continue
+        if r.hit(u - r.x0, v - r.y0, sgn):
+            return r
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(FULL_DISC))
+def test_prefiltered_capture_returns_the_unfiltered_region(name, monkeypatch):
+    sys, params, grid = FULL_DISC[name]
+    capture = Flow.capture
+    seen = {"steps": 0, "captured": 0}
+
+    def checked(flow, st, sgn):
+        got = capture(flow, st, sgn)
+        assert got is _unfiltered_capture(flow, st, sgn), (st.chart, st.x, st.y, sgn)
+        seen["steps"] += 1
+        seen["captured"] += got is not None
+        return got
+
+    monkeypatch.setattr(Flow, "capture", checked)
+    build_portrait(sys, params, positive_quadrant_only=False, grid=grid)
+    assert seen["steps"] > 1000 and seen["captured"] > 0
+
+
+def _region_point(r, f, g):
+    """A point of r's own chart from unit coordinates (f, g), over the
+    region and a margin around it."""
+    f, g = 2.4 * f - 1.2, 2.4 * g - 1.2
+    if isinstance(r, SaddleNodeCapture):
+        # (c, w) over the triangle 0 < c <= r, |w| <= k c
+        c = (f + 1.2) / 2.2 * r.r
+        w = g * r.k * c
+        i00, i01, i10, i11 = r.inv
+        det = i00 * i11 - i01 * i10
+        return r.x0 + (i11 * c - i01 * w) / det, r.y0 + (i00 * w - i10 * c) / det
+    p, q = r.z[0] + f * r.half[0], r.z[1] + g * r.half[1]
+    if isinstance(r, BlowupNodeCapture):
+        return (r.x0 + p, r.y0 + p * q) if r.x_dir else (r.x0 + p * q, r.y0 + q)
+    return p, q
+
+
+def _seen_from(r, u, v):
+    """The point (u, v) of r's chart as a state of each chart r is tested
+    from, with the point `Flow.capture` carries that state back to."""
+    out = [(r.chart, u, v, u, v)]
+    if r.chart == "U3":
+        if u != 0.0:
+            su, sv = v / u, 1.0 / u
+            out.append(("U1", su, sv, 1.0 / sv, su / sv))
+        if v != 0.0:
+            su, sv = u / v, 1.0 / v
+            out.append(("U2", su, sv, su / sv, 1.0 / sv))
+    elif u != 0.0:
+        su, sv = 1.0 / u, v / u
+        out.append(("U2" if r.chart == "U1" else "U1", su, sv, 1.0 / su, sv / su))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _regions():
+    flows = [_flow(leslie_system(F(1), F(1), F(1, 2)), None, False)]
+    for source in (OTHER["even-degree"][0], QUARTIC, SADDLE_NODE, "dx = (x - 7)^2\ndy = -y\n"):
+        flows.append(_flow(parse_system(source), None, False))
+    return tuple(r for flow in flows for r in flow.captures)
+
+
+@settings(max_examples=400)
+@given(st.integers(0, 10**6), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from([1.0, -1.0]))
+def test_every_state_a_region_holds_passes_its_prefilter(i, f, g, sgn):
+    regions = _regions()
+    r = regions[i % len(regions)]
+    for chart, su, sv, u, v in _seen_from(r, *_region_point(r, f, g)):
+        if r.hit(u - r.x0, v - r.y0, sgn):
+            ulo, uhi, vlo, vhi, umin, vmin = r.near[chart]
+            assert ulo <= su <= uhi and vlo <= sv <= vhi and abs(su) >= umin and abs(sv) >= vmin
+
+
+def test_regions_cover_every_kind_and_chart():
+    kinds = {(type(r).__name__, r.chart) for r in _regions()}
+    assert {"NodeCapture", "SaddleNodeCapture", "BlowupNodeCapture"} == {k for k, _ in kinds}
+    assert {"U1", "U2", "U3"} == {c for _, c in kinds}
+    # a region over x = 0 or y = 0 has no bounded box seen from U1 or U2
+    assert any(r.near[c][4] > 0.0 or r.near[c][5] > 0.0 for r in _regions() for c in ("U1", "U2") if r.near[c])
+
+
+def _fraction_positive_on(p, xs, ys):
+    """`positive_on` as it was in Fraction interval arithmetic: p at the
+    four corners and `eval_box` of p re-expanded about each box centre."""
+    wx = xs[1] - xs[0]
+    wy = ys[1] - ys[0]
+    todo = [(xs, ys)]
+    for _ in range(_PROOF_BUDGET):
+        if not todo:
+            return True
+        (x0, x1), (y0, y1) = bx, by = todo.pop()
+        hx = (x1 - x0) / 2
+        hy = (y1 - y0) / 2
+        if any(p.eval_rat(x, y) <= 0 for x in (x0, x1) for y in (y0, y1)):
+            return False
+        cx, cy = x0 + hx, y0 + hy
+        centred = p.subst(MPoly.var_x() + cx, MPoly.var_y() + cy) if cx or cy else p
+        if centred.coeff(0, 0) <= 0:
+            return False
+        if eval_box(centred, Interval(-hx, hx), Interval(-hy, hy)).lo > 0:
+            continue
+        if wy == 0 or (wx != 0 and (x1 - x0) * wy >= (y1 - y0) * wx):
+            xm = (x0 + x1) / 2
+            todo += [((x0, xm), by), ((xm, x1), by)]
+        else:
+            ym = (y0 + y1) / 2
+            todo += [(bx, (y0, ym)), (bx, (ym, y1))]
+    return not todo
+
+
+_coef = st.builds(F, st.integers(-96, 96), st.integers(1, 12))
+_end = st.builds(F, st.integers(-32, 32), st.integers(1, 16))
+_width = st.builds(F, st.integers(0, 32), st.integers(1, 16))
+_exponents = [(i, j) for i in range(5) for j in range(5 - i)]
+
+
+@st.composite
+def _proof_inputs(draw):
+    terms = draw(st.dictionaries(st.sampled_from(_exponents), _coef))
+    p = MPoly(terms)
+    x0, y0 = draw(_end), draw(_end)
+    xs = (x0, x0 + draw(_width))
+    ys = (y0, y0) if draw(st.booleans()) else (y0, y0 + draw(_width))
+    if draw(st.booleans()):
+        # a sum of squares plus a small constant, with a near-root in the
+        # box: a proof takes many bisections or more than the budget
+        fx, fy = (F(draw(st.integers(0, 7)), 7) for _ in range(2))
+        x = MPoly.var_x() - (xs[0] + fx * (xs[1] - xs[0]))
+        y = MPoly.var_y() - (ys[0] + fy * (ys[1] - ys[0]))
+        a, b = draw(_coef), draw(_coef)
+        eps = draw(st.sampled_from([F(1, 10**k) for k in (1, 3, 6, 12)] + [F(0), F(-1, 1000)]))
+        p = (x * a + y * b) ** 2 + (x * b - y) ** 2 + eps + p * draw(st.sampled_from([F(0), F(1, 10**4)]))
+    return p, xs, ys
+
+
+@settings(max_examples=100)
+@given(_proof_inputs())
+def test_integer_proofs_decide_as_fraction_proofs(case):
+    p, xs, ys = case
+    assert positive_on(p, xs, ys) == _fraction_positive_on(p, xs, ys)
+
+
+def test_proof_oracle_cases_cover_budget_and_degenerate_sides():
+    x, y = MPoly.var_x(), MPoly.var_y()
+    one = F(1)
+    # a positive polynomial whose proof needs more than the budget
+    tight = (x - F(1, 3)) ** 2 + (y - F(1, 5)) ** 2 + F(1, 10**12)
+    cases = [
+        (tight, (-one, one), (-one, one), False),
+        (one - x * x, (F(-1, 2), F(1, 2)), (F(0), F(0)), True),  # a zero-width side
+        (x * x + y * y + F(1, 100), (-one, one), (-one, one), True),  # straddles 0
+        (x * y + 1, (F(-2), F(2)), (F(-1, 3), F(1, 2)), False),
+    ]
+    for p, xs, ys, expected in cases:
+        assert positive_on(p, xs, ys) == _fraction_positive_on(p, xs, ys) == expected
 
 
 LESLIE = {"bundled": (F(1), F(1), F(1, 2)), "zero": (F(2), F(1), F(1, 2)), "negative": (F(3), F(1), F(1, 2))}
