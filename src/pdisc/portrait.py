@@ -10,10 +10,14 @@ next step's first (FSAL), in whichever chart is well scaled: the finite
 chart while |x| + |y| stays small, the U1/U2 charts near infinity
 (switch out above 10, back below 5).  The step is straight-line code
 whose sums run in one fixed order, so every trajectory float is the
-same on every supported interpreter.  For even-degree systems the chart
-polynomials reverse time on the v < 0 half, which the integrator
-compensates with a sign factor, so drawn orbits always follow the true
-flow.
+same on every supported interpreter.  One text of it serves twice: as
+`_dp_step` over callable field components, and compiled once per chart
+of a `Flow` with that chart's two Horner expressions written inline at
+every stage.  The loop keeps the chart, coordinates and disc point in
+local variables and converts coordinates only when a switch threshold
+is crossed.  For even-degree systems the chart polynomials reverse
+time on the v < 0 half, which the integrator compensates with a sign
+factor, so drawn orbits always follow the true flow.
 
 An orbit ends at an equilibrium only where that is proved.  Every
 marker gets capture regions from its exact local analysis (see
@@ -22,7 +26,8 @@ equator, a triangle on the node side of a saddle-node, and an ellipse
 about each hyperbolic node on the divisors of a blown-up degenerate
 point.  A region captures only in the time direction in which it
 attracts, and an orbit that lands in one ends at the marker's disc
-point.  An orbit seeded on an invariant coordinate axis is not
+point; a state is tried only against the regions with a box in its
+chart.  An orbit seeded on an invariant coordinate axis is not
 integrated at all: its limit on the axis follows exactly from the sign
 of the field along it.
 """
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -90,25 +96,32 @@ def plane_from_disc(y1: float, y2: float) -> Tuple[float, float]:
 
 
 def _disc_from_chart(chart: str, u: float, v: float, side: int) -> Tuple[float, float]:
+    if chart == "U3":
+        return disc_from_plane(u, v)
     s = side / math.sqrt(1.0 + u * u + v * v)
     if chart == "U1":
         return (s, s * u)
     return (s * u, s)
 
 
-def _dist(a: Tuple[float, float], b: Tuple[float, float]) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
+def _leave_plane(x: float, y: float, even_degree: bool) -> Tuple[str, float, float, int, float]:
+    """A finite point as (chart, u, v, side, orientation) in U1 or U2,
+    whichever of |x|, |y| is the larger; for even degree the U1/U2
+    fields reverse time on the v < 0 half."""
+    chart, u, v = ("U1", y / x, 1.0 / x) if abs(x) >= abs(y) else ("U2", x / y, 1.0 / y)
+    return chart, u, v, 1 if v > 0 else -1, 1.0 if not even_degree or v >= 0 else -1.0
 
 
 # ---------------------------------------------------------------------------
 # polynomial compilation
 
 
-def compile_poly(p: MPoly) -> Callable[[float, float], float]:
-    """Horner-compile an exact polynomial to a float evaluator."""
+def _horner(p: MPoly, x: str = "x", y: str = "y") -> str:
+    """An exact polynomial as a Horner expression in the variables named
+    x and y: in y over rows in x."""
     rows = p.coeffs_in("y")
     if not rows:
-        return lambda x, y: 0.0
+        return "0.0"
     parts: List[str] = []
     for j in range(len(rows) - 1, -1, -1):
         xs = rows[j].univariate_coeffs("x")
@@ -117,21 +130,34 @@ def compile_poly(p: MPoly) -> Callable[[float, float], float]:
         else:
             inner = repr(float(xs[-1]))
             for c in reversed(xs[:-1]):
-                inner = f"({inner})*x + {float(c)!r}"
+                inner = f"({inner})*{x} + {float(c)!r}"
         parts.append(f"({inner})")
     body = parts[0]
     for chunk in parts[1:]:
-        body = f"({body})*y + {chunk}"
+        body = f"({body})*{y} + {chunk}"
+    return body
+
+
+def _define(src: str, name: str) -> Callable:
     namespace: Dict[str, object] = {}
-    exec(f"def _f(x, y):\n    return {body}\n", namespace)
-    return namespace["_f"]  # type: ignore[return-value]
+    exec(src, namespace)
+    return namespace[name]  # type: ignore[return-value]
+
+
+def compile_poly(p: MPoly) -> Callable[[float, float], float]:
+    """Horner-compile an exact polynomial to a float evaluator."""
+    return _define(f"def _f(x, y):\n    return {_horner(p)}\n", "_f")
 
 
 # ---------------------------------------------------------------------------
 # Dormand-Prince 4(5)
 
-
-def _dp_step(fx, fy, k, x, y, h, k1x, k1y):
+# The one text of the tableau.  With the field components as arguments
+# it is `_dp_step`; with each call fx(a, b), fy(a, b) replaced by a
+# chart's Horner expressions at (a, b) it is that chart's kernel (see
+# `compile_step`), the same float operations in the same order.
+_DP_STEP = '''
+def _dp_step({fields}k, x, y, h, k1x, k1y):
     """One embedded step of x' = k * fx, y' = k * fy from (x, y), given
     its first stage (k1x, k1y); returns (x5, y5, err_x, err_y, k7x, k7y).
 
@@ -179,6 +205,17 @@ def _dp_step(fx, fy, k, x, y, h, k1x, k1y):
                   + (393 / 640) * k4y + (-92097 / 339200) * k5y + (187 / 2100) * k6y
                   + (1 / 40) * k7y)
     return x5, y5, x5 - x4, y5 - y4, k7x, k7y
+'''
+_dp_step = _define(_DP_STEP.format(fields="fx, fy, "), "_dp_step")
+
+
+def compile_step(p: MPoly, q: MPoly) -> Callable[..., Tuple[float, float, float, float, float, float]]:
+    """`_dp_step` for x' = k * p, y' = k * q with both Horner expressions
+    written inline at each stage, each built once with format fields for
+    the stage's point: step(k, x, y, h, k1x, k1y)."""
+    fields = {"fx": _horner(p, "{0}", "{1}"), "fy": _horner(q, "{0}", "{1}")}
+    stages = re.sub(r"\b(f[xy])\((\w+), (\w+)\)", lambda m: "(" + fields[m[1]].format(m[2], m[3]) + ")", _DP_STEP)
+    return _define(stages.format(fields=""), "_dp_step")
 
 
 # ---------------------------------------------------------------------------
@@ -198,35 +235,18 @@ class Trajectory:
         return self.points[-1]
 
 
-class _ChartState:
-    """Mutable integration state: chart id, local coordinates, and the
-    time-orientation sign of the chart polynomials at the current
-    position."""
-
-    __slots__ = ("chart", "x", "y", "side", "orient")
-
-    def __init__(self, chart: str, x: float, y: float, side: int, orient: float):
-        self.chart = chart
-        self.x = x
-        self.y = y
-        self.side = side
-        self.orient = orient
-
-    def disc(self) -> Tuple[float, float]:
-        if self.chart == "U3":
-            return disc_from_plane(self.x, self.y)
-        return _disc_from_chart(self.chart, self.x, self.y, self.side)
-
-
 class Flow:
     """A system's vector field compiled once for every orbit of a
-    portrait: the finite chart U3 and the charts U1/U2 at infinity, the
-    markers where orbits end, and their capture regions (see
-    `pdisc.capture`).  `markers` default to every equilibrium of `disc`
-    (see `disc_markers`).  `axes` holds each invariant coordinate axis
-    as the field component along it, a polynomial in the axis coordinate
-    alone; its finite markers with their exact coordinates along it; and
-    its rim markers by side.
+    portrait, the markers where orbits end, and their capture regions
+    (see `pdisc.capture`).  `fields` maps the finite chart U3 and the
+    charts U1/U2 at infinity to the field components, which give a
+    first stage, and the chart's Dormand-Prince step (see
+    `compile_step`); `near` maps each chart to the regions with a box in
+    it, in `captures` order, each with its prefilter there.  `markers`
+    default to every equilibrium of `disc` (see `disc_markers`).  `axes`
+    holds each invariant coordinate axis as the field component along
+    it, a polynomial in the axis coordinate alone; its finite markers
+    with their exact coordinates along it; and its rim markers by side.
     """
 
     def __init__(self, disc: DiscEquilibria, markers: Optional[Sequence["Marker"]] = None):
@@ -236,9 +256,12 @@ class Flow:
         self.even_degree = sys.degree % 2 == 0
         u1, u2 = disc.charts["U1"], disc.charts["U2"]
         self.fields = {
-            "U3": (compile_poly(sys.P), compile_poly(sys.Q)),
-            "U1": (compile_poly(u1.du), compile_poly(u1.dv)),
-            "U2": (compile_poly(u2.du), compile_poly(u2.dv)),
+            chart: (compile_poly(p), compile_poly(q), compile_step(p, q))
+            for chart, p, q in (("U3", sys.P, sys.Q), ("U1", u1.du, u1.dv), ("U2", u2.du, u2.dv))
+        }
+        self.near = {
+            chart: [(*r.near[chart], r) for r in self.captures if r.near[chart] is not None]
+            for chart in ("U3", "U1", "U2")
         }
         # an axis is invariant when the transverse component vanishes on it
         zero = Fraction(0)
@@ -274,18 +297,13 @@ class Flow:
                 best = (c, m)
         return step, rim.get(step) if best is None else best[1]
 
-    def capture(self, st: _ChartState, sgn: float) -> Optional[Capture]:
-        """The first capture region in `captures` that holds the state for
-        time sign `sgn`, or None.  A region is carried into the state's
+    def capture(self, chart: str, su: float, sv: float, sgn: float) -> Optional[Capture]:
+        """The first capture region in `captures` that holds the state
+        (su, sv) of `chart` for time sign `sgn`, or None.  Only the
+        regions in `near[chart]` are tried, each carried into the state's
         chart and tested only once the raw state passes its prefilter
-        for that chart (see `Capture.near`), which every state it holds
-        passes."""
-        chart, su, sv = st.chart, st.x, st.y
-        for r in self.captures:
-            near = r.near[chart]
-            if near is None:
-                continue  # regions at infinity are tested from U1/U2 only
-            ulo, uhi, vlo, vhi, umin, vmin = near
+        there (see `Capture.near`), which every state it holds passes."""
+        for ulo, uhi, vlo, vhi, umin, vmin, r in self.near[chart]:
             if not (ulo <= su <= uhi and vlo <= sv <= vhi) or abs(su) < umin or abs(sv) < vmin:
                 continue
             u, v = su, sv
@@ -303,41 +321,6 @@ class Flow:
             if r.hit(u - r.x0, v - r.y0, sgn):
                 return r
         return None
-
-    def _orientation(self, v: float) -> float:
-        # for even degree the U1/U2 fields reverse time on the v < 0 half
-        if not self.even_degree:
-            return 1.0
-        return 1.0 if v >= 0 else -1.0
-
-    def switch(self, st: _ChartState) -> None:
-        if st.chart == "U3":
-            if abs(st.x) + abs(st.y) > CHART_OUT:
-                if abs(st.x) >= abs(st.y):
-                    u, v = st.y / st.x, 1.0 / st.x
-                    st.chart = "U1"
-                else:
-                    u, v = st.x / st.y, 1.0 / st.y
-                    st.chart = "U2"
-                st.x, st.y = u, v
-                st.side = 1 if v > 0 else -1
-                st.orient = self._orientation(v)
-            return
-        u, v = st.x, st.y
-        if v != 0.0 and (1.0 + abs(u)) / abs(v) < CHART_IN:
-            if st.chart == "U1":
-                st.x, st.y = 1.0 / v, u / v
-            else:
-                st.x, st.y = u / v, 1.0 / v
-            st.chart = "U3"
-            st.side = 1
-            st.orient = 1.0
-            return
-        if abs(u) > 2.0:
-            st.chart = "U2" if st.chart == "U1" else "U1"
-            st.x, st.y = 1.0 / u, v / u
-            st.side = 1 if st.y > 0 else (-1 if st.y < 0 else st.side)
-            st.orient = self._orientation(st.y)
 
 
 def integrate_orbit(
@@ -378,29 +361,31 @@ def integrate_orbit(
             pts = [p] if end == p else [p, end]
             return Trajectory(seed_id, role, direction, pts, reason, None if m is None else m.marker_id)
 
-    st = _ChartState("U3", x0, y0, 1, 1.0)
-    flow.switch(st)
-    # the chart's field and time sign change only when the chart does
-    fx, fy = flow.fields[st.chart]
-    k = sgn * st.orient
-    k1x = k * fx(st.x, st.y)
-    k1y = k * fy(st.x, st.y)
-    p = st.disc()
-    pts = [p]
+    sqrt, hypot = math.sqrt, math.hypot
+    even, fields, capture = flow.even_degree, flow.fields, flow.capture
+    chart, x, y, side, orient = "U3", x0, y0, 1, 1.0
+    if abs(x) + abs(y) > CHART_OUT:
+        chart, x, y, side, orient = _leave_plane(x, y, even)
+    # the chart's field, step and time sign change only when the chart does
+    fx, fy, dp = fields[chart]
+    k = sgn * orient
+    k1x = k * fx(x, y)
+    k1y = k * fy(x, y)
+    px, py = lx, ly = _disc_from_chart(chart, x, y, side)
+    pts = [(px, py)]
     reason = REASON_TMAX
     cap: Optional[Capture] = None
     t = 0.0
     h = 1e-3
-    last_recorded = p
     for _ in range(MAX_STEPS):
         if t >= tmax:
             break
         h = min(h, tmax - t, 0.5)
-        nx, ny, ex, ey, k7x, k7y = _dp_step(fx, fy, k, st.x, st.y, h, k1x, k1y)
-        sx = atol + tol * max(abs(st.x), abs(nx))
-        sy = atol + tol * max(abs(st.y), abs(ny))
+        nx, ny, ex, ey, k7x, k7y = dp(k, x, y, h, k1x, k1y)
+        sx = atol + tol * max(abs(x), abs(nx))
+        sy = atol + tol * max(abs(y), abs(ny))
         try:
-            err = math.sqrt(((ex / sx) ** 2 + (ey / sy) ** 2) / 2.0)
+            err = sqrt(((ex / sx) ** 2 + (ey / sy) ** 2) / 2.0)
         except OverflowError:
             err = math.inf
         if not err <= 1.0:
@@ -409,19 +394,19 @@ def integrate_orbit(
                 reason = REASON_UNDERFLOW
                 break
             continue
-        chart = st.chart
         if chart == "U3":
-            # keep recorded polylines locally short on the disc; p is the
-            # disc point of (st.x, st.y)
-            q = disc_from_plane(nx, ny)
-            if _dist(q, p) > 0.05:
+            # keep recorded polylines locally short on the disc; (px, py)
+            # is the disc point of (x, y)
+            s = 1.0 / sqrt(1.0 + nx * nx + ny * ny)
+            qx, qy = nx * s, ny * s
+            if hypot(qx - px, qy - py) > 0.05:
                 h *= 0.5
                 if h < 1e-13 * max(1.0, abs(t)):
                     reason = REASON_UNDERFLOW
                     break
                 continue
 
-        st.x, st.y = nx, ny
+        x, y = nx, ny
         k1x, k1y = k7x, k7y
         t += h
         if err > 1e-30:
@@ -429,26 +414,43 @@ def integrate_orbit(
         else:
             h *= 5.0
 
-        if chart != "U3" and abs(ny) < EQUATOR_EPS:
+        # switch charts out above CHART_OUT, back below CHART_IN, and
+        # across the U1/U2 overlap where |u| > 2
+        was = chart
+        if chart == "U3":
+            if abs(x) + abs(y) > CHART_OUT:
+                chart, x, y, side, orient = _leave_plane(x, y, even)
+        elif abs(y) < EQUATOR_EPS:
             reason = REASON_BOUNDARY
             break
-        flow.switch(st)
-        if st.chart != chart:
-            fx, fy = flow.fields[st.chart]
-            k = sgn * st.orient
-            k1x = k * fx(st.x, st.y)
-            k1y = k * fy(st.x, st.y)
-
-        p = q if st.chart == chart == "U3" else st.disc()
-        if _dist(p, last_recorded) >= 0.004:
-            pts.append(p)
-            last_recorded = p
-        cap = flow.capture(st, sgn)
+        elif y != 0.0 and (1.0 + abs(x)) / abs(y) < CHART_IN:
+            x, y = (1.0 / y, x / y) if chart == "U1" else (x / y, 1.0 / y)
+            chart, side, orient = "U3", 1, 1.0
+        elif abs(x) > 2.0:
+            chart = "U2" if chart == "U1" else "U1"
+            x, y = 1.0 / x, y / x
+            side = 1 if y > 0 else (-1 if y < 0 else side)
+            orient = 1.0 if not even or y >= 0 else -1.0
+        if chart != was:
+            fx, fy, dp = fields[chart]
+            k = sgn * orient
+            k1x = k * fx(x, y)
+            k1y = k * fy(x, y)
+            px, py = _disc_from_chart(chart, x, y, side)
+        elif chart == "U3":
+            px, py = qx, qy
+        else:
+            s = side / sqrt(1.0 + x * x + y * y)
+            px, py = (s, s * x) if chart == "U1" else (s * x, s)
+        if hypot(px - lx, py - ly) >= 0.004:
+            pts.append((px, py))
+            lx, ly = px, py
+        cap = capture(chart, x, y, sgn)
         if cap is not None:
             reason = REASON_EQ
             break
 
-    final = st.disc() if cap is None else cap.disc
+    final = _disc_from_chart(chart, x, y, side) if cap is None else cap.disc
     if pts[-1] != final:
         pts.append(final)
     return Trajectory(seed_id, role, direction, pts, reason, None if cap is None else cap.marker_id)
@@ -551,10 +553,7 @@ def _eig_directions(m: Marker) -> List[Tuple[float, Tuple[float, float]]]:
 
 
 def _local_to_disc(chart: str, side: int, u: float, v: float) -> Tuple[float, float]:
-    if chart == "U3":
-        return disc_from_plane(u, v)
-    eff = 1 if v > 0 else (-1 if v < 0 else side)
-    return _disc_from_chart(chart, u, v, eff)
+    return _disc_from_chart(chart, u, v, 1 if v > 0 else (-1 if v < 0 else side))
 
 
 def _in_quadrant(chart: str, side: int, u: float, v: float) -> bool:
@@ -784,7 +783,7 @@ def render_portrait(doc: PortraitDoc) -> Tuple[bytes, bytes]:
     for tr in doc.trajectories:
         if len(tr.points) < 2:
             continue
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(_svg_xy, tr.points))
+        coords = " ".join(["%.2f,%.2f" % (400.0 + 380.0 * x, 400.0 - 380.0 * y) for x, y in tr.points])
         width = "1.8" if tr.role == "separatrix" else "1.0"
         parts.append(
             f'<polyline points="{coords}" fill="none" '

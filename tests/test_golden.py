@@ -186,26 +186,31 @@ def test_leslie_portrait_bytes(name):
 
 
 # field-component evaluations of the bundled-parameter portrait: one per
-# component at each seed and after each chart switch, six per step after
+# component at each seed and after each chart switch, through the
+# `compile_poly` evaluators, and six per step after, inlined in each
+# chart's `compile_step` kernel
 @pytest.mark.parametrize("view, evals", [("quadrant", 45948), ("full", 419330)])
 def test_bundled_portrait_evaluation_count(view, evals, monkeypatch):
-    calls = [0]
-    compile_poly = portrait.compile_poly
+    calls = {"fresh": 0, "steps": 0}
 
-    def counting(p):
-        f = compile_poly(p)
+    def counting(compile, key):
+        def counted(*polys):
+            f = compile(*polys)
 
-        def g(x, y):
-            calls[0] += 1
-            return f(x, y)
+            def g(*args):
+                calls[key] += 1
+                return f(*args)
 
-        return g
+            return g
 
-    monkeypatch.setattr(portrait, "compile_poly", counting)
+        return counted
+
+    monkeypatch.setattr(portrait, "compile_poly", counting(portrait.compile_poly, "fresh"))
+    monkeypatch.setattr(portrait, "compile_step", counting(portrait.compile_step, "steps"))
     sys = parse_system(_source(*TRIPLES["bundled"]))
     params = ParamBindings(sys.params["A"], sys.params["B"], sys.params["C"])
     build_portrait(sys, params, positive_quadrant_only=view == "quadrant")
-    assert calls[0] == evals
+    assert 12 * calls["steps"] + calls["fresh"] == evals
 
 
 # calls to `hit` of any capture region in the bundled-parameter portrait,

@@ -37,13 +37,13 @@ from pdisc.portrait import (
     EPS_SEPARATRIX,
     Flow,
     PortraitDoc,
-    _ChartState,
     _disc_from_chart,
     _dp_step,
     _marker_for_finite,
     _marker_for_infinite,
     build_portrait,
     compile_poly,
+    compile_step,
     default_seeds,
     disc_from_plane,
     disc_markers,
@@ -60,6 +60,13 @@ REASON_BOUNDARY = "reached-boundary"
 
 def _dist(a, b):
     return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def _without_captures(flow):
+    """Leave `flow` no capture region, in its list or in any chart's."""
+    flow.captures.clear()
+    for regions in flow.near.values():
+        regions.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +271,40 @@ def test_straight_line_step_matches_the_loop_off_the_finite_floats(fx, fy, x, y,
     new = _dp_step(fx, fy, k, x, y, 0.5, k * fx(x, y), k * fy(x, y))
     assert math.isnan(new[0])
     _assert_same_step(fx, fy, k, x, y, 0.5)
+
+
+# random polynomials, the zero polynomial and constants among them, with
+# coefficients that overflow a step to inf and NaN
+_coeff = st.one_of(st.fractions(min_value=-5, max_value=5), st.sampled_from([F(10**300), F(-(10**300)), F(1, 10**300)]))
+_polys = st.one_of(
+    st.just({}),
+    st.dictionaries(st.just((0, 0)), _coeff, min_size=1),
+    st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), _coeff, max_size=6),
+).map(MPoly)
+_state = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300, math.inf, math.nan]), st.floats(-3.0, 3.0), st.floats())
+
+
+def _assert_kernel_matches(dp, fx, fy, k, x, y, h):
+    k1x, k1y = k * fx(x, y), k * fy(x, y)
+    new = dp(k, x, y, h, k1x, k1y)
+    assert struct.pack("<6d", *new) == struct.pack("<6d", *_dp_step(fx, fy, k, x, y, h, k1x, k1y))
+
+
+@settings(max_examples=300)
+@given(_polys, _polys, st.sampled_from([1.0, -1.0]), _state, _state, st.floats(min_value=0.0, max_value=0.5))
+def test_compiled_step_is_bit_identical_to_the_callable_step(p, q, k, x, y, h):
+    _assert_kernel_matches(compile_step(p, q), compile_poly(p), compile_poly(q), k, x, y, h)
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled_flow():
+    return Flow(disc_equilibria(leslie_system(F(1), F(1), F(1, 2)), False))
+
+
+@given(st.sampled_from(["U3", "U1", "U2"]), st.sampled_from([1.0, -1.0]), _state, _state, st.floats(1e-6, 0.5))
+def test_each_charts_kernel_is_bit_identical_to_the_callable_step(chart, k, x, y, h):
+    fx, fy, dp = _bundled_flow().fields[chart]
+    _assert_kernel_matches(dp, fx, fy, k, x, y, h)
 
 
 def test_orbit_matches_exponential_flow():
@@ -619,7 +660,7 @@ def test_captured_orbit_ends_at_the_marker():
     seed = disc_from_plane(-0.5, 0.3)
     # the approach is algebraic (x ~ -1/t), so without the region the orbit runs to tmax
     bare_flow = Flow(disc_equilibria(sys), markers=[m])
-    bare_flow.captures.clear()
+    _without_captures(bare_flow)
     bare = integrate_orbit(bare_flow, seed, tmax=50.0)
     assert bare.reason == REASON_TMAX
     flow = Flow(disc_equilibria(sys), markers=[m])
@@ -736,8 +777,8 @@ def test_blowup_node_respects_the_rescaling_sign():
     # this marker is the side +1 point U2+; (a, -2a) has v < 0, so it lies
     # near the antipodal point U2- instead
     flow = Flow(disc_equilibria(sys), markers=[m])
-    assert flow.capture(_ChartState("U2", -a, 2.0 * a, 1, 1.0), -1.0).disc == cap.disc
-    assert flow.capture(_ChartState("U2", a, -2.0 * a, -1, 1.0), 1.0) is None
+    assert flow.capture("U2", -a, 2.0 * a, -1.0).disc == cap.disc
+    assert flow.capture("U2", a, -2.0 * a, 1.0) is None
 
 
 def test_capture_across_the_chart_overlap():
@@ -752,13 +793,13 @@ def test_capture_across_the_chart_overlap():
     assert len(flow.captures) == 1
     # c = -0.01 along the center vector: the node half, forward, inside the disc
     u1, v1 = -1.01, 0.01
-    assert flow.capture(_ChartState("U1", u1, v1, 1, 1.0), 1.0).disc == m.disc
+    assert flow.capture("U1", u1, v1, 1.0).disc == m.disc
     # the same plane point held in U2, as by an orbit that came from the U2 side
     u2, v2 = 1.0 / u1, v1 / u1
-    assert flow.capture(_ChartState("U2", u2, v2, -1, 1.0), 1.0).disc == m.disc
-    assert flow.capture(_ChartState("U2", u2, v2, -1, 1.0), -1.0) is None
+    assert flow.capture("U2", u2, v2, 1.0).disc == m.disc
+    assert flow.capture("U2", u2, v2, -1.0) is None
     # the antipodal point (v < 0) is not near this side +1 marker
-    assert flow.capture(_ChartState("U1", u1, -v1, -1, 1.0), 1.0) is None
+    assert flow.capture("U1", u1, -v1, 1.0) is None
 
 
 def test_finite_marker_captures_from_a_chart_at_infinity():
@@ -786,18 +827,18 @@ FULL_DISC = {
 }
 
 
-def _unfiltered_capture(flow, st, sgn):
+def _unfiltered_capture(flow, chart, su, sv, sgn):
     """`Flow.capture` as it was before the prefilter: every region, carried
     into its own chart and tested."""
     for r in flow.captures:
-        u, v = st.x, st.y
-        if r.chart != st.chart:
-            if st.chart == "U3":
+        u, v = su, sv
+        if r.chart != chart:
+            if chart == "U3":
                 continue
             if r.chart == "U3":
                 if v == 0.0:
                     continue
-                u, v = (1.0 / v, u / v) if st.chart == "U1" else (u / v, 1.0 / v)
+                u, v = (1.0 / v, u / v) if chart == "U1" else (u / v, 1.0 / v)
             else:
                 if u == 0.0:
                     continue
@@ -815,9 +856,9 @@ def test_prefiltered_capture_returns_the_unfiltered_region(name, monkeypatch):
     capture = Flow.capture
     seen = {"steps": 0, "captured": 0}
 
-    def checked(flow, st, sgn):
-        got = capture(flow, st, sgn)
-        assert got is _unfiltered_capture(flow, st, sgn), (st.chart, st.x, st.y, sgn)
+    def checked(flow, chart, su, sv, sgn):
+        got = capture(flow, chart, su, sv, sgn)
+        assert got is _unfiltered_capture(flow, chart, su, sv, sgn), (chart, su, sv, sgn)
         seen["steps"] += 1
         seen["captured"] += got is not None
         return got
@@ -1037,7 +1078,7 @@ def test_captured_orbits_reach_their_marker_without_capture(case):
     if case == "even-degree":
         assert {m.side for m, _ in picked.values()} == {1, -1}
     assert {m.classification for m, _ in picked.values()} & NODE_CLASSES
-    flow.captures.clear()
+    _without_captures(flow)
     for m, tr in picked.values():
         seed = seeds[tr.seed_id]
         rerun = integrate_orbit(flow, seed.disc, seed.direction, tmax=1e4)
