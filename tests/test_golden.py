@@ -291,3 +291,47 @@ def test_other_analyze_bytes(name):
     texts = (json.dumps(analyze_report(sys, quadrant=q), sort_keys=True, indent=2) + "\n" for q in (False, True))
     digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in texts)
     assert digests == (full_digest, quadrant_digest)
+
+
+# sha256 of the `pdisc darboux` JSON at extactic orders 1 and 2 of the
+# OTHER_ANALYZE systems, recorded while `MPoly` still stored `Fraction`
+# coefficients; how the coefficients are stored decides nothing, so no
+# byte may move.
+OTHER_DARBOUX = {
+    "chart-plan": (
+        "268f6fc091e4780a9b2250cfeaf9d9dde5621d0f47aac755721c2f3809008df8",
+        "307400e1e46fcc9bfbe310e53a088431314c9ff25840cfc22754a93990bd9d74",
+    ),
+    "line-ellipse-2": (
+        "ccb62e32c264773e1a792aff7d923358f60264bc404f4f487a83f97966712b7c",
+        "e6ae5fc79c8900f1940c92227c95eb42c69718658c96fece376f25b60455d21f",
+    ),
+    "line-ellipse-3": (
+        "097134be03e1356f639ec969dd9849484095498785d56b644e45718868199174",
+        "f965323bf27b45083f4ba649802566e82ef63f40231d0cebfd47f2097f42a4ee",
+    ),
+    "line-ellipse-4": (
+        "e107a9dde53ccfa7a0c8fbc729d78a105fb9e6411809beb9f1e58cabc3c1fabf",
+        "0f38a0f78e9dde46e1a54c66b429dea8dfea034c769faaa492babe9de1373b2a",
+    ),
+    "quartic": (
+        "da2db0e238ba95d9fdcff5e25ab3dc862339ca3597b4ed9c848c21991359b3c0",
+        "7ae0a5f67f61c1a84adbc9d454e7f799233729b2f8043ee472b2869d1867a612",
+    ),
+    "quintic": (
+        "549ed12db69c2436e3c91b79d56df24e736a1720fd9a369dd0e017d703dadfb1",
+        "6332c3625a34adf2abe30f2189cb40c444a522d4eb04bec00e2608126308f7e3",
+    ),
+    "saddle": (
+        "74b64d99b278edc0575bb68854df85f5c70472e147223ca9ec654e6c49c382df",
+        "0a9ea4154d7c9387ecb61c01203056f75752bafa0807f5c7f30cb3bfbad87cca",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_DARBOUX))
+@pytest.mark.parametrize("order", [1, 2])
+def test_other_darboux_bytes(name, order):
+    sys = parse_system(OTHER_ANALYZE[name][0])
+    text = json.dumps(darboux_report(sys, SearchBounds(extactic_order=order)), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == OTHER_DARBOUX[name][order - 1]

@@ -189,6 +189,73 @@ def test_solve_linear_flags_inconsistency():
     assert rank_aug == 2
 
 
+
+def _fraction_rref(matrix):
+    """Reduced row echelon form and pivot columns by Gauss-Jordan over
+    Fraction, choosing the pivot of smallest |numerator|: the oracle of
+    the fraction-free elimination."""
+    a = [[Fraction(c) for c in row] for row in matrix]
+    pivots = []
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        live = [i for i in range(r, len(a)) if a[i][c] != 0]
+        if r >= len(a) or not live:
+            continue
+        p = min(live, key=lambda i: (abs(a[i][c].numerator), a[i][c].denominator, i))
+        a[r], a[p] = a[p], a[r]
+        a[r] = [v / a[r][c] for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+@st.composite
+def rational_systems(draw):
+    """Augmented rows [A | b]: independent random rows, then rows that are
+    rational combinations of earlier ones, some with 1 added to the
+    right-hand side so that the system may be inconsistent."""
+    ncols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(small_rationals, min_size=ncols + 1, max_size=ncols + 1), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        ws = draw(st.lists(small_rationals, min_size=len(rows), max_size=len(rows)))
+        row = [sum((w * r[k] for w, r in zip(ws, rows)), Fraction(0)) for k in range(ncols + 1)]
+        row[-1] += draw(st.sampled_from([0, 1]))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+@given(rational_systems())
+def test_row_echelon_matches_fraction_gauss_jordan(rows):
+    a, b = [r[:-1] for r in rows], [r[-1] for r in rows]
+    assert matrix._row_echelon(rows) == _fraction_rref(rows)
+    red, pivots = _fraction_rref(a)
+    assert matrix._row_echelon(a) == (red, pivots)
+    ncols = len(a[0])
+    free = [c for c in range(ncols) if c not in pivots]
+    want = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -red[r][f]
+        want.append(vec)
+    assert nullspace(a) == want
+    aug_red, aug_pivots = _fraction_rref(rows)
+    sol, rank, rank_aug = solve_linear(a, b)
+    assert (rank, rank_aug) == (len(pivots), len(aug_pivots))
+    if aug_pivots[-1:] == [ncols]:
+        assert sol is None and rank_aug == rank + 1
+    else:
+        expect = [Fraction(0)] * ncols
+        for r, c in enumerate(aug_pivots):
+            expect[c] = aug_red[r][ncols]
+        assert sol == expect
+
+
 def _poly_in_y(roots: Sequence[Fraction], lead: Fraction = Fraction(1)) -> MPoly:
     p = MPoly.const(lead)
     for r in roots:

@@ -255,3 +255,199 @@ def test_format_readable():
     p = x * y - MPoly.const(Fraction(1, 2))
     text = p.format()
     assert "x" in text and "y" in text and "1/2" in text
+
+
+# -- a plain dict-of-Fraction reference ---------------------------------
+#
+# Each property below computes one operation twice: on MPoly, and on a
+# dict {(i, j): Fraction} with the textbook definition.  The two must
+# agree term for term, and items() must list the terms in descending
+# graded-lex order.
+
+terms_lists = st.lists(
+    st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals), max_size=5
+)
+
+
+def _grlex(e):
+    return (e[0] + e[1], e[1])
+
+
+def _ref(terms) -> dict:
+    acc: dict = {}
+    for e, c in terms:
+        acc[e] = acc.get(e, Fraction(0)) + Fraction(c)
+    return {e: c for e, c in acc.items() if c}
+
+
+def _ref_add(a: dict, b: dict, sign: int = 1) -> dict:
+    return _ref(list(a.items()) + [(e, sign * c) for e, c in b.items()])
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    return _ref(((i + k, j + l), c * d) for (i, j), c in a.items() for (k, l), d in b.items())
+
+
+def _ref_pow(a: dict, n: int) -> dict:
+    out = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_diff(a: dict, idx: int) -> dict:
+    return _ref(((i - (idx == 0), j - (idx == 1)), c * (i, j)[idx]) for (i, j), c in a.items() if (i, j)[idx])
+
+
+def _ref_eval(a: dict, x: Fraction, y: Fraction) -> Fraction:
+    return sum((c * x**i * y**j for (i, j), c in a.items()), Fraction(0))
+
+
+def _ref_subst(a: dict, px: dict, py: dict) -> dict:
+    out: dict = {}
+    for (i, j), c in a.items():
+        out = _ref_add(out, _ref_mul(_ref_mul(_ref_pow(px, i), _ref_pow(py, j)), {(0, 0): c}))
+    return out
+
+
+def _ref_divide(f: dict, g: dict):
+    """Single-divisor leading-term division under graded lex: (q, r)."""
+    lead = max(g, key=_grlex)
+    work, q, r = dict(f), {}, {}
+    while work:
+        e = max(work, key=_grlex)
+        c = work.pop(e)
+        if e[0] < lead[0] or e[1] < lead[1]:
+            r[e] = c
+            continue
+        qe = (e[0] - lead[0], e[1] - lead[1])
+        q[qe] = c / g[lead]
+        for (i, j), v in g.items():
+            if (i, j) != lead:
+                work = _ref_add(work, {(qe[0] + i, qe[1] + j): q[qe] * v}, -1)
+    return q, r
+
+
+def _ref_format(a: dict) -> str:
+    if not a:
+        return "0"
+    out = ""
+    for n, (i, j) in enumerate(sorted(a, key=_grlex, reverse=True)):
+        c = a[(i, j)]
+        mono = "*".join(f for f in ("" if not i else "x" if i == 1 else f"x^{i}", "" if not j else "y" if j == 1 else f"y^{j}") if f)
+        body = (mono if abs(c) == 1 else f"{abs(c)}*{mono}") if mono else f"{abs(c)}"
+        if n == 0:
+            out = body if c > 0 else ("-1*" + mono if mono and abs(c) == 1 else "-" + body)
+        else:
+            out += (" - " if c < 0 else " + ") + body
+    return out
+
+
+def _agrees(p: MPoly, ref: dict) -> bool:
+    listed = list(p.items())
+    order = [e for e, _ in listed] == sorted(ref, key=_grlex, reverse=True)
+    return order and dict(listed) == ref and all(type(c) is Fraction for _, c in listed)
+
+
+@given(terms_lists, terms_lists, st.integers(0, 3), rationals)
+def test_ring_operations_match_reference(ta, tb, n, s):
+    a, b = MPoly(ta), MPoly(tb)
+    ra, rb = _ref(ta), _ref(tb)
+    assert _agrees(a, ra) and _agrees(b, rb)
+    assert _agrees(a + b, _ref_add(ra, rb))
+    assert _agrees(a - b, _ref_add(ra, rb, -1))
+    assert _agrees(-a, _ref_add({}, ra, -1))
+    assert _agrees(a * b, _ref_mul(ra, rb))
+    assert _agrees(a * s, _ref_mul(ra, {(0, 0): s} if s else {}))
+    assert _agrees(s + a, _ref_add(ra, {(0, 0): s} if s else {}))
+    assert _agrees(a**n, _ref_pow(ra, n))
+    assert a.format() == _ref_format(ra) and (a * b).format() == _ref_format(_ref_mul(ra, rb))
+    assert a.term_count() == len(ra)
+    assert a.degree == (max(i + j for i, j in ra) if ra else NEG_INF)
+    if ra:
+        lead = max(ra, key=_grlex)
+        assert a.leading() == (lead, ra[lead])
+        assert a.monic().leading_coeff() == 1 and a.monic() == a * (1 / ra[lead])
+        assert a.degree_in("x") == max(i for i, _ in ra) and a.degree_in("y") == max(j for _, j in ra)
+    for i in range(4):
+        for j in range(4):
+            assert a.coeff(i, j) == ra.get((i, j), 0)
+
+
+@given(terms_lists, terms_lists, terms_lists, points)
+def test_calculus_and_substitution_match_reference(ta, tb, tc, pt):
+    a, b, c = MPoly(ta), MPoly(tb), MPoly(tc)
+    ra, rb, rc = _ref(ta), _ref(tb), _ref(tc)
+    x0, y0 = pt
+    assert _agrees(a.diff("x"), _ref_diff(ra, 0))
+    assert _agrees(a.diff("y"), _ref_diff(ra, 1))
+    value = a.eval_rat(x0, y0)
+    assert type(value) is Fraction and value == _ref_eval(ra, x0, y0)
+    assert _agrees(a.subst(b, c), _ref_subst(ra, rb, rc))
+    assert _agrees(a.subst_x(x0), _ref(((0, j), v * x0**i) for (i, j), v in ra.items()))
+    assert _agrees(a.subst_y(y0), _ref(((i, 0), v * y0**j) for (i, j), v in ra.items()))
+    for idx, var in enumerate(("x", "y")):
+        rows = a.coeffs_in(var)
+        deg = max((e[idx] for e in ra), default=-1)
+        assert len(rows) == deg + 1
+        for k, row in enumerate(rows):
+            want = _ref(((0, e[1]) if idx == 0 else (e[0], 0), v) for e, v in ra.items() if e[idx] == k)
+            assert _agrees(row, want)
+
+
+@given(terms_lists, terms_lists, terms_lists)
+def test_division_matches_reference(ta, tb, tr):
+    a, b = MPoly(ta), MPoly(tb)
+    if b.is_zero:
+        return
+    for f in (a, a * b, a * b + MPoly(tr)):
+        rq, rr = _ref_divide(_ref(f.items()), _ref(tb))
+        q, r = f.reduce_mod(b)
+        assert _agrees(q, rq) and _agrees(r, rr)
+        exact = f.exact_div(b)
+        assert (exact is None) if rr else _agrees(exact, rq)
+
+
+# -- canonical form -----------------------------------------------------
+
+
+@given(terms_lists, nonzero_rationals, st.randoms(use_true_random=False))
+def test_equal_values_compare_and_hash_equal(terms, s, rnd):
+    shuffled = list(terms)
+    rnd.shuffle(shuffled)
+    routes = [
+        MPoly(terms),
+        MPoly(shuffled),
+        sum((MPoly.monomial(i, j, c) for (i, j), c in shuffled), MPoly.zero()),
+        MPoly(terms) * s * (1 / s),
+        (MPoly(terms) * MPoly.const(s)).exact_div(MPoly.const(s)),
+        MPoly(terms) + MPoly.var_x() * s - MPoly.monomial(1, 0, s),
+        -(-MPoly(terms)),
+        MPoly(dict(MPoly(terms).items())),
+    ]
+    assert all(p == routes[0] and hash(p) == hash(routes[0]) for p in routes)
+
+
+def test_canonical_zero_constants_and_negative_leads():
+    x, y, one = MPoly.var_x(), MPoly.var_y(), MPoly.one()
+    zeros = [MPoly(), MPoly.zero(), MPoly({(1, 0): 0}), x - x, (x + 1) * (x - 1) - (x * x - 1), 0 * x, MPoly.const(0)]
+    threes = [MPoly.const(3), 3 * one, MPoly({(0, 0): Fraction(6, 2)}), (x + 3) - x, MPoly.const(Fraction(3, 2)) * 2]
+    negs = [
+        -x + 1,
+        MPoly({(1, 0): -1, (0, 0): 1}),
+        1 - x,
+        -(x - 1),
+        (x - 1) * -1,
+        2 * (x - 1) * Fraction(-1, 2),
+        (1 - x * x).exact_div(1 + x),
+        (x * y - y).exact_div(-y),
+    ]
+    for group, scalar in ((zeros, 0), (threes, 3), (negs, None)):
+        for p in group:
+            assert p == group[0] and hash(p) == hash(group[0])
+            if scalar is not None:
+                assert p == scalar and p == MPoly.const(scalar)
+    assert zeros[0].is_zero and not zeros[0] and zeros[0].degree is NEG_INF
+    assert negs[0].leading() == ((1, 0), -1) and negs[0].format() == "-1*x + 1"
+    assert negs[0] != x - 1 and MPoly.const(-3) != MPoly.const(3)
+    assert len({*zeros, *threes, *negs}) == 3
