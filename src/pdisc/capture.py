@@ -248,22 +248,23 @@ def positive_on(p: MPoly, xs: Tuple[Fraction, Fraction], ys: Tuple[Fraction, Fra
 
     Each box is held as q(s, t) = p(cx + hx s, cy + hy t) on [-1, 1]^2,
     about its centre (cx, cy) with half-widths (hx, hy), times a positive
-    integer that clears every denominator; a half is 2^d q((s -+ 1)/2, t)
+    rational that leaves integer coefficients (p's primitive integer
+    terms, with the centre's denominators cleared); a half is 2^d q((s -+ 1)/2, t)
     for d the degree in s, and the same in t.  The corners are
     q(+-1, +-1), and the enclosure's lower end is q(0, 0), minus |c| for
     every term with an odd exponent, plus min(0, c) for every other
     term: the exact enclosure of p re-expanded about the box centre,
     which keeps it tight where the terms of p nearly cancel, times a
-    positive integer.  So every decision, and the order of the boxes, is
+    positive rational.  So every decision, and the order of the boxes, is
     that of the same bisection in rational interval arithmetic."""
     hx = (xs[1] - xs[0]) / 2
     hy = (ys[1] - ys[0]) / 2
-    ds = max((i for (i, _), _ in p.items()), default=0)
-    dt = max((j for (_, j), _ in p.items()), default=0)
-    scale = math.lcm(*(c.denominator for _, c in p.items()))
+    terms = list(p.int_terms())
+    ds = max((i for (i, _), _ in terms), default=0)
+    dt = max((j for (_, j), _ in terms), default=0)
     rows = [[0] * (ds + 1) for _ in range(dt + 1)]
-    for (i, j), c in p.items():
-        rows[j][i] = c.numerator * (scale // c.denominator)
+    for (i, j), c in terms:
+        rows[j][i] = c
     rows = _affine(_affine(rows, 0, *_ratio(xs[0] + hx, hx)), 1, *_ratio(ys[0] + hy, hy))
     todo = [(rows, 0, 0)]
     for _ in range(_PROOF_BUDGET):
@@ -320,7 +321,7 @@ def _along(f: MPoly, e: int, slope: Optional[Fraction], power: int) -> MPoly:
     f(e*t, s*t) / t^power, a polynomial in (t, s)."""
     t, s = MPoly.var_x(), MPoly.var_y()
     g = f.subst(t * e, t * (s if slope is None else MPoly.const(slope)))
-    return MPoly({(i - power, j): v for (i, j), v in g.items()})
+    return g.exact_div(MPoly.monomial(power, 0))
 
 
 def saddle_node_capture(m: "Marker") -> Optional[SaddleNodeCapture]:

@@ -389,7 +389,8 @@ def extactic(
     rows: List[List[MPoly]] = [list(basis)]
     for _ in range(l - 1):
         rows.append([sys.lie_derivative(p) for p in rows[-1]])
-    e = ffdet(rows)
+    # X^k(1) = 0 for k >= 1: column 0 is (1, 0, ..., 0), so E_m is its minor
+    e = ffdet([row[1:] for row in rows[1:]])
 
     if curves is None:
         curves = [c for c in find_invariant_lines(sys) if not c.is_family]

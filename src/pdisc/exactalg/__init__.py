@@ -1,12 +1,12 @@
 """Exact rational arithmetic kernel.
 
-Sparse bivariate polynomials over Fraction, dense univariate polynomials
-stored as a primitive integer tuple times a rational content, real-root
-isolation, interval arithmetic with rational endpoints, and fraction-free
-determinants.  No floating point anywhere in this subpackage.  Values
-cross the API as `Fraction`s, but the inner loops of determinants,
-resultants and all univariate arithmetic, Sturm chains and bisection run
-on Python `int`.
+Sparse bivariate and dense univariate polynomials, each stored as a
+primitive integer part (a dict on packed monomial keys, a tuple) times a
+positive rational content; real-root isolation, interval arithmetic with
+rational endpoints, fraction-free determinants and linear solves.  No
+floating point anywhere in this subpackage.  Values cross the API as
+`Fraction`s, but polynomial arithmetic, determinants, resultants, row
+echelon forms, Sturm chains and bisection run on Python `int`.
 """
 
 from pdisc.exactalg.interval import Interval, eval_box

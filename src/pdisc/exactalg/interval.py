@@ -107,15 +107,12 @@ def _coerce(v: object) -> Interval:
 
 def eval_box(p: MPoly, ix: Interval, iy: Interval) -> Interval:
     """Enclosure of p over the box ix x iy."""
-    max_i = 0
-    max_j = 0
-    for (i, j), _ in p.items():
-        max_i = max(max_i, i)
-        max_j = max(max_j, j)
-    # ipow keeps even powers tight when the box straddles zero
-    xp = [ix.ipow(i) for i in range(max_i + 1)]
-    yp = [iy.ipow(j) for j in range(max_j + 1)]
     total = Interval.point(0)
+    if p.is_zero:
+        return total
+    # ipow keeps even powers tight when the box straddles zero
+    xp = [ix.ipow(i) for i in range(int(p.degree_in("x")) + 1)]
+    yp = [iy.ipow(j) for j in range(int(p.degree_in("y")) + 1)]
     for (i, j), c in p.items():
         total = total + xp[i] * yp[j] * c
     return total

@@ -4,20 +4,21 @@ Sylvester resultants, and Gaussian elimination over the rationals."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from pdisc.exactalg.mpoly import MPoly, _divide, _mul_add, _pack, _raw, _unpack
+from pdisc.exactalg.mpoly import MPoly, _divide, _from_ints, _mul_add
 
 
 def ffdet(rows: Sequence[Sequence[MPoly]]) -> MPoly:
     """Determinant of a square MPoly matrix by Bareiss one-step elimination.
 
-    Each row is scaled by the lcm of its coefficient denominators, so the
-    elimination runs on integer coefficients, and the result is divided
-    by the product of the scales.  Every division the algorithm performs
-    is exact over Z; a failed division means the input was not a matrix
-    over the ring and is reported as a programming error.
+    Each row's primitive integer parts are scaled by the lcm of its
+    entries' content denominators, so the elimination runs on integer
+    coefficients, and the result is divided by the product of the scales.
+    Every division the algorithm performs is exact over Z; a failed
+    division means the input was not a matrix over the ring and is
+    reported as a programming error.
     """
     n = len(rows)
     for row in rows:
@@ -28,15 +29,9 @@ def ffdet(rows: Sequence[Sequence[MPoly]]) -> MPoly:
     scale = 1
     a: List[List[dict]] = []
     for row in rows:
-        den = 1
-        for p in row:
-            for c in p._terms.values():
-                den = lcm(den, c.denominator)
+        den = lcm(*(p._c.denominator for p in row))
         scale *= den
-        a.append([
-            _pack({e: c.numerator * (den // c.denominator) for e, c in p._terms.items()})
-            for p in row
-        ])
+        a.append([_scaled(p._p, p._c.numerator * (den // p._c.denominator)) for p in row])
     sign = 1
     prev: Optional[dict] = None
     for k in range(n - 1):
@@ -48,7 +43,7 @@ def ffdet(rows: Sequence[Sequence[MPoly]]) -> MPoly:
             sign = -sign
         akk = a[k][k]
         for i in range(k + 1, n):
-            neg_aik = {e: -c for e, c in a[i][k].items()}
+            neg_aik = _scaled(a[i][k], -1)
             for j in range(k + 1, n):
                 num: dict = {}
                 _mul_add(num, a[i][j], akk)
@@ -62,8 +57,11 @@ def ffdet(rows: Sequence[Sequence[MPoly]]) -> MPoly:
                 a[i][j] = out[0]
             a[i][k] = {}
         prev = akk
-    det = a[n - 1][n - 1]
-    return _raw(_unpack({key: Fraction(sign * c, scale) for key, c in det.items()}))
+    return _from_ints(a[n - 1][n - 1], Fraction(sign, scale))
+
+
+def _scaled(p: dict, m: int) -> dict:
+    return p if m == 1 else {k: m * v for k, v in p.items()}
 
 
 def sylvester_resultant(fc: Sequence[MPoly], gc: Sequence[MPoly]) -> MPoly:
@@ -138,47 +136,41 @@ def _trim(cs: Sequence[MPoly]) -> List[MPoly]:
     return out
 
 
-def _pivot_choice(col: Sequence[Fraction]) -> Optional[int]:
-    """Index of the nonzero entry with smallest |numerator|, breaking ties
-    by denominator then position; None if the column is all zero."""
-    best: Optional[int] = None
-    best_key: Optional[Tuple[int, int]] = None
-    for i, c in enumerate(col):
-        if c == 0:
-            continue
-        key = (abs(c.numerator), c.denominator)
-        if best_key is None or key < best_key:
-            best, best_key = i, key
-    return best
-
-
 def _row_echelon(
     matrix: Sequence[Sequence[Fraction]],
 ) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form and the list of pivot column indices."""
-    a = [[Fraction(c) for c in row] for row in matrix]
+    """Reduced row echelon form and the list of pivot column indices.
+
+    Fraction-free Gauss-Jordan: each row is scaled to integers by the lcm
+    of its denominators, an elimination cross-multiplies two rows, and the
+    changed row is divided by its content.  The reduced form is unique, so
+    dividing each pivot row by its pivot at the end gives it over Q.
+    """
+    a = []
+    for row in matrix:
+        den = lcm(*(c.denominator for c in row))
+        a.append([c.numerator * (den // c.denominator) for c in row])
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     pivots: List[int] = []
-    r = 0
     for c in range(ncols):
-        if r >= nrows:
-            break
-        sub = [a[i][c] for i in range(r, nrows)]
-        p = _pivot_choice(sub)
-        if p is None:
+        r = len(pivots)
+        live = [i for i in range(r, nrows) if a[i][c]]
+        if not live:
             continue
-        p += r
+        p = min(live, key=lambda i: abs(a[i][c]))
         a[r], a[p] = a[p], a[r]
-        pv = a[r][c]
-        a[r] = [v / pv for v in a[r]]
+        pr = a[r]
+        pv = pr[c]
         for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
+            f = a[i][c]
+            if f and i != r:
+                row = [pv * vi - f * vr for vi, vr in zip(a[i], pr)]
+                g = gcd(*row) or 1
+                a[i] = [v // g for v in row]
         pivots.append(c)
-        r += 1
-    return a, pivots
+    red = [[Fraction(v, a[r][c]) for v in a[r]] for r, c in enumerate(pivots)]
+    return red + [[Fraction(0)] * ncols for _ in range(nrows - len(pivots))], pivots
 
 
 def solve_linear(

@@ -1,14 +1,25 @@
-"""Sparse exact-rational polynomials in two variables.
+"""Sparse exact-rational polynomials in two variables, stored over Z.
 
 MPoly is the currency of the whole package: vector-field components,
 cofactors, extactic curves, chart systems and blow-ups are all MPoly
-values.  Coefficients are `fractions.Fraction`; exponent pairs (i, j)
-refer to the first and second variable (canonically x and y, but charts
-reuse the same structure for (u, v), (u, w), (z, v)).
+values.  Exponent pairs (i, j) refer to the first and second variable
+(canonically x and y, but charts reuse the same structure for (u, v),
+(u, w), (z, v)).
 
-The monomial order used everywhere is graded lexicographic with the
-second variable ranked above the first: terms compare by total degree,
-ties broken by the exponent of the second variable.  Under this order
+A polynomial is content * prim, as in `UPoly`: `prim` is a dict of
+Python ints with coefficient gcd 1 and `content` a positive Fraction, so
+every sign is read from integers.  The representation is canonical, so
+equality and hashing read the pair.  Products multiply the integer dicts
+and the contents (a product of primitive polynomials is primitive, by
+Gauss's lemma); sums bring both sides to one denominator and take the
+content once; exact division runs on the primitive parts, where a
+quotient over Q is always over Z.  Values cross the API as `Fraction`s.
+
+`prim` keys each monomial x^i y^j by one int, (i + j) << 64 | j.  Adding
+two keys multiplies the monomials, and integer order on keys is the
+monomial order used everywhere: graded lexicographic with the second
+variable ranked above the first, so terms compare by total degree, ties
+broken by the exponent of the second variable.  Under this order
 "y - a*x - b" and "x - c" are both monic, which is the normal form the
 line search reports.
 """
@@ -17,12 +28,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, TypeVar, Union
+from math import gcd, lcm
+from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 Rat = Fraction
 Exponents = Tuple[int, int]
 _Scalar = Union[int, Fraction]
-_C = TypeVar("_C", int, Fraction)  # coefficient ring of a raw term dict: Z or Q
+_Terms = dict  # packed monomial key -> nonzero int coefficient
 
 
 class _NegInfDegree:
@@ -57,38 +69,26 @@ NEG_INF = _NegInfDegree()
 Degree = Union[int, _NegInfDegree]
 
 
-def grlex_key(exponents: Exponents) -> Tuple[int, int]:
-    """Sort key of a monomial: total degree, then second-variable exponent."""
-    i, j = exponents
-    return (i + j, j)
-
-
 class MPoly:
-    """Immutable sparse bivariate polynomial over Fraction."""
+    """Immutable sparse bivariate polynomial content * sum prim[k] x^i y^j."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_p", "_c")
 
     def __init__(self, terms: Union[Mapping[Exponents, _Scalar], Iterable[Tuple[Exponents, _Scalar]]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Exponents, Fraction] = {}
-        for (i, j), c in items:
-            if i < 0 or j < 0:
-                raise ValueError(f"negative exponent in monomial ({i}, {j})")
-            c = Fraction(c)
-            if not c:
-                continue
-            key = (i, j)
-            s = acc.get(key)
-            if s is None:
-                acc[key] = c
-            else:
-                s = s + c
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
-        object.__setattr__(self, "_terms", acc)
-        object.__setattr__(self, "_hash", None)
+        cs = [(_key(i, j), Fraction(c)) for (i, j), c in items]
+        den = lcm(*(c.denominator for _, c in cs))
+        acc: _Terms = {}
+        for k, c in cs:
+            acc[k] = acc.get(k, 0) + c.numerator * (den // c.denominator)
+        p = _from_ints(acc, Fraction(1, den))
+        self._p, self._c = p._p, p._c
+
+    @classmethod
+    def _make(cls, prim: _Terms, content: Fraction) -> "MPoly":
+        obj = object.__new__(cls)
+        obj._p, obj._c = prim, content
+        return obj
 
     # -- constructors ------------------------------------------------
 
@@ -102,7 +102,7 @@ class MPoly:
 
     @classmethod
     def const(cls, c: _Scalar) -> "MPoly":
-        return cls({(0, 0): Fraction(c)})
+        return cls.monomial(0, 0, c)
 
     @classmethod
     def var_x(cls) -> "MPoly":
@@ -114,85 +114,85 @@ class MPoly:
 
     @classmethod
     def monomial(cls, i: int, j: int, c: _Scalar = 1) -> "MPoly":
-        return cls({(i, j): Fraction(c)})
+        k = _key(i, j)
+        c = Fraction(c)
+        return cls._make({k: 1 if c > 0 else -1}, abs(c)) if c else _ZERO
 
     # -- inspection --------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._p
 
     @property
     def degree(self) -> Degree:
-        if not self._terms:
-            return NEG_INF
-        return max(i + j for i, j in self._terms)
+        return max(self._p) >> _SHIFT if self._p else NEG_INF
 
     def degree_in(self, var: str) -> Degree:
         """Largest exponent of `var` ("x" or "y"); NEG_INF for the zero polynomial."""
-        if not self._terms:
+        if not self._p:
             return NEG_INF
-        idx = _var_index(var)
-        return max(e[idx] for e in self._terms)
+        if _var_index(var):
+            return max(k & _LOW for k in self._p)
+        return max((k >> _SHIFT) - (k & _LOW) for k in self._p)
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
+        return self._c * self._p.get(((i + j) << _SHIFT) | j, 0)
 
     def items(self) -> Iterator[Tuple[Exponents, Fraction]]:
         """Terms in descending graded-lex order (deterministic)."""
-        for e in sorted(self._terms, key=grlex_key, reverse=True):
-            yield e, self._terms[e]
+        c, p = self._c, self._p
+        for k in sorted(p, reverse=True):
+            yield _exponents(k), c * p[k]
+
+    def int_terms(self) -> Iterator[Tuple[Exponents, int]]:
+        """The primitive integer terms, in no fixed order: a positive
+        multiple of the polynomial over the integers."""
+        return ((_exponents(k), v) for k, v in self._p.items())
 
     def term_count(self) -> int:
-        return len(self._terms)
+        return len(self._p)
 
     def leading(self) -> Tuple[Exponents, Fraction]:
         """Leading (exponents, coefficient) under the graded-lex order."""
-        if not self._terms:
+        if not self._p:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self._terms, key=grlex_key)
-        return e, self._terms[e]
+        k = max(self._p)
+        return _exponents(k), self._c * self._p[k]
 
     def leading_coeff(self) -> Fraction:
         return self.leading()[1]
 
     def monic(self) -> "MPoly":
         """Scale so the graded-lex leading coefficient is 1."""
-        if not self._terms:
+        if not self._p:
             return self
-        lc = self.leading_coeff()
-        if lc == 1:
-            return self
-        return self * (Fraction(1) / lc)
+        lc = self._p[max(self._p)]
+        return MPoly._make(self._p if lc > 0 else _negated(self._p), Fraction(1, abs(lc)))
 
     @property
     def is_constant(self) -> bool:
-        return all(e == (0, 0) for e in self._terms)
+        return self._p.keys() <= {0}
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
-        return self._terms.get((0, 0), Fraction(0))
+        return self._c * self._p.get(0, 0)
 
     # -- equality / hashing ------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, MPoly):
-            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self == MPoly.const(other)
+            other = MPoly.const(other)
+        if isinstance(other, MPoly):
+            return self._c == other._c and self._p == other._p
         return NotImplemented
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            frozen = tuple(sorted(self._terms.items()))
-            h = hash(frozen)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self._c, frozenset(self._p.items())))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._p)
 
     # -- ring arithmetic ---------------------------------------------
 
@@ -200,44 +200,36 @@ class MPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            s = acc.get(e)
-            if s is None:
-                acc[e] = c
-            else:
-                s = s + c
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
-        return _raw(acc)
+        return _linear_combination(((1, self), (1, other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return _raw({e: -c for e, c in self._terms.items()})
+        return MPoly._make(_negated(self._p), self._c)
 
     def __sub__(self, other: Union["MPoly", _Scalar]) -> "MPoly":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _linear_combination(((1, self), (-1, other)))
 
     def __rsub__(self, other: _Scalar) -> "MPoly":
         return (-self) + other
 
     def __mul__(self, other: Union["MPoly", _Scalar]) -> "MPoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other or not self._p:
                 return _ZERO
-            return _raw({e: v * c for e, v in self._terms.items()})
+            c = self._c * other
+            return MPoly._make(self._p, c) if c > 0 else MPoly._make(_negated(self._p), -c)
         if not isinstance(other, MPoly):
             return NotImplemented
-        acc: _Packed[Fraction] = {}
-        _mul_add(acc, _pack(self._terms), _pack(other._terms))
-        return _raw(_unpack(acc))
+        a, b = self._p, other._p
+        if not a or not b:
+            return _ZERO
+        if (max(a) | max(b)) >> (_SHIFT + _MAX_DEGREE_BITS):
+            raise OverflowError("monomial degree beyond the polynomial kernel's range")
+        return MPoly._make(_product(a, b), self._c * other._c)
 
     __rmul__ = __mul__
 
@@ -246,12 +238,11 @@ class MPoly:
             raise ValueError("polynomial powers must be nonnegative integers")
         result = _ONE
         base = self
-        k = n
-        while k:
-            if k & 1:
+        while n:
+            if n & 1:
                 result = result * base
-            k >>= 1
-            if k:
+            n >>= 1
+            if n:
                 base = base * base
         return result
 
@@ -259,15 +250,11 @@ class MPoly:
 
     def diff(self, var: str) -> "MPoly":
         """Formal partial derivative with respect to "x" or "y"."""
-        idx = _var_index(var)
-        acc: dict[Exponents, Fraction] = {}
-        for (i, j), c in self._terms.items():
-            n = (i, j)[idx]
-            if n == 0:
-                continue
-            e = (i - 1, j) if idx == 0 else (i, j - 1)
-            acc[e] = acc.get(e, Fraction(0)) + c * n
-        return _raw({e: c for e, c in acc.items() if c})
+        if _var_index(var):
+            acc = {k - _DY: v * (k & _LOW) for k, v in self._p.items() if k & _LOW}
+        else:
+            acc = {k - _DX: v * ((k >> _SHIFT) - (k & _LOW)) for k, v in self._p.items() if k >> _SHIFT != k & _LOW}
+        return _from_ints(acc, self._c)
 
     # -- division ------------------------------------------------------
 
@@ -276,86 +263,76 @@ class MPoly:
 
         Leading-term reduction under the graded-lex order; no term of r is
         divisible by the divisor's leading monomial.  For a single divisor,
-        r == 0 is equivalent to exact divisibility.
+        r == 0 is equivalent to exact divisibility.  With m * A = Q * B + R
+        for the primitive parts, q = cA / (cB * m) Q and r = (cA / m) R.
         """
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        out = _divide(_pack(self._terms), _pack(divisor._terms), exact=False)
-        assert out is not None  # only an integer division can fail
-        q, r = out
-        return _raw(_unpack(q)), _raw(_unpack(r))
+        q, r, m = _divide(self._p, divisor._p, exact=False)
+        return _from_ints(q, self._c / (divisor._c * m)), _from_ints(r, self._c / m)
 
     def exact_div(self, divisor: "MPoly") -> Optional["MPoly"]:
-        """Exact quotient self/divisor, or None when no exact quotient exists."""
+        """Exact quotient self/divisor, or None when no exact quotient exists.
+
+        The primitive parts divide over Z exactly when they divide over Q,
+        and the quotient is then primitive (Gauss's lemma)."""
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        out = _divide(_pack(self._terms), _pack(divisor._terms), exact=True)
-        return None if out is None else _raw(_unpack(out[0]))
+        out = _divide(self._p, divisor._p, exact=True)
+        if out is None:
+            return None
+        return MPoly._make(out[0], self._c / divisor._c) if out[0] else _ZERO
 
     # -- evaluation / substitution --------------------------------------
 
     def eval_rat(self, x: _Scalar, y: _Scalar) -> Fraction:
-        x = Fraction(x)
-        y = Fraction(y)
-        total = Fraction(0)
-        xp = _power_table(x, self.degree_in("x"))
-        yp = _power_table(y, self.degree_in("y"))
-        for (i, j), c in self._terms.items():
-            total += c * xp[i] * yp[j]
-        return total
+        if not self._p:
+            return Fraction(0)
+        terms, den = _homogenised(self._p, Fraction(x), Fraction(y))
+        return self._c * Fraction(sum(w for _, w in terms), den)
 
     def subst(self, px: "MPoly", py: "MPoly") -> "MPoly":
-        """Substitute polynomials for the two variables."""
-        max_i = self.degree_in("x")
-        max_j = self.degree_in("y")
-        if max_i is NEG_INF:
+        """Substitute polynomials for the two variables.  The contents of
+        px and py enter each term's integer weight, as in `eval_rat`."""
+        if not self._p:
             return _ZERO
-        xpows = [_ONE]
-        for _ in range(int(max_i)):
-            xpows.append(xpows[-1] * px)
-        ypows = [_ONE]
-        for _ in range(int(max_j)):
-            ypows.append(ypows[-1] * py)
-        total = _ZERO
-        for (i, j), c in self._terms.items():
-            total = total + xpows[i] * ypows[j] * c
-        return total
+        terms, den = _homogenised(self._p, px._c, py._c)
+        xpows: list[_Terms] = [{0: 1}]
+        for _ in range(int(self.degree_in("x"))):
+            xpows.append(_product(xpows[-1], px._p))
+        ypows: list[_Terms] = [{0: 1}]
+        for _ in range(int(self.degree_in("y"))):
+            ypows.append(_product(ypows[-1], py._p))
+        acc: _Terms = {}
+        for k, w in terms:
+            j = k & _LOW
+            _mul_add(acc, {t: w * v for t, v in xpows[(k >> _SHIFT) - j].items()}, ypows[j])
+        return _from_ints(acc, self._c / den)
 
     def subst_x(self, value: _Scalar) -> "MPoly":
         """Fix the first variable to a rational; result involves only "y"."""
-        v = Fraction(value)
-        acc: dict[Exponents, Fraction] = {}
-        vp = _power_table(v, self.degree_in("x"))
-        for (i, j), c in self._terms.items():
-            e = (0, j)
-            acc[e] = acc.get(e, Fraction(0)) + c * vp[i]
-        return _raw({e: c for e, c in acc.items() if c})
+        return self.subst(MPoly.const(value), _Y)
 
     def subst_y(self, value: _Scalar) -> "MPoly":
         """Fix the second variable to a rational; result involves only "x"."""
-        v = Fraction(value)
-        acc: dict[Exponents, Fraction] = {}
-        vp = _power_table(v, self.degree_in("y"))
-        for (i, j), c in self._terms.items():
-            e = (i, 0)
-            acc[e] = acc.get(e, Fraction(0)) + c * vp[j]
-        return _raw({e: c for e, c in acc.items() if c})
+        return self.subst(_X, MPoly.const(value))
 
     # -- conversions -----------------------------------------------------
 
     def coeffs_in(self, var: str) -> list["MPoly"]:
         """Dense coefficient list in `var`, ascending; entries depend on the other variable only."""
-        idx = _var_index(var)
         deg = self.degree_in(var)
         if deg is NEG_INF:
             return []
-        out: list[dict[Exponents, Fraction]] = [dict() for _ in range(int(deg) + 1)]
-        for (i, j), c in self._terms.items():
-            if idx == 0:
-                out[i][(0, j)] = c
+        by_y = _var_index(var)
+        out: list[_Terms] = [{} for _ in range(int(deg) + 1)]
+        for k, v in self._p.items():
+            i, j = _exponents(k)
+            if by_y:
+                out[j][i << _SHIFT] = v
             else:
-                out[j][(i, 0)] = c
-        return [_raw(d) for d in out]
+                out[i][(j << _SHIFT) | j] = v
+        return [_from_ints(d, self._c) for d in out]
 
     def univariate_coeffs(self, var: str) -> list[Fraction]:
         """Dense Fraction coefficients when the polynomial involves only `var`."""
@@ -365,11 +342,7 @@ class MPoly:
         deg = self.degree_in(var)
         if deg is NEG_INF:
             return []
-        out = [Fraction(0)] * (int(deg) + 1)
-        idx = _var_index(var)
-        for e, c in self._terms.items():
-            out[e[idx]] = c
-        return out
+        return [self.coeff(k, 0) if var == "x" else self.coeff(0, k) for k in range(int(deg) + 1)]
 
     # -- formatting ---------------------------------------------------
 
@@ -381,7 +354,7 @@ class MPoly:
         which re-parses to the same polynomial; the grammar's unary minus
         binds looser than "^".
         """
-        if not self._terms:
+        if not self._p:
             return "0"
         parts: list[str] = []
         first = True
@@ -416,6 +389,23 @@ class MPoly:
         return f"MPoly({self.format()})"
 
 
+def _linear_combination(terms: Iterable[Tuple[_Scalar, MPoly]]) -> MPoly:
+    """sum c * p over the (c, p) terms: the integer dicts are added over
+    one common denominator and the content is extracted once."""
+    weighted = [(c * p._c, p._p) for c, p in terms if c and p._p]
+    if not weighted:
+        return _ZERO
+    den = lcm(*(w.denominator for w, _ in weighted))
+    acc: _Terms = {}
+    get = acc.get
+    for w, p in weighted:
+        m = w.numerator * (den // w.denominator)
+        for k, v in p.items():
+            s = get(k)
+            acc[k] = m * v if s is None else s + m * v
+    return _from_ints(acc, Fraction(1, den))
+
+
 def _coerce(v: object) -> "MPoly":
     if isinstance(v, MPoly):
         return v
@@ -424,39 +414,46 @@ def _coerce(v: object) -> "MPoly":
     return NotImplemented  # type: ignore[return-value]
 
 
-def _raw(terms: dict[Exponents, Fraction]) -> MPoly:
-    p = MPoly.__new__(MPoly)
-    object.__setattr__(p, "_terms", terms)
-    object.__setattr__(p, "_hash", None)
-    return p
+def _from_ints(ints: _Terms, scale: Fraction) -> MPoly:
+    """The polynomial scale * sum ints[k] (monomial k); zero terms are dropped."""
+    ints = {k: v for k, v in ints.items() if v}
+    if not ints or not scale:
+        return _ZERO
+    g = gcd(*ints.values())
+    if scale < 0:
+        g = -g
+    return MPoly._make({k: v // g for k, v in ints.items()} if g != 1 else ints, scale * g)
 
 
-# The kernel loops below key each monomial x^i y^j by one int,
-# (i + j) << _SHIFT | j.  Adding two keys multiplies the monomials, and
-# integer order on keys is the graded-lex order.  _pack refuses degrees
-# from 2^31 up, so no sum of keys the kernel forms carries into the
-# degree field.
+# Keys: x^i y^j is (i + j) << _SHIFT | j.  _key refuses degrees from 2^31
+# up and products refuse such factors, so no sum of keys the kernel forms
+# carries into the degree field.
 _SHIFT = 64
 _LOW = (1 << _SHIFT) - 1
 _MAX_DEGREE_BITS = 31
+_DX = 1 << _SHIFT  # key of x, subtracted to divide by x
+_DY = _DX + 1  # key of y
 
-_Packed = dict[int, _C]
 
-
-def _pack(terms: Mapping[Exponents, _C]) -> "_Packed[_C]":
-    packed = {((i + j) << _SHIFT) | j: c for (i, j), c in terms.items()}
-    if packed and max(packed) >> (_SHIFT + _MAX_DEGREE_BITS):
+def _key(i: int, j: int) -> int:
+    if i < 0 or j < 0:
+        raise ValueError(f"negative exponent in monomial ({i}, {j})")
+    if (i + j) >> _MAX_DEGREE_BITS:
         raise OverflowError("monomial degree beyond the polynomial kernel's range")
-    return packed
+    return ((i + j) << _SHIFT) | j
 
 
-def _unpack(packed: "_Packed[_C]") -> dict[Exponents, _C]:
-    """Exponent-pair terms of a packed dict, dropping zero coefficients."""
-    return {((k >> _SHIFT) - (k & _LOW), k & _LOW): c for k, c in packed.items() if c}
+def _exponents(k: int) -> Exponents:
+    j = k & _LOW
+    return (k >> _SHIFT) - j, j
 
 
-def _mul_add(acc: "_Packed[_C]", a: "_Packed[_C]", b: "_Packed[_C]") -> None:
-    """acc += a*b on packed term dicts over Z or Q.
+def _negated(p: _Terms) -> _Terms:
+    return {k: -v for k, v in p.items()}
+
+
+def _mul_add(acc: _Terms, a: _Terms, b: _Terms) -> None:
+    """acc += a*b on packed integer term dicts.
 
     Cancelled terms stay in acc with coefficient zero; the caller filters
     them once, outside this loop.
@@ -471,31 +468,48 @@ def _mul_add(acc: "_Packed[_C]", a: "_Packed[_C]", b: "_Packed[_C]") -> None:
             acc[k] = p if s is None else s + p
 
 
-def _divide(
-    terms: "_Packed[_C]", divisor: "_Packed[_C]", exact: bool
-) -> Optional[Tuple["_Packed[_C]", "_Packed[_C]"]]:
-    """Leading-term division of packed term dicts: terms = q*divisor + r.
+def _product(a: _Terms, b: _Terms) -> _Terms:
+    acc: _Terms = {}
+    _mul_add(acc, a, b)
+    return {k: v for k, v in acc.items() if v}
+
+
+def _homogenised(p: _Terms, x: Fraction, y: Fraction) -> Tuple[list[Tuple[int, int]], int]:
+    """([(k, w)], d) with p[k] x^i y^j = w / d for every term k of p: the
+    terms over the common denominator d = den(x)^I den(y)^J, where I and J
+    are the degrees of p in x and in y."""
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    di = max((k >> _SHIFT) - (k & _LOW) for k in p)
+    dj = max(k & _LOW for k in p)
+    xs = [xn**i * xd ** (di - i) for i in range(di + 1)]
+    ys = [yn**j * yd ** (dj - j) for j in range(dj + 1)]
+    return [(k, v * xs[(k >> _SHIFT) - (k & _LOW)] * ys[k & _LOW]) for k, v in p.items()], xd**di * yd**dj
+
+
+def _divide(terms: _Terms, divisor: _Terms, exact: bool) -> Optional[Tuple[_Terms, _Terms, int]]:
+    """Leading-term pseudo-division of packed integer term dicts:
+    m * terms = q*divisor + r for a positive integer m.
 
     The running remainder's terms are popped from a heap in descending
     graded-lex order; every term the reduction creates lies below the
-    one being reduced, so each monomial is popped at most once.  Over Q
-    every coefficient divides.  Over Z (an `int` leading coefficient) a
-    coefficient that leaves a `divmod` remainder means the quotient is not
-    in Z[x, y], and the result is None.  With exact=True a term that the
-    divisor's leading monomial does not divide also gives None; otherwise
-    it moves to r.  Zero coefficients in `terms` are skipped.
+    one being reduced, so each monomial is popped at most once.  A
+    coefficient that the divisor's leading coefficient does not divide
+    scales the remainder, q and r by only the factor it lacks, which m
+    collects; with exact=True it gives None, as does a term that the
+    divisor's leading monomial does not divide.  Zero coefficients in
+    `terms` are skipped.
     """
     lead = max(divisor)
     dc = divisor[lead]
     dj = lead & _LOW
     di = (lead >> _SHIFT) - dj
-    integral = isinstance(dc, int)
     tail = [(k, c) for k, c in divisor.items() if k != lead]
     work = dict(terms)
     heap = [-k for k in work]
     heapify(heap)
-    q: _Packed[_C] = {}
-    r: _Packed[_C] = {}
+    q: _Terms = {}
+    r: _Terms = {}
+    m = 1
     get = work.get
     while heap:
         k = -heappop(heap)
@@ -508,12 +522,16 @@ def _divide(
                 return None
             r[k] = c
             continue
-        if integral:
-            qc, rem = divmod(c, dc)
-            if rem:
+        qc, rem = divmod(c, dc)
+        if rem:
+            if exact:
                 return None
-        else:
-            qc = c / dc
+            s = abs(dc) // gcd(c, dc)
+            for d in (work, q, r):
+                for t in d:
+                    d[t] *= s
+            m *= s
+            qc = c * s // dc
         qk = k - lead
         q[qk] = qc
         for t, tc in tail:
@@ -524,7 +542,7 @@ def _divide(
                 heappush(heap, -w)
             else:
                 work[w] = s - qc * tc
-    return q, r
+    return q, r, m
 
 
 def _var_index(var: str) -> int:
@@ -533,14 +551,6 @@ def _var_index(var: str) -> int:
     if var == "y":
         return 1
     raise ValueError(f"unknown variable {var!r}; expected 'x' or 'y'")
-
-
-def _power_table(v: Fraction, deg: Degree) -> list[Fraction]:
-    n = 0 if deg is NEG_INF else int(deg)
-    out = [Fraction(1)]
-    for _ in range(n):
-        out.append(out[-1] * v)
-    return out
 
 
 def _format_monomial(i: int, j: int, names: Tuple[str, str]) -> str:
@@ -556,7 +566,7 @@ def _format_monomial(i: int, j: int, names: Tuple[str, str]) -> str:
     return "*".join(factors)
 
 
-_ZERO = _raw({})
-_ONE = _raw({(0, 0): Fraction(1)})
-_X = _raw({(1, 0): Fraction(1)})
-_Y = _raw({(0, 1): Fraction(1)})
+_ZERO = MPoly._make({}, Fraction(0))
+_ONE = MPoly._make({0: 1}, Fraction(1))
+_X = MPoly._make({_DX: 1}, Fraction(1))
+_Y = MPoly._make({_DY: 1}, Fraction(1))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pdisc.exactalg import Interval, MPoly, NEG_INF, eval_box
-from pdisc.exactalg.mpoly import _divide, _pack, _unpack
+from pdisc.exactalg.mpoly import _divide, _key
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -162,7 +162,7 @@ def test_exact_div_fails_after_several_steps():
 
 
 def _int_terms(p: MPoly, scale: int = 1):
-    return _pack({e: int(scale * c) for e, c in p.items()})
+    return {_key(i, j): int(scale * c) for (i, j), c in p.items()}
 
 
 def test_integer_division_checks_coefficients():
@@ -170,8 +170,8 @@ def test_integer_division_checks_coefficients():
     y = MPoly.var_y()
     g = x * x + 2 * x * y - 3 * y + 4
     a = x * y - 5 * x + 7
-    q, r = _divide(_int_terms(a * g), _int_terms(g), exact=True)
-    assert q == _int_terms(a) and not r
+    q, r, m = _divide(_int_terms(a * g), _int_terms(g), exact=True)
+    assert q == _int_terms(a) and not r and m == 1
     assert all(type(c) is int for c in q.values())
     # a*g / (2*g) is a/2, not in Z[x, y]: the first quotient coefficient fails
     assert _divide(_int_terms(a * g), _int_terms(g, 2), exact=True) is None
@@ -179,13 +179,26 @@ def test_integer_division_checks_coefficients():
     b = 2 * x * y - 10 * x + 7
     assert _divide(_int_terms(b * g, 2), _int_terms(g, 4), exact=True) is None
     assert _divide(_int_terms(b * g, 4), _int_terms(g, 4), exact=True)[0] == _int_terms(b)
+    # without exact, the same quotient is reached by scaling the remainder
+    # once, by the factor 2 its last coefficient lacks
+    q, r, m = _divide(_int_terms(b * g, 2), _int_terms(g, 4), exact=False)
+    assert (q, r, m) == (_int_terms(b), {}, 2)
 
 
 def test_packed_kernel_rejects_huge_degrees():
-    big = MPoly.monomial(0, 2**31)
+    with pytest.raises(OverflowError):
+        MPoly.monomial(0, 2**31)
+    with pytest.raises(OverflowError):
+        MPoly({(2**30, 2**30): 1})
+    edge = MPoly.monomial(0, 2**31 - 1)
+    assert (edge * MPoly.var_x()).leading() == ((1, 2**31 - 1), 1)
+    # a product may reach degree 2^31, but may not be a factor again
+    big = edge * MPoly.var_y()
+    assert big.leading() == ((0, 2**31), 1)
     with pytest.raises(OverflowError):
         big * MPoly.var_y()
-    assert MPoly.monomial(0, 2**31 - 1) * MPoly.var_x() == MPoly.monomial(1, 2**31 - 1)
+    with pytest.raises(OverflowError):
+        MPoly.var_x() * big
 
 
 def test_zero_degree_sentinel():
