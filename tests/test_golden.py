@@ -335,3 +335,64 @@ def test_other_darboux_bytes(name, order):
     sys = parse_system(OTHER_ANALYZE[name][0])
     text = json.dumps(darboux_report(sys, SearchBounds(extactic_order=order)), sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == OTHER_DARBOUX[name][order - 1]
+
+
+# sha256 of the `pdisc darboux --dump-extactic` JSON at extactic orders 1
+# and 2 of the TRIPLES and OTHER_ANALYZE systems: the pins above omit the
+# expanded E_m, so these are the ones a change of sign or scale in E would
+# move.  Recorded while E_m was still a Bareiss determinant.
+DUMPED_DARBOUX = {
+    "bundled": (
+        "4d266487775e53cdd9c159eca5ca640494753490061068d81d72049d8a3e996a",
+        "3792b0e539a6869506a711f2b685e2089288fc394bff97a0c9222e6d444cf437",
+    ),
+    "chart-plan": (
+        "219c7b4fb49b6c21f1c8af0dc83a622a9d986ea31a2ee38195174f2ed0045957",
+        "e4804618be4bce90496ba646e9d68f780c4a689c4fc7bae1bcee9a407199cdc5",
+    ),
+    "line-ellipse-2": (
+        "fc32638221d5c989615979c6f9c2c0171f6314ee964401e25c635ecfc2e633b0",
+        "b9d0bf6e8659a8755da0197bc2b70cc05f6a9c68e2badbf41fca9c91fd920801",
+    ),
+    "line-ellipse-3": (
+        "aa2b395a2f1dc78a529416b29f02d74365f7968b944447f642c389a3d4ffe4f9",
+        "c0a6a5800543e9268cd74f52338586ce48266c2578eea141bf964cd6149d63a7",
+    ),
+    "line-ellipse-4": (
+        "e2e6d062a3cce117b8f4834b76d6063e0787598300db31215db330ac167cad7e",
+        "d9971e9e5e92d46aa16f22bc49381d47fdbfe34c613ec9453b40b92c1ce8f4ce",
+    ),
+    "negative": (
+        "b7769427347f0484d27d8c611bf8674444c5d59655091b8ba8f4a9047e5945e6",
+        "c2ce64b0c347314695c7ad111ee6fa250548be946234d8ba9a05d9026f9de30b",
+    ),
+    "positive": (
+        "e9ab18e6af49a673b7d2c90046438e3f696f757856165b9ed5ce4cdb0125f1c9",
+        "e191fe22af779eeeb48ec67237a6622b3ea17b45c20177ea4ca508412f670862",
+    ),
+    "quartic": (
+        "79c44fcb35edf3ac20531c862fa06b203fe927a9b632939b8ab56581871a260e",
+        "6959977109bbf3734640b7eb1a065fbd52237b98d3fbc583443e47ba20417230",
+    ),
+    "quintic": (
+        "79cf56d50fa9da5b960bc9337fefd1eb58a0d52ac9232bc43aeadaae4c781ada",
+        "32df5b0dda74e92970d1e4ea05f327d693915a370d6c267b03cedc287d1667fc",
+    ),
+    "saddle": (
+        "c8be3442f21d638092e5f523a9120b3037f36b58a98905554585ab6947571a91",
+        "9d2920ace5c4924a9c0f4405f840a8917e21816f817a462702d756cc3c4a0721",
+    ),
+    "zero": (
+        "94271b45b562229991ae8be70cc64f2ddff486d68e3315e3970b101ee7505ef5",
+        "abb9d0448afb7c2ebf390490c6918b52d191e984c648cca705b8a0f788921f9b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUMPED_DARBOUX))
+@pytest.mark.parametrize("order", [1, 2])
+def test_dumped_extactic_bytes(name, order):
+    source = _source(*TRIPLES[name]) if name in TRIPLES else OTHER_ANALYZE[name][0]
+    report = darboux_report(parse_system(source), SearchBounds(extactic_order=order), dump_extactic=True)
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DUMPED_DARBOUX[name][order - 1]
