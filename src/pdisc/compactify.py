@@ -109,14 +109,13 @@ class SectorDecomposition:
 def _twist(f: MPoly, d: int, u_from: str) -> MPoly:
     """T1 (u_from = 'y') or T2 (u_from = 'x'): v^d f evaluated along the
     chart substitution, as a polynomial in (u, v)."""
-    terms: Dict[Tuple[int, int], Fraction] = {}
-    for (i, j), c in f.items():
+    terms: List[Tuple[Tuple[int, int], int]] = []
+    for (i, j), c in f.int_terms():
         k = d - i - j
         if k < 0:
             raise InternalInvariantError("twist degree underflow")
-        e = (j, k) if u_from == "y" else (i, k)
-        terms[e] = terms.get(e, Fraction(0)) + c
-    return MPoly({e: c for e, c in terms.items() if c != 0})
+        terms.append(((j, k) if u_from == "y" else (i, k), c))
+    return MPoly.from_int_terms(terms, f.content)
 
 
 def to_chart(sys: PlanarSystem, chart: str) -> ChartSystem:
@@ -233,7 +232,7 @@ def _common_monomial(polys: Sequence[MPoly]) -> Tuple[int, int]:
     ax: Optional[int] = None
     ay: Optional[int] = None
     for p in polys:
-        for (i, j), _ in p.items():
+        for (i, j), _ in p.int_terms():
             ax = i if ax is None else min(ax, i)
             ay = j if ay is None else min(ay, j)
     return (0 if ax is None else ax, 0 if ay is None else ay)
@@ -242,7 +241,7 @@ def _common_monomial(polys: Sequence[MPoly]) -> Tuple[int, int]:
 def _divide_monomial(p: MPoly, ax: int, ay: int) -> MPoly:
     if ax == 0 and ay == 0:
         return p
-    return MPoly({(i - ax, j - ay): c for (i, j), c in p.items()})
+    return MPoly.from_int_terms((((i - ax, j - ay), c) for (i, j), c in p.int_terms()), p.content)
 
 
 def directional_blowup(sys: PlanarSystem, direction: str) -> BlowupSystem:

@@ -220,16 +220,17 @@ class Rur:
         return table[k]
 
     def _image(self, f: MPoly) -> UPoly:
-        """G = D^deg f * f(X/D, Y/D) mod s, summed over one common
-        denominator and reduced by pseudo-division over the integers."""
+        """G = D^deg f * f(X/D, Y/D) mod s: summed over the integer terms
+        of f, reduced by pseudo-division over the integers, and scaled by
+        the content of f."""
         g = self._images.get(f)
         if g is None:
             d = int(f.degree)
             g = linear_combination(
                 (c, self._power(0, i) * self._power(1, j) * self._power(2, d - i - j))
-                for (i, j), c in f.items()
+                for (i, j), c in f.int_terms()
             )
-            g = self._images[f] = g % self.base
+            g = self._images[f] = g % self.base * f.content
         return g
 
     def sign(self, f: MPoly, a: RootInterval) -> int:
@@ -772,19 +773,19 @@ def _half_hessian(f: MPoly, x0: Fraction, y0: Fraction, v: Tuple[Fraction, Fract
     """v' H_f v / 2 at (x0, y0): the t^2 coefficient of f((x0, y0) + t v).
 
     Over the integers: with x0 + t*v[0] = (a + t*b)/m, y0 + t*v[1] =
-    (c + t*e)/n and each coefficient k/L, it is the t^2 coefficient of
-    sum k (a + t*b)^i m^(dx-i) (c + t*e)^j n^(dy-j), over L m^dx n^dy."""
+    (c + t*e)/n and f = content * sum k x^i y^j, it is the t^2 coefficient
+    of sum k (a + t*b)^i m^(dx-i) (c + t*e)^j n^(dy-j), times
+    content / (m^dx n^dy)."""
     if f.is_zero:
         return Fraction(0)
     dx, dy = int(f.degree_in("x")), int(f.degree_in("y"))
     xs, m = _scaled_powers(x0, v[0], dx)
     ys, n = _scaled_powers(y0, v[1], dy)
-    den = math.lcm(*(c.denominator for _, c in f.items()))
     total = 0
-    for (i, j), c in f.items():
+    for (i, j), k in f.int_terms():
         (x_0, x_1, x_2), (y_0, y_1, y_2) = xs[i], ys[j]
-        total += c.numerator * (den // c.denominator) * (x_0 * y_2 + x_1 * y_1 + x_2 * y_0)
-    return Fraction(total, den * m**dx * n**dy)
+        total += k * (x_0 * y_2 + x_1 * y_1 + x_2 * y_0)
+    return f.content * Fraction(total, m**dx * n**dy)
 
 
 def _scaled_powers(a: Fraction, b: Fraction, d: int) -> Tuple[List[Tuple[int, int, int]], int]:

@@ -10,7 +10,7 @@ echelon forms, Sturm chains and bisection run on Python `int`.
 """
 
 from pdisc.exactalg.interval import Interval, eval_box
-from pdisc.exactalg.matrix import ffdet, nullspace, resultant_wrt, solve_linear, sylvester_resultant
+from pdisc.exactalg.matrix import ffdet, minor_det, nullspace, resultant_wrt, solve_linear, sylvester_resultant
 from pdisc.exactalg.mpoly import NEG_INF, MPoly, Rat
 from pdisc.exactalg.roots import RootInterval, isolate_real_roots, refine_root
 from pdisc.exactalg.upoly import UPoly
@@ -25,6 +25,7 @@ __all__ = [
     "eval_box",
     "ffdet",
     "isolate_real_roots",
+    "minor_det",
     "nullspace",
     "refine_root",
     "resultant_wrt",

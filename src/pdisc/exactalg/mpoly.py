@@ -113,6 +113,17 @@ class MPoly:
         return _Y
 
     @classmethod
+    def from_int_terms(cls, terms: Iterable[Tuple[Exponents, int]], content: _Scalar = 1) -> "MPoly":
+        """content * sum c x^i y^j over the integer terms ((i, j), c), so
+        that MPoly.from_int_terms(p.int_terms(), p.content) == p; terms
+        with equal exponents add up."""
+        acc: _Terms = {}
+        for (i, j), c in terms:
+            k = _key(i, j)
+            acc[k] = acc.get(k, 0) + c
+        return _from_ints(acc, Fraction(content))
+
+    @classmethod
     def monomial(cls, i: int, j: int, c: _Scalar = 1) -> "MPoly":
         k = _key(i, j)
         c = Fraction(c)
@@ -144,6 +155,11 @@ class MPoly:
         c, p = self._c, self._p
         for k in sorted(p, reverse=True):
             yield _exponents(k), c * p[k]
+
+    @property
+    def content(self) -> Fraction:
+        """The positive rational c with self = c * int_terms(); 0 for 0."""
+        return self._c
 
     def int_terms(self) -> Iterator[Tuple[Exponents, int]]:
         """The primitive integer terms, in no fixed order: a positive

@@ -92,22 +92,28 @@ def _cofactor_det(rows: Sequence[Sequence[MPoly]]) -> MPoly:
     return total
 
 
-def _extactic_oracle(sys: PlanarSystem) -> MPoly:
-    basis: List[MPoly] = [ONE, X, Y]
+def _extactic_oracle(sys: PlanarSystem, m: int) -> MPoly:
+    basis: List[MPoly] = [ONE, X, Y] if m == 1 else [ONE, X, Y, X * X, X * Y, Y * Y]
     rows = [basis]
-    for _ in range(2):
+    for _ in range(len(basis) - 1):
         rows.append([sys.lie_derivative(g) for g in rows[-1]])
     return _cofactor_det(rows)
 
 
 def test_extactic_matches_laplace_oracle():
-    sys = leslie_system(F(1), F(2), F(1, 2))
-    ext = extactic(sys, 1)
-    assert ext.order == 1
-    assert len(ext.basis) == 3
-    oracle = _extactic_oracle(sys)
-    assert (ext.E - oracle).is_zero or (ext.E + oracle).is_zero
-    assert not ext.vanishes
+    # the full matrix, constant column included, expanded by cofactors: at
+    # order 1, and at order 2 on the bundled model and a non-Leslie system
+    cases = [
+        (leslie_system(F(1), F(2), F(1, 2)), 1),
+        (leslie_system(F(1), F(1), F(1, 2)), 2),
+        (parse_system("dx = y^2 - x*y + y - 1\ndy = x*y - x^2 + x\n"), 2),
+    ]
+    for sys, order in cases:
+        ext = extactic(sys, order)
+        assert ext.order == order
+        assert len(ext.basis) == 3 * order
+        assert ext.E == _extactic_oracle(sys, order)
+        assert not ext.vanishes
 
 
 def test_extactic_divisible_by_invariant_lines():

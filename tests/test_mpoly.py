@@ -230,6 +230,14 @@ def test_coeff_items_roundtrip():
     assert (rebuilt - p).is_zero
 
 
+@given(mpolys())
+def test_int_terms_and_content_roundtrip(p):
+    assert MPoly.from_int_terms(p.int_terms(), p.content) == p
+    assert all(p.coeff(i, j) == p.content * c for (i, j), c in p.int_terms())
+    # repeated exponents add up, and the common factor 2 moves to the content
+    assert MPoly.from_int_terms(list(p.int_terms()) * 2, p.content / 2) == p
+
+
 def test_coeffs_in_reassembles():
     x = MPoly.var_x()
     y = MPoly.var_y()
