@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from pdisc.errors import InternalInvariantError
 from pdisc.exactalg import MPoly, UPoly, isolate_real_roots, minor_det, nullspace, resultant_wrt
-# unused here since E_m moved to `minor_det`; bench/test_bench.py still
-# checks that the tracer rebinds this alias of `ffdet`
+# not called here: bench/test_bench.py checks that its tracer rebinds
+# this alias of `ffdet`
 from pdisc.exactalg import ffdet  # noqa: F401
 from pdisc.modelio import PlanarSystem
 

@@ -230,7 +230,7 @@ class Rur:
                 (c, self._power(0, i) * self._power(1, j) * self._power(2, d - i - j))
                 for (i, j), c in f.int_terms()
             )
-            g = self._images[f] = g % self.base * f.content
+            g = self._images[f] = (g % self.base) * f.content
         return g
 
     def sign(self, f: MPoly, a: RootInterval) -> int:
