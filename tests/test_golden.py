@@ -238,11 +238,24 @@ def test_bundled_portrait_capture_test_count(view, hits, monkeypatch):
 
 # sha256 of the `pdisc analyze` JSON (full disc, quadrant) of systems
 # outside the Leslie family, most with irrational equilibria: the degree
-# 4 and 5 systems of the ROADMAP baseline, an irrational saddle, and three
-# products of lines cut by an ellipse.  Recorded while the univariate
+# 4 and 5 systems of the ROADMAP baseline, an irrational saddle, three
+# products of lines cut by an ellipse and two dense systems.  Recorded while the univariate
 # kernel still ran over Fraction; the exact decisions do not depend on
-# how the coefficients are stored, so no byte may move.
+# how the coefficients are stored, so no byte may move.  The dense
+# degree 6 and 7 members of the family of the ROADMAP's degree-scaling
+# item were recorded before the real algebraic numbers left
+# `pdisc.equilibria` for `pdisc.exactalg.algebraic`.
 OTHER_ANALYZE = {
+    "dense-6": (
+        "dx = x^6 - 3*x^2*y^3 + y^4 - 2*x + 1\ndy = y^6 - x*y^4 + 2*x^2 - y - 3\n",
+        "dc3aaf87bb67a9edee744c874cbf6843cafff56ed19cd41f0574f12edde12e24",
+        "e028d9af963e8ac45c9431166ea26a98e4285f5d24cb7261aae5c501bf48b88d",
+    ),
+    "dense-7": (
+        "dx = x^7 - 3*x^2*y^4 + y^5 - 2*x + 1\ndy = y^7 - x*y^5 + 2*x^2 - y - 3\n",
+        "14cc55d423ca0226b5f7ba9caa5bed62e6da7f53159c3464daef94df6eb1326b",
+        "0d1607e557294345bbcaf17192a5cb73df6bf3cf1c34156f53b60ba4effd9daa",
+    ),
     "quartic": (
         "dx = x^4 - 3*x^2*y + y^2 - 2*x + 1\ndy = y^4 - x*y^2 + 2*x^2 - y - 3\n",
         "1afc5687d9c770f37f5f41be4c7ff0ee80f28d8d5f9fc061ec910009a7bd86d4",
