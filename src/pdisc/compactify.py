@@ -24,10 +24,8 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError
-from pdisc.exactalg import NEG_INF, MPoly, UPoly, isolate_real_roots
+from pdisc.exactalg import NEG_INF, AlgebraicCoord, AlgebraicPoint, MPoly, UPoly, isolate_real_roots
 from pdisc.equilibria import (
-    AlgebraicCoord,
-    AlgebraicPoint,
     EquilibriumRecord,
     classify_point,
     equilibrium_fragment,
@@ -160,7 +158,7 @@ def _axis_equilibria(
         raise LineOfEquilibriaError(line_message)
     if flow.is_constant:
         return []
-    poly = UPoly(tuple(flow.univariate_coeffs(along))).squarefree_part()
+    poly = UPoly.from_mpoly(flow, along).squarefree_part()
     origin = AlgebraicCoord.of(0)
     out: List[EquilibriumRecord] = []
     for rt in isolate_real_roots(poly):

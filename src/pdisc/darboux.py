@@ -177,7 +177,7 @@ def _representative_on(conds: Sequence[MPoly]) -> Optional[Tuple[Fraction, Fract
         nonzero = [r for r in restricted if not r.is_zero]
         if not nonzero:
             return a0, Fraction(0)
-        g = _upoly_gcd_many([UPoly(tuple(r.univariate_coeffs("y"))) for r in nonzero])
+        g = _upoly_gcd_many([UPoly.from_mpoly(r, "y") for r in nonzero])
         if g.degree < 1:
             continue
         roots = _rational_roots(g)
@@ -188,7 +188,7 @@ def _representative_on(conds: Sequence[MPoly]) -> Optional[Tuple[Fraction, Fract
         nonzero = [r for r in restricted if not r.is_zero]
         if not nonzero:
             return Fraction(0), b0
-        g = _upoly_gcd_many([UPoly(tuple(r.univariate_coeffs("x"))) for r in nonzero])
+        g = _upoly_gcd_many([UPoly.from_mpoly(r, "x") for r in nonzero])
         if g.degree < 1:
             continue
         roots = _rational_roots(g)
@@ -223,7 +223,7 @@ def find_invariant_lines(sys: PlanarSystem) -> List[InvariantCurve]:
             InvariantCurve(rep.f, rep.K, FAMILY, note="x - c invariant for every c")
         )
     else:
-        pcols = [_upoly_in(c, "x") for c in sys.P.coeffs_in("y")]
+        pcols = [UPoly.from_mpoly(c, "x") for c in sys.P.coeffs_in("y")]
         g = _upoly_gcd_many([u for u in pcols if not u.is_zero])
         if g.degree >= 1:
             for c in _rational_roots(g):
@@ -259,10 +259,6 @@ def _line_sort_key(f: MPoly) -> Tuple:
     return (1, -f.coeff(1, 0), -f.coeff(0, 0))
 
 
-def _upoly_in(p: MPoly, var: str) -> UPoly:
-    return UPoly(tuple(p.univariate_coeffs(var)))
-
-
 def _solve_slant_conditions(
     sys: PlanarSystem, conds: List[MPoly]
 ) -> Tuple[List[InvariantCurve], List[InvariantCurve]]:
@@ -284,7 +280,7 @@ def _solve_slant_conditions(
 
     if not with_b:
         # conditions constrain a only: every b works at each root
-        g = _upoly_gcd_many([_upoly_in(c, "x") for c in conds])
+        g = _upoly_gcd_many([UPoly.from_mpoly(c, "x") for c in conds])
         if g.degree >= 1:
             for a0 in _rational_roots(g):
                 emit_family(a0, Fraction(0), f"y - ({a0})*x - b invariant for every b")
@@ -292,7 +288,7 @@ def _solve_slant_conditions(
 
     if not with_a:
         # conditions constrain b only: every a works at each root
-        g = _upoly_gcd_many([_upoly_in(c, "y") for c in conds])
+        g = _upoly_gcd_many([UPoly.from_mpoly(c, "y") for c in conds])
         if g.degree >= 1:
             for b0 in _rational_roots(g):
                 emit_family(Fraction(0), b0, f"y - a*x - ({b0}) invariant for every a")
@@ -315,13 +311,13 @@ def _solve_slant_conditions(
     # eliminate b against a fixed generator of positive b-degree
     pure_a = [c for c in conds if c.degree_in("y") == 0]
     g0 = min(with_b, key=lambda c: c.degree_in("y"))
-    eliminants: List[UPoly] = [_upoly_in(c, "x") for c in pure_a]
+    eliminants: List[UPoly] = [UPoly.from_mpoly(c, "x") for c in pure_a]
     for c in conds:
         if c is g0:
             continue
         r = resultant_wrt(g0, c, "y")
         if not r.is_zero:
-            eliminants.append(_upoly_in(r, "x"))
+            eliminants.append(UPoly.from_mpoly(r, "x"))
 
     if not eliminants or all(u.is_zero for u in eliminants):
         # every resultant collapsed: positive-dimensional solution set
@@ -347,7 +343,7 @@ def _solve_slant_conditions(
         if not nonzero:
             emit_family(a0, Fraction(0), f"y - ({a0})*x - b invariant for every b")
             continue
-        gb = _upoly_gcd_many([_upoly_in(r, "y") for r in nonzero])
+        gb = _upoly_gcd_many([UPoly.from_mpoly(r, "y") for r in nonzero])
         if gb.degree < 1:
             continue
         for b0 in _rational_roots(gb):

@@ -11,39 +11,38 @@ the one root of sqfree(Res_x(P, Q)) whose isolating interval meets its
 enclosure.  Where that fails (a vanishing y-leading coefficient, or two
 points on one fiber) the same lifting runs on P(x - t*y, y), Q(x - t*y, y).
 
-Irrational coordinates are carried as a square-free defining polynomial
-plus an isolating interval, refinable on demand.  An irrational point
-also carries a rational univariate representation (Rouillier 1999):
-x = X(a)/D(a), y = Y(a)/D(a) at one root a of a square-free s(u).  The
-lifting above produces it, and a point with one rational coordinate has
-a trivial one.  Every sign at the point, of the residuals and of the
-Jacobian's determinant, trace and discriminant, is decided exactly from
-it: zero by a gcd with s, a nonzero sign by refining a alone.
-"undetermined" is left only where no exact rule applies (a
-semi-hyperbolic point whose reduction is unavailable or degenerate).
+Coordinates and points are the real algebraic numbers of
+`pdisc.exactalg.algebraic`.  Every sign at an irrational point, of the
+residuals and of the Jacobian's determinant, trace and discriminant, is
+decided exactly from its rational univariate representation (RUR), which
+the lifting above produces.  "undetermined" is left only where no exact
+rule applies (a semi-hyperbolic point whose reduction is unavailable or
+degenerate).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, replace
+from functools import cmp_to_key, lru_cache
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from pdisc.errors import InputError, InternalInvariantError, PositiveDimensionalError
 from pdisc.exactalg import (
+    AlgebraicCoord,
+    AlgebraicPoint,
     Interval,
     MPoly,
     RootInterval,
+    Rur,
     UPoly,
     eval_box,
     isolate_real_roots,
-    refine_root,
     resultant_wrt,
 )
+from pdisc.exactalg.algebraic import holds_root
 from pdisc.exactalg.matrix import subresultant
-from pdisc.exactalg.upoly import linear_combination
 from pdisc.modelio import PlanarSystem
 
 # classification labels
@@ -58,249 +57,6 @@ DEGENERATE = "degenerate-needs-blowup"
 UNDETERMINED = "undetermined"
 
 _REFINE_CAP = 128
-
-
-# ---------------------------------------------------------------------------
-# algebraic coordinates
-
-
-@dataclass(frozen=True)
-class AlgebraicCoord:
-    """A real algebraic number: exact rational, or a square-free
-    defining polynomial with an isolating interval.  isolate_real_roots
-    returns every rational root exactly, so an interval coordinate is
-    irrational and no refinement of it meets the root."""
-
-    exact: Optional[Fraction] = None
-    poly: Optional[UPoly] = None
-    root: Optional[RootInterval] = None
-
-    def __post_init__(self) -> None:
-        if self.exact is None:
-            if self.poly is None or self.root is None:
-                raise ValueError("interval coordinate needs poly and root")
-            if self.root.exact is not None:
-                object.__setattr__(self, "exact", self.root.exact)
-        elif not isinstance(self.exact, Fraction):
-            object.__setattr__(self, "exact", Fraction(self.exact))
-
-    @staticmethod
-    def of(value: Union[int, Fraction]) -> "AlgebraicCoord":
-        return AlgebraicCoord(exact=Fraction(value))
-
-    @staticmethod
-    def from_root(poly: UPoly, root: RootInterval) -> "AlgebraicCoord":
-        """The root isolated by `root` of `poly`, which must be square-free
-        (as `squarefree_part` returns it): it is stored as given."""
-        if root.exact is not None:
-            return AlgebraicCoord(exact=root.exact)
-        return AlgebraicCoord(poly=poly, root=root)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
-    def interval(self) -> Interval:
-        if self.exact is not None:
-            return Interval.point(self.exact)
-        assert self.root is not None
-        return Interval(self.root.lo, self.root.hi)
-
-    def refined(self, width: Fraction) -> "AlgebraicCoord":
-        if self.exact is not None:
-            return self
-        assert self.poly is not None and self.root is not None
-        return AlgebraicCoord(poly=self.poly, root=refine_root(self.poly, self.root, width))
-
-    def approx(self) -> float:
-        if self.exact is not None:
-            return float(self.exact)
-        c = self.refined(Fraction(1, 2**60))
-        assert c.root is not None
-        return float((c.root.lo + c.root.hi) / 2)
-
-    def sign(self) -> int:
-        """Exact sign; zero only for the exact rational 0."""
-        return self.compare(AlgebraicCoord.of(0))
-
-    def compare(self, other: "AlgebraicCoord") -> int:
-        """Exact three-way comparison."""
-        if self.exact is not None and other.exact is not None:
-            return (self.exact > other.exact) - (self.exact < other.exact)
-        if self.exact is not None:
-            return -other._compare_to_rational(self.exact)
-        if other.exact is not None:
-            return self._compare_to_rational(other.exact)
-        return self._compare_irrational(other)
-
-    def _compare_to_rational(self, v: Fraction) -> int:
-        assert self.poly is not None and self.root is not None
-        r = self.root
-        while r.lo < v < r.hi:
-            r = refine_root(self.poly, r, (r.hi - r.lo) / 4)
-        # isolating endpoints are never roots, so the root is strictly inside
-        return 1 if v <= r.lo else -1
-
-    def _compare_irrational(self, other: "AlgebraicCoord") -> int:
-        assert self.poly is not None and self.root is not None
-        assert other.poly is not None and other.root is not None
-        a, b = self.root, other.root
-        g = self.poly.gcd(other.poly)
-        while True:
-            if a.hi < b.lo:
-                return -1
-            if b.hi < a.lo:
-                return 1
-            lo = max(a.lo, b.lo)
-            hi = min(a.hi, b.hi)
-            if _holds_root(g, lo, hi):
-                # the overlap holds a common root; each interval isolates
-                # exactly one root, so both coordinates equal it
-                return 0
-            a = refine_root(self.poly, a, (a.hi - a.lo) / 4)
-            b = refine_root(other.poly, b, (b.hi - b.lo) / 4)
-
-    def text(self) -> str:
-        if self.exact is not None:
-            return str(self.exact)
-        assert self.poly is not None
-        return f"~{self.approx():.12g} (root of {_upoly_text(self.poly)})"
-
-
-def _upoly_text(p: UPoly) -> str:
-    terms = []
-    for k in range(int(p.degree), -1, -1):
-        c = p.coeff(k)
-        if c == 0:
-            continue
-        if k == 0:
-            body = str(abs(c))
-        else:
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            body = f"{mag}t" if k == 1 else f"{mag}t^{k}"
-        terms.append(("- " if c < 0 else "+ ") + body)
-    if not terms:
-        return "0"
-    head = terms[0].replace("+ ", "").replace("- ", "-")
-    return " ".join([head] + terms[1:])
-
-
-def _holds_root(g: UPoly, lo: Fraction, hi: Fraction) -> bool:
-    """Whether g has a root in (lo, hi), where g divides a square-free
-    polynomial with one root there and none at lo or hi: then g has at
-    most that one root, a simple one, so a sign change finds it."""
-    return g.degree >= 1 and g.sign_at(lo) != g.sign_at(hi)
-
-
-class Rur:
-    """A rational univariate representation: the points
-    x = X(a)/D(a), y = Y(a)/D(a) at the real roots a of the square-free
-    `base` s(u), with D(a) != 0.  Points above the roots of one s share
-    one object, so each polynomial's image under it is computed once."""
-
-    def __init__(self, base: UPoly, X: UPoly, Y: UPoly, D: UPoly):
-        self.base, self.X, self.Y, self.D = base, X, Y, D
-        self._powers: Tuple[List[UPoly], ...] = ([UPoly.const(1)], [UPoly.const(1)], [UPoly.const(1)])
-        self._images: Dict[MPoly, UPoly] = {}
-        self._zeros: Dict[MPoly, UPoly] = {}
-
-    @cached_property
-    def swapped(self) -> "Rur":
-        """The same points with x and y exchanged."""
-        return Rur(self.base, self.Y, self.X, self.D)
-
-    def unsheared(self, t: int) -> "Rur":
-        """The same points, read in (x, y) from the coordinates (x + t*y, y)."""
-        return Rur(self.base, self.X - self.Y * t, self.Y, self.D)
-
-    def _power(self, which: int, k: int) -> UPoly:
-        table, f = self._powers[which], (self.X, self.Y, self.D)[which]
-        while len(table) <= k:
-            table.append(table[-1] * f % self.base)
-        return table[k]
-
-    def _image(self, f: MPoly) -> UPoly:
-        """G = D^deg f * f(X/D, Y/D) mod s: summed over the integer terms
-        of f, reduced by pseudo-division over the integers, and scaled by
-        the content of f."""
-        g = self._images.get(f)
-        if g is None:
-            d = int(f.degree)
-            g = linear_combination(
-                (c, self._power(0, i) * self._power(1, j) * self._power(2, d - i - j))
-                for (i, j), c in f.int_terms()
-            )
-            g = self._images[f] = (g % self.base) * f.content
-        return g
-
-    def sign(self, f: MPoly, a: RootInterval) -> int:
-        """The exact sign of f at the point above the irrational root a of s."""
-        g = self._image(f)
-        if g.is_zero:
-            return 0
-        while True:
-            # D(a) != 0, so once G(a) != 0 too both enclosures exclude 0 when narrow
-            box = Interval(a.lo, a.hi)
-            s_g, s_d = _enclosure(g, box).sign(), _enclosure(self.D, box).sign()
-            if s_g and s_d:
-                return s_g * s_d ** int(f.degree)
-            if f not in self._zeros:
-                self._zeros[f] = g.gcd(self.base)
-            if _holds_root(self._zeros[f], a.lo, a.hi):
-                return 0
-            a = refine_root(self.base, a, a.width / 4)
-
-
-def _enclosure(p: UPoly, box: Interval) -> Interval:
-    """An enclosure of p over box = [n/q, m/q]: interval Horner over the
-    integers on q^deg times the primitive part of p, then the content."""
-    q = math.lcm(box.lo.denominator, box.hi.denominator)
-    n, m = int(box.lo * q), int(box.hi * q)
-    lo = hi = 0
-    qk = 1
-    for c in reversed(p.int_coeffs()):
-        ends = (lo * n, lo * m, hi * n, hi * m)
-        lo, hi = min(ends) + c * qk, max(ends) + c * qk
-        qk *= q
-    c = p.content
-    scale = c.denominator * q ** max(len(p.int_coeffs()) - 1, 0)
-    return Interval(Fraction(lo * c.numerator, scale), Fraction(hi * c.numerator, scale))
-
-
-@dataclass(frozen=True)
-class AlgebraicPoint:
-    x: AlgebraicCoord
-    y: AlgebraicCoord
-    # an irrational point's representation and the interval of its root a
-    rur: Optional[Tuple[Rur, RootInterval]] = field(default=None, compare=False)
-
-    @staticmethod
-    def rational(x: Union[int, Fraction], y: Union[int, Fraction]) -> "AlgebraicPoint":
-        return AlgebraicPoint(AlgebraicCoord.of(x), AlgebraicCoord.of(y))
-
-    @property
-    def is_exact(self) -> bool:
-        return self.x.is_exact and self.y.is_exact
-
-    def exact_pair(self) -> Tuple[Fraction, Fraction]:
-        if not self.is_exact:
-            raise ValueError("point is not exact")
-        assert self.x.exact is not None and self.y.exact is not None
-        return self.x.exact, self.y.exact
-
-    def box(self) -> Tuple[Interval, Interval]:
-        return self.x.interval(), self.y.interval()
-
-    def refined(self, width: Fraction) -> "AlgebraicPoint":
-        rur = None if self.rur is None else (self.rur[0], refine_root(self.rur[0].base, self.rur[1], width))
-        return AlgebraicPoint(self.x.refined(width), self.y.refined(width), rur)
-
-    def swapped(self) -> "AlgebraicPoint":
-        rur = None if self.rur is None else (self.rur[0].swapped, self.rur[1])
-        return AlgebraicPoint(self.y, self.x, rur)
-
-    def approx(self) -> Tuple[float, float]:
-        return self.x.approx(), self.y.approx()
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +99,6 @@ class EquilibriumRecord:
 # equilibrium location
 
 
-def _upoly(p: MPoly, var: str) -> UPoly:
-    return UPoly(tuple(p.univariate_coeffs(var)))
-
-
 def finite_equilibria(sys: PlanarSystem) -> List[EquilibriumRecord]:
     """All real solutions of P = Q = 0, classified and sorted
     lexicographically by coordinates.
@@ -365,7 +117,7 @@ def finite_equilibria(sys: PlanarSystem) -> List[EquilibriumRecord]:
 
     for var, other, lines in (("x", "y", "vertical"), ("y", "x", "horizontal")):
         if p.degree_in(other) == 0 and q.degree_in(other) == 0:
-            g = _upoly(p, var).gcd(_upoly(q, var))
+            g = UPoly.from_mpoly(p, var).gcd(UPoly.from_mpoly(q, var))
             if g.degree >= 1 and isolate_real_roots(g):
                 raise PositiveDimensionalError(
                     f"P and Q depend only on {var} and share a root: {lines} "
@@ -388,34 +140,15 @@ def finite_equilibria(sys: PlanarSystem) -> List[EquilibriumRecord]:
         points = _eliminate(sys, rx)
 
     records = [classify_point(sys, pt) for pt in points]
-    records.sort(key=_record_sort_key)
-    for i in range(len(records) - 1):
-        a, b = records[i].point, records[i + 1].point
-        if a.x.compare(b.x) == 0 and a.y.compare(b.y) == 0:
-            raise InternalInvariantError("duplicate equilibrium records")
+    records.sort(key=cmp_to_key(lambda a, b: a.point.compare(b.point)))
+    if any(a.point.compare(b.point) == 0 for a, b in zip(records, records[1:])):
+        raise InternalInvariantError("duplicate equilibrium records")
     return records
 
 
 def in_positive_quadrant(rec: EquilibriumRecord) -> bool:
     """Whether the exact point lies in the closed quadrant x, y >= 0."""
     return rec.point.x.sign() >= 0 and rec.point.y.sign() >= 0
-
-
-class _SortAdapter:
-    __slots__ = ("coord",)
-
-    def __init__(self, coord: AlgebraicCoord):
-        self.coord = coord
-
-    def __lt__(self, other: "_SortAdapter") -> bool:
-        return self.coord.compare(other.coord) < 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _SortAdapter) and self.coord.compare(other.coord) == 0
-
-
-def _record_sort_key(rec: EquilibriumRecord):
-    return (_SortAdapter(rec.point.x), _SortAdapter(rec.point.y))
 
 
 def _eliminate(sys: PlanarSystem, rx: MPoly) -> List[AlgebraicPoint]:
@@ -428,7 +161,7 @@ def _eliminate(sys: PlanarSystem, rx: MPoly) -> List[AlgebraicPoint]:
     each of these rules out finitely many t, so the bound below is never met."""
     if rx.is_constant:
         return []
-    ux = _upoly(rx, "x")
+    ux = UPoly.from_mpoly(rx, "x")
     xroots = isolate_real_roots(ux)
     out = [pt for rt in xroots if rt.exact is not None for pt in _fiber_exact_x(sys, rt.exact)]
     pending = [rt for rt in xroots if rt.exact is None]
@@ -436,7 +169,7 @@ def _eliminate(sys: PlanarSystem, rx: MPoly) -> List[AlgebraicPoint]:
         return out
     p, q = _without_vertical_factor(sys.P, sys.Q)
     # every ordinate is a root of Res_x(P, Q), which lies in the ideal (P, Q)
-    r = _upoly(resultant_wrt(p, q, "x"), "y").squarefree_part()
+    r = UPoly.from_mpoly(resultant_wrt(p, q, "x"), "y").squarefree_part()
     x_elim = (ux.squarefree_part(), xroots)
     y_elim = (r, isolate_real_roots(r))
     dp, dq = int(p.degree), int(q.degree)
@@ -449,7 +182,7 @@ def _eliminate(sys: PlanarSystem, rx: MPoly) -> List[AlgebraicPoint]:
 
 
 def _fiber_exact_x(sys: PlanarSystem, x0: Fraction) -> List[AlgebraicPoint]:
-    g = _upoly(sys.P.subst_x(x0), "y").gcd(_upoly(sys.Q.subst_x(x0), "y"))
+    g = UPoly.from_mpoly(sys.P.subst_x(x0), "y").gcd(UPoly.from_mpoly(sys.Q.subst_x(x0), "y"))
     if g.is_zero:
         raise PositiveDimensionalError(
             f"the vertical line x = {x0} consists of equilibria"
@@ -496,20 +229,20 @@ def _lift(
     if t:
         shear = (MPoly.var_x() - MPoly.const(t) * MPoly.var_y(), MPoly.var_y())
         p, q = p.subst(*shear), q.subst(*shear)
-        base = _upoly(resultant_wrt(p, q, "y"), "x").squarefree_part()
+        base = UPoly.from_mpoly(resultant_wrt(p, q, "y"), "x").squarefree_part()
         roots = isolate_real_roots(base)
     # the memos live for this call only
     sres = lru_cache(None)(lambda j: subresultant(p, q, "y", j))
-    common = lru_cache(None)(lambda c: base.gcd(_upoly(c, "x")))
+    common = lru_cache(None)(lambda c: base.gcd(UPoly.from_mpoly(c, "x")))
 
     @lru_cache(None)
     def rur(j: int) -> Rur:
         c = sres(j)
-        y, d = -_upoly(c[j - 1], "x"), _upoly(c[j], "x") * j
+        y, d = -UPoly.from_mpoly(c[j - 1], "x"), UPoly.from_mpoly(c[j], "x") * j
         return Rur(base, UPoly.variable() * d - y * t, y, d)
 
     def vanishes(c: MPoly, rt: RootInterval) -> bool:
-        return _holds_root(common(c), rt.lo, rt.hi)
+        return holds_root(common(c), rt.lo, rt.hi)
 
     def fiber_gcd(rt: RootInterval) -> Optional[List[MPoly]]:
         # a side without y is its own leading coefficient, zero at every root
@@ -529,21 +262,20 @@ def _lift(
     for rt in roots:
         if rt.exact is not None:
             # only with t != 0: the fiber above a rational u is an exact gcd
-            u = Interval.point(rt.exact)
             fiber = _fiber_exact_x(PlanarSystem(P=p, Q=q), rt.exact)
             # the points of one fiber share one Rur, so unshear it once
             back = fiber[0].rur[0].unsheared(t) if fiber else None
-            lifts = [(((u, iy) for iy in _tightening(pt.y)), (back, pt.rur[1])) for pt in fiber]
+            lifts = [(back, pt.rur[1]) for pt in fiber]
         else:
             c = fiber_gcd(rt)
             if c is None:
                 return None
-            at = (rur(len(c) - 1), rt)
-            lifts = [(_quotient_boxes(*at), at)]
-        for boxes, at in lifts:
+            lifts = [(rur(len(c) - 1), rt)]
+        for at in lifts:
             # one refinement sequence serves both locations, y first
-            yroot = _locate(yroots, (iy for _, iy in boxes))
-            xroot = _locate(xroots, (None if iy is None else iu - iy * t for iu, iy in boxes))
+            boxes = at[0].quotient_boxes(at[1])
+            yroot = _locate(yroots, boxes, 1)
+            xroot = _locate(xroots, boxes, 0)
             if xroot in pending:
                 x_, y_ = AlgebraicCoord(poly=s, root=xroot), AlgebraicCoord(poly=r, root=yroot)
                 out.append(AlgebraicPoint(x_, y_, at))
@@ -555,7 +287,7 @@ def _without_vertical_factor(p: MPoly, q: MPoly) -> Tuple[MPoly, MPoly]:
     no real root (else it is a vertical line of equilibria)."""
     d = UPoly.zero()
     for c in p.coeffs_in("y") + q.coeffs_in("y"):
-        d = d.gcd(_upoly(c, "x"))
+        d = d.gcd(UPoly.from_mpoly(c, "x"))
         if d.degree == 0:
             return p, q
     if isolate_real_roots(d):
@@ -568,28 +300,16 @@ def _without_vertical_factor(p: MPoly, q: MPoly) -> Tuple[MPoly, MPoly]:
     return p_, q_
 
 
-def _tightening(c: AlgebraicCoord) -> Iterator[Interval]:
-    """Enclosures of c, each a quarter as wide as the one before."""
-    while True:
-        box = c.interval()
-        yield box
-        c = c.refined(box.width / 4)
-
-
-def _quotient_boxes(rur: Rur, a: RootInterval) -> Iterator[Tuple[Interval, Optional[Interval]]]:
-    """Enclosures of a paired with enclosures of Y(a)/D(a); None while the
-    enclosure of D(a) holds zero."""
-    for box in _tightening(AlgebraicCoord(poly=rur.base, root=a)):
-        d = _enclosure(rur.D, box)
-        yield box, None if d.lo <= 0 <= d.hi else _enclosure(rur.Y, box) / d
-
-
-def _locate(roots: List[RootInterval], boxes: Iterator[Optional[Interval]]) -> RootInterval:
-    """The one of `roots`, known to hold the enclosed value, whose isolating
-    interval alone meets a box of the sequence."""
-    for _, box in zip(range(_REFINE_CAP), boxes):
-        if box is None:
+def _locate(
+    roots: List[RootInterval], boxes: Iterator[Optional[Tuple[Interval, Interval]]], k: int
+) -> RootInterval:
+    """The one of `roots`, known to hold coordinate k of the enclosed
+    point, whose isolating interval alone meets that side of a box of the
+    sequence."""
+    for _, point_box in zip(range(_REFINE_CAP), boxes):
+        if point_box is None:
             continue
+        box = point_box[k]
         hits = [rt for rt in roots if rt.lo <= box.hi and box.lo <= rt.hi]
         if len(hits) == 1:
             return hits[0]
@@ -648,7 +368,7 @@ def classify_point(
         return EquilibriumRecord(pt, jac, tr, det, disc, eigs, cls, label, red)
 
     if pt.rur is None:
-        pt = replace(pt, rur=_trivial_rur(pt))
+        raise InputError("a point with two irrational coordinates needs its parametrization")
     # the stored point is refined for text(), approx() and the interval Jacobian
     pt = pt.refined(Fraction(1, 2**60))
     rur, a = pt.rur
@@ -658,17 +378,6 @@ def classify_point(
     # the discriminant tells a node from a focus, and only then is it read
     s_disc = rur.sign(sys.discriminant, a) if s_det > 0 and s_tr else 0
     return EquilibriumRecord(pt, None, None, None, None, None, _table(s_det, s_tr, s_disc), label)
-
-
-def _trivial_rur(pt: AlgebraicPoint) -> Tuple[Rur, RootInterval]:
-    """The representation u = the irrational coordinate, for a point
-    whose other coordinate is rational."""
-    u, one = UPoly.variable(), UPoly.const(1)
-    if pt.y.exact is not None:
-        return Rur(pt.x.poly, u, UPoly.const(pt.y.exact), one), pt.x.root
-    if pt.x.exact is not None:
-        return Rur(pt.y.poly, UPoly.const(pt.x.exact), u, one), pt.y.root
-    raise InputError("a point with two irrational coordinates needs its parametrization")
 
 
 def _table(s_det: int, s_tr: int, s_disc: int) -> str:

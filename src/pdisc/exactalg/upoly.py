@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
-from pdisc.exactalg.mpoly import NEG_INF, Degree
+from pdisc.exactalg.mpoly import NEG_INF, Degree, MPoly
 
 _Scalar = Union[int, Fraction]
 _ZERO = Fraction(0)
@@ -59,6 +59,11 @@ class UPoly:
     @classmethod
     def variable(cls) -> "UPoly":
         return cls._make((0, 1), _ONE)
+
+    @classmethod
+    def from_mpoly(cls, p: MPoly, var: str) -> "UPoly":
+        """p as a polynomial in `var`; p must not involve the other variable."""
+        return cls(p.univariate_coeffs(var))
 
     @classmethod
     def from_roots(cls, roots: Sequence[_Scalar]) -> "UPoly":
@@ -231,20 +236,19 @@ class UPoly:
         return (v > 0) - (v < 0)
 
     def __str__(self) -> str:
-        if not self._p:
-            return "0"
-        parts = []
+        """Descending powers of t, unit coefficients left out: t^2 - t - 1."""
+        out = ""
         for k in range(len(self._p) - 1, -1, -1):
             c = self.coeff(k)
             if not c:
                 continue
-            if k == 0:
-                parts.append(f"{c}")
-            elif k == 1:
-                parts.append(f"{c}*t" if c != 1 else "t")
+            mag = abs(c)
+            body = str(mag) if k == 0 else ("" if mag == 1 else f"{mag}*") + ("t" if k == 1 else f"t^{k}")
+            if out:
+                out += (" - " if c < 0 else " + ") + body
             else:
-                parts.append(f"{c}*t^{k}" if c != 1 else f"t^{k}")
-        return " + ".join(parts).replace("+ -", "- ")
+                out = ("-" if c < 0 else "") + body
+        return out or "0"
 
     def __repr__(self) -> str:
         return f"UPoly({self})"

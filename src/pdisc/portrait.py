@@ -52,7 +52,6 @@ from pdisc.compactify import (
     disc_equilibria,
 )
 from pdisc.equilibria import (
-    AlgebraicCoord,
     EquilibriumRecord,
     equilibrium_fragment,
     in_positive_quadrant,
@@ -60,7 +59,7 @@ from pdisc.equilibria import (
     leslie_labels,
 )
 from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError
-from pdisc.exactalg import Interval, MPoly
+from pdisc.exactalg import AlgebraicCoord, Interval, MPoly
 from pdisc.modelio import ParamBindings, PlanarSystem, format_system
 
 RTOL_DEFAULT = 1e-9

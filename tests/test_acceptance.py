@@ -24,8 +24,8 @@ from pdisc.darboux import (
     find_invariant_lines,
     verify_invariant_curve,
 )
-from pdisc.equilibria import AlgebraicPoint, finite_equilibria, in_positive_quadrant, leslie_labels
-from pdisc.exactalg import MPoly, nullspace
+from pdisc.equilibria import finite_equilibria, in_positive_quadrant, leslie_labels
+from pdisc.exactalg import AlgebraicPoint, MPoly, nullspace
 from pdisc.integrability import (
     SearchBounds,
     first_integral_test,

@@ -26,9 +26,9 @@ from pdisc.compactify import (
     to_chart,
     verify_blowdown,
 )
-from pdisc.equilibria import AlgebraicPoint, DEGENERATE, SADDLE
+from pdisc.equilibria import DEGENERATE, SADDLE
 from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError
-from pdisc.exactalg import MPoly
+from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, MPoly
 from pdisc.modelio import PlanarSystem, leslie_system, parse_system
 
 F = Fraction
@@ -289,7 +289,6 @@ def test_blowup_analysis_translation_and_irrational_guard():
     analysis = blowup_analysis(u2.system, AlgebraicPoint.rational(F(0), F(0)))
     assert analysis is not None
     assert (analysis.sectors.hyperbolic, analysis.sectors.parabolic) == (2, 2)
-    from pdisc.equilibria import AlgebraicCoord
     from pdisc.exactalg import UPoly, isolate_real_roots
 
     p = UPoly((F(-2), F(0), F(1)))

@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from pdisc.equilibria import (
-    AlgebraicCoord,
     CENTER_CANDIDATE,
     DEGENERATE,
     SADDLE,
@@ -31,7 +30,7 @@ from pdisc.equilibria import (
     leslie_labels,
 )
 from pdisc.errors import InputError, PositiveDimensionalError
-from pdisc.exactalg import UPoly, isolate_real_roots
+from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, UPoly, isolate_real_roots
 from pdisc.modelio import leslie_system, parse_system
 
 F = Fraction
@@ -208,8 +207,6 @@ def test_records_sorted_and_unique():
 
 def test_classify_point_rejects_non_equilibrium():
     sys = leslie_system(F(1), F(1), F(1, 2))
-    from pdisc.equilibria import AlgebraicPoint
-
     with pytest.raises(InputError):
         classify_point(sys, AlgebraicPoint(AlgebraicCoord.of(F(1)), AlgebraicCoord.of(F(1))))
 

@@ -32,14 +32,12 @@ from pdisc.equilibria import (
     UNDETERMINED,
     UNSTABLE_FOCUS,
     UNSTABLE_NODE,
-    AlgebraicCoord,
-    AlgebraicPoint,
     classify_point,
     finite_equilibria,
     jacobian_at,
 )
 from pdisc.errors import InputError
-from pdisc.exactalg import Interval, UPoly, isolate_real_roots
+from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, Interval, UPoly, isolate_real_roots
 from pdisc.modelio import parse_system
 
 F = Fraction

@@ -177,6 +177,12 @@ def test_squarefree_part_drops_powers():
     assert s.eval(Fraction(-1)) == 0
 
 
+def test_str_leaves_out_unit_coefficients():
+    assert str(UPoly((Fraction(-1), Fraction(-1), Fraction(1)))) == "t^2 - t - 1"
+    assert str(UPoly((Fraction(2), Fraction(0), Fraction(-3, 2), Fraction(-1)))) == "-t^3 - 3/2*t^2 + 2"
+    assert str(UPoly.zero()) == "0"
+
+
 def test_sturm_counts_roots_in_window():
     p = UPoly.from_roots([Fraction(-3), Fraction(0), Fraction(4)])
     chain = sturm_chain(p)
