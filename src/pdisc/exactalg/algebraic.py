@@ -137,11 +137,12 @@ def holds_root(g: UPoly, lo: Fraction, hi: Fraction) -> bool:
     return g.degree >= 1 and g.sign_at(lo) != g.sign_at(hi)
 
 
-def _enclosure(p: UPoly, box: Interval) -> Interval:
-    """An enclosure of p over box = [n/q, m/q]: interval Horner over the
-    integers on q^deg times the primitive part of p, then the content."""
-    q = math.lcm(box.lo.denominator, box.hi.denominator)
-    n, m = int(box.lo * q), int(box.hi * q)
+def _enclosure(p: UPoly, r: RootInterval) -> Interval:
+    """An enclosure of p over [r.lo, r.hi] = [n/q, m/q]: interval Horner
+    over the integers on q^deg times the primitive part of p, then the
+    content."""
+    q = math.lcm(r.lo.denominator, r.hi.denominator)
+    n, m = int(r.lo * q), int(r.hi * q)
     lo = hi = 0
     qk = 1
     for c in reversed(p.int_coeffs()):
@@ -201,8 +202,7 @@ class Rur:
             return 0
         for r in refinements(self.base, a):
             # D(a) != 0, so once G(a) != 0 too both enclosures exclude 0 when narrow
-            box = Interval(r.lo, r.hi)
-            s_g, s_d = _enclosure(g, box).sign(), _enclosure(self.D, box).sign()
+            s_g, s_d = _enclosure(g, r).sign(), _enclosure(self.D, r).sign()
             if s_g and s_d:
                 return s_g * s_d ** int(f.degree)
             if f not in self._zeros:
@@ -215,9 +215,8 @@ class Rur:
         interval of refinements(s, a); None while the enclosure of D(a)
         holds zero."""
         for r in refinements(self.base, a):
-            box = Interval(r.lo, r.hi)
-            d = _enclosure(self.D, box)
-            yield None if d.lo <= 0 <= d.hi else (_enclosure(self.X, box) / d, _enclosure(self.Y, box) / d)
+            d = _enclosure(self.D, r)
+            yield None if d.lo <= 0 <= d.hi else (_enclosure(self.X, r) / d, _enclosure(self.Y, r) / d)
 
 
 def _trivial_rur(x: AlgebraicCoord, y: AlgebraicCoord) -> Optional[Tuple[Rur, RootInterval]]:
