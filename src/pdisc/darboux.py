@@ -169,31 +169,21 @@ def _constraint_text(c: MPoly) -> str:
 def _representative_on(conds: Sequence[MPoly]) -> Optional[Tuple[Fraction, Fraction]]:
     """A rational point (a, b) on the common zero set of the constraints.
 
-    Scanning one coordinate and intersecting the restrictions keeps the
-    point on every constraint at once; a single generator is not enough
-    because it may carry components the others exclude."""
-    for a0 in _SCAN:
-        restricted = [c.subst_x(a0) for c in conds]
-        nonzero = [r for r in restricted if not r.is_zero]
-        if not nonzero:
-            return a0, Fraction(0)
-        g = _upoly_gcd_many([UPoly.from_mpoly(r, "y") for r in nonzero])
-        if g.degree < 1:
-            continue
-        roots = _rational_roots(g)
-        if roots:
-            return a0, roots[0]
-    for b0 in _SCAN:
-        restricted = [c.subst_y(b0) for c in conds]
-        nonzero = [r for r in restricted if not r.is_zero]
-        if not nonzero:
-            return Fraction(0), b0
-        g = _upoly_gcd_many([UPoly.from_mpoly(r, "x") for r in nonzero])
-        if g.degree < 1:
-            continue
-        roots = _rational_roots(g)
-        if roots:
-            return roots[0], b0
+    Scanning one coordinate, a and then b, and intersecting the
+    restrictions keeps the point on every constraint at once; a single
+    generator is not enough because it may carry components the others
+    exclude."""
+    for var, other in (("x", "y"), ("y", "x")):
+        for v0 in _SCAN:
+            restricted = [c.subst_x(v0) if var == "x" else c.subst_y(v0) for c in conds]
+            nonzero = [r for r in restricted if not r.is_zero]
+            w = Fraction(0)
+            if nonzero:
+                roots = _rational_roots(_upoly_gcd_many([UPoly.from_mpoly(r, other) for r in nonzero]))
+                if not roots:
+                    continue
+                w = roots[0]
+            return (v0, w) if var == "x" else (w, v0)
     return None
 
 

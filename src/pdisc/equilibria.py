@@ -2,6 +2,12 @@
 linear classification, including the semi-hyperbolic (saddle-node)
 reduction.
 
+P and Q are first divided by their common factor in x alone and then by
+their common factor in y alone (the content with respect to the other
+variable; Gauss's lemma).  A real root of either is a vertical or a
+horizontal line of equilibria; any other common factor makes
+Res_y(P, Q) vanish, a curve of equilibria.
+
 Abscissas are the real roots of sqfree(Res_y(P, Q)).  Above a rational
 one the ordinates are the roots of an exact gcd in Q[y]; above an
 irrational one, a, the fiber gcd is the subresultant Sj(a, y) of P and Q
@@ -103,9 +109,15 @@ def finite_equilibria(sys: PlanarSystem) -> List[EquilibriumRecord]:
     """All real solutions of P = Q = 0, classified and sorted
     lexicographically by coordinates.
 
+    P and Q are located after division by their common factors in one
+    variable (`_without_line_factors`), so Res_y(P, Q) vanishes only for
+    a common factor of positive degree in both; they are classified as
+    given.
+
     Raises PositiveDimensionalError when the solution set contains a
-    curve (common factor of P and Q, a vanishing right-hand side, or a
-    shared line in a fiber).
+    curve: a vanishing right-hand side, a vertical or horizontal line (a
+    one-variable common factor with a real root), or any other common
+    factor of P and Q.
     """
     p, q = sys.P, sys.Q
     if p.is_zero and q.is_zero:
@@ -114,32 +126,13 @@ def finite_equilibria(sys: PlanarSystem) -> List[EquilibriumRecord]:
         raise PositiveDimensionalError(
             "one right-hand side vanishes identically; equilibria form curves"
         )
-
-    for var, other, lines in (("x", "y", "vertical"), ("y", "x", "horizontal")):
-        if p.degree_in(other) == 0 and q.degree_in(other) == 0:
-            g = UPoly.from_mpoly(p, var).gcd(UPoly.from_mpoly(q, var))
-            if g.degree >= 1 and isolate_real_roots(g):
-                raise PositiveDimensionalError(
-                    f"P and Q depend only on {var} and share a root: {lines} "
-                    "lines of equilibria"
-                )
-            return []
-
+    p, q = _without_line_factors(p, q)
     rx = resultant_wrt(p, q, "y")
     if rx.is_zero:
-        ry = resultant_wrt(p, q, "x")
-        if ry.is_zero:
-            raise PositiveDimensionalError(
-                "P and Q share a common factor: a curve of equilibria"
-            )
-        # eliminate x instead: swap the variables, so ry becomes an x-eliminant
-        swap = (MPoly.var_y(), MPoly.var_x())
-        swapped = PlanarSystem(P=p.subst(*swap), Q=q.subst(*swap))
-        points = [pt.swapped() for pt in _eliminate(swapped, ry.subst(*swap))]
-    else:
-        points = _eliminate(sys, rx)
-
-    records = [classify_point(sys, pt) for pt in points]
+        raise PositiveDimensionalError(
+            "P and Q share a common factor: a curve of equilibria"
+        )
+    records = [classify_point(sys, pt) for pt in _eliminate(p, q, rx)]
     records.sort(key=cmp_to_key(lambda a, b: a.point.compare(b.point)))
     if any(a.point.compare(b.point) == 0 for a, b in zip(records, records[1:])):
         raise InternalInvariantError("duplicate equilibrium records")
@@ -151,8 +144,37 @@ def in_positive_quadrant(rec: EquilibriumRecord) -> bool:
     return rec.point.x.sign() >= 0 and rec.point.y.sign() >= 0
 
 
-def _eliminate(sys: PlanarSystem, rx: MPoly) -> List[AlgebraicPoint]:
-    """Solutions above the real roots of the nonzero eliminant rx = Res_y(P, Q).
+def _without_line_factors(p: MPoly, q: MPoly) -> Tuple[MPoly, MPoly]:
+    """P and Q divided by their common factor in x alone, then by their
+    common factor in y alone.  Neither may have a real root, which would
+    be a vertical or horizontal line of equilibria."""
+    for var, other, axis, coord in (("x", "y", "vertical", "abscissa"), ("y", "x", "horizontal", "ordinate")):
+        d = UPoly.zero()
+        for c in p.coeffs_in(other) + q.coeffs_in(other):
+            d = d.gcd(UPoly.from_mpoly(c, var))
+            if d.degree == 0:
+                break
+        else:
+            roots = isolate_real_roots(d)
+            rational = [rt.exact for rt in roots if rt.exact is not None]
+            if rational:
+                raise PositiveDimensionalError(
+                    f"the {axis} line {var} = {rational[0]} consists of equilibria"
+                )
+            if roots:
+                raise PositiveDimensionalError(
+                    f"a {axis} line of equilibria at an irrational {coord}"
+                )
+            factor = MPoly({(i, 0) if var == "x" else (0, i): c for i, c in enumerate(d.coeffs)})
+            p_, q_ = p.exact_div(factor), q.exact_div(factor)
+            assert p_ is not None and q_ is not None
+            p, q = p_, q_
+    return p, q
+
+
+def _eliminate(p: MPoly, q: MPoly, rx: MPoly) -> List[AlgebraicPoint]:
+    """Solutions above the real roots of the nonzero eliminant rx = Res_y(P, Q)
+    of P and Q without common factors in one variable.
 
     _lift takes the irrational roots, in the coordinates (x + t*y, y) for
     t = 0 and then for the shears t = 1, -1, 2, -2, ... until one lifts them.
@@ -163,11 +185,10 @@ def _eliminate(sys: PlanarSystem, rx: MPoly) -> List[AlgebraicPoint]:
         return []
     ux = UPoly.from_mpoly(rx, "x")
     xroots = isolate_real_roots(ux)
-    out = [pt for rt in xroots if rt.exact is not None for pt in _fiber_exact_x(sys, rt.exact)]
+    out = [pt for rt in xroots if rt.exact is not None for pt in _fiber_exact_x(p, q, rt.exact)]
     pending = [rt for rt in xroots if rt.exact is None]
     if not pending:
         return out
-    p, q = _without_vertical_factor(sys.P, sys.Q)
     # every ordinate is a root of Res_x(P, Q), which lies in the ideal (P, Q)
     r = UPoly.from_mpoly(resultant_wrt(p, q, "x"), "y").squarefree_part()
     x_elim = (ux.squarefree_part(), xroots)
@@ -181,12 +202,13 @@ def _eliminate(sys: PlanarSystem, rx: MPoly) -> List[AlgebraicPoint]:
     raise InternalInvariantError("no shear lifts the equilibria above an irrational abscissa")
 
 
-def _fiber_exact_x(sys: PlanarSystem, x0: Fraction) -> List[AlgebraicPoint]:
-    g = UPoly.from_mpoly(sys.P.subst_x(x0), "y").gcd(UPoly.from_mpoly(sys.Q.subst_x(x0), "y"))
+def _fiber_exact_x(p: MPoly, q: MPoly, x0: Fraction) -> List[AlgebraicPoint]:
+    g = UPoly.from_mpoly(p.subst_x(x0), "y").gcd(UPoly.from_mpoly(q.subst_x(x0), "y"))
     if g.is_zero:
-        raise PositiveDimensionalError(
-            f"the vertical line x = {x0} consists of equilibria"
-        )
+        # unreachable: x - x0 would divide P and Q; unsheared it is a factor
+        # in x alone, stripped before elimination, and sheared it is
+        # x + t*y - x0, a common factor that makes Res_y(P, Q) vanish
+        raise InternalInvariantError(f"P and Q vanish on the whole fiber above {x0}")
     if g.degree < 1:
         return []
     xc = AlgebraicCoord.of(x0)
@@ -262,7 +284,7 @@ def _lift(
     for rt in roots:
         if rt.exact is not None:
             # only with t != 0: the fiber above a rational u is an exact gcd
-            fiber = _fiber_exact_x(PlanarSystem(P=p, Q=q), rt.exact)
+            fiber = _fiber_exact_x(p, q, rt.exact)
             # the points of one fiber share one Rur, so unshear it once
             back = fiber[0].rur[0].unsheared(t) if fiber else None
             lifts = [(back, pt.rur[1]) for pt in fiber]
@@ -280,24 +302,6 @@ def _lift(
                 x_, y_ = AlgebraicCoord(poly=s, root=xroot), AlgebraicCoord(poly=r, root=yroot)
                 out.append(AlgebraicPoint(x_, y_, at))
     return out
-
-
-def _without_vertical_factor(p: MPoly, q: MPoly) -> Tuple[MPoly, MPoly]:
-    """P and Q divided by their common factor in x alone, which must have
-    no real root (else it is a vertical line of equilibria)."""
-    d = UPoly.zero()
-    for c in p.coeffs_in("y") + q.coeffs_in("y"):
-        d = d.gcd(UPoly.from_mpoly(c, "x"))
-        if d.degree == 0:
-            return p, q
-    if isolate_real_roots(d):
-        raise PositiveDimensionalError(
-            "a vertical line of equilibria at an irrational abscissa"
-        )
-    factor = MPoly({(i, 0): c for i, c in enumerate(d.coeffs)})
-    p_, q_ = p.exact_div(factor), q.exact_div(factor)
-    assert p_ is not None and q_ is not None
-    return p_, q_
 
 
 def _locate(

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from pdisc.exactalg.interval import Interval
@@ -166,11 +165,6 @@ class Rur:
         self._images: Dict[MPoly, UPoly] = {}
         self._zeros: Dict[MPoly, UPoly] = {}
 
-    @cached_property
-    def swapped(self) -> "Rur":
-        """The same points with x and y exchanged."""
-        return Rur(self.base, self.Y, self.X, self.D)
-
     def unsheared(self, t: int) -> "Rur":
         """The same points, read in (x, y) from the coordinates (x + t*y, y)."""
         return Rur(self.base, self.X - self.Y * t, self.Y, self.D)
@@ -263,10 +257,6 @@ class AlgebraicPoint:
     def refined(self, width: Fraction) -> "AlgebraicPoint":
         rur = None if self.rur is None else (self.rur[0], refine_root(self.rur[0].base, self.rur[1], width))
         return AlgebraicPoint(self.x.refined(width), self.y.refined(width), rur)
-
-    def swapped(self) -> "AlgebraicPoint":
-        rur = None if self.rur is None else (self.rur[0].swapped, self.rur[1])
-        return AlgebraicPoint(self.y, self.x, rur)
 
     def approx(self) -> Tuple[float, float]:
         return self.x.approx(), self.y.approx()

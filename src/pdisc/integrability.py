@@ -166,17 +166,17 @@ def first_integral_test(
 
 def integrating_factor_test(
     m: CofactorMatrix, div: MPoly
-) -> Optional[Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]]:
-    """(lambda, mu) with sum lambda_i K_i + sum mu_j L_j = -div, or None."""
+) -> Tuple[Optional[Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]], int, int]:
+    """(lambda, mu) with sum lambda_i K_i + sum mu_j L_j = -div, or None;
+    then the ranks of the system and of its augmented matrix."""
     basis_set = set(m.basis)
     for expo, _ in div.items():
         if expo not in basis_set:
             raise InternalInvariantError("divergence degree exceeds cofactor basis")
     rhs = [-div.coeff(i, j) for (i, j) in m.basis]
-    sol, _, _ = solve_linear(m.rows(), rhs)
-    if sol is None:
-        return None
-    return tuple(sol[: m.curve_count]), tuple(sol[m.curve_count :])
+    sol, rank, rank_aug = solve_linear(m.rows(), rhs)
+    found = None if sol is None else (tuple(sol[: m.curve_count]), tuple(sol[m.curve_count :]))
+    return found, rank, rank_aug
 
 
 def _darboux_function_text(
@@ -244,8 +244,7 @@ def run_pipeline(sys: PlanarSystem, bounds: SearchBounds = SearchBounds()) -> Da
     if isinstance(ddeg, int) and ddeg > sys.degree - 1:
         raise InternalInvariantError("divergence degree exceeds d - 1")
 
-    rhs = [-div.coeff(i, j) for (i, j) in matrix.basis]
-    _, rank, rank_aug = solve_linear(matrix.rows(), rhs)
+    inf, rank, rank_aug = integrating_factor_test(matrix, div)
 
     notes: List[str] = []
     if families:
@@ -281,20 +280,15 @@ def run_pipeline(sys: PlanarSystem, bounds: SearchBounds = SearchBounds()) -> Da
         verdict = verdict_with(
             FIRST_INTEGRAL, lam, mu, _darboux_function_text(curves, factors, lam, mu)
         )
+    elif inf is not None:
+        lam, mu = inf
+        _recheck(matrix, lam, mu, -div)
+        verdict = verdict_with(
+            INTEGRATING_FACTOR, lam, mu, _darboux_function_text(curves, factors, lam, mu)
+        )
     else:
-        inf = integrating_factor_test(matrix, div)
-        if inf is not None:
-            lam, mu = inf
-            _recheck(matrix, lam, mu, -div)
-            verdict = verdict_with(
-                INTEGRATING_FACTOR,
-                lam,
-                mu,
-                _darboux_function_text(curves, factors, lam, mu),
-            )
-        else:
-            tag = INCONCLUSIVE if (families or ext.vanishes) else NOT_LIOUVILLIAN
-            verdict = verdict_with(tag)
+        tag = INCONCLUSIVE if (families or ext.vanishes) else NOT_LIOUVILLIAN
+        verdict = verdict_with(tag)
 
     return DarbouxPipeline(
         curves=tuple(curves),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -386,6 +386,16 @@ def parse_system(
 # Leslie-Gower family
 
 
+def _positive_fractions(params: object) -> None:
+    """Coerce each field of a frozen parameter dataclass to Fraction and
+    require it to be positive."""
+    for f in fields(params):
+        v = Fraction(getattr(params, f.name))
+        object.__setattr__(params, f.name, v)
+        if v <= 0:
+            raise InputError(f"parameter {f.name} must be positive, got {v}")
+
+
 @dataclass(frozen=True)
 class LeslieGowerParams:
     """Biological parameters, all strictly positive."""
@@ -398,13 +408,7 @@ class LeslieGowerParams:
     c: Fraction
 
     def __post_init__(self) -> None:
-        for nm in ("r", "k", "q", "s", "n", "c"):
-            v = getattr(self, nm)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, nm, Fraction(v))
-                v = getattr(self, nm)
-            if v <= 0:
-                raise InputError(f"parameter {nm} must be positive, got {v}")
+        _positive_fractions(self)
 
 
 @dataclass(frozen=True)
@@ -416,13 +420,7 @@ class ParamBindings:
     C: Fraction
 
     def __post_init__(self) -> None:
-        for nm in ("A", "B", "C"):
-            v = getattr(self, nm)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, nm, Fraction(v))
-                v = getattr(self, nm)
-            if v <= 0:
-                raise InputError(f"parameter {nm} must be positive, got {v}")
+        _positive_fractions(self)
 
     @property
     def regime_value(self) -> Fraction:

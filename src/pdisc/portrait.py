@@ -328,7 +328,6 @@ def integrate_orbit(
     direction: str = "forward",
     tmax: float = TMAX_DEFAULT,
     tol: float = RTOL_DEFAULT,
-    atol: float = ATOL_DEFAULT,
     seed_id: str = "seed",
     role: str = "generic",
 ) -> Trajectory:
@@ -360,7 +359,7 @@ def integrate_orbit(
             pts = [p] if end == p else [p, end]
             return Trajectory(seed_id, role, direction, pts, reason, None if m is None else m.marker_id)
 
-    sqrt, hypot = math.sqrt, math.hypot
+    sqrt, hypot, atol = math.sqrt, math.hypot, ATOL_DEFAULT
     even, fields, capture = flow.even_degree, flow.fields, flow.capture
     chart, x, y, side, orient = "U3", x0, y0, 1, 1.0
     if abs(x) + abs(y) > CHART_OUT:
@@ -565,11 +564,10 @@ def _in_quadrant(chart: str, side: int, u: float, v: float) -> bool:
 
 def separatrix_seeds(
     markers: Sequence[Marker],
-    epsilon: float = EPS_SEPARATRIX,
     positive_quadrant_only: bool = False,
 ) -> List[SeedSpec]:
     """Seeds tracing the saddle and saddle-node separatrices of markers:
-    offsets of epsilon along the relevant eigendirections, integrated
+    offsets of EPS_SEPARATRIX along the relevant eigendirections, integrated
     away from the stable side and into the unstable one."""
     seeds: List[SeedSpec] = []
     for m in markers:
@@ -594,8 +592,8 @@ def separatrix_seeds(
                 offsets += [(vec, 1.0, direction), (vec, -1.0, direction)]
         k = 0
         for vec, s, direction in offsets:
-            u = m.local[0] + s * epsilon * vec[0]
-            v = m.local[1] + s * epsilon * vec[1]
+            u = m.local[0] + s * EPS_SEPARATRIX * vec[0]
+            v = m.local[1] + s * EPS_SEPARATRIX * vec[1]
             if m.chart != "U3" and abs(v) < 1e-15:
                 continue  # equator direction: lies on the disc rim
             if positive_quadrant_only and not _in_quadrant(m.chart, m.side, u, v):
@@ -692,7 +690,7 @@ def build_portrait(
             )
 
     seeds = default_seeds(positive_quadrant_only, grid)
-    seeds.extend(separatrix_seeds(markers, EPS_SEPARATRIX, positive_quadrant_only))
+    seeds.extend(separatrix_seeds(markers, positive_quadrant_only))
 
     trajectories = [
         integrate_orbit(

@@ -177,7 +177,7 @@ def test_criterion_04_not_liouvillian(capfd):
             for i, coef in enumerate(vec):
                 assert coef == 0 or pipe.matrix.degenerate[i]
         # integrating-factor system: inconsistent
-        assert integrating_factor_test(pipe.matrix, sys.divergence()) is None
+        assert integrating_factor_test(pipe.matrix, sys.divergence())[0] is None
         assert pipe.verdict.rank == pipe.verdict.rank_aug - 1
 
 

@@ -368,6 +368,14 @@ def test_positive_dimensional_input_exits_2(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_horizontal_line_of_equilibria_is_named(tmp_path, capsys):
+    path = tmp_path / "horizontal.vf"
+    path.write_text("dx = (y-1)*x\ndy = (y-1)*(x+1)\n", encoding="utf-8")
+    rc, _, err = _run(capsys, ["analyze", str(path)])
+    assert rc == 2
+    assert "horizontal line y = 1" in err
+
+
 def test_internal_invariant_exits_3(model_file, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise InternalInvariantError("forced for the exit-code contract")

@@ -193,9 +193,20 @@ def test_degenerate_input_errors():
         finite_equilibria(parse_system("dx = 0\ndy = y\n"))
     with pytest.raises(PositiveDimensionalError):
         finite_equilibria(parse_system("dx = x*y\ndy = x*y\n"))
-    with pytest.raises(PositiveDimensionalError):
-        # the whole line x = sqrt(2) consists of equilibria
-        finite_equilibria(parse_system("dx = x^2 - 2\ndy = y*(x^2 - 2)\n"))
+
+
+@pytest.mark.parametrize("source, named", [
+    ("dx = (y-1)*x\ndy = (y-1)*(x+1)\n", "the horizontal line y = 1 "),
+    ("dx = (y^2-2)*x\ndy = (y^2-2)*(x+1)\n", "a horizontal line of equilibria at an irrational ordinate"),
+    ("dx = (x-1)*(x+2)\ndy = (x-1)*y\n", "the vertical line x = 1 "),
+    # the whole line x = sqrt(2) consists of equilibria
+    ("dx = x^2 - 2\ndy = y*(x^2 - 2)\n", "a vertical line of equilibria at an irrational abscissa"),
+    # x^2 + 1 is divided out, and x + y is a common factor in both variables
+    ("dx = (x^2+1)*(x+y)*y\ndy = (x^2+1)*(x+y)*(y-1)\n", "a curve of equilibria"),
+])
+def test_lines_of_equilibria_are_named_by_their_axis(source, named):
+    with pytest.raises(PositiveDimensionalError, match=named):
+        finite_equilibria(parse_system(source))
 
 
 def test_records_sorted_and_unique():

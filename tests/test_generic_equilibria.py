@@ -221,9 +221,13 @@ FIXED = {
     "dx = (y-1)^2*(y-5) + (x^2-2)^2\ndy = (y-1)^2*(y-5) + (x^2-2)*(y-1)\n": (True, [
         (sx * v, w) for sx in (-1, 1) for v, w in ((S2, F(1)), (S2, F(5)), (S5, F(4)))
     ]),
-    # Res_y(P, Q) vanishes: y^2 + 1 is a common factor without real points
+    # y^2 + 1 is a common factor without real points, divided out before
+    # elimination (Res_y(P, Q) would vanish)
     "dx = (y^2+1)*(x-1)\ndy = (y^2+1)*(y-2)\n": (False, [(F(1), F(2))]),
-    "dx = (y^2+1)*(x^2-2)\ndy = (y^2+1)*(y-x)\n": (False, [(-S2, -S2), (S2, S2)]),
+    # stripped of y^2 + 1 it is x^2 - 2, y - x above, so it shears too
+    "dx = (y^2+1)*(x^2-2)\ndy = (y^2+1)*(y-x)\n": (True, [(-S2, -S2), (S2, S2)]),
+    # the mirror: x^2 + 1 is stripped, leaving y^2 - 2, y - x
+    "dx = (x^2+1)*(y^2-2)\ndy = (x^2+1)*(y-x)\n": (False, [(-S2, -S2), (S2, S2)]),
 }
 
 
@@ -240,6 +244,17 @@ def test_fixed_irrational_systems(source, monkeypatch):
     sheared, points = FIXED[source]
     _check(source, points)
     assert any(shears) == sheared
+
+
+@pytest.mark.parametrize("source", [
+    "dx = (y^2+1)*(x^2-2)\ndy = (y^2+1)*(y-x)\n",
+    "dx = (x^2+1)*(y^2-2)\ndy = (x^2+1)*(y-x)\n",
+])
+def test_one_variable_common_factors_leave_no_trace_in_the_coordinates(source):
+    # the factor without real roots is divided out before elimination, so
+    # neither defining polynomial carries it
+    for rec in finite_equilibria(parse_system(source)):
+        assert str(rec.point.x.poly) == str(rec.point.y.poly) == "t^2 - 2"
 
 
 def test_points_singular_on_both_curves_are_degenerate():

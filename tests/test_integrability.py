@@ -104,7 +104,7 @@ def test_leslie_not_liouvillian_with_rank_structure():
         matrix = build_cofactor_matrix(pipe.curves, pipe.factors, sys.degree)
         fi = first_integral_test(matrix)
         assert fi is None
-        assert integrating_factor_test(matrix, sys.divergence()) is None
+        assert integrating_factor_test(matrix, sys.divergence())[0] is None
         assert pipe.verdict.rank == pipe.verdict.rank_aug - 1
 
 

@@ -34,7 +34,6 @@ from pdisc.capture import (
     saddle_node_capture,
 )
 from pdisc.portrait import (
-    EPS_SEPARATRIX,
     Flow,
     PortraitDoc,
     _disc_from_chart,
@@ -1064,7 +1063,7 @@ def test_captured_orbits_reach_their_marker_without_capture(case):
     doc = build_portrait(sys, params, positive_quadrant_only=quadrant, grid=2)
     seeds = {
         s.seed_id: s
-        for s in default_seeds(quadrant, 2) + separatrix_seeds(doc.markers, EPS_SEPARATRIX, quadrant)
+        for s in default_seeds(quadrant, 2) + separatrix_seeds(doc.markers, quadrant)
     }
     flow = _flow(sys, params, quadrant)
     targets = {m.marker_id: m for m in flow.markers if m.classification in TARGETS}
