@@ -409,3 +409,63 @@ def test_dumped_extactic_bytes(name, order):
     report = darboux_report(parse_system(source), SearchBounds(extactic_order=order), dump_extactic=True)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DUMPED_DARBOUX[name][order - 1]
+
+
+# sha256 of the `pdisc darboux` JSON at extactic orders 1 and 2 of one
+# input per branch of the invariant-line search that reports a family of
+# lines, with the family note each verdict carries.  Recorded while a
+# family was still a sentinel entry of the curve list.
+FAMILY_DARBOUX = {
+    # P = 0: every vertical line
+    "p-zero": (
+        "dx = 0\ndy = 1\n",
+        "x - c invariant for every c",
+        "d5d1ad63d23b8ccecd73a05fd77b4682e6ba5644a9a9907e99b17cff3a1d933e",
+        "ce118ce773b83fbb0b0180dbb63cc13cf76c34867fa5d194aa2880a83ddfee64",
+    ),
+    # the slant conditions constrain a only
+    "a-only": (
+        "dx = 1\ndy = 0\n",
+        "y - (0)*x - b invariant for every b",
+        "9d43fc9c67a5bd1955739e73ff3950c1078198468202cf0bb9a46e3db15755a3",
+        "8c4fe41afdb9b77f625d98fbf9826b27ea4bb6dd011bd28fb243d472ecede1f4",
+    ),
+    # the slant conditions constrain b only
+    "b-only": (
+        "dx = x\ndy = y\n",
+        "y - a*x - (0) invariant for every a",
+        "8b7472a84c5cd953a7d8a8f77af029f9f86eb39704a35d721f8695005e732e4f",
+        "23c239c9bf1372d392aff0376d7a976c4b6583a91b859f9519a37000236899d1",
+    ),
+    # one condition in both a and b
+    "mixed": (
+        "dx = x - 1\ndy = y - 1\n",
+        "y - a*x - b invariant whenever b + a - 1 = 0",
+        "23f18fc0b079de46ac2e113e2e78b476348e67f5a0088f5390aceab510124007",
+        "782669f13569b61c72fd65bbbe75fa7cf0426c6b6c8eb5a2e1256988c8de451b",
+    ),
+    # every resultant against the chosen generator vanishes
+    "positive-dimensional": (
+        "dx = x*(x+y)\ndy = y*(x+y)\n",
+        "positive-dimensional slant-line condition set (one member shown); constraint a*b + b = 0",
+        "8552df554c32a82eb238d58c2976f9fdfdf3d45e076fe661b0dfa44f49787736",
+        "039470d3e2fb217a8667006ecdb82118f77816d4b30b01336909c4f0b0e8e2a6",
+    ),
+    # the general route: every condition vanishes at the root a = 0
+    "general": (
+        "dx = y\ndy = 0\n",
+        "y - (0)*x - b invariant for every b",
+        "d543bfd930bc9cbcdb86445e8db9909681828ab7bd21f8b27d5351b3deec67a5",
+        "0d8c7efb45bf8eacc929241e68fff9ca9bea87442c9179aa0bc59f6da3cfafb3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_DARBOUX))
+@pytest.mark.parametrize("order", [1, 2])
+def test_family_darboux_bytes(name, order):
+    source, note, *digests = FAMILY_DARBOUX[name]
+    report = darboux_report(parse_system(source), SearchBounds(extactic_order=order))
+    assert report["verdict"]["notes"][0] == "invariant-line family present: " + note
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digests[order - 1]
