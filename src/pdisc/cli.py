@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from pdisc.compactify import blowup_analysis, blowup_fragment, chart_fragment, disc_equilibria
 from pdisc.equilibria import DEGENERATE, EquilibriumRecord, equilibrium_fragment, leslie_labels
-from pdisc.errors import InputError, InternalInvariantError, PDiscError
+from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError, PDiscError
 from pdisc.integrability import MAX_CURVE_DEGREE, SearchBounds, run_pipeline, verdict_fragment
 from pdisc.darboux import darboux_fragment
 from pdisc.modelio import (
@@ -122,9 +122,7 @@ def _blowup_entry(
     entry: Dict[str, object] = {"location": location, "point": _point_fragment(rec)}
     try:
         analysis = blowup_analysis(parent, rec.point)
-    except PDiscError as exc:
-        if isinstance(exc, InternalInvariantError):
-            raise
+    except LineOfEquilibriaError as exc:
         entry["status"] = "line-of-equilibria"
         entry["detail"] = str(exc)
         return entry

@@ -3,9 +3,9 @@
 The searchable objects are lines with rational coefficients: an
 irrational invariant line cannot be expressed as a rational polynomial,
 and the product of its conjugates is a curve of degree at least two,
-outside the line-search bound.  Families of invariant lines (a pencil,
-or a free parameter) are reported through a sentinel multiplicity with
-a concrete rational representative.
+outside the line-search bound.  A family of invariant lines (a pencil,
+or a free parameter) is reported as one verified rational representative
+line in the list of lines plus a note that describes the family.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from pdisc.errors import InternalInvariantError
 from pdisc.exactalg import MPoly, UPoly, isolate_real_roots, minor_det, nullspace, resultant_wrt
@@ -22,7 +22,6 @@ from pdisc.exactalg import MPoly, UPoly, isolate_real_roots, minor_det, nullspac
 from pdisc.exactalg import ffdet  # noqa: F401
 from pdisc.modelio import PlanarSystem
 
-FAMILY = "family"
 
 def _scan_values() -> List[Fraction]:
     # rational candidates ordered simplest-first: 0, 1, -1, 2, ..., then halves...
@@ -42,28 +41,16 @@ _SCAN = _scan_values()
 
 @dataclass(frozen=True)
 class InvariantCurve:
-    """An invariant algebraic curve f = 0 with X(f) = K f.
-
-    multiplicity is a positive integer, or the FAMILY sentinel when f
-    is one rational representative of a continuum of invariant lines
-    (note then describes the family).
-    """
+    """An invariant algebraic curve f = 0 with X(f) = K f, of positive
+    multiplicity."""
 
     f: MPoly
     K: MPoly
-    multiplicity: Union[int, str] = 1
-    note: Optional[str] = None
+    multiplicity: int = 1
 
     def __post_init__(self) -> None:
-        if isinstance(self.multiplicity, int):
-            if self.multiplicity < 1:
-                raise ValueError("multiplicity must be positive")
-        elif self.multiplicity != FAMILY:
-            raise ValueError("multiplicity must be an integer or the family sentinel")
-
-    @property
-    def is_family(self) -> bool:
-        return self.multiplicity == FAMILY
+        if self.multiplicity < 1:
+            raise ValueError("multiplicity must be positive")
 
 
 @dataclass(frozen=True)
@@ -196,22 +183,21 @@ def _must_verify(sys: PlanarSystem, f: MPoly) -> InvariantCurve:
     return cur
 
 
-def find_invariant_lines(sys: PlanarSystem) -> List[InvariantCurve]:
-    """All invariant lines with rational coefficients, plus family
-    sentinels for one- or two-parameter continua of invariant lines.
+def find_invariant_lines(sys: PlanarSystem) -> Tuple[List[InvariantCurve], List[str]]:
+    """All invariant lines with rational coefficients, and a sorted note
+    for each one- or two-parameter continuum of invariant lines.
 
-    Every concrete line returned has been re-verified by exact division.
+    A family contributes one rational representative to the lines and
+    its note to the notes.  Every line returned has been re-verified by
+    exact division.
     """
     lines: List[InvariantCurve] = []
-    families: List[InvariantCurve] = []
+    notes: List[str] = []
 
     # vertical lines x = c: P(c, y) must vanish identically in y
     if sys.P.is_zero:
-        rep = _must_verify(sys, MPoly.var_x())
-        lines.append(rep)
-        families.append(
-            InvariantCurve(rep.f, rep.K, FAMILY, note="x - c invariant for every c")
-        )
+        lines.append(_must_verify(sys, MPoly.var_x()))
+        notes.append("x - c invariant for every c")
     else:
         pcols = [UPoly.from_mpoly(c, "x") for c in sys.P.coeffs_in("y")]
         g = _upoly_gcd_many([u for u in pcols if not u.is_zero])
@@ -224,22 +210,17 @@ def find_invariant_lines(sys: PlanarSystem) -> List[InvariantCurve]:
     if not conds:
         if not (sys.P.is_zero and sys.Q.is_zero):
             raise InternalInvariantError("empty condition system for a nonzero field")
-        rep = _must_verify(sys, MPoly.var_y())
-        lines.append(rep)
-        families.append(
-            InvariantCurve(rep.f, rep.K, FAMILY, note="y - a*x - b invariant for all (a, b)")
-        )
+        lines.append(_must_verify(sys, MPoly.var_y()))
+        notes.append("y - a*x - b invariant for all (a, b)")
     else:
-        lines_ab, fams_ab = _solve_slant_conditions(sys, conds)
+        lines_ab, notes_ab = _solve_slant_conditions(sys, conds)
         lines.extend(lines_ab)
-        families.extend(fams_ab)
+        notes.extend(notes_ab)
 
     seen: Dict[str, InvariantCurve] = {}
     for cur in lines:
         seen.setdefault(cur.f.format(), cur)
-    ordered = sorted(seen.values(), key=lambda c: _line_sort_key(c.f))
-    ordered.extend(sorted(families, key=lambda c: c.note or ""))
-    return ordered
+    return sorted(seen.values(), key=lambda c: _line_sort_key(c.f)), sorted(notes)
 
 
 def _line_sort_key(f: MPoly) -> Tuple:
@@ -251,19 +232,19 @@ def _line_sort_key(f: MPoly) -> Tuple:
 
 def _solve_slant_conditions(
     sys: PlanarSystem, conds: List[MPoly]
-) -> Tuple[List[InvariantCurve], List[InvariantCurve]]:
-    """Rational solutions (a, b) of the slant-line condition system.
+) -> Tuple[List[InvariantCurve], List[str]]:
+    """Rational solutions (a, b) of the slant-line condition system, and
+    a note for each family of solutions.
 
     Within the condition ring, variable x plays a and y plays b.  Each
-    family entry's representative is also reported as a concrete line.
+    family's representative is reported as a line.
     """
     lines: List[InvariantCurve] = []
-    families: List[InvariantCurve] = []
+    notes: List[str] = []
 
     def emit_family(a0: Fraction, b0: Fraction, note: str) -> None:
-        rep = _must_verify(sys, _line(a0, b0))
-        lines.append(rep)
-        families.append(InvariantCurve(rep.f, rep.K, FAMILY, note=note))
+        lines.append(_must_verify(sys, _line(a0, b0)))
+        notes.append(note)
 
     with_b = [c for c in conds if c.degree_in("y") > 0]
     with_a = [c for c in conds if c.degree_in("x") > 0]
@@ -274,7 +255,7 @@ def _solve_slant_conditions(
         if g.degree >= 1:
             for a0 in _rational_roots(g):
                 emit_family(a0, Fraction(0), f"y - ({a0})*x - b invariant for every b")
-        return lines, families
+        return lines, notes
 
     if not with_a:
         # conditions constrain b only: every a works at each root
@@ -282,7 +263,7 @@ def _solve_slant_conditions(
         if g.degree >= 1:
             for b0 in _rational_roots(g):
                 emit_family(Fraction(0), b0, f"y - a*x - ({b0}) invariant for every a")
-        return lines, families
+        return lines, notes
 
     if len(conds) == 1:
         # a single mixed condition: a curve of invariant lines
@@ -296,7 +277,7 @@ def _solve_slant_conditions(
         emit_family(
             *point, f"y - a*x - b invariant whenever {_constraint_text(c)} = 0"
         )
-        return lines, families
+        return lines, notes
 
     # eliminate b against a fixed generator of positive b-degree
     pure_a = [c for c in conds if c.degree_in("y") == 0]
@@ -322,11 +303,11 @@ def _solve_slant_conditions(
             "positive-dimensional slant-line condition set (one member "
             f"shown); constraint {_constraint_text(g0)} = 0",
         )
-        return lines, families
+        return lines, notes
 
     g = _upoly_gcd_many([u for u in eliminants if not u.is_zero])
     if g.degree < 1:
-        return lines, families
+        return lines, notes
     for a0 in _rational_roots(g):
         restricted = [c.subst_x(a0) for c in conds]
         nonzero = [r for r in restricted if not r.is_zero]
@@ -340,7 +321,7 @@ def _solve_slant_conditions(
             cur = verify_invariant_curve(sys, _line(a0, b0))
             if cur is not None:
                 lines.append(cur)
-    return lines, families
+    return lines, notes
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +337,9 @@ def _monomial_basis(m: int) -> Tuple[MPoly, ...]:
     return tuple(out)
 
 
-def extactic(
-    sys: PlanarSystem,
-    m: int,
-    curves: Optional[Sequence[InvariantCurve]] = None,
-) -> ExtacticResult:
-    """Order-m extactic curve E_m and the multiplicity of each known
-    invariant curve of degree <= m inside it.
+def extactic(sys: PlanarSystem, m: int, curves: Sequence[InvariantCurve]) -> ExtacticResult:
+    """Order-m extactic curve E_m and the multiplicity inside it of each
+    given invariant curve of degree <= m.
 
     The matrix rows are X^0, X^1, ..., X^(l-1) applied to the monomial
     basis of degree <= m, with l = (m+1)(m+2)/2.  The order is capped at
@@ -382,14 +359,11 @@ def extactic(
     # X^k(1) = 0 for k >= 1: column 0 is (1, 0, ..., 0), so E_m is its minor
     e = minor_det([row[1:] for row in rows[1:]])
 
-    if curves is None:
-        curves = [c for c in find_invariant_lines(sys) if not c.is_family]
-
     mult: Dict[str, int] = {}
     vanishes = e.is_zero
     for cur in curves:
         deg = cur.f.degree
-        if not isinstance(deg, int) or deg > m or cur.is_family:
+        if not isinstance(deg, int) or deg > m:
             continue
         key = cur.f.format()
         if vanishes:
@@ -417,10 +391,10 @@ def attach_multiplicities(
     out: List[InvariantCurve] = []
     for cur in curves:
         key = cur.f.format()
-        if cur.is_family or key not in ext.multiplicities:
+        if key not in ext.multiplicities:
             out.append(cur)
         else:
-            out.append(InvariantCurve(cur.f, cur.K, ext.multiplicities[key], cur.note))
+            out.append(InvariantCurve(cur.f, cur.K, ext.multiplicities[key]))
     return out
 
 
@@ -467,15 +441,7 @@ def find_exponential_factors(
     lie_of_basis = [sys.lie_derivative(MPoly.monomial(i, j)) for (i, j) in expos]
     high = [e for e in _coeff_vector_basis(d + deg_bound - 1, True) if e[0] + e[1] >= d]
     matrix = _coefficient_rows(lie_of_basis, high)
-    if matrix:
-        basis_vecs = nullspace(matrix)
-    else:
-        # no high-degree coefficients to kill: every g qualifies
-        basis_vecs = [
-            [Fraction(1) if t == s else Fraction(0) for t in range(len(expos))]
-            for s in range(len(expos))
-        ]
-    for vec in basis_vecs:
+    for vec in _kernel(matrix, len(expos)):
         g = _from_vector(vec, expos)
         if g.is_zero:
             continue
@@ -488,7 +454,7 @@ def find_exponential_factors(
 
     # (b) factors from multiple curves
     for cur in curves:
-        if cur.is_family or not isinstance(cur.multiplicity, int) or cur.multiplicity <= 1:
+        if cur.multiplicity <= 1:
             continue
         k = cur.multiplicity
         h = cur.f ** (k - 1)
@@ -504,14 +470,7 @@ def find_exponential_factors(
             _, rem = expr.reduce_mod(h)
             cols.append(rem)
         rem_monos = sorted({e for c in cols for e, _ in c.int_terms()})
-        matrix = _coefficient_rows(cols, rem_monos)
-        if matrix:
-            sols = nullspace(matrix)
-        else:
-            sols = [
-                [Fraction(1) if t == s else Fraction(0) for t in range(len(g_expos))]
-                for s in range(len(g_expos))
-            ]
+        sols = _kernel(_coefficient_rows(cols, rem_monos), len(g_expos))
         h_vec = [h.coeff(i, j) for (i, j) in g_expos]
         for vec in _quotient_span(sols, h_vec):
             g = _from_vector(vec, g_expos)
@@ -542,6 +501,14 @@ def _coefficient_rows(polys: Sequence[MPoly], monos: Sequence[Tuple[int, int]]) 
     den = lcm(*(p.content.denominator for p in polys))
     cols = [(p.content.numerator * (den // p.content.denominator), dict(p.int_terms())) for p in polys]
     return [[w * terms.get(e, 0) for w, terms in cols] for e in monos]
+
+
+def _kernel(matrix: Sequence[Sequence[int]], n: int) -> List[List[Fraction]]:
+    """Right nullspace of a matrix with n columns; with no rows, nothing
+    constrains the unknowns and the n unit vectors span it."""
+    if matrix:
+        return nullspace(matrix)
+    return [[Fraction(1) if t == s else Fraction(0) for t in range(n)] for s in range(n)]
 
 
 def _coprime_form(g: MPoly, base: MPoly, power: int) -> Tuple[MPoly, MPoly]:
@@ -589,7 +556,6 @@ def darboux_fragment(
                 "f": c.f.format(),
                 "cofactor": c.K.format(),
                 "multiplicity": c.multiplicity,
-                **({"note": c.note} if c.note else {}),
             }
             for c in curves
         ],

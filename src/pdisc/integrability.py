@@ -18,9 +18,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from pdisc.errors import InputError, InternalInvariantError
-from pdisc.exactalg import MPoly, nullspace, solve_linear
+from pdisc.exactalg import MPoly, nullspace
 from pdisc.darboux import (
     ExpFactor,
+    ExtacticResult,
     InvariantCurve,
     attach_multiplicities,
     extactic,
@@ -142,41 +143,45 @@ def build_cofactor_matrix(
     )
 
 
-def first_integral_test(
-    m: CofactorMatrix,
-) -> Optional[Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]]:
-    """A nonzero (lambda, mu) with sum lambda_i K_i + sum mu_j L_j = 0,
-    or None.  Solutions supported only on degenerate exponential-factor
-    columns (constant exponents) are rejected; solutions touching a
-    curve column are preferred."""
-    if m.column_count == 0:
-        return None
-    vectors = nullspace(m.rows())
-    admissible = [
-        v
-        for v in vectors
-        if any(c != 0 and not m.degenerate[i] for i, c in enumerate(v))
-    ]
-    if not admissible:
-        return None
-    with_curves = [v for v in admissible if any(c != 0 for c in v[: m.curve_count])]
-    chosen = (with_curves or admissible)[0]
-    return tuple(chosen[: m.curve_count]), tuple(chosen[m.curve_count :])
+Exponents = Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]
 
 
-def integrating_factor_test(
+def cofactor_tests(
     m: CofactorMatrix, div: MPoly
-) -> Tuple[Optional[Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]], int, int]:
-    """(lambda, mu) with sum lambda_i K_i + sum mu_j L_j = -div, or None;
-    then the ranks of the system and of its augmented matrix."""
+) -> Tuple[Optional[Exponents], Optional[Exponents], int, int]:
+    """Both cofactor tests from one nullspace of [M | div]: a first
+    integral (lambda, mu) with sum lambda_i K_i + sum mu_j L_j = 0, an
+    integrating factor with that sum equal to -div and every free unknown
+    zero (each None when absent), then rank M and rank [M | -div].
+
+    The nullspace vectors with last entry 0 span that of M; the one with
+    last entry 1, if any, is the integrating factor.  First integrals
+    supported only on degenerate exponential-factor columns (constant
+    exponents) are rejected; those touching a curve column are preferred.
+    """
     basis_set = set(m.basis)
     for expo, _ in div.items():
         if expo not in basis_set:
             raise InternalInvariantError("divergence degree exceeds cofactor basis")
-    rhs = [-div.coeff(i, j) for (i, j) in m.basis]
-    sol, rank, rank_aug = solve_linear(m.rows(), rhs)
-    found = None if sol is None else (tuple(sol[: m.curve_count]), tuple(sol[m.curve_count :]))
-    return found, rank, rank_aug
+    n = m.column_count
+    rows = [row + [div.coeff(i, j)] for row, (i, j) in zip(m.rows(), m.basis)]
+    vectors = nullspace(rows)
+    kernel = [v[:n] for v in vectors if v[n] == 0]
+    solutions = [v[:n] for v in vectors if v[n] != 0]
+    rank = n - len(kernel)
+    rank_aug = rank if solutions else rank + 1
+
+    def split(v: Sequence[Fraction]) -> Exponents:
+        return tuple(v[: m.curve_count]), tuple(v[m.curve_count :])
+
+    admissible = [
+        v for v in kernel if any(c != 0 and not m.degenerate[i] for i, c in enumerate(v))
+    ]
+    with_curves = [v for v in admissible if any(c != 0 for c in v[: m.curve_count])]
+    chosen = with_curves or admissible
+    first_integral = split(chosen[0]) if chosen else None
+    integrating_factor = split(solutions[0]) if solutions else None
+    return first_integral, integrating_factor, rank, rank_aug
 
 
 def _darboux_function_text(
@@ -220,9 +225,8 @@ class DarbouxPipeline:
     """Everything the integrability decision was based on."""
 
     curves: Tuple[InvariantCurve, ...]
-    families: Tuple[InvariantCurve, ...]
     factors: Tuple[ExpFactor, ...]
-    extactic_result: object
+    extactic_result: ExtacticResult
     matrix: CofactorMatrix
     verdict: IntegrabilityVerdict
 
@@ -230,28 +234,19 @@ class DarbouxPipeline:
 def run_pipeline(sys: PlanarSystem, bounds: SearchBounds = SearchBounds()) -> DarbouxPipeline:
     """Curve search, extactic multiplicities, exponential factors, and
     the two cofactor tests, in order."""
-    found = find_invariant_lines(sys)
-    families = [c for c in found if c.is_family]
-    curves = [c for c in found if not c.is_family]
+    curves, families = find_invariant_lines(sys)
 
-    ext = extactic(sys, bounds.extactic_order, curves=curves)
+    ext = extactic(sys, bounds.extactic_order, curves)
     curves = attach_multiplicities(curves, ext)
     factors = find_exponential_factors(sys, curves, bounds.max_exp_degree)
 
     matrix = build_cofactor_matrix(curves, factors, sys.degree)
     div = sys.divergence()
-    ddeg = div.degree
-    if isinstance(ddeg, int) and ddeg > sys.degree - 1:
-        raise InternalInvariantError("divergence degree exceeds d - 1")
-
-    inf, rank, rank_aug = integrating_factor_test(matrix, div)
+    fi, inf, rank, rank_aug = cofactor_tests(matrix, div)
 
     notes: List[str] = []
     if families:
-        notes.append(
-            "invariant-line family present: "
-            + "; ".join(c.note or "family" for c in families)
-        )
+        notes.append("invariant-line family present: " + "; ".join(families))
     if ext.vanishes:
         notes.append(
             f"E_{ext.order} vanishes identically (a continuum of invariant "
@@ -273,7 +268,6 @@ def run_pipeline(sys: PlanarSystem, bounds: SearchBounds = SearchBounds()) -> Da
             notes=tuple(notes),
         )
 
-    fi = first_integral_test(matrix)
     if fi is not None:
         lam, mu = fi
         _recheck(matrix, lam, mu, MPoly.zero())
@@ -292,7 +286,6 @@ def run_pipeline(sys: PlanarSystem, bounds: SearchBounds = SearchBounds()) -> Da
 
     return DarbouxPipeline(
         curves=tuple(curves),
-        families=tuple(families),
         factors=tuple(factors),
         extactic_result=ext,
         matrix=matrix,

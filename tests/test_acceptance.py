@@ -28,8 +28,7 @@ from pdisc.equilibria import finite_equilibria, in_positive_quadrant, leslie_lab
 from pdisc.exactalg import AlgebraicPoint, MPoly, nullspace
 from pdisc.integrability import (
     SearchBounds,
-    first_integral_test,
-    integrating_factor_test,
+    cofactor_tests,
     run_pipeline,
 )
 from pdisc.modelio import ParamBindings, leslie_system, seeded_parameter_triples
@@ -124,7 +123,7 @@ def _e1_reference(A: F, B: F, C: F) -> MPoly:
 def test_criterion_02_extactic(capfd):
     A, B, C = F(1), F(2), F(1, 2)
     sys = leslie_system(A, B, C)
-    res = extactic(sys, 1)
+    res = extactic(sys, 1, find_invariant_lines(sys)[0])
     ref = _e1_reference(A, B, C)
     # equality up to a nonzero rational constant
     key, coef = next(iter(ref.items()))
@@ -147,7 +146,7 @@ def test_criterion_02_extactic(capfd):
 def test_criterion_03_exponential_factors(capfd):
     for a, b, c in TRIPLES:
         sys = leslie_system(a, b, c)
-        curves = find_invariant_lines(sys)
+        curves, _ = find_invariant_lines(sys)
         factors = find_exponential_factors(sys, curves, deg_bound=2)
         assert len(factors) == 1
         g = factors[0].g
@@ -172,12 +171,14 @@ def test_criterion_04_not_liouvillian(capfd):
         assert pipe.verdict.verdict == "NotLiouvillianWithinBounds"
         # first-integral nullspace: trivial modulo the constant-exponent
         # degeneracy (every nullvector is supported on degenerate columns)
-        assert first_integral_test(pipe.matrix) is None
+        fi, inf, rank, rank_aug = cofactor_tests(pipe.matrix, sys.divergence())
+        assert fi is None
         for vec in nullspace(pipe.matrix.rows()):
             for i, coef in enumerate(vec):
                 assert coef == 0 or pipe.matrix.degenerate[i]
         # integrating-factor system: inconsistent
-        assert integrating_factor_test(pipe.matrix, sys.divergence())[0] is None
+        assert inf is None
+        assert (rank, rank_aug) == (pipe.verdict.rank, pipe.verdict.rank_aug)
         assert pipe.verdict.rank == pipe.verdict.rank_aug - 1
 
 

@@ -376,6 +376,29 @@ def test_horizontal_line_of_equilibria_is_named(tmp_path, capsys):
     assert "horizontal line y = 1" in err
 
 
+def test_blowup_statuses_of_irrational_and_non_isolated_points(tmp_path, capsys):
+    # +-sqrt(2) are degenerate but irrational, so not blown up; at the U2
+    # origin one blow-up meets a curve of equilibria
+    path = tmp_path / "irrational.vf"
+    path.write_text("dx = (x^2-2)^2\ndy = y^2\n", encoding="utf-8")
+    rc, out, _ = _run(capsys, ["analyze", str(path)])
+    assert rc == 0
+    statuses = [(b["location"], b["status"]) for b in json.loads(out)["blowups"]]
+    assert statuses == [("finite", "unresolved-irrational-point")] * 2 + [("U2", "line-of-equilibria")]
+
+
+def test_blowup_input_error_exits_2(model_file, capsys, monkeypatch):
+    # only a line of equilibria becomes a blow-up status; any other input
+    # error ends the run
+    def boom(*args, **kwargs):
+        raise InputError("forced blow-up input error")
+
+    monkeypatch.setattr("pdisc.cli.blowup_analysis", boom)
+    rc, _, err = _run(capsys, ["analyze", str(model_file)])
+    assert rc == 2
+    assert "forced blow-up input error" in err
+
+
 def test_internal_invariant_exits_3(model_file, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise InternalInvariantError("forced for the exit-code contract")

@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import List, Sequence
 
 from pdisc.darboux import (
-    FAMILY,
     attach_multiplicities,
     darboux_fragment,
     extactic,
@@ -58,7 +57,8 @@ def test_verify_rejects_noninvariant_curve():
 
 def test_verified_curves_satisfy_defining_identity():
     sys = leslie_system(F(2, 9), F(3, 5), F(12, 7))
-    for curve in find_invariant_lines(sys):
+    lines, _ = find_invariant_lines(sys)
+    for curve in lines:
         residual = sys.lie_derivative(curve.f) - curve.K * curve.f
         assert residual.is_zero
 
@@ -66,8 +66,9 @@ def test_verified_curves_satisfy_defining_identity():
 def test_find_invariant_lines_leslie_inventory():
     c_val = F(5, 6)
     sys = leslie_system(F(1, 12), F(2, 3), c_val)
-    lines = find_invariant_lines(sys)
-    normals = {curve.f.monic().format() for curve in lines if curve.note != FAMILY}
+    lines, notes = find_invariant_lines(sys)
+    assert notes == []
+    normals = {curve.f.monic().format() for curve in lines}
     assert normals == {
         X.format(),
         (X + MPoly.const(c_val)).format(),
@@ -77,7 +78,7 @@ def test_find_invariant_lines_leslie_inventory():
 
 def test_no_invariant_lines_for_rotation():
     rotation = parse_system("dx = -y\ndy = x\n")
-    assert find_invariant_lines(rotation) == []
+    assert find_invariant_lines(rotation) == ([], [])
 
 
 def _cofactor_det(rows: Sequence[Sequence[MPoly]]) -> MPoly:
@@ -109,7 +110,7 @@ def test_extactic_matches_laplace_oracle():
         (parse_system("dx = y^2 - x*y + y - 1\ndy = x*y - x^2 + x\n"), 2),
     ]
     for sys, order in cases:
-        ext = extactic(sys, order)
+        ext = extactic(sys, order, find_invariant_lines(sys)[0])
         assert ext.order == order
         assert len(ext.basis) == 3 * order
         assert ext.E == _extactic_oracle(sys, order)
@@ -118,15 +119,15 @@ def test_extactic_matches_laplace_oracle():
 
 def test_extactic_divisible_by_invariant_lines():
     sys = leslie_system(F(1), F(2), F(1, 2))
-    ext = extactic(sys, 1)
+    ext = extactic(sys, 1, find_invariant_lines(sys)[0])
     product = X * Y * (X + MPoly.const(F(1, 2)))
     assert ext.E.exact_div(product) is not None
 
 
 def test_multiplicities_by_repeated_division():
     sys = leslie_system(F(1), F(2), F(1, 2))
-    lines = find_invariant_lines(sys)
-    ext = extactic(sys, 1)
+    lines, _ = find_invariant_lines(sys)
+    ext = extactic(sys, 1, lines)
     enriched = attach_multiplicities(lines, ext)
     for curve in enriched:
         m = curve.multiplicity
@@ -138,7 +139,9 @@ def test_multiplicities_by_repeated_division():
 
 def test_extactic_vanishing_degenerate_case():
     radial = parse_system("dx = x\ndy = y\n")
-    ext = extactic(radial, 1)
+    lines, notes = find_invariant_lines(radial)
+    assert notes == ["y - a*x - (0) invariant for every a"]
+    ext = extactic(radial, 1, lines)
     assert ext.vanishes
     assert ext.E.is_zero
 
@@ -146,7 +149,7 @@ def test_extactic_vanishing_degenerate_case():
 def test_exponential_factor_leslie():
     a, b, c = F(1), F(2), F(1, 2)
     sys = leslie_system(a, b, c)
-    curves = find_invariant_lines(sys)
+    curves, _ = find_invariant_lines(sys)
     factors = find_exponential_factors(sys, curves, deg_bound=2)
     assert len(factors) == 1
     factor = factors[0]
@@ -163,7 +166,7 @@ def test_exponential_factor_leslie():
 
 def test_exponential_factor_defining_identity():
     sys = leslie_system(F(4, 5), F(6, 5), F(9, 2))
-    curves = find_invariant_lines(sys)
+    curves, _ = find_invariant_lines(sys)
     for factor in find_exponential_factors(sys, curves, deg_bound=2):
         lhs = sys.lie_derivative(factor.g) * factor.f - factor.g * sys.lie_derivative(
             factor.f
@@ -200,8 +203,8 @@ def test_divergence_closed_form():
 
 def test_fragment_shape():
     sys = leslie_system(F(1), F(2), F(1, 2))
-    curves = find_invariant_lines(sys)
-    ext = extactic(sys, 1)
+    curves, _ = find_invariant_lines(sys)
+    ext = extactic(sys, 1, curves)
     curves = attach_multiplicities(curves, ext)
     factors = find_exponential_factors(sys, curves, deg_bound=2)
     frag = darboux_fragment(curves, factors, ext, dump_extactic=True)

@@ -20,8 +20,7 @@ from pdisc.integrability import (
     NOT_LIOUVILLIAN,
     SearchBounds,
     build_cofactor_matrix,
-    first_integral_test,
-    integrating_factor_test,
+    cofactor_tests,
     run_pipeline,
     verdict_fragment,
 )
@@ -102,9 +101,9 @@ def test_leslie_not_liouvillian_with_rank_structure():
         assert len(pipe.factors) == 1
         # homogeneous system: only the constant-exponent direction survives
         matrix = build_cofactor_matrix(pipe.curves, pipe.factors, sys.degree)
-        fi = first_integral_test(matrix)
+        fi, inf, _, _ = cofactor_tests(matrix, sys.divergence())
         assert fi is None
-        assert integrating_factor_test(matrix, sys.divergence())[0] is None
+        assert inf is None
         assert pipe.verdict.rank == pipe.verdict.rank_aug - 1
 
 
@@ -119,7 +118,7 @@ def test_nontrivial_kernel_is_reported_not_invented():
 
 def test_cofactor_matrix_shape():
     sys = leslie_system(F(1), F(1), F(1, 2))
-    curves = find_invariant_lines(sys)
+    curves, _ = find_invariant_lines(sys)
     factors = find_exponential_factors(sys, curves, deg_bound=2)
     matrix = build_cofactor_matrix(curves, factors, sys.degree)
     assert matrix.curve_count == 3
