@@ -298,10 +298,13 @@ def _solve_slant_conditions(
                 "no rational representative on a positive-dimensional "
                 "slant-line condition set"
             )
+        # name every condition, in condition order: their common zeros,
+        # not those of g0 alone, are the family
+        whenever = " and ".join(f"{t} = 0" for t in dict.fromkeys(map(_constraint_text, conds)))
         emit_family(
             *point,
             "positive-dimensional slant-line condition set (one member "
-            f"shown); constraint {_constraint_text(g0)} = 0",
+            f"shown); y - a*x - b invariant whenever {whenever}",
         )
         return lines, notes
 

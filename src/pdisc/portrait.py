@@ -11,13 +11,14 @@ chart while |x| + |y| stays small, the U1/U2 charts near infinity
 (switch out above 10, back below 5).  The step is straight-line code
 whose sums run in one fixed order, so every trajectory float is the
 same on every supported interpreter.  One text of it serves twice: as
-`_dp_step` over callable field components, and compiled once per chart
-of a `Flow` with that chart's two Horner expressions written inline at
-every stage.  The loop keeps the chart, coordinates and disc point in
-local variables and converts coordinates only when a switch threshold
-is crossed.  For even-degree systems the chart polynomials reverse
-time on the v < 0 half, which the integrator compensates with a sign
-factor, so drawn orbits always follow the true flow.
+`_dp_step` over callable field components, and compiled for a chart of
+a `Flow`, when an orbit first enters that chart, with the chart's two
+Horner expressions written inline at every stage.  The loop keeps the
+chart, coordinates and disc point in local variables and converts
+coordinates only when a switch threshold is crossed.  For even-degree
+systems the chart polynomials reverse time on the v < 0 half, which
+the integrator compensates with a sign factor, so drawn orbits always
+follow the true flow.
 
 An orbit ends at an equilibrium only where that is proved.  Every
 marker gets capture regions from its exact local analysis (see
@@ -26,10 +27,12 @@ equator, a triangle on the node side of a saddle-node, and an ellipse
 about each hyperbolic node on the divisors of a blown-up degenerate
 point.  A region captures only in the time direction in which it
 attracts, and an orbit that lands in one ends at the marker's disc
-point; a state is tried only against the regions with a box in its
-chart.  An orbit seeded on an invariant coordinate axis is not
-integrated at all: its limit on the axis follows exactly from the sign
-of the field along it.
+point.  A state is tried only against the regions with a box in its
+chart, and only once it passes the chart's gate, a test on the raw
+state that every state passing one of those boxes passes too, so most
+steps test no region at all.  An orbit seeded on an invariant
+coordinate axis is not integrated at all: its limit on the axis
+follows exactly from the sign of the field along it.
 """
 
 from __future__ import annotations
@@ -234,18 +237,63 @@ class Trajectory:
         return self.points[-1]
 
 
+class _ChartFields(dict):
+    """chart -> (fx, fy, step): the chart's two field components and its
+    Dormand-Prince step (see `compile_step`), compiled on the chart's
+    first lookup from its (P, Q) in `polys`."""
+
+    def __init__(self, polys: Dict[str, Tuple[MPoly, MPoly]]):
+        super().__init__()
+        self.polys = polys
+
+    def __missing__(self, chart: str) -> Tuple[Callable, Callable, Callable]:
+        p, q = self.polys[chart]
+        entry = self[chart] = (compile_poly(p), compile_poly(q), compile_step(p, q))
+        return entry
+
+
+# (ulo, uhi, vlo, vhi, umin, vmin): a state of a chart passes some
+# prefilter of that chart only if it lies in the box or has |u| >= umin
+# or |v| >= vmin (see `_gate`)
+Gate = Tuple[float, float, float, float, float, float]
+
+
+def _gate(near: Sequence[tuple]) -> Gate:
+    """One necessary condition for passing any prefilter in `near`: the
+    union of the boxes that are bounded, and the least positive umin and
+    vmin of the others, which keep only those.  An unbounded prefilter
+    with neither holds every state, and then so does the gate."""
+    ulo = vlo = umin = vmin = math.inf
+    uhi = vhi = -math.inf
+    for lo_u, hi_u, lo_v, hi_v, mu, mv, _ in near:
+        if all(map(math.isfinite, (lo_u, hi_u, lo_v, hi_v))):
+            ulo, uhi, vlo, vhi = min(ulo, lo_u), max(uhi, hi_u), min(vlo, lo_v), max(vhi, hi_v)
+        elif mu > 0.0 or mv > 0.0:
+            if mu > 0.0:
+                umin = min(umin, mu)
+            if mv > 0.0:
+                vmin = min(vmin, mv)
+        else:
+            return (math.inf, -math.inf, math.inf, -math.inf, 0.0, 0.0)
+    return (ulo, uhi, vlo, vhi, umin, vmin)
+
+
 class Flow:
     """A system's vector field compiled once for every orbit of a
     portrait, the markers where orbits end, and their capture regions
     (see `pdisc.capture`).  `fields` maps the finite chart U3 and the
     charts U1/U2 at infinity to the field components, which give a
     first stage, and the chart's Dormand-Prince step (see
-    `compile_step`); `near` maps each chart to the regions with a box in
-    it, in `captures` order, each with its prefilter there.  `markers`
-    default to every equilibrium of `disc` (see `disc_markers`).  `axes`
-    holds each invariant coordinate axis as the field component along
-    it, a polynomial in the axis coordinate alone; its finite markers
-    with their exact coordinates along it; and its rim markers by side.
+    `compile_step`), each compiled on the chart's first lookup, so a
+    flow pays only for the charts its orbits enter; `near` maps each
+    chart to the regions with a box in it, in `captures` order, each
+    with its prefilter there, and `gates` to the one test (see `Gate`)
+    that a state of the chart must pass before `capture` can find any
+    of them.  `markers` default to every equilibrium of `disc` (see
+    `disc_markers`).  `axes` holds each invariant coordinate axis as the
+    field component along it, a polynomial in the axis coordinate alone;
+    its finite markers with their exact coordinates along it; and its
+    rim markers by side.
     """
 
     def __init__(self, disc: DiscEquilibria, markers: Optional[Sequence["Marker"]] = None):
@@ -254,14 +302,12 @@ class Flow:
         self.captures: List[Capture] = [c for m in self.markers for c in marker_captures(m)]
         self.even_degree = sys.degree % 2 == 0
         u1, u2 = disc.charts["U1"], disc.charts["U2"]
-        self.fields = {
-            chart: (compile_poly(p), compile_poly(q), compile_step(p, q))
-            for chart, p, q in (("U3", sys.P, sys.Q), ("U1", u1.du, u1.dv), ("U2", u2.du, u2.dv))
-        }
+        self.fields = _ChartFields({"U3": (sys.P, sys.Q), "U1": (u1.du, u1.dv), "U2": (u2.du, u2.dv)})
         self.near = {
             chart: [(*r.near[chart], r) for r in self.captures if r.near[chart] is not None]
             for chart in ("U3", "U1", "U2")
         }
+        self.gates = {chart: _gate(near) for chart, near in self.near.items()}
         # an axis is invariant when the transverse component vanishes on it
         zero = Fraction(0)
         self.axes: Dict[str, Tuple[MPoly, List[Tuple[AlgebraicCoord, Marker]], Dict[int, Marker]]] = {}
@@ -360,12 +406,14 @@ def integrate_orbit(
             return Trajectory(seed_id, role, direction, pts, reason, None if m is None else m.marker_id)
 
     sqrt, hypot, atol = math.sqrt, math.hypot, ATOL_DEFAULT
-    even, fields, capture = flow.even_degree, flow.fields, flow.capture
+    even, fields, gates, capture = flow.even_degree, flow.fields, flow.gates, flow.capture
     chart, x, y, side, orient = "U3", x0, y0, 1, 1.0
     if abs(x) + abs(y) > CHART_OUT:
         chart, x, y, side, orient = _leave_plane(x, y, even)
-    # the chart's field, step and time sign change only when the chart does
+    # the chart's field, step, capture gate and time sign change only
+    # when the chart does
     fx, fy, dp = fields[chart]
+    gulo, guhi, gvlo, gvhi, gumin, gvmin = gates[chart]
     k = sgn * orient
     k1x = k * fx(x, y)
     k1y = k * fy(x, y)
@@ -378,16 +426,24 @@ def integrate_orbit(
     for _ in range(MAX_STEPS):
         if t >= tmax:
             break
-        h = min(h, tmax - t, 0.5)
+        # each clamp picks the operand min() or max() would, NaN included
+        rest = tmax - t
+        if rest < h:
+            h = rest
+        if 0.5 < h:
+            h = 0.5
         nx, ny, ex, ey, k7x, k7y = dp(k, x, y, h, k1x, k1y)
-        sx = atol + tol * max(abs(x), abs(nx))
-        sy = atol + tol * max(abs(y), abs(ny))
+        a, b = abs(x), abs(nx)
+        sx = atol + tol * (b if b > a else a)
+        a, b = abs(y), abs(ny)
+        sy = atol + tol * (b if b > a else a)
         try:
             err = sqrt(((ex / sx) ** 2 + (ey / sy) ** 2) / 2.0)
         except OverflowError:
             err = math.inf
         if not err <= 1.0:
-            h *= max(0.2, 0.9 * err ** -0.2)
+            g = 0.9 * err ** -0.2
+            h *= g if g > 0.2 else 0.2
             if h < 1e-13 * max(1.0, abs(t)):
                 reason = REASON_UNDERFLOW
                 break
@@ -408,7 +464,8 @@ def integrate_orbit(
         k1x, k1y = k7x, k7y
         t += h
         if err > 1e-30:
-            h *= min(5.0, 0.9 * err ** -0.2)
+            g = 0.9 * err ** -0.2
+            h *= g if g < 5.0 else 5.0
         else:
             h *= 5.0
 
@@ -431,6 +488,7 @@ def integrate_orbit(
             orient = 1.0 if not even or y >= 0 else -1.0
         if chart != was:
             fx, fy, dp = fields[chart]
+            gulo, guhi, gvlo, gvhi, gumin, gvmin = gates[chart]
             k = sgn * orient
             k1x = k * fx(x, y)
             k1y = k * fy(x, y)
@@ -443,10 +501,12 @@ def integrate_orbit(
         if hypot(px - lx, py - ly) >= 0.004:
             pts.append((px, py))
             lx, ly = px, py
-        cap = capture(chart, x, y, sgn)
-        if cap is not None:
-            reason = REASON_EQ
-            break
+        # the gate passes every state that passes a prefilter of the chart
+        if (gulo <= x <= guhi and gvlo <= y <= gvhi) or abs(x) >= gumin or abs(y) >= gvmin:
+            cap = capture(chart, x, y, sgn)
+            if cap is not None:
+                reason = REASON_EQ
+                break
 
     final = _disc_from_chart(chart, x, y, side) if cap is None else cap.disc
     if pts[-1] != final:

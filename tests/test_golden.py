@@ -25,6 +25,7 @@ import pytest
 
 from pdisc import capture, portrait
 from pdisc.cli import analyze_report, darboux_report
+from pdisc.compactify import disc_equilibria
 from pdisc.integrability import SearchBounds
 from pdisc.modelio import ParamBindings, parse_system
 from pdisc.portrait import build_portrait, render_portrait
@@ -236,6 +237,48 @@ def test_bundled_portrait_capture_test_count(view, hits, monkeypatch):
     assert calls[0] == hits
 
 
+# calls to `Flow.capture` in the bundled-parameter portrait: the orbit
+# loop makes one only for an accepted state that passes its chart's
+# gate (3780 and 34732 calls, one per accepted step, before the gate)
+@pytest.mark.parametrize("view, captures", [("quadrant", 1077), ("full", 18400)])
+def test_bundled_portrait_capture_call_count(view, captures, monkeypatch):
+    calls = [0]
+    original = portrait.Flow.capture
+
+    def counted(self, *args):
+        calls[0] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(portrait.Flow, "capture", counted)
+    sys = parse_system(_source(*TRIPLES["bundled"]))
+    params = ParamBindings(sys.params["A"], sys.params["B"], sys.params["C"])
+    build_portrait(sys, params, positive_quadrant_only=view == "quadrant")
+    assert calls[0] == captures
+
+
+# a chart's step is compiled when an orbit first enters the chart: a
+# flow never integrated compiles none, and every orbit of the bundled
+# quadrant portrait stays in the finite chart (3 compilations, one per
+# chart, before)
+def test_bundled_portrait_compiles_only_the_charts_it_enters(monkeypatch):
+    charts = []
+    original = portrait.compile_step
+
+    def counted(p, q):
+        charts.append((p, q))
+        return original(p, q)
+
+    monkeypatch.setattr(portrait, "compile_step", counted)
+    sys = parse_system(_source(*TRIPLES["bundled"]))
+    params = ParamBindings(sys.params["A"], sys.params["B"], sys.params["C"])
+    flow = portrait.Flow(disc_equilibria(sys))
+    assert charts == [] and dict(flow.fields) == {}
+    assert flow.fields["U1"] is flow.fields["U1"] and len(charts) == 1
+    charts.clear()
+    build_portrait(sys, params)
+    assert charts == [(sys.P, sys.Q)]
+
+
 # sha256 of the `pdisc analyze` JSON (full disc, quadrant) of systems
 # outside the Leslie family, most with irrational equilibria: the degree
 # 4 and 5 systems of the ROADMAP baseline, an irrational saddle, three
@@ -444,12 +487,14 @@ FAMILY_DARBOUX = {
         "23f18fc0b079de46ac2e113e2e78b476348e67f5a0088f5390aceab510124007",
         "782669f13569b61c72fd65bbbe75fa7cf0426c6b6c8eb5a2e1256988c8de451b",
     ),
-    # every resultant against the chosen generator vanishes
+    # every resultant against the chosen generator vanishes; the note
+    # names every condition, whose common zeros b = 0 are the family
     "positive-dimensional": (
         "dx = x*(x+y)\ndy = y*(x+y)\n",
-        "positive-dimensional slant-line condition set (one member shown); constraint a*b + b = 0",
-        "8552df554c32a82eb238d58c2976f9fdfdf3d45e076fe661b0dfa44f49787736",
-        "039470d3e2fb217a8667006ecdb82118f77816d4b30b01336909c4f0b0e8e2a6",
+        "positive-dimensional slant-line condition set (one member shown); "
+        "y - a*x - b invariant whenever b^2 = 0 and a*b + b = 0",
+        "bd4c9c745b02ca006e94c86c403fc02c069d5da1efc307a3bd8bc8ade9a1d8df",
+        "199f00b134ec1235ba821ef4428f1fd48157eaf201bdad87fb8788c30d0e4ab1",
     ),
     # the general route: every condition vanishes at the root a = 0
     "general": (

@@ -902,11 +902,15 @@ def _seen_from(r, u, v):
 
 
 @functools.lru_cache(maxsize=None)
-def _regions():
+def _region_flows():
     flows = [_flow(leslie_system(F(1), F(1), F(1, 2)), None, False)]
     for source in (OTHER["even-degree"][0], QUARTIC, SADDLE_NODE, "dx = (x - 7)^2\ndy = -y\n"):
         flows.append(_flow(parse_system(source), None, False))
-    return tuple(r for flow in flows for r in flow.captures)
+    return tuple(flows)
+
+
+def _regions():
+    return tuple(r for flow in _region_flows() for r in flow.captures)
 
 
 @settings(max_examples=400)
@@ -918,6 +922,40 @@ def test_every_state_a_region_holds_passes_its_prefilter(i, f, g, sgn):
         if r.hit(u - r.x0, v - r.y0, sgn):
             ulo, uhi, vlo, vhi, umin, vmin = r.near[chart]
             assert ulo <= su <= uhi and vlo <= sv <= vhi and abs(su) >= umin and abs(sv) >= vmin
+
+
+def _gate_open(flow, chart, u, v):
+    """The test the orbit loop makes before it calls `Flow.capture`."""
+    ulo, uhi, vlo, vhi, umin, vmin = flow.gates[chart]
+    return (ulo <= u <= uhi and vlo <= v <= vhi) or abs(u) >= umin or abs(v) >= vmin
+
+
+_coordinate = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=400)
+@given(
+    st.integers(0, 10**6),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from(["U3", "U1", "U2"]),
+    _coordinate,
+    _coordinate,
+)
+def test_a_closed_gate_hides_no_capture(i, f, g, chart, u, v):
+    # a state anywhere in a chart, and a point in or beside one region
+    # of the same flow as seen from each chart that tests the region:
+    # the states out of a bounded box that only an unbounded prefilter
+    # passes come from the second kind
+    flows = _region_flows()
+    flow = flows[i % len(flows)]
+    states = [(chart, u, v)]
+    if flow.captures:
+        r = flow.captures[i // len(flows) % len(flow.captures)]
+        states += [(c, su, sv) for c, su, sv, _, _ in _seen_from(r, *_region_point(r, f, g))]
+    for c, su, sv in states:
+        if not _gate_open(flow, c, su, sv):
+            assert flow.capture(c, su, sv, 1.0) is None and flow.capture(c, su, sv, -1.0) is None
 
 
 def test_regions_cover_every_kind_and_chart():
