@@ -377,7 +377,7 @@ def node_region(sys: PlanarSystem, rec: EquilibriumRecord, nonzero: Optional[int
     """
     sgn = 1 if rec.classification.startswith("stable") else -1
     box = [co.refined(Fraction(1, 2**30)).interval() for co in (rec.point.x, rec.point.y)]
-    z = tuple((b.lo + b.hi) / 2 for b in box)
+    z = tuple((lo + hi) / 2 for lo, hi in box)
     # the Jacobian about z, so that every proof box is centred at the origin
     x, y = MPoly.var_x() + z[0], MPoly.var_y() + z[1]
     j00, j01, j10, j11 = (e.subst(x, y) for row in sys.jacobian for e in row)
@@ -393,7 +393,7 @@ def node_region(sys: PlanarSystem, rec: EquilibriumRecord, nonzero: Optional[int
     proofs = (-n00, n00 * n11 - n01 * n01)
     det_s = s00 * s11 - s01 * s01
     # the point lies within half of each box width of z
-    w0, w1 = (bx.width / 2 for bx in box)
+    w0, w1 = ((hi - lo) / 2 for lo, hi in box)
     slack2 = s00 * w0 * w0 + 2 * abs(s01) * w0 * w1 + s11 * w1 * w1
     # the ellipse's extent along axis i is proportional to sqrt(s_jj), j != i;
     # the box is its bounding box, r along the shorter extent

@@ -32,22 +32,20 @@ import math
 from dataclasses import dataclass, replace
 from functools import cmp_to_key, lru_cache
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from pdisc.errors import InputError, InternalInvariantError, PositiveDimensionalError
 from pdisc.exactalg import (
     AlgebraicCoord,
     AlgebraicPoint,
-    Interval,
     MPoly,
     RootInterval,
     Rur,
     UPoly,
-    eval_box,
     isolate_real_roots,
     resultant_wrt,
 )
-from pdisc.exactalg.algebraic import holds_root
+from pdisc.exactalg.algebraic import Enclosure, holds_root
 from pdisc.exactalg.matrix import subresultant
 from pdisc.modelio import PlanarSystem
 
@@ -69,9 +67,6 @@ _REFINE_CAP = 128
 # records
 
 
-JacEntry = Union[Fraction, Interval]
-
-
 @dataclass(frozen=True)
 class SemiHyperbolicReduction:
     """Quadratic reduction at a semi-hyperbolic equilibrium."""
@@ -87,8 +82,8 @@ class SemiHyperbolicReduction:
 class EquilibriumRecord:
     point: AlgebraicPoint
     # exact at a rational point; None at an irrational one, where
-    # jacobian_at encloses it on demand from the refined point
-    jacobian: Optional[Tuple[Tuple[JacEntry, JacEntry], Tuple[JacEntry, JacEntry]]]
+    # jacobian_at reads it on demand at the midpoint of the refined point
+    jacobian: Optional[Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]]
     trace: Optional[Fraction]
     det: Optional[Fraction]
     disc: Optional[Fraction]
@@ -305,7 +300,7 @@ def _lift(
 
 
 def _locate(
-    roots: List[RootInterval], boxes: Iterator[Optional[Tuple[Interval, Interval]]], k: int
+    roots: List[RootInterval], boxes: Iterator[Optional[Tuple[Enclosure, Enclosure]]], k: int
 ) -> RootInterval:
     """The one of `roots`, known to hold coordinate k of the enclosed
     point, whose isolating interval alone meets that side of a box of the
@@ -313,8 +308,8 @@ def _locate(
     for _, point_box in zip(range(_REFINE_CAP), boxes):
         if point_box is None:
             continue
-        box = point_box[k]
-        hits = [rt for rt in roots if rt.lo <= box.hi and box.lo <= rt.hi]
+        lo, hi = point_box[k]
+        hits = [rt for rt in roots if rt.lo <= hi and lo <= rt.hi]
         if len(hits) == 1:
             return hits[0]
         if not hits:
@@ -328,18 +323,13 @@ def _locate(
 
 def jacobian_at(
     sys: PlanarSystem, p: AlgebraicPoint
-) -> Tuple[Tuple[JacEntry, JacEntry], Tuple[JacEntry, JacEntry]]:
-    """Partial derivatives at the point; exact for rational points,
-    interval enclosures otherwise."""
-    parts = sys.jacobian
-    if p.is_exact:
-        x0, y0 = p.exact_pair()
-        return tuple(
-            tuple(f.eval_rat(x0, y0) for f in row) for row in parts
-        )  # type: ignore[return-value]
-    bx, by = p.box()
+) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
+    """Partial derivatives at the point: exact at a rational point, and
+    at an irrational one exact at the midpoint of its coordinate
+    intervals (width 2^-60 as classify_point refines it)."""
+    x0, y0 = ((lo + hi) / 2 for lo, hi in (p.x.interval(), p.y.interval()))
     return tuple(
-        tuple(eval_box(f, bx, by) for f in row) for row in parts
+        tuple(f.eval_rat(x0, y0) for f in row) for row in sys.jacobian
     )  # type: ignore[return-value]
 
 
@@ -353,9 +343,7 @@ def _sqrt_fraction(v: Fraction) -> Optional[Fraction]:
     return None
 
 
-def classify_point(
-    sys: PlanarSystem, pt: AlgebraicPoint, label: Optional[str] = None
-) -> EquilibriumRecord:
+def classify_point(sys: PlanarSystem, pt: AlgebraicPoint) -> EquilibriumRecord:
     """Build the full equilibrium record at a solution of P = Q = 0."""
     if pt.is_exact:
         x0, y0 = pt.exact_pair()
@@ -369,11 +357,11 @@ def classify_point(
         det = a * d - b * c
         disc = tr * tr - 4 * det
         cls, eigs, red = _classify_exact(sys, pt, jac, tr, det, disc)
-        return EquilibriumRecord(pt, jac, tr, det, disc, eigs, cls, label, red)
+        return EquilibriumRecord(pt, jac, tr, det, disc, eigs, cls, reduction=red)
 
     if pt.rur is None:
         raise InputError("a point with two irrational coordinates needs its parametrization")
-    # the stored point is refined for text(), approx() and the interval Jacobian
+    # the stored point is refined for text(), approx() and jacobian_at
     pt = pt.refined(Fraction(1, 2**60))
     rur, a = pt.rur
     if rur.sign(sys.P, a) or rur.sign(sys.Q, a):
@@ -381,7 +369,7 @@ def classify_point(
     s_det, s_tr = rur.sign(sys.det, a), rur.sign(sys.trace, a)
     # the discriminant tells a node from a focus, and only then is it read
     s_disc = rur.sign(sys.discriminant, a) if s_det > 0 and s_tr else 0
-    return EquilibriumRecord(pt, None, None, None, None, None, _table(s_det, s_tr, s_disc), label)
+    return EquilibriumRecord(pt, None, None, None, None, None, _table(s_det, s_tr, s_disc))
 
 
 def _table(s_det: int, s_tr: int, s_disc: int) -> str:

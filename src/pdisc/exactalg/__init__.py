@@ -3,15 +3,14 @@
 Sparse bivariate and dense univariate polynomials, each stored as a
 primitive integer part (a dict on packed monomial keys, a tuple) times a
 positive rational content; real-root isolation, real algebraic numbers
-and points, interval arithmetic with rational endpoints, fraction-free
-determinants and linear solves.  No floating point anywhere in this
-subpackage.  Values cross the API as `Fraction`s, but polynomial
-arithmetic, determinants, resultants, row echelon forms, Sturm chains
-and bisection run on Python `int`.
+and points, fraction-free determinants and linear solves.  No floating
+point anywhere in this subpackage.  Values cross the API as `Fraction`s,
+and an enclosure as a pair (lo, hi) of them, but polynomial arithmetic,
+determinants, resultants, row echelon forms, Sturm chains and bisection
+run on Python `int`.
 """
 
 from pdisc.exactalg.algebraic import AlgebraicCoord, AlgebraicPoint, Rur
-from pdisc.exactalg.interval import Interval, eval_box
 from pdisc.exactalg.matrix import ffdet, minor_det, nullspace, resultant_wrt, solve_linear, sylvester_resultant
 from pdisc.exactalg.mpoly import NEG_INF, MPoly, Rat
 from pdisc.exactalg.roots import RootInterval, isolate_real_roots, refine_root
@@ -20,14 +19,12 @@ from pdisc.exactalg.upoly import UPoly
 __all__ = [
     "AlgebraicCoord",
     "AlgebraicPoint",
-    "Interval",
     "MPoly",
     "NEG_INF",
     "Rat",
     "RootInterval",
     "Rur",
     "UPoly",
-    "eval_box",
     "ffdet",
     "isolate_real_roots",
     "minor_det",

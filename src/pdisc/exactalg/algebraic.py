@@ -19,10 +19,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from pdisc.exactalg.interval import Interval
 from pdisc.exactalg.mpoly import MPoly
 from pdisc.exactalg.roots import RootInterval, refine_root
 from pdisc.exactalg.upoly import UPoly, linear_combination
+
+# a closed interval (lo, hi) with rational endpoints
+Enclosure = Tuple[Fraction, Fraction]
 
 
 def refinements(s: UPoly, a: RootInterval) -> Iterator[RootInterval]:
@@ -69,11 +71,11 @@ class AlgebraicCoord:
     def is_exact(self) -> bool:
         return self.exact is not None
 
-    def interval(self) -> Interval:
+    def interval(self) -> Enclosure:
         if self.exact is not None:
-            return Interval.point(self.exact)
+            return self.exact, self.exact
         assert self.root is not None
-        return Interval(self.root.lo, self.root.hi)
+        return self.root.lo, self.root.hi
 
     def refined(self, width: Fraction) -> "AlgebraicCoord":
         if self.exact is not None:
@@ -136,7 +138,7 @@ def holds_root(g: UPoly, lo: Fraction, hi: Fraction) -> bool:
     return g.degree >= 1 and g.sign_at(lo) != g.sign_at(hi)
 
 
-def _enclosure(p: UPoly, r: RootInterval) -> Interval:
+def _enclosure(p: UPoly, r: RootInterval) -> Enclosure:
     """An enclosure of p over [r.lo, r.hi] = [n/q, m/q]: interval Horner
     over the integers on q^deg times the primitive part of p, then the
     content."""
@@ -150,7 +152,18 @@ def _enclosure(p: UPoly, r: RootInterval) -> Interval:
         qk *= q
     c = p.content
     scale = c.denominator * q ** max(len(p.int_coeffs()) - 1, 0)
-    return Interval(Fraction(lo * c.numerator, scale), Fraction(hi * c.numerator, scale))
+    return Fraction(lo * c.numerator, scale), Fraction(hi * c.numerator, scale)
+
+
+def _sign(e: Enclosure) -> int:
+    """The sign on an enclosure (lo, hi); 0 when it holds 0."""
+    return 1 if e[0] > 0 else -1 if e[1] < 0 else 0
+
+
+def _quotient(n: Enclosure, d: Enclosure) -> Enclosure:
+    """An enclosure of n / d, where d excludes 0."""
+    q = [a / b for a in n for b in d]
+    return min(q), max(q)
 
 
 class Rur:
@@ -196,7 +209,7 @@ class Rur:
             return 0
         for r in refinements(self.base, a):
             # D(a) != 0, so once G(a) != 0 too both enclosures exclude 0 when narrow
-            s_g, s_d = _enclosure(g, r).sign(), _enclosure(self.D, r).sign()
+            s_g, s_d = _sign(_enclosure(g, r)), _sign(_enclosure(self.D, r))
             if s_g and s_d:
                 return s_g * s_d ** int(f.degree)
             if f not in self._zeros:
@@ -204,13 +217,13 @@ class Rur:
             if holds_root(self._zeros[f], r.lo, r.hi):
                 return 0
 
-    def quotient_boxes(self, a: RootInterval) -> Iterator[Optional[Tuple[Interval, Interval]]]:
-        """Enclosures of the point (X(a)/D(a), Y(a)/D(a)), one for each
-        interval of refinements(s, a); None while the enclosure of D(a)
-        holds zero."""
+    def quotient_boxes(self, a: RootInterval) -> Iterator[Optional[Tuple[Enclosure, Enclosure]]]:
+        """Enclosures (lo, hi) of the coordinates of the point
+        (X(a)/D(a), Y(a)/D(a)), one pair for each interval of
+        refinements(s, a); None while the enclosure of D(a) holds zero."""
         for r in refinements(self.base, a):
             d = _enclosure(self.D, r)
-            yield None if d.lo <= 0 <= d.hi else (_enclosure(self.X, r) / d, _enclosure(self.Y, r) / d)
+            yield (_quotient(_enclosure(self.X, r), d), _quotient(_enclosure(self.Y, r), d)) if _sign(d) else None
 
 
 def _trivial_rur(x: AlgebraicCoord, y: AlgebraicCoord) -> Optional[Tuple[Rur, RootInterval]]:
@@ -250,9 +263,6 @@ class AlgebraicPoint:
             raise ValueError("point is not exact")
         assert self.x.exact is not None and self.y.exact is not None
         return self.x.exact, self.y.exact
-
-    def box(self) -> Tuple[Interval, Interval]:
-        return self.x.interval(), self.y.interval()
 
     def refined(self, width: Fraction) -> "AlgebraicPoint":
         rur = None if self.rur is None else (self.rur[0], refine_root(self.rur[0].base, self.rur[1], width))

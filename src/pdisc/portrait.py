@@ -62,7 +62,7 @@ from pdisc.equilibria import (
     leslie_labels,
 )
 from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError
-from pdisc.exactalg import AlgebraicCoord, Interval, MPoly
+from pdisc.exactalg import AlgebraicCoord, MPoly
 from pdisc.modelio import ParamBindings, PlanarSystem, format_system
 
 RTOL_DEFAULT = 1e-9
@@ -582,16 +582,13 @@ def _marker_for_infinite(rec: EquilibriumRecord, chart: str, side: int, sys: Pla
 
 def _eig_directions(m: Marker) -> List[Tuple[float, Tuple[float, float]]]:
     """(eigenvalue, unit eigenvector) pairs for a marker with a real
-    spectrum, from the float Jacobian.  At an irrational point the
-    entries are intervals, enclosed here on the point as classify_point
-    refined it (width 2^-60), and are read at their midpoints."""
+    spectrum, from the float Jacobian.  At an irrational point it is
+    read exactly at the midpoint of the point as classify_point refined
+    it (width 2^-60)."""
     jac = m.record.jacobian
     if jac is None:
         jac = jacobian_at(m.system, m.record.point)
-    (a, b), (c, d) = [
-        [float((v.lo + v.hi) / 2) if isinstance(v, Interval) else float(v) for v in row]
-        for row in jac
-    ]
+    (a, b), (c, d) = [[float(v) for v in row] for row in jac]
     tr = a + d
     disc = tr * tr - 4.0 * (a * d - b * c)
     if disc < 0:

@@ -37,7 +37,7 @@ from pdisc.equilibria import (
     jacobian_at,
 )
 from pdisc.errors import InputError
-from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, Interval, UPoly, isolate_real_roots
+from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, UPoly, isolate_real_roots
 from pdisc.modelio import parse_system
 
 F = Fraction
@@ -271,11 +271,10 @@ def test_sheared_points_are_classified():
     }
 
 
-def test_pairing_reads_no_residual_box(monkeypatch):
-    """With every residual enclosure straddling zero, only the certified
-    pairing can tell the two points of x = 2y, x^2 + y^2 = 3 from the
-    two wrong pairs of the same coordinates."""
-    monkeypatch.setattr(equilibria, "eval_box", lambda p, ix, iy: Interval(-1, 1))
+def test_pairing_reads_no_residual_box():
+    """The certified pairing, which reads no residual enclosure, tells
+    the two points of x = 2y, x^2 + y^2 = 3 from the two wrong pairs of
+    the same coordinates."""
     y = math.sqrt(3 / 5)
     _check("dx = x^2 + y^2 - 3\ndy = x - 2*y\n", [(-2 * y, -y), (2 * y, y)], classes=False)
 
@@ -323,7 +322,7 @@ def test_irrational_points_match_closed_form_classes(source):
 
 def test_irrational_records_leave_the_jacobian_to_the_portrait():
     # a rational point keeps its exact Jacobian; at an irrational one
-    # only the portrait reads it, enclosing it on demand from the point
+    # only the portrait reads it, on demand at the refined point's midpoint
     sys = parse_system("dx = (x^2 - 2)*(x - 1)\ndy = y - x\n")
     records = finite_equilibria(sys)
     rational = [rec for rec in records if rec.point.is_exact]
@@ -334,7 +333,7 @@ def test_irrational_records_leave_the_jacobian_to_the_portrait():
         assert rec.jacobian is None
         (a, _), _ = jacobian_at(sys, rec.point)
         # dP/dx = 4 - 2x at x^2 = 2
-        assert abs(float((a.lo + a.hi) / 2) - (4 - 2 * rec.point.approx()[0])) < 1e-12
+        assert isinstance(a, F) and abs(float(a) - (4 - 2 * rec.point.approx()[0])) < 1e-12
 
 
 def _cubic_roots(b: int, c: int, d: int) -> List[float]:

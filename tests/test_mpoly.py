@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from pdisc.exactalg import Interval, MPoly, NEG_INF, eval_box
+from pdisc.exactalg import MPoly, NEG_INF
 from pdisc.exactalg.mpoly import _divide, _key
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -259,15 +259,6 @@ def test_univariate_coeffs_rejects_mixed():
         Fraction(0),
         Fraction(1),
     ]
-
-
-@given(mpolys(max_exp=3, max_terms=4), points)
-def test_eval_box_contains_point_values(f, pt):
-    x0, y0 = pt
-    ix = Interval(x0 - 1, x0 + 1)
-    iy = Interval(y0 - Fraction(1, 2), y0 + Fraction(1, 2))
-    box = eval_box(f, ix, iy)
-    assert box.contains(f.eval_rat(x0, y0))
 
 
 def test_format_readable():

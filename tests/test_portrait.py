@@ -20,7 +20,7 @@ from pdisc.cli import main
 from pdisc.compactify import SectorDecomposition, blowup_analysis, disc_equilibria, infinite_equilibria, to_chart
 from pdisc.equilibria import finite_equilibria
 from pdisc.errors import InputError
-from pdisc.exactalg import Interval, MPoly, eval_box
+from pdisc.exactalg import MPoly
 from pdisc.modelio import ParamBindings, leslie_system, parse_system
 from pdisc.capture import (
     _PROOF_BUDGET,
@@ -51,6 +51,8 @@ from pdisc.portrait import (
     render_portrait,
     separatrix_seeds,
 )
+
+from enclosure import box_enclosure
 
 REASON_EQ = "converged-to-equilibrium"
 REASON_TMAX = "reached-tmax"
@@ -596,7 +598,7 @@ def test_full_disc_portrait_compiles_each_polynomial_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# irrational saddles: interval Jacobians
+# irrational saddles: Jacobians at the refined point
 
 
 @pytest.mark.parametrize(
@@ -968,7 +970,7 @@ def test_regions_cover_every_kind_and_chart():
 
 def _fraction_positive_on(p, xs, ys):
     """`positive_on` as it was in Fraction interval arithmetic: p at the
-    four corners and `eval_box` of p re-expanded about each box centre."""
+    four corners and `box_enclosure` of p re-expanded about each box centre."""
     wx = xs[1] - xs[0]
     wy = ys[1] - ys[0]
     todo = [(xs, ys)]
@@ -984,7 +986,7 @@ def _fraction_positive_on(p, xs, ys):
         centred = p.subst(MPoly.var_x() + cx, MPoly.var_y() + cy) if cx or cy else p
         if centred.coeff(0, 0) <= 0:
             return False
-        if eval_box(centred, Interval(-hx, hx), Interval(-hy, hy)).lo > 0:
+        if box_enclosure(centred, (-hx, hx), (-hy, hy))[0] > 0:
             continue
         if wy == 0 or (wx != 0 and (x1 - x0) * wy >= (y1 - y0) * wx):
             xm = (x0 + x1) / 2

@@ -6,7 +6,7 @@ by the product formula Res(f, g) = lc(f)^deg(g) * prod g(root_i).
 UPoly stores primitive integer coefficients; its arithmetic, Sturm
 chains and bisection are checked against plain tuple-of-Fraction
 references kept in this file, and the exact signs of a rational
-univariate representation against interval evaluation on a tiny box.
+univariate representation against an enclosure over a tiny box.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from hypothesis import given, strategies as st
 
 from pdisc.equilibria import finite_equilibria
 from pdisc.exactalg import (
-    Interval,
     MPoly,
     UPoly,
-    eval_box,
     isolate_real_roots,
     refine_root,
     resultant_wrt,
@@ -31,6 +29,8 @@ from pdisc.exactalg import (
 )
 from pdisc.exactalg.roots import cauchy_bound, sign_variations, sturm_chain
 from pdisc.modelio import parse_system
+
+from enclosure import box_enclosure
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 
@@ -408,10 +408,10 @@ def test_refine_root_matches_fraction_bisection(squares, roots, bits):
         assert not got.is_exact and got.width <= width
 
 
-def _sqrt_box(n: int, bits: int) -> Interval:
-    """An interval of width 2^-bits around sqrt(n), n not a square."""
+def _sqrt_box(n: int, bits: int, sign: int) -> Tuple[Fraction, Fraction]:
+    """An interval of width 2^-bits around sign * sqrt(n), n not a square."""
     lo = math.isqrt(n << (2 * bits))
-    return Interval(Fraction(lo, 2**bits), Fraction(lo + 1, 2**bits))
+    return tuple(sorted((Fraction(sign * lo, 2**bits), Fraction(sign * (lo + 1), 2**bits))))
 
 
 def test_rur_sign_matches_tiny_box_at_sqrt_points():
@@ -432,15 +432,11 @@ def test_rur_sign_matches_tiny_box_at_sqrt_points():
     for rec in records:
         rur, a = rec.point.rur
         sx, sy = rec.point.x.sign(), rec.point.y.sign()
-        bx, by = _sqrt_box(2, 200), _sqrt_box(3, 200)
-        if sx < 0:
-            bx = Interval(-bx.hi, -bx.lo)
-        if sy < 0:
-            by = Interval(-by.hi, -by.lo)
+        bx, by = _sqrt_box(2, 200, sx), _sqrt_box(3, 200, sy)
         for f in probes:
-            want = eval_box(f, bx, by)
+            lo, hi = box_enclosure(f, bx, by)
             got = rur.sign(f, a)
             if got == 0:
-                assert want.lo <= 0 <= want.hi and want.width < Fraction(1, 2**190)
+                assert lo <= 0 <= hi and hi - lo < Fraction(1, 2**190)
             else:
-                assert want.sign() == got
+                assert (lo > 0) - (hi < 0) == got
