@@ -237,7 +237,9 @@ def run_pipeline(sys: PlanarSystem, bounds: SearchBounds = SearchBounds()) -> Da
     curves, families = find_invariant_lines(sys)
 
     ext = extactic(sys, bounds.extactic_order, curves)
-    curves = attach_multiplicities(curves, ext)
+    # a line's multiplicity is its exponent in E_1 (Christopher, Llibre &
+    # Pereira 2007); at order 2, ext is only reported
+    curves = attach_multiplicities(curves, ext if ext.order == 1 else extactic(sys, 1, curves))
     factors = find_exponential_factors(sys, curves, bounds.max_exp_degree)
 
     matrix = build_cofactor_matrix(curves, factors, sys.degree)

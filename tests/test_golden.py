@@ -5,7 +5,10 @@ The sha256 of the JSON that `pdisc analyze` (full disc and quadrant) and
 each sign of 1-AC and for the bundled parameters.  The digests were
 recorded before irrational equilibria were paired through the first
 subresultant; Leslie inputs have only rational equilibria, so no change
-to that pairing may move a byte here.
+to that pairing may move a byte here.  The order-2 darboux pins (and the
+order-2 DUMPED_DARBOUX pins of the TRIPLES) were re-recorded once a
+line's multiplicity was read from E_1 at both orders; only
+`invariant_curves[].multiplicity` moved.
 
 The portrait JSON and SVG of the bundled parameters (quadrant and full
 disc) are pinned too, as recorded once orbits ended only in proved
@@ -41,19 +44,19 @@ GOLDEN = {
     "bundled:analyze": "d72c4efe726d500603ff66c57743228c51166c2592a98e06800cb9e86bc68125",
     "bundled:analyze-quadrant": "153e21bf0c0e80c9a91f6132e657ac8f1ef329ec8755d40d6c98d9cc94a7000d",
     "bundled:darboux-1": "4b3c483db8196783430630a069f2ad677cd863d0abb97a44152e28ecb5366b54",
-    "bundled:darboux-2": "95a5c22871367c38347ed76da6b88ceddae6b1f69919bba9aa799d98f1f9cda0",
+    "bundled:darboux-2": "90c6a67ce3c54f02460094b0a192dfb34b65e633d52001579628cf8c99799521",
     "positive:analyze": "ce948737b6dc03d9ddee847d94e3654966fbb96bf9f36ec139a6a3dbc639e7a4",
     "positive:analyze-quadrant": "3c58a67d1c58c14f5805f9995ef247eab8f1fc716ad98da6776d68bc769acdef",
     "positive:darboux-1": "4a1c38a7cc9151ffc35e16ec78986bf2e99a11b882166c156ef7022e77a002a0",
-    "positive:darboux-2": "ee9cac5bda02151584d952661308adf52261b8b1ded8e9ce46f66834b7394c46",
+    "positive:darboux-2": "87630217b025703507d598a60dfbbfea6fb1e425d4cc6a4324163ddd949fba8d",
     "zero:analyze": "88b98a95e4a78b16bea648bc6eae6330907ca46762c8a478e65e9c09cbd71f09",
     "zero:analyze-quadrant": "6ab74dae18e094ad47b09c7965aded2de8a407502a5feb410ead1885035d41ce",
     "zero:darboux-1": "e05c7f9b1419b7039cd757520512dfaa43237387a133e133e140b95d14fdf29f",
-    "zero:darboux-2": "9bcfe7a8f9d4136a48c42e13f1af28b7c36c40491d2268898a1f4e3ab9520a4d",
+    "zero:darboux-2": "7061aba1c9c765252e9e04353b14f843f87e57f324adeb7c24c70a37220856c3",
     "negative:analyze": "174e29063f5f5778883a4c0ff7ecab0e66f1111eb57d3f970cabaf4ebd37e789",
     "negative:analyze-quadrant": "116ef0b299abe724cd3cec05fe189a6c5c12aab4bac967397ee3608f4513901a",
     "negative:darboux-1": "2366658291027b23ec4c0cabbe96622604f8d051aff727c4dbff77c33ca52339",
-    "negative:darboux-2": "1a7fc803419aaaa282392dc3dc57670450a34932723dc81fcc3d885418b416b4",
+    "negative:darboux-2": "ca14a3a19d3a1eda4821371e5155d4baa31c6e88e88675b561b9edf3ce0f0d85",
 }
 
 # (JSON, SVG) of the bundled-parameter portrait
@@ -400,7 +403,7 @@ def test_other_darboux_bytes(name, order):
 DUMPED_DARBOUX = {
     "bundled": (
         "4d266487775e53cdd9c159eca5ca640494753490061068d81d72049d8a3e996a",
-        "3792b0e539a6869506a711f2b685e2089288fc394bff97a0c9222e6d444cf437",
+        "47db11b601feb8720522b58b94c7930f928ddfc84b5f307e542f14d5237e280b",
     ),
     "chart-plan": (
         "219c7b4fb49b6c21f1c8af0dc83a622a9d986ea31a2ee38195174f2ed0045957",
@@ -420,11 +423,11 @@ DUMPED_DARBOUX = {
     ),
     "negative": (
         "b7769427347f0484d27d8c611bf8674444c5d59655091b8ba8f4a9047e5945e6",
-        "c2ce64b0c347314695c7ad111ee6fa250548be946234d8ba9a05d9026f9de30b",
+        "d89d2aca89d3a496eb6c941229b7cc2f085ef92f6dea4ad5f014cdce96cf55ba",
     ),
     "positive": (
         "e9ab18e6af49a673b7d2c90046438e3f696f757856165b9ed5ce4cdb0125f1c9",
-        "e191fe22af779eeeb48ec67237a6622b3ea17b45c20177ea4ca508412f670862",
+        "abf7ea284935cbb08c751d5151c682422cfbbf4bca5596774da24f427f57029d",
     ),
     "quartic": (
         "79c44fcb35edf3ac20531c862fa06b203fe927a9b632939b8ab56581871a260e",
@@ -440,7 +443,7 @@ DUMPED_DARBOUX = {
     ),
     "zero": (
         "94271b45b562229991ae8be70cc64f2ddff486d68e3315e3970b101ee7505ef5",
-        "abb9d0448afb7c2ebf390490c6918b52d191e984c648cca705b8a0f788921f9b",
+        "d00408f03595150f71fbe6dbe8c8b8391c53600ac635bb0649d7a5d54e4fb9b8",
     ),
 }
 

@@ -66,6 +66,25 @@ def test_first_integral_survives_vanishing_extactic():
     assert _certificate_combination(None, pipe).is_zero
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_multiple_line_takes_its_multiplicity_from_e1(order):
+    # x is a line of multiplicity 3 at both orders, though E_2 vanishes:
+    # the factors exp(1/x) and exp((x*y + 1/2)/x^2) it allows are found
+    sys = parse_system("dx = x^2\ndy = 1\n")
+    pipe = run_pipeline(sys, SearchBounds(extactic_order=order))
+    x, y = MPoly.var_x(), MPoly.var_y()
+    assert [(c.f, c.multiplicity) for c in pipe.curves] == [(x, 3)]
+    assert pipe.extactic_result.vanishes == (order == 2)
+    cofactors = {(ef.g, ef.f): ef.L for ef in pipe.factors}
+    assert cofactors[(MPoly.one(), x)] == MPoly.const(-1)
+    assert cofactors[(x * y + MPoly.const(F(1, 2)), x * x)] == -y
+    assert pipe.verdict.verdict == FIRST_INTEGRAL
+    assert _certificate_combination(sys, pipe).is_zero
+    assert pipe.verdict.darboux_function == "exp(y)^(1) * exp((1)/(x))^(1)"
+    # oracle: X(y + 1/x) = P * (-1/x^2) + Q = 0, cleared of x^2
+    assert (sys.Q * x * x - sys.P).is_zero
+
+
 def test_integrating_factor_resonant_node():
     # lambda = -3 gives R = x^-3: d/dx(x^-2) + d/dy(x^-3 (x^2+2y)) = 0
     sys = parse_system("dx = x\ndy = x^2 + 2*y\n")
