@@ -48,7 +48,6 @@ class ChartSystem:
     chart: str
     du: MPoly
     dv: MPoly
-    parent: PlanarSystem
     degree: int
 
     def __post_init__(self) -> None:
@@ -124,7 +123,7 @@ def to_chart(sys: PlanarSystem, chart: str) -> ChartSystem:
     if d < 1:
         raise InputError("compactification needs degree at least 1")
     if chart == "U3":
-        return ChartSystem("U3", sys.P, sys.Q, sys, d)
+        return ChartSystem("U3", sys.P, sys.Q, d)
 
     u = MPoly.var_x()
     v = MPoly.var_y()
@@ -142,7 +141,7 @@ def to_chart(sys: PlanarSystem, chart: str) -> ChartSystem:
     if not base and (d + 1) % 2 == 1:
         du = -du
         dv = -dv
-    return ChartSystem(chart, du, dv, sys, d)
+    return ChartSystem(chart, du, dv, d)
 
 
 def _axis_equilibria(

@@ -12,7 +12,7 @@ run on Python `int`.
 
 from pdisc.exactalg.algebraic import AlgebraicCoord, AlgebraicPoint, Rur
 from pdisc.exactalg.matrix import ffdet, minor_det, nullspace, resultant_wrt, solve_linear, sylvester_resultant
-from pdisc.exactalg.mpoly import NEG_INF, MPoly, Rat
+from pdisc.exactalg.mpoly import NEG_INF, MPoly
 from pdisc.exactalg.roots import RootInterval, isolate_real_roots, refine_root
 from pdisc.exactalg.upoly import UPoly
 
@@ -21,7 +21,6 @@ __all__ = [
     "AlgebraicPoint",
     "MPoly",
     "NEG_INF",
-    "Rat",
     "RootInterval",
     "Rur",
     "UPoly",

@@ -31,7 +31,6 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
-Rat = Fraction
 Exponents = Tuple[int, int]
 _Scalar = Union[int, Fraction]
 _Terms = dict  # packed monomial key -> nonzero int coefficient

@@ -91,11 +91,6 @@ class UPoly:
             return NEG_INF
         return len(self._p) - 1
 
-    def leading_coeff(self) -> Fraction:
-        if not self._p:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._c * self._p[-1]
-
     def int_coeffs(self) -> Tuple[int, ...]:
         """The primitive integer coefficients: a positive multiple of the
         polynomial over the integers."""
@@ -142,9 +137,6 @@ class UPoly:
     def __sub__(self, other: Union["UPoly", _Scalar]) -> "UPoly":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other: _Scalar) -> "UPoly":
-        return (-self) + other
-
     def __mul__(self, other: Union["UPoly", _Scalar]) -> "UPoly":
         if isinstance(other, (int, Fraction)):
             if not other or not self._p:
@@ -164,19 +156,6 @@ class UPoly:
         return UPoly._make(tuple(out), self._c * other._c)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "UPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        result = UPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def divmod(self, divisor: "UPoly") -> Tuple["UPoly", "UPoly"]:
         """Quotient and remainder over Q.  With m * A = Q * B + R over Z

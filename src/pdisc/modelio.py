@@ -24,8 +24,6 @@ from pdisc.exactalg import MPoly
 
 DEFAULT_SEED = 20240819
 
-Rat = Fraction
-
 
 # ---------------------------------------------------------------------------
 # planar polynomial systems

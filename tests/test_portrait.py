@@ -629,6 +629,18 @@ def test_irrational_saddles_get_separatrices(source, quadrant, tmp_path, capsys)
     assert out.read_bytes() == js
 
 
+def test_center_candidate_glyph():
+    # the linear center draws its equilibrium as two concentric circles
+    doc = build_portrait(parse_system("dx = -y\ndy = x\n"), positive_quadrant_only=False, grid=2)
+    assert [(m.marker_id, m.classification) for m in doc.markers] == [("finite:0,0", "center-candidate")]
+    svg, _ = render_portrait(doc)
+    assert (
+        b'<g stroke="#a142f4" fill="none" stroke-width="2">'
+        b'<circle cx="400.00" cy="400.00" r="6"/><circle cx="400.00" cy="400.00" r="2.5"/>'
+        b"<title>finite:0,0: center-candidate</title></g>"
+    ) in svg
+
+
 # ---------------------------------------------------------------------------
 # capture regions of saddle-nodes and blown-up degenerate points
 
