@@ -285,12 +285,14 @@ def test_bundled_portrait_compiles_only_the_charts_it_enters(monkeypatch):
 # sha256 of the `pdisc analyze` JSON (full disc, quadrant) of systems
 # outside the Leslie family, most with irrational equilibria: the degree
 # 4 and 5 systems of the ROADMAP baseline, an irrational saddle, three
-# products of lines cut by an ellipse and two dense systems.  Recorded while the univariate
+# products of lines cut by an ellipse and three dense systems.  Recorded while the univariate
 # kernel still ran over Fraction; the exact decisions do not depend on
 # how the coefficients are stored, so no byte may move.  The dense
 # degree 6 and 7 members of the family of the ROADMAP's degree-scaling
 # item were recorded before the real algebraic numbers left
-# `pdisc.equilibria` for `pdisc.exactalg.algebraic`.
+# `pdisc.equilibria` for `pdisc.exactalg.algebraic`, and the degree 8
+# member while every refinement still quartered its interval and every
+# zero test at an irrational point took an exact gcd.
 OTHER_ANALYZE = {
     "dense-6": (
         "dx = x^6 - 3*x^2*y^3 + y^4 - 2*x + 1\ndy = y^6 - x*y^4 + 2*x^2 - y - 3\n",
@@ -301,6 +303,11 @@ OTHER_ANALYZE = {
         "dx = x^7 - 3*x^2*y^4 + y^5 - 2*x + 1\ndy = y^7 - x*y^5 + 2*x^2 - y - 3\n",
         "14cc55d423ca0226b5f7ba9caa5bed62e6da7f53159c3464daef94df6eb1326b",
         "0d1607e557294345bbcaf17192a5cb73df6bf3cf1c34156f53b60ba4effd9daa",
+    ),
+    "dense-8": (
+        "dx = x^8 - 3*x^2*y^5 + y^6 - 2*x + 1\ndy = y^8 - x*y^6 + 2*x^2 - y - 3\n",
+        "957cb249736160d76d86608aadd904e4d3f5ab346bda1eecede36d3d1c9d58ff",
+        "30f3df50b6137d3070792d32ee10b67cf3b34d58b1096cb717860fba5ff55f7f",
     ),
     "quartic": (
         "dx = x^4 - 3*x^2*y + y^2 - 2*x + 1\ndy = y^4 - x*y^2 + 2*x^2 - y - 3\n",
