@@ -13,7 +13,9 @@ Chart conventions for a degree-d system (x, y):
       U2:  du/dt =  T2(P) - u T2(Q),   dv/dt = -v T2(Q)
 
   and the antipodal V-charts equal the U-charts times (-1)^(d+1).
-  The equator is the invariant line v = 0.
+  The equator is the invariant line v = 0.  So each antipodal pair is
+  analysed once: a V-chart's equator records are its U-chart's, time
+  reversed for even d (`EquilibriumRecord.time_reversed`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError
-from pdisc.exactalg import NEG_INF, AlgebraicCoord, AlgebraicPoint, MPoly, UPoly, isolate_real_roots
+from pdisc.exactalg import NEG_INF, AlgebraicCoord, AlgebraicPoint, MPoly, Rur, UPoly, isolate_real_roots
 from pdisc.equilibria import (
     EquilibriumRecord,
     classify_point,
@@ -159,12 +161,16 @@ def _axis_equilibria(
         return []
     poly = UPoly.from_mpoly(flow, along).squarefree_part()
     origin = AlgebraicCoord.of(0)
+    u, zero, one = UPoly.variable(), UPoly.const(0), UPoly.const(1)
+    # the irrational points share one representation: u = the coordinate
+    rur = Rur(poly, u, zero, one) if along == "x" else Rur(poly, zero, u, one)
     out: List[EquilibriumRecord] = []
     for rt in isolate_real_roots(poly):
         coord = AlgebraicCoord.from_root(poly, rt)
         if nonnegative and coord.sign() < 0:
             continue
-        pt = AlgebraicPoint(coord, origin) if along == "x" else AlgebraicPoint(origin, coord)
+        at = None if coord.is_exact else (rur, rt)
+        pt = AlgebraicPoint(coord, origin, at) if along == "x" else AlgebraicPoint(origin, coord, at)
         out.append(classify_point(sys, pt))
     return out
 
@@ -178,8 +184,11 @@ def infinite_equilibria(
     consists entirely of equilibria in this chart."""
     if cs.chart == "U3":
         raise InputError("the finite chart has no equator")
-    line = f"the equator of chart {cs.chart} consists of equilibria"
-    return _axis_equilibria(cs.system, "x", line, positive_quadrant_only)
+    return _axis_equilibria(cs.system, "x", _equator_line(cs.chart), positive_quadrant_only)
+
+
+def _equator_line(chart: str) -> str:
+    return f"the equator of chart {chart} consists of equilibria"
 
 
 @dataclass(frozen=True)
@@ -187,8 +196,10 @@ class DiscEquilibria:
     """Every equilibrium one run reads on the Poincaré disc, found once:
     all finite ones, in the quadrant or not; the charts U1 and U2, plus
     V1 and V2 for the whole disc; and the equator equilibria of each
-    chart, with u < 0 dropped for the quadrant.  A chart whose equator
-    consists of equilibria keeps its error in `lines` instead."""
+    chart, with u < 0 dropped for the quadrant.  The V records are
+    derived from the U records (the same for odd degree, time reversed
+    for even), not recomputed.  A chart whose equator consists of
+    equilibria keeps its error in `lines` instead."""
 
     system: PlanarSystem
     quadrant: bool
@@ -207,17 +218,28 @@ class DiscEquilibria:
 
 def disc_equilibria(sys: PlanarSystem, quadrant: bool = False) -> DiscEquilibria:
     """The disc analysis of `sys`, for the closed positive quadrant or
-    the whole disc; each chart is built once."""
+    the whole disc; each chart is built once, and each equator analysed
+    once per antipodal pair."""
     finite = tuple(finite_equilibria(sys))
     charts: Dict[str, ChartSystem] = {}
     equator: Dict[str, Tuple[EquilibriumRecord, ...]] = {}
     lines: Dict[str, LineOfEquilibriaError] = {}
-    for chart in ("U1", "U2") if quadrant else ("U1", "U2", "V1", "V2"):
+    for chart in ("U1", "U2"):
         cs = charts[chart] = to_chart(sys, chart)
         try:
             equator[chart] = tuple(infinite_equilibria(cs, quadrant))
         except LineOfEquilibriaError as exc:
             lines[chart] = exc
+    if not quadrant:
+        # V = U times (-1)^(d+1): the same equator points, time reversed for even d
+        for chart in ("V1", "V2"):
+            charts[chart] = to_chart(sys, chart)
+            twin = "U" + chart[1]
+            if twin in lines:
+                lines[chart] = LineOfEquilibriaError(_equator_line(chart))
+            else:
+                recs = equator[twin]
+                equator[chart] = recs if sys.degree % 2 else tuple(r.time_reversed() for r in recs)
     return DiscEquilibria(sys, quadrant, finite, charts, equator, lines)
 
 

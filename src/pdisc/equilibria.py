@@ -95,6 +95,37 @@ class EquilibriumRecord:
     def with_label(self, label: Optional[str]) -> "EquilibriumRecord":
         return replace(self, label=label)
 
+    def time_reversed(self) -> "EquilibriumRecord":
+        """The record of the same point for the field times -1: the
+        Jacobian, the trace and the eigenvalues change sign, nodes and
+        foci swap stability, and a saddle-node's a2 and nonzero
+        eigenvalue change sign with its side; the determinant, the
+        discriminant and the eigenvectors stay."""
+        red = self.reduction
+        if red is not None:
+            red = replace(
+                red,
+                a2=-red.a2,
+                nonzero_eigenvalue=-red.nonzero_eigenvalue,
+                stability="repeller" if red.stability == "attractor" else "attractor",
+            )
+        return replace(
+            self,
+            jacobian=None if self.jacobian is None else tuple(tuple(-v for v in row) for row in self.jacobian),
+            trace=None if self.trace is None else -self.trace,
+            eigenvalues=None if self.eigenvalues is None else (-self.eigenvalues[1], -self.eigenvalues[0]),
+            classification=_REVERSED.get(self.classification, self.classification),
+            reduction=red,
+        )
+
+
+_REVERSED = {
+    STABLE_NODE: UNSTABLE_NODE,
+    UNSTABLE_NODE: STABLE_NODE,
+    STABLE_FOCUS: UNSTABLE_FOCUS,
+    UNSTABLE_FOCUS: STABLE_FOCUS,
+}
+
 
 # ---------------------------------------------------------------------------
 # equilibrium location

@@ -6,10 +6,15 @@ also carries a rational univariate representation (RUR; Rouillier 1999,
 *AAECC* 9): x = X(a)/D(a), y = Y(a)/D(a) at one root a of a square-free
 s(u).  Elimination produces it, and a point with one rational coordinate
 has a trivial one.  Every sign at the point is decided exactly from it:
-zero by a gcd with s, a nonzero sign by refining a alone.
+zero by a gcd with s, a nonzero sign by refining a alone.  A zero
+test runs only once the first enclosure leaves the sign open, and a
+coprimality test mod a prime (`coprime_mod_p`) spares the exact gcd
+whenever it proves the sign nonzero.
 
 Every refinement here runs through `refinements`, which narrows an
-isolating interval to a quarter of its width at each step.
+isolating interval by a factor that squares at each step (4, 16, 256,
+..., at most 2^64), so the number of steps grows with the log of the
+bits a decision needs, not with the bits themselves.
 """
 
 from __future__ import annotations
@@ -21,18 +26,27 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from pdisc.exactalg.mpoly import MPoly
 from pdisc.exactalg.roots import RootInterval, refine_root
-from pdisc.exactalg.upoly import UPoly, linear_combination
+from pdisc.exactalg.upoly import UPoly, coprime_mod_p, linear_combination
 
 # a closed interval (lo, hi) with rational endpoints
 Enclosure = Tuple[Fraction, Fraction]
+_ONE = UPoly.const(1)
 
 
 def refinements(s: UPoly, a: RootInterval) -> Iterator[RootInterval]:
-    """a, then a refined to a quarter of its width, again and again; a
-    isolates an irrational root of the square-free s."""
+    """a, then a refined to 1/4, 1/16, 1/256, ... of the last width (the
+    factor squared each time, capped at 2^64); a isolates an irrational
+    root of the square-free s."""
+    step = 4
     while True:
         yield a
-        a = refine_root(s, a, a.width / 4)
+        a = refine_root(s, a, a.width / step)
+        step = min(step * step, 2**64)
+
+
+def _common_factor(f: UPoly, g: UPoly) -> UPoly:
+    """gcd(f, g), or 1 without the exact gcd when f and g are coprime mod p."""
+    return _ONE if coprime_mod_p(f, g) else f.gcd(g)
 
 
 @dataclass(frozen=True)
@@ -114,12 +128,14 @@ class AlgebraicCoord:
     def _compare_irrational(self, other: "AlgebraicCoord") -> int:
         assert self.poly is not None and self.root is not None
         assert other.poly is not None and other.root is not None
-        g = self.poly.gcd(other.poly)
+        g = None
         for a, b in zip(refinements(self.poly, self.root), refinements(other.poly, other.root)):
             if a.hi < b.lo:
                 return -1
             if b.hi < a.lo:
                 return 1
+            if g is None:
+                g = _common_factor(self.poly, other.poly)
             if holds_root(g, max(a.lo, b.lo), min(a.hi, b.hi)):
                 # the overlap holds a common root; each interval isolates
                 # exactly one root, so both coordinates equal it
@@ -170,13 +186,16 @@ class Rur:
     """A rational univariate representation: the points
     x = X(a)/D(a), y = Y(a)/D(a) at the real roots a of the square-free
     `base` s(u), with D(a) != 0.  Points above the roots of one s share
-    one object, so each polynomial's image under it is computed once."""
+    one object, so each polynomial's image under it is computed once, and
+    each root is refined once for all the signs read at its point: a
+    sign starts from the narrowest interval of that root so far."""
 
     def __init__(self, base: UPoly, X: UPoly, Y: UPoly, D: UPoly):
         self.base, self.X, self.Y, self.D = base, X, Y, D
         self._powers: Tuple[List[UPoly], ...] = ([UPoly.const(1)], [UPoly.const(1)], [UPoly.const(1)])
         self._images: Dict[MPoly, UPoly] = {}
         self._zeros: Dict[MPoly, UPoly] = {}
+        self._narrowest: Dict[RootInterval, RootInterval] = {}
 
     def unsheared(self, t: int) -> "Rur":
         """The same points, read in (x, y) from the coordinates (x + t*y, y)."""
@@ -207,13 +226,14 @@ class Rur:
         g = self._image(f)
         if g.is_zero:
             return 0
-        for r in refinements(self.base, a):
+        for r in refinements(self.base, self._narrowest.get(a, a)):
+            self._narrowest[a] = r
             # D(a) != 0, so once G(a) != 0 too both enclosures exclude 0 when narrow
             s_g, s_d = _sign(_enclosure(g, r)), _sign(_enclosure(self.D, r))
             if s_g and s_d:
                 return s_g * s_d ** int(f.degree)
             if f not in self._zeros:
-                self._zeros[f] = g.gcd(self.base)
+                self._zeros[f] = _common_factor(g, self.base)
             if holds_root(self._zeros[f], r.lo, r.hi):
                 return 0
 

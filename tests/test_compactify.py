@@ -8,6 +8,7 @@ coordinates is verified as an exact rational identity.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -20,13 +21,14 @@ from pdisc.compactify import (
     chart_fragment,
     direct_sectors,
     directional_blowup,
+    disc_equilibria,
     divisor_equilibria,
     infinite_equilibria,
     sector_synthesis,
     to_chart,
     verify_blowdown,
 )
-from pdisc.equilibria import DEGENERATE, SADDLE
+from pdisc.equilibria import DEGENERATE, SADDLE, SADDLE_NODE, EquilibriumRecord, equilibrium_fragment
 from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError
 from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, MPoly
 from pdisc.modelio import PlanarSystem, leslie_system, parse_system
@@ -199,6 +201,52 @@ def test_equator_line_of_equilibria_detected():
     sys = parse_system("dx = x*y\ndy = y^2\n")
     with pytest.raises(LineOfEquilibriaError):
         infinite_equilibria(to_chart(sys, "U1"))
+
+
+# odd degree: the bundled Leslie model and the CI quintic; even degree:
+# the CI quartic, irrational equator points (line-ellipse-2), a U1
+# saddle-node, and a quadratic with nodes and saddles on the equator
+V_CHART_SOURCES = {
+    "leslie": "params: A=1, B=1, C=1/2\ndx = x*(C+x)*(1-x-A*y)\ndy = B*y*(C+x-y)\n",
+    "quintic": "dx = x^5 - 3*x^2*y^2 + y^3 - 2*x + 1\ndy = y^5 - x*y^3 + 2*x^2 - y - 3\n",
+    "quartic": "dx = x^4 - 3*x^2*y + y^2 - 2*x + 1\ndy = y^4 - x*y^2 + 2*x^2 - y - 3\n",
+    "line-ellipse-2": "dx = (-3*x + 1*y + 1)*(-3*x + 3*y + 1)\ndy = (1*x^2 + 0*x*y + 1*y^2 + -1*x + 2*y + -4)\n",
+    "saddle-node": "dx = x*(x - y)\ndy = y*(x + y - 1)\n",
+    "quadratic": "dx = x*(1-x) - x*y\ndy = y*(x - 1/2)\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(V_CHART_SOURCES))
+def test_v_chart_equator_records_match_direct_recomputation(name):
+    # the V records are derived from the U ones; the direct route
+    # analyses the V chart itself
+    sys = parse_system(V_CHART_SOURCES[name])
+    disc = disc_equilibria(sys)
+    assert not disc.lines
+    for chart in ("V1", "V2"):
+        direct = infinite_equilibria(to_chart(sys, chart))
+        derived = disc.equator[chart]
+        assert len(derived) == len(direct)
+        for a, b in zip(derived, direct):
+            for f in fields(EquilibriumRecord):
+                assert getattr(a, f.name) == getattr(b, f.name), (chart, f.name)
+            assert equilibrium_fragment(a) == equilibrium_fragment(b)
+
+
+def test_even_degree_v_records_are_time_reversed():
+    disc = disc_equilibria(parse_system(V_CHART_SOURCES["saddle-node"]))
+    (u,) = [r for r in disc.equator["U1"] if r.classification == SADDLE_NODE]
+    (v,) = [r for r in disc.equator["V1"] if r.classification == SADDLE_NODE]
+    assert (u.reduction.a2, u.reduction.stability) == (2, "attractor")
+    assert (v.reduction.a2, v.reduction.stability) == (-2, "repeller")
+    assert v.trace == -u.trace and v.det == u.det
+
+
+def test_equator_of_equilibria_is_a_line_in_every_chart():
+    disc = disc_equilibria(parse_system("dx = x\ndy = y\n"))
+    assert set(disc.lines) == {"U1", "U2", "V1", "V2"}
+    assert not disc.equator
+    assert str(disc.lines["V2"]) == "the equator of chart V2 consists of equilibria"
 
 
 def _u2_origin_system(a: F, b: F, c: F) -> PlanarSystem:
