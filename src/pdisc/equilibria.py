@@ -209,7 +209,7 @@ def _eliminate(p: MPoly, q: MPoly, rx: MPoly) -> List[AlgebraicPoint]:
     each of these rules out finitely many t, so the bound below is never met."""
     if rx.is_constant:
         return []
-    ux = UPoly.from_mpoly(rx, "x")
+    ux = UPoly.from_mpoly(rx, "x").squarefree_part()
     xroots = isolate_real_roots(ux)
     out = [pt for rt in xroots if rt.exact is not None for pt in _fiber_exact_x(p, q, rt.exact)]
     pending = [rt for rt in xroots if rt.exact is None]
@@ -217,7 +217,7 @@ def _eliminate(p: MPoly, q: MPoly, rx: MPoly) -> List[AlgebraicPoint]:
         return out
     # every ordinate is a root of Res_x(P, Q), which lies in the ideal (P, Q)
     r = UPoly.from_mpoly(resultant_wrt(p, q, "x"), "y").squarefree_part()
-    x_elim = (ux.squarefree_part(), xroots)
+    x_elim = (ux, xroots)
     y_elim = (r, isolate_real_roots(r))
     dp, dq = int(p.degree), int(q.degree)
     for k in range(dp + dq + dp * dq * (dp * dq - 1) // 2 + 2):

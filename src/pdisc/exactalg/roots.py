@@ -1,21 +1,28 @@
 """Real-root isolation for univariate rational polynomials.
 
-Strategy: reduce to the square-free part, then Sturm-sequence bisection
-inside a window clipped to the Cauchy root bound.  Every rational root
-is recovered exactly.  Bisection midpoints that happen to hit a root
-deflate the polynomial.  For the rest, the rational root theorem: a
-rational root of the primitive integer multiple of s is k/L for an
-integer k, where L is its leading coefficient.  Each isolating interval
-is refined to width at most 1/(2L), so it holds at most one such point,
-and that one candidate is tested for an exact zero.  A miss proves the
-root irrational.
+Strategy: one Sturm chain and one bisection pass inside a window clipped
+to the Cauchy root bound.  The chain is the signed primitive remainder
+sequence of p and p' (`upoly.remainder_sequence`); its entries are
+positive multiples of the entries over Q, so they have the same sign
+variations.  Its last entry is gcd(p, p'): only when that is not
+constant is p replaced by its square-free part s = p / gcd(p, p') and
+the chain built again.  There is no deflation.  A bisection midpoint
+that is a root is recorded exactly and bisection goes on: with zero
+signs dropped, the number of sign variations V at a simple root equals V
+just right of it, so (lo, hi) holds V(lo) - V(hi) roots, less one when
+hi is a root, and an interval isolates a root only when neither endpoint
+is a root.  For the other roots, the rational root theorem: a rational
+root of s, as a primitive integer polynomial, is k/L for an integer k,
+where L is its leading coefficient.  Each isolating interval is refined
+to width at most 1/(2L), so it holds at most one such point, and that
+one candidate is tested for an exact zero.  A miss proves the root
+irrational.
 
-Everything runs on the primitive integer coefficients of `UPoly`: the
-Sturm chain is built by pseudo-division over Z, and refinement keeps
-both endpoints as integer numerators over one shared denominator,
-doubling all three at each halving and reading the sign at the
-unreduced midpoint by integer Horner.  The endpoints it returns are the
-ones halving over Fraction gives.
+Everything runs on integers: bisection and refinement keep both
+endpoints as integer numerators over one shared denominator, doubling
+all three at each halving and reading signs at the unreduced midpoint by
+integer Horner.  The endpoints returned are the ones halving over
+Fraction gives.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from pdisc.exactalg.upoly import UPoly
+from pdisc.exactalg.upoly import UPoly, remainder_sequence
 
 _Scalar = Union[int, Fraction]
 
@@ -67,81 +74,73 @@ def cauchy_bound(p: UPoly) -> Fraction:
 
 
 def sturm_chain(p: UPoly) -> List[UPoly]:
-    chain = [p, p.diff()]
-    while not chain[-1].is_zero:
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-    return chain
+    """p, p' and the negated remainders, each a primitive integer
+    polynomial and a positive multiple of the Sturm chain entry over Q."""
+    return remainder_sequence(p, p.diff())
 
 
-def sign_variations(chain: List[UPoly], t: Fraction) -> int:
-    signs = [s for s in (q.sign_at(t) for q in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def sign_variations(chain: List[UPoly], t: _Scalar) -> int:
+    t = Fraction(t)
+    return _variations(_signs(chain, t.numerator, t.denominator))
+
+
+def _signs(chain: List[UPoly], n: int, d: int) -> List[int]:
+    return [q.sign_at_ratio(n, d) for q in chain]
+
+
+def _variations(signs: List[int]) -> int:
+    nonzero = [s for s in signs if s]
+    return sum(a != b for a, b in zip(nonzero, nonzero[1:]))
 
 
 def isolate_real_roots(p: UPoly) -> List[RootInterval]:
     """Disjoint isolating intervals for every distinct real root."""
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    s = p.squarefree_part()
-    bound = cauchy_bound(s)  # every root lies strictly inside (-bound, bound)
-    exact_roots: List[Fraction] = []
-    # deflate-and-restart loop; each pass either finishes or removes one rational root
-    while True:
+    s, chain = p, sturm_chain(p)
+    if chain[-1].degree > 0:  # gcd(p, p') is not constant
+        s = p // chain[-1]
         chain = sturm_chain(s)
-        intervals: List[Tuple[Fraction, Fraction]] = []
-        v_lo, v_hi = sign_variations(chain, -bound), sign_variations(chain, bound)
-        hit = _bisect(s, chain, -bound, bound, v_lo, v_hi, intervals)
-        if hit is None:
-            break
-        exact_roots.append(hit)
-        s = s // UPoly((-hit, 1))
-
-    out: List[RootInterval] = []
-    for r in exact_roots:
-        out.append(RootInterval(lo=r, hi=r, exact=r))
-    for a, b in intervals:
-        out.append(_identify(s, a, b, exact_roots))
+    bound = cauchy_bound(s)  # every root lies strictly inside (-bound, bound)
+    n, d = bound.numerator, bound.denominator
+    v_lo, v_hi = _variations(_signs(chain, -n, d)), _variations(_signs(chain, n, d))
+    intervals: List[Tuple[Fraction, Fraction]] = []
+    exact: List[Fraction] = []
+    _bisect(chain, -n, n, d, (v_lo, False), (v_hi, False), intervals, exact)
+    out = [RootInterval(lo=r, hi=r, exact=r) for r in exact]
+    out += [_identify(s, lo, hi) for lo, hi in intervals]
     out.sort(key=lambda ri: (ri.lo, ri.hi))
     return out
 
 
 def _bisect(
-    s: UPoly,
-    chain: List[UPoly],
-    lo: Fraction,
-    hi: Fraction,
-    v_lo: int,
-    v_hi: int,
-    found: List[Tuple[Fraction, Fraction]],
-) -> Optional[Fraction]:
-    """Collect isolating intervals for roots in (lo, hi); return a midpoint
-    that turned out to be an exact root (caller deflates and restarts)."""
-    count = v_lo - v_hi
-    if count <= 0:
-        return None
-    if count == 1:
-        found.append((lo, hi))
-        return None
-    mid = (lo + hi) / 2
-    if s.sign_at(mid) == 0:
-        return mid
-    v_mid = sign_variations(chain, mid)
-    hit = _bisect(s, chain, lo, mid, v_lo, v_mid, found)
-    if hit is not None:
-        return hit
-    return _bisect(s, chain, mid, hi, v_mid, v_hi, found)
+    chain: List[UPoly], a: int, b: int, q: int, at_a: Tuple[int, bool], at_b: Tuple[int, bool],
+    found: List[Tuple[Fraction, Fraction]], exact: List[Fraction],
+) -> None:
+    """Collect the roots in the open interval (a/q, b/q): isolating
+    intervals in `found`, midpoints that are roots in `exact`.  at_a and
+    at_b hold each endpoint's sign variations and whether it is a root."""
+    (v_a, a_root), (v_b, b_root) = at_a, at_b
+    count = v_a - v_b - b_root
+    if count == 0:
+        return
+    if count == 1 and not (a_root or b_root):
+        found.append((Fraction(a, q), Fraction(b, q)))
+        return
+    mid, q = a + b, 2 * q
+    signs = _signs(chain, mid, q)
+    at_mid = (_variations(signs), not signs[0])
+    if not signs[0]:
+        exact.append(Fraction(mid, q))
+    _bisect(chain, 2 * a, mid, q, at_a, at_mid, found, exact)
+    _bisect(chain, mid, 2 * b, q, at_mid, at_b, found, exact)
 
 
-def _identify(s: UPoly, lo: Fraction, hi: Fraction, deflated: List[Fraction]) -> RootInterval:
-    """Refine an isolating interval of s until it holds at most one k/L
-    and none of the rational roots deflated from s, so it isolates the
-    root for the undeflated polynomial too; return the root exactly if
-    that candidate is it."""
+def _identify(s: UPoly, lo: Fraction, hi: Fraction) -> RootInterval:
+    """Refine an isolating interval of s until it holds at most one k/L;
+    return the root exactly if that candidate is it."""
     lead = abs(s.int_coeffs()[-1])
     lo, hi = _refine_interval(s, lo, hi, Fraction(1, 2 * lead))
-    while lo != hi and any(lo <= r <= hi for r in deflated):
-        lo, hi = _refine_interval(s, lo, hi, (hi - lo) / 2)
     if lo == hi:
         return RootInterval(lo=lo, hi=hi, exact=lo)
     candidate = Fraction(math.ceil(lo * lead), lead)

@@ -8,10 +8,12 @@ compares the pair.  Products multiply the integer tuples and the contents
 (a product of primitive polynomials is primitive, by Gauss's lemma).
 Euclidean division keeps its meaning over Q but runs as pseudo-division
 over Z, scaling by only as much of the divisor's leading coefficient as
-each step needs and tracking that factor exactly.  The gcd is a
-primitive pseudo-remainder sequence (Brown & Traub 1971).  Sturm chains
-and square-free parts built from these operations are the ones over
-Fraction, element for element.
+each step needs and tracking that factor exactly.  One signed primitive
+pseudo-remainder sequence (Brown & Traub 1971), `remainder_sequence`,
+gives the gcd, the square-free part and the Sturm chains of
+`exactalg.roots`: its entries are primitive integer polynomials, each a
+positive multiple of the matching entry of the sequence over Q, so no
+rational content is carried through it.
 """
 
 from __future__ import annotations
@@ -179,10 +181,9 @@ class UPoly:
     def gcd(self, other: "UPoly") -> "UPoly":
         """Monic greatest common divisor (1 for coprime, 0 only for gcd(0,0)),
         by a primitive pseudo-remainder sequence over the integers."""
-        a, b = self._p, other._p
-        while b:
-            a, b = b, (_normalize(_pseudo_divmod(a, b)[1], _ONE)[0] if len(a) >= len(b) else a)
-        return UPoly._make(a, _ONE).monic() if a else UPoly.zero()
+        a, b = (self, other) if len(self._p) >= len(other._p) else (other, self)
+        seq = remainder_sequence(a, b)
+        return seq[-1].monic() if seq else UPoly.zero()
 
     def squarefree_part(self) -> "UPoly":
         """self / gcd(self, self'), made monic; same real roots, all simple."""
@@ -258,6 +259,20 @@ def coprime_mod_p(f: UPoly, g: UPoly) -> bool:
                 a.pop()
         a, b = b, a
     return len(a) == 1
+
+
+def remainder_sequence(a: UPoly, b: UPoly) -> List[UPoly]:
+    """a, b and the negated remainders -(a mod b), ... down to gcd(a, b),
+    each as its primitive integer part, a positive multiple of the entry
+    over Q; deg a >= deg b.  Zero entries are left out."""
+    seq = [UPoly._make(p._p, _ONE) for p in (a, b) if p._p]
+    while len(seq) > 1:
+        r = _pseudo_divmod(seq[-2]._p, seq[-1]._p)[1]
+        if not r:
+            break
+        g = math.gcd(*r)
+        seq.append(UPoly._make(tuple(-v // g for v in r), _ONE))
+    return seq
 
 
 def linear_combination(terms: Iterable[Tuple[_Scalar, UPoly]]) -> UPoly:

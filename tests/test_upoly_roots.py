@@ -27,6 +27,7 @@ from pdisc.exactalg import (
     resultant_wrt,
     sylvester_resultant,
 )
+from pdisc.exactalg import roots as roots_module
 from pdisc.exactalg.roots import cauchy_bound, sign_variations, sturm_chain
 from pdisc.modelio import parse_system
 
@@ -74,6 +75,47 @@ def test_isolation_collapses_multiplicities():
     p = UPoly.from_roots([Fraction(1), Fraction(1), Fraction(-2)])
     isolated = isolate_real_roots(p)
     assert len(isolated) == 2
+
+
+def test_isolation_builds_one_chain_and_records_midpoint_roots(monkeypatch):
+    # 2t^4 - 3t^3 - 4t^2 + 6t = t (2t - 3) (t^2 - 2) has Cauchy bound 4:
+    # 0 is the first bisection midpoint and 3/2 the fourth, and each of
+    # +-sqrt(2) first shares an interval with a root at an endpoint
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return sturm_chain(p)
+
+    monkeypatch.setattr(roots_module, "sturm_chain", counted)
+    p = UPoly.from_roots([Fraction(0), Fraction(3, 2)]) * UPoly((-2, 0, 1))
+    for q, chains in ((p, 1), (p * p * UPoly((-3, 2)), 2)):
+        calls.clear()
+        isolated = isolate_real_roots(q)
+        assert len(calls) == chains
+        assert [ri.exact for ri in isolated] == [None, Fraction(0), None, Fraction(3, 2)]
+        for ri in isolated[0::2]:
+            assert p.sign_at(ri.lo) * p.sign_at(ri.hi) == -1
+            assert (ri.lo**2 - 2) * (ri.hi**2 - 2) < 0
+
+
+@given(
+    st.lists(st.integers(-12, 12), min_size=1, max_size=4, unique=True),
+    st.integers(0, 3),
+    st.sampled_from([2, 3, 5]),
+)
+def test_isolation_on_dyadic_roots_matches_constructed_roots(nums, shift, k):
+    # dyadic roots fall on bisection midpoints; +-sqrt(k) lie beside them
+    roots = sorted(Fraction(n, 2**shift) for n in nums)
+    p = UPoly.from_roots(roots) * UPoly((-k, 0, 1))
+    isolated = isolate_real_roots(p)
+    assert [ri.exact for ri in isolated if ri.is_exact] == roots
+    inexact = [ri for ri in isolated if not ri.is_exact]
+    assert len(inexact) == 2
+    for ri in inexact:
+        assert p.sign_at(ri.lo) * p.sign_at(ri.hi) == -1
+        assert (ri.lo**2 - k) * (ri.hi**2 - k) < 0
+    assert all(a.hi < b.lo for a, b in zip(isolated, isolated[1:]))
 
 
 def test_refine_sqrt_two():
