@@ -607,10 +607,6 @@ def _eig_directions(m: Marker) -> List[Tuple[float, Tuple[float, float]]]:
     return out
 
 
-def _local_to_disc(chart: str, side: int, u: float, v: float) -> Tuple[float, float]:
-    return _disc_from_chart(chart, u, v, 1 if v > 0 else (-1 if v < 0 else side))
-
-
 def _in_quadrant(chart: str, side: int, u: float, v: float) -> bool:
     tol = 1e-12
     if chart == "U3":
@@ -625,7 +621,8 @@ def separatrix_seeds(
 ) -> List[SeedSpec]:
     """Seeds tracing the saddle and saddle-node separatrices of markers:
     offsets of EPS_SEPARATRIX along the relevant eigendirections, integrated
-    away from the stable side and into the unstable one."""
+    away from the stable side and into the unstable one.  An equator
+    marker is seeded only on its own side of the equator (v * side > 0)."""
     seeds: List[SeedSpec] = []
     for m in markers:
         # (unit direction, offset sign, integration direction) in seed-id order
@@ -651,12 +648,12 @@ def separatrix_seeds(
         for vec, s, direction in offsets:
             u = m.local[0] + s * EPS_SEPARATRIX * vec[0]
             v = m.local[1] + s * EPS_SEPARATRIX * vec[1]
-            if m.chart != "U3" and abs(v) < 1e-15:
-                continue  # equator direction: lies on the disc rim
+            if m.chart != "U3" and v * m.side < 1e-15:
+                continue  # on the rim, or on the antipodal half, which its own marker seeds
             if positive_quadrant_only and not _in_quadrant(m.chart, m.side, u, v):
                 continue
             seeds.append(
-                SeedSpec(f"sep:{m.marker_id}:{k}", _local_to_disc(m.chart, m.side, u, v), direction, "separatrix")
+                SeedSpec(f"sep:{m.marker_id}:{k}", _disc_from_chart(m.chart, u, v, m.side), direction, "separatrix")
             )
             k += 1
     return seeds

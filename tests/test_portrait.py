@@ -580,6 +580,28 @@ def test_separatrix_seeds_respect_quadrant_filter(leslie_doc):
         assert s.disc[0] >= -1e-6 and s.disc[1] >= -1e-6
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        "params: A=1, B=1, C=1/2\ndx = x*(C+x)*(1-x-A*y)\ndy = B*y*(C+x-y)\n",
+        # even degree: an other-side seed would run in the wrong time direction
+        "dx = x*(x - y)\ndy = y*(x + y - 1)\n",
+    ],
+)
+def test_equator_markers_seed_only_their_own_side(source):
+    markers = {m.marker_id: m for m in disc_markers(disc_equilibria(parse_system(source), False))}
+    seeds = separatrix_seeds(list(markers.values()))
+    assert len({s.disc for s in seeds}) == len(seeds)
+    sides = []
+    for s in seeds:
+        m = markers[s.seed_id[len("sep:"):].rsplit(":", 1)[0]]
+        if m.chart != "U3":
+            along = s.disc[0] if m.chart == "U1" else s.disc[1]
+            assert along * m.side > 0, s
+            sides.append(m.side)
+    assert sorted(set(sides)) == [-1, 1]
+
+
 def test_full_disc_portrait_compiles_each_polynomial_once(monkeypatch):
     # one Flow per portrait: the U3, U1 and U2 components, however many
     # orbits are drawn
