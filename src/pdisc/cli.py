@@ -23,6 +23,7 @@ from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaErr
 from pdisc.integrability import MAX_CURVE_DEGREE, SearchBounds, run_pipeline, verdict_fragment
 from pdisc.darboux import darboux_fragment
 from pdisc.modelio import (
+    DEFAULT_SEED,
     LeslieGowerParams,
     ParamBindings,
     PlanarSystem,
@@ -178,7 +179,7 @@ def darboux_report(
     bounds: SearchBounds,
     dump_extactic: bool = False,
     sample: int = 0,
-    seed: Optional[int] = None,
+    seed: int = DEFAULT_SEED,
 ) -> Dict[str, object]:
     """Curves, factors, and verdict; optionally a seeded parameter sweep."""
     pipe = run_pipeline(sys, bounds)
@@ -245,7 +246,6 @@ def _cmd_portrait(args: argparse.Namespace) -> int:
         positive_quadrant_only=args.quadrant,
         grid=args.grid,
         tmax=args.tmax,
-        tol=args.tol,
     )
     svg_bytes, json_bytes = render_portrait(doc)
     if args.svg is not None:
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run the verdict at N seeded (A,B,C) triples",
     )
     p_darboux.add_argument(
-        "--seed", type=int, default=None, help="seed for --sample (default: PDISC_SEED)"
+        "--seed", type=int, default=DEFAULT_SEED, help=f"seed for --sample (default: {DEFAULT_SEED})"
     )
     p_darboux.set_defaults(func=_cmd_darboux)
 
@@ -351,9 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_portrait.add_argument("--grid", type=int, default=8, help="seed grid resolution")
     p_portrait.add_argument(
         "--tmax", type=float, default=200.0, help="integration time horizon"
-    )
-    p_portrait.add_argument(
-        "--tol", type=float, default=1e-9, help="relative step tolerance"
     )
     p_portrait.set_defaults(func=_cmd_portrait)
 

@@ -4,7 +4,7 @@ A source file is UTF-8 text: '#' starts a comment, an optional
 "params:" line binds names to rationals, and exactly one "dx = EXPR"
 and one "dy = EXPR" line give the right-hand sides.  Expressions are
 polynomial (the only division allowed is inside a rational literal such
-as 1/2).  A single-line source may separate logical lines with " / ".
+as 1/2).
 
 Variable names other than x and y are accepted ("du = ...", "dv = ...")
 and normalized to x, y in declaration order.
@@ -12,7 +12,6 @@ and normalized to x, y in declaration order.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -315,9 +314,6 @@ def parse_system(
     overrides take precedence over the file's own parameter bindings.
     Raises ParseError with a line/column position for malformed input.
     """
-    if "\n" not in source and " / " in source:
-        source = source.replace(" / ", "\n")
-
     params: Dict[str, Fraction] = {}
     equations: List[Tuple[str, List[_Token], int]] = []
 
@@ -466,16 +462,10 @@ def leslie_source(b: ParamBindings) -> str:
 
 
 def seeded_parameter_triples(
-    seed: Optional[int] = None, count: int = 5
+    seed: int = DEFAULT_SEED, count: int = 5
 ) -> List[Tuple[Fraction, Fraction, Fraction]]:
-    """Deterministic sample of positive rational (A, B, C) triples.
-
-    The seed defaults to the PDISC_SEED environment variable, falling
-    back to a fixed constant, so repeated runs test the same sample.
-    """
-    if seed is None:
-        env = os.environ.get("PDISC_SEED")
-        seed = int(env) if env else DEFAULT_SEED
+    """Deterministic sample of positive rational (A, B, C) triples; the
+    default seed is a fixed constant, so repeated runs test one sample."""
     rng = random.Random(seed)
     out: List[Tuple[Fraction, Fraction, Fraction]] = []
     while len(out) < count:

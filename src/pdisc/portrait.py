@@ -373,7 +373,6 @@ def integrate_orbit(
     seed: Tuple[float, float],
     direction: str = "forward",
     tmax: float = TMAX_DEFAULT,
-    tol: float = RTOL_DEFAULT,
     seed_id: str = "seed",
     role: str = "generic",
 ) -> Trajectory:
@@ -405,7 +404,7 @@ def integrate_orbit(
             pts = [p] if end == p else [p, end]
             return Trajectory(seed_id, role, direction, pts, reason, None if m is None else m.marker_id)
 
-    sqrt, hypot, atol = math.sqrt, math.hypot, ATOL_DEFAULT
+    sqrt, hypot, atol, tol = math.sqrt, math.hypot, ATOL_DEFAULT, RTOL_DEFAULT
     even, fields, gates, capture = flow.even_degree, flow.fields, flow.gates, flow.capture
     chart, x, y, side, orient = "U3", x0, y0, 1, 1.0
     if abs(x) + abs(y) > CHART_OUT:
@@ -724,7 +723,6 @@ def build_portrait(
     positive_quadrant_only: bool = True,
     grid: int = 8,
     tmax: float = TMAX_DEFAULT,
-    tol: float = RTOL_DEFAULT,
 ) -> PortraitDoc:
     """Assemble markers, seeds, and trajectories for one system.
 
@@ -747,9 +745,7 @@ def build_portrait(
     seeds.extend(separatrix_seeds(markers, positive_quadrant_only))
 
     trajectories = [
-        integrate_orbit(
-            flow, seed.disc, seed.direction, tmax=tmax, tol=tol, seed_id=seed.seed_id, role=seed.role
-        )
+        integrate_orbit(flow, seed.disc, seed.direction, tmax=tmax, seed_id=seed.seed_id, role=seed.role)
         for seed in seeds
     ]
     trajectories.sort(key=lambda tr: tr.seed_id)

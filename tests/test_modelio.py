@@ -161,8 +161,7 @@ def test_leslie_source_reparses_to_same_system():
     assert (sys.Q - reference.Q).is_zero
 
 
-def test_seeded_triples_deterministic(monkeypatch):
-    monkeypatch.delenv("PDISC_SEED", raising=False)
+def test_seeded_triples_deterministic():
     first = seeded_parameter_triples(count=5)
     second = seeded_parameter_triples(count=5)
     assert first == second
@@ -171,13 +170,6 @@ def test_seeded_triples_deterministic(monkeypatch):
     for a, b, c in first:
         assert a > 0 and b > 0 and c > 0
         assert a * c != 1
-
-
-def test_seeded_triples_env_override(monkeypatch):
-    monkeypatch.setenv("PDISC_SEED", "123")
-    via_env = seeded_parameter_triples(count=3)
-    assert via_env == seeded_parameter_triples(seed=123, count=3)
-    assert via_env != seeded_parameter_triples(seed=124, count=3)
 
 
 @given(st.integers(min_value=1, max_value=10_000))
