@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from pdisc.darboux import find_exponential_factors, find_invariant_lines
+from pdisc.compactify import to_chart
+from pdisc.darboux import extactic, find_exponential_factors, find_invariant_lines
 from pdisc.errors import InputError
 from pdisc.exactalg import MPoly
 from pdisc.integrability import (
@@ -83,6 +84,25 @@ def test_multiple_line_takes_its_multiplicity_from_e1(order):
     assert pipe.verdict.darboux_function == "exp(y)^(1) * exp((1)/(x))^(1)"
     # oracle: X(y + 1/x) = P * (-1/x^2) + Q = 0, cleared of x^2
     assert (sys.Q * x * x - sys.P).is_zero
+
+
+def test_linear_center_verdict_depends_on_the_exponential_bound():
+    # the line at infinity is simple here (v divides the order-1 extactic
+    # of U1 and U2 once), yet exp(x^2 + y^2), of cofactor 0, is an
+    # exponential factor: its multiplicity does not bound exp(g) factors
+    sys = parse_system("dx = y\ndy = -x\n")
+    v = MPoly.var_y()
+    for chart in ("U1", "U2"):
+        e = extactic(to_chart(sys, chart).system, 1, []).E
+        assert e.exact_div(v) is not None and e.exact_div(v * v) is None
+    pipe = run_pipeline(sys, SearchBounds(max_exp_degree=2))
+    assert pipe.verdict.verdict == FIRST_INTEGRAL
+    assert pipe.verdict.darboux_function == "exp(y^2 + x^2)^(1)"
+    assert _certificate_combination(sys, pipe).is_zero
+    pipe = run_pipeline(sys, SearchBounds(max_exp_degree=1))
+    assert pipe.verdict.verdict == INTEGRATING_FACTOR
+    assert pipe.verdict.darboux_function == "1"
+    assert (_certificate_combination(sys, pipe) + sys.divergence()).is_zero
 
 
 def test_integrating_factor_resonant_node():
