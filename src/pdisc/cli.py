@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run the verdict at N seeded (A,B,C) triples",
     )
     p_darboux.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help=f"seed for --sample (default: {DEFAULT_SEED})"
+        "--seed", type=int, default=DEFAULT_SEED, help="seed for --sample (default: %(default)s)"
     )
     p_darboux.set_defaults(func=_cmd_darboux)
 

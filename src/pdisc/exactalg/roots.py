@@ -122,7 +122,7 @@ def _bisect(
     at_b hold each endpoint's sign variations and whether it is a root."""
     (v_a, a_root), (v_b, b_root) = at_a, at_b
     count = v_a - v_b - b_root
-    if count == 0:
+    if count <= 0:
         return
     if count == 1 and not (a_root or b_root):
         found.append((Fraction(a, q), Fraction(b, q)))
