@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError
-from pdisc.exactalg import NEG_INF, AlgebraicCoord, AlgebraicPoint, MPoly, Rur, UPoly, isolate_real_roots
+from pdisc.exactalg import NEG_INF, AlgebraicCoord, AlgebraicPoint, MPoly, Rur, UPoly, squarefree_roots
 from pdisc.equilibria import (
     EquilibriumRecord,
     classify_point,
@@ -159,13 +159,13 @@ def _axis_equilibria(
         raise LineOfEquilibriaError(line_message)
     if flow.is_constant:
         return []
-    poly = UPoly.from_mpoly(flow, along).squarefree_part()
+    poly, roots = squarefree_roots(UPoly.from_mpoly(flow, along))
     origin = AlgebraicCoord.of(0)
     u, zero, one = UPoly.variable(), UPoly.const(0), UPoly.const(1)
     # the irrational points share one representation: u = the coordinate
     rur = Rur(poly, u, zero, one) if along == "x" else Rur(poly, zero, u, one)
     out: List[EquilibriumRecord] = []
-    for rt in isolate_real_roots(poly):
+    for rt in roots:
         coord = AlgebraicCoord.from_root(poly, rt)
         if nonnegative and coord.sign() < 0:
             continue

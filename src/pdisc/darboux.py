@@ -16,7 +16,8 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from pdisc.errors import InternalInvariantError
-from pdisc.exactalg import MPoly, UPoly, isolate_real_roots, minor_det, nullspace, resultant_wrt
+from pdisc.exactalg import MPoly, UPoly, isolate_real_roots, nullspace, resultant_wrt
+from pdisc.exactalg.mpoly import _sum_of_products
 # not called here: bench/test_bench.py checks that its tracer rebinds
 # this alias of `ffdet`
 from pdisc.exactalg import ffdet  # noqa: F401
@@ -341,26 +342,44 @@ def _monomial_basis(m: int) -> Tuple[MPoly, ...]:
 
 
 def extactic(sys: PlanarSystem, m: int, curves: Sequence[InvariantCurve]) -> ExtacticResult:
-    """Order-m extactic curve E_m and the multiplicity inside it of each
-    given invariant curve of degree <= m.
+    """Order-m extactic curve E_m, m <= 2, and the multiplicity inside it
+    of each given invariant curve of degree <= m (which must divide a
+    nonzero E_m, or an internal error is raised).
 
-    The matrix rows are X^0, X^1, ..., X^(l-1) applied to the monomial
-    basis of degree <= m, with l = (m+1)(m+2)/2.  The order is capped at
-    2 (determinant size and coefficient growth escalate quickly).  Any
-    verified invariant curve of degree <= m must divide a nonvanishing
-    E_m; a violation is reported as an internal error.
+    E_m is the Wronskian along the flow of the monomials of degree <= m,
+    the determinant of X^0..X^(l-1) applied to them, read from a closed
+    form.  P = 0 zeroes the column of x, so E_m = 0; else
+    E_1 = P X(Q) - Q X(P).  On an orbit y(x), dx/dt = P, y^(k) = N_k /
+    P^(2k-1) with N_1 = Q, N_(k+1) = P X(N_k) - (2k-1) X(P) N_k, so
+    N_2 = E_1.  In x the Wronskian of (1, x, y, x^2, xy, y^2) is P^-15
+    E_2; expanded along the columns of 1, x and x^2 (one nonzero entry
+    each, 1, 1 and 2, the last with sign -1) it is -2 times the 3 x 3 on
+    (y, xy, y^2) of rows 3..5, which is 2 y'' times Monge's equation of
+    conics 9 y''^2 y^(5) - 45 y'' y^(3) y^(4) + 40 y^(3)^3.  Hence
+    E_2 = -4 E_1 M / P^3 with M = 9 N_2^2 N_5 - 45 N_2 N_3 N_4 + 40 N_3^3;
+    a remainder of M / P^3 is an internal error.
     """
     if m < 1:
         raise ValueError("extactic order must be at least 1")
     if m > 2:
         raise ValueError("extactic order capped at 2")
     basis = _monomial_basis(m)
-    l = len(basis)
-    rows: List[List[MPoly]] = [list(basis)]
-    for _ in range(l - 1):
-        rows.append([sys.lie_derivative(p) for p in rows[-1]])
-    # X^k(1) = 0 for k >= 1: column 0 is (1, 0, ..., 0), so E_m is its minor
-    e = minor_det([row[1:] for row in rows[1:]])
+    p = sys.P
+    if p.is_zero:
+        e = MPoly.zero()
+    else:
+        xp = sys.lie_derivative(p)
+        n = [sys.Q]
+        for k in range(1, 3 * m - 1):
+            n.append(_sum_of_products(((1, p, sys.lie_derivative(n[-1])), (1 - 2 * k, xp, n[-1]))))
+        e = n[1]
+        if m == 2:
+            _, n2, n3, n4, n5 = n
+            a = _sum_of_products(((9, n2, n5), (-45, n3, n4)))
+            quotient = _sum_of_products(((1, n2, a), (40, n3, n3 * n3))).exact_div(p * p * p)
+            if quotient is None:
+                raise InternalInvariantError("Monge's polynomial of E_2 leaves a remainder on division by P^3")
+            e = n2 * quotient * -4
 
     mult: Dict[str, int] = {}
     vanishes = e.is_zero

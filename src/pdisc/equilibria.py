@@ -44,6 +44,7 @@ from pdisc.exactalg import (
     UPoly,
     isolate_real_roots,
     resultant_wrt,
+    squarefree_roots,
 )
 from pdisc.exactalg.algebraic import Enclosure, holds_root
 from pdisc.exactalg.matrix import subresultant
@@ -209,16 +210,14 @@ def _eliminate(p: MPoly, q: MPoly, rx: MPoly) -> List[AlgebraicPoint]:
     each of these rules out finitely many t, so the bound below is never met."""
     if rx.is_constant:
         return []
-    ux = UPoly.from_mpoly(rx, "x").squarefree_part()
-    xroots = isolate_real_roots(ux)
+    ux, xroots = squarefree_roots(UPoly.from_mpoly(rx, "x"))
     out = [pt for rt in xroots if rt.exact is not None for pt in _fiber_exact_x(p, q, rt.exact)]
     pending = [rt for rt in xroots if rt.exact is None]
     if not pending:
         return out
     # every ordinate is a root of Res_x(P, Q), which lies in the ideal (P, Q)
-    r = UPoly.from_mpoly(resultant_wrt(p, q, "x"), "y").squarefree_part()
     x_elim = (ux, xroots)
-    y_elim = (r, isolate_real_roots(r))
+    y_elim = squarefree_roots(UPoly.from_mpoly(resultant_wrt(p, q, "x"), "y"))
     dp, dq = int(p.degree), int(q.degree)
     for k in range(dp + dq + dp * dq * (dp * dq - 1) // 2 + 2):
         t = (k + 1) // 2 * (-1) ** (k + 1)
@@ -238,12 +237,9 @@ def _fiber_exact_x(p: MPoly, q: MPoly, x0: Fraction) -> List[AlgebraicPoint]:
     if g.degree < 1:
         return []
     xc = AlgebraicCoord.of(x0)
-    g = g.squarefree_part()
+    g, roots = squarefree_roots(g)
     rur = Rur(g, UPoly.const(x0), UPoly.variable(), UPoly.const(1))
-    return [
-        AlgebraicPoint(xc, AlgebraicCoord.from_root(g, rt), (rur, rt))
-        for rt in isolate_real_roots(g)
-    ]
+    return [AlgebraicPoint(xc, AlgebraicCoord.from_root(g, rt), (rur, rt)) for rt in roots]
 
 
 _Eliminant = Tuple[UPoly, List[RootInterval]]
@@ -277,8 +273,7 @@ def _lift(
     if t:
         shear = (MPoly.var_x() - MPoly.const(t) * MPoly.var_y(), MPoly.var_y())
         p, q = p.subst(*shear), q.subst(*shear)
-        base = UPoly.from_mpoly(resultant_wrt(p, q, "y"), "x").squarefree_part()
-        roots = isolate_real_roots(base)
+        base, roots = squarefree_roots(UPoly.from_mpoly(resultant_wrt(p, q, "y"), "x"))
     # the memos live for this call only
     sres = lru_cache(None)(lambda j: subresultant(p, q, "y", j))
     common = lru_cache(None)(lambda c: base.gcd(UPoly.from_mpoly(c, "x")))

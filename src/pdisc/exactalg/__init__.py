@@ -11,9 +11,9 @@ run on Python `int`.
 """
 
 from pdisc.exactalg.algebraic import AlgebraicCoord, AlgebraicPoint, Rur
-from pdisc.exactalg.matrix import ffdet, minor_det, nullspace, resultant_wrt, solve_linear, sylvester_resultant
+from pdisc.exactalg.matrix import ffdet, nullspace, resultant_wrt, solve_linear, sylvester_resultant
 from pdisc.exactalg.mpoly import NEG_INF, MPoly
-from pdisc.exactalg.roots import RootInterval, isolate_real_roots, refine_root
+from pdisc.exactalg.roots import RootInterval, isolate_real_roots, refine_root, squarefree_roots
 from pdisc.exactalg.upoly import UPoly
 
 __all__ = [
@@ -26,10 +26,10 @@ __all__ = [
     "UPoly",
     "ffdet",
     "isolate_real_roots",
-    "minor_det",
     "nullspace",
     "refine_root",
     "resultant_wrt",
     "solve_linear",
+    "squarefree_roots",
     "sylvester_resultant",
 ]

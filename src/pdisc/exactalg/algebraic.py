@@ -76,7 +76,7 @@ class AlgebraicCoord:
     @staticmethod
     def from_root(poly: UPoly, root: RootInterval) -> "AlgebraicCoord":
         """The root isolated by `root` of `poly`, which must be square-free
-        (as `squarefree_part` returns it): it is stored as given."""
+        (as `squarefree_roots` returns it): it is stored as given."""
         if root.exact is not None:
             return AlgebraicCoord(exact=root.exact)
         return AlgebraicCoord(poly=poly, root=root)

@@ -54,47 +54,6 @@ def ffdet(rows: Sequence[Sequence[MPoly]]) -> MPoly:
     return _from_ints(a[n - 1][n - 1], Fraction(sign, scale))
 
 
-# the largest matrix `minor_det` takes: its minor count doubles per row
-MINOR_DET_MAX_ROWS = 5
-
-
-def minor_det(rows: Sequence[Sequence[MPoly]]) -> MPoly:
-    """Determinant of a small square MPoly matrix by expansion over shared minors.
-
-    Row k is expanded against every minor of rows 0..k-1, keyed by its
-    column set, so each minor is built once: n * 2^(n-1) products of a
-    minor by one entry, and no division (Gentleman & Johnson 1976, ACM
-    TOMS 2(3)).  Rows are scaled to integers as in `ffdet`.  The minor
-    count grows as 2^n, so matrices above MINOR_DET_MAX_ROWS rows are
-    refused; larger ones, such as Sylvester matrices, go to `ffdet`.
-    """
-    n = len(rows)
-    if n > MINOR_DET_MAX_ROWS:
-        raise ValueError(f"minor_det takes at most {MINOR_DET_MAX_ROWS} rows, got {n}")
-    a, scale = _integer_rows(rows)
-    if n == 0:
-        return MPoly.one()
-    # nonzero minors of the rows expanded so far, keyed by column bitmask
-    minors = {1 << j: p for j, p in enumerate(a[0]) if p}
-    for k in range(1, n):
-        # in columns mask | 1 << j, entry (k, j) has cofactor sign (-1)^(k + t),
-        # t the number of columns of mask left of j
-        signed = [(p, _scaled(p, -1)) if k % 2 == 0 else (_scaled(p, -1), p) for p in a[k]]
-        acc: dict = {}
-        for mask, minor in minors.items():
-            for j, (even, odd) in enumerate(signed):
-                if mask >> j & 1 or not even:
-                    continue
-                t = bin(mask & ((1 << j) - 1)).count("1")
-                _mul_add(acc.setdefault(mask | 1 << j, {}), odd if t & 1 else even, minor)
-        minors = {}
-        for mask, terms in acc.items():
-            terms = {e: c for e, c in terms.items() if c}
-            if terms:
-                minors[mask] = terms
-    return _from_ints(minors.get((1 << n) - 1, {}), Fraction(1, scale))
-
-
 def _integer_rows(rows: Sequence[Sequence[MPoly]]) -> Tuple[List[List[dict]], int]:
     """The entries' primitive integer parts, each row scaled by the lcm of
     its entries' content denominators, and the product of those lcms."""

@@ -6,7 +6,9 @@ sequence of p and p' (`upoly.remainder_sequence`); its entries are
 positive multiples of the entries over Q, so they have the same sign
 variations.  Its last entry is gcd(p, p'): only when that is not
 constant is p replaced by its square-free part s = p / gcd(p, p') and
-the chain built again.  There is no deflation.  A bisection midpoint
+the chain built again.  `squarefree_roots` returns that square-free part
+with the roots, so a caller that needs both runs the remainder sequence
+of a square-free p once.  There is no deflation.  A bisection midpoint
 that is a root is recorded exactly and bisection goes on: with zero
 signs dropped, the number of sign variations V at a simple root equals V
 just right of it, so (lo, hi) holds V(lo) - V(hi) roots, less one when
@@ -95,6 +97,13 @@ def _variations(signs: List[int]) -> int:
 
 def isolate_real_roots(p: UPoly) -> List[RootInterval]:
     """Disjoint isolating intervals for every distinct real root."""
+    return squarefree_roots(p)[1]
+
+
+def squarefree_roots(p: UPoly) -> Tuple[UPoly, List[RootInterval]]:
+    """p / gcd(p, p'), made monic, and disjoint isolating intervals for
+    its real roots; when p is square-free, one remainder sequence yields
+    both."""
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     s, chain = p, sturm_chain(p)
@@ -110,7 +119,7 @@ def isolate_real_roots(p: UPoly) -> List[RootInterval]:
     out = [RootInterval(lo=r, hi=r, exact=r) for r in exact]
     out += [_identify(s, lo, hi) for lo, hi in intervals]
     out.sort(key=lambda ri: (ri.lo, ri.hi))
-    return out
+    return s.monic(), out
 
 
 def _bisect(

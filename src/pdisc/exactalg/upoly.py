@@ -10,8 +10,8 @@ Euclidean division keeps its meaning over Q but runs as pseudo-division
 over Z, scaling by only as much of the divisor's leading coefficient as
 each step needs and tracking that factor exactly.  One signed primitive
 pseudo-remainder sequence (Brown & Traub 1971), `remainder_sequence`,
-gives the gcd, the square-free part and the Sturm chains of
-`exactalg.roots`: its entries are primitive integer polynomials, each a
+gives the gcd and the Sturm chains of `exactalg.roots`, whose last
+entry also yields the square-free part: its entries are primitive integer polynomials, each a
 positive multiple of the matching entry of the sequence over Q, so no
 rational content is carried through it.
 """
@@ -184,18 +184,6 @@ class UPoly:
         a, b = (self, other) if len(self._p) >= len(other._p) else (other, self)
         seq = remainder_sequence(a, b)
         return seq[-1].monic() if seq else UPoly.zero()
-
-    def squarefree_part(self) -> "UPoly":
-        """self / gcd(self, self'), made monic; same real roots, all simple."""
-        if self.is_zero:
-            return self
-        if self.degree == 0:
-            return UPoly.const(1)
-        g = self.gcd(self.diff())
-        q, r = self.divmod(g)
-        if not r.is_zero:  # gcd divides exactly by construction
-            raise ArithmeticError("square-free reduction failed")
-        return q.monic()
 
     def eval(self, t: _Scalar) -> Fraction:
         if not self._p:

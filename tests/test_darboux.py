@@ -1,8 +1,9 @@
 """Invariant curves, extactic polynomials, exponential factors.
 
 Oracles: cofactors are rebuilt from closed-form products and compared
-exactly; the extactic determinant is recomputed by Laplace expansion of
-a hand-assembled Lie-derivative matrix; multiplicities are certified by
+exactly; the extactic curve is recomputed by Laplace expansion of a
+hand-assembled Lie-derivative matrix, and by `ffdet` of its minor on
+drawn and named systems; multiplicities are certified by
 repeated exact division.
 """
 
@@ -10,6 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import List, Sequence
+
+import pytest
+from hypothesis import assume, given, strategies as st
 
 from pdisc.darboux import (
     attach_multiplicities,
@@ -19,7 +23,8 @@ from pdisc.darboux import (
     find_invariant_lines,
     verify_invariant_curve,
 )
-from pdisc.exactalg import MPoly
+from pdisc.errors import InternalInvariantError
+from pdisc.exactalg import MPoly, ffdet
 from pdisc.modelio import PlanarSystem, leslie_system, parse_system
 
 F = Fraction
@@ -144,6 +149,77 @@ def test_extactic_vanishing_degenerate_case():
     ext = extactic(radial, 1, lines)
     assert ext.vanishes
     assert ext.E.is_zero
+
+
+def _extactic_minor_det(sys: PlanarSystem, m: int) -> MPoly:
+    # rows X^1..X^l of the monomial basis of degree <= m without the
+    # constant; the constant column (1, 0, ..., 0) is expanded away
+    basis = [X, Y] if m == 1 else [X, Y, X * X, X * Y, Y * Y]
+    rows = [[sys.lie_derivative(g) for g in basis]]
+    for _ in range(len(basis) - 1):
+        rows.append([sys.lie_derivative(g) for g in rows[-1]])
+    return ffdet(rows)
+
+
+@st.composite
+def _systems(draw) -> PlanarSystem:
+    """Degree 1-4 systems; some P and Q share a factor, some P has a
+    squared factor."""
+
+    def poly(deg: int) -> MPoly:
+        terms = draw(st.dictionaries(
+            st.tuples(st.integers(0, deg), st.integers(0, deg)).filter(lambda e: sum(e) <= deg),
+            st.fractions(min_value=-4, max_value=4, max_denominator=3),
+            max_size=4,
+        ))
+        return MPoly(terms)
+
+    shape = draw(st.sampled_from(["plain", "shared-factor", "squared-factor-of-P"]))
+    d = draw(st.integers(1, 4))
+    if shape == "plain":
+        p, q = poly(d), poly(d)
+    elif shape == "shared-factor":
+        f = poly(1)
+        p, q = f * poly(d - 1), f * poly(d - 1)
+    else:
+        f = poly(1)
+        p, q = f * f * poly(max(d - 2, 0)), poly(d)
+    assume(not (p.is_zero and q.is_zero))
+    return PlanarSystem(p, q)
+
+
+@given(_systems())
+def test_extactic_matches_the_minor_determinant(sys):
+    for m in (1, 2):
+        assert extactic(sys, m, []).E == _extactic_minor_det(sys, m)
+
+
+@pytest.mark.parametrize(
+    "source, vanishes",
+    [
+        ("dx = 0\ndy = y\n", (True, True)),  # P = 0
+        ("dx = y\ndy = 0\n", (True, True)),  # Q = 0
+        ("dx = x\ndy = y\n", (True, True)),  # E_1 = 0: a pencil of lines
+        ("dx = x^2\ndy = 1\n", (False, True)),  # E_2 = 0: the conics xy - cx + 1
+        ("dx = 1\ndy = x^3\n", (False, False)),  # P constant
+        ("dx = x^5 - 3*x^2*y^2 + y^3 - 2*x + 1\ndy = y^5 - x*y^3 + 2*x^2 - y - 3\n", (False, False)),
+    ],
+    ids=["P-zero", "Q-zero", "E1-zero", "E2-zero", "P-constant", "quintic"],
+)
+def test_extactic_matches_the_minor_determinant_on_named_systems(source, vanishes):
+    sys = parse_system(source)
+    for m, zero in zip((1, 2), vanishes):
+        e = extactic(sys, m, []).E
+        assert e == _extactic_minor_det(sys, m)
+        assert e.is_zero == zero
+
+
+def test_extactic_reports_an_inexact_division_by_p_cubed(monkeypatch):
+    sys = leslie_system(F(1), F(1), F(1, 2))
+    monkeypatch.setattr(MPoly, "exact_div", lambda self, divisor: None)
+    assert not extactic(sys, 1, []).vanishes
+    with pytest.raises(InternalInvariantError):
+        extactic(sys, 2, [])
 
 
 def test_exponential_factor_leslie():

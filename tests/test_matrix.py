@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pdisc.exactalg.matrix as matrix
-from pdisc.exactalg import MPoly, ffdet, minor_det, nullspace, solve_linear
+from pdisc.exactalg import MPoly, ffdet, nullspace, solve_linear
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -88,40 +88,6 @@ def test_ffdet_bivariate_3x3_matches_cofactor_expansion(m):
 @given(poly_matrices(4))
 def test_ffdet_bivariate_4x4_matches_cofactor_expansion(m):
     assert ffdet(m) == _cofactor_det(m)
-
-
-@st.composite
-def shaped_poly_matrices(draw) -> List[List[MPoly]]:
-    """n x n, n = 1..5, of `poly_entries`; some with a zero row, a zero
-    column or a repeated row."""
-    n = draw(st.integers(min_value=1, max_value=5))
-    m = draw(poly_matrices(n))
-    shape = draw(st.sampled_from(["plain", "zero-row", "zero-column", "repeated-row"]))
-    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-    if shape == "zero-row":
-        m[i] = [MPoly.zero()] * n
-    elif shape == "zero-column":
-        for row in m:
-            row[j] = MPoly.zero()
-    elif shape == "repeated-row" and i != j:
-        m[i] = list(m[j])
-    return m
-
-
-@given(shaped_poly_matrices())
-def test_minor_det_matches_ffdet_and_cofactor_expansion(m):
-    det = minor_det(m)
-    assert det == ffdet(m)
-    assert det == _cofactor_det(m)
-
-
-def test_minor_det_refuses_large_or_non_square_matrices():
-    one = MPoly.one()
-    assert minor_det([]) == one
-    with pytest.raises(ValueError):
-        minor_det([[one] * 6 for _ in range(6)])
-    with pytest.raises(ValueError):
-        minor_det([[one, one], [one]])
 
 
 def test_ffdet_zero_pivots_swap_rows():

@@ -25,9 +25,11 @@ from pdisc.exactalg import (
     isolate_real_roots,
     refine_root,
     resultant_wrt,
+    squarefree_roots,
     sylvester_resultant,
 )
 from pdisc.exactalg import roots as roots_module
+from pdisc.exactalg import upoly as upoly_module
 from pdisc.exactalg.roots import cauchy_bound, sign_variations, sturm_chain
 from pdisc.modelio import parse_system
 
@@ -97,6 +99,51 @@ def test_isolation_builds_one_chain_and_records_midpoint_roots(monkeypatch):
         for ri in isolated[0::2]:
             assert p.sign_at(ri.lo) * p.sign_at(ri.hi) == -1
             assert (ri.lo**2 - 2) * (ri.hi**2 - 2) < 0
+
+
+def _count_remainder_sequences(monkeypatch) -> list:
+    """Record the (a, b) pair of every remainder sequence run, in both
+    modules that bind it, each up to a nonzero constant factor."""
+    calls = []
+    run = upoly_module.remainder_sequence
+
+    def key(u: UPoly) -> tuple:
+        c = u.int_coeffs()
+        return tuple(-v for v in c) if c and c[-1] < 0 else tuple(c)
+
+    def counted(a, b):
+        calls.append((key(a), key(b)))
+        return run(a, b)
+
+    monkeypatch.setattr(upoly_module, "remainder_sequence", counted)
+    monkeypatch.setattr(roots_module, "remainder_sequence", counted)
+    return calls
+
+
+def test_squarefree_roots_runs_one_remainder_sequence_on_square_free_input(monkeypatch):
+    calls = _count_remainder_sequences(monkeypatch)
+    # -(t (2t - 3) (t^2 - 2)): a negative leading coefficient, made monic
+    p = -(UPoly.from_roots([Fraction(0), Fraction(3, 2)]) * UPoly((-2, 0, 1)))
+    five = UPoly((-5, 1))
+    for q, part, sequences in ((p, p, 1), (p * p * five, p * five, 2)):
+        calls.clear()
+        s, isolated = squarefree_roots(q)
+        assert len(calls) == sequences
+        assert s == part.monic()
+        assert isolated == isolate_real_roots(q)
+
+
+def test_elimination_runs_each_remainder_sequence_once(monkeypatch):
+    # the dense degree-6 system: Res_y and Res_x are square-free, and each
+    # is reduced and isolated over one remainder sequence
+    calls = _count_remainder_sequences(monkeypatch)
+    sys = parse_system(
+        "dx = x^6 - 3*x^2*y^3 + y^4 - 2*x + 1\ndy = y^6 - x*y^4 + 2*x^2 - y - 3\n"
+    )
+    finite_equilibria(sys)
+    nontrivial = [pair for pair in calls if pair[1]]  # gcd(c, 0) runs no division
+    assert max(len(a) for a, _ in nontrivial) == 37
+    assert len(nontrivial) == len(set(nontrivial))
 
 
 @given(
@@ -213,7 +260,7 @@ def zip_pad(a, b):
 
 def test_squarefree_part_drops_powers():
     p = UPoly.from_roots([Fraction(2), Fraction(2), Fraction(2), Fraction(-1)])
-    s = p.squarefree_part()
+    s, _ = squarefree_roots(p)
     assert s.degree == 2
     assert s.eval(Fraction(2)) == 0
     assert s.eval(Fraction(-1)) == 0
@@ -407,7 +454,7 @@ def test_integer_division_matches_fraction_reference(ca, cb, cc):
     assert (f % g).coeffs == r
     assert f.gcd(g).coeffs == _ref_gcd(rf, rg)
     if rf:
-        assert f.squarefree_part().coeffs == _ref_squarefree(rf)
+        assert squarefree_roots(f)[0].coeffs == _ref_squarefree(rf)
         assert f.monic().coeffs == _ref_monic(rf)
 
 
@@ -420,7 +467,7 @@ def _positive_multiple(p: UPoly, ref: Ref) -> bool:
 def test_sturm_chain_matches_fraction_reference(roots, ts):
     # distinct and repeated rational roots times a quadratic without real roots
     p = UPoly.from_roots(roots) * UPoly((3, 1, 2))
-    s, rs = p.squarefree_part(), _ref_squarefree(_ref(p.coeffs))
+    s, rs = squarefree_roots(p)[0], _ref_squarefree(_ref(p.coeffs))
     chain, ref = sturm_chain(s), _ref_sturm(rs)
     assert len(chain) == len(ref)
     assert all(_positive_multiple(a, b) for a, b in zip(chain, ref))
@@ -439,10 +486,10 @@ def test_refine_root_matches_fraction_bisection(squares, roots, bits):
     for k in squares:
         if math.isqrt(k) ** 2 != k:
             p = p * UPoly((-k, 0, 1))
-    s = p.squarefree_part()
+    s, isolated = squarefree_roots(p)
     rs = _ref(s.coeffs)
     width = Fraction(1, 2**bits)
-    for ri in isolate_real_roots(p):
+    for ri in isolated:
         if ri.is_exact:
             continue
         got = refine_root(s, ri, width)
