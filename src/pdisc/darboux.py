@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from pdisc.errors import InternalInvariantError
 from pdisc.exactalg import MPoly, UPoly, isolate_real_roots, nullspace, resultant_wrt
-from pdisc.exactalg.mpoly import _sum_of_products
 # not called here: bench/test_bench.py checks that its tracer rebinds
 # this alias of `ffdet`
 from pdisc.exactalg import ffdet  # noqa: F401
@@ -371,12 +370,12 @@ def extactic(sys: PlanarSystem, m: int, curves: Sequence[InvariantCurve]) -> Ext
         xp = sys.lie_derivative(p)
         n = [sys.Q]
         for k in range(1, 3 * m - 1):
-            n.append(_sum_of_products(((1, p, sys.lie_derivative(n[-1])), (1 - 2 * k, xp, n[-1]))))
+            n.append(p * sys.lie_derivative(n[-1]) - xp * n[-1] * (2 * k - 1))
         e = n[1]
         if m == 2:
             _, n2, n3, n4, n5 = n
-            a = _sum_of_products(((9, n2, n5), (-45, n3, n4)))
-            quotient = _sum_of_products(((1, n2, a), (40, n3, n3 * n3))).exact_div(p * p * p)
+            # M = n2 (9 n2 n5 - 45 n3 n4) + 40 n3^3, one product fewer
+            quotient = (n2 * (n2 * n5 * 9 - n3 * n4 * 45) + n3 * n3 * n3 * 40).exact_div(p * p * p)
             if quotient is None:
                 raise InternalInvariantError("Monge's polynomial of E_2 leaves a remainder on division by P^3")
             e = n2 * quotient * -4

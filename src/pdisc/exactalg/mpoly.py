@@ -421,19 +421,6 @@ def _linear_combination(terms: Iterable[Tuple[_Scalar, MPoly]]) -> MPoly:
     return _from_ints(acc, Fraction(1, den))
 
 
-def _sum_of_products(terms: Iterable[Tuple[_Scalar, MPoly, MPoly]]) -> MPoly:
-    """sum c * f * g over the (c, f, g) terms: the products of the integer
-    dicts accumulate over one common denominator, and the content is
-    extracted once."""
-    weighted = [(c * f._c * g._c, f._p, g._p) for c, f, g in terms]
-    den = lcm(*(w.denominator for w, _, _ in weighted))
-    acc: _Terms = {}
-    for w, f, g in weighted:
-        m = w.numerator * (den // w.denominator)
-        _mul_add(acc, f if m == 1 else {k: m * v for k, v in f.items()}, g)
-    return _from_ints(acc, Fraction(1, den))
-
-
 def _coerce(v: object) -> "MPoly":
     if isinstance(v, MPoly):
         return v
