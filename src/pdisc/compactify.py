@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError
-from pdisc.exactalg import NEG_INF, AlgebraicCoord, AlgebraicPoint, MPoly, Rur, UPoly, squarefree_roots
+from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, MPoly, Rur, UPoly, squarefree_roots
 from pdisc.equilibria import (
     EquilibriumRecord,
     classify_point,
@@ -56,8 +56,7 @@ class ChartSystem:
         if self.chart not in CHART_IDS:
             raise InputError(f"unknown chart {self.chart!r}")
         for f in (self.du, self.dv):
-            deg = f.degree
-            if deg is not NEG_INF and int(deg) > self.degree + 1:
+            if f.degree > self.degree + 1:
                 raise InternalInvariantError("chart polynomial degree exceeds d + 1")
         if self.chart != "U3" and not self.dv.subst_y(Fraction(0)).is_zero:
             raise InternalInvariantError("equator v = 0 is not invariant")

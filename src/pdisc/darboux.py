@@ -88,10 +88,9 @@ def verify_invariant_curve(sys: PlanarSystem, f: MPoly) -> Optional[InvariantCur
     if k is None:
         return None
     d = sys.degree
-    kd = k.degree
-    if isinstance(kd, int) and kd > d - 1:
+    if k.degree > d - 1:
         raise InternalInvariantError(
-            f"cofactor degree {kd} exceeds bound {d - 1}"
+            f"cofactor degree {k.degree} exceeds bound {d - 1}"
         )
     return InvariantCurve(f=f, K=k)
 
@@ -249,14 +248,6 @@ def _solve_slant_conditions(
     with_b = [c for c in conds if c.degree_in("y") > 0]
     with_a = [c for c in conds if c.degree_in("x") > 0]
 
-    if not with_b:
-        # conditions constrain a only: every b works at each root
-        g = _upoly_gcd_many([UPoly.from_mpoly(c, "x") for c in conds])
-        if g.degree >= 1:
-            for a0 in _rational_roots(g):
-                emit_family(a0, Fraction(0), f"y - ({a0})*x - b invariant for every b")
-        return lines, notes
-
     if not with_a:
         # conditions constrain b only: every a works at each root
         g = _upoly_gcd_many([UPoly.from_mpoly(c, "y") for c in conds])
@@ -265,7 +256,7 @@ def _solve_slant_conditions(
                 emit_family(Fraction(0), b0, f"y - a*x - ({b0}) invariant for every a")
         return lines, notes
 
-    if len(conds) == 1:
+    if len(conds) == 1 and with_b:
         # a single mixed condition: a curve of invariant lines
         c = conds[0]
         point = _representative_on([c])
@@ -279,11 +270,13 @@ def _solve_slant_conditions(
         )
         return lines, notes
 
-    # eliminate b against a fixed generator of positive b-degree
+    # eliminate b against a fixed generator of positive b-degree; a
+    # condition in a alone is its own eliminant (Res_b(g0, c) = c^m adds
+    # nothing to the gcd); with no generator, each root a0 frees every b
     pure_a = [c for c in conds if c.degree_in("y") == 0]
-    g0 = min(with_b, key=lambda c: c.degree_in("y"))
+    g0 = min(with_b, key=lambda c: c.degree_in("y"), default=None)
     eliminants: List[UPoly] = [UPoly.from_mpoly(c, "x") for c in pure_a]
-    for c in conds:
+    for c in with_b:
         if c is g0:
             continue
         r = resultant_wrt(g0, c, "y")
@@ -331,15 +324,6 @@ def _solve_slant_conditions(
 # extactic curves
 
 
-def _monomial_basis(m: int) -> Tuple[MPoly, ...]:
-    # ascending graded-lex over degrees 0..m
-    out: List[MPoly] = []
-    for total in range(m + 1):
-        for j in range(total + 1):
-            out.append(MPoly.monomial(total - j, j))
-    return tuple(out)
-
-
 def extactic(sys: PlanarSystem, m: int, curves: Sequence[InvariantCurve]) -> ExtacticResult:
     """Order-m extactic curve E_m, m <= 2, and the multiplicity inside it
     of each given invariant curve of degree <= m (which must divide a
@@ -362,7 +346,7 @@ def extactic(sys: PlanarSystem, m: int, curves: Sequence[InvariantCurve]) -> Ext
         raise ValueError("extactic order must be at least 1")
     if m > 2:
         raise ValueError("extactic order capped at 2")
-    basis = _monomial_basis(m)
+    basis = tuple(MPoly.monomial(i, j) for i, j in _coeff_vector_basis(m, True))
     p = sys.P
     if p.is_zero:
         e = MPoly.zero()
@@ -383,8 +367,7 @@ def extactic(sys: PlanarSystem, m: int, curves: Sequence[InvariantCurve]) -> Ext
     mult: Dict[str, int] = {}
     vanishes = e.is_zero
     for cur in curves:
-        deg = cur.f.degree
-        if not isinstance(deg, int) or deg > m:
+        if cur.f.degree > m:
             continue
         key = cur.f.format()
         if vanishes:
@@ -424,6 +407,7 @@ def attach_multiplicities(
 
 
 def _coeff_vector_basis(max_deg: int, include_const: bool) -> List[Tuple[int, int]]:
+    # exponents of the monomials of degree <= max_deg, ascending graded-lex
     out: List[Tuple[int, int]] = []
     for total in range(0 if include_const else 1, max_deg + 1):
         for j in range(total + 1):
@@ -468,8 +452,7 @@ def find_exponential_factors(
             continue
         g = g.monic()
         lco = sys.lie_derivative(g)
-        ld = lco.degree
-        if isinstance(ld, int) and ld > d - 1:
+        if lco.degree > d - 1:
             raise InternalInvariantError("exponential-factor cofactor degree too high")
         out.append(ExpFactor(g=g, f=MPoly.one(), L=lco))
 
@@ -479,9 +462,7 @@ def find_exponential_factors(
             continue
         k = cur.multiplicity
         h = cur.f ** (k - 1)
-        hdeg = h.degree
-        assert isinstance(hdeg, int)
-        g_expos = _coeff_vector_basis(hdeg, include_const=True)
+        g_expos = _coeff_vector_basis(h.degree, include_const=True)
         scale = MPoly.const(Fraction(k - 1)) * cur.K
         # rows: coefficients of the remainder of X(g) - (k-1) K g mod h
         cols: List[MPoly] = []
@@ -508,8 +489,7 @@ def find_exponential_factors(
                 lco = num.exact_div(f * f)
             if lco is None:
                 raise InternalInvariantError("exponential-factor quotient not exact")
-            ldeg = lco.degree
-            if isinstance(ldeg, int) and ldeg > d - 1:
+            if lco.degree > d - 1:
                 raise InternalInvariantError("exponential-factor cofactor degree too high")
             out.append(ExpFactor(g=g, f=f, L=lco))
     return out
@@ -586,12 +566,11 @@ def darboux_fragment(
         ],
     }
     if ext is not None:
-        deg = ext.E.degree
         block = {
             "order": ext.order,
             "basis_size": ext.basis_size,
             "term_count": ext.E.term_count(),
-            "degree": deg if isinstance(deg, int) else None,
+            "degree": None if ext.vanishes else ext.E.degree,
             "vanishes": ext.vanishes,
             "multiplicities": dict(ext.multiplicities),
         }

@@ -218,7 +218,7 @@ def _eliminate(p: MPoly, q: MPoly, rx: MPoly) -> List[AlgebraicPoint]:
     # every ordinate is a root of Res_x(P, Q), which lies in the ideal (P, Q)
     x_elim = (ux, xroots)
     y_elim = squarefree_roots(UPoly.from_mpoly(resultant_wrt(p, q, "x"), "y"))
-    dp, dq = int(p.degree), int(q.degree)
+    dp, dq = p.degree, q.degree
     for k in range(dp + dq + dp * dq * (dp * dq - 1) // 2 + 2):
         t = (k + 1) // 2 * (-1) ** (k + 1)
         found = _lift(p, q, t, x_elim, y_elim, pending)
@@ -505,7 +505,7 @@ def _half_hessian(f: MPoly, x0: Fraction, y0: Fraction, v: Tuple[Fraction, Fract
     content / (m^dx n^dy)."""
     if f.is_zero:
         return Fraction(0)
-    dx, dy = int(f.degree_in("x")), int(f.degree_in("y"))
+    dx, dy = f.degree_in("x"), f.degree_in("y")
     xs, m = _scaled_powers(x0, v[0], dx)
     ys, n = _scaled_powers(y0, v[1], dy)
     total = 0

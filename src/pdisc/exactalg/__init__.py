@@ -12,7 +12,7 @@ run on Python `int`.
 
 from pdisc.exactalg.algebraic import AlgebraicCoord, AlgebraicPoint, Rur
 from pdisc.exactalg.matrix import ffdet, nullspace, resultant_wrt, solve_linear, sylvester_resultant
-from pdisc.exactalg.mpoly import NEG_INF, MPoly
+from pdisc.exactalg.mpoly import MPoly
 from pdisc.exactalg.roots import RootInterval, isolate_real_roots, refine_root, squarefree_roots
 from pdisc.exactalg.upoly import UPoly
 
@@ -20,7 +20,6 @@ __all__ = [
     "AlgebraicCoord",
     "AlgebraicPoint",
     "MPoly",
-    "NEG_INF",
     "RootInterval",
     "Rur",
     "UPoly",

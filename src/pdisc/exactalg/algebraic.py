@@ -213,7 +213,7 @@ class Rur:
         the content of f."""
         g = self._images.get(f)
         if g is None:
-            d = int(f.degree)
+            d = f.degree
             g = linear_combination(
                 (c, self._power(0, i) * self._power(1, j) * self._power(2, d - i - j))
                 for (i, j), c in f.int_terms()
@@ -231,7 +231,7 @@ class Rur:
             # D(a) != 0, so once G(a) != 0 too both enclosures exclude 0 when narrow
             s_g, s_d = _sign(_enclosure(g, r)), _sign(_enclosure(self.D, r))
             if s_g and s_d:
-                return s_g * s_d ** int(f.degree)
+                return s_g * s_d ** f.degree
             if f not in self._zeros:
                 self._zeros[f] = _common_factor(g, self.base)
             if holds_root(self._zeros[f], r.lo, r.hi):

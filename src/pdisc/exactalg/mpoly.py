@@ -36,38 +36,6 @@ _Scalar = Union[int, Fraction]
 _Terms = dict  # packed monomial key -> nonzero int coefficient
 
 
-class _NegInfDegree:
-    """Degree of the zero polynomial; compares below every integer."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: object) -> bool:
-        return not isinstance(other, _NegInfDegree)
-
-    def __le__(self, other: object) -> bool:
-        return True
-
-    def __gt__(self, other: object) -> bool:
-        return False
-
-    def __ge__(self, other: object) -> bool:
-        return isinstance(other, _NegInfDegree)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _NegInfDegree)
-
-    def __hash__(self) -> int:
-        return hash("NEG_INF_DEGREE")
-
-    def __repr__(self) -> str:
-        return "NEG_INF"
-
-
-NEG_INF = _NegInfDegree()
-
-Degree = Union[int, _NegInfDegree]
-
-
 class MPoly:
     """Immutable sparse bivariate polynomial content * sum prim[k] x^i y^j."""
 
@@ -135,13 +103,14 @@ class MPoly:
         return not self._p
 
     @property
-    def degree(self) -> Degree:
-        return max(self._p) >> _SHIFT if self._p else NEG_INF
+    def degree(self) -> int:
+        """Total degree; -1 for the zero polynomial."""
+        return max(self._p) >> _SHIFT if self._p else -1
 
-    def degree_in(self, var: str) -> Degree:
-        """Largest exponent of `var` ("x" or "y"); NEG_INF for the zero polynomial."""
+    def degree_in(self, var: str) -> int:
+        """Largest exponent of `var` ("x" or "y"); -1 for the zero polynomial."""
         if not self._p:
-            return NEG_INF
+            return -1
         if _var_index(var):
             return max(k & _LOW for k in self._p)
         return max((k >> _SHIFT) - (k & _LOW) for k in self._p)
@@ -313,10 +282,10 @@ class MPoly:
             return _ZERO
         terms, den = _homogenised(self._p, px._c, py._c)
         xpows: list[_Terms] = [{0: 1}]
-        for _ in range(int(self.degree_in("x"))):
+        for _ in range(self.degree_in("x")):
             xpows.append(_product(xpows[-1], px._p))
         ypows: list[_Terms] = [{0: 1}]
-        for _ in range(int(self.degree_in("y"))):
+        for _ in range(self.degree_in("y")):
             ypows.append(_product(ypows[-1], py._p))
         acc: _Terms = {}
         for k, w in terms:
@@ -336,11 +305,8 @@ class MPoly:
 
     def coeffs_in(self, var: str) -> list["MPoly"]:
         """Dense coefficient list in `var`, ascending; entries depend on the other variable only."""
-        deg = self.degree_in(var)
-        if deg is NEG_INF:
-            return []
         by_y = _var_index(var)
-        out: list[_Terms] = [{} for _ in range(int(deg) + 1)]
+        out: list[_Terms] = [{} for _ in range(self.degree_in(var) + 1)]
         for k, v in self._p.items():
             i, j = _exponents(k)
             if by_y:
@@ -352,12 +318,9 @@ class MPoly:
     def univariate_coeffs(self, var: str) -> list[Fraction]:
         """Dense Fraction coefficients when the polynomial involves only `var`."""
         other = "y" if var == "x" else "x"
-        if self.degree_in(other) not in (NEG_INF, 0):
+        if self.degree_in(other) > 0:
             raise ValueError(f"polynomial involves {other}; not univariate in {var}")
-        deg = self.degree_in(var)
-        if deg is NEG_INF:
-            return []
-        return [self.coeff(k, 0) if var == "x" else self.coeff(0, k) for k in range(int(deg) + 1)]
+        return [self.coeff(k, 0) if var == "x" else self.coeff(0, k) for k in range(self.degree_in(var) + 1)]
 
     # -- formatting ---------------------------------------------------
 

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
-from pdisc.exactalg.mpoly import NEG_INF, Degree, MPoly
+from pdisc.exactalg.mpoly import MPoly
 
 _Scalar = Union[int, Fraction]
 _ZERO = Fraction(0)
@@ -88,9 +88,8 @@ class UPoly:
         return not self._p
 
     @property
-    def degree(self) -> Degree:
-        if not self._p:
-            return NEG_INF
+    def degree(self) -> int:
+        """-1 for the zero polynomial."""
         return len(self._p) - 1
 
     def int_coeffs(self) -> Tuple[int, ...]:

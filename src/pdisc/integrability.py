@@ -23,6 +23,7 @@ from pdisc.darboux import (
     ExpFactor,
     ExtacticResult,
     InvariantCurve,
+    _coeff_vector_basis,
     attach_multiplicities,
     extactic,
     find_exponential_factors,
@@ -89,30 +90,21 @@ class IntegrabilityVerdict:
     notes: Tuple[str, ...] = ()
 
 
-def _cofactor_basis(d: int) -> Tuple[Tuple[int, int], ...]:
-    out: List[Tuple[int, int]] = []
-    for total in range(max(d, 1)):
-        for j in range(total + 1):
-            out.append((total - j, j))
-    return tuple(out)
-
-
 def build_cofactor_matrix(
     curves: Sequence[InvariantCurve], expfactors: Sequence[ExpFactor], d: int
 ) -> CofactorMatrix:
     """Columns are the curve cofactors (discovery order) then the
     exponential-factor cofactors, over the degree <= d - 1 basis."""
-    basis = _cofactor_basis(d)
+    basis = tuple(_coeff_vector_basis(max(d, 1) - 1, True))
     columns: List[Tuple[Fraction, ...]] = []
     labels: List[str] = []
     cofs: List[MPoly] = []
     degenerate: List[bool] = []
 
     def push(label: str, k: MPoly, degen: bool) -> None:
-        deg = k.degree
-        if isinstance(deg, int) and deg > d - 1:
+        if k.degree > d - 1:
             raise InputError(
-                f"cofactor of {label} has degree {deg}, exceeding the bound {d - 1}"
+                f"cofactor of {label} has degree {k.degree}, exceeding the bound {d - 1}"
             )
         if label in labels:
             raise ValueError(f"duplicate column label {label!r}")

@@ -38,8 +38,7 @@ class PlanarSystem:
 
     @property
     def degree(self) -> int:
-        d = max(self.P.degree, self.Q.degree)
-        return d if isinstance(d, int) else 0
+        return max(self.P.degree, self.Q.degree, 0)
 
     def lie_derivative(self, f: MPoly) -> MPoly:
         """X(f) = P df/dx + Q df/dy."""

@@ -12,8 +12,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from pdisc.exactalg import MPoly, NEG_INF
+import pdisc.exactalg
+from pdisc.exactalg import MPoly, UPoly
 from pdisc.exactalg.mpoly import _divide, _key
+from pdisc.modelio import PlanarSystem
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -202,9 +204,18 @@ def test_packed_kernel_rejects_huge_degrees():
 
 
 def test_zero_degree_sentinel():
-    assert MPoly.zero().degree is NEG_INF
-    assert MPoly.zero().is_zero
+    # every degree is a plain int, -1 for the zero polynomial
+    zero = MPoly.zero()
+    assert zero.is_zero
+    assert type(zero.degree) is int and zero.degree == -1
+    assert zero.degree_in("x") == zero.degree_in("y") == -1
     assert MPoly.const(Fraction(3, 7)).degree == 0
+    assert type(UPoly.zero().degree) is int and UPoly.zero().degree == -1
+    assert zero.coeffs_in("x") == zero.coeffs_in("y") == []
+    assert zero.univariate_coeffs("x") == zero.univariate_coeffs("y") == []
+    assert PlanarSystem(zero, zero).degree == 0
+    assert PlanarSystem(zero, MPoly.var_x() ** 2).degree == 2
+    assert "NEG_INF" not in pdisc.exactalg.__all__
 
 
 def test_grlex_leading_term():
@@ -375,7 +386,7 @@ def test_ring_operations_match_reference(ta, tb, n, s):
     assert _agrees(a**n, _ref_pow(ra, n))
     assert a.format() == _ref_format(ra) and (a * b).format() == _ref_format(_ref_mul(ra, rb))
     assert a.term_count() == len(ra)
-    assert a.degree == (max(i + j for i, j in ra) if ra else NEG_INF)
+    assert a.degree == (max(i + j for i, j in ra) if ra else -1)
     if ra:
         lead = max(ra, key=_grlex)
         assert a.leading() == (lead, ra[lead])
@@ -459,7 +470,7 @@ def test_canonical_zero_constants_and_negative_leads():
             assert p == group[0] and hash(p) == hash(group[0])
             if scalar is not None:
                 assert p == scalar and p == MPoly.const(scalar)
-    assert zeros[0].is_zero and not zeros[0] and zeros[0].degree is NEG_INF
+    assert zeros[0].is_zero and not zeros[0] and zeros[0].degree == -1
     assert negs[0].leading() == ((1, 0), -1) and negs[0].format() == "-1*x + 1"
     assert negs[0] != x - 1 and MPoly.const(-3) != MPoly.const(3)
     assert len({*zeros, *threes, *negs}) == 3
