@@ -53,19 +53,65 @@ def test_overrides_can_introduce_bindings():
     assert sys.params["a"] == F(3, 2)
 
 
+# each rejected source and the exact ParseError text it raises
+PARSE_ERRORS = [
+    ("dx = x +\ndy = y\n", "line 1, column 9: unexpected end of expression"),
+    ("dx = \ndy = y\n", "line 1, column 1: unexpected end of expression"),
+    ("dx = q*x\ndy = y\n", "line 1, column 6: unbound identifier 'q'"),
+    ("dx = x\n", "missing dy line"),
+    ("dy = x\n", "missing dx line"),
+    ("", "missing dx and dy lines"),
+    ("dx = x\ndy = y\ndy = x\n", "line 3, column 1: more than two equations"),
+    ("dx = x\ndy = y\ndz = x\n", "line 3, column 1: more than two equations"),
+    ("dx = x\ndx = y\n", "line 2, column 1: duplicate equation dx"),
+    ("dx = x**2\ndy = y\n", "line 1, column 8: unexpected token '*'"),
+    ("params a=1\ndx = x\ndy = y\n", "line 1, column 7: expected ':' after 'params'"),
+    ("dx = x^(1/2)\ndy = y\n", "line 1, column 8: exponent must be a nonnegative integer"),
+    ("dx = x^\ndy = y\n", "line 1, column 8: exponent must be a nonnegative integer"),
+    ("dx = 1/0\ndy = y\n", "line 1, column 6: zero denominator in rational literal"),
+    ("dx = $\ndy = y\n", "line 1, column 6: unexpected character '$'"),
+    ("dx = 2 /3\ndy = y\n", "line 1, column 8: unexpected character '/'"),
+    ("dx = (x))\ndy = y\n", "line 1, column 9: unexpected token ')'"),
+    ("dx = (x\ndy = y\n", "line 1, column 8: expected ')'"),
+    ("dx = ()\ndy = y\n", "line 1, column 7: unexpected token ')'"),
+    ("params: ,\ndx = x\ndy = y\n", "line 1, column 9: expected parameter name"),
+    ("params: a\ndx = x\ndy = y\n", "line 1, column 10: expected '=' after parameter name"),
+    ("params: a=\ndx = x\ndy = y\n", "line 1, column 11: expected rational value"),
+    ("params: a=-\ndx = x\ndy = y\n", "line 1, column 12: expected rational value"),
+    ("params: a=x\ndx = x\ndy = y\n", "line 1, column 11: expected rational value"),
+    ("params: a=1,\ndx = x\ndy = y\n", "line 1, column 13: expected parameter name"),
+    ("params: a=1 b=2\ndx = x\ndy = y\n", "line 1, column 13: expected ','"),
+    ("params: a=1, a=2\ndx = x\ndy = y\n", "line 1, column 14: duplicate parameter 'a'"),
+    ("params: a=1\nparams: a=2\ndx = x\ndy = y\n", "line 2, column 9: duplicate parameter 'a'"),
+    ("dx x\ndy = y\n", "line 1, column 3: expected '=' after equation name"),
+    ("foo = x\ndy = y\n", "line 1, column 1: expected 'params:' line or 'd<var> = ...' equation"),
+    ("params: x=1\ndx = x\ndy = y\n", "'x' is bound as both a variable and a parameter"),
+    ("params: u=1\ndu = v\ndv = u\n", "'u' is bound as both a variable and a parameter"),
+    ("dx = x²\ndy = y\n", "line 1, column 6: unbound identifier 'x²'"),
+]
+
+
 def test_parse_errors():
-    cases = [
-        "dx = x +\ndy = y\n",
-        "dx = q*x\ndy = y\n",
-        "dx = x\n",
-        "dx = x\ndy = y\ndy = x\n",
-        "dx = x**2\ndy = y\n",
-        "params a=1\ndx = x\ndy = y\n",
-        "dx = x^(1/2)\ndy = y\n",
-    ]
-    for source in cases:
-        with pytest.raises(ParseError):
+    for source, message in PARSE_ERRORS:
+        with pytest.raises(ParseError) as info:
             parse_system(source)
+        assert str(info.value) == message, source
+
+
+@pytest.mark.parametrize(
+    "source, canonical",
+    [
+        ("params:\ndx = x\ndy = y\n", "dx = x\ndy = y\n"),
+        ("params: a = -2\ndx = a*x\ndy = y\n", "params: a=-2\ndx = -2*x\ndy = y\n"),
+        ("params: a=1/3, b=2 # c\ndx = a*x + b\ndy = y\n", "params: a=1/3, b=2\ndx = 1/3*x + 2\ndy = y\n"),
+        ("du = v\ndv = -u\n", "dx = y\ndy = -1*x\n"),
+        ("dv = u\ndu = -v\n", "dx = y\ndy = -1*x\n"),
+        ("dy = x\ndx = y\n", "dx = y\ndy = x\n"),
+        ("dx = ٣*x\ndy = 1/٣*y\n", "dx = 3*x\ndy = 1/3*y\n"),
+    ],
+)
+def test_accepted_sources(source, canonical):
+    assert format_system(parse_system(source)) == canonical
 
 
 def test_comments_and_blank_lines():
