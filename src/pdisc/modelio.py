@@ -124,30 +124,26 @@ def _tokenize_line(text: str, line_no: int) -> List[_Token]:
         if ch == "#":
             break
         col = i + 1
-        if ch.isdigit():
+        # isdecimal, not isdigit: int() rejects superscripts such as '²'
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            num = int(text[i:j])
+            value = Fraction(int(text[i:j]))
             # an unspaced '/digits' suffix makes the token a rational literal
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
+            if text[j : j + 1] == "/" and text[j + 1 : j + 2].isdecimal():
                 k = j + 1
-                while k < n and text[k].isdigit():
+                while k < n and text[k].isdecimal():
                     k += 1
                 den = int(text[j + 1 : k])
                 if den == 0:
                     raise ParseError(
                         "zero denominator in rational literal", line_no, col
                     )
-                toks.append(
-                    _Token(_TOK_NUMBER, text[i:k], Fraction(num, den), line_no, col)
-                )
-                i = k
-            else:
-                toks.append(
-                    _Token(_TOK_NUMBER, text[i:j], Fraction(num), line_no, col)
-                )
-                i = j
+                value /= den
+                j = k
+            toks.append(_Token(_TOK_NUMBER, text[i:j], value, line_no, col))
+            i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
@@ -184,6 +180,14 @@ class _ExprParser:
             self.pos += 1
         return t
 
+    def _accept(self, text: str) -> bool:
+        """Consume the next token if it is the punctuation `text`."""
+        t = self._peek()
+        if t is not None and t.kind == _TOK_PUNCT and t.text == text:
+            self.pos += 1
+            return True
+        return False
+
     def _fail(self, msg: str, tok: Optional[_Token]) -> ParseError:
         if tok is None:
             col = (self.toks[-1].col + len(self.toks[-1].text)) if self.toks else 1
@@ -197,45 +201,62 @@ class _ExprParser:
             raise self._fail(f"unexpected token {extra.text!r}", extra)
         return value
 
+    def bindings(self, out: Dict[str, Fraction]) -> None:
+        """Read the rest of a params: line, NAME = [-]RATIONAL separated
+        by commas, into out; a name already in out is an error."""
+        more = self._peek() is not None
+        while more:
+            name = self._next()
+            if name is None or name.kind != _TOK_IDENT:
+                raise self._fail("expected parameter name", name)
+            if not self._accept("="):
+                raise self._fail("expected '=' after parameter name", self._peek())
+            sign = -1 if self._accept("-") else 1
+            value = self._next()
+            if value is None or value.kind != _TOK_NUMBER:
+                raise self._fail("expected rational value", value)
+            if name.text in out:
+                raise self._fail(f"duplicate parameter {name.text!r}", name)
+            out[name.text] = sign * value.value
+            more = self._accept(",")
+        extra = self._peek()
+        if extra is not None:
+            raise self._fail("expected ','", extra)
+
     def _expr(self) -> MPoly:
         node = self._term()
         while True:
-            t = self._peek()
-            if t is not None and t.kind == _TOK_PUNCT and t.text in "+-":
-                self._next()
-                rhs = self._term()
-                node = node + rhs if t.text == "+" else node - rhs
+            if self._accept("+"):
+                node = node + self._term()
+            elif self._accept("-"):
+                node = node - self._term()
             else:
                 return node
 
     def _term(self) -> MPoly:
         node = self._factor()
-        while True:
-            t = self._peek()
-            if t is not None and t.kind == _TOK_PUNCT and t.text == "*":
-                self._next()
-                node = node * self._factor()
-            else:
-                return node
+        while self._accept("*"):
+            node = node * self._factor()
+        return node
 
     def _factor(self) -> MPoly:
         # unary minus binds looser than "^": -x^2 is -(x^2)
-        t = self._peek()
-        if t is not None and t.kind == _TOK_PUNCT and t.text == "-":
-            self._next()
+        if self._accept("-"):
             return -self._factor()
         b = self._base()
-        t = self._peek()
-        if t is not None and t.kind == _TOK_PUNCT and t.text == "^":
-            self._next()
-            e = self._peek()
-            if e is None or e.kind != _TOK_NUMBER or e.value.denominator != 1:
-                raise self._fail("exponent must be a nonnegative integer", e)
-            self._next()
-            return b ** int(e.value)
-        return b
+        if not self._accept("^"):
+            return b
+        e = self._next()
+        if e is None or e.kind != _TOK_NUMBER or e.value.denominator != 1:
+            raise self._fail("exponent must be a nonnegative integer", e)
+        return b ** int(e.value)
 
     def _base(self) -> MPoly:
+        if self._accept("("):
+            inner = self._expr()
+            if not self._accept(")"):
+                raise self._fail("expected ')'", self._peek())
+            return inner
         t = self._next()
         if t is None:
             raise self._fail("unexpected end of expression", None)
@@ -246,63 +267,11 @@ class _ExprParser:
                 return self.symbols[t.text]
             except KeyError:
                 raise self._fail(f"unbound identifier {t.text!r}", t) from None
-        if t.kind == _TOK_PUNCT and t.text == "(":
-            inner = self._expr()
-            closing = self._next()
-            if closing is None or closing.text != ")":
-                raise self._fail("expected ')'", closing)
-            return inner
         raise self._fail(f"unexpected token {t.text!r}", t)
 
 
 # ---------------------------------------------------------------------------
 # file parser
-
-
-def _parse_params_line(toks: Sequence[_Token], line_no: int, out: Dict[str, Fraction]) -> None:
-    # caller consumed the leading "params" ":" tokens
-    pos = 0
-    toks = list(toks)
-    if not toks:
-        return
-    while True:
-        if pos >= len(toks) or toks[pos].kind != _TOK_IDENT:
-            tok = toks[pos] if pos < len(toks) else None
-            raise ParseError(
-                "expected parameter name",
-                line_no,
-                tok.col if tok else (toks[-1].col + len(toks[-1].text)),
-            )
-        name = toks[pos]
-        pos += 1
-        if pos >= len(toks) or toks[pos].text != "=":
-            tok = toks[pos] if pos < len(toks) else None
-            raise ParseError(
-                "expected '=' after parameter name",
-                line_no,
-                tok.col if tok else (name.col + len(name.text)),
-            )
-        pos += 1
-        sign = 1
-        if pos < len(toks) and toks[pos].text == "-":
-            sign = -1
-            pos += 1
-        if pos >= len(toks) or toks[pos].kind != _TOK_NUMBER:
-            tok = toks[pos] if pos < len(toks) else None
-            raise ParseError(
-                "expected rational value",
-                line_no,
-                tok.col if tok else (toks[pos - 1].col + len(toks[pos - 1].text)),
-            )
-        if name.text in out:
-            raise ParseError(f"duplicate parameter {name.text!r}", line_no, name.col)
-        out[name.text] = sign * toks[pos].value
-        pos += 1
-        if pos == len(toks):
-            return
-        if toks[pos].text != ",":
-            raise ParseError("expected ','", line_no, toks[pos].col)
-        pos += 1
 
 
 def parse_system(
@@ -324,7 +293,7 @@ def parse_system(
         if head.kind == _TOK_IDENT and head.text == "params":
             if len(toks) < 2 or toks[1].text != ":":
                 raise ParseError("expected ':' after 'params'", line_no, head.col + len(head.text))
-            _parse_params_line(toks[2:], line_no, params)
+            _ExprParser(toks[2:], {}, line_no).bindings(params)
             continue
         if head.kind == _TOK_IDENT and len(head.text) > 1 and head.text.startswith("d"):
             if len(toks) < 2 or toks[1].text != "=":
@@ -352,27 +321,16 @@ def parse_system(
 
     # normalize state variables to x, y in declaration order; a file that
     # already uses exactly {x, y} keeps its own assignment
-    if set(names) == {"x", "y"}:
-        mapping = {"x": MPoly.var_x(), "y": MPoly.var_y()}
-    else:
-        mapping = {names[0]: MPoly.var_x(), names[1]: MPoly.var_y()}
+    order = ["x", "y"] if set(names) == {"x", "y"} else names
 
     symbols: Dict[str, MPoly] = {k: MPoly.const(v) for k, v in params.items()}
-    for var, poly in mapping.items():
+    for var, poly in zip(order, (MPoly.var_x(), MPoly.var_y())):
         if var in params:
             raise ParseError(f"{var!r} is bound as both a variable and a parameter")
         symbols[var] = poly
 
-    sides: Dict[str, MPoly] = {}
-    for var, toks, line_no in equations:
-        rhs = _ExprParser(toks, symbols, line_no).parse()
-        sides[var] = rhs
-
-    if set(names) == {"x", "y"}:
-        p_expr, q_expr = sides["x"], sides["y"]
-    else:
-        p_expr, q_expr = sides[names[0]], sides[names[1]]
-    return PlanarSystem(P=p_expr, Q=q_expr, params=dict(params))
+    sides = {var: _ExprParser(toks, symbols, line_no).parse() for var, toks, line_no in equations}
+    return PlanarSystem(P=sides[order[0]], Q=sides[order[1]], params=dict(params))
 
 
 # ---------------------------------------------------------------------------

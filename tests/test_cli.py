@@ -360,6 +360,14 @@ def test_malformed_params_is_usage_error(model_file, capsys):
     assert "usage:" in err
 
 
+def test_superscript_digit_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "superscript.vf"
+    path.write_text("dx = 2²*x\ndy = y\n", encoding="utf-8")
+    rc, _, err = _run(capsys, ["analyze", str(path)])
+    assert rc == 2
+    assert "line 1, column 7: unexpected character '²'" in err
+
+
 def test_positive_dimensional_input_exits_2(tmp_path, capsys):
     path = tmp_path / "line.vf"
     path.write_text("dx = x\ndy = x\n", encoding="utf-8")

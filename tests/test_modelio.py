@@ -88,6 +88,9 @@ PARSE_ERRORS = [
     ("params: x=1\ndx = x\ndy = y\n", "'x' is bound as both a variable and a parameter"),
     ("params: u=1\ndu = v\ndv = u\n", "'u' is bound as both a variable and a parameter"),
     ("dx = x²\ndy = y\n", "line 1, column 6: unbound identifier 'x²'"),
+    # a digit is what int() reads: a superscript is no digit
+    ("dx = 2²*x\ndy = y\n", "line 1, column 7: unexpected character '²'"),
+    ("params: A=²\ndx = x\ndy = y\n", "line 1, column 11: unexpected character '²'"),
 ]
 
 
