@@ -478,15 +478,10 @@ def find_exponential_factors(
             g = _from_vector(vec, g_expos)
             if g.is_zero:
                 continue
+            # g is no multiple of h, so f keeps a positive power of cur.f
             g, f = _coprime_form(g, cur.f, k - 1)
-            if f.is_constant:
-                # fully cancelled: exp(g/c) rescales to an infinite-line factor
-                g = g.monic()
-                f = MPoly.one()
-                lco: Optional[MPoly] = sys.lie_derivative(g)
-            else:
-                num = sys.lie_derivative(g) * f - g * sys.lie_derivative(f)
-                lco = num.exact_div(f * f)
+            num = sys.lie_derivative(g) * f - g * sys.lie_derivative(f)
+            lco = num.exact_div(f * f)
             if lco is None:
                 raise InternalInvariantError("exponential-factor quotient not exact")
             if lco.degree > d - 1:
