@@ -295,7 +295,10 @@ def test_bundled_portrait_compiles_only_the_charts_it_enters(monkeypatch):
 # item were recorded before the real algebraic numbers left
 # `pdisc.equilibria` for `pdisc.exactalg.algebraic`, and the degree 8
 # member while every refinement still quartered its interval and every
-# zero test at an irrational point took an exact gcd.
+# zero test at an irrational point took an exact gcd.  The degree 9 and
+# 10 members were recorded while every sign at an irrational point was
+# read from its RUR image; each runs in seconds once a sign is read
+# from the refined coordinate box first.
 OTHER_ANALYZE = {
     "dense-6": (
         "dx = x^6 - 3*x^2*y^3 + y^4 - 2*x + 1\ndy = y^6 - x*y^4 + 2*x^2 - y - 3\n",
@@ -311,6 +314,16 @@ OTHER_ANALYZE = {
         "dx = x^8 - 3*x^2*y^5 + y^6 - 2*x + 1\ndy = y^8 - x*y^6 + 2*x^2 - y - 3\n",
         "957cb249736160d76d86608aadd904e4d3f5ab346bda1eecede36d3d1c9d58ff",
         "30f3df50b6137d3070792d32ee10b67cf3b34d58b1096cb717860fba5ff55f7f",
+    ),
+    "dense-9": (
+        "dx = x^9 - 3*x^2*y^6 + y^7 - 2*x + 1\ndy = y^9 - x*y^7 + 2*x^2 - y - 3\n",
+        "bab96ec759362505c823835c722cacfc61138dd08ebe14b0aa4aa0f622c8b095",
+        "b1faf5896808ee0281a763fc49580a8877e49053ef069883f55b5944ed5e89de",
+    ),
+    "dense-10": (
+        "dx = x^10 - 3*x^2*y^7 + y^8 - 2*x + 1\ndy = y^10 - x*y^8 + 2*x^2 - y - 3\n",
+        "36241ae2b413b3302a0c22d6c1cab7749930fcb0d66aaf864435dbd61c0beec2",
+        "729068b899317a0dcda363d055c5a4ca0b8cf3631447d14f7f7dc802b9d84a01",
     ),
     "quartic": (
         "dx = x^4 - 3*x^2*y + y^2 - 2*x + 1\ndy = y^4 - x*y^2 + 2*x^2 - y - 3\n",
