@@ -20,10 +20,11 @@ points on one fiber) the same lifting runs on P(x - t*y, y), Q(x - t*y, y).
 Coordinates and points are the real algebraic numbers of
 `pdisc.exactalg.algebraic`.  Every sign at an irrational point, of the
 residuals and of the Jacobian's determinant, trace and discriminant, is
-decided exactly from its rational univariate representation (RUR), which
-the lifting above produces.  "undetermined" is left only where no exact
-rule applies (a semi-hyperbolic point whose reduction is unavailable or
-degenerate).
+read from the box of its two coordinate intervals when that box
+excludes 0, and otherwise decided exactly from its rational univariate
+representation (RUR), which the lifting above produces.  "undetermined"
+is left only where no exact rule applies (a semi-hyperbolic point whose
+reduction is unavailable or degenerate).
 """
 
 from __future__ import annotations
@@ -370,7 +371,13 @@ def _sqrt_fraction(v: Fraction) -> Optional[Fraction]:
 
 
 def classify_point(sys: PlanarSystem, pt: AlgebraicPoint) -> EquilibriumRecord:
-    """Build the full equilibrium record at a solution of P = Q = 0."""
+    """Build the full equilibrium record at a solution of P = Q = 0.
+
+    At an irrational point both coordinates are refined to width 2^-60
+    first, and every sign is read with `AlgebraicPoint.sign`: from the
+    enclosure over that box when it excludes 0 (det, trace and
+    discriminant, nearly always), else from the point's RUR (P and Q,
+    which are 0 there, and any exact zero of the others)."""
     if pt.is_exact:
         x0, y0 = pt.exact_pair()
         if sys.P.eval_rat(x0, y0) != 0 or sys.Q.eval_rat(x0, y0) != 0:
@@ -389,12 +396,11 @@ def classify_point(sys: PlanarSystem, pt: AlgebraicPoint) -> EquilibriumRecord:
         raise InputError("a point with two irrational coordinates needs its parametrization")
     # the stored point is refined for text(), approx() and jacobian_at
     pt = pt.refined(Fraction(1, 2**60))
-    rur, a = pt.rur
-    if rur.sign(sys.P, a) or rur.sign(sys.Q, a):
+    if pt.sign(sys.P) or pt.sign(sys.Q):
         raise InputError("the point is not an equilibrium")
-    s_det, s_tr = rur.sign(sys.det, a), rur.sign(sys.trace, a)
+    s_det, s_tr = pt.sign(sys.det), pt.sign(sys.trace)
     # the discriminant tells a node from a focus, and only then is it read
-    s_disc = rur.sign(sys.discriminant, a) if s_det > 0 and s_tr else 0
+    s_disc = pt.sign(sys.discriminant) if s_det > 0 and s_tr else 0
     return EquilibriumRecord(pt, None, None, None, None, None, _table(s_det, s_tr, s_disc))
 
 

@@ -5,14 +5,18 @@ plus an isolating interval, refinable on demand.  An irrational point
 also carries a rational univariate representation (RUR; Rouillier 1999,
 *AAECC* 9): x = X(a)/D(a), y = Y(a)/D(a) at one root a of a square-free
 s(u).  Elimination produces it, and a point with one rational coordinate
-has a trivial one.  Every sign at the point is decided exactly from it:
-zero by a gcd with s, a nonzero sign by refining a alone.  A zero
-test runs only once the first enclosure leaves the sign open, and a
-coprimality test mod a prime (`coprime_mod_p`) spares the exact gcd
-whenever it proves the sign nonzero.
+has a trivial one.  Every sign at a point (`AlgebraicPoint.sign`) is
+read first from an enclosure of the polynomial over the box of the two
+coordinate intervals, which holds the point since each interval isolates
+its coordinate: a box that excludes 0 decides the sign.  Only when it
+holds 0 is the sign decided from the RUR: zero by the gcd of the image
+with s, a nonzero sign by refining a alone.
 
-Every refinement here runs through `refinements`, which narrows an
-isolating interval by a factor that squares at each step (4, 16, 256,
+Every enclosure here is one integer interval Horner scheme, `_horner`,
+over an interval scaled to integer endpoints: of a univariate polynomial
+over an interval, and of a bivariate one over a box, in y row by row and
+then in x.  Every refinement runs through `refinements`, which narrows
+an isolating interval by a factor that squares at each step (4, 16, 256,
 ..., at most 2^64), so the number of steps grows with the log of the
 bits a decision needs, not with the bits themselves.
 """
@@ -22,15 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from pdisc.exactalg.mpoly import MPoly
 from pdisc.exactalg.roots import RootInterval, refine_root
-from pdisc.exactalg.upoly import UPoly, coprime_mod_p, linear_combination
+from pdisc.exactalg.upoly import UPoly, linear_combination
 
 # a closed interval (lo, hi) with rational endpoints
 Enclosure = Tuple[Fraction, Fraction]
-_ONE = UPoly.const(1)
 
 
 def refinements(s: UPoly, a: RootInterval) -> Iterator[RootInterval]:
@@ -42,11 +45,6 @@ def refinements(s: UPoly, a: RootInterval) -> Iterator[RootInterval]:
         yield a
         a = refine_root(s, a, a.width / step)
         step = min(step * step, 2**64)
-
-
-def _common_factor(f: UPoly, g: UPoly) -> UPoly:
-    """gcd(f, g), or 1 without the exact gcd when f and g are coprime mod p."""
-    return _ONE if coprime_mod_p(f, g) else f.gcd(g)
 
 
 @dataclass(frozen=True)
@@ -135,7 +133,7 @@ class AlgebraicCoord:
             if b.hi < a.lo:
                 return 1
             if g is None:
-                g = _common_factor(self.poly, other.poly)
+                g = self.poly.gcd(other.poly)
             if holds_root(g, max(a.lo, b.lo), min(a.hi, b.hi)):
                 # the overlap holds a common root; each interval isolates
                 # exactly one root, so both coordinates equal it
@@ -154,24 +152,52 @@ def holds_root(g: UPoly, lo: Fraction, hi: Fraction) -> bool:
     return g.degree >= 1 and g.sign_at(lo) != g.sign_at(hi)
 
 
-def _enclosure(p: UPoly, r: RootInterval) -> Enclosure:
-    """An enclosure of p over [r.lo, r.hi] = [n/q, m/q]: interval Horner
-    over the integers on q^deg times the primitive part of p, then the
-    content."""
-    q = math.lcm(r.lo.denominator, r.hi.denominator)
-    n, m = int(r.lo * q), int(r.hi * q)
+def _scaled(e: Enclosure) -> Tuple[int, int, int]:
+    """(n, m, q) with e = [n/q, m/q] over the integers."""
+    lo, hi = e
+    q = math.lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator), q
+
+
+def _horner(coeffs: Sequence[Tuple[int, int]], e: Tuple[int, int, int]) -> Tuple[int, int]:
+    """An enclosure of q^k * sum c_i t^i over t in [n/q, m/q], e = (n, m, q),
+    for integer intervals c_i = (lo, hi) listed from i = 0 to k: interval
+    Horner over the integers on q*t in [n, m], c_i scaled by q^(k-i)."""
+    n, m, q = e
     lo = hi = 0
     qk = 1
-    for c in reversed(p.int_coeffs()):
+    for c_lo, c_hi in reversed(coeffs):
         ends = (lo * n, lo * m, hi * n, hi * m)
-        lo, hi = min(ends) + c * qk, max(ends) + c * qk
+        lo, hi = min(ends) + c_lo * qk, max(ends) + c_hi * qk
         qk *= q
+    return lo, hi
+
+
+def _enclosure(p: UPoly, r: RootInterval) -> Enclosure:
+    """An enclosure of p over [r.lo, r.hi]: `_horner` on the primitive
+    part of p, then the content and the power of the denominator."""
+    e = _scaled((r.lo, r.hi))
+    ints = p.int_coeffs()
+    lo, hi = _horner([(c, c) for c in ints], e)
     c = p.content
-    scale = c.denominator * q ** max(len(p.int_coeffs()) - 1, 0)
+    scale = c.denominator * e[2] ** max(len(ints) - 1, 0)
     return Fraction(lo * c.numerator, scale), Fraction(hi * c.numerator, scale)
 
 
-def _sign(e: Enclosure) -> int:
+def box_sign(f: MPoly, xs: Enclosure, ys: Enclosure) -> int:
+    """The sign of f over the box xs x ys; 0 when its enclosure holds 0.
+    `_horner` in x over the enclosures of the coefficients of f in y,
+    each padded to the degree in y so all share one power of its
+    denominator; the content and those powers are positive, so the sign
+    of the integer enclosure is the sign of f."""
+    rows = [[0] * (f.degree_in("y") + 1) for _ in range(f.degree_in("x") + 1)]
+    for (i, j), c in f.int_terms():
+        rows[i][j] = c
+    ey = _scaled(ys)
+    return _sign(_horner([_horner([(c, c) for c in row], ey) for row in rows], _scaled(xs)))
+
+
+def _sign(e: Tuple[Fraction, Fraction] | Tuple[int, int]) -> int:
     """The sign on an enclosure (lo, hi); 0 when it holds 0."""
     return 1 if e[0] > 0 else -1 if e[1] < 0 else 0
 
@@ -187,15 +213,13 @@ class Rur:
     x = X(a)/D(a), y = Y(a)/D(a) at the real roots a of the square-free
     `base` s(u), with D(a) != 0.  Points above the roots of one s share
     one object, so each polynomial's image under it is computed once, and
-    each root is refined once for all the signs read at its point: a
-    sign starts from the narrowest interval of that root so far."""
+    the zero set of each image (its gcd with s) too."""
 
     def __init__(self, base: UPoly, X: UPoly, Y: UPoly, D: UPoly):
         self.base, self.X, self.Y, self.D = base, X, Y, D
         self._powers: Tuple[List[UPoly], ...] = ([UPoly.const(1)], [UPoly.const(1)], [UPoly.const(1)])
         self._images: Dict[MPoly, UPoly] = {}
         self._zeros: Dict[MPoly, UPoly] = {}
-        self._narrowest: Dict[RootInterval, RootInterval] = {}
 
     def unsheared(self, t: int) -> "Rur":
         """The same points, read in (x, y) from the coordinates (x + t*y, y)."""
@@ -226,14 +250,13 @@ class Rur:
         g = self._image(f)
         if g.is_zero:
             return 0
-        for r in refinements(self.base, self._narrowest.get(a, a)):
-            self._narrowest[a] = r
+        for r in refinements(self.base, a):
             # D(a) != 0, so once G(a) != 0 too both enclosures exclude 0 when narrow
             s_g, s_d = _sign(_enclosure(g, r)), _sign(_enclosure(self.D, r))
             if s_g and s_d:
                 return s_g * s_d ** f.degree
             if f not in self._zeros:
-                self._zeros[f] = _common_factor(g, self.base)
+                self._zeros[f] = g.gcd(self.base)
             if holds_root(self._zeros[f], r.lo, r.hi):
                 return 0
 
@@ -285,11 +308,24 @@ class AlgebraicPoint:
         return self.x.exact, self.y.exact
 
     def refined(self, width: Fraction) -> "AlgebraicPoint":
-        rur = None if self.rur is None else (self.rur[0], refine_root(self.rur[0].base, self.rur[1], width))
-        return AlgebraicPoint(self.x.refined(width), self.y.refined(width), rur)
+        """The point with both coordinate intervals refined to `width`;
+        its RUR root is kept as it is."""
+        return AlgebraicPoint(self.x.refined(width), self.y.refined(width), self.rur)
 
     def approx(self) -> Tuple[float, float]:
         return self.x.approx(), self.y.approx()
+
+    def sign(self, f: MPoly) -> int:
+        """The exact sign of f at the point: the sign of f over the box
+        of the coordinate intervals when that excludes 0, which at an
+        exact point it does unless f is 0 there; otherwise the sign read
+        from the RUR, which decides 0."""
+        s = box_sign(f, self.x.interval(), self.y.interval())
+        if s or self.is_exact:
+            return s
+        if self.rur is None:
+            raise ValueError("a point with two irrational coordinates needs its RUR")
+        return self.rur[0].sign(f, self.rur[1])
 
     def compare(self, other: "AlgebraicPoint") -> int:
         """Exact three-way comparison in the lexicographic order, x first."""

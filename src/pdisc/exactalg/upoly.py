@@ -221,33 +221,6 @@ class UPoly:
         return f"UPoly({self})"
 
 
-# a prime near the machine word; reduced coefficients stay small ints
-MOD_P = 2**61 - 1
-
-
-def coprime_mod_p(f: UPoly, g: UPoly) -> bool:
-    """Whether Euclid's algorithm mod MOD_P proves f and g coprime over Q.
-    When p divides neither leading coefficient, the gcd mod p has at
-    least the degree of the gcd over Q (von zur Gathen & Gerhard,
-    *Modern Computer Algebra*, ch. 6), so a constant one proves gcd 1.
-    False when it is not constant, and when p divides a leading
-    coefficient (the test abstains)."""
-    a = [c % MOD_P for c in f._p]
-    b = [c % MOD_P for c in g._p]
-    if not (a and b and a[-1] and b[-1]):
-        return False
-    while b:
-        inv = pow(b[-1], -1, MOD_P)
-        while len(a) >= len(b):
-            q, k = a[-1] * inv % MOD_P, len(a) - len(b)
-            for i, c in enumerate(b):
-                a[k + i] = (a[k + i] - q * c) % MOD_P
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
-
-
 def remainder_sequence(a: UPoly, b: UPoly) -> List[UPoly]:
     """a, b and the negated remainders -(a mod b), ... down to gcd(a, b),
     each as its primitive integer part, a positive multiple of the entry

@@ -2,10 +2,9 @@
 
 Oracles: coordinates with closed-form values (sqrt 2, sqrt 3), each
 defined by a polynomial with an extra rational factor, so that equality
-is decided by the gcd of the two defining polynomials; the exact gcd
-over Q for the coprimality test mod p, and pairs built with a shared
-factor; Sturm counts for every interval `refinements` yields; and the
-import statements of `pdisc.exactalg`, read with `ast`.
+is decided by the gcd of the two defining polynomials, and a box too wide
+to decide a sign at sqrt 2; Sturm counts for every interval `refinements`
+yields; and the import statements of `pdisc.exactalg`, read with `ast`.
 """
 
 from __future__ import annotations
@@ -18,15 +17,11 @@ from pathlib import Path
 from hypothesis import given, strategies as st
 
 import pdisc.exactalg
-from pdisc.exactalg import AlgebraicCoord, UPoly, isolate_real_roots
-from pdisc.exactalg.algebraic import refinements
+from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, MPoly, UPoly, isolate_real_roots
+from pdisc.exactalg.algebraic import box_sign, refinements
 from pdisc.exactalg.roots import sign_variations, sturm_chain
-from pdisc.exactalg.upoly import MOD_P, coprime_mod_p
 
 F = Fraction
-
-int_polys = st.lists(st.integers(-20, 20), min_size=1, max_size=6).map(UPoly).filter(lambda p: not p.is_zero)
-
 
 def _positive_irrational_root(p: UPoly) -> AlgebraicCoord:
     (root,) = [rt for rt in isolate_real_roots(p) if rt.exact is None and rt.lo >= 0]
@@ -45,6 +40,19 @@ def test_irrational_compare_decides_equality_by_gcd():
     assert sqrt2.compare(sqrt3) == -1
 
 
+def test_point_sign_leaves_a_box_that_holds_0_to_the_rur():
+    # at (sqrt 2, 1) with the first isolating interval of sqrt 2, the box
+    # holds 0 for x - 1.414 and x - 1.415, so their signs come from the RUR
+    t = UPoly.variable()
+    pt = AlgebraicPoint(_positive_irrational_root(t * t - 2), AlgebraicCoord.of(1))
+    box = (pt.x.interval(), pt.y.interval())
+    x, y = MPoly.var_x(), MPoly.var_y()
+    near = [x - MPoly.const(F(1414, 1000)), x - MPoly.const(F(1415, 1000)), x * x - 2 * y]
+    assert [box_sign(f, *box) for f in near] == [0, 0, 0]
+    assert [pt.sign(f) for f in near] == [1, -1, 0]
+    assert pt.sign(x * y) == 1 and pt.sign(-y) == -1
+
+
 def test_exactalg_imports_nothing_else_from_pdisc():
     # the kernel sits below every other module, so no import cycle reaches it
     for path in sorted(Path(pdisc.exactalg.__file__).parent.glob("*.py")):
@@ -59,34 +67,6 @@ def test_exactalg_imports_nothing_else_from_pdisc():
             for name in modules:
                 if name.split(".")[0] == "pdisc":
                     assert name.split(".")[:2] == ["pdisc", "exactalg"], (path.name, name)
-
-
-@given(int_polys, int_polys)
-def test_coprime_mod_p_is_never_wrong(f, g):
-    if coprime_mod_p(f, g):
-        assert f.gcd(g).degree == 0
-
-
-@given(int_polys.filter(lambda p: p.degree >= 1), int_polys, int_polys)
-def test_shared_factor_is_never_reported_coprime(h, a, b):
-    assert not coprime_mod_p(h * a, h * b)
-
-
-@given(st.integers(1, 5), st.lists(st.integers(-20, 20), max_size=4), int_polys)
-def test_coprime_mod_p_abstains_when_p_divides_a_leading_coefficient(k, middle, g):
-    # constant term 1 keeps the coefficients coprime, so the stored
-    # leading coefficient stays a multiple of p
-    f = UPoly([1, *middle, k * MOD_P])
-    assert f.int_coeffs()[-1] % MOD_P == 0
-    assert not coprime_mod_p(f, g)
-    assert not coprime_mod_p(g, f)
-
-
-def test_coprime_mod_p_proves_a_coprime_pair():
-    t = UPoly.variable()
-    assert coprime_mod_p(t * t - 2, t * t - 3)
-    assert coprime_mod_p(UPoly.const(7), t * t - 2)
-    assert not coprime_mod_p((t * t - 2) * (t - 5), t * t - 2)
 
 
 @given(st.integers(2, 60).filter(lambda k: int(k**0.5) ** 2 != k), st.lists(st.integers(-9, 9), max_size=2))

@@ -11,6 +11,8 @@ including points where both curves are singular.  At irrational points
 the classes are checked against closed-form Jacobians, including exact
 zeros of the trace, determinant or discriminant, and against the float
 Jacobian diag(f'(x), f'(y)) of dx = f(x), dy = f(y) for random cubics f.
+Every sign a box of coordinate intervals decides at an irrational point
+is checked against the sign read from the point's RUR.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from pdisc.equilibria import (
 )
 from pdisc.errors import InputError
 from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, UPoly, isolate_real_roots
+from pdisc.exactalg.algebraic import box_sign
 from pdisc.modelio import parse_system
 
 F = Fraction
@@ -186,6 +189,32 @@ def _check(source: str, points: List[Tuple[Want, Want]], classes: bool = True) -
 def test_line_conic_systems_match_closed_forms(case):
     source, points = case
     _check(source, [(_want(x), _want(y)) for x, y in points])
+
+
+@settings(max_examples=25)
+@given(line_conic_systems(), st.sampled_from([0, 20, 4]))
+def test_box_signs_agree_with_the_rur_at_irrational_points(case, bits):
+    """Wherever the box of the coordinate intervals, widened by 2^-bits
+    on each side (not at all for 0), excludes 0, its sign of det, trace
+    and discriminant is the sign read from the RUR; P and Q, 0 at the
+    point, always leave the box to the RUR, which reads 0."""
+    source, points = case
+    assume(any(x[1] or y[1] for x, y in points))
+    sys = parse_system(source)
+    pad = F(1, 2**bits) if bits else F(0)
+    for rec in finite_equilibria(sys):
+        if rec.point.is_exact:
+            continue
+        rur, a = rec.point.rur
+        box = [(lo - pad, hi + pad) for lo, hi in (rec.point.x.interval(), rec.point.y.interval())]
+        for f in (sys.det, sys.trace, sys.discriminant):
+            s = box_sign(f, *box)
+            if s:
+                assert s == rur.sign(f, a), (source, rec.point.approx(), str(f))
+            assert rec.point.sign(f) == rur.sign(f, a)
+        for f in (sys.P, sys.Q):
+            assert box_sign(f, *box) == 0
+            assert rec.point.sign(f) == rur.sign(f, a) == 0
 
 
 S2, S3, S5, S14 = (math.sqrt(v) for v in (2, 3, 5, 14))
