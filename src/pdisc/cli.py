@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from pdisc.compactify import blowup_analysis, blowup_fragment, chart_fragment, disc_equilibria
 from pdisc.equilibria import DEGENERATE, EquilibriumRecord, equilibrium_fragment, leslie_labels
-from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError, PDiscError
+from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError, ParseError, PDiscError
 from pdisc.integrability import MAX_CURVE_DEGREE, SearchBounds, run_pipeline, verdict_fragment
 from pdisc.darboux import darboux_fragment
 from pdisc.modelio import (
@@ -31,6 +31,7 @@ from pdisc.modelio import (
     leslie_source,
     leslie_system,
     leslie_transform,
+    parse_bindings,
     parse_system,
     seeded_parameter_triples,
 )
@@ -47,20 +48,12 @@ def _fraction(text: str) -> Fraction:
 
 
 def parse_param_overrides(text: str) -> Dict[str, Fraction]:
-    """Parse ``NAME=RAT,NAME=RAT,...`` into exact bindings."""
-    out: Dict[str, Fraction] = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        name, sep, value = item.partition("=")
-        name = name.strip()
-        if not sep or not name:
-            raise InputError(f"malformed parameter binding {item!r}")
-        try:
-            out[name] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational number: {value.strip()!r}") from exc
+    """Parse ``NAME=RAT,NAME=RAT,...`` into exact bindings, by the
+    grammar of a source file's params: line."""
+    try:
+        out = parse_bindings(text)
+    except ParseError as exc:
+        raise InputError(str(exc)) from exc
     if not out:
         raise InputError("empty --params list")
     return out

@@ -274,6 +274,14 @@ class _ExprParser:
 # file parser
 
 
+def parse_bindings(text: str) -> Dict[str, Fraction]:
+    """The bindings NAME = [-]RATIONAL, ... in `text`, read by the
+    grammar of the rest of a params: line; errors name a column of line 1."""
+    out: Dict[str, Fraction] = {}
+    _ExprParser(_tokenize_line(text, 1), {}, 1).bindings(out)
+    return out
+
+
 def parse_system(
     source: str, overrides: Optional[Mapping[str, Fraction]] = None
 ) -> PlanarSystem:
@@ -314,8 +322,9 @@ def parse_system(
     if len(equations) == 0:
         raise ParseError("missing dx and dy lines")
     if len(equations) == 1:
-        missing = "dy" if names[0] != "y" else "dx"
-        raise ParseError(f"missing {missing} line")
+        given = names[0]
+        missing = {"x": "dy line", "y": "dx line"}.get(given, f"second equation (only d{given} given)")
+        raise ParseError(f"missing {missing}")
     if names[0] == names[1]:
         raise ParseError(f"duplicate equation d{names[0]}", equations[1][2], 1)
 

@@ -360,6 +360,18 @@ def test_malformed_params_is_usage_error(model_file, capsys):
     assert "usage:" in err
 
 
+@pytest.mark.parametrize("binding, message", [
+    ("A=0.5", "line 1, column 4: unexpected character '.'"),
+    ("A=1e-1", "line 1, column 4: expected ','"),
+    ("A=1,A=2", "line 1, column 5: duplicate parameter 'A'"),
+])
+def test_params_option_reads_the_params_line_grammar(model_file, capsys, binding, message):
+    # --params accepts exactly what a params: line accepts
+    rc, _, err = _run(capsys, ["analyze", str(model_file), "--params", binding])
+    assert rc == 2
+    assert message in err
+
+
 def test_superscript_digit_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "superscript.vf"
     path.write_text("dx = 2²*x\ndy = y\n", encoding="utf-8")

@@ -60,6 +60,9 @@ PARSE_ERRORS = [
     ("dx = q*x\ndy = y\n", "line 1, column 6: unbound identifier 'q'"),
     ("dx = x\n", "missing dy line"),
     ("dy = x\n", "missing dx line"),
+    # a lone equation in another variable names no dx or dy: which of
+    # the two is missing depends on the second variable's name
+    ("du = v\n", "missing second equation (only du given)"),
     ("", "missing dx and dy lines"),
     ("dx = x\ndy = y\ndy = x\n", "line 3, column 1: more than two equations"),
     ("dx = x\ndy = y\ndz = x\n", "line 3, column 1: more than two equations"),
