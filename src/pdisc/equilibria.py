@@ -374,10 +374,9 @@ def classify_point(sys: PlanarSystem, pt: AlgebraicPoint) -> EquilibriumRecord:
     """Build the full equilibrium record at a solution of P = Q = 0.
 
     At an irrational point both coordinates are refined to width 2^-60
-    first, and every sign is read with `AlgebraicPoint.sign`: from the
-    enclosure over that box when it excludes 0 (det, trace and
-    discriminant, nearly always), else from the point's RUR (P and Q,
-    which are 0 there, and any exact zero of the others)."""
+    first.  P and Q are read from the point's RUR, which decides their
+    zeros; det, trace and discriminant with `AlgebraicPoint.sign`, from
+    the enclosure over that box when it excludes 0, else from the RUR."""
     if pt.is_exact:
         x0, y0 = pt.exact_pair()
         if sys.P.eval_rat(x0, y0) != 0 or sys.Q.eval_rat(x0, y0) != 0:
@@ -396,7 +395,9 @@ def classify_point(sys: PlanarSystem, pt: AlgebraicPoint) -> EquilibriumRecord:
         raise InputError("a point with two irrational coordinates needs its parametrization")
     # the stored point is refined for text(), approx() and jacobian_at
     pt = pt.refined(Fraction(1, 2**60))
-    if pt.sign(sys.P) or pt.sign(sys.Q):
+    # P and Q are 0 at an equilibrium, where no box excludes 0
+    rur, a = pt.rur
+    if rur.sign(sys.P, a) or rur.sign(sys.Q, a):
         raise InputError("the point is not an equilibrium")
     s_det, s_tr = pt.sign(sys.det), pt.sign(sys.trace)
     # the discriminant tells a node from a focus, and only then is it read

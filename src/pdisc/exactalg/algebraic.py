@@ -190,7 +190,8 @@ def box_sign(f: MPoly, xs: Enclosure, ys: Enclosure) -> int:
     each padded to the degree in y so all share one power of its
     denominator; the content and those powers are positive, so the sign
     of the integer enclosure is the sign of f."""
-    rows = [[0] * (f.degree_in("y") + 1) for _ in range(f.degree_in("x") + 1)]
+    width = f.degree_in("y") + 1
+    rows = [[0] * width for _ in range(f.degree_in("x") + 1)]
     for (i, j), c in f.int_terms():
         rows[i][j] = c
     ey = _scaled(ys)
