@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from pdisc.compactify import blowup_analysis, blowup_fragment, chart_fragment, disc_equilibria
 from pdisc.equilibria import DEGENERATE, EquilibriumRecord, equilibrium_fragment, leslie_labels
 from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError, ParseError, PDiscError
-from pdisc.integrability import MAX_CURVE_DEGREE, SearchBounds, run_pipeline, verdict_fragment
+from pdisc.integrability import SearchBounds, bounds_fragment, run_pipeline, verdict_fragment
 from pdisc.darboux import darboux_fragment
 from pdisc.modelio import (
     DEFAULT_SEED,
@@ -89,19 +89,17 @@ def _leslie_bindings(sys: PlanarSystem) -> Optional[ParamBindings]:
     return None
 
 
-def _dump_json(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _dump_json(obj: object) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
+def _write_output(data: bytes, path: Optional[str]) -> None:
+    """Write data to the file at path, or to stdout when path is None or
+    '-', where it ends in a newline."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        text = data.decode("utf-8")
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
         return
-    Path(path).write_text(text, encoding="utf-8")
-    print(f"wrote {path}", file=sys.stderr)
-
-
-def _write_bytes(data: bytes, path: str) -> None:
     Path(path).write_bytes(data)
     print(f"wrote {path}", file=sys.stderr)
 
@@ -179,11 +177,7 @@ def darboux_report(
     report: Dict[str, object] = {
         "system": format_system(sys),
         "params": {name: str(value) for name, value in sorted(sys.params.items())},
-        "bounds": {
-            "max_curve_degree": MAX_CURVE_DEGREE,
-            "max_exp_degree": bounds.max_exp_degree,
-            "extactic_order": bounds.extactic_order,
-        },
+        "bounds": bounds_fragment(bounds),
         "darboux": darboux_fragment(
             pipe.curves, pipe.factors, pipe.extactic_result, dump_extactic
         ),
@@ -242,13 +236,9 @@ def _cmd_portrait(args: argparse.Namespace) -> int:
     )
     svg_bytes, json_bytes = render_portrait(doc)
     if args.svg is not None:
-        _write_bytes(svg_bytes, args.svg)
-    if args.out is not None:
-        _write_bytes(json_bytes, args.out)
-    if args.svg is None and args.out is None:
-        sys.stdout.write(json_bytes.decode("utf-8"))
-        if not json_bytes.endswith(b"\n"):
-            sys.stdout.write("\n")
+        _write_output(svg_bytes, args.svg)
+    if args.out is not None or args.svg is None:
+        _write_output(json_bytes, args.out)
     return 0
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from pdisc.errors import InternalInvariantError
 from pdisc.exactalg import MPoly, UPoly, isolate_real_roots, nullspace, resultant_wrt
+from pdisc.exactalg import coefficient_rows, monomial_basis
 # not called here: bench/test_bench.py checks that its tracer rebinds
 # this alias of `ffdet`
 from pdisc.exactalg import ffdet  # noqa: F401
@@ -61,20 +61,29 @@ class ExpFactor:
     f: MPoly
     L: MPoly
 
+    @property
+    def exponent_text(self) -> str:
+        """g/f as written in reports: g when f is constant, else (g)/(f)."""
+        if self.f.is_constant:
+            return self.g.format()
+        return f"({self.g.format()})/({self.f.format()})"
+
+    @property
+    def constant_exponent(self) -> bool:
+        """Whether g/f is a constant, so the factor is a constant."""
+        q = self.g.exact_div(self.f)
+        return q is not None and q.is_constant
+
 
 @dataclass(frozen=True)
 class ExtacticResult:
     """The order-m extactic curve and curve multiplicities within it."""
 
     order: int
-    basis: Tuple[MPoly, ...]
+    basis_size: int  # monomials of degree <= order
     E: MPoly
     multiplicities: Dict[str, int]
     vanishes: bool
-
-    @property
-    def basis_size(self) -> int:
-        return len(self.basis)
 
 
 def verify_invariant_curve(sys: PlanarSystem, f: MPoly) -> Optional[InvariantCurve]:
@@ -346,7 +355,6 @@ def extactic(sys: PlanarSystem, m: int, curves: Sequence[InvariantCurve]) -> Ext
         raise ValueError("extactic order must be at least 1")
     if m > 2:
         raise ValueError("extactic order capped at 2")
-    basis = tuple(MPoly.monomial(i, j) for i, j in _coeff_vector_basis(m, True))
     p = sys.P
     if p.is_zero:
         e = MPoly.zero()
@@ -385,7 +393,8 @@ def extactic(sys: PlanarSystem, m: int, curves: Sequence[InvariantCurve]) -> Ext
                 f"invariant curve {key} does not divide a nonzero E_{m}"
             )
         mult[key] = count
-    return ExtacticResult(order=m, basis=basis, E=e, multiplicities=mult, vanishes=vanishes)
+    size = (m + 1) * (m + 2) // 2
+    return ExtacticResult(order=m, basis_size=size, E=e, multiplicities=mult, vanishes=vanishes)
 
 
 def attach_multiplicities(
@@ -404,15 +413,6 @@ def attach_multiplicities(
 
 # ---------------------------------------------------------------------------
 # exponential factors
-
-
-def _coeff_vector_basis(max_deg: int, include_const: bool) -> List[Tuple[int, int]]:
-    # exponents of the monomials of degree <= max_deg, ascending graded-lex
-    out: List[Tuple[int, int]] = []
-    for total in range(0 if include_const else 1, max_deg + 1):
-        for j in range(total + 1):
-            out.append((total - j, j))
-    return out
 
 
 def _from_vector(vec: Sequence[Fraction], expos: Sequence[Tuple[int, int]]) -> MPoly:
@@ -442,10 +442,10 @@ def find_exponential_factors(
     out: List[ExpFactor] = []
 
     # (a) factors exp(g), the infinite-line case
-    expos = _coeff_vector_basis(deg_bound, include_const=False)
+    expos = monomial_basis(deg_bound)[1:]
     lie_of_basis = [sys.lie_derivative(MPoly.monomial(i, j)) for (i, j) in expos]
-    high = [e for e in _coeff_vector_basis(d + deg_bound - 1, True) if e[0] + e[1] >= d]
-    matrix = _coefficient_rows(lie_of_basis, high)
+    high = [e for e in monomial_basis(d + deg_bound - 1) if e[0] + e[1] >= d]
+    matrix = coefficient_rows(lie_of_basis, high)
     for vec in _kernel(matrix, len(expos)):
         g = _from_vector(vec, expos)
         if g.is_zero:
@@ -462,7 +462,7 @@ def find_exponential_factors(
             continue
         k = cur.multiplicity
         h = cur.f ** (k - 1)
-        g_expos = _coeff_vector_basis(h.degree, include_const=True)
+        g_expos = monomial_basis(h.degree)
         scale = MPoly.const(Fraction(k - 1)) * cur.K
         # rows: coefficients of the remainder of X(g) - (k-1) K g mod h
         cols: List[MPoly] = []
@@ -472,7 +472,7 @@ def find_exponential_factors(
             _, rem = expr.reduce_mod(h)
             cols.append(rem)
         rem_monos = sorted({e for c in cols for e, _ in c.int_terms()})
-        sols = _kernel(_coefficient_rows(cols, rem_monos), len(g_expos))
+        sols = _kernel(coefficient_rows(cols, rem_monos), len(g_expos))
         h_vec = [h.coeff(i, j) for (i, j) in g_expos]
         for vec in _quotient_span(sols, h_vec):
             g = _from_vector(vec, g_expos)
@@ -488,15 +488,6 @@ def find_exponential_factors(
                 raise InternalInvariantError("exponential-factor cofactor degree too high")
             out.append(ExpFactor(g=g, f=f, L=lco))
     return out
-
-
-def _coefficient_rows(polys: Sequence[MPoly], monos: Sequence[Tuple[int, int]]) -> List[List[int]]:
-    """Row r, column c: the coefficient of monos[r] in polys[c], times the
-    lcm of the polys' content denominators, so the rows are integers and
-    the right nullspace is that of the coefficient matrix."""
-    den = lcm(*(p.content.denominator for p in polys))
-    cols = [(p.content.numerator * (den // p.content.denominator), dict(p.int_terms())) for p in polys]
-    return [[w * terms.get(e, 0) for w, terms in cols] for e in monos]
 
 
 def _kernel(matrix: Sequence[Sequence[int]], n: int) -> List[List[Fraction]]:

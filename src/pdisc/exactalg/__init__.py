@@ -11,7 +11,15 @@ run on Python `int`.
 """
 
 from pdisc.exactalg.algebraic import AlgebraicCoord, AlgebraicPoint, Rur
-from pdisc.exactalg.matrix import ffdet, nullspace, resultant_wrt, solve_linear, sylvester_resultant
+from pdisc.exactalg.matrix import (
+    coefficient_rows,
+    ffdet,
+    monomial_basis,
+    nullspace,
+    resultant_wrt,
+    solve_linear,
+    sylvester_resultant,
+)
 from pdisc.exactalg.mpoly import MPoly
 from pdisc.exactalg.roots import RootInterval, isolate_real_roots, refine_root, squarefree_roots
 from pdisc.exactalg.upoly import UPoly
@@ -23,8 +31,10 @@ __all__ = [
     "RootInterval",
     "Rur",
     "UPoly",
+    "coefficient_rows",
     "ffdet",
     "isolate_real_roots",
+    "monomial_basis",
     "nullspace",
     "refine_root",
     "resultant_wrt",

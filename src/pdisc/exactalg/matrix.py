@@ -1,5 +1,6 @@
 """Exact linear algebra: fraction-free determinants over polynomial rings,
-Sylvester resultants, and Gaussian elimination over the rationals."""
+Sylvester resultants, Gaussian elimination over the rationals, and the
+integer coefficient matrix of a list of polynomials."""
 
 from __future__ import annotations
 
@@ -233,3 +234,20 @@ def nullspace(matrix: Sequence[Sequence[Rational]]) -> List[List[Fraction]]:
             vec[c] = -red[r][free]
         basis.append(vec)
     return basis
+
+
+def monomial_basis(max_deg: int) -> List[Tuple[int, int]]:
+    """Exponents (i, j) of the monomials x^i y^j of degree <= max_deg,
+    ascending graded-lex, so the constant (0, 0) comes first."""
+    return [(total - j, j) for total in range(max_deg + 1) for j in range(total + 1)]
+
+
+def coefficient_rows(polys: Sequence[MPoly], monos: Sequence[Tuple[int, int]]) -> List[List[int]]:
+    """Row r, column c: the coefficient of monos[r] in polys[c], times the
+    lcm of the polys' content denominators, so the rows are integers and
+    the right nullspace is that of the coefficient matrix.  Terms of a
+    poly outside monos have no row; a caller that must not lose them
+    checks the degrees first."""
+    den = lcm(*(p.content.denominator for p in polys))
+    cols = [(p.content.numerator * (den // p.content.denominator), dict(p.int_terms())) for p in polys]
+    return [[w * terms.get(e, 0) for w, terms in cols] for e in monos]

@@ -25,7 +25,7 @@ from pdisc.darboux import (
     verify_invariant_curve,
 )
 from pdisc.equilibria import finite_equilibria, in_positive_quadrant, leslie_labels
-from pdisc.exactalg import AlgebraicPoint, MPoly, nullspace
+from pdisc.exactalg import AlgebraicPoint, MPoly, coefficient_rows, monomial_basis, nullspace
 from pdisc.integrability import (
     SearchBounds,
     cofactor_tests,
@@ -170,12 +170,15 @@ def test_criterion_04_not_liouvillian(capfd):
         pipe = run_pipeline(sys, SearchBounds())
         assert pipe.verdict.verdict == "NotLiouvillianWithinBounds"
         # first-integral nullspace: trivial modulo the constant-exponent
-        # degeneracy (every nullvector is supported on degenerate columns)
-        fi, inf, rank, rank_aug = cofactor_tests(pipe.matrix, sys.divergence())
+        # degeneracy (every nullvector of the cofactor matrix M is
+        # supported on columns of exponential factors of constant exponent)
+        fi, inf, rank, rank_aug = cofactor_tests(pipe.curves, pipe.factors, sys.divergence(), sys.degree)
         assert fi is None
-        for vec in nullspace(pipe.matrix.rows()):
+        cofactors = [c.K for c in pipe.curves] + [ef.L for ef in pipe.factors]
+        constant = [False] * len(pipe.curves) + [ef.constant_exponent for ef in pipe.factors]
+        for vec in nullspace(coefficient_rows(cofactors, monomial_basis(sys.degree - 1))):
             for i, coef in enumerate(vec):
-                assert coef == 0 or pipe.matrix.degenerate[i]
+                assert coef == 0 or constant[i]
         # integrating-factor system: inconsistent
         assert inf is None
         assert (rank, rank_aug) == (pipe.verdict.rank, pipe.verdict.rank_aug)

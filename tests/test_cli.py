@@ -275,6 +275,21 @@ def test_portrait_stdout_json(model_file, capsys):
     assert {"system", "regime", "equilibria", "trajectories"} <= set(doc)
 
 
+def test_portrait_out_dash_is_stdout(model_file, tmp_path, capsys, monkeypatch):
+    # '-' names stdout, as for analyze and darboux: the bytes of a run with
+    # no --out, which are those of a file written with --out plus a newline
+    monkeypatch.chdir(tmp_path)
+    argv = ["portrait", str(model_file), "--grid", "2", "--tmax", "10"]
+    rc, default, _ = _run(capsys, argv)
+    assert rc == 0 and default.endswith("}\n")
+    rc, dash, err = _run(capsys, argv + ["--out", "-"])
+    assert rc == 0 and dash == default and err == ""
+    assert not (tmp_path / "-").exists()
+    rc, out, _ = _run(capsys, argv + ["--out", "p.json"])
+    assert rc == 0 and out == ""
+    assert (tmp_path / "p.json").read_bytes() + b"\n" == default.encode("utf-8")
+
+
 def test_portrait_svg_only_writes_nothing_to_stdout(model_file, tmp_path, capsys):
     svg = tmp_path / "p.svg"
     rc, out, _ = _run(

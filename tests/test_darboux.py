@@ -117,7 +117,7 @@ def test_extactic_matches_laplace_oracle():
     for sys, order in cases:
         ext = extactic(sys, order, find_invariant_lines(sys)[0])
         assert ext.order == order
-        assert len(ext.basis) == 3 * order
+        assert ext.basis_size == 3 * order
         assert ext.E == _extactic_oracle(sys, order)
         assert not ext.vanishes
 

@@ -1,4 +1,4 @@
-"""Verdict pipeline: cofactor matrices, first integrals, integrating factors.
+"""Verdict pipeline: cofactor tests, first integrals, integrating factors.
 
 Oracles: every positive verdict is re-verified from its certificate,
 checking sum(lambda_i K_i) + sum(mu_j L_j) equals 0 or -div exactly;
@@ -12,15 +12,14 @@ from fractions import Fraction
 import pytest
 
 from pdisc.compactify import to_chart
-from pdisc.darboux import extactic, find_exponential_factors, find_invariant_lines
-from pdisc.errors import InputError
-from pdisc.exactalg import MPoly
+from pdisc.darboux import ExpFactor, InvariantCurve, extactic, find_exponential_factors, find_invariant_lines
+from pdisc.errors import InputError, InternalInvariantError
+from pdisc.exactalg import MPoly, coefficient_rows, monomial_basis
 from pdisc.integrability import (
     FIRST_INTEGRAL,
     INTEGRATING_FACTOR,
     NOT_LIOUVILLIAN,
     SearchBounds,
-    build_cofactor_matrix,
     cofactor_tests,
     run_pipeline,
     verdict_fragment,
@@ -139,10 +138,10 @@ def test_leslie_not_liouvillian_with_rank_structure():
         assert len(pipe.curves) == 3
         assert len(pipe.factors) == 1
         # homogeneous system: only the constant-exponent direction survives
-        matrix = build_cofactor_matrix(pipe.curves, pipe.factors, sys.degree)
-        fi, inf, _, _ = cofactor_tests(matrix, sys.divergence())
+        fi, inf, rank, rank_aug = cofactor_tests(pipe.curves, pipe.factors, sys.divergence(), sys.degree)
         assert fi is None
         assert inf is None
+        assert (rank, rank_aug) == (pipe.verdict.rank, pipe.verdict.rank_aug)
         assert pipe.verdict.rank == pipe.verdict.rank_aug - 1
 
 
@@ -159,11 +158,27 @@ def test_cofactor_matrix_shape():
     sys = leslie_system(F(1), F(1), F(1, 2))
     curves, _ = find_invariant_lines(sys)
     factors = find_exponential_factors(sys, curves, deg_bound=2)
-    matrix = build_cofactor_matrix(curves, factors, sys.degree)
-    assert matrix.curve_count == 3
-    assert len(matrix.labels) == len(curves) + len(factors)
-    # columns are indexed by the monomial basis of degree <= d-1
-    assert len(matrix.basis) == 6
+    assert len(curves) == 3
+    # rows are indexed by the monomial basis of degree <= d-1
+    basis = monomial_basis(sys.degree - 1)
+    assert basis == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    rows = coefficient_rows([c.K for c in curves] + [ef.L for ef in factors], basis)
+    assert len(rows) == 6
+    assert all(len(row) == len(curves) + len(factors) for row in rows)
+
+
+def test_cofactor_tests_reject_terms_above_the_basis():
+    # the matrix has rows for degree <= d - 1 only: a higher term would be
+    # dropped, so a cofactor or a divergence reaching degree d is refused
+    x, y = MPoly.var_x(), MPoly.var_y()
+    high = InvariantCurve(f=x, K=x * y)
+    with pytest.raises(InputError, match="cofactor of x has degree 2, exceeding the bound 1"):
+        cofactor_tests([high], [], MPoly.zero(), 2)
+    factor = ExpFactor(g=MPoly.one(), f=x, L=y * y)
+    with pytest.raises(InputError, match=r"cofactor of exp\(\(1\)/\(x\)\) has degree 2"):
+        cofactor_tests([], [factor], MPoly.zero(), 2)
+    with pytest.raises(InternalInvariantError, match="divergence degree"):
+        cofactor_tests([InvariantCurve(f=x, K=y)], [], x * x, 2)
 
 
 def test_bounds_validation():

@@ -157,6 +157,17 @@ def test_nullspace_vectors_annihilate(rows):
             assert sum(r * v for r, v in zip(row, vec)) == 0
 
 
+@given(
+    st.lists(st.lists(small_rationals, min_size=4, max_size=4), min_size=1, max_size=4),
+    st.lists(st.integers(min_value=1, max_value=60), min_size=4, max_size=4),
+)
+def test_nullspace_ignores_positive_row_scales(rows, scales):
+    # the reduced echelon form is unique, so scaling rows (as
+    # coefficient_rows does to clear denominators) changes no basis vector
+    scaled = [[s * c for c in row] for row, s in zip(rows, scales)]
+    assert nullspace(scaled) == nullspace(rows)
+
+
 def test_nullspace_full_rank_is_trivial():
     rows = [
         [Fraction(1), Fraction(0)],
