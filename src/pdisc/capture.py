@@ -12,18 +12,17 @@ the closed region, proved by exact interval enclosures over a bisection
 of a box, computed on integer coefficients (see `positive_on`).  The
 largest region is tried first and shrunk by CAPTURE_SHRINK until the
 proof goes through; a point whose proof fails at every size gets no
-region.  The regions themselves are tested in binary64, each only after
-a conservative box test: a float box that holds the region in its own
-chart, carried into each chart a state may be in and widened outward
-(see `prefilters`), so a state far from every region costs a few
-comparisons per region.
+region.  The regions themselves are tested in binary64: `hit` decides,
+and `box` bounds in the region's own chart every point `hit` accepts,
+from which the portrait integrator makes the one box on the Poincaré
+disc that a state must be in before the region is tried.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from pdisc.compactify import HYPERBOLIC, BlowupAnalysis, BlowupSystem
 from pdisc.equilibria import EquilibriumRecord
@@ -43,12 +42,6 @@ _PROOF_BUDGET = 200
 
 _Range = Tuple[float, float]
 _Box = Tuple[float, float, float, float]
-# A prefilter on a state's raw coordinates (u, v) in one chart:
-# (ulo, uhi, vlo, vhi, umin, vmin) holds every state whose image in the
-# region's chart `hit` can accept, inside the box and with |u| >= umin
-# and |v| >= vmin; None where the region is never tested from that chart.
-Prefilter = Optional[Tuple[float, float, float, float, float, float]]
-
 _WIDTH_PAD = 2.0**-16  # of a box's width: rounding in `hit`
 _SIZE_PAD = 2.0**-40  # of its endpoints' size: rounding in the chart maps
 
@@ -59,13 +52,10 @@ class Capture:
     the state from (x0, y0) in the marker's own chart system: U3, or
     U1/U2 on the equator side `side`, whose system for side -1 is the V
     chart.  Both run in the true time, so the time sign of an orbit is
-    its direction alone.  `box` bounds the region in that chart, and
-    `near` maps each state chart to the `Prefilter` a state there must
-    pass before it is carried into that chart and tested (see
-    `prefilters`).
+    its direction alone.  `box` bounds the region in that chart.
     """
 
-    __slots__ = ("marker_id", "chart", "side", "x0", "y0", "disc", "near")
+    __slots__ = ("marker_id", "chart", "side", "x0", "y0", "disc")
 
     def __init__(self, marker: "Marker"):
         self.marker_id = marker.marker_id
@@ -97,32 +87,6 @@ def _mul(a: _Range, b: _Range) -> _Range:
 
 def _shift(c: float, a: _Range) -> _Range:
     return _out(c + a[0], c + a[1])
-
-
-def _through(d: _Range, n: _Range) -> Tuple[_Range, _Range, float]:
-    """For a point with d' in d and n' in n: the ranges of 1/d' and
-    n'/d', and a lower bound on |1/d'|.  Where d holds 0 the ranges are
-    unbounded and only the bound is left."""
-    if d[0] > 0.0 or d[1] < 0.0:
-        r = _out(1.0 / d[1], 1.0 / d[0])
-        return r, _mul(n, r), 0.0
-    inf = (-math.inf, math.inf)
-    return inf, inf, (1.0 - _SIZE_PAD) / max(-d[0], d[1])
-
-
-def prefilters(cap: Capture) -> Dict[str, Prefilter]:
-    """The region's box carried into each chart a state may be in.  A
-    finite region is seen from U1 through v = 1/x, u = y/x and from U2
-    through v = 1/y, u = x/y; a region at infinity is seen from the
-    other of U1/U2 through u = 1/u', v = v'/u', and never from U3."""
-    ulo, uhi, vlo, vhi = cap.box()
-    u, v = (ulo, uhi), (vlo, vhi)
-    own = (ulo, uhi, vlo, vhi, 0.0, 0.0)
-    if cap.chart == "U3":
-        (vx, ux, cx), (vy, uy, cy) = _through(u, v), _through(v, u)
-        return {"U3": own, "U1": (*ux, *vx, 0.0, cx), "U2": (*uy, *vy, 0.0, cy)}
-    r, q, cut = _through(u, v)
-    return {"U3": None, cap.chart: own, "U2" if cap.chart == "U1" else "U1": (*r, *q, cut, 0.0)}
 
 
 class NodeCapture(Capture):
@@ -451,6 +415,4 @@ def marker_captures(m: "Marker") -> List[Capture]:
         caps = [] if cap is None else [cap]
     elif m.blowup is not None:
         caps += blowup_node_captures(m, m.blowup)
-    for cap in caps:
-        cap.near = prefilters(cap)
     return caps

@@ -251,8 +251,7 @@ def _cmd_leslie(args: argparse.Namespace) -> int:
     print(f"1-AC = {bindings.regime_value}")
     print(f"regime: {bindings.regime}")
     if args.emit is not None:
-        Path(args.emit).write_text(leslie_source(bindings), encoding="utf-8")
-        print(f"wrote {args.emit}", file=sys.stderr)
+        _write_output(leslie_source(bindings).encode("utf-8"), args.emit)
     if args.analyze:
         report = analyze_report(sys_, quadrant=args.quadrant)
         _write_output(_dump_json(report), args.out)
@@ -360,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_leslie.add_argument("--out", default=None, help="JSON output path ('-' = stdout)")
     p_leslie.add_argument(
-        "--emit", default=None, metavar="PATH", help="write the bound model source"
+        "--emit", default=None, metavar="PATH", help="write the bound model source ('-' = stdout)"
     )
     p_leslie.set_defaults(func=_cmd_leslie)
     return parser

@@ -68,12 +68,6 @@ class ExpFactor:
             return self.g.format()
         return f"({self.g.format()})/({self.f.format()})"
 
-    @property
-    def constant_exponent(self) -> bool:
-        """Whether g/f is a constant, so the factor is a constant."""
-        q = self.g.exact_div(self.f)
-        return q is not None and q.is_constant
-
 
 @dataclass(frozen=True)
 class ExtacticResult:

@@ -86,8 +86,9 @@ def cofactor_tests(
 
     The nullspace vectors with last entry 0 span that of M; the one with
     last entry 1, if any, is the integrating factor.  First integrals
-    supported only on exponential factors of constant exponent are
-    rejected; those touching a curve column are preferred.  The matrix
+    touching a curve column are preferred.  No exponential factor has a
+    constant exponent (see `find_exponential_factors`), so every nonzero
+    vector of that nullspace is a first integral.  The matrix
     has no row for a term above degree d - 1, so such a cofactor is an
     input error and such a divergence an internal one.
     """
@@ -110,10 +111,8 @@ def cofactor_tests(
     def split(v: Sequence[Fraction]) -> Exponents:
         return tuple(v[:ncurves]), tuple(v[ncurves:])
 
-    constant = [False] * ncurves + [ef.constant_exponent for ef in factors]
-    admissible = [v for v in kernel if any(c != 0 and not constant[i] for i, c in enumerate(v))]
-    with_curves = [v for v in admissible if any(c != 0 for c in v[:ncurves])]
-    chosen = with_curves or admissible
+    with_curves = [v for v in kernel if any(c != 0 for c in v[:ncurves])]
+    chosen = with_curves or kernel
     first_integral = split(chosen[0]) if chosen else None
     integrating_factor = split(solutions[0]) if solutions else None
     return first_integral, integrating_factor, rank, rank_aug

@@ -1,8 +1,9 @@
 """Global phase portraits on the Poincaré disc.
 
-This is the only module that computes in binary64: every seed,
-equilibrium location, and chart polynomial is handed over from exact
-data and only the trajectory integration itself is floating point.
+Every seed, equilibrium location, and chart polynomial is handed over
+from exact data; only the trajectory integration, here, and the tests
+of the capture regions it ends in (`Capture.hit` and `Capture.box` in
+`pdisc.capture`) compute in binary64.
 
 Every orbit off the invariant coordinate axes is integrated by one
 loop, an embedded Dormand-Prince 4(5) pair whose last stage is the
@@ -27,12 +28,13 @@ equator, a triangle on the node side of a saddle-node, and an ellipse
 about each hyperbolic node on the divisors of a blown-up degenerate
 point.  A region captures only in the time direction in which it
 attracts, and an orbit that lands in one ends at the marker's disc
-point.  A state is tried only against the regions with a box in its
-chart, and only once it passes the chart's gate, a test on the raw
-state that every state passing one of those boxes passes too, so most
-steps test no region at all.  An orbit seeded on an invariant
-coordinate axis is not integrated at all: its limit on the axis
-follows exactly from the sign of the field along it.
+point.  Each region gets one box on the disc that holds the disc image
+of every point it accepts.  A state is tried only against the regions
+whose box holds its disc point, and only once that point is in the
+chart's gate, the union of those boxes, so most steps test no region
+at all.  An orbit seeded on an invariant coordinate axis is not
+integrated at all: its limit on the axis follows exactly from the sign
+of the field along it.
 """
 
 from __future__ import annotations
@@ -252,30 +254,30 @@ class _ChartFields(dict):
         return entry
 
 
-# (ulo, uhi, vlo, vhi, umin, vmin): a state of a chart passes some
-# prefilter of that chart only if it lies in the box or has |u| >= umin
-# or |v| >= vmin (see `_gate`)
-Gate = Tuple[float, float, float, float, float, float]
+_DISC_PAD = 2.0**-40  # rounding of the chart and disc maps, in disc coordinates
 
 
-def _gate(near: Sequence[tuple]) -> Gate:
-    """One necessary condition for passing any prefilter in `near`: the
-    union of the boxes that are bounded, and the least positive umin and
-    vmin of the others, which keep only those.  An unbounded prefilter
-    with neither holds every state, and then so does the gate."""
-    ulo = vlo = umin = vmin = math.inf
-    uhi = vhi = -math.inf
-    for lo_u, hi_u, lo_v, hi_v, mu, mv, _ in near:
-        if all(map(math.isfinite, (lo_u, hi_u, lo_v, hi_v))):
-            ulo, uhi, vlo, vhi = min(ulo, lo_u), max(uhi, hi_u), min(vlo, lo_v), max(vhi, hi_v)
-        elif mu > 0.0 or mv > 0.0:
-            if mu > 0.0:
-                umin = min(umin, mu)
-            if mv > 0.0:
-                vmin = min(vmin, mv)
-        else:
-            return (math.inf, -math.inf, math.inf, -math.inf, 0.0, 0.0)
-    return (ulo, uhi, vlo, vhi, umin, vmin)
+def _disc_box(r: Capture) -> Tuple[float, float, float, float]:
+    """(xlo, xhi, ylo, yhi): a box on the disc that holds the disc point
+    of every point of the region's box (see `Capture.box`).  On each
+    closed quadrant of the chart the disc map is monotone in each
+    coordinate, so the images of the box's corners and of its points on
+    the axes it spans bound it; the pad covers rounding."""
+    ulo, uhi, vlo, vhi = r.box()
+    us = (ulo, uhi, 0.0) if ulo < 0.0 < uhi else (ulo, uhi)
+    vs = (vlo, vhi, 0.0) if vlo < 0.0 < vhi else (vlo, vhi)
+    xs, ys = zip(*(_disc_from_chart(r.chart, u, v, r.side) for u in us for v in vs))
+    return min(xs) - _DISC_PAD, max(xs) + _DISC_PAD, min(ys) - _DISC_PAD, max(ys) + _DISC_PAD
+
+
+def _hull(near: Sequence[tuple]) -> Tuple[float, float, float, float]:
+    """The least box that holds every disc box in `near`; empty, holding
+    no point, when `near` is."""
+    xlo = ylo = math.inf
+    xhi = yhi = -math.inf
+    for lo_x, hi_x, lo_y, hi_y, _ in near:
+        xlo, xhi, ylo, yhi = min(xlo, lo_x), max(xhi, hi_x), min(ylo, lo_y), max(yhi, hi_y)
+    return xlo, xhi, ylo, yhi
 
 
 class Flow:
@@ -286,14 +288,15 @@ class Flow:
     first stage, and the chart's Dormand-Prince step (see
     `compile_step`), each compiled on the chart's first lookup, so a
     flow pays only for the charts its orbits enter; `near` maps each
-    chart to the regions with a box in it, in `captures` order, each
-    with its prefilter there, and `gates` to the one test (see `Gate`)
-    that a state of the chart must pass before `capture` can find any
-    of them.  `markers` default to every equilibrium of `disc` (see
-    `disc_markers`).  `axes` holds each invariant coordinate axis as the
-    field component along it, a polynomial in the axis coordinate alone;
-    its finite markers with their exact coordinates along it; and its
-    rim markers by side.
+    chart to the regions tried from it, in `captures` order: from U3
+    the finite ones, from U1 and U2 all, each with its disc box (see
+    `_disc_box`); and `gates` maps it to the union of those boxes, which
+    the disc point of a state of the chart must be in before `capture`
+    can find any of them.  `markers` default to every equilibrium of
+    `disc` (see `disc_markers`).  `axes` holds each invariant coordinate
+    axis as the field component along it, a polynomial in the axis
+    coordinate alone; its finite markers with their exact coordinates
+    along it; and its rim markers by side.
     """
 
     def __init__(self, disc: DiscEquilibria, markers: Optional[Sequence["Marker"]] = None):
@@ -303,11 +306,9 @@ class Flow:
         self.even_degree = sys.degree % 2 == 0
         u1, u2 = disc.charts["U1"], disc.charts["U2"]
         self.fields = _ChartFields({"U3": (sys.P, sys.Q), "U1": (u1.du, u1.dv), "U2": (u2.du, u2.dv)})
-        self.near = {
-            chart: [(*r.near[chart], r) for r in self.captures if r.near[chart] is not None]
-            for chart in ("U3", "U1", "U2")
-        }
-        self.gates = {chart: _gate(near) for chart, near in self.near.items()}
+        boxes = [(*_disc_box(r), r) for r in self.captures]
+        self.near = {c: [b for b in boxes if c != "U3" or b[4].chart == "U3"] for c in ("U3", "U1", "U2")}
+        self.gates = {chart: _hull(near) for chart, near in self.near.items()}
         # an axis is invariant when the transverse component vanishes on it
         zero = Fraction(0)
         self.axes: Dict[str, Tuple[MPoly, List[Tuple[AlgebraicCoord, Marker]], Dict[int, Marker]]] = {}
@@ -345,11 +346,17 @@ class Flow:
     def capture(self, chart: str, su: float, sv: float, sgn: float) -> Optional[Capture]:
         """The first capture region in `captures` that holds the state
         (su, sv) of `chart` for time sign `sgn`, or None.  Only the
-        regions in `near[chart]` are tried, each carried into the state's
-        chart and tested only once the raw state passes its prefilter
-        there (see `Capture.near`), which every state it holds passes."""
-        for ulo, uhi, vlo, vhi, umin, vmin, r in self.near[chart]:
-            if not (ulo <= su <= uhi and vlo <= sv <= vhi) or abs(su) < umin or abs(sv) < vmin:
+        regions in `near[chart]` whose disc box holds the state's disc
+        point are tried, each carried into the region's chart and tested
+        there.  A state of U1 or U2 is on the side of the sign of sv.
+        Within EQUATOR_EPS of the equator, where `integrate_orbit` ends
+        an orbit before it calls this, a state carried into the other
+        chart can land on v = 0, which the side test there reads as side
+        -1 whatever side the state is on; so there every region is tried."""
+        px, py = _disc_from_chart(chart, su, sv, 1 if sv > 0.0 else -1)
+        equator = chart != "U3" and abs(sv) < EQUATOR_EPS
+        for xlo, xhi, ylo, yhi, r in self.near[chart]:
+            if not (equator or (xlo <= px <= xhi and ylo <= py <= yhi)):
                 continue
             u, v = su, sv
             if r.chart != chart:
@@ -412,7 +419,7 @@ def integrate_orbit(
     # the chart's field, step, capture gate and time sign change only
     # when the chart does
     fx, fy, dp = fields[chart]
-    gulo, guhi, gvlo, gvhi, gumin, gvmin = gates[chart]
+    gxlo, gxhi, gylo, gyhi = gates[chart]
     k = sgn * orient
     k1x = k * fx(x, y)
     k1y = k * fy(x, y)
@@ -487,7 +494,7 @@ def integrate_orbit(
             orient = 1.0 if not even or y >= 0 else -1.0
         if chart != was:
             fx, fy, dp = fields[chart]
-            gulo, guhi, gvlo, gvhi, gumin, gvmin = gates[chart]
+            gxlo, gxhi, gylo, gyhi = gates[chart]
             k = sgn * orient
             k1x = k * fx(x, y)
             k1y = k * fy(x, y)
@@ -500,8 +507,8 @@ def integrate_orbit(
         if hypot(px - lx, py - ly) >= 0.004:
             pts.append((px, py))
             lx, ly = px, py
-        # the gate passes every state that passes a prefilter of the chart
-        if (gulo <= x <= guhi and gvlo <= y <= gvhi) or abs(x) >= gumin or abs(y) >= gvmin:
+        # the gate holds the disc point of every state a region of the chart holds
+        if gxlo <= px <= gxhi and gylo <= py <= gyhi:
             cap = capture(chart, x, y, sgn)
             if cap is not None:
                 reason = REASON_EQ

@@ -13,7 +13,7 @@ import pytest
 
 from pdisc.cli import main, parse_param_overrides
 from pdisc.errors import InputError, InternalInvariantError
-from pdisc.modelio import leslie_system, parse_system
+from pdisc.modelio import ParamBindings, leslie_source, leslie_system, parse_system
 
 ALL_ONES = ["--r", "1", "--k", "1", "--q", "1", "--s", "1", "--n", "1", "--c", "1"]
 
@@ -65,6 +65,19 @@ def test_leslie_emit_reparse(tmp_path, capsys):
     sys = parse_system(path.read_text(encoding="utf-8"))
     ref = leslie_system(F(1), F(1), F(1))
     assert (sys.P - ref.P).is_zero and (sys.Q - ref.Q).is_zero
+
+
+def test_leslie_emit_dash_is_stdout(tmp_path, capsys, monkeypatch):
+    # '-' names stdout, as for --out; a path gets the same bytes and line
+    monkeypatch.chdir(tmp_path)
+    source = leslie_source(ParamBindings(F(1), F(1), F(1)))
+    rc, out, err = _run(capsys, ["leslie", *ALL_ONES, "--emit", "-"])
+    assert rc == 0 and err == ""
+    assert out == "A=1, B=1, C=1\n1-AC = 0\nregime: zero\n" + source
+    assert not (tmp_path / "-").exists()
+    rc, _, err = _run(capsys, ["leslie", *ALL_ONES, "--emit", "bound.vf"])
+    assert rc == 0 and err == "wrote bound.vf\n"
+    assert (tmp_path / "bound.vf").read_bytes() == source.encode("utf-8")
 
 
 def test_leslie_chained_analyze(capsys):

@@ -25,7 +25,10 @@ from pdisc.darboux import (
 )
 from pdisc.errors import InternalInvariantError
 from pdisc.exactalg import MPoly, ffdet
-from pdisc.modelio import PlanarSystem, leslie_system, parse_system
+from pdisc.integrability import SearchBounds, run_pipeline
+from pdisc.modelio import PlanarSystem, leslie_system, parse_system, seeded_parameter_triples
+
+from test_golden import OTHER_ANALYZE
 
 F = Fraction
 X = MPoly.var_x()
@@ -261,6 +264,33 @@ def test_exponential_factor_translation_flow():
             factor.f
         )
         assert (lhs - factor.L * factor.f * factor.f).is_zero
+
+
+# Darboux test systems with exponential factors: exp(1/x) among them, and
+# exp(g) factors with curves and without
+EXP_FACTOR_SYSTEMS = [
+    "dx = x^2\ndy = 1\n",
+    "dx = 1\ndy = y\n",
+    "dx = x\ndy = x^2 + 2*y\n",
+    "dx = -y + x^2\ndy = x\n",
+]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_no_exponential_factor_has_a_constant_exponent(order):
+    # case (a) makes g monic with no constant term, and case (b) leaves a
+    # positive power of f in g/f, so no factor is a constant and the
+    # cofactor tests need no filter for one
+    sources = [source for source, _, _ in OTHER_ANALYZE.values()] + EXP_FACTOR_SYSTEMS
+    systems = [parse_system(source) for source in sources]
+    systems += [leslie_system(a, b, c) for a, b, c in seeded_parameter_triples(count=20)]
+    found = 0
+    for sys in systems:
+        for ef in run_pipeline(sys, SearchBounds(extactic_order=order)).factors:
+            quotient = ef.g.exact_div(ef.f)
+            assert quotient is None or not quotient.is_constant, ef.exponent_text
+            found += 1
+    assert found > 0
 
 
 def test_divergence_closed_form():

@@ -222,9 +222,9 @@ def test_bundled_portrait_evaluation_count(view, evals, monkeypatch):
 
 # calls to `hit` of any capture region in the bundled-parameter portrait,
 # a blown-up node's test of its ellipse counted again; a region is tested
-# only once the state passes its per-chart prefilter (11340 and 176305
-# calls before the prefilter)
-@pytest.mark.parametrize("view, hits", [("quadrant", 251), ("full", 23159)])
+# only once the state's disc point is in its disc box (11340 and 176305
+# calls before any filter)
+@pytest.mark.parametrize("view, hits", [("quadrant", 491), ("full", 24596)])
 def test_bundled_portrait_capture_test_count(view, hits, monkeypatch):
     calls = [0]
 
@@ -244,9 +244,10 @@ def test_bundled_portrait_capture_test_count(view, hits, monkeypatch):
 
 
 # calls to `Flow.capture` in the bundled-parameter portrait: the orbit
-# loop makes one only for an accepted state that passes its chart's
-# gate (3780 and 34732 calls, one per accepted step, before the gate)
-@pytest.mark.parametrize("view, captures", [("quadrant", 1077), ("full", 17938)])
+# loop makes one only for an accepted state whose disc point is in its
+# chart's gate (3780 and 34732 calls, one per accepted step, before the
+# gate)
+@pytest.mark.parametrize("view, captures", [("quadrant", 1229), ("full", 19776)])
 def test_bundled_portrait_capture_call_count(view, captures, monkeypatch):
     calls = [0]
     original = portrait.Flow.capture

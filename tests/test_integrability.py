@@ -137,7 +137,8 @@ def test_leslie_not_liouvillian_with_rank_structure():
         assert pipe.verdict.verdict == NOT_LIOUVILLIAN
         assert len(pipe.curves) == 3
         assert len(pipe.factors) == 1
-        # homogeneous system: only the constant-exponent direction survives
+        # no first integral and no integrating factor: M has full column
+        # rank and [M | -div] one more
         fi, inf, rank, rank_aug = cofactor_tests(pipe.curves, pipe.factors, sys.divergence(), sys.degree)
         assert fi is None
         assert inf is None

@@ -14,7 +14,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pdisc.cli import main
 from pdisc.compactify import SectorDecomposition, blowup_analysis, disc_equilibria, infinite_equilibria, to_chart
@@ -34,8 +34,10 @@ from pdisc.capture import (
     saddle_node_capture,
 )
 from pdisc.portrait import (
+    EQUATOR_EPS,
     Flow,
     PortraitDoc,
+    _disc_box,
     _disc_from_chart,
     _dp_step,
     _marker_for_finite,
@@ -949,21 +951,37 @@ def _regions():
     return tuple(r for flow in _region_flows() for r in flow.captures)
 
 
+def _state_disc(chart, u, v):
+    """The disc point `Flow.capture` filters the state (u, v) of `chart`
+    by, or None for a state within EQUATOR_EPS of the equator, which it
+    filters by none."""
+    if chart != "U3" and abs(v) < EQUATOR_EPS:
+        return None
+    return _disc_from_chart(chart, u, v, 1 if v > 0.0 else -1)
+
+
 @settings(max_examples=400)
 @given(st.integers(0, 10**6), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from([1.0, -1.0]))
-def test_every_state_a_region_holds_passes_its_prefilter(i, f, g, sgn):
+def test_every_state_a_region_holds_has_its_disc_point_in_the_disc_box(i, f, g, sgn):
     regions = _regions()
     r = regions[i % len(regions)]
+    xlo, xhi, ylo, yhi = _disc_box(r)
     for chart, su, sv, u, v in _seen_from(r, *_region_point(r, f, g)):
-        if r.hit(u - r.x0, v - r.y0, sgn):
-            ulo, uhi, vlo, vhi, umin, vmin = r.near[chart]
-            assert ulo <= su <= uhi and vlo <= sv <= vhi and abs(su) >= umin and abs(sv) >= vmin
+        p = _state_disc(chart, su, sv)
+        on_side = r.chart == "U3" or (v > 0.0) == (r.side > 0)
+        if p is not None and on_side and r.hit(u - r.x0, v - r.y0, sgn):
+            assert xlo <= p[0] <= xhi and ylo <= p[1] <= yhi
 
 
 def _gate_open(flow, chart, u, v):
-    """The test the orbit loop makes before it calls `Flow.capture`."""
-    ulo, uhi, vlo, vhi, umin, vmin = flow.gates[chart]
-    return (ulo <= u <= uhi and vlo <= v <= vhi) or abs(u) >= umin or abs(v) >= vmin
+    """The test the orbit loop makes before it calls `Flow.capture`, on
+    the disc point of the state; None for a state within EQUATOR_EPS of
+    the equator, where the loop ends the orbit before it makes the test."""
+    p = _state_disc(chart, u, v)
+    if p is None:
+        return None
+    xlo, xhi, ylo, yhi = flow.gates[chart]
+    return xlo <= p[0] <= xhi and ylo <= p[1] <= yhi
 
 
 _coordinate = st.floats(-1e3, 1e3)
@@ -978,11 +996,14 @@ _coordinate = st.floats(-1e3, 1e3)
     _coordinate,
     _coordinate,
 )
+# on the equator of U2 at u = -1: carried into U1, where the node at
+# u = -1 on side -1 holds it, it is on the antipode of its U2 disc point
+@example(1, 0.5, 0.5, "U2", -1.0, 0.0)
 def test_a_closed_gate_hides_no_capture(i, f, g, chart, u, v):
     # a state anywhere in a chart, and a point in or beside one region
-    # of the same flow as seen from each chart that tests the region:
-    # the states out of a bounded box that only an unbounded prefilter
-    # passes come from the second kind
+    # of the same flow as seen from each chart that tests the region;
+    # Flow.capture finds what the unfiltered loop finds at every state,
+    # beside the equator too
     flows = _region_flows()
     flow = flows[i % len(flows)]
     states = [(chart, u, v)]
@@ -990,16 +1011,16 @@ def test_a_closed_gate_hides_no_capture(i, f, g, chart, u, v):
         r = flow.captures[i // len(flows) % len(flow.captures)]
         states += [(c, su, sv) for c, su, sv, _, _ in _seen_from(r, *_region_point(r, f, g))]
     for c, su, sv in states:
-        if not _gate_open(flow, c, su, sv):
-            assert flow.capture(c, su, sv, 1.0) is None and flow.capture(c, su, sv, -1.0) is None
+        found = [_unfiltered_capture(flow, c, su, sv, sgn) for sgn in (1.0, -1.0)]
+        assert [flow.capture(c, su, sv, sgn) for sgn in (1.0, -1.0)] == found
+        if _gate_open(flow, c, su, sv) is False:
+            assert found == [None, None]
 
 
 def test_regions_cover_every_kind_and_chart():
     kinds = {(type(r).__name__, r.chart) for r in _regions()}
     assert {"NodeCapture", "SaddleNodeCapture", "BlowupNodeCapture"} == {k for k, _ in kinds}
     assert {"U1", "U2", "U3"} == {c for _, c in kinds}
-    # a region over x = 0 or y = 0 has no bounded box seen from U1 or U2
-    assert any(r.near[c][4] > 0.0 or r.near[c][5] > 0.0 for r in _regions() for c in ("U1", "U2") if r.near[c])
 
 
 def _fraction_positive_on(p, xs, ys):
