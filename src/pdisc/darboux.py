@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from pdisc.errors import InternalInvariantError
@@ -71,13 +72,15 @@ class ExpFactor:
 
 @dataclass(frozen=True)
 class ExtacticResult:
-    """The order-m extactic curve and curve multiplicities within it."""
+    """The order-m extactic curve and curve multiplicities within it,
+    and each line's multiplicity within E_1 (at order 1, the same dict)."""
 
     order: int
     basis_size: int  # monomials of degree <= order
     E: MPoly
     multiplicities: Dict[str, int]
     vanishes: bool
+    line_multiplicities: Dict[str, int]
 
 
 def verify_invariant_curve(sys: PlanarSystem, f: MPoly) -> Optional[InvariantCurve]:
@@ -121,28 +124,18 @@ def _substituted_conditions(sys: PlanarSystem) -> List[MPoly]:
 
     (Q - a P)(x, a x + b) is collected as a polynomial in x; each
     x-coefficient, a polynomial in (a, b), must vanish.  The returned
-    MPoly values use variable x for a and y for b.
+    MPoly values use variable x for a and y for b.  Each coefficient's
+    terms are summed in one dict and the condition is built once.
     """
-    d = sys.degree
-    nx = d + 1  # x-degree of the substituted expression is at most d
-
-    def subst(poly: MPoly) -> List[MPoly]:
-        # coefficients of x^m in poly(x, a x + b), as polynomials in (a, b)
-        out = [MPoly.zero() for _ in range(nx + 1)]
+    # x^m coefficients, m <= d, as {(a-exponent, b-exponent): coefficient}
+    acc: List[Dict[Tuple[int, int], Fraction]] = [{} for _ in range(sys.degree + 1)]
+    for poly, a_shift, sign in ((sys.Q, 0, 1), (sys.P, 1, -1)):
         for (i, j), c in poly.items():
             # x^i (a x + b)^j = sum_t C(j,t) a^t b^(j-t) x^(i+t)
-            binom = 1
             for t in range(j + 1):
-                if t > 0:
-                    binom = binom * (j - t + 1) // t
-                term = MPoly.monomial(t, j - t, Fraction(binom) * c)
-                out[i + t] = out[i + t] + term
-        return out
-
-    pc = subst(sys.P)
-    qc = subst(sys.Q)
-    a_var = MPoly.var_x()
-    conds = [qc[m] - a_var * pc[m] for m in range(nx + 1)]
+                terms, e = acc[i + t], (t + a_shift, j - t)
+                terms[e] = terms.get(e, 0) + sign * comb(j, t) * c
+    conds = [MPoly(terms) for terms in acc]
     return [c for c in conds if not c.is_zero]
 
 
@@ -327,10 +320,22 @@ def _solve_slant_conditions(
 # extactic curves
 
 
+def _exponent(f: MPoly, poly: MPoly) -> int:
+    """The exponent of f in a nonzero poly, by repeated exact division."""
+    count = 0
+    while True:
+        q = poly.exact_div(f)
+        if q is None:
+            return count
+        poly = q
+        count += 1
+
+
 def extactic(sys: PlanarSystem, m: int, curves: Sequence[InvariantCurve]) -> ExtacticResult:
-    """Order-m extactic curve E_m, m <= 2, and the multiplicity inside it
-    of each given invariant curve of degree <= m (which must divide a
-    nonzero E_m, or an internal error is raised).
+    """Order-m extactic curve E_m, m <= 2, the multiplicity inside it of
+    each given invariant curve of degree <= m, and inside E_1 that of
+    each given line (each must divide a nonzero E_m, then a nonzero
+    E_1, or an internal error is raised, in that order).
 
     E_m is the Wronskian along the flow of the monomials of degree <= m,
     the determinant of X^0..X^(l-1) applied to them, read from a closed
@@ -343,65 +348,81 @@ def extactic(sys: PlanarSystem, m: int, curves: Sequence[InvariantCurve]) -> Ext
     (y, xy, y^2) of rows 3..5, which is 2 y'' times Monge's equation of
     conics 9 y''^2 y^(5) - 45 y'' y^(3) y^(4) + 40 y^(3)^3.  Hence
     E_2 = -4 E_1 M / P^3 with M = 9 N_2^2 N_5 - 45 N_2 N_3 N_4 + 40 N_3^3;
-    a remainder of M / P^3 is an internal error.
+    a remainder of M / P^3 is an internal error.  One recurrence gives
+    both E_1 and E_2.  A line is irreducible, so its exponent in
+    E_2 = -4 N_2 (M / P^3) is its exponent in N_2 plus that in M / P^3;
+    a conic may be reducible and is divided into E_2 itself.
     """
     if m < 1:
         raise ValueError("extactic order must be at least 1")
     if m > 2:
         raise ValueError("extactic order capped at 2")
     p = sys.P
-    if p.is_zero:
-        e = MPoly.zero()
-    else:
+    e1 = e = quotient = MPoly.zero()
+    if not p.is_zero:
         xp = sys.lie_derivative(p)
         n = [sys.Q]
         for k in range(1, 3 * m - 1):
             n.append(p * sys.lie_derivative(n[-1]) - xp * n[-1] * (2 * k - 1))
-        e = n[1]
+        e1 = e = n[1]
         if m == 2:
             _, n2, n3, n4, n5 = n
-            # M = n2 (9 n2 n5 - 45 n3 n4) + 40 n3^3, one product fewer
-            quotient = (n2 * (n2 * n5 * 9 - n3 * n4 * 45) + n3 * n3 * n3 * 40).exact_div(p * p * p)
+            # Monge's M, grouped for fewer coefficient products
+            monge = n3 * (n3 * n3 * 40 - n2 * n4 * 45) + n2 * (n2 * n5) * 9
+            quotient = monge.exact_div(p * p * p)
             if quotient is None:
                 raise InternalInvariantError("Monge's polynomial of E_2 leaves a remainder on division by P^3")
             e = n2 * quotient * -4
 
+    lines: Dict[str, int] = {}
+    if not e1.is_zero:
+        for cur in curves:
+            if cur.f.degree <= 1:
+                lines[cur.f.format()] = _exponent(cur.f, e1)
     mult: Dict[str, int] = {}
     vanishes = e.is_zero
     for cur in curves:
-        if cur.f.degree > m:
+        if vanishes or cur.f.degree > m:
             continue
         key = cur.f.format()
-        if vanishes:
-            continue
-        count = 0
-        rem = e
-        while True:
-            q = rem.exact_div(cur.f)
-            if q is None:
-                break
-            rem = q
-            count += 1
+        if cur.f.degree > 1:
+            count = _exponent(cur.f, e)
+        else:
+            count = lines[key] + (_exponent(cur.f, quotient) if m == 2 else 0)
         if count == 0:
             raise InternalInvariantError(
                 f"invariant curve {key} does not divide a nonzero E_{m}"
             )
         mult[key] = count
+    for key, count in lines.items():
+        if count == 0:
+            raise InternalInvariantError(
+                f"invariant curve {key} does not divide a nonzero E_1"
+            )
     size = (m + 1) * (m + 2) // 2
-    return ExtacticResult(order=m, basis_size=size, E=e, multiplicities=mult, vanishes=vanishes)
+    return ExtacticResult(
+        order=m,
+        basis_size=size,
+        E=e,
+        multiplicities=mult,
+        vanishes=vanishes,
+        line_multiplicities=mult if m == 1 else lines,
+    )
 
 
 def attach_multiplicities(
     curves: Sequence[InvariantCurve], ext: ExtacticResult
 ) -> List[InvariantCurve]:
-    """Curves re-tagged with their extactic multiplicities where known."""
+    """Curves re-tagged with their multiplicities where known: a line's
+    is its exponent in E_1 (Christopher, Llibre & Pereira 2007), at
+    either extactic order."""
     out: List[InvariantCurve] = []
     for cur in curves:
         key = cur.f.format()
-        if key not in ext.multiplicities:
+        if key not in ext.line_multiplicities:
             out.append(cur)
         else:
-            out.append(InvariantCurve(cur.f, cur.K, ext.multiplicities[key]))
+            out.append(InvariantCurve(cur.f, cur.K, ext.line_multiplicities[key]))
     return out
 
 

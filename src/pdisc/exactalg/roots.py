@@ -187,8 +187,10 @@ def _refine_interval(
 
 def refine_root(p: UPoly, ri: RootInterval, width: _Scalar) -> RootInterval:
     """Shrink an isolating interval of p to the given width; p must be
-    square-free (the bisection reads the sign changes of p itself)."""
-    if ri.is_exact:
+    square-free (the bisection reads the sign changes of p itself).  An
+    interval already that narrow is returned as it is: its endpoints are
+    not roots, so the bisection would return it unchanged."""
+    if ri.is_exact or ri.width <= width:
         return ri
     lo, hi = _refine_interval(p, ri.lo, ri.hi, Fraction(width))
     if lo == hi:

@@ -152,13 +152,15 @@ class DarbouxPipeline:
 
 def run_pipeline(sys: PlanarSystem, bounds: SearchBounds = SearchBounds()) -> DarbouxPipeline:
     """Curve search, extactic multiplicities, exponential factors, and
-    the two cofactor tests, in order."""
+    the two cofactor tests, in order.  One `extactic` call at either
+    order gives the reported E_m and each line's exponent in E_1, which
+    is its multiplicity."""
     curves, families = find_invariant_lines(sys)
 
+    # a line's multiplicity is its exponent in E_1; at order 2, E_2 is
+    # only reported
     ext = extactic(sys, bounds.extactic_order, curves)
-    # a line's multiplicity is its exponent in E_1 (Christopher, Llibre &
-    # Pereira 2007); at order 2, ext is only reported
-    curves = attach_multiplicities(curves, ext if ext.order == 1 else extactic(sys, 1, curves))
+    curves = attach_multiplicities(curves, ext)
     factors = find_exponential_factors(sys, curves, bounds.max_exp_degree)
 
     div = sys.divergence()

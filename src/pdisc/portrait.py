@@ -343,22 +343,23 @@ class Flow:
                 best = (c, m)
         return step, rim.get(step) if best is None else best[1]
 
-    def capture(self, chart: str, su: float, sv: float, sgn: float) -> Optional[Capture]:
+    def capture(
+        self, chart: str, su: float, sv: float, sgn: float, disc: Optional[Tuple[float, float]] = None
+    ) -> Optional[Capture]:
         """The first capture region in `captures` that holds the state
         (su, sv) of `chart` for time sign `sgn`, or None.  Only the
         regions in `near[chart]` whose disc box holds the state's disc
         point are tried, each carried into the region's chart and tested
-        there.  A state of U1 or U2 is on the side of the sign of sv.
-        Within EQUATOR_EPS of the equator, where `integrate_orbit` ends
-        an orbit before it calls this, a state carried into the other
-        chart can land on v = 0, which the side test there reads as side
-        -1 whatever side the state is on; so there every region is tried."""
-        px, py = _disc_from_chart(chart, su, sv, 1 if sv > 0.0 else -1)
-        equator = chart != "U3" and abs(sv) < EQUATOR_EPS
+        there.  A state of U1 or U2 is on the side of the sign of sv, and
+        carried across the U1/U2 overlap, on that side times the sign of
+        su, so it keeps its disc point when its carried v rounds to 0.
+        `disc` is the state's disc point, when the caller holds it."""
+        side = 1 if sv > 0.0 else -1
+        px, py = _disc_from_chart(chart, su, sv, side) if disc is None else disc
         for xlo, xhi, ylo, yhi, r in self.near[chart]:
-            if not (equator or (xlo <= px <= xhi and ylo <= py <= yhi)):
+            if not (xlo <= px <= xhi and ylo <= py <= yhi):
                 continue
-            u, v = su, sv
+            u, v, s = su, sv, side
             if r.chart != chart:
                 if r.chart == "U3":
                     if v == 0.0:
@@ -367,8 +368,9 @@ class Flow:
                 else:
                     if u == 0.0:
                         continue
-                    u, v = 1.0 / u, v / u  # across the U1/U2 overlap
-            if r.chart != "U3" and (v > 0.0) != (r.side > 0):
+                    # across the U1/U2 overlap
+                    u, v, s = 1.0 / u, v / u, side if u > 0.0 else -side
+            if r.chart != "U3" and s != r.side:
                 continue
             if r.hit(u - r.x0, v - r.y0, sgn):
                 return r
@@ -509,7 +511,7 @@ def integrate_orbit(
             lx, ly = px, py
         # the gate holds the disc point of every state a region of the chart holds
         if gxlo <= px <= gxhi and gylo <= py <= gyhi:
-            cap = capture(chart, x, y, sgn)
+            cap = capture(chart, x, y, sgn, (px, py))
             if cap is not None:
                 reason = REASON_EQ
                 break

@@ -15,7 +15,9 @@ from typing import List, Sequence
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from pdisc import integrability
 from pdisc.darboux import (
+    InvariantCurve,
     attach_multiplicities,
     darboux_fragment,
     extactic,
@@ -223,6 +225,107 @@ def test_extactic_reports_an_inexact_division_by_p_cubed(monkeypatch):
     assert not extactic(sys, 1, []).vanishes
     with pytest.raises(InternalInvariantError):
         extactic(sys, 2, [])
+
+
+def _divisions(e: MPoly, f: MPoly) -> int:
+    """The exponent of f in a nonzero e, by repeated exact division."""
+    count = 0
+    while (q := e.exact_div(f)) is not None:
+        e, count = q, count + 1
+    return count
+
+
+@pytest.mark.parametrize(
+    "sys, exponents",
+    [
+        (leslie_system(F(1), F(1), F(1, 2)), {"x": 4, "x + 1/2": 4, "y": 5}),
+        (parse_system("dx = x*(1 - x)\ndy = 2*y\n"), {"x - 1": 4, "x": 7, "y": 4}),
+        (parse_system("dx = y^2 - x*y + y - 1\ndy = x*y - x^2 + x\n"), None),
+    ],
+    ids=["bundled", "logistic-node", "non-leslie"],
+)
+def test_order_two_exponents_match_division_of_e2_itself(sys, exponents):
+    # a line's exponent in E_2 is read from the factors N_2 and M / P^3;
+    # the oracle divides the whole E_2 again and again; the non-Leslie
+    # system has no invariant line, only its E_2 is checked
+    curves, _ = find_invariant_lines(sys)
+    assert bool(curves) == (exponents is not None)
+    ext = extactic(sys, 2, curves)
+    assert not ext.vanishes
+    assert ext.multiplicities == {c.f.format(): _divisions(ext.E, c.f) for c in curves}
+    assert exponents is None or ext.multiplicities == exponents
+    # the E_1 exponents come from the same recurrence
+    assert ext.line_multiplicities == extactic(sys, 1, curves).multiplicities
+    assert ext.line_multiplicities == {c.f.format(): _divisions(extactic(sys, 1, []).E, c.f) for c in curves}
+    order_one = extactic(sys, 1, curves)
+    assert order_one.line_multiplicities is order_one.multiplicities
+
+
+def test_a_conic_is_divided_into_e2_itself():
+    # x^2 + y^2 - 1 is irreducible; x*y is reducible, and its exponent is
+    # that of the product (4), not the sum of those of x and y (7 + 4)
+    cases = [
+        ("dx = -y + x*(1 - x^2 - y^2)\ndy = x + y*(1 - x^2 - y^2)\n", X * X + Y * Y - ONE, None),
+        ("dx = x*(1 - x)\ndy = 2*y\n", X * Y, 4),
+    ]
+    for source, f, expected in cases:
+        sys = parse_system(source)
+        cur = verify_invariant_curve(sys, f)
+        assert cur is not None
+        ext = extactic(sys, 2, [cur])
+        count = _divisions(ext.E, cur.f)
+        assert count >= 1 and expected in (None, count)
+        assert ext.multiplicities == {cur.f.format(): count}
+        assert ext.line_multiplicities == {}
+        # a conic is beyond the order-1 bound
+        assert extactic(sys, 1, [cur]).multiplicities == {}
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [("dx = x\ndy = 2*y\n", {"x": 1, "y": 1}), ("dx = x^2\ndy = 1\n", {"x": 3})],
+    ids=["node", "multiple-line"],
+)
+def test_a_vanishing_e2_still_carries_the_e1_exponents(source, lines):
+    sys = parse_system(source)
+    curves, _ = find_invariant_lines(sys)
+    ext = extactic(sys, 2, curves)
+    assert ext.vanishes and ext.multiplicities == {}
+    assert ext.line_multiplicities == lines == extactic(sys, 1, curves).multiplicities
+    assert {c.f.format(): c.multiplicity for c in attach_multiplicities(curves, ext)} == lines
+    pipe = run_pipeline(sys, SearchBounds(extactic_order=2))
+    assert {c.f.format(): c.multiplicity for c in pipe.curves} == lines
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_run_pipeline_makes_one_extactic_call(order, monkeypatch):
+    orders = []
+
+    def counted(sys, m, curves):
+        orders.append(m)
+        return extactic(sys, m, curves)
+
+    monkeypatch.setattr(integrability, "extactic", counted)
+    pipe = run_pipeline(leslie_system(F(1), F(1), F(1, 2)), SearchBounds(extactic_order=order))
+    assert orders == [order]
+    assert [c.multiplicity for c in pipe.curves] == [1, 1, 1]
+
+
+def test_extactic_names_a_curve_that_divides_no_nonzero_e_m():
+    # on dx = y, dy = x^2, the line y divides M / P^3, so E_2, but not E_1
+    sys = parse_system("dx = y\ndy = x^2\n")
+    y_line = InvariantCurve(Y, MPoly.zero())
+    off = InvariantCurve(X - MPoly.const(5), MPoly.zero())
+    with pytest.raises(InternalInvariantError, match="^invariant curve y does not divide a nonzero E_1$"):
+        extactic(sys, 2, [y_line])
+    # every curve is checked against E_2 before any against E_1
+    with pytest.raises(InternalInvariantError, match="^invariant curve x - 5 does not divide a nonzero E_2$"):
+        extactic(sys, 2, [y_line, off])
+    with pytest.raises(InternalInvariantError, match="^invariant curve x - 5 does not divide a nonzero E_1$"):
+        extactic(sys, 1, [off])
+    # E_2 vanishes here, and the E_1 check still runs
+    with pytest.raises(InternalInvariantError, match="^invariant curve x - 5 does not divide a nonzero E_1$"):
+        extactic(parse_system("dx = x\ndy = 2*y\n"), 2, [off])
 
 
 def test_exponential_factor_leslie():

@@ -866,9 +866,11 @@ FULL_DISC = {
 
 def _unfiltered_capture(flow, chart, su, sv, sgn):
     """`Flow.capture` as it was before the prefilter: every region, carried
-    into its own chart and tested."""
+    into its own chart and tested.  A state of U1 or U2 is on the side of
+    the sign of sv; carried across the U1/U2 overlap, on that side times
+    the sign of su."""
     for r in flow.captures:
-        u, v = su, sv
+        u, v, side = su, sv, 1 if sv > 0.0 else -1
         if r.chart != chart:
             if chart == "U3":
                 continue
@@ -879,8 +881,8 @@ def _unfiltered_capture(flow, chart, su, sv, sgn):
             else:
                 if u == 0.0:
                     continue
-                u, v = 1.0 / u, v / u
-        if r.chart != "U3" and (v > 0.0) != (r.side > 0):
+                u, v, side = 1.0 / u, v / u, side if u > 0.0 else -side
+        if r.chart != "U3" and side != r.side:
             continue
         if r.hit(u - r.x0, v - r.y0, sgn):
             return r
@@ -893,8 +895,10 @@ def test_prefiltered_capture_returns_the_unfiltered_region(name, monkeypatch):
     capture = Flow.capture
     seen = {"steps": 0, "captured": 0}
 
-    def checked(flow, chart, su, sv, sgn):
-        got = capture(flow, chart, su, sv, sgn)
+    def checked(flow, chart, su, sv, sgn, disc=None):
+        # the orbit loop hands over the disc point it holds
+        assert disc is not None
+        got = capture(flow, chart, su, sv, sgn, disc)
         assert got is _unfiltered_capture(flow, chart, su, sv, sgn), (chart, su, sv, sgn)
         seen["steps"] += 1
         seen["captured"] += got is not None
@@ -952,11 +956,7 @@ def _regions():
 
 
 def _state_disc(chart, u, v):
-    """The disc point `Flow.capture` filters the state (u, v) of `chart`
-    by, or None for a state within EQUATOR_EPS of the equator, which it
-    filters by none."""
-    if chart != "U3" and abs(v) < EQUATOR_EPS:
-        return None
+    """The disc point `Flow.capture` filters the state (u, v) of `chart` by."""
     return _disc_from_chart(chart, u, v, 1 if v > 0.0 else -1)
 
 
@@ -968,8 +968,9 @@ def test_every_state_a_region_holds_has_its_disc_point_in_the_disc_box(i, f, g, 
     xlo, xhi, ylo, yhi = _disc_box(r)
     for chart, su, sv, u, v in _seen_from(r, *_region_point(r, f, g)):
         p = _state_disc(chart, su, sv)
-        on_side = r.chart == "U3" or (v > 0.0) == (r.side > 0)
-        if p is not None and on_side and r.hit(u - r.x0, v - r.y0, sgn):
+        # the state's side, times the sign of su across the U1/U2 overlap
+        side = (1 if sv > 0.0 else -1) * (-1 if chart != r.chart and su < 0.0 else 1)
+        if (r.chart == "U3" or side == r.side) and r.hit(u - r.x0, v - r.y0, sgn):
             assert xlo <= p[0] <= xhi and ylo <= p[1] <= yhi
 
 
@@ -977,9 +978,9 @@ def _gate_open(flow, chart, u, v):
     """The test the orbit loop makes before it calls `Flow.capture`, on
     the disc point of the state; None for a state within EQUATOR_EPS of
     the equator, where the loop ends the orbit before it makes the test."""
-    p = _state_disc(chart, u, v)
-    if p is None:
+    if chart != "U3" and abs(v) < EQUATOR_EPS:
         return None
+    p = _state_disc(chart, u, v)
     xlo, xhi, ylo, yhi = flow.gates[chart]
     return xlo <= p[0] <= xhi and ylo <= p[1] <= yhi
 
@@ -996,9 +997,12 @@ _coordinate = st.floats(-1e3, 1e3)
     _coordinate,
     _coordinate,
 )
-# on the equator of U2 at u = -1: carried into U1, where the node at
-# u = -1 on side -1 holds it, it is on the antipode of its U2 disc point
+# on the equator of U2 at u = -1, on side -1: carried into U1 it is on
+# side +1, so the node at u = -1 on side -1 of U1 does not hold it
 @example(1, 0.5, 0.5, "U2", -1.0, 0.0)
+# on side +1 of U2, whose carried v = 5e-324 / 34 rounds to 0 in U1: it
+# is on side +1 there too, not in the side -1 node at the origin of U1
+@example(0, 0.5, 0.5, "U2", 34.0, 5e-324)
 def test_a_closed_gate_hides_no_capture(i, f, g, chart, u, v):
     # a state anywhere in a chart, and a point in or beside one region
     # of the same flow as seen from each chart that tests the region;

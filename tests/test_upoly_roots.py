@@ -20,6 +20,7 @@ from hypothesis import given, strategies as st
 
 from pdisc.equilibria import finite_equilibria
 from pdisc.exactalg import (
+    AlgebraicCoord,
     MPoly,
     UPoly,
     isolate_real_roots,
@@ -495,6 +496,28 @@ def test_refine_root_matches_fraction_bisection(squares, roots, bits):
         got = refine_root(s, ri, width)
         assert (got.lo, got.hi) == _ref_refine_interval(rs, ri.lo, ri.hi, width)
         assert not got.is_exact and got.width <= width
+
+
+def test_refine_root_returns_an_interval_already_narrow_enough(monkeypatch):
+    s = UPoly((-2, 0, 1))
+    (ri,) = [r for r in isolate_real_roots(s) if r.hi > 0]
+    width = Fraction(1, 2**60)
+    fine = refine_root(s, ri, width)
+    # the endpoints of an isolating interval are not roots, so bisecting
+    # an interval already narrow enough hands back the same interval
+    assert (fine.lo, fine.hi) == _ref_refine_interval(_ref(s.coeffs), fine.lo, fine.hi, width)
+
+    def no_sign(*args):
+        raise AssertionError("an interval narrow enough is refined again")
+
+    monkeypatch.setattr(UPoly, "sign_at", no_sign)
+    monkeypatch.setattr(UPoly, "sign_at_ratio", no_sign)
+    for w in (width, fine.width, Fraction(1)):
+        assert refine_root(s, fine, w) is fine
+    # approx() and text() refine their coordinate to 2^-60 once, not again
+    c = AlgebraicCoord(poly=s, root=fine)
+    assert c.approx() == float((fine.lo + fine.hi) / 2)
+    assert c.text().startswith("~1.41421356237 ")
 
 
 def _sqrt_box(n: int, bits: int, sign: int) -> Tuple[Fraction, Fraction]:
