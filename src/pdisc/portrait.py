@@ -12,9 +12,11 @@ chart while |x| + |y| stays small, the U1/U2 charts near infinity
 (switch out above 10, back below 5).  The step is straight-line code
 whose sums run in one fixed order, so every trajectory float is the
 same on every supported interpreter.  One text of it serves twice: as
-`_dp_step` over callable field components, and compiled for a chart of
-a `Flow`, when an orbit first enters that chart, with the chart's two
-Horner expressions written inline at every stage.  The loop keeps the
+`_dp_step` over callable field components and a time sign, and
+compiled for a chart of a `Flow` and a time sign, when an orbit first
+runs in that chart with that sign, with the chart's two Horner
+expressions written inline at every stage and the sign written in;
+both give the same floats.  The loop keeps the
 chart, coordinates and disc point in local variables and converts
 coordinates only when a switch threshold is crossed.  For even-degree
 systems the chart polynomials reverse time on the v < 0 half, which
@@ -87,7 +89,14 @@ REASON_UNDERFLOW = "step-underflow"
 
 
 def disc_from_plane(x: float, y: float) -> Tuple[float, float]:
-    s = 1.0 / math.sqrt(1.0 + x * x + y * y)
+    r = 1.0 + x * x + y * y
+    if r == math.inf:
+        # overflow: divide x, y and 1 by max(|x|, |y|), past which 1 is
+        # below half an ulp of the sum
+        m = max(abs(x), abs(y))
+        x, y = x / m, y / m
+        r = x * x + y * y
+    s = 1.0 / math.sqrt(r)
     return (x * s, y * s)
 
 
@@ -102,7 +111,14 @@ def plane_from_disc(y1: float, y2: float) -> Tuple[float, float]:
 def _disc_from_chart(chart: str, u: float, v: float, side: int) -> Tuple[float, float]:
     if chart == "U3":
         return disc_from_plane(u, v)
-    s = side / math.sqrt(1.0 + u * u + v * v)
+    r = 1.0 + u * u + v * v
+    if r == math.inf:
+        # overflow, as in `disc_from_plane`
+        m = max(abs(u), abs(v))
+        u, v = u / m, v / m
+        s = side / math.sqrt(u * u + v * v)
+        return (s / m, s * u) if chart == "U1" else (s * u, s / m)
+    s = side / math.sqrt(r)
     if chart == "U1":
         return (s, s * u)
     return (s * u, s)
@@ -122,24 +138,28 @@ def _leave_plane(x: float, y: float, even_degree: bool) -> Tuple[str, float, flo
 
 def _horner(p: MPoly, x: str = "x", y: str = "y") -> str:
     """An exact polynomial as a Horner expression in the variables named
-    x and y: in y over rows in x."""
+    x and y: in y over rows in x.  A zero coefficient or row adds no
+    term: adding 0.0 only turns a -0.0 into 0.0, and such a zero reaches
+    the value only as a zero.  With every term added the sum ended in
+    + 0.0 or + c0, so it never gave -0.0; one trailing + 0.0 where the
+    constant term c0 is 0 keeps that, so every value is the float the
+    full sum gave."""
     rows = p.coeffs_in("y")
     if not rows:
         return "0.0"
-    parts: List[str] = []
-    for j in range(len(rows) - 1, -1, -1):
-        xs = rows[j].univariate_coeffs("x")
-        if not xs:
-            inner = "0.0"
+    body = ""
+    for row in reversed(rows):
+        xs = row.univariate_coeffs("x")
+        inner = repr(float(xs[-1])) if xs else ""
+        for c in reversed(xs[:-1]):
+            inner = f"({inner})*{x}" + (f" + {float(c)!r}" if c else "")
+        if not body:
+            body = f"({inner})"
+        elif inner:
+            body = f"({body})*{y} + ({inner})"
         else:
-            inner = repr(float(xs[-1]))
-            for c in reversed(xs[:-1]):
-                inner = f"({inner})*{x} + {float(c)!r}"
-        parts.append(f"({inner})")
-    body = parts[0]
-    for chunk in parts[1:]:
-        body = f"({body})*{y} + {chunk}"
-    return body
+            body = f"({body})*{y}"
+    return body + (" + 0.0" if p.coeff(0, 0) == 0 else "")
 
 
 def _define(src: str, name: str) -> Callable:
@@ -156,12 +176,14 @@ def compile_poly(p: MPoly) -> Callable[[float, float], float]:
 # ---------------------------------------------------------------------------
 # Dormand-Prince 4(5)
 
-# The one text of the tableau.  With the field components as arguments
-# it is `_dp_step`; with each call fx(a, b), fy(a, b) replaced by a
-# chart's Horner expressions at (a, b) it is that chart's kernel (see
-# `compile_step`), the same float operations in the same order.
+# The one text of the tableau.  With the field components and k as
+# arguments it is `_dp_step`; with each k * fx(a, b), k * fy(a, b)
+# replaced by a chart's Horner expressions at (a, b), times k where k is
+# not 1.0, it is that chart's kernel for k (see `compile_step`), which
+# gives the same floats.  Each product of h and a tableau entry is taken
+# once for both coordinates: h * a * k1x is (h * a) * k1x.
 _DP_STEP = '''
-def _dp_step({fields}k, x, y, h, k1x, k1y):
+def _dp_step({args}x, y, h, k1x, k1y):
     """One embedded step of x' = k * fx, y' = k * fy from (x, y), given
     its first stage (k1x, k1y); returns (x5, y5, err_x, err_y, k7x, k7y).
 
@@ -172,28 +194,31 @@ def _dp_step({fields}k, x, y, h, k1x, k1y):
     0.0 and keeps the zero weight of stage 2, so signed zeros,
     infinities and NaNs come out as the tableau's loop gives them.
     """
-    ax = x + h * (1 / 5) * k1x
-    ay = y + h * (1 / 5) * k1y
+    a21 = h * (1 / 5)
+    ax = x + a21 * k1x
+    ay = y + a21 * k1y
     k2x = k * fx(ax, ay)
     k2y = k * fy(ax, ay)
-    ax = x + h * (3 / 40) * k1x + h * (9 / 40) * k2x
-    ay = y + h * (3 / 40) * k1y + h * (9 / 40) * k2y
+    a31, a32 = h * (3 / 40), h * (9 / 40)
+    ax = x + a31 * k1x + a32 * k2x
+    ay = y + a31 * k1y + a32 * k2y
     k3x = k * fx(ax, ay)
     k3y = k * fy(ax, ay)
-    ax = x + h * (44 / 45) * k1x + h * (-56 / 15) * k2x + h * (32 / 9) * k3x
-    ay = y + h * (44 / 45) * k1y + h * (-56 / 15) * k2y + h * (32 / 9) * k3y
+    a41, a42, a43 = h * (44 / 45), h * (-56 / 15), h * (32 / 9)
+    ax = x + a41 * k1x + a42 * k2x + a43 * k3x
+    ay = y + a41 * k1y + a42 * k2y + a43 * k3y
     k4x = k * fx(ax, ay)
     k4y = k * fy(ax, ay)
-    ax = (x + h * (19372 / 6561) * k1x + h * (-25360 / 2187) * k2x
-          + h * (64448 / 6561) * k3x + h * (-212 / 729) * k4x)
-    ay = (y + h * (19372 / 6561) * k1y + h * (-25360 / 2187) * k2y
-          + h * (64448 / 6561) * k3y + h * (-212 / 729) * k4y)
+    a51, a52 = h * (19372 / 6561), h * (-25360 / 2187)
+    a53, a54 = h * (64448 / 6561), h * (-212 / 729)
+    ax = x + a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x
+    ay = y + a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y
     k5x = k * fx(ax, ay)
     k5y = k * fy(ax, ay)
-    ax = (x + h * (9017 / 3168) * k1x + h * (-355 / 33) * k2x + h * (46732 / 5247) * k3x
-          + h * (49 / 176) * k4x + h * (-5103 / 18656) * k5x)
-    ay = (y + h * (9017 / 3168) * k1y + h * (-355 / 33) * k2y + h * (46732 / 5247) * k3y
-          + h * (49 / 176) * k4y + h * (-5103 / 18656) * k5y)
+    a61, a62, a63 = h * (9017 / 3168), h * (-355 / 33), h * (46732 / 5247)
+    a64, a65 = h * (49 / 176), h * (-5103 / 18656)
+    ax = x + a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x
+    ay = y + a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y
     k6x = k * fx(ax, ay)
     k6y = k * fy(ax, ay)
     x5 = x + h * (0.0 + (35 / 384) * k1x + 0.0 * k2x + (500 / 1113) * k3x
@@ -210,16 +235,22 @@ def _dp_step({fields}k, x, y, h, k1x, k1y):
                   + (1 / 40) * k7y)
     return x5, y5, x5 - x4, y5 - y4, k7x, k7y
 '''
-_dp_step = _define(_DP_STEP.format(fields="fx, fy, "), "_dp_step")
+_dp_step = _define(_DP_STEP.format(args="fx, fy, k, "), "_dp_step")
 
 
-def compile_step(p: MPoly, q: MPoly) -> Callable[..., Tuple[float, float, float, float, float, float]]:
-    """`_dp_step` for x' = k * p, y' = k * q with both Horner expressions
-    written inline at each stage, each built once with format fields for
-    the stage's point: step(k, x, y, h, k1x, k1y)."""
+def compile_step(p: MPoly, q: MPoly, k: float) -> Callable[..., Tuple[float, float, float, float, float, float]]:
+    """`_dp_step` for x' = k * p, y' = k * q, k a time sign 1.0 or -1.0,
+    with both Horner expressions written inline at each stage, each built
+    once with format fields for the stage's point: step(x, y, h, k1x,
+    k1y).  k is written in: for 1.0 as no product at all, since 1.0 * v
+    is v, and else as a product, which keeps the sign of a NaN where a
+    unary minus would flip it."""
     fields = {"fx": _horner(p, "{0}", "{1}"), "fy": _horner(q, "{0}", "{1}")}
-    stages = re.sub(r"\b(f[xy])\((\w+), (\w+)\)", lambda m: "(" + fields[m[1]].format(m[2], m[3]) + ")", _DP_STEP)
-    return _define(stages.format(fields=""), "_dp_step")
+    times = "" if k == 1.0 else f"{k!r} * "
+    stages = re.sub(
+        r"\bk \* (f[xy])\((\w+), (\w+)\)", lambda m: f"{times}({fields[m[1]].format(m[2], m[3])})", _DP_STEP
+    )
+    return _define(stages.format(args=""), "_dp_step")
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +271,21 @@ class Trajectory:
 
 
 class _ChartFields(dict):
-    """chart -> (fx, fy, step): the chart's two field components and its
-    Dormand-Prince step (see `compile_step`), compiled on the chart's
-    first lookup from its (P, Q) in `polys`."""
+    """chart -> (fx, fy), the chart's two field components, and
+    (chart, k) -> its Dormand-Prince step for the time sign k (see
+    `compile_step`), each compiled on its first lookup from the chart's
+    (P, Q) in `polys`."""
 
     def __init__(self, polys: Dict[str, Tuple[MPoly, MPoly]]):
         super().__init__()
         self.polys = polys
 
-    def __missing__(self, chart: str) -> Tuple[Callable, Callable, Callable]:
-        p, q = self.polys[chart]
-        entry = self[chart] = (compile_poly(p), compile_poly(q), compile_step(p, q))
+    def __missing__(self, key: str | Tuple[str, float]) -> tuple | Callable:
+        if isinstance(key, tuple):
+            entry = compile_step(*self.polys[key[0]], key[1])
+        else:
+            entry = tuple(map(compile_poly, self.polys[key]))
+        self[key] = entry
         return entry
 
 
@@ -285,9 +320,10 @@ class Flow:
     portrait, the markers where orbits end, and their capture regions
     (see `pdisc.capture`).  `fields` maps the finite chart U3 and the
     charts U1/U2 at infinity to the field components, which give a
-    first stage, and the chart's Dormand-Prince step (see
-    `compile_step`), each compiled on the chart's first lookup, so a
-    flow pays only for the charts its orbits enter; `near` maps each
+    first stage, and each (chart, time sign) to the chart's
+    Dormand-Prince step for that sign (see `compile_step`), each
+    compiled on its first lookup, so a flow pays only for the charts
+    and signs its orbits run in; `near` maps each
     chart to the regions tried from it, in `captures` order: from U3
     the finite ones, from U1 and U2 all, each with its disc box (see
     `_disc_box`); and `gates` maps it to the union of those boxes, which
@@ -420,9 +456,10 @@ def integrate_orbit(
         chart, x, y, side, orient = _leave_plane(x, y, even)
     # the chart's field, step, capture gate and time sign change only
     # when the chart does
-    fx, fy, dp = fields[chart]
+    fx, fy = fields[chart]
     gxlo, gxhi, gylo, gyhi = gates[chart]
     k = sgn * orient
+    dp = fields[chart, k]
     k1x = k * fx(x, y)
     k1y = k * fy(x, y)
     px, py = lx, ly = _disc_from_chart(chart, x, y, side)
@@ -440,7 +477,7 @@ def integrate_orbit(
             h = rest
         if 0.5 < h:
             h = 0.5
-        nx, ny, ex, ey, k7x, k7y = dp(k, x, y, h, k1x, k1y)
+        nx, ny, ex, ey, k7x, k7y = dp(x, y, h, k1x, k1y)
         a, b = abs(x), abs(nx)
         sx = atol + tol * (b if b > a else a)
         a, b = abs(y), abs(ny)
@@ -495,9 +532,10 @@ def integrate_orbit(
             side = 1 if y > 0 else (-1 if y < 0 else side)
             orient = 1.0 if not even or y >= 0 else -1.0
         if chart != was:
-            fx, fy, dp = fields[chart]
+            fx, fy = fields[chart]
             gxlo, gxhi, gylo, gyhi = gates[chart]
             k = sgn * orient
+            dp = fields[chart, k]
             k1x = k * fx(x, y)
             k1y = k * fy(x, y)
             px, py = _disc_from_chart(chart, x, y, side)
@@ -820,6 +858,30 @@ def _marker_glyph(m: Marker) -> str:
     )
 
 
+_BELOW_1E4 = re.compile(r"-?0\.0000\d+")
+
+
+def _points_json(pts: Sequence[Tuple[float, float]]) -> str:
+    """The JSON text of `[[round(x, 6), round(y, 6)] for x, y in pts]`,
+    without spaces.  Where every coordinate is a finite float of at most
+    1 in magnitude, as on the disc, each is formatted once: round(v, 6)
+    is float("%.6f" % v), whose repr is that decimal without its
+    trailing zeros from 1e-4 up; the few below are re-written by repr,
+    which gives them an exponent."""
+    flat = [c for p in pts for c in p]
+    if not (-1.0 <= min(flat, default=0.0) and max(flat, default=0.0) <= 1.0 and math.isfinite(sum(flat))):
+        return json.dumps([[round(x, 6), round(y, 6)] for x, y in pts], separators=(",", ":"))
+    # each coordinate ends in "|" until its trailing zeros, but one after
+    # the point, are gone
+    text = "[%s]" % ",".join(["[%.6f|,%.6f|]"] * len(pts)) % tuple(flat)
+    for zeros in ("00000|", "0000|", "000|", "00|", "0|"):
+        text = text.replace(zeros, "|")
+    text = text.replace(".|", ".0").replace("|", "")
+    if "0.0000" in text:
+        text = _BELOW_1E4.sub(lambda m: repr(float(m[0])), text)
+    return text
+
+
 def render_portrait(doc: PortraitDoc) -> Tuple[bytes, bytes]:
     """Deterministic SVG and JSON renderings of a portrait document."""
     parts: List[str] = []
@@ -883,16 +945,14 @@ def render_portrait(doc: PortraitDoc) -> Tuple[bytes, bytes]:
             )
             for m in doc.markers
         ],
-        "trajectories": [
-            {
-                "seed": tr.seed_id,
-                "role": tr.role,
-                "direction": tr.direction,
-                "reason": tr.reason,
-                "points": [[round(x, 6), round(y, 6)] for x, y in tr.points],
-            }
-            for tr in doc.trajectories
-        ],
     }
-    js = json.dumps(jdoc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return svg, js
+    # "trajectories" sorts after every other key, so its text, each
+    # trajectory's keys in sorted order, ends the document
+    head = json.dumps(jdoc, sort_keys=True, separators=(",", ":"))
+    dumps = json.dumps
+    trajectories = ",".join(
+        '{"direction":%s,"points":%s,"reason":%s,"role":%s,"seed":%s}'
+        % (dumps(tr.direction), _points_json(tr.points), dumps(tr.reason), dumps(tr.role), dumps(tr.seed_id))
+        for tr in doc.trajectories
+    )
+    return svg, f'{head[:-1]},"trajectories":[{trajectories}]}}'.encode("utf-8")

@@ -263,27 +263,36 @@ def test_bundled_portrait_capture_call_count(view, captures, monkeypatch):
     assert calls[0] == captures
 
 
-# a chart's step is compiled when an orbit first enters the chart: a
-# flow never integrated compiles none, and every orbit of the bundled
-# quadrant portrait stays in the finite chart (3 compilations, one per
-# chart, before)
+# a chart's step for a time sign is compiled when an orbit first runs
+# in the chart with that sign: a flow never integrated compiles none,
+# every orbit of the bundled quadrant portrait runs forward in the
+# finite chart, and the full disc runs in every chart both ways (3
+# compilations, one per chart, for either view, while k was an argument
+# of the step)
 def test_bundled_portrait_compiles_only_the_charts_it_enters(monkeypatch):
     charts = []
     original = portrait.compile_step
 
-    def counted(p, q):
-        charts.append((p, q))
-        return original(p, q)
+    def counted(p, q, k):
+        charts.append((p, q, k))
+        return original(p, q, k)
 
     monkeypatch.setattr(portrait, "compile_step", counted)
     sys = parse_system(_source(*TRIPLES["bundled"]))
     params = ParamBindings(sys.params["A"], sys.params["B"], sys.params["C"])
     flow = portrait.Flow(disc_equilibria(sys))
     assert charts == [] and dict(flow.fields) == {}
-    assert flow.fields["U1"] is flow.fields["U1"] and len(charts) == 1
+    assert flow.fields["U1", -1.0] is flow.fields["U1", -1.0] and len(charts) == 1
+    assert len(flow.fields["U1"]) == 2 and len(charts) == 1
     charts.clear()
     build_portrait(sys, params)
-    assert charts == [(sys.P, sys.Q)]
+    assert charts == [(sys.P, sys.Q, 1.0)]
+    charts.clear()
+    build_portrait(sys, params, positive_quadrant_only=False)
+    u1, u2 = flow.fields.polys["U1"], flow.fields.polys["U2"]
+    assert charts == [
+        (sys.P, sys.Q, 1.0), (*u2, 1.0), (sys.P, sys.Q, -1.0), (*u2, -1.0), (*u1, -1.0), (*u1, 1.0)
+    ]
 
 
 # sha256 of the `pdisc analyze` JSON (full disc, quadrant) of systems

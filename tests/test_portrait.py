@@ -37,6 +37,7 @@ from pdisc.portrait import (
     EQUATOR_EPS,
     Flow,
     PortraitDoc,
+    Trajectory,
     _disc_box,
     _disc_from_chart,
     _dp_step,
@@ -289,14 +290,47 @@ _state = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300, math.inf, math.nan
 
 def _assert_kernel_matches(dp, fx, fy, k, x, y, h):
     k1x, k1y = k * fx(x, y), k * fy(x, y)
-    new = dp(k, x, y, h, k1x, k1y)
+    new = dp(x, y, h, k1x, k1y)
     assert struct.pack("<6d", *new) == struct.pack("<6d", *_dp_step(fx, fy, k, x, y, h, k1x, k1y))
 
 
 @settings(max_examples=300)
 @given(_polys, _polys, st.sampled_from([1.0, -1.0]), _state, _state, st.floats(min_value=0.0, max_value=0.5))
 def test_compiled_step_is_bit_identical_to_the_callable_step(p, q, k, x, y, h):
-    _assert_kernel_matches(compile_step(p, q), compile_poly(p), compile_poly(q), k, x, y, h)
+    _assert_kernel_matches(compile_step(p, q, k), compile_poly(p), compile_poly(q), k, x, y, h)
+
+
+# the Horner text that added every zero coefficient and row as + 0.0,
+# which the trimmed one replaced, kept as an oracle
+def _untrimmed_horner(p):
+    rows = p.coeffs_in("y")
+    if not rows:
+        return "0.0"
+    parts = []
+    for j in range(len(rows) - 1, -1, -1):
+        xs = rows[j].univariate_coeffs("x")
+        if not xs:
+            inner = "0.0"
+        else:
+            inner = repr(float(xs[-1]))
+            for c in reversed(xs[:-1]):
+                inner = f"({inner})*x + {float(c)!r}"
+        parts.append(f"({inner})")
+    body = parts[0]
+    for chunk in parts[1:]:
+        body = f"({body})*y + {chunk}"
+    return body
+
+
+@settings(max_examples=300)
+@given(_polys, _state, _state)
+# zero rows, zero coefficients and a zero constant term, at -0.0
+@example(MPoly({(2, 3): F(1), (0, 1): F(-2)}), -0.0, -0.0)
+@example(MPoly({(1, 1): F(1)}), -0.0, 2.0)
+def test_trimmed_horner_is_bit_identical_to_the_untrimmed_one(p, x, y):
+    namespace = {}
+    exec(f"def _f(x, y):\n    return {_untrimmed_horner(p)}\n", namespace)
+    assert struct.pack("<d", compile_poly(p)(x, y)) == struct.pack("<d", namespace["_f"](x, y))
 
 
 @functools.lru_cache(maxsize=None)
@@ -306,8 +340,8 @@ def _bundled_flow():
 
 @given(st.sampled_from(["U3", "U1", "U2"]), st.sampled_from([1.0, -1.0]), _state, _state, st.floats(1e-6, 0.5))
 def test_each_charts_kernel_is_bit_identical_to_the_callable_step(chart, k, x, y, h):
-    fx, fy, dp = _bundled_flow().fields[chart]
-    _assert_kernel_matches(dp, fx, fy, k, x, y, h)
+    fields = _bundled_flow().fields
+    _assert_kernel_matches(fields[chart, k], *fields[chart], k, x, y, h)
 
 
 def test_orbit_matches_exponential_flow():
@@ -496,6 +530,37 @@ def test_rendered_json_shape(leslie_doc):
         assert set(entry) == {"seed", "role", "direction", "reason", "points"}
         for x, y in entry["points"]:
             assert x * x + y * y <= 1.0 + 1e-6
+
+
+_rendered = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e-3, 1e-3), st.floats())
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(st.tuples(_rendered, _rendered), max_size=12), max_size=3))
+@example([[(0.0, -0.0), (1.0, -1.0), (1e-9, -1e-9)]])
+@example([[(5e-5, -5e-5), (9.9e-5, -9.9e-5), (9.95e-5, 1e-4)], [(0.9999995, -0.9999995)]])
+# not a disc point: the coordinates are rounded one at a time
+@example([[(0.5, 0.25), (math.nan, math.inf), (2.0, -math.inf)]])
+def test_rendered_coordinates_are_the_rounded_floats(polylines):
+    trajectories = [Trajectory(f"s{i}", "generic", "forward", pts, REASON_TMAX) for i, pts in enumerate(polylines)]
+    _, js = render_portrait(PortraitDoc("dx = x\ndy = y", None, [], trajectories, True))
+    # the document as json.dumps wrote it whole, coordinates through round()
+    want = {
+        "system": "dx = x\ndy = y",
+        "regime": None,
+        "equilibria": [],
+        "trajectories": [
+            {
+                "seed": tr.seed_id,
+                "role": tr.role,
+                "direction": tr.direction,
+                "reason": tr.reason,
+                "points": [[round(x, 6), round(y, 6)] for x, y in tr.points],
+            }
+            for tr in trajectories
+        ],
+    }
+    assert js == json.dumps(want, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def test_rendered_svg_structure(leslie_doc):
@@ -985,7 +1050,7 @@ def _gate_open(flow, chart, u, v):
     return xlo <= p[0] <= xhi and ylo <= p[1] <= yhi
 
 
-_coordinate = st.floats(-1e3, 1e3)
+_coordinate = st.floats(-1e300, 1e300)
 
 
 @settings(max_examples=400)
@@ -1003,6 +1068,9 @@ _coordinate = st.floats(-1e3, 1e3)
 # on side +1 of U2, whose carried v = 5e-324 / 34 rounds to 0 in U1: it
 # is on side +1 there too, not in the side -1 node at the origin of U1
 @example(0, 0.5, 0.5, "U2", 34.0, 5e-324)
+# 1 + u^2 + v^2 overflows: the disc point is near the U1 origin, where
+# the node's region holds the state, not at the disc's centre
+@example(0, 0.5, 0.5, "U2", 1.3407807929942597e154, 1e-3)
 def test_a_closed_gate_hides_no_capture(i, f, g, chart, u, v):
     # a state anywhere in a chart, and a point in or beside one region
     # of the same flow as seen from each chart that tests the region;
