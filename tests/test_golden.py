@@ -24,6 +24,7 @@ them must say so.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -34,7 +35,7 @@ from pdisc.cli import analyze_report, darboux_report
 from pdisc.compactify import disc_equilibria
 from pdisc.integrability import SearchBounds
 from pdisc.modelio import ParamBindings, parse_system
-from pdisc.portrait import build_portrait, render_portrait
+from pdisc.portrait import PortraitDoc, build_portrait, render_portrait
 
 TRIPLES = {
     "bundled": ("1", "1", "1/2"),
@@ -95,14 +96,33 @@ def test_leslie_report_bytes(key):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[key]
 
 
+def _leslie_portrait(triple: tuple, quadrant: bool) -> PortraitDoc:
+    sys = parse_system(_source(*triple))
+    params = ParamBindings(sys.params["A"], sys.params["B"], sys.params["C"])
+    return build_portrait(sys, params, positive_quadrant_only=quadrant)
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_portrait(group: str, name: str) -> PortraitDoc:
+    """The portrait that `PORTRAITS` (group "bundled"), `OTHER_PORTRAITS`
+    ("other") or `LESLIE_PORTRAITS` ("leslie") pins under `name`, built
+    once for its byte pins and its limit pin."""
+    if group == "bundled":
+        return _leslie_portrait(TRIPLES["bundled"], name == "quadrant")
+    if group == "other":
+        source, quadrant, grid = OTHER_PORTRAITS[name][:3]
+        return build_portrait(parse_system(source), positive_quadrant_only=quadrant, grid=grid)
+    return _leslie_portrait(*LESLIE_PORTRAITS[name][:2])
+
+
+def _digests(doc: PortraitDoc) -> tuple:
+    svg, js = render_portrait(doc)
+    return hashlib.sha256(js).hexdigest(), hashlib.sha256(svg).hexdigest()
+
+
 @pytest.mark.parametrize("view", sorted(PORTRAITS))
 def test_bundled_portrait_bytes(view):
-    sys = parse_system(_source(*TRIPLES["bundled"]))
-    params = ParamBindings(sys.params["A"], sys.params["B"], sys.params["C"])
-    doc = build_portrait(sys, params, positive_quadrant_only=view == "quadrant")
-    svg, js = render_portrait(doc)
-    digests = (hashlib.sha256(js).hexdigest(), hashlib.sha256(svg).hexdigest())
-    assert digests == PORTRAITS[view]
+    assert _digests(_golden_portrait("bundled", view)) == PORTRAITS[view]
 
 
 # (JSON, SVG) of portraits outside the Leslie family: the two irrational
@@ -152,10 +172,7 @@ OTHER_PORTRAITS = {
 
 @pytest.mark.parametrize("name", sorted(OTHER_PORTRAITS))
 def test_other_portrait_bytes(name):
-    source, quadrant, grid, js_digest, svg_digest = OTHER_PORTRAITS[name]
-    doc = build_portrait(parse_system(source), positive_quadrant_only=quadrant, grid=grid)
-    svg, js = render_portrait(doc)
-    assert (hashlib.sha256(js).hexdigest(), hashlib.sha256(svg).hexdigest()) == (js_digest, svg_digest)
+    assert _digests(_golden_portrait("other", name)) == OTHER_PORTRAITS[name][3:]
 
 
 # (JSON, SVG) of Leslie portraits with their parameters: the 1-AC = 0
@@ -185,11 +202,32 @@ LESLIE_PORTRAITS = {
 
 @pytest.mark.parametrize("name", sorted(LESLIE_PORTRAITS))
 def test_leslie_portrait_bytes(name):
-    triple, quadrant, js_digest, svg_digest = LESLIE_PORTRAITS[name]
-    sys = parse_system(_source(*triple))
-    params = ParamBindings(sys.params["A"], sys.params["B"], sys.params["C"])
-    svg, js = render_portrait(build_portrait(sys, params, positive_quadrant_only=quadrant))
-    assert (hashlib.sha256(js).hexdigest(), hashlib.sha256(svg).hexdigest()) == (js_digest, svg_digest)
+    assert _digests(_golden_portrait("leslie", name)) == LESLIE_PORTRAITS[name][2:]
+
+
+# sha256 of the sorted (seed_id, reason, limit) triples of every golden
+# portrait above, as JSON with a missing limit as null: where each orbit
+# ends, without its polyline.  A change to the integrator that moves
+# polylines, and so the byte pins, but no orbit's end keeps these.
+LIMITS = {
+    ("bundled", "full"): "acddbefc674bbdd420d23eb80ba62717a18640043e98431c6c1f4c093c592e68",
+    ("bundled", "quadrant"): "d1d68d9774e773a989ca5e4d4a93e4fd10f3057c1aaeac8c71db306e0208675a",
+    ("leslie", "negative-full"): "1754891f83e07a416f21b84777f91881ef59f6197444584ff207e86d269e8741",
+    ("leslie", "zero-full"): "60fd97e0470dfeb1abbcc824b3bc9a391c049c57a1bf1412ceb88a849255e9f8",
+    ("leslie", "zero-quadrant"): "d7892f2851fb05485bd15ee0b4a3aada4ff2d894adbf637332d20cdd27ffb4cf",
+    ("other", "chart-plan"): "13315d655a844d173f32cb640d3c2d0914e029260dbaa56fbc95548e05f9dd8f",
+    ("other", "quartic"): "052542ffb294f65258056c9bf2d3b230ffc015a1aa35bdb48693eac61710523e",
+    ("other", "quintic"): "d0ba8000802e27fefd7d033141751ae45b8163743fb98a70474ae06b45eaeb47",
+    ("other", "saddle-full"): "83e8d952ab0fd9ee2fa80c307907e3cea13d6efbeeb244d438ddff31a814f1a0",
+    ("other", "saddle-quadrant"): "ea9ce76c3123f8b69880cb55f97b8bdb1e0fb1b38c4cc774b1615c1d9209ba5b",
+}
+
+
+@pytest.mark.parametrize("group, name", sorted(LIMITS))
+def test_golden_portrait_limits(group, name):
+    doc = _golden_portrait(group, name)
+    triples = sorted((t.seed_id, t.reason, t.limit) for t in doc.trajectories)
+    assert hashlib.sha256(json.dumps(triples).encode("utf-8")).hexdigest() == LIMITS[group, name]
 
 
 # field-component evaluations of the bundled-parameter portrait: one per
