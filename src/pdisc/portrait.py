@@ -136,6 +136,13 @@ def _leave_plane(x: float, y: float, even_degree: bool) -> Tuple[str, float, flo
 # polynomial compilation
 
 
+def _times(c: str, v: str) -> str:
+    """The product c * v as text, or v alone where c is the leading
+    coefficient 1.0: 1.0 * v is v bit for bit, a NaN's sign included.
+    -1.0 stays a product, as a unary minus would flip a NaN's sign."""
+    return v if c == "1.0" else f"({c})*{v}"
+
+
 def _horner(p: MPoly, x: str = "x", y: str = "y") -> str:
     """An exact polynomial as a Horner expression in the variables named
     x and y: in y over rows in x.  A zero coefficient or row adds no
@@ -143,7 +150,8 @@ def _horner(p: MPoly, x: str = "x", y: str = "y") -> str:
     the value only as a zero.  With every term added the sum ended in
     + 0.0 or + c0, so it never gave -0.0; one trailing + 0.0 where the
     constant term c0 is 0 keeps that, so every value is the float the
-    full sum gave."""
+    full sum gave.  A leading coefficient 1.0, of a row or of the top
+    row, multiplies nothing (see `_times`)."""
     rows = p.coeffs_in("y")
     if not rows:
         return "0.0"
@@ -152,14 +160,14 @@ def _horner(p: MPoly, x: str = "x", y: str = "y") -> str:
         xs = row.univariate_coeffs("x")
         inner = repr(float(xs[-1])) if xs else ""
         for c in reversed(xs[:-1]):
-            inner = f"({inner})*{x}" + (f" + {float(c)!r}" if c else "")
+            inner = _times(inner, x) + (f" + {float(c)!r}" if c else "")
         if not body:
-            body = f"({inner})"
+            body = inner
         elif inner:
-            body = f"({body})*{y} + ({inner})"
+            body = f"{_times(body, y)} + ({inner})"
         else:
-            body = f"({body})*{y}"
-    return body + (" + 0.0" if p.coeff(0, 0) == 0 else "")
+            body = _times(body, y)
+    return f"({body})" + (" + 0.0" if p.coeff(0, 0) == 0 else "")
 
 
 def _define(src: str, name: str) -> Callable:
@@ -430,7 +438,12 @@ def integrate_orbit(
     the rim.  Any other orbit is integrated; each accepted step hands
     its last stage on as the next step's first, which is evaluated
     afresh only after a chart switch, and a step whose error norm
-    overflows or is not a number is rejected.  It ends
+    overflows or is not a number is rejected.  `tmax` is time.  Besides
+    the error control, a step is bounded by its length: it lasts at most
+    0.5, or 0.5 / |F| where the speed |F| at its start is below 1, so it
+    moves about 0.5 chart units at most; at |F| = 0 no bound applies.
+    In the finite chart a step is also halved until it moves the disc
+    point at most 0.05.  It ends
     `converged-to-equilibrium` once an accepted step lands in a capture
     region that attracts in the orbit's direction, at the capturing
     marker's disc point.  `limit` is the id of the marker decided so.
@@ -476,7 +489,14 @@ def integrate_orbit(
         if rest < h:
             h = rest
         if 0.5 < h:
-            h = 0.5
+            # bound how far a step moves, about h * |F| chart units, by
+            # 0.5: where |F| < 1 it may last up to 0.5 / |F|, and at
+            # |F| = 0 nothing binds; (k1x, k1y) is k * F at (x, y), |k| = 1
+            speed = hypot(k1x, k1y)
+            if not speed < 1.0:
+                h = 0.5
+            elif speed * h > 0.5:
+                h = 0.5 / speed
         nx, ny, ex, ey, k7x, k7y = dp(x, y, h, k1x, k1y)
         a, b = abs(x), abs(nx)
         sx = atol + tol * (b if b > a else a)

@@ -322,11 +322,24 @@ def _untrimmed_horner(p):
     return body
 
 
+# y^2 + x^2 - 2x: a leading coefficient 1 of a row in x and of the top
+# row in y, each of which multiplies nothing in the trimmed text
+_ONE_LEADS = MPoly({(0, 2): F(1), (2, 0): F(1), (1, 0): F(-2)})
+
+
 @settings(max_examples=300)
 @given(_polys, _state, _state)
 # zero rows, zero coefficients and a zero constant term, at -0.0
 @example(MPoly({(2, 3): F(1), (0, 1): F(-2)}), -0.0, -0.0)
 @example(MPoly({(1, 1): F(1)}), -0.0, 2.0)
+@example(_ONE_LEADS, math.nan, -0.0)
+@example(_ONE_LEADS, -0.0, math.nan)
+@example(_ONE_LEADS, -math.nan, -math.nan)
+@example(_ONE_LEADS, math.inf, -0.0)
+@example(_ONE_LEADS, -0.0, math.inf)
+@example(_ONE_LEADS, -0.0, -0.0)
+@example(MPoly({(3, 0): F(1)}), -0.0, math.nan)
+@example(MPoly({(0, 1): F(1)}), math.inf, -math.nan)
 def test_trimmed_horner_is_bit_identical_to_the_untrimmed_one(p, x, y):
     namespace = {}
     exec(f"def _f(x, y):\n    return {_untrimmed_horner(p)}\n", namespace)
@@ -352,6 +365,45 @@ def test_orbit_matches_exponential_flow():
     assert len(tr.points) >= 2
     want = disc_from_plane(math.e, 1.0 / math.e)
     assert _dist(tr.endpoint(), want) < 1e-6
+
+
+def test_slow_steps_are_bounded_by_length(monkeypatch):
+    # x' = -x/64, y' = -y/64 from (0.5, 0.3): the speed stays below 1/64,
+    # so a step may last up to 0.5 / |F| rather than 0.5 (104 kernel
+    # calls while every step was capped at 0.5), and the error controller
+    # still keeps the endpoint on the exact flow e^(-t/64) (x0, y0)
+    calls = [0]
+
+    def counting(p, q, k):
+        step = compile_step(p, q, k)
+
+        def counted(*args):
+            calls[0] += 1
+            return step(*args)
+
+        return counted
+
+    monkeypatch.setattr("pdisc.portrait.compile_step", counting)
+    sys = parse_system("dx = -1/64*x\ndy = -1/64*y\n")
+    seed = disc_from_plane(0.5, 0.3)
+    x0, y0 = plane_from_disc(*seed)
+    tr = integrate_orbit(Flow(disc_equilibria(sys), markers=[]), seed, tmax=50.0)
+    assert tr.reason == REASON_TMAX
+    assert calls[0] == 19
+    x, y = plane_from_disc(*tr.endpoint())
+    decay = math.exp(-50.0 / 64.0)
+    assert math.hypot(x - decay * x0, y - decay * y0) < 1e-9
+
+
+def test_orbit_seeded_at_an_equilibrium_stays_there():
+    # the field is exactly 0.0 at the seed's plane point, so the speed
+    # sets no bound on a step: the orbit runs to tmax without moving
+    seed = disc_from_plane(1.0, 1.0)
+    x0, y0 = plane_from_disc(*seed)
+    sys = parse_system(f"dx = x - {F(x0)}\ndy = y - {F(y0)}\n")
+    tr = integrate_orbit(Flow(disc_equilibria(sys), markers=[]), seed, tmax=50.0)
+    assert tr.reason == REASON_TMAX
+    assert tr.points == [disc_from_plane(x0, y0)]
 
 
 def test_orbit_escapes_to_equator_node():
