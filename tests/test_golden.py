@@ -22,9 +22,9 @@ Leslie portraits, and the full-view count pins, were re-recorded again
 once a step at speed |F| < 1 could last up to 0.5 / |F| rather than
 0.5: slow stretches take fewer, longer steps, which moves their
 polylines, while `LIMITS`, recorded before, held, so no orbit's end
-moved.  Their floats come from a fixed sequence of binary64 operations, so they
-match on every supported CPython; a change to the integrator that moves
-them must say so.
+moved.  Their floats come from a fixed sequence of binary64 operations,
+so they match on every supported CPython; a change to the integrator
+that moves them must say so.
 """
 
 from __future__ import annotations
