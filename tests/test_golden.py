@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -41,6 +42,7 @@ from pdisc.compactify import disc_equilibria
 from pdisc.integrability import SearchBounds
 from pdisc.modelio import ParamBindings, parse_system
 from pdisc.portrait import PortraitDoc, build_portrait, render_portrait
+from test_portrait import FULL_DISC
 
 TRIPLES = {
     "bundled": ("1", "1", "1/2"),
@@ -101,10 +103,13 @@ def test_leslie_report_bytes(key):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[key]
 
 
-def _leslie_portrait(triple: tuple, quadrant: bool) -> PortraitDoc:
+def _leslie(triple: tuple) -> tuple:
     sys = parse_system(_source(*triple))
-    params = ParamBindings(sys.params["A"], sys.params["B"], sys.params["C"])
-    return build_portrait(sys, params, positive_quadrant_only=quadrant)
+    return sys, ParamBindings(sys.params["A"], sys.params["B"], sys.params["C"])
+
+
+def _leslie_portrait(triple: tuple, quadrant: bool) -> PortraitDoc:
+    return build_portrait(*_leslie(triple), positive_quadrant_only=quadrant)
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,6 +239,144 @@ def test_golden_portrait_limits(group, name):
     doc = _golden_portrait(group, name)
     triples = sorted((t.seed_id, t.reason, t.limit) for t in doc.trajectories)
     assert hashlib.sha256(json.dumps(triples).encode("utf-8")).hexdigest() == LIMITS[group, name]
+
+
+# the capture regions of the flow of every golden portrait above, and of
+# FULL_DISC's saddle-quadrant system on the full disc (FULL_DISC's other
+# systems are golden full-disc flows): each as (marker id, region class,
+# size) in `Flow.captures` order, an irrational point's id without its
+# minimal polynomials, and the size the half-widths of an ellipse's proof
+# box or the (r, k) of a triangle.  Recorded while every ladder started at
+# 3/100.  A change to the ladders that only adds sizes, each tried before
+# the sizes that were, keeps every region, each at least as large.
+REGIONS = {
+    ("bundled", "full"): [
+        ("other", "SaddleNodeCapture", (0.03, 0.25)),
+        ("E0", "NodeCapture", (0.03, 0.03375)),
+        ("Estar", "NodeCapture", (0.03, 0.06375)),
+        ("inf:U1+:-1", "SaddleNodeCapture", (0.03, 1.0)),
+        ("inf:U1+:0", "NodeCapture", (0.03, 0.03375)),
+        ("inf:U2+:0", "BlowupNodeCapture", (0.045, 0.03)),
+        ("inf:U2+:0", "BlowupNodeCapture", (0.03, 0.045)),
+        ("inf:U1-:-1", "SaddleNodeCapture", (0.03, 1.0)),
+        ("inf:U1-:0", "NodeCapture", (0.03, 0.03375)),
+        ("inf:U2-:0", "BlowupNodeCapture", (0.045, 0.03)),
+        ("inf:U2-:0", "BlowupNodeCapture", (0.03, 0.045)),
+    ],
+    ("bundled", "quadrant"): [
+        ("other", "SaddleNodeCapture", (0.03, 0.25)),
+        ("E0", "NodeCapture", (0.03, 0.03375)),
+        ("Estar", "NodeCapture", (0.03, 0.06375)),
+        ("inf:U1+:0", "NodeCapture", (0.03, 0.03375)),
+        ("inf:U2+:0", "BlowupNodeCapture", (0.045, 0.03)),
+        ("inf:U2+:0", "BlowupNodeCapture", (0.03, 0.045)),
+    ],
+    ("full-disc", "saddle-quadrant"): [
+        ("finite:~-1.61803398875,~-0.61803398875", "NodeCapture", (0.045, 0.03)),
+        ("finite:~1.61803398875,~0.61803398875", "NodeCapture", (0.045, 0.03)),
+    ],
+    ("leslie", "negative-full"): [
+        ("other", "SaddleNodeCapture", (0.03, 0.25)),
+        ("E0", "NodeCapture", (0.03, 0.03375)),
+        ("E1", "NodeCapture", (0.03, 0.05625)),
+        ("inf:U1+:-1/3", "SaddleNodeCapture", (0.03, 0.25)),
+        ("inf:U1+:0", "NodeCapture", (0.03, 0.03375)),
+        ("inf:U2+:0", "BlowupNodeCapture", (0.03, 0.0375)),
+        ("inf:U2+:0", "BlowupNodeCapture", (0.0375, 0.03)),
+        ("inf:U1-:-1/3", "SaddleNodeCapture", (0.03, 0.25)),
+        ("inf:U1-:0", "NodeCapture", (0.03, 0.03375)),
+        ("inf:U2-:0", "BlowupNodeCapture", (0.03, 0.0375)),
+        ("inf:U2-:0", "BlowupNodeCapture", (0.0375, 0.03)),
+    ],
+    ("leslie", "zero-full"): [
+        ("other", "SaddleNodeCapture", (0.03, 0.25)),
+        ("E0", "NodeCapture", (0.03, 0.03375)),
+        ("E1", "SaddleNodeCapture", (0.03, 1.0)),
+        ("inf:U1+:-1/2", "SaddleNodeCapture", (0.03, 0.25)),
+        ("inf:U1+:0", "NodeCapture", (0.03, 0.03375)),
+        ("inf:U2+:0", "BlowupNodeCapture", (0.03, 0.03375)),
+        ("inf:U2+:0", "BlowupNodeCapture", (0.03, 0.03375)),
+        ("inf:U1-:-1/2", "SaddleNodeCapture", (0.03, 0.25)),
+        ("inf:U1-:0", "NodeCapture", (0.03, 0.03375)),
+        ("inf:U2-:0", "BlowupNodeCapture", (0.03, 0.03375)),
+        ("inf:U2-:0", "BlowupNodeCapture", (0.03, 0.03375)),
+    ],
+    ("leslie", "zero-quadrant"): [
+        ("other", "SaddleNodeCapture", (0.03, 0.25)),
+        ("E0", "NodeCapture", (0.03, 0.03375)),
+        ("E1", "SaddleNodeCapture", (0.03, 1.0)),
+        ("inf:U1+:0", "NodeCapture", (0.03, 0.03375)),
+        ("inf:U2+:0", "BlowupNodeCapture", (0.03, 0.03375)),
+        ("inf:U2+:0", "BlowupNodeCapture", (0.03, 0.03375)),
+    ],
+    ("other", "chart-plan"): [
+        ("inf:U1+:-1", "NodeCapture", (0.045, 0.03)),
+        ("inf:U1+:1", "BlowupNodeCapture", (0.03, 0.06)),
+        ("inf:U1+:1", "BlowupNodeCapture", (0.03, 0.0375)),
+        ("inf:U1+:1", "BlowupNodeCapture", (0.06, 0.03)),
+        ("inf:U1+:1", "BlowupNodeCapture", (0.0375, 0.03)),
+        ("inf:U1-:-1", "NodeCapture", (0.045, 0.03)),
+        ("inf:U1-:1", "BlowupNodeCapture", (0.03, 0.06)),
+        ("inf:U1-:1", "BlowupNodeCapture", (0.03, 0.0375)),
+        ("inf:U1-:1", "BlowupNodeCapture", (0.06, 0.03)),
+        ("inf:U1-:1", "BlowupNodeCapture", (0.0375, 0.03)),
+    ],
+    ("other", "quartic"): [
+        ("finite:~1.28994411309,~0.250755685176", "NodeCapture", (0.0375, 0.03)),
+        ("inf:U1+:0", "NodeCapture", (0.03, 0.03375)),
+        ("inf:U2+:0", "NodeCapture", (0.03, 0.03375)),
+        ("inf:U1-:0", "NodeCapture", (0.03, 0.03375)),
+        ("inf:U2-:0", "NodeCapture", (0.03, 0.03375)),
+    ],
+    ("other", "quintic"): [
+        ("finite:~-1.15785003212,~-0.521326488691", "NodeCapture", (0.0525, 0.03)),
+        ("finite:-1,1", "NodeCapture", (0.03375, 0.03)),
+        ("finite:~1.4978832164,~0.982066921143", "NodeCapture", (0.07125, 0.03)),
+        ("finite:~2.36562923031,~-1.9382628046", "NodeCapture", (0.06, 0.03)),
+        ("inf:U1+:0", "NodeCapture", (0.03, 0.03375)),
+        ("inf:U2+:0", "NodeCapture", (0.03, 0.03375)),
+        ("inf:U1-:0", "NodeCapture", (0.03, 0.03375)),
+        ("inf:U2-:0", "NodeCapture", (0.03, 0.03375)),
+    ],
+    ("other", "saddle-full"): [
+        ("finite:~-1.41421356237,~-2.57793547457", "NodeCapture", (0.03, 0.04125)),
+        ("finite:~1.41421356237,~2.57793547457", "NodeCapture", (0.03, 0.04125)),
+        ("inf:U1+:0", "NodeCapture", (0.045, 0.03)),
+        ("inf:U2+:0", "NodeCapture", (0.03, 0.03375)),
+        ("inf:U1-:0", "NodeCapture", (0.045, 0.03)),
+        ("inf:U2-:0", "NodeCapture", (0.03, 0.03375)),
+    ],
+    ("other", "saddle-quadrant"): [
+        ("finite:~-1.61803398875,~-0.61803398875", "NodeCapture", (0.045, 0.03)),
+        ("finite:~1.61803398875,~0.61803398875", "NodeCapture", (0.045, 0.03)),
+    ],
+}
+
+
+def _region_census(group: str, name: str) -> list:
+    if group == "bundled":
+        (sys, params), quadrant = _leslie(TRIPLES["bundled"]), name == "quadrant"
+    elif group == "leslie":
+        (sys, params), quadrant = _leslie(LESLIE_PORTRAITS[name][0]), LESLIE_PORTRAITS[name][1]
+    elif group == "other":
+        sys, params, quadrant = parse_system(OTHER_PORTRAITS[name][0]), None, OTHER_PORTRAITS[name][1]
+    else:
+        sys, params, quadrant = *FULL_DISC[name][:2], False
+    # the flow of `build_portrait`
+    disc = disc_equilibria(sys, quadrant)
+    out = []
+    for r in portrait.Flow(disc, portrait.disc_markers(disc, params)).captures:
+        size = (r.r, r.k) if isinstance(r, capture.SaddleNodeCapture) else r.half
+        out.append((re.sub(r" \(root of [^)]*\)", "", r.marker_id), type(r).__name__, size))
+    return out
+
+
+@pytest.mark.parametrize("group, name", sorted(REGIONS))
+def test_capture_regions_keep_their_class_and_do_not_shrink(group, name):
+    got, pinned = _region_census(group, name), REGIONS[group, name]
+    assert [g[:2] for g in got] == [p[:2] for p in pinned]
+    for (marker_id, cls, size), (_, _, old) in zip(got, pinned):
+        assert all(new >= was for new, was in zip(size, old)), (marker_id, cls, size, old)
 
 
 # field-component evaluations of the bundled-parameter portrait: one per
