@@ -10,12 +10,15 @@ direction.
 Each region is sized from the exact field: a polynomial inequality on
 the closed region, proved by exact interval enclosures over a bisection
 of a box, computed on integer coefficients (see `positive_on`).  The
-largest region is tried first and shrunk by CAPTURE_SHRINK until the
-proof goes through; a point whose proof fails at every size gets no
-region.  The regions themselves are tested in binary64: `hit` decides,
-and `box` bounds in the region's own chart every point `hit` accepts,
-from which the portrait integrator makes the one box on the Poincaré
-disc that a state must be in before the region is tried.
+largest region, of size CAPTURE_RADIUS = 0.48, is tried first and shrunk
+by CAPTURE_SHRINK = 1/4 until the proof goes through: an ellipse over
+eight sizes down to 0.48/4^7, a triangle over the five lengths 0.48 down
+to 0.001875 at each of the widths 1, 1/4 and 1/16.  A point whose proof
+fails at every size gets no region.  The regions themselves are tested
+in binary64: `hit` decides, and `box` bounds in the region's own chart
+every point `hit` accepts, from which the portrait integrator makes the
+one box on the Poincaré disc that a state must be in before the region
+is tried.
 """
 
 from __future__ import annotations
@@ -32,11 +35,14 @@ from pdisc.modelio import PlanarSystem
 if TYPE_CHECKING:
     from pdisc.portrait import Marker
 
-CAPTURE_RADIUS = Fraction(3, 100)  # largest capture region tried, in its own coordinates
+CAPTURE_RADIUS = Fraction(12, 25)  # largest capture region tried, in its own coordinates
 CAPTURE_SHRINK = Fraction(1, 4)  # factor by which an unproved region shrinks
 NODE_CLASSES = HYPERBOLIC - {"saddle"}
-_CAPTURE_TRIES = 3
-_NODE_TRIES = 6  # a node near a bifurcation is hyperbolic only on a small box
+_CAPTURE_TRIES = 3  # saddle-node triangle widths k: 1, 1/4, 1/16
+_RADIUS_TRIES = 5  # its lengths r for each k: 0.48 down to 0.001875
+# ellipse sizes, 0.48 down to 0.48/4^7: a node near a bifurcation is
+# hyperbolic only on a small box
+_NODE_TRIES = 8
 _PROOF_BUDGET = 200
 
 
@@ -314,7 +320,7 @@ def saddle_node_capture(m: "Marker") -> Optional[SaddleNodeCapture]:
         # on the sides w = +-k*e*c: sgn * d(k*e*c -+ w)/dt > 0, divided by t
         sides = [_along(gc * (sgn * k * e) - gw * (sgn * s), e, s * k, 1) for s in (1, -1)]
         r = CAPTURE_RADIUS
-        for _ in range(_CAPTURE_TRIES):
+        for _ in range(_RADIUS_TRIES):
             zero = Fraction(0)
             if all(positive_on(p, (zero, r), (zero, zero)) for p in sides) and positive_on(cdot, (zero, r), (-k, k)):
                 rows = (e * inv[0], e * inv[1], inv[2], inv[3])

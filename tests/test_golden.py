@@ -22,9 +22,15 @@ Leslie portraits, and the full-view count pins, were re-recorded again
 once a step at speed |F| < 1 could last up to 0.5 / |F| rather than
 0.5: slow stretches take fewer, longer steps, which moves their
 polylines, while `LIMITS`, recorded before, held, so no orbit's end
-moved.  Their floats come from a fixed sequence of binary64 operations,
-so they match on every supported CPython; a change to the integrator
-that moves them must say so.
+moved.  Every portrait pin but the bundled quadrant's, the full-view
+count pins and the quadrant's `hit` count were re-recorded once every
+capture ladder started at 12/25 rather than 3/100: an orbit now stops in
+the larger proved region that holds the one it stopped in, which
+shortens its polyline.  Of `LIMITS` only the bundled full disc moved,
+where eight orbits that ran out of time now end at `inf:U2-:0` (see
+`NEWLY_DECIDED`).  Their floats come from a fixed sequence of binary64
+operations, so they match on every supported CPython; a change to the
+integrator that moves them must say so.
 """
 
 from __future__ import annotations
@@ -77,8 +83,8 @@ PORTRAITS = {
         "5af15328fc2f646e73a0d341d7969d67b3f22b9666697da242845145e881db1f",
     ),
     "full": (
-        "66964bb76643a6fbb51c06e0435b823e76060b3f6513ec06474ad67cd4b897dd",
-        "6fd3bfb2f93fbe299603c908fd8d5dc114edf4f9b4b686761bd8c98277366b4f",
+        "e3c00c682c129b9ca72c13aa845039c9d29a2de5c2d8eec164d75ad3bca54c8b",
+        "25aa179dd7b67abc046a0509ce18d0d9a03226547f479179be265b5ac0081d64",
     ),
 }
 
@@ -145,37 +151,37 @@ OTHER_PORTRAITS = {
         "dx = x^2 - 2\ndy = y^2 - x*y - 3\n",
         False,
         8,
-        "110ca60bc7d1cb4c5409528fe445100322c64436a52300860bcb3b59035ac5a3",
-        "80be34b98ffc4491df960cf295501f19d96c3af229c73f2b49c43406e19a3f84",
+        "6bb1f3d1a995736520f30dbf914d9c3e073fd910f362b83eddf5f5966f2cf8ff",
+        "5bb2a0f9434e363557a65269c7414894509e5e8ec4d3bc5d443cb2435be6d7b1",
     ),
     "saddle-quadrant": (
         "dx = x^2 + y^2 - 3\ndy = x*y - 1\n",
         True,
         8,
-        "307da1e7327baeeaa169658b041182d5c9dbff62367deeaec59205bb14178ac3",
-        "5ea2effdb781114979efc02250eef5df2cbca35fdc219ef9ea3a2289c40e48a1",
+        "cd0fd1834251299e08c020a7012c85acdd65a06fe31ae23be3f878f91339d086",
+        "5040ecf1f109f439ce6ef85b14fe58f39cc3028b367658dbc529c7b45b7e49f4",
     ),
     "quartic": (
         "dx = x^4 - 3*x^2*y + y^2 - 2*x + 1\ndy = y^4 - x*y^2 + 2*x^2 - y - 3\n",
         False,
         2,
-        "ad03500f2421322c48110ee4ce3d9116c2f304521261263d2435d7b06e6f50fd",
-        "e905f08d29dfab63852a468b48d9fb809bd98634e1209f1fc27e164915556ec3",
+        "bbeb2f8434146d80bbe65a39e92514d484dc38616d0d08df9340c95edcb83b07",
+        "88e9facf38a31e38102cff5d71c4fcc166d8678fdff84c32bc7f8c0f3265d1c5",
     ),
     "quintic": (
         "dx = x^5 - 3*x^2*y^2 + y^3 - 2*x + 1\ndy = y^5 - x*y^3 + 2*x^2 - y - 3\n",
         False,
         2,
-        "0794a2a04a6b36ab12c5e630c949df3890917848be5f6107beaef7166c421991",
-        "3e11c88264924be42ffc52dd5b0bca1611970f868e7f29aaaa582994683fac6b",
+        "fef64fa4bed1ee89835cc3f3ab0b37e9bb03ca7e2bd54064fed3e1c6db226106",
+        "7ed23d772c7c7f3ed2c2d8fe19b8c026a6b8ac5960a1418c507cbd343e363202",
     ),
     # finite saddle-nodes, blown-up points on both sides of U2 and in V1
     "chart-plan": (
         "dx = y^2 - x*y + y - 1\ndy = x*y - x^2 + x\n",
         False,
         8,
-        "85365d4b61ab89812be037eed56c5a0d73792ba3b81f1f1f4e629a076f243376",
-        "aee6f00ef903c1427d2626b1996294cab76eb1de2821f87777898fa724929347",
+        "a6ead31d58f2143f545a6c218e52a2dbd66750dfa92281c82f06950dc0259b1c",
+        "218e1d848cd59aca896d8dd0c8f58697c1cdd6c79594a02610c196fe3b46b49f",
     ),
 }
 
@@ -192,20 +198,20 @@ LESLIE_PORTRAITS = {
     "zero-quadrant": (
         ("2", "1", "1/2"),
         True,
-        "e0a7779441f5d43d7dea774b5afaeea4775a864b307040fd8546f377154aaba4",
-        "15f4f6fa2b68218620d34d554d7d5395cbd47e096af8f1594638153594aa7c84",
+        "0782a17f28a7be2c41a1bd965af62f863c8c4301a0acf0dadb9d95a83c6aa236",
+        "5140c4acc8b8bf31d18835062f9fd27b42432ddc19c9afac3d1583ee7b989ea6",
     ),
     "zero-full": (
         ("2", "1", "1/2"),
         False,
-        "481bf3fd0f68d4ff233f2b839ddf524d6348f776ca6a224b71aabddb465c7005",
-        "2ccc08ed59c7490e9b5aa43addb3b9071bc0e54fe6fb7c227307b05f90d642ed",
+        "14fc9f01d605ef4ce7cd9e1fa05256a56fe220d9f4908d929f59257361aaebe8",
+        "b42de80d733e98aace1120260b2f005bc27eb28f09726dadf52c898136e3679f",
     ),
     "negative-full": (
         ("3", "1", "1/2"),
         False,
-        "571b6f29c803d4a806852c588d437144abe862863d43a013f171cc83feff6c67",
-        "13fc53ee90fb766a3773eb09cca77a45795fae88e306f423ffeade710c758ba3",
+        "09d42a9b4188ea6733ef789544dafb2b0dd3ca35951da00a3fee0c0ab055909a",
+        "8fd84f6f0a5f4b43b9b6b9b0021585b987c5aa476caa577664e2d1a9e6cb7b4a",
     ),
 }
 
@@ -219,9 +225,11 @@ def test_leslie_portrait_bytes(name):
 # portrait above, as JSON with a missing limit as null: where each orbit
 # ends, without its polyline.  A change to the integrator that moves
 # polylines, and so the byte pins, but no orbit's end keeps these: the
-# length bound on slow steps did.
+# length bound on slow steps did.  Larger capture regions keep every
+# decided limit and decide some orbits that ran out of time: the bundled
+# full disc was re-recorded for its NEWLY_DECIDED orbits alone.
 LIMITS = {
-    ("bundled", "full"): "acddbefc674bbdd420d23eb80ba62717a18640043e98431c6c1f4c093c592e68",
+    ("bundled", "full"): "5fdfa11255ac1a7d1cdcc96b7929a12c28f7aa0732693c2ca4b49e03e7736290",
     ("bundled", "quadrant"): "d1d68d9774e773a989ca5e4d4a93e4fd10f3057c1aaeac8c71db306e0208675a",
     ("leslie", "negative-full"): "1754891f83e07a416f21b84777f91881ef59f6197444584ff207e86d269e8741",
     ("leslie", "zero-full"): "60fd97e0470dfeb1abbcc824b3bc9a391c049c57a1bf1412ceb88a849255e9f8",
@@ -239,6 +247,18 @@ def test_golden_portrait_limits(group, name):
     doc = _golden_portrait(group, name)
     triples = sorted((t.seed_id, t.reason, t.limit) for t in doc.trajectories)
     assert hashlib.sha256(json.dumps(triples).encode("utf-8")).hexdigest() == LIMITS[group, name]
+
+
+# the orbits of the bundled full disc that ended reached-tmax while every
+# capture ladder started at 3/100: each now reaches a blown-up node's
+# ellipse at inf:U2-:0, proved at half-widths (0.18, 0.12) rather than
+# (0.045, 0.03)
+NEWLY_DECIDED = ("grid:0:22", "grid:1:22", *(f"grid:{i}:23" for i in range(2, 8)))
+
+
+def test_larger_regions_decide_the_bundled_orbits_that_ran_out_of_time():
+    ends = {t.seed_id: (t.reason, t.limit) for t in _golden_portrait("bundled", "full").trajectories}
+    assert {s: ends[s] for s in NEWLY_DECIDED} == {s: (portrait.REASON_EQ, "inf:U2-:0") for s in NEWLY_DECIDED}
 
 
 # the capture regions of the flow of every golden portrait above, and of
@@ -383,7 +403,7 @@ def test_capture_regions_keep_their_class_and_do_not_shrink(group, name):
 # component at each seed and after each chart switch, through the
 # `compile_poly` evaluators, and six per step after, inlined in each
 # chart's `compile_step` kernel
-@pytest.mark.parametrize("view, evals", [("quadrant", 45948), ("full", 338480)])
+@pytest.mark.parametrize("view, evals", [("quadrant", 45948), ("full", 259796)])
 def test_bundled_portrait_evaluation_count(view, evals, monkeypatch):
     calls = {"fresh": 0, "steps": 0}
 
@@ -410,8 +430,10 @@ def test_bundled_portrait_evaluation_count(view, evals, monkeypatch):
 # calls to `hit` of any capture region in the bundled-parameter portrait,
 # a blown-up node's test of its ellipse counted again; a region is tested
 # only once the state's disc point is in its disc box (11340 and 176305
-# calls before any filter, while every step was capped at h = 0.5)
-@pytest.mark.parametrize("view, hits", [("quadrant", 491), ("full", 7760)])
+# calls before any filter, while every step was capped at h = 0.5; 491
+# and 7760 while every capture ladder started at 3/100, when the
+# quadrant's smaller disc boxes let fewer states through)
+@pytest.mark.parametrize("view, hits", [("quadrant", 553), ("full", 5979)])
 def test_bundled_portrait_capture_test_count(view, hits, monkeypatch):
     calls = [0]
 
@@ -434,7 +456,7 @@ def test_bundled_portrait_capture_test_count(view, hits, monkeypatch):
 # loop makes one only for an accepted state whose disc point is in its
 # chart's gate (3780 and 27987 calls, one per accepted step, before the
 # gate)
-@pytest.mark.parametrize("view, captures", [("quadrant", 1229), ("full", 13556)])
+@pytest.mark.parametrize("view, captures", [("quadrant", 1229), ("full", 7846)])
 def test_bundled_portrait_capture_call_count(view, captures, monkeypatch):
     calls = [0]
     original = portrait.Flow.capture
