@@ -144,9 +144,6 @@ class MPoly:
         k = max(self._p)
         return _exponents(k), self._c * self._p[k]
 
-    def leading_coeff(self) -> Fraction:
-        return self.leading()[1]
-
     def monic(self) -> "MPoly":
         """Scale so the graded-lex leading coefficient is 1."""
         if not self._p:
@@ -157,11 +154,6 @@ class MPoly:
     @property
     def is_constant(self) -> bool:
         return self._p.keys() <= {0}
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError("polynomial is not constant")
-        return self._c * self._p.get(0, 0)
 
     # -- equality / hashing ------------------------------------------
 

@@ -67,13 +67,6 @@ class UPoly:
         """p as a polynomial in `var`; p must not involve the other variable."""
         return cls(p.univariate_coeffs(var))
 
-    @classmethod
-    def from_roots(cls, roots: Sequence[_Scalar]) -> "UPoly":
-        p = cls.const(1)
-        for r in roots:
-            p = p * cls((-Fraction(r), 1))
-        return p
-
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:
         return tuple(self._c * v for v in self._p)
@@ -183,13 +176,6 @@ class UPoly:
         a, b = (self, other) if len(self._p) >= len(other._p) else (other, self)
         seq = remainder_sequence(a, b)
         return seq[-1].monic() if seq else UPoly.zero()
-
-    def eval(self, t: _Scalar) -> Fraction:
-        if not self._p:
-            return _ZERO
-        t = Fraction(t)
-        n, d = t.numerator, t.denominator
-        return self._c * Fraction(_homogeneous(self._p, n, d), d ** (len(self._p) - 1))
 
     def sign_at(self, t: _Scalar) -> int:
         """The sign of the value at t."""

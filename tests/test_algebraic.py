@@ -72,7 +72,9 @@ def test_exactalg_imports_nothing_else_from_pdisc():
 @given(st.integers(2, 60).filter(lambda k: int(k**0.5) ** 2 != k), st.lists(st.integers(-9, 9), max_size=2))
 def test_refinements_isolate_the_root_at_every_step(k, extra):
     t = UPoly.variable()
-    s = (t * t - k) * UPoly.from_roots(sorted(set(extra)))
+    s = t * t - k
+    for r in sorted(set(extra)):
+        s = s * (t - r)
     (root,) = [rt for rt in isolate_real_roots(s) if rt.exact is None and rt.lo > 0]
     chain = sturm_chain(s)
     prev, step = None, 4

@@ -274,6 +274,12 @@ def _poly_in_y(roots: Sequence[Fraction], lead: Fraction = Fraction(1)) -> MPoly
     return p
 
 
+def _constant(p: MPoly) -> Fraction:
+    """The value of a constant polynomial."""
+    assert p.is_constant
+    return p.coeff(0, 0)
+
+
 @given(
     st.lists(small_rationals, min_size=1, max_size=2, unique=True),
     st.lists(small_rationals, min_size=0, max_size=3, unique=True),
@@ -290,8 +296,8 @@ def test_subresultant_is_the_gcd_at_its_degree(common, fr, gr, lead):
     j = len(common)
     for i in range(1, j):
         assert all(c.is_zero for c in matrix.subresultant(f, g, "y", i))
-    sj = [c.constant_value() for c in matrix.subresultant(f, g, "y", j)]
-    gcd = [c.constant_value() for c in _poly_in_y(common).coeffs_in("y")]
+    sj = [_constant(c) for c in matrix.subresultant(f, g, "y", j)]
+    gcd = [_constant(c) for c in _poly_in_y(common).coeffs_in("y")]
     assert sj[j] != 0
     assert [c / sj[j] for c in sj] == gcd
 
