@@ -249,6 +249,19 @@ def test_golden_portrait_limits(group, name):
     assert hashlib.sha256(json.dumps(triples).encode("utf-8")).hexdigest() == LIMITS[group, name]
 
 
+# each golden portrait built again at a tenth of the integrator's relative
+# tolerance: every orbit decided in both builds keeps its limit, and none
+# is decided in only one, so the tolerance moves polylines, not ends
+@pytest.mark.parametrize("group, name", sorted(LIMITS))
+def test_golden_portrait_limits_hold_at_a_tenth_of_the_tolerance(group, name, monkeypatch):
+    def decided(doc):
+        return {t.seed_id: t.limit for t in doc.trajectories if t.limit is not None}
+
+    golden = decided(_golden_portrait(group, name))
+    monkeypatch.setattr(portrait, "RTOL_DEFAULT", portrait.RTOL_DEFAULT / 10)
+    assert decided(_golden_portrait.__wrapped__(group, name)) == golden
+
+
 # the orbits of the bundled full disc that ended reached-tmax while every
 # capture ladder started at 3/100: each now reaches a blown-up node's
 # ellipse at inf:U2-:0, proved at half-widths (0.18, 0.12) rather than
