@@ -69,7 +69,7 @@ from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaErr
 from pdisc.exactalg import AlgebraicCoord, MPoly
 from pdisc.modelio import ParamBindings, PlanarSystem, format_system
 
-RTOL_DEFAULT = 1e-9
+RTOL_DEFAULT = 1e-8
 ATOL_DEFAULT = 1e-12
 TMAX_DEFAULT = 200.0
 EPS_SEPARATRIX = 1e-3

@@ -28,7 +28,11 @@ capture ladder started at 12/25 rather than 3/100: an orbit now stops in
 the larger proved region that holds the one it stopped in, which
 shortens its polyline.  Of `LIMITS` only the bundled full disc moved,
 where eight orbits that ran out of time now end at `inf:U2-:0` (see
-`NEWLY_DECIDED`).  Their floats come from a fixed sequence of binary64
+`NEWLY_DECIDED`).  Every portrait pin and the six count pins of the
+bundled portrait were re-recorded once the integrator's relative
+tolerance went from 1e-9 to 1e-8: steps grow about 10^(1/5)-fold, which
+moves every polyline, while `LIMITS`, `NEWLY_DECIDED` and `REGIONS` held
+unedited.  Their floats come from a fixed sequence of binary64
 operations, so they match on every supported CPython; a change to the
 integrator that moves them must say so.
 """
@@ -79,12 +83,12 @@ GOLDEN = {
 # (JSON, SVG) of the bundled-parameter portrait
 PORTRAITS = {
     "quadrant": (
-        "4f2a9f235998c431a16e13e65ba735deafe8cbdb105c458b1595cc342b07bd8d",
-        "5af15328fc2f646e73a0d341d7969d67b3f22b9666697da242845145e881db1f",
+        "519be7987c80595fd893da0586cc4161e03353cc4caada32e24cb220cac58e85",
+        "70aa9d84bb846afb7e870c2aa549639d71876ad449544e78dbc48e0626b2aedf",
     ),
     "full": (
-        "e3c00c682c129b9ca72c13aa845039c9d29a2de5c2d8eec164d75ad3bca54c8b",
-        "25aa179dd7b67abc046a0509ce18d0d9a03226547f479179be265b5ac0081d64",
+        "c8690e72620c116189a36536b69516a0a5db46c17c729930b184d795f959e5b2",
+        "e48dedd724f1cef91320a35468f6ccfaaade20e7d01c7f9d6243c866ecd96b34",
     ),
 }
 
@@ -151,37 +155,37 @@ OTHER_PORTRAITS = {
         "dx = x^2 - 2\ndy = y^2 - x*y - 3\n",
         False,
         8,
-        "6bb1f3d1a995736520f30dbf914d9c3e073fd910f362b83eddf5f5966f2cf8ff",
-        "5bb2a0f9434e363557a65269c7414894509e5e8ec4d3bc5d443cb2435be6d7b1",
+        "60baa717c23f48a4346365d8b2bc99c9b90e855e2796b3d1178c63616a5c2a71",
+        "962789278bec47fac7da104bd5a76a55179f338f97261bc7149a74887c3ac076",
     ),
     "saddle-quadrant": (
         "dx = x^2 + y^2 - 3\ndy = x*y - 1\n",
         True,
         8,
-        "cd0fd1834251299e08c020a7012c85acdd65a06fe31ae23be3f878f91339d086",
-        "5040ecf1f109f439ce6ef85b14fe58f39cc3028b367658dbc529c7b45b7e49f4",
+        "85f4d02648cfd982a0869b84796a4167cec98eda982168307262fc59de468de8",
+        "907adb1e8479114cdafba9511f6dec27e845ca9ed5470ac8f9e8dc3c40ed6830",
     ),
     "quartic": (
         "dx = x^4 - 3*x^2*y + y^2 - 2*x + 1\ndy = y^4 - x*y^2 + 2*x^2 - y - 3\n",
         False,
         2,
-        "bbeb2f8434146d80bbe65a39e92514d484dc38616d0d08df9340c95edcb83b07",
-        "88e9facf38a31e38102cff5d71c4fcc166d8678fdff84c32bc7f8c0f3265d1c5",
+        "048cad67a62a2f8feca20ee024879fd4b9ad4e8fc5ce4fb875d01c44a9b1de82",
+        "918491175f7404b82cd550cec3a04718aa19e7a8e971fdccfd9dd14e71954e6f",
     ),
     "quintic": (
         "dx = x^5 - 3*x^2*y^2 + y^3 - 2*x + 1\ndy = y^5 - x*y^3 + 2*x^2 - y - 3\n",
         False,
         2,
-        "fef64fa4bed1ee89835cc3f3ab0b37e9bb03ca7e2bd54064fed3e1c6db226106",
-        "7ed23d772c7c7f3ed2c2d8fe19b8c026a6b8ac5960a1418c507cbd343e363202",
+        "ca36d4c7a42387ef1774915884642889a25e0de54d8edbc0a2c42d1259711d4d",
+        "62215d4181589968ba12da4d57ca922f7108010c41fa77052ad43ad8b64abafb",
     ),
     # finite saddle-nodes, blown-up points on both sides of U2 and in V1
     "chart-plan": (
         "dx = y^2 - x*y + y - 1\ndy = x*y - x^2 + x\n",
         False,
         8,
-        "a6ead31d58f2143f545a6c218e52a2dbd66750dfa92281c82f06950dc0259b1c",
-        "218e1d848cd59aca896d8dd0c8f58697c1cdd6c79594a02610c196fe3b46b49f",
+        "7314711fb43f462a32d98b84ed19d0ce83c8c3037dae28d5160d9aec36da0385",
+        "b1f76ea5b036e506c49255a7dd906f9c6f15cc77a2845c973302ab9c221397b2",
     ),
 }
 
@@ -198,20 +202,20 @@ LESLIE_PORTRAITS = {
     "zero-quadrant": (
         ("2", "1", "1/2"),
         True,
-        "0782a17f28a7be2c41a1bd965af62f863c8c4301a0acf0dadb9d95a83c6aa236",
-        "5140c4acc8b8bf31d18835062f9fd27b42432ddc19c9afac3d1583ee7b989ea6",
+        "c49670022563baf4c8061542b34aabdae33cab89fc19e28d70d29e54668dbee8",
+        "95b22a2ca4b0640a0fff2187e499b29749d2cd4f6290859fc2cc7aaa0cae1cfd",
     ),
     "zero-full": (
         ("2", "1", "1/2"),
         False,
-        "14fc9f01d605ef4ce7cd9e1fa05256a56fe220d9f4908d929f59257361aaebe8",
-        "b42de80d733e98aace1120260b2f005bc27eb28f09726dadf52c898136e3679f",
+        "e7ca3677635cda3988da7359de0da149fafdab3deeef448a27dde09ac4ccbfb6",
+        "03193c2a02f1c1d3433619ad2d6439622d5d8dd6d4753819b813e7095082f468",
     ),
     "negative-full": (
         ("3", "1", "1/2"),
         False,
-        "09d42a9b4188ea6733ef789544dafb2b0dd3ca35951da00a3fee0c0ab055909a",
-        "8fd84f6f0a5f4b43b9b6b9b0021585b987c5aa476caa577664e2d1a9e6cb7b4a",
+        "fd880614f278ca48e21c3ca3da01101a30e6b879fbbecc96c91974f2716fb3eb",
+        "67bc1353e4c1ac05f31b301d50aece6cc70265e20a7d629e8d7050bbde5f5231",
     ),
 }
 
@@ -415,8 +419,9 @@ def test_capture_regions_keep_their_class_and_do_not_shrink(group, name):
 # field-component evaluations of the bundled-parameter portrait: one per
 # component at each seed and after each chart switch, through the
 # `compile_poly` evaluators, and six per step after, inlined in each
-# chart's `compile_step` kernel
-@pytest.mark.parametrize("view, evals", [("quadrant", 45948), ("full", 259796)])
+# chart's `compile_step` kernel (45948 and 259796 at a relative
+# tolerance of 1e-9, whose shorter steps took more of them)
+@pytest.mark.parametrize("view, evals", [("quadrant", 30960), ("full", 169808)])
 def test_bundled_portrait_evaluation_count(view, evals, monkeypatch):
     calls = {"fresh": 0, "steps": 0}
 
@@ -445,8 +450,9 @@ def test_bundled_portrait_evaluation_count(view, evals, monkeypatch):
 # only once the state's disc point is in its disc box (11340 and 176305
 # calls before any filter, while every step was capped at h = 0.5; 491
 # and 7760 while every capture ladder started at 3/100, when the
-# quadrant's smaller disc boxes let fewer states through)
-@pytest.mark.parametrize("view, hits", [("quadrant", 553), ("full", 5979)])
+# quadrant's smaller disc boxes let fewer states through; 553 and 5979 at
+# a relative tolerance of 1e-9, with more accepted states near a region)
+@pytest.mark.parametrize("view, hits", [("quadrant", 395), ("full", 4076)])
 def test_bundled_portrait_capture_test_count(view, hits, monkeypatch):
     calls = [0]
 
@@ -468,8 +474,9 @@ def test_bundled_portrait_capture_test_count(view, hits, monkeypatch):
 # calls to `Flow.capture` in the bundled-parameter portrait: the orbit
 # loop makes one only for an accepted state whose disc point is in its
 # chart's gate (3780 and 27987 calls, one per accepted step, before the
-# gate)
-@pytest.mark.parametrize("view, captures", [("quadrant", 1229), ("full", 7846)])
+# gate; 1229 and 7846 at a relative tolerance of 1e-9, with more accepted
+# steps)
+@pytest.mark.parametrize("view, captures", [("quadrant", 853), ("full", 5335)])
 def test_bundled_portrait_capture_call_count(view, captures, monkeypatch):
     calls = [0]
     original = portrait.Flow.capture
