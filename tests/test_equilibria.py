@@ -3,7 +3,8 @@
 Oracles: Jacobians are rebuilt from closed forms, float eigenvalues come
 from the quadratic formula, algebraic coordinates are cross-checked by
 interval bisection, and the semi-hyperbolic coefficient is compared with
-the closed-form value of the collapsed case.
+the closed-form value of the collapsed case and with a saddle-node normal
+form planted at random rational points.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdisc.equilibria import (
     CENTER_CANDIDATE,
@@ -30,8 +32,8 @@ from pdisc.equilibria import (
     leslie_labels,
 )
 from pdisc.errors import InputError, PositiveDimensionalError
-from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, UPoly, isolate_real_roots
-from pdisc.modelio import leslie_system, parse_system
+from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, MPoly, UPoly, isolate_real_roots
+from pdisc.modelio import PlanarSystem, leslie_system, parse_system
 
 F = Fraction
 
@@ -156,6 +158,42 @@ def test_saddle_node_side_sign():
     assert rec.reduction.a2 == 1
     # the nonzero eigenvalue is -1, so the node part attracts
     assert rec.reduction.stability == "attractor"
+
+
+_rationals = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 6))
+_nonzero = _rationals.filter(bool)
+
+
+@st.composite
+def _planted_saddle_nodes(draw):
+    """(x0, y0, a2, lam, v0, vl, c11, c02) with v0 = (1, s) or (0, 1), the
+    normalisation the reduction reports, and det[v0 | vl] != 0."""
+    v0 = draw(st.sampled_from([(F(1), draw(_rationals)), (F(0), F(1))]))
+    vl = draw(st.tuples(_rationals, _rationals).filter(lambda v: v0[0] * v[1] != v0[1] * v[0]))
+    return (
+        draw(_rationals), draw(_rationals), draw(_nonzero), draw(_nonzero),
+        v0, vl, draw(_rationals), draw(_rationals),
+    )
+
+
+@settings(max_examples=200)
+@given(_planted_saddle_nodes())
+def test_planted_saddle_node_normal_form_is_recovered(planted):
+    # (u, w) = T^-1 ((x, y) - p0) for T = [v0 | vl]; u' = a2 u^2 + c11 u w
+    # + c02 w^2 and w' = lam w + c11 u^2, mapped back by (P, Q) = T (u', w')
+    x0, y0, a2, lam, v0, vl, c11, c02 = planted
+    det_t = v0[0] * vl[1] - v0[1] * vl[0]
+    dx, dy = MPoly.var_x() - x0, MPoly.var_y() - y0
+    u = (dx * vl[1] - dy * vl[0]) * (1 / det_t)
+    w = (dy * v0[0] - dx * v0[1]) * (1 / det_t)
+    du = u * u * a2 + u * w * c11 + w * w * c02
+    dw = w * lam + u * u * c11
+    sys = PlanarSystem(du * v0[0] + dw * vl[0], du * v0[1] + dw * vl[1])
+    rec = classify_point(sys, AlgebraicPoint(AlgebraicCoord.of(x0), AlgebraicCoord.of(y0)))
+    assert rec.classification == SADDLE_NODE
+    red = rec.reduction
+    assert (red.a2, red.nonzero_eigenvalue, red.center_vector) == (a2, lam, v0)
+    assert red.stability == ("attractor" if lam < 0 else "repeller")
 
 
 def test_irrational_equilibria_paired_and_classified():
