@@ -18,13 +18,14 @@ enclosure.  Where that fails (a vanishing y-leading coefficient, or two
 points on one fiber) the same lifting runs on P(x - t*y, y), Q(x - t*y, y).
 
 Coordinates and points are the real algebraic numbers of
-`pdisc.exactalg.algebraic`.  Every sign at an irrational point, of the
-residuals and of the Jacobian's determinant, trace and discriminant, is
-read from the box of its two coordinate intervals when that box
-excludes 0, and otherwise decided exactly from its rational univariate
-representation (RUR), which the lifting above produces.  "undetermined"
-is left only where no exact rule applies (a semi-hyperbolic point whose
-reduction is unavailable or degenerate).
+`pdisc.exactalg.algebraic`.  At an irrational point the residuals P and
+Q are decided exactly from its rational univariate representation (RUR),
+which the lifting above produces; the signs of the Jacobian's
+determinant, trace and discriminant are read from the box of its two
+coordinate intervals when that box excludes 0, and otherwise from the
+RUR.  One sign table classifies rational and irrational points alike.
+"undetermined" is left only where no exact rule applies (a
+semi-hyperbolic point whose reduction is unavailable or degenerate).
 """
 
 from __future__ import annotations
@@ -373,22 +374,27 @@ def _sqrt_fraction(v: Fraction) -> Optional[Fraction]:
 def classify_point(sys: PlanarSystem, pt: AlgebraicPoint) -> EquilibriumRecord:
     """Build the full equilibrium record at a solution of P = Q = 0.
 
-    At an irrational point both coordinates are refined to width 2^-60
-    first.  P and Q are read from the point's RUR, which decides their
-    zeros; det, trace and discriminant with `AlgebraicPoint.sign`, from
-    the enclosure over that box when it excludes 0, else from the RUR."""
+    Both kinds of point are classified by `_table` from the signs of det,
+    trace and discriminant, except a rational point with det = 0 != tr
+    whose semi-hyperbolic reduction has a2 != 0, a saddle-node.  At a
+    rational point those values are exact.  At an irrational point both
+    coordinates are refined to width 2^-60 first; P and Q are read from
+    the point's RUR, which decides their zeros; det, trace and
+    discriminant with `AlgebraicPoint.sign`, from the enclosure over that
+    box when it excludes 0, else from the RUR."""
     if pt.is_exact:
         x0, y0 = pt.exact_pair()
         if sys.P.eval_rat(x0, y0) != 0 or sys.Q.eval_rat(x0, y0) != 0:
             raise InputError(f"({x0}, {y0}) is not an equilibrium")
         jac = jacobian_at(sys, pt)
-        a, b = jac[0]
-        c, d = jac[1]
-        assert isinstance(a, Fraction)
+        (a, b), (c, d) = jac
         tr = a + d
         det = a * d - b * c
         disc = tr * tr - 4 * det
-        cls, eigs, red = _classify_exact(sys, pt, jac, tr, det, disc)
+        rt = _sqrt_fraction(disc)
+        eigs = None if rt is None else ((tr - rt) / 2, (tr + rt) / 2)
+        red = _semi_hyperbolic(sys, x0, y0, jac, tr) if det == 0 and tr != 0 else None
+        cls = SADDLE_NODE if red is not None and red.a2 != 0 else _table(det, tr, disc)
         return EquilibriumRecord(pt, jac, tr, det, disc, eigs, cls, reduction=red)
 
     if pt.rur is None:
@@ -405,46 +411,20 @@ def classify_point(sys: PlanarSystem, pt: AlgebraicPoint) -> EquilibriumRecord:
     return EquilibriumRecord(pt, None, None, None, None, None, _table(s_det, s_tr, s_disc))
 
 
-def _table(s_det: int, s_tr: int, s_disc: int) -> str:
-    if s_det < 0:
+def _table(det: Fraction, tr: Fraction, disc: Fraction) -> str:
+    """The class read from the signs of det, trace and discriminant; each
+    argument is the exact value or its sign."""
+    if det < 0:
         return SADDLE
-    if s_det > 0:
-        if s_tr == 0:
+    if det > 0:
+        if tr == 0:
             return CENTER_CANDIDATE
-        if s_disc >= 0:
-            return STABLE_NODE if s_tr < 0 else UNSTABLE_NODE
-        return STABLE_FOCUS if s_tr < 0 else UNSTABLE_FOCUS
-    # det == 0: with tr != 0 only an exact point has the semi-hyperbolic reduction
-    return DEGENERATE if s_tr == 0 else UNDETERMINED
-
-
-def _classify_exact(
-    sys: PlanarSystem,
-    pt: AlgebraicPoint,
-    jac,
-    tr: Fraction,
-    det: Fraction,
-    disc: Fraction,
-) -> Tuple[str, Optional[Tuple[Fraction, Fraction]], Optional[SemiHyperbolicReduction]]:
-    s_det = (det > 0) - (det < 0)
-    s_tr = (tr > 0) - (tr < 0)
-    s_disc = (disc > 0) - (disc < 0)
-
-    eigs: Optional[Tuple[Fraction, Fraction]] = None
-    rt = _sqrt_fraction(disc)
-    if rt is not None:
-        eigs = ((tr - rt) / 2, (tr + rt) / 2)
-
-    if det == 0 and tr != 0:
-        red = _semi_hyperbolic(sys, pt, jac, tr)
-        if red is None or red.a2 == 0:
-            cls = UNDETERMINED
-        else:
-            cls = SADDLE_NODE
-        return cls, eigs, red
-
-    cls = _table(s_det, s_tr, s_disc)
-    return cls, eigs, None
+        if disc >= 0:
+            return STABLE_NODE if tr < 0 else UNSTABLE_NODE
+        return STABLE_FOCUS if tr < 0 else UNSTABLE_FOCUS
+    # det == 0 != tr here is an irrational point, which has no reduction,
+    # or a rational one whose a2 is 0
+    return DEGENERATE if tr == 0 else UNDETERMINED
 
 
 def _kernel_vector(
@@ -463,25 +443,20 @@ def _kernel_vector(
 
 
 def _semi_hyperbolic(
-    sys: PlanarSystem, pt: AlgebraicPoint, jac, lam: Fraction
-) -> Optional[SemiHyperbolicReduction]:
+    sys: PlanarSystem, x0: Fraction, y0: Fraction, jac, lam: Fraction
+) -> SemiHyperbolicReduction:
     """Quadratic coefficient of the flow along the center direction.
 
     Translate to the equilibrium and send the (center, hyperbolic)
-    eigenvectors v0, vl to the axes: (x, y) = pt + T (u, w) with
-    T = [v0 | vl], so u' = r0 . (P, Q) for r0 the first row of T^-1.  Its
-    linear part r0 J T vanishes because J v0 = 0 and J vl = lam vl, and
-    its u^2 coefficient is a2 = r0 . (v0' H_P v0, v0' H_Q v0) / 2, with
-    H_P, H_Q the Hessians at the point.  The center manifold deviates
-    from the axis at quadratic order, which perturbs u' only at cubic
-    order, so a2 is exactly the quadratic Taylor coefficient.
+    eigenvectors v0, vl to the axes: (x, y) = (x0, y0) + T (u, w) with
+    T = [v0 | vl], so u' = r0 . (P, Q) for r0 = (vl[1], -vl[0]) / det T
+    the first row of T^-1.  Its linear part r0 J T vanishes because
+    J v0 = 0 and J vl = lam vl, and its u^2 coefficient a2 is the t^2
+    coefficient of r0 . (P, Q) at (x0, y0) + t v0.  The center manifold
+    deviates from the axis at quadratic order, which perturbs u' only at
+    cubic order, so a2 is exactly the quadratic Taylor coefficient.
     """
-    if not pt.is_exact:
-        return None
-    x0, y0 = pt.exact_pair()
-    a, b = jac[0]
-    c, d = jac[1]
-
+    (a, b), (c, d) = jac
     v0 = _kernel_vector(a, b, c, d)
     vl = _kernel_vector(a - lam, b, c, d - lam)
     det_t = v0[0] * vl[1] - v0[1] * vl[0]
@@ -492,7 +467,9 @@ def _semi_hyperbolic(
     if j_v0 != (0, 0) or j_vl != (lam * vl[0], lam * vl[1]):
         raise InternalInvariantError("center direction carries a linear term")
 
-    a2 = (vl[1] * _half_hessian(sys.P, x0, y0, v0) - vl[0] * _half_hessian(sys.Q, x0, y0, v0)) / det_t
+    t = MPoly.var_x()
+    along = (t * v0[0] + x0, t * v0[1] + y0)
+    a2 = (sys.P * vl[1] - sys.Q * vl[0]).subst(*along).coeff(2, 0) / det_t
     stability = "attractor" if lam < 0 else "repeller"
     return SemiHyperbolicReduction(
         a2=a2,
@@ -501,37 +478,6 @@ def _semi_hyperbolic(
         stability=stability,
         hyperbolic_vector=vl,
     )
-
-
-def _half_hessian(f: MPoly, x0: Fraction, y0: Fraction, v: Tuple[Fraction, Fraction]) -> Fraction:
-    """v' H_f v / 2 at (x0, y0): the t^2 coefficient of f((x0, y0) + t v).
-
-    Over the integers: with x0 + t*v[0] = (a + t*b)/m, y0 + t*v[1] =
-    (c + t*e)/n and f = content * sum k x^i y^j, it is the t^2 coefficient
-    of sum k (a + t*b)^i m^(dx-i) (c + t*e)^j n^(dy-j), times
-    content / (m^dx n^dy)."""
-    if f.is_zero:
-        return Fraction(0)
-    dx, dy = f.degree_in("x"), f.degree_in("y")
-    xs, m = _scaled_powers(x0, v[0], dx)
-    ys, n = _scaled_powers(y0, v[1], dy)
-    total = 0
-    for (i, j), k in f.int_terms():
-        (x_0, x_1, x_2), (y_0, y_1, y_2) = xs[i], ys[j]
-        total += k * (x_0 * y_2 + x_1 * y_1 + x_2 * y_0)
-    return f.content * Fraction(total, m**dx * n**dy)
-
-
-def _scaled_powers(a: Fraction, b: Fraction, d: int) -> Tuple[List[Tuple[int, int, int]], int]:
-    """With a + t*b = (p + t*q)/m over the integers: the coefficients of
-    1, t, t^2 in (p + t*q)^k * m^(d-k) for k = 0..d, and m."""
-    m = math.lcm(a.denominator, b.denominator)
-    p, q = a.numerator * (m // a.denominator), b.numerator * (m // b.denominator)
-    pows = [(1, 0, 0)]
-    for _ in range(d):
-        c0, c1, c2 = pows[-1]
-        pows.append((c0 * p, c1 * p + c0 * q, c2 * p + c1 * q))
-    return [(c0 * m ** (d - k), c1 * m ** (d - k), c2 * m ** (d - k)) for k, (c0, c1, c2) in enumerate(pows)], m
 
 
 # ---------------------------------------------------------------------------
