@@ -95,9 +95,6 @@ class EquilibriumRecord:
     label: Optional[str] = None
     reduction: Optional[SemiHyperbolicReduction] = None
 
-    def with_label(self, label: Optional[str]) -> "EquilibriumRecord":
-        return replace(self, label=label)
-
     def time_reversed(self) -> "EquilibriumRecord":
         """The record of the same point for the field times -1: the
         Jacobian, the trace and the eigenvalues change sign, nodes and
@@ -505,7 +502,7 @@ def leslie_labels(
                 label = named[pair]
             elif pair == star:
                 label = "Estar"
-        out.append(rec.with_label(label))
+        out.append(replace(rec, label=label))
     return out
 
 

@@ -294,10 +294,6 @@ class AlgebraicPoint:
         if self.rur is None:
             object.__setattr__(self, "rur", _trivial_rur(self.x, self.y))
 
-    @staticmethod
-    def rational(x: Union[int, Fraction], y: Union[int, Fraction]) -> "AlgebraicPoint":
-        return AlgebraicPoint(AlgebraicCoord.of(x), AlgebraicCoord.of(y))
-
     @property
     def is_exact(self) -> bool:
         return self.x.is_exact and self.y.is_exact

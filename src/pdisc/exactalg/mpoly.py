@@ -137,13 +137,6 @@ class MPoly:
     def term_count(self) -> int:
         return len(self._p)
 
-    def leading(self) -> Tuple[Exponents, Fraction]:
-        """Leading (exponents, coefficient) under the graded-lex order."""
-        if not self._p:
-            raise ValueError("zero polynomial has no leading term")
-        k = max(self._p)
-        return _exponents(k), self._c * self._p[k]
-
     def monic(self) -> "MPoly":
         """Scale so the graded-lex leading coefficient is 1."""
         if not self._p:

@@ -81,11 +81,6 @@ def sturm_chain(p: UPoly) -> List[UPoly]:
     return remainder_sequence(p, p.diff())
 
 
-def sign_variations(chain: List[UPoly], t: _Scalar) -> int:
-    t = Fraction(t)
-    return _variations(_signs(chain, t.numerator, t.denominator))
-
-
 def _signs(chain: List[UPoly], n: int, d: int) -> List[int]:
     return [q.sign_at_ratio(n, d) for q in chain]
 

@@ -274,9 +274,6 @@ class Trajectory:
     reason: str
     limit: Optional[str] = None  # id of the marker the orbit ends at, where that is decided
 
-    def endpoint(self) -> Tuple[float, float]:
-        return self.points[-1]
-
 
 class _ChartFields(dict):
     """chart -> (fx, fy), the chart's two field components, and

@@ -16,7 +16,6 @@ from pdisc.compactify import (
     disc_equilibria,
     infinite_equilibria,
     to_chart,
-    verify_blowdown,
 )
 from pdisc.darboux import (
     extactic,
@@ -25,7 +24,7 @@ from pdisc.darboux import (
     verify_invariant_curve,
 )
 from pdisc.equilibria import finite_equilibria, in_positive_quadrant, leslie_labels
-from pdisc.exactalg import AlgebraicPoint, MPoly, coefficient_rows, monomial_basis, nullspace
+from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, MPoly, coefficient_rows, monomial_basis, nullspace
 from pdisc.integrability import (
     SearchBounds,
     cofactor_tests,
@@ -33,6 +32,8 @@ from pdisc.integrability import (
 )
 from pdisc.modelio import ParamBindings, leslie_system, seeded_parameter_triples
 from pdisc.portrait import Flow, build_portrait, disc_from_plane, integrate_orbit
+
+from blowdown import verify_blowdown
 
 X = MPoly.var_x()
 Y = MPoly.var_y()
@@ -298,7 +299,7 @@ def test_criterion_09_blowups(capfd):
     samples = [(F(1), F(1)), (F(1, 2), F(-1, 3)), (F(-2), F(3, 5))]
     for a, b, c in [(F(1), F(2), F(1, 2)), (F(2), F(3), F(1, 4))]:
         local = to_chart(leslie_system(a, b, c), "U2").system
-        analysis = blowup_analysis(local, AlgebraicPoint.rational(F(0), F(0)))
+        analysis = blowup_analysis(local, AlgebraicPoint(AlgebraicCoord.of(F(0)), AlgebraicCoord.of(F(0))))
         assert analysis is not None
 
         on_x = {r.point.exact_pair()[1]: set(r.eigenvalues) for r in analysis.x_divisor}
@@ -439,6 +440,6 @@ def test_criterion_11_soundness(capfd):
     # (d) trajectory reversibility within 1e-5
     for seed in [(0.3, 0.4), (0.1, 0.55), (0.45, 0.2), (0.2, 0.25), (0.5, 0.35)]:
         fwd = integrate_orbit(flow, seed, "forward", tmax=3.0)
-        back = integrate_orbit(flow, fwd.endpoint(), "backward", tmax=3.0)
-        err = math.hypot(back.endpoint()[0] - seed[0], back.endpoint()[1] - seed[1])
+        back = integrate_orbit(flow, fwd.points[-1], "backward", tmax=3.0)
+        err = math.hypot(back.points[-1][0] - seed[0], back.points[-1][1] - seed[1])
         assert err < 1e-5

@@ -19,7 +19,9 @@ from hypothesis import given, strategies as st
 import pdisc.exactalg
 from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, MPoly, UPoly, isolate_real_roots
 from pdisc.exactalg.algebraic import box_sign, refinements
-from pdisc.exactalg.roots import sign_variations, sturm_chain
+from pdisc.exactalg.roots import sturm_chain
+
+from sturm import sign_variations
 
 F = Fraction
 

@@ -26,12 +26,13 @@ from pdisc.compactify import (
     infinite_equilibria,
     sector_synthesis,
     to_chart,
-    verify_blowdown,
 )
 from pdisc.equilibria import DEGENERATE, SADDLE, SADDLE_NODE, EquilibriumRecord, equilibrium_fragment
 from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaError
 from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, MPoly
 from pdisc.modelio import PlanarSystem, leslie_system, parse_system
+
+from blowdown import verify_blowdown
 
 F = Fraction
 U = MPoly.var_x()
@@ -333,7 +334,7 @@ def test_direct_sectors_table():
 def test_blowup_analysis_translation_and_irrational_guard():
     sys = leslie_system(F(1), F(2), F(1, 2))
     u2 = to_chart(sys, "U2")
-    analysis = blowup_analysis(u2.system, AlgebraicPoint.rational(F(0), F(0)))
+    analysis = blowup_analysis(u2.system, AlgebraicPoint(AlgebraicCoord.of(F(0)), AlgebraicCoord.of(F(0))))
     assert analysis is not None
     assert (analysis.sectors.hyperbolic, analysis.sectors.parabolic) == (2, 2)
     from pdisc.exactalg import UPoly, isolate_real_roots

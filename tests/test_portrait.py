@@ -364,7 +364,7 @@ def test_orbit_matches_exponential_flow():
     assert tr.reason == REASON_TMAX
     assert len(tr.points) >= 2
     want = disc_from_plane(math.e, 1.0 / math.e)
-    assert _dist(tr.endpoint(), want) < 1e-6
+    assert _dist(tr.points[-1], want) < 1e-6
 
 
 def test_slow_steps_are_bounded_by_length(monkeypatch):
@@ -392,7 +392,7 @@ def test_slow_steps_are_bounded_by_length(monkeypatch):
     tr = integrate_orbit(Flow(disc_equilibria(sys), markers=[]), seed, tmax=50.0)
     assert tr.reason == REASON_TMAX
     assert calls[0] == 14
-    x, y = plane_from_disc(*tr.endpoint())
+    x, y = plane_from_disc(*tr.points[-1])
     decay = math.exp(-50.0 / 64.0)
     assert math.hypot(x - decay * x0, y - decay * y0) < 1e-9
 
@@ -414,7 +414,7 @@ def test_orbit_escapes_to_equator_node():
     sys = parse_system("dx = x\ndy = -y\n")
     tr = integrate_orbit(Flow(disc_equilibria(sys)), disc_from_plane(2.0, 3.0))
     assert tr.reason in (REASON_EQ, REASON_BOUNDARY)
-    assert _dist(tr.endpoint(), (1.0, 0.0)) < 1e-6
+    assert _dist(tr.points[-1], (1.0, 0.0)) < 1e-6
 
 
 def test_axis_orbits_stay_exactly_on_axis():
@@ -423,13 +423,13 @@ def test_axis_orbits_stay_exactly_on_axis():
     assert all(p[1] == 0.0 for p in tr.points)
     assert tr.reason == REASON_EQ
     # on the positive x axis the flow is x' = x(C+x)(1-x): x -> 1
-    assert _dist(tr.endpoint(), disc_from_plane(1.0, 0.0)) < 1e-6
+    assert _dist(tr.points[-1], disc_from_plane(1.0, 0.0)) < 1e-6
 
     tr = integrate_orbit(flow, disc_from_plane(0.0, 2.0))
     assert all(p[0] == 0.0 for p in tr.points)
     assert tr.reason == REASON_EQ
     # on the positive y axis the flow is y' = By(C-y): y -> C
-    assert _dist(tr.endpoint(), disc_from_plane(0.0, 0.5)) < 1e-6
+    assert _dist(tr.points[-1], disc_from_plane(0.0, 0.5)) < 1e-6
 
 
 def test_orbit_reversibility():
@@ -437,9 +437,9 @@ def test_orbit_reversibility():
     seed = (0.3, 0.4)
     fwd = integrate_orbit(flow, seed, "forward", tmax=2.0)
     assert fwd.reason == REASON_TMAX
-    back = integrate_orbit(flow, fwd.endpoint(), "backward", tmax=2.0)
+    back = integrate_orbit(flow, fwd.points[-1], "backward", tmax=2.0)
     assert back.reason == REASON_TMAX
-    assert _dist(back.endpoint(), seed) < 1e-5
+    assert _dist(back.points[-1], seed) < 1e-5
 
 
 def test_orbit_input_validation():
@@ -525,7 +525,7 @@ def test_leslie_grid_orbits_converge_to_interior_point(leslie_doc):
     assert len(grid) == 64
     for tr in grid:
         assert tr.reason == REASON_EQ
-        assert _dist(tr.endpoint(), star) < 1e-7
+        assert _dist(tr.points[-1], star) < 1e-7
 
 
 def test_leslie_axis_trajectories_exact(leslie_doc):
@@ -660,7 +660,7 @@ def test_negative_regime_portrait():
     target = disc_from_plane(0.0, 0.5)
     grid = [t for t in doc.trajectories if t.seed_id.startswith("grid:")]
     assert grid and all(
-        t.reason == REASON_EQ and _dist(t.endpoint(), target) < 1e-6 for t in grid
+        t.reason == REASON_EQ and _dist(t.points[-1], target) < 1e-6 for t in grid
     )
 
 
@@ -822,12 +822,12 @@ def test_captured_orbit_ends_at_the_marker():
     flow = Flow(disc_equilibria(sys), markers=[m])
     tr = integrate_orbit(flow, seed, tmax=50.0)
     assert tr.reason == REASON_EQ
-    assert tr.endpoint() == (0.0, 0.0)
+    assert tr.points[-1] == (0.0, 0.0)
     assert tr.limit == m.marker_id
     assert len(tr.points) < len(bare.points)
     # backward, the same seed leaves the node half
     back = integrate_orbit(flow, seed, "backward", tmax=5.0)
-    assert back.endpoint() != (0.0, 0.0)
+    assert back.points[-1] != (0.0, 0.0)
 
 
 def test_axis_orbits_end_at_their_exact_limit():
@@ -857,7 +857,7 @@ def test_capture_region_stops_short_of_a_nearby_saddle():
     assert cap.r < 0.01
     assert not cap.hit(-0.02, 0.001, 1.0)
     tr = integrate_orbit(Flow(disc_equilibria(sys), markers=[m]), disc_from_plane(-0.02, 0.001))
-    assert _dist(tr.endpoint(), (-1.0, 0.0)) < 1e-6
+    assert _dist(tr.points[-1], (-1.0, 0.0)) < 1e-6
 
 
 def test_capture_triangle_keeps_its_orbits():
@@ -876,7 +876,7 @@ def test_capture_region_is_measured_in_scaled_eigenvectors():
     assert not cap.hit(-0.02, -20.0, 1.0)
     assert cap.hit(-0.02 / 1000, -0.02, 1.0)
     tr = integrate_orbit(Flow(disc_equilibria(sys), markers=[m]), disc_from_plane(-0.02, -20.0))
-    assert tr.endpoint() != m.disc
+    assert tr.points[-1] != m.disc
 
 
 def test_certificate_needs_strict_positivity_on_the_closed_box():
@@ -967,7 +967,7 @@ def test_finite_marker_captures_from_a_chart_at_infinity():
     m = _marker_for_finite(rec, sys)
     tr = integrate_orbit(Flow(disc_equilibria(sys), markers=[m]), disc_from_plane(6.9, 50.0))
     assert tr.reason == REASON_EQ
-    assert tr.endpoint() == m.disc
+    assert tr.points[-1] == m.disc
 
 
 # ---------------------------------------------------------------------------
@@ -1305,7 +1305,7 @@ def test_captured_orbits_reach_their_marker_without_capture(case):
     for m, tr in picked.values():
         seed = seeds[tr.seed_id]
         rerun = integrate_orbit(flow, seed.disc, seed.direction, tmax=1e4)
-        assert _dist(rerun.endpoint(), m.disc) < 1e-3, (tr.seed_id, m.marker_id)
+        assert _dist(rerun.points[-1], m.disc) < 1e-3, (tr.seed_id, m.marker_id)
 
 
 @pytest.mark.parametrize("case", ["bundled:quadrant", "bundled:full"] + sorted(OTHER))
@@ -1316,7 +1316,7 @@ def test_converged_orbits_end_exactly_at_their_limit(case):
     converged = [t for t in doc.trajectories if t.reason == REASON_EQ]
     assert converged
     for tr in converged:
-        assert tr.endpoint() == markers[tr.limit].disc, tr.seed_id
+        assert tr.points[-1] == markers[tr.limit].disc, tr.seed_id
 
 
 # a quartic of four lines and an ellipse; before every node had a capture
@@ -1335,7 +1335,7 @@ def test_no_orbit_stalls_beside_a_node():
     stalled = [
         t.seed_id
         for t in doc.trajectories
-        if t.reason == REASON_TMAX and any(_dist(t.endpoint(), m.disc) < 1e-3 for m in nodes)
+        if t.reason == REASON_TMAX and any(_dist(t.points[-1], m.disc) < 1e-3 for m in nodes)
     ]
     assert stalled == []
 
@@ -1370,4 +1370,4 @@ def test_irrational_node_region_is_centred_within_its_slack():
     assert sgn == -1.0
     assert abs(z[0] - math.sqrt(2.0)) < 2.0**-30 and abs(z[1] - math.sqrt(2.0)) < 2.0**-30
     tr = integrate_orbit(Flow(disc_equilibria(sys)), disc_from_plane(1.5, 1.3), "backward")
-    assert tr.reason == REASON_EQ and tr.endpoint() == _marker_for_finite(rec, sys).disc
+    assert tr.reason == REASON_EQ and tr.points[-1] == _marker_for_finite(rec, sys).disc

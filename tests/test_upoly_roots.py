@@ -31,10 +31,11 @@ from pdisc.exactalg import (
 )
 from pdisc.exactalg import roots as roots_module
 from pdisc.exactalg import upoly as upoly_module
-from pdisc.exactalg.roots import cauchy_bound, sign_variations, sturm_chain
+from pdisc.exactalg.roots import cauchy_bound, sturm_chain
 from pdisc.modelio import parse_system
 
 from enclosure import box_enclosure
+from sturm import sign_variations
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 
