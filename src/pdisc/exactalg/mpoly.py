@@ -320,29 +320,16 @@ class MPoly:
         if not self._p:
             return "0"
         parts: list[str] = []
-        first = True
         for (i, j), c in self.items():
             mono = _format_monomial(i, j, names)
-            mag = -c if c < 0 else c
-            if first:
-                if c < 0:
-                    if mono:
-                        parts.append(f"-{mag}*{mono}" if mag != 1 else f"-1*{mono}")
-                    else:
-                        parts.append(f"-{mag}")
-                else:
-                    if mono:
-                        parts.append(f"{mag}*{mono}" if mag != 1 else mono)
-                    else:
-                        parts.append(f"{mag}")
-                first = False
+            mag = abs(c)
+            body = f"{mag}*{mono}" if mono and mag != 1 else mono or f"{mag}"
+            if parts:
+                parts.append((" - " if c < 0 else " + ") + body)
+            elif c < 0:
+                parts.append(("-1*" if body == mono else "-") + body)
             else:
-                op = " - " if c < 0 else " + "
-                if mono:
-                    body = f"{mag}*{mono}" if mag != 1 else mono
-                else:
-                    body = f"{mag}"
-                parts.append(op + body)
+                parts.append(body)
         return "".join(parts)
 
     def __str__(self) -> str:
