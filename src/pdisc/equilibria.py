@@ -371,14 +371,13 @@ def _sqrt_fraction(v: Fraction) -> Optional[Fraction]:
 def classify_point(sys: PlanarSystem, pt: AlgebraicPoint) -> EquilibriumRecord:
     """Build the full equilibrium record at a solution of P = Q = 0.
 
-    Both kinds of point are classified by `_table` from the signs of det,
-    trace and discriminant, except a rational point with det = 0 != tr
-    whose semi-hyperbolic reduction has a2 != 0, a saddle-node.  At a
-    rational point those values are exact.  At an irrational point both
-    coordinates are refined to width 2^-60 first; P and Q are read from
-    the point's RUR, which decides their zeros; det, trace and
-    discriminant with `AlgebraicPoint.sign`, from the enclosure over that
-    box when it excludes 0, else from the RUR."""
+    `_table` classifies every point from the signs of det, trace and
+    discriminant, except a rational one with det = 0 != tr whose
+    semi-hyperbolic reduction has a2 != 0, a saddle-node.  At an
+    irrational point both coordinates are refined to width 2^-60 first.
+    P and Q are read from the point's RUR, which decides their zeros;
+    det, trace and discriminant with `AlgebraicPoint.sign`, from the
+    enclosure over that box when it excludes 0, else from the RUR."""
     if pt.is_exact:
         x0, y0 = pt.exact_pair()
         if sys.P.eval_rat(x0, y0) != 0 or sys.Q.eval_rat(x0, y0) != 0:

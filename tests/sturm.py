@@ -1,6 +1,6 @@
-"""Sturm's count, for tests that check root isolation against it: the
-roots of a square-free p in (a, b], neither a root, number V(a) - V(b)
-for V the sign variations of its Sturm chain."""
+"""Sturm's count, for tests that check root isolation against it: for
+a < b, neither a root of p, p has V(a) - V(b) distinct real roots in
+(a, b), with V the sign variations of its Sturm chain."""
 
 from __future__ import annotations
 
