@@ -5,16 +5,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 from pdisc.modelio import leslie_system
 
+# without the explain phase, which runs a shrunk failing example again
+# many times to report which of its parts matter: a failing property
+# reports in seconds, not minutes
 settings.register_profile(
     "suite",
     max_examples=50,
     derandomize=True,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+    phases=[p for p in Phase if p is not Phase.explain],
 )
 settings.load_profile("suite")
 
