@@ -2,10 +2,11 @@
 
 Every function, method and class defined under `src/pdisc` must be used
 elsewhere in the package, in the benchmark harness (`bench/`) or in
-`scripts/`.  A use is a name, an attribute or an import alias there, or
-a string constant in `bench/` or `scripts/`, since the benchmark tracer
-looks functions up by name.  Dunder methods, which the language calls,
-are exempt.  A helper that only tests need belongs in the tests, as an
+`scripts/`.  A method is used only through an attribute (`.name`) there;
+a function or class also through a bare name or an import alias.  A
+string constant in `bench/` or `scripts/` is a use of either, since the
+benchmark tracer looks functions up by name.  Dunder methods, which the
+language calls, are exempt.  A helper that only tests need belongs in the tests, as an
 oracle module next to them (`tests/enclosure.py`, `tests/sturm.py`).
 """
 
@@ -26,27 +27,36 @@ def _trees(*dirs: Path) -> Iterator[tuple[Path, ast.AST]]:
             yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _uses(tree: ast.AST, strings: bool) -> Iterator[str]:
+def _uses(tree: ast.AST, strings: bool) -> Iterator[tuple[bool, str]]:
+    """(through an attribute, name) for each use in the tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield False, node.id
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield True, node.attr
         elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1]
+            yield False, node.name.rsplit(".", 1)[-1]
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value
+            yield True, node.value
 
 
 def test_every_package_definition_is_used_outside_the_tests():
-    defined: dict[str, str] = {}
-    used: set[str] = set()
+    defined: dict[tuple[bool, str], str] = {}
+    uses: set[tuple[bool, str]] = set()
     for path, tree in _trees(PACKAGE):
-        used.update(_uses(tree, strings=False))
+        uses.update(_uses(tree, strings=False))
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
         for node in ast.walk(tree):
             if isinstance(node, _DEFINITIONS) and not (node.name.startswith("__") and node.name.endswith("__")):
-                defined.setdefault(node.name, f"{path.relative_to(ROOT)}:{node.lineno}")
+                is_method = id(node) in methods and not isinstance(node, ast.ClassDef)
+                defined.setdefault((is_method, node.name), f"{path.relative_to(ROOT)}:{node.lineno}")
     for _, tree in _trees(ROOT / "bench", ROOT / "scripts"):
-        used.update(_uses(tree, strings=True))
-    unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
+        uses.update(_uses(tree, strings=True))
+    attributes = {name for through_attribute, name in uses if through_attribute}
+    names = attributes | {name for _, name in uses}
+    unused = sorted(
+        f"{where} {name}"
+        for (is_method, name), where in defined.items()
+        if name not in (attributes if is_method else names)
+    )
     assert not unused, unused
