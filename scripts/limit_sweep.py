@@ -17,9 +17,11 @@ their orbits, one to a line, with a missing limit as null.
 An orbit is decided when it has a limit.  ``--compare OLD NEW`` prints,
 for each view, how many orbits both tables decide, how many of those
 changed their limit, how many NEW decides and OLD does not (gained) and
-the reverse (lost), and how many separatrices each leaves undecided.  It
-exits 1 if a decided limit changed or was lost, and 2 if the tables do
-not hold the same orbits.  To check a change to the integrator, write a
+the reverse (lost), and how many separatrices each leaves undecided.
+Then it names each orbit whose limit moved, one to a line, as ``view A B
+C seed_id: old -> new`` with a missing limit as null.  It exits 1 if a
+decided limit changed or was lost, and 2 if the tables do not hold the
+same orbits.  To check a change to the integrator, write a
 table from each checkout (with ``PYTHONPATH`` at that checkout's
 ``src``) and compare them.
 """
@@ -91,6 +93,8 @@ def compare(old_path: str, new_path: str) -> int:
             f"undecided separatrices {undecided[0]} -> {undecided[1]} of {len(seps)}"
         )
         bad = bad or changed > 0 or lost > 0
+    for k in sorted(k for k in old if old[k] != new[k]):
+        print(f"{' '.join(k[:4])} {k[4]}: {json.dumps(old[k])} -> {json.dumps(new[k])}")
     return 1 if bad else 0
 
 
