@@ -71,6 +71,8 @@ from pdisc.modelio import ParamBindings, PlanarSystem, format_system
 
 RTOL_DEFAULT = 1e-8
 ATOL_DEFAULT = 1e-12
+ATOL_FINITE = 1e-9  # the finite chart's: the disc map is 1-Lipschitz
+CHORD_MAX = 0.05  # the most a finite-chart step moves the disc point
 TMAX_DEFAULT = 200.0
 EPS_SEPARATRIX = 1e-3
 CHART_OUT = 10.0  # leave the finite chart when |x| + |y| exceeds this
@@ -435,12 +437,17 @@ def integrate_orbit(
     the rim.  Any other orbit is integrated; each accepted step hands
     its last stage on as the next step's first, which is evaluated
     afresh only after a chart switch, and a step whose error norm
-    overflows or is not a number is rejected.  `tmax` is time.  Besides
-    the error control, a step is bounded by its length: it lasts at most
-    0.5, or 0.5 / |F| where the speed |F| at its start is below 1, so it
-    moves about 0.5 chart units at most; at |F| = 0 no bound applies.
-    In the finite chart a step is also halved until it moves the disc
-    point at most 0.05.  It ends
+    overflows or is not a number is rejected.  The error norm's absolute
+    tolerance is `ATOL_FINITE` in the finite chart, where the disc map is
+    1-Lipschitz, and `ATOL_DEFAULT` in the charts at infinity, whose
+    `EQUATOR_EPS` needs it.  `tmax` is time.  Besides the error control,
+    a step is bounded by its length: it lasts at most 0.5, or 0.5 / |F|
+    where the speed |F| at its start is below 1, so it moves about 0.5
+    chart units at most; at |F| = 0 no bound applies.  In the finite
+    chart an accepted step moves the disc point at most `CHORD_MAX`: a
+    step whose chord is longer is retried at 0.9 * CHORD_MAX / chord of
+    its length, and after an accepted step the next is capped the same
+    way by the chord it drew.  It ends
     `converged-to-equilibrium` once an accepted step lands in a capture
     region that attracts in the orbit's direction, at the capturing
     marker's disc point.  `limit` is the id of the marker decided so.
@@ -459,14 +466,15 @@ def integrate_orbit(
             pts = [p] if end == p else [p, end]
             return Trajectory(seed_id, role, direction, pts, reason, None if m is None else m.marker_id)
 
-    sqrt, hypot, atol, tol = math.sqrt, math.hypot, ATOL_DEFAULT, RTOL_DEFAULT
+    sqrt, hypot, tol, reach = math.sqrt, math.hypot, RTOL_DEFAULT, 0.9 * CHORD_MAX
     even, fields, gates, capture = flow.even_degree, flow.fields, flow.gates, flow.capture
     chart, x, y, side, orient = "U3", x0, y0, 1, 1.0
     if abs(x) + abs(y) > CHART_OUT:
         chart, x, y, side, orient = _leave_plane(x, y, even)
-    # the chart's field, step, capture gate and time sign change only
-    # when the chart does
+    # the chart's field, step, capture gate, time sign and absolute
+    # tolerance change only when the chart does
     fx, fy = fields[chart]
+    atol = ATOL_FINITE if chart == "U3" else ATOL_DEFAULT
     gxlo, gxhi, gylo, gyhi = gates[chart]
     k = sgn * orient
     dp = fields[chart, k]
@@ -512,11 +520,14 @@ def integrate_orbit(
             continue
         if chart == "U3":
             # keep recorded polylines locally short on the disc; (px, py)
-            # is the disc point of (x, y)
+            # is the disc point of (x, y).  The chord is about h times the
+            # disc speed, so a step that draws too long a one is retried,
+            # and the next step is sized, to draw 0.9 * CHORD_MAX
             s = 1.0 / sqrt(1.0 + nx * nx + ny * ny)
             qx, qy = nx * s, ny * s
-            if hypot(qx - px, qy - py) > 0.05:
-                h *= 0.5
+            chord = hypot(qx - px, qy - py)
+            if chord > CHORD_MAX:
+                h *= reach / chord
                 if h < 1e-13 * max(1.0, abs(t)):
                     reason = REASON_UNDERFLOW
                     break
@@ -527,9 +538,13 @@ def integrate_orbit(
         t += h
         if err > 1e-30:
             g = 0.9 * err ** -0.2
-            h *= g if g < 5.0 else 5.0
+            if g > 5.0:
+                g = 5.0
         else:
-            h *= 5.0
+            g = 5.0
+        if chart == "U3" and chord * g > reach:
+            g = reach / chord
+        h *= g
 
         # switch charts out above CHART_OUT, back below CHART_IN, and
         # across the U1/U2 overlap where |u| > 2
@@ -551,6 +566,7 @@ def integrate_orbit(
         if chart != was:
             fx, fy = fields[chart]
             gxlo, gxhi, gylo, gyhi = gates[chart]
+            atol = ATOL_FINITE if chart == "U3" else ATOL_DEFAULT
             k = sgn * orient
             dp = fields[chart, k]
             k1x = k * fx(x, y)

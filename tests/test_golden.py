@@ -32,7 +32,10 @@ where eight orbits that ran out of time now end at `inf:U2-:0` (see
 bundled portrait were re-recorded once the integrator's relative
 tolerance went from 1e-9 to 1e-8: steps grow about 10^(1/5)-fold, which
 moves every polyline, while `LIMITS`, `NEWLY_DECIDED` and `REGIONS` held
-unedited.  Their floats come from a fixed sequence of binary64
+unedited.  They were re-recorded again, with the same three held, once a
+finite-chart step was sized by the chord it drew on the disc and the
+finite chart's absolute tolerance went from 1e-12 to 1e-9: fewer, longer
+steps move every polyline.  Their floats come from a fixed sequence of binary64
 operations, so they match on every supported CPython; a change to the
 integrator that moves them must say so.
 """
@@ -43,6 +46,7 @@ import functools
 import hashlib
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -83,12 +87,12 @@ GOLDEN = {
 # (JSON, SVG) of the bundled-parameter portrait
 PORTRAITS = {
     "quadrant": (
-        "519be7987c80595fd893da0586cc4161e03353cc4caada32e24cb220cac58e85",
-        "70aa9d84bb846afb7e870c2aa549639d71876ad449544e78dbc48e0626b2aedf",
+        "540ff6eaa8c53c473eec1b8885ba39eb6f2aaa48b3cd9c6d3bf021c6e381dc80",
+        "5537a285ab526f92c4f5c5c07a63e5b6ffca0a7b7a80e9a4d9d25fccd41e0b18",
     ),
     "full": (
-        "c8690e72620c116189a36536b69516a0a5db46c17c729930b184d795f959e5b2",
-        "e48dedd724f1cef91320a35468f6ccfaaade20e7d01c7f9d6243c866ecd96b34",
+        "9eb421cc6448d4dc3ce53186214ca1d02755c6203e7a3425287e10c5387dc0ed",
+        "9b85d20ac95c86fb7546fa03dfbdf7350a8c262a0e838cdae575b3b1f673b968",
     ),
 }
 
@@ -155,37 +159,37 @@ OTHER_PORTRAITS = {
         "dx = x^2 - 2\ndy = y^2 - x*y - 3\n",
         False,
         8,
-        "60baa717c23f48a4346365d8b2bc99c9b90e855e2796b3d1178c63616a5c2a71",
-        "962789278bec47fac7da104bd5a76a55179f338f97261bc7149a74887c3ac076",
+        "f309f1c42b44a7669370991263c71737c688af4afb4d04c9b7796e91ebf5b01d",
+        "a4c39bf9cbab48a2fb7f2426d1aac3b2b2d2b6f62b95b5db2dd36748bc0c4f64",
     ),
     "saddle-quadrant": (
         "dx = x^2 + y^2 - 3\ndy = x*y - 1\n",
         True,
         8,
-        "85f4d02648cfd982a0869b84796a4167cec98eda982168307262fc59de468de8",
-        "907adb1e8479114cdafba9511f6dec27e845ca9ed5470ac8f9e8dc3c40ed6830",
+        "74755435373e25cce42a54bffe2b7ed4015ea07ff223b468ac93df24c4445d47",
+        "0c1169c41f387bf50c574756d1c5c85a26a76bae9f7eebe96e0eca56a7c728b6",
     ),
     "quartic": (
         "dx = x^4 - 3*x^2*y + y^2 - 2*x + 1\ndy = y^4 - x*y^2 + 2*x^2 - y - 3\n",
         False,
         2,
-        "048cad67a62a2f8feca20ee024879fd4b9ad4e8fc5ce4fb875d01c44a9b1de82",
-        "918491175f7404b82cd550cec3a04718aa19e7a8e971fdccfd9dd14e71954e6f",
+        "100153c5ad8ec795e1ccc7468dafb4096519d24f656b8caacb1327652181d2c1",
+        "7be91f476cb54d9b29e77eef35d9586f5340e62df5d1a241ea365d070aea8227",
     ),
     "quintic": (
         "dx = x^5 - 3*x^2*y^2 + y^3 - 2*x + 1\ndy = y^5 - x*y^3 + 2*x^2 - y - 3\n",
         False,
         2,
-        "ca36d4c7a42387ef1774915884642889a25e0de54d8edbc0a2c42d1259711d4d",
-        "62215d4181589968ba12da4d57ca922f7108010c41fa77052ad43ad8b64abafb",
+        "c0dea166b32cb48998bca51e104d0e98a65c757090a846bfddceaaed6a83d26a",
+        "9092f0aedd9b1eef5e21d3b875607ae5ef9b10fdd067287fbd67970ab9e294cd",
     ),
     # finite saddle-nodes, blown-up points on both sides of U2 and in V1
     "chart-plan": (
         "dx = y^2 - x*y + y - 1\ndy = x*y - x^2 + x\n",
         False,
         8,
-        "7314711fb43f462a32d98b84ed19d0ce83c8c3037dae28d5160d9aec36da0385",
-        "b1f76ea5b036e506c49255a7dd906f9c6f15cc77a2845c973302ab9c221397b2",
+        "74fb4b41f873226c1d85293898a99773193807703656133fdcf2f45119d956a3",
+        "51f37ff073984e9d8bfd56621d8287bc32e7a00e255dfa8f14e9106da137473d",
     ),
 }
 
@@ -202,20 +206,20 @@ LESLIE_PORTRAITS = {
     "zero-quadrant": (
         ("2", "1", "1/2"),
         True,
-        "c49670022563baf4c8061542b34aabdae33cab89fc19e28d70d29e54668dbee8",
-        "95b22a2ca4b0640a0fff2187e499b29749d2cd4f6290859fc2cc7aaa0cae1cfd",
+        "a825dcb0a70f3b27d0c5500b47b5cb57b132e6f00f79e5ab6d7266eba3c602ad",
+        "476cd7245b140363f78e3e869a8373ca76917a148a59397847496db33992d250",
     ),
     "zero-full": (
         ("2", "1", "1/2"),
         False,
-        "e7ca3677635cda3988da7359de0da149fafdab3deeef448a27dde09ac4ccbfb6",
-        "03193c2a02f1c1d3433619ad2d6439622d5d8dd6d4753819b813e7095082f468",
+        "11f9ecb11ba62eb38d28144be2b07d25396c8075afa8aece2f96da884eb36415",
+        "b2e3648b428ef2b9d2027c384cbe9e180d7ea13ee76448616710a3f3c35371a8",
     ),
     "negative-full": (
         ("3", "1", "1/2"),
         False,
-        "fd880614f278ca48e21c3ca3da01101a30e6b879fbbecc96c91974f2716fb3eb",
-        "67bc1353e4c1ac05f31b301d50aece6cc70265e20a7d629e8d7050bbde5f5231",
+        "4ff919ed8ad76bdff68a953b51588b87def4a8fe4096210ad647841182898a94",
+        "92e0865b34f5fbf0b0a02c77ae7f69917071623b8f3af3e51e159af4c88632e3",
     ),
 }
 
@@ -254,8 +258,9 @@ def test_golden_portrait_limits(group, name):
 
 
 # each golden portrait built again at a tenth of the integrator's relative
-# tolerance: every orbit decided in both builds keeps its limit, and none
-# is decided in only one, so the tolerance moves polylines, not ends
+# tolerance and of the finite chart's absolute one: every orbit decided in
+# both builds keeps its limit, and none is decided in only one, so the
+# tolerances move polylines, not ends
 @pytest.mark.parametrize("group, name", sorted(LIMITS))
 def test_golden_portrait_limits_hold_at_a_tenth_of_the_tolerance(group, name, monkeypatch):
     def decided(doc):
@@ -263,6 +268,7 @@ def test_golden_portrait_limits_hold_at_a_tenth_of_the_tolerance(group, name, mo
 
     golden = decided(_golden_portrait(group, name))
     monkeypatch.setattr(portrait, "RTOL_DEFAULT", portrait.RTOL_DEFAULT / 10)
+    monkeypatch.setattr(portrait, "ATOL_FINITE", portrait.ATOL_FINITE / 10)
     assert decided(_golden_portrait.__wrapped__(group, name)) == golden
 
 
@@ -276,6 +282,32 @@ NEWLY_DECIDED = ("grid:0:22", "grid:1:22", *(f"grid:{i}:23" for i in range(2, 8)
 def test_larger_regions_decide_the_bundled_orbits_that_ran_out_of_time():
     ends = {t.seed_id: (t.reason, t.limit) for t in _golden_portrait("bundled", "full").trajectories}
     assert {s: ends[s] for s in NEWLY_DECIDED} == {s: (portrait.REASON_EQ, "inf:U2-:0") for s in NEWLY_DECIDED}
+
+
+def test_an_orbit_on_an_invariant_line_stays_on_it(monkeypatch):
+    # the backward separatrix sep:other:0 of (A, B, C) = (9/7, 1, 3/7) on
+    # the full disc is seeded on the invariant line x = -C, where y' =
+    # -B y^2: backward from y = 1/1000 it reaches y = 1/(1000 - 200) at t
+    # = 200 and stays on the line.  While every finite-chart step was
+    # checked to 1e-12 absolute, one step moved x 3 ulps off -C, and that
+    # offset grew like e^(0.612 t) backward until the orbit ended at
+    # inf:U1-:0, a limit it does not have.  The chart state of each disc
+    # point is recorded, as the disc map rounds x
+    states = {}
+    to_disc = portrait._disc_from_chart
+
+    def recorded(chart, u, v, side):
+        states[to_disc(chart, u, v, side)] = (chart, u, v)
+        return to_disc(chart, u, v, side)
+
+    monkeypatch.setattr(portrait, "_disc_from_chart", recorded)
+    sys, params = _leslie(("9/7", "1", "3/7"))
+    doc = build_portrait(sys, params, positive_quadrant_only=False, grid=2)
+    tr = next(t for t in doc.trajectories if t.seed_id == "sep:other:0")
+    assert (tr.direction, tr.reason, tr.limit) == ("backward", portrait.REASON_TMAX, None)
+    chart, x, y = states[tr.points[-1]]
+    assert chart == "U3" and x == float(Fraction(-3, 7))
+    assert abs(y - 1 / 800) < 1e-9
 
 
 # the capture regions of the flow of every golden portrait above, and of
@@ -420,8 +452,10 @@ def test_capture_regions_keep_their_class_and_do_not_shrink(group, name):
 # component at each seed and after each chart switch, through the
 # `compile_poly` evaluators, and six per step after, inlined in each
 # chart's `compile_step` kernel (45948 and 259796 at a relative
-# tolerance of 1e-9, whose shorter steps took more of them)
-@pytest.mark.parametrize("view, evals", [("quadrant", 30960), ("full", 169808)])
+# tolerance of 1e-9, whose shorter steps took more of them; 30960 and
+# 169808 while a finite-chart step that drew too long a chord was halved
+# and the finite chart's absolute tolerance was 1e-12)
+@pytest.mark.parametrize("view, evals", [("quadrant", 29016), ("full", 163532)], ids=["quadrant", "full"])
 def test_bundled_portrait_evaluation_count(view, evals, monkeypatch):
     calls = {"fresh": 0, "steps": 0}
 
@@ -451,8 +485,9 @@ def test_bundled_portrait_evaluation_count(view, evals, monkeypatch):
 # calls before any filter, while every step was capped at h = 0.5; 491
 # and 7760 while every capture ladder started at 3/100, when the
 # quadrant's smaller disc boxes let fewer states through; 553 and 5979 at
-# a relative tolerance of 1e-9, with more accepted states near a region)
-@pytest.mark.parametrize("view, hits", [("quadrant", 395), ("full", 4076)])
+# a relative tolerance of 1e-9, with more accepted states near a region;
+# 395 and 4076 before finite-chart steps were sized by their chord)
+@pytest.mark.parametrize("view, hits", [("quadrant", 372), ("full", 4051)], ids=["quadrant", "full"])
 def test_bundled_portrait_capture_test_count(view, hits, monkeypatch):
     calls = [0]
 
@@ -475,8 +510,8 @@ def test_bundled_portrait_capture_test_count(view, hits, monkeypatch):
 # loop makes one only for an accepted state whose disc point is in its
 # chart's gate (3780 and 27987 calls, one per accepted step, before the
 # gate; 1229 and 7846 at a relative tolerance of 1e-9, with more accepted
-# steps)
-@pytest.mark.parametrize("view, captures", [("quadrant", 853), ("full", 5335)])
+# steps; 853 and 5335 before finite-chart steps were sized by their chord)
+@pytest.mark.parametrize("view, captures", [("quadrant", 778), ("full", 5101)], ids=["quadrant", "full"])
 def test_bundled_portrait_capture_call_count(view, captures, monkeypatch):
     calls = [0]
     original = portrait.Flow.capture

@@ -372,8 +372,9 @@ def test_slow_steps_are_bounded_by_length(monkeypatch):
     # so a step may last up to 0.5 / |F| rather than 0.5 (104 kernel
     # calls while every step was capped at 0.5, 19 at a relative
     # tolerance of 1e-9), and the error controller still keeps the
-    # endpoint on the exact flow e^(-t/64) (x0, y0): 4.1e-10 off, 4.3e-11
-    # at 1e-9
+    # endpoint on the exact flow e^(-t/64) (x0, y0): 5.8e-10 off at the
+    # finite chart's absolute tolerance of 1e-9, 4.1e-10 at 1e-12 and
+    # 4.3e-11 at a relative tolerance of 1e-9
     calls = [0]
 
     def counting(p, q, k):
