@@ -6,8 +6,9 @@ elsewhere in the package, in the benchmark harness (`bench/`) or in
 a function or class also through a bare name or an import alias.  A
 string constant in `bench/` or `scripts/` is a use of either, since the
 benchmark tracer looks functions up by name.  Dunder methods, which the
-language calls, are exempt.  A helper that only tests need belongs in the tests, as an
-oracle module next to them (`tests/enclosure.py`, `tests/sturm.py`).
+language calls, are exempt.  A helper that only tests need belongs in
+the tests, as an oracle module next to them (`tests/enclosure.py`,
+`tests/sturm.py`).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def test_every_package_definition_is_used_outside_the_tests():
     for _, tree in _trees(ROOT / "bench", ROOT / "scripts"):
         uses.update(_uses(tree, strings=True))
     attributes = {name for through_attribute, name in uses if through_attribute}
-    names = attributes | {name for _, name in uses}
+    names = {name for _, name in uses}
     unused = sorted(
         f"{where} {name}"
         for (is_method, name), where in defined.items()

@@ -35,9 +35,9 @@ moves every polyline, while `LIMITS`, `NEWLY_DECIDED` and `REGIONS` held
 unedited.  They were re-recorded again, with the same three held, once a
 finite-chart step was sized by the chord it drew on the disc and the
 finite chart's absolute tolerance went from 1e-12 to 1e-9: fewer, longer
-steps move every polyline.  Their floats come from a fixed sequence of binary64
-operations, so they match on every supported CPython; a change to the
-integrator that moves them must say so.
+steps move every polyline.  Their floats come from a fixed sequence of
+binary64 operations, so they match on every supported CPython; a change
+to the integrator that moves them must say so.
 """
 
 from __future__ import annotations
@@ -297,8 +297,9 @@ def test_an_orbit_on_an_invariant_line_stays_on_it(monkeypatch):
     to_disc = portrait._disc_from_chart
 
     def recorded(chart, u, v, side):
-        states[to_disc(chart, u, v, side)] = (chart, u, v)
-        return to_disc(chart, u, v, side)
+        point = to_disc(chart, u, v, side)
+        states[point] = (chart, u, v)
+        return point
 
     monkeypatch.setattr(portrait, "_disc_from_chart", recorded)
     sys, params = _leslie(("9/7", "1", "3/7"))
