@@ -34,7 +34,6 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-SOURCE = "params: A={}, B={}, C={}\ndx = x*(C+x)*(1-x-A*y)\ndy = B*y*(C+x-y)\n"
 VIEWS = (("full", False), ("quadrant", True))
 TRIPLES = [
     (Fraction(a, 7), b, Fraction(c, 7))
@@ -52,12 +51,12 @@ Row = Tuple[str, str, str, str, str, str, Optional[str]]
 
 def sweep(grid: int, every: int) -> List[Row]:
     # imported here, so that --compare needs no pdisc on the path
-    from pdisc.modelio import ParamBindings, parse_system
+    from pdisc.modelio import ParamBindings, leslie_system
     from pdisc.portrait import build_portrait
 
     rows = []
     for a, b, c in TRIPLES[::every]:
-        sys_ = parse_system(SOURCE.format(a, b, c))
+        sys_ = leslie_system(a, b, c)
         params = ParamBindings(a, b, c)
         for view, quadrant in VIEWS:
             doc = build_portrait(sys_, params, positive_quadrant_only=quadrant, grid=grid)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -45,6 +46,26 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _grid_arg(text: str) -> int:
+    try:
+        grid = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if grid < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return grid
+
+
+def _tmax_arg(text: str) -> float:
+    try:
+        tmax = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not 0.0 < tmax < math.inf:
+        raise argparse.ArgumentTypeError(f"not a positive finite number: {text!r}")
+    return tmax
 
 
 def parse_param_overrides(text: str) -> Dict[str, Fraction]:
@@ -330,9 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="clip to the positive quadrant (default on)",
     )
-    p_portrait.add_argument("--grid", type=int, default=8, help="seed grid resolution")
+    p_portrait.add_argument("--grid", type=_grid_arg, default=8, help="seed grid resolution, at least 1")
     p_portrait.add_argument(
-        "--tmax", type=float, default=200.0, help="integration time horizon"
+        "--tmax", type=_tmax_arg, default=200.0, help="integration time horizon, positive and finite"
     )
     p_portrait.set_defaults(func=_cmd_portrait)
 

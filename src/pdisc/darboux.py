@@ -252,23 +252,10 @@ def _solve_slant_conditions(
                 emit_family(Fraction(0), b0, f"y - a*x - ({b0}) invariant for every a")
         return lines, notes
 
-    if len(conds) == 1 and with_b:
-        # a single mixed condition: a curve of invariant lines
-        c = conds[0]
-        point = _representative_on([c])
-        if point is None:
-            raise InternalInvariantError(
-                "no rational representative found on constraint "
-                f"{_constraint_text(c)} = 0"
-            )
-        emit_family(
-            *point, f"y - a*x - b invariant whenever {_constraint_text(c)} = 0"
-        )
-        return lines, notes
-
     # eliminate b against a fixed generator of positive b-degree; a
     # condition in a alone is its own eliminant (Res_b(g0, c) = c^m adds
-    # nothing to the gcd); with no generator, each root a0 frees every b
+    # nothing to the gcd); with no generator, each root a0 frees every b.
+    # No eliminant is zero: no condition is, and a zero resultant is dropped
     pure_a = [c for c in conds if c.degree_in("y") == 0]
     g0 = min(with_b, key=lambda c: c.degree_in("y"), default=None)
     eliminants: List[UPoly] = [UPoly.from_mpoly(c, "x") for c in pure_a]
@@ -279,8 +266,9 @@ def _solve_slant_conditions(
         if not r.is_zero:
             eliminants.append(UPoly.from_mpoly(r, "x"))
 
-    if not eliminants or all(u.is_zero for u in eliminants):
-        # every resultant collapsed: positive-dimensional solution set
+    if not eliminants:
+        # every resultant collapsed, or one condition in both a and b: a
+        # curve of invariant lines
         point = _representative_on(conds)
         if point is None:
             raise InternalInvariantError(
@@ -290,14 +278,11 @@ def _solve_slant_conditions(
         # name every condition, in condition order: their common zeros,
         # not those of g0 alone, are the family
         whenever = " and ".join(f"{t} = 0" for t in dict.fromkeys(map(_constraint_text, conds)))
-        emit_family(
-            *point,
-            "positive-dimensional slant-line condition set (one member "
-            f"shown); y - a*x - b invariant whenever {whenever}",
-        )
+        prefix = "positive-dimensional slant-line condition set (one member shown); " if len(conds) > 1 else ""
+        emit_family(*point, f"{prefix}y - a*x - b invariant whenever {whenever}")
         return lines, notes
 
-    g = _upoly_gcd_many([u for u in eliminants if not u.is_zero])
+    g = _upoly_gcd_many(eliminants)
     if g.degree < 1:
         return lines, notes
     for a0 in _rational_roots(g):

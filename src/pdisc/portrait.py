@@ -11,16 +11,16 @@ next step's first (FSAL), in whichever chart is well scaled: the finite
 chart while |x| + |y| stays small, the U1/U2 charts near infinity
 (switch out above 10, back below 5).  The step is straight-line code
 whose sums run in one fixed order, so every trajectory float is the
-same on every supported interpreter.  One text of it serves twice: as
-`_dp_step` over callable field components and a time sign, and
+same on every supported interpreter.  One text of it, `_DP_STEP`, is
 compiled for a chart of a `Flow` and a time sign, when an orbit first
 runs in that chart with that sign, with the chart's two Horner
-expressions written inline at every stage and the sign written in;
-both give the same floats.  The loop keeps the
-chart, coordinates and disc point in local variables and converts
-coordinates only when a switch threshold is crossed.  For even-degree
-systems the chart polynomials reverse time on the v < 0 half, which
-the integrator compensates with a sign factor, so drawn orbits always
+expressions written inline at every stage and the sign written in; the
+tests run the same text over callable field components as the oracle.
+An orbit's state is (chart, u, v) in local variables, converted only
+when a switch threshold is crossed.  In U1 and U2 its half of the
+equator is the sign of v, which no accepted step changes; for
+even-degree systems the chart polynomials reverse time on the v < 0
+half, which the step's time sign compensates, so drawn orbits always
 follow the true flow.
 
 An orbit ends at an equilibrium only where that is proved.  Every
@@ -126,12 +126,10 @@ def _disc_from_chart(chart: str, u: float, v: float, side: int) -> Tuple[float, 
     return (s * u, s)
 
 
-def _leave_plane(x: float, y: float, even_degree: bool) -> Tuple[str, float, float, int, float]:
-    """A finite point as (chart, u, v, side, orientation) in U1 or U2,
-    whichever of |x|, |y| is the larger; for even degree the U1/U2
-    fields reverse time on the v < 0 half."""
-    chart, u, v = ("U1", y / x, 1.0 / x) if abs(x) >= abs(y) else ("U2", x / y, 1.0 / y)
-    return chart, u, v, 1 if v > 0 else -1, 1.0 if not even_degree or v >= 0 else -1.0
+def _leave_plane(x: float, y: float) -> Tuple[str, float, float]:
+    """A finite point as (chart, u, v) in U1 or U2, whichever of |x|, |y|
+    is the larger; v is 1/x or 1/y, never 0 for finite x and y."""
+    return ("U1", y / x, 1.0 / x) if abs(x) >= abs(y) else ("U2", x / y, 1.0 / y)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +185,8 @@ def compile_poly(p: MPoly) -> Callable[[float, float], float]:
 # Dormand-Prince 4(5)
 
 # The one text of the tableau.  With the field components and k as
-# arguments it is `_dp_step`; with each k * fx(a, b), k * fy(a, b)
+# arguments (args="fx, fy, k, ") it is the callable step that the tests
+# compare every kernel with; with each k * fx(a, b), k * fy(a, b)
 # replaced by a chart's Horner expressions at (a, b), times k where k is
 # not 1.0, it is that chart's kernel for k (see `compile_step`), which
 # gives the same floats.  Each product of h and a tableau entry is taken
@@ -245,16 +244,15 @@ def _dp_step({args}x, y, h, k1x, k1y):
                   + (1 / 40) * k7y)
     return x5, y5, x5 - x4, y5 - y4, k7x, k7y
 '''
-_dp_step = _define(_DP_STEP.format(args="fx, fy, k, "), "_dp_step")
 
 
 def compile_step(p: MPoly, q: MPoly, k: float) -> Callable[..., Tuple[float, float, float, float, float, float]]:
-    """`_dp_step` for x' = k * p, y' = k * q, k a time sign 1.0 or -1.0,
-    with both Horner expressions written inline at each stage, each built
-    once with format fields for the stage's point: step(x, y, h, k1x,
-    k1y).  k is written in: for 1.0 as no product at all, since 1.0 * v
-    is v, and else as a product, which keeps the sign of a NaN where a
-    unary minus would flip it."""
+    """The step of `_DP_STEP` for x' = k * p, y' = k * q, k a time sign
+    1.0 or -1.0, with both Horner expressions written inline at each
+    stage, each built once with format fields for the stage's point:
+    step(x, y, h, k1x, k1y).  k is written in: for 1.0 as no product at
+    all, since 1.0 * v is v, and else as a product, which keeps the sign
+    of a NaN where a unary minus would flip it."""
     fields = {"fx": _horner(p, "{0}", "{1}"), "fy": _horner(q, "{0}", "{1}")}
     times = "" if k == 1.0 else f"{k!r} * "
     stages = re.sub(
@@ -419,6 +417,19 @@ class Flow:
                 return r
         return None
 
+    def enter(self, chart: str, u: float, v: float, sgn: float) -> tuple:
+        """The orbit loop's values for a state (u, v) of `chart` and time
+        sign `sgn`: the chart's step, its first stage at (u, v), the error
+        norm's absolute tolerance, the chart's capture gate and the
+        state's disc point.  In U1 and U2 the state is on the half of the
+        sign of v; for even degree the step's time sign is -sgn if v < 0."""
+        half = 1 if chart == "U3" or v > 0.0 else -1
+        k = -sgn if half < 0 and self.even_degree else sgn
+        fx, fy = self.fields[chart]
+        atol = ATOL_FINITE if chart == "U3" else ATOL_DEFAULT
+        disc = _disc_from_chart(chart, u, v, half)
+        return self.fields[chart, k], k * fx(u, v), k * fy(u, v), atol, self.gates[chart], disc
+
 
 def integrate_orbit(
     flow: Flow,
@@ -447,7 +458,9 @@ def integrate_orbit(
     chart an accepted step moves the disc point at most `CHORD_MAX`: a
     step whose chord is longer is retried at 0.9 * CHORD_MAX / chord of
     its length, and after an accepted step the next is capped the same
-    way by the chord it drew.  It ends
+    way by the chord it drew.  The equator is invariant, so in the
+    charts at infinity a step whose v would change sign or reach 0 is
+    retried at half its length.  It ends
     `converged-to-equilibrium` once an accepted step lands in a capture
     region that attracts in the orbit's direction, at the capturing
     marker's disc point.  `limit` is the id of the marker decided so.
@@ -467,20 +480,13 @@ def integrate_orbit(
             return Trajectory(seed_id, role, direction, pts, reason, None if m is None else m.marker_id)
 
     sqrt, hypot, tol, reach = math.sqrt, math.hypot, RTOL_DEFAULT, 0.9 * CHORD_MAX
-    even, fields, gates, capture = flow.even_degree, flow.fields, flow.gates, flow.capture
-    chart, x, y, side, orient = "U3", x0, y0, 1, 1.0
+    enter, capture = flow.enter, flow.capture
+    # in U1 and U2 the sign of y is the orbit's half of the equator
+    chart, x, y = "U3", x0, y0
     if abs(x) + abs(y) > CHART_OUT:
-        chart, x, y, side, orient = _leave_plane(x, y, even)
-    # the chart's field, step, capture gate, time sign and absolute
-    # tolerance change only when the chart does
-    fx, fy = fields[chart]
-    atol = ATOL_FINITE if chart == "U3" else ATOL_DEFAULT
-    gxlo, gxhi, gylo, gyhi = gates[chart]
-    k = sgn * orient
-    dp = fields[chart, k]
-    k1x = k * fx(x, y)
-    k1y = k * fy(x, y)
-    px, py = lx, ly = _disc_from_chart(chart, x, y, side)
+        chart, x, y = _leave_plane(x, y)
+    dp, k1x, k1y, atol, (gxlo, gxhi, gylo, gyhi), (px, py) = enter(chart, x, y, sgn)
+    lx, ly = px, py
     pts = [(px, py)]
     reason = REASON_TMAX
     cap: Optional[Capture] = None
@@ -511,14 +517,11 @@ def integrate_orbit(
             err = sqrt(((ex / sx) ** 2 + (ey / sy) ** 2) / 2.0)
         except OverflowError:
             err = math.inf
+        # a rejected step is retried shorter by a factor below 1
         if not err <= 1.0:
             g = 0.9 * err ** -0.2
-            h *= g if g > 0.2 else 0.2
-            if h < 1e-13 * max(1.0, abs(t)):
-                reason = REASON_UNDERFLOW
-                break
-            continue
-        if chart == "U3":
+            shrink = g if g > 0.2 else 0.2
+        elif chart == "U3":
             # keep recorded polylines locally short on the disc; (px, py)
             # is the disc point of (x, y).  The chord is about h times the
             # disc speed, so a step that draws too long a one is retried,
@@ -526,12 +529,16 @@ def integrate_orbit(
             s = 1.0 / sqrt(1.0 + nx * nx + ny * ny)
             qx, qy = nx * s, ny * s
             chord = hypot(qx - px, qy - py)
-            if chord > CHORD_MAX:
-                h *= reach / chord
-                if h < 1e-13 * max(1.0, abs(t)):
-                    reason = REASON_UNDERFLOW
-                    break
-                continue
+            shrink = reach / chord if chord > CHORD_MAX else 1.0
+        else:
+            # the equator is invariant: retry a step that crosses or lands on it
+            shrink = 0.5 if ny == 0.0 or (ny > 0.0) != (y > 0.0) else 1.0
+        if shrink < 1.0:
+            h *= shrink
+            if h < 1e-13 * max(1.0, abs(t)):
+                reason = REASON_UNDERFLOW
+                break
+            continue
 
         x, y = nx, ny
         k1x, k1y = k7x, k7y
@@ -551,31 +558,22 @@ def integrate_orbit(
         was = chart
         if chart == "U3":
             if abs(x) + abs(y) > CHART_OUT:
-                chart, x, y, side, orient = _leave_plane(x, y, even)
+                chart, x, y = _leave_plane(x, y)
         elif abs(y) < EQUATOR_EPS:
             reason = REASON_BOUNDARY
             break
-        elif y != 0.0 and (1.0 + abs(x)) / abs(y) < CHART_IN:
+        elif (1.0 + abs(x)) / abs(y) < CHART_IN:
             x, y = (1.0 / y, x / y) if chart == "U1" else (x / y, 1.0 / y)
-            chart, side, orient = "U3", 1, 1.0
+            chart = "U3"
         elif abs(x) > 2.0:
             chart = "U2" if chart == "U1" else "U1"
             x, y = 1.0 / x, y / x
-            side = 1 if y > 0 else (-1 if y < 0 else side)
-            orient = 1.0 if not even or y >= 0 else -1.0
         if chart != was:
-            fx, fy = fields[chart]
-            gxlo, gxhi, gylo, gyhi = gates[chart]
-            atol = ATOL_FINITE if chart == "U3" else ATOL_DEFAULT
-            k = sgn * orient
-            dp = fields[chart, k]
-            k1x = k * fx(x, y)
-            k1y = k * fy(x, y)
-            px, py = _disc_from_chart(chart, x, y, side)
+            dp, k1x, k1y, atol, (gxlo, gxhi, gylo, gyhi), (px, py) = enter(chart, x, y, sgn)
         elif chart == "U3":
             px, py = qx, qy
         else:
-            s = side / sqrt(1.0 + x * x + y * y)
+            s = (1.0 if y > 0.0 else -1.0) / sqrt(1.0 + x * x + y * y)
             px, py = (s, s * x) if chart == "U1" else (s * x, s)
         if hypot(px - lx, py - ly) >= 0.004:
             pts.append((px, py))
@@ -587,7 +585,7 @@ def integrate_orbit(
                 reason = REASON_EQ
                 break
 
-    final = _disc_from_chart(chart, x, y, side) if cap is None else cap.disc
+    final = _disc_from_chart(chart, x, y, 1 if y > 0.0 else -1) if cap is None else cap.disc
     if pts[-1] != final:
         pts.append(final)
     return Trajectory(seed_id, role, direction, pts, reason, None if cap is None else cap.marker_id)

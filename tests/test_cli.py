@@ -352,6 +352,31 @@ def test_equator_of_equilibria_ends_analyze_but_not_portrait(tmp_path, capsys):
     assert json.loads(out)["trajectories"]
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        # no grid seeds at all
+        ("--grid", "0", "must be at least 1"),
+        ("--grid", "-3", "must be at least 1"),
+        ("--grid", "2.5", "not an integer"),
+        # every integrated orbit a single point that ends reached-tmax
+        ("--tmax", "0", "not a positive finite number"),
+        ("--tmax", "-5", "not a positive finite number"),
+        # no horizon at all
+        ("--tmax", "nan", "not a positive finite number"),
+        ("--tmax", "inf", "not a positive finite number"),
+        ("--tmax", "ten", "not a number"),
+    ],
+)
+def test_portrait_rejects_a_grid_below_1_and_a_horizon_not_positive_and_finite(
+    model_file, capsys, option, value, message
+):
+    rc, out, err = _run(capsys, ["portrait", str(model_file), option, value])
+    assert rc == 2
+    assert out == ""
+    assert f"argument {option}: {message}" in err
+
+
 @pytest.mark.parametrize("quadrant, charts", [(True, 2), (False, 4)])
 def test_each_chart_is_built_once(model_file, quadrant, charts, capsys, monkeypatch):
     from pdisc import compactify

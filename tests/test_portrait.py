@@ -34,13 +34,14 @@ from pdisc.capture import (
     saddle_node_capture,
 )
 from pdisc.portrait import (
+    _DP_STEP,
     EQUATOR_EPS,
     Flow,
     PortraitDoc,
     Trajectory,
     _disc_box,
+    _define,
     _disc_from_chart,
-    _dp_step,
     _marker_for_finite,
     _marker_for_infinite,
     build_portrait,
@@ -60,6 +61,10 @@ from enclosure import box_enclosure
 REASON_EQ = "converged-to-equilibrium"
 REASON_TMAX = "reached-tmax"
 REASON_BOUNDARY = "reached-boundary"
+
+# the one step text over callable field components and a time sign k:
+# the oracle that every compiled kernel is compared with
+_dp_step = _define(_DP_STEP.format(args="fx, fy, k, "), "_dp_step")
 
 
 def _dist(a, b):
@@ -369,12 +374,14 @@ def test_orbit_matches_exponential_flow():
 
 def test_slow_steps_are_bounded_by_length(monkeypatch):
     # x' = -x/64, y' = -y/64 from (0.5, 0.3): the speed stays below 1/64,
-    # so a step may last up to 0.5 / |F| rather than 0.5 (104 kernel
-    # calls while every step was capped at 0.5, 19 at a relative
-    # tolerance of 1e-9), and the error controller still keeps the
-    # endpoint on the exact flow e^(-t/64) (x0, y0): 5.8e-10 off at the
-    # finite chart's absolute tolerance of 1e-9, 4.1e-10 at 1e-12 and
-    # 4.3e-11 at a relative tolerance of 1e-9
+    # so the length bound would let a step last up to 0.5 / |F| > 32
+    # rather than 0.5 (104 kernel calls while every step was capped at
+    # 0.5, 19 at a relative tolerance of 1e-9).  The bound itself never
+    # binds here: the error controller sets every step, 10 of the 14
+    # longer than 0.5 (see `test_the_length_bound_binds` for where it
+    # does), and still keeps the endpoint on the exact flow e^(-t/64)
+    # (x0, y0): 5.8e-10 off at the finite chart's absolute tolerance of
+    # 1e-9, 4.1e-10 at 1e-12 and 4.3e-11 at a relative tolerance of 1e-9
     calls = [0]
 
     def counting(p, q, k):
@@ -396,6 +403,68 @@ def test_slow_steps_are_bounded_by_length(monkeypatch):
     x, y = plane_from_disc(*tr.points[-1])
     decay = math.exp(-50.0 / 64.0)
     assert math.hypot(x - decay * x0, y - decay * y0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "source, plane, branch",
+    [
+        # |F| >= 1 in the finite chart, so a step there lasts at most 0.5
+        ("dx = 1\ndy = 1/1000000*y + 1/1000000\n", (5.0, 0.1), "0.5"),
+        # |F| is about 1/8, so a step lasts at most 0.5 / |F|, about 4
+        ("dx = 1/8\ndy = 1/1000000*y + 1/1000000\n", (2.0, 0.1), "0.5/|F|"),
+    ],
+    ids=["fast", "slow"],
+)
+def test_the_length_bound_binds(monkeypatch, source, plane, branch):
+    # a near-constant field, on which the error controller alone would
+    # let steps grow long: every step moves at most about 0.5 chart units,
+    # h <= 0.5 or h * |F| <= 0.5 with |F| the speed at its start, and
+    # the bound sets h on some steps (10 of 47 kernel calls at h = 0.5
+    # for the fast field, 11 of 18 at h = 0.5 / |F| for the slow one)
+    calls = []
+
+    def recording(p, q, k):
+        step = compile_step(p, q, k)
+
+        def recorded(x, y, h, k1x, k1y):
+            calls.append((h, math.hypot(k1x, k1y)))
+            return step(x, y, h, k1x, k1y)
+
+        return recorded
+
+    monkeypatch.setattr("pdisc.portrait.compile_step", recording)
+    flow = Flow(disc_equilibria(parse_system(source)), markers=[])
+    tr = integrate_orbit(flow, disc_from_plane(*plane), tmax=50.0)
+    assert tr.reason == REASON_TMAX
+    above = math.nextafter(0.5, 1.0)
+    assert all(h <= 0.5 or h * speed <= above for h, speed in calls)
+    if branch == "0.5":
+        assert any(h == 0.5 and speed >= 1.0 for h, speed in calls)
+    else:
+        assert any(h > 0.5 and h == 0.5 / speed for h, speed in calls)
+
+
+def test_a_step_across_the_equator_is_retried_at_half_its_length():
+    # x' = x, y' = 2y from the plane point (20, 1) starts in U1 at
+    # (u, v) = (1/20, 1/20).  The first step is made to land at -v with
+    # a zero error estimate, so it passes the error test; the equator is
+    # invariant, so the step is retried from the same state at half its
+    # length, and the orbit stays on its v > 0 half
+    flow = Flow(disc_equilibria(parse_system("dx = x\ndy = 2*y\n")), markers=[])
+    step = flow.fields["U1", 1.0]
+    calls = []
+
+    def crossing_once(x, y, h, k1x, k1y):
+        calls.append((x, y, h))
+        nx, ny, ex, ey, k7x, k7y = step(x, y, h, k1x, k1y)
+        return (nx, -ny, 0.0, 0.0, k7x, k7y) if len(calls) == 1 else (nx, ny, ex, ey, k7x, k7y)
+
+    flow.fields["U1", 1.0] = crossing_once
+    tr = integrate_orbit(flow, disc_from_plane(20.0, 1.0), tmax=5.0)
+    assert len(calls) > 2
+    assert calls[1] == (calls[0][0], calls[0][1], calls[0][2] / 2)
+    assert all(v > 0.0 for _, v, _ in calls[1:])
+    assert all(px > 0.0 for px, _ in tr.points)
 
 
 def test_orbit_seeded_at_an_equilibrium_stays_there():
