@@ -397,10 +397,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
-    except PDiscError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PDiscError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

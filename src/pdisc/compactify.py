@@ -5,14 +5,15 @@ sector synthesis.
 Chart conventions for a degree-d system (x, y):
 
   U1 covers x > 0 with (u, v) = (y/x, 1/x); U2 covers y > 0 with
-  (u, v) = (x/y, 1/y); U3 is the finite chart.  Writing
-  T1(f) = v^d f(1/v, u/v) and T2(f) = v^d f(u/v, 1/v), the rescaled
-  fields are
+  (u, v) = (x/y, 1/y).  Writing T1(f) = v^d f(1/v, u/v) and
+  T2(f) = v^d f(u/v, 1/v), the rescaled fields are
 
       U1:  du/dt = -u T1(P) + T1(Q),   dv/dt = -v T1(P)
-      U2:  du/dt =  T2(P) - u T2(Q),   dv/dt = -v T2(Q)
+      U2:  du/dt = -u T2(Q) + T2(P),   dv/dt = -v T2(Q)
 
-  and the antipodal V-charts equal the U-charts times (-1)^(d+1).
+  so U2 is U1 with the roles of x and y exchanged, and one formula
+  builds both.  The antipodal V-charts equal the U-charts times
+  (-1)^(d+1).
   The equator is the invariant line v = 0.  So each antipodal pair is
   analysed once: a V-chart's equator records are its U-chart's, time
   reversed for even d (`EquilibriumRecord.time_reversed`).
@@ -36,7 +37,7 @@ from pdisc.equilibria import (
 )
 from pdisc.modelio import PlanarSystem
 
-CHART_IDS = ("U1", "U2", "U3", "V1", "V2")
+CHART_IDS = ("U1", "U2", "V1", "V2")
 
 HYPERBOLIC = frozenset(
     {"saddle", "stable node", "unstable node", "stable focus", "unstable focus"}
@@ -53,12 +54,10 @@ class ChartSystem:
     degree: int
 
     def __post_init__(self) -> None:
-        if self.chart not in CHART_IDS:
-            raise InputError(f"unknown chart {self.chart!r}")
         for f in (self.du, self.dv):
             if f.degree > self.degree + 1:
                 raise InternalInvariantError("chart polynomial degree exceeds d + 1")
-        if self.chart != "U3" and not self.dv.subst_y(Fraction(0)).is_zero:
+        if not self.dv.subst_y(Fraction(0)).is_zero:
             raise InternalInvariantError("equator v = 0 is not invariant")
 
     @cached_property
@@ -117,29 +116,23 @@ def _twist(f: MPoly, d: int, u_from: str) -> MPoly:
 
 
 def to_chart(sys: PlanarSystem, chart: str) -> ChartSystem:
-    """Compactify into one local chart."""
+    """Compactify into one local chart at infinity."""
     if chart not in CHART_IDS:
         raise InputError(f"unknown chart {chart!r}")
     d = sys.degree
     if d < 1:
         raise InputError("compactification needs degree at least 1")
-    if chart == "U3":
-        return ChartSystem("U3", sys.P, sys.Q, d)
-
+    u_from = "y" if chart[1] == "1" else "x"
+    tp = _twist(sys.P, d, u_from)
+    tq = _twist(sys.Q, d, u_from)
+    if u_from == "x":
+        # U2 is U1 with x and y exchanged: the twists of P and Q trade places
+        tp, tq = tq, tp
     u = MPoly.var_x()
     v = MPoly.var_y()
-    base = chart[0] == "U"
-    if chart in ("U1", "V1"):
-        tp = _twist(sys.P, d, "y")
-        tq = _twist(sys.Q, d, "y")
-        du = -u * tp + tq
-        dv = -v * tp
-    else:
-        tp = _twist(sys.P, d, "x")
-        tq = _twist(sys.Q, d, "x")
-        du = tp - u * tq
-        dv = -v * tq
-    if not base and (d + 1) % 2 == 1:
+    du = -u * tp + tq
+    dv = -v * tp
+    if chart[0] == "V" and d % 2 == 0:
         du = -du
         dv = -dv
     return ChartSystem(chart, du, dv, d)
@@ -181,8 +174,6 @@ def infinite_equilibria(
     dropped when `positive_quadrant_only`, classified through the chart
     Jacobian.  Raises LineOfEquilibriaError when the equator
     consists entirely of equilibria in this chart."""
-    if cs.chart == "U3":
-        raise InputError("the finite chart has no equator")
     return _axis_equilibria(cs.system, "x", _equator_line(cs.chart), positive_quadrant_only)
 
 
@@ -264,56 +255,37 @@ def _divide_monomial(p: MPoly, ax: int, ay: int) -> MPoly:
 
 def directional_blowup(sys: PlanarSystem, direction: str) -> BlowupSystem:
     """Blow up a degenerate equilibrium at the origin in one direction,
-    with uniform time rescaling by the maximal common monomial."""
+    with uniform time rescaling by the maximal common monomial.  The
+    y-directional blow-up is the x-directional one of the field with x
+    and y exchanged, read back with them exchanged again."""
     if direction not in ("x", "y"):
         raise InputError("direction must be 'x' or 'y'")
     if sys.P.coeff(0, 0) != 0 or sys.Q.coeff(0, 0) != 0:
         raise InputError("the origin is not an equilibrium")
+    if direction == "y":
+        bs = directional_blowup(PlanarSystem(P=sys.Q.swapped(), Q=sys.P.swapped()), "x")
+        return BlowupSystem(
+            "y", "(x, y) = (z*v, v)", bs.second.swapped(), bs.first.swapped(), bs.rescale_y, bs.rescale_x
+        )
 
+    # (x, y) = (u, u w); first = du/dt, second = dw/dt
     x = MPoly.var_x()
     y = MPoly.var_y()
-    if direction == "x":
-        # (x, y) = (u, u w); first = du/dt, second = dw/dt
-        pu = sys.P.subst(x, x * y)  # P(u, uw)
-        qu = sys.Q.subst(x, x * y)
-        num = qu - y * pu
-        second = num.exact_div(x)
-        if second is None:
-            raise InternalInvariantError("x-directional numerator not divisible by u")
-        first = pu
-        substitution = "(x, y) = (u, u*w)"
-    else:
-        # (x, y) = (z v, v); first = dz/dt, second = dv/dt
-        pv = sys.P.subst(x * y, y)  # P(zv, v)
-        qv = sys.Q.subst(x * y, y)
-        num = pv - x * qv
-        first = num.exact_div(y)
-        if first is None:
-            raise InternalInvariantError("y-directional numerator not divisible by v")
-        second = qv
-        substitution = "(x, y) = (z*v, v)"
-
+    first = sys.P.subst(x, x * y)  # P(u, uw)
+    second = (sys.Q.subst(x, x * y) - y * first).exact_div(x)
+    if second is None:
+        raise InternalInvariantError("x-directional numerator not divisible by u")
     ax, ay = _common_monomial([first, second])
     first = _divide_monomial(first, ax, ay)
-    second = _divide_monomial(second, ax, ay)
-    bs = BlowupSystem(direction, substitution, first, second, ax, ay)
-    _check_divisor_invariant(bs)
-    return bs
-
-
-def _check_divisor_invariant(bs: BlowupSystem) -> None:
     # the rescale strips every divisor power exactly when a curve of
     # equilibria (or a stationary direction field) passes through the
     # blow-up point, so one level of blow-up cannot isolate the dynamics
-    if bs.direction == "x":
-        restricted = bs.first.subst_x(Fraction(0))
-    else:
-        restricted = bs.second.subst_y(Fraction(0))
-    if not restricted.is_zero:
+    if not first.subst_x(Fraction(0)).is_zero:
         raise LineOfEquilibriaError(
             "the rescaled flow crosses the exceptional divisor: the "
             "blow-up point is not an isolated singularity"
         )
+    return BlowupSystem("x", "(x, y) = (u, u*w)", first, _divide_monomial(second, ax, ay), ax, ay)
 
 
 def divisor_equilibria(bs: BlowupSystem) -> List[EquilibriumRecord]:

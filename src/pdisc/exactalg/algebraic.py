@@ -270,29 +270,14 @@ class Rur:
             yield (_quotient(_enclosure(self.X, r), d), _quotient(_enclosure(self.Y, r), d)) if _sign(d) else None
 
 
-def _trivial_rur(x: AlgebraicCoord, y: AlgebraicCoord) -> Optional[Tuple[Rur, RootInterval]]:
-    """The representation u = the irrational coordinate, for a point
-    whose other coordinate is rational; None for any other point."""
-    if x.exact is None and y.exact is not None:
-        return Rur(x.poly, UPoly.variable(), UPoly.const(y.exact), UPoly.const(1)), x.root
-    if y.exact is None and x.exact is not None:
-        return Rur(y.poly, UPoly.const(x.exact), UPoly.variable(), UPoly.const(1)), y.root
-    return None
-
-
 @dataclass(frozen=True)
 class AlgebraicPoint:
-    """A real algebraic point.  An irrational one carries its
-    representation and the interval of its root a: the one it was built
-    with, or the trivial one when the other coordinate is rational."""
+    """A real algebraic point.  An irrational one carries the
+    representation it was built with and the interval of its root a."""
 
     x: AlgebraicCoord
     y: AlgebraicCoord
     rur: Optional[Tuple[Rur, RootInterval]] = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.rur is None:
-            object.__setattr__(self, "rur", _trivial_rur(self.x, self.y))
 
     @property
     def is_exact(self) -> bool:

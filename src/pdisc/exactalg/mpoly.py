@@ -278,6 +278,10 @@ class MPoly:
             _mul_add(acc, {t: w * v for t, v in xpows[(k >> _SHIFT) - j].items()}, ypows[j])
         return _from_ints(acc, self._c / den)
 
+    def swapped(self) -> "MPoly":
+        """The polynomial with its two variables exchanged: x^i y^j becomes x^j y^i."""
+        return MPoly._make({k + (k >> _SHIFT) - 2 * (k & _LOW): v for k, v in self._p.items()}, self._c)
+
     def subst_x(self, value: _Scalar) -> "MPoly":
         """Fix the first variable to a rational; result involves only "y"."""
         return self.subst(MPoly.const(value), _Y)

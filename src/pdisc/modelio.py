@@ -69,18 +69,6 @@ class PlanarSystem:
     def eval_rat(self, x: Fraction, y: Fraction) -> Tuple[Fraction, Fraction]:
         return self.P.eval_rat(x, y), self.Q.eval_rat(x, y)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PlanarSystem):
-            return NotImplemented
-        return (
-            self.P == other.P
-            and self.Q == other.Q
-            and dict(self.params) == dict(other.params)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.P, self.Q, tuple(sorted(self.params.items()))))
-
 
 def format_system(sys: PlanarSystem) -> str:
     """Canonical source text; parse_system(format_system(s)) == s."""

@@ -467,6 +467,8 @@ def integrate_orbit(
     """
     if direction not in ("forward", "backward"):
         raise InputError("direction must be 'forward' or 'backward'")
+    if not 0.0 < tmax < math.inf:
+        raise InputError(f"tmax must be a positive finite number, not {tmax!r}")
     x0, y0 = plane_from_disc(*seed)
     sgn = 1.0 if direction == "forward" else -1.0
     p = disc_from_plane(x0, y0)
@@ -807,6 +809,8 @@ def build_portrait(
     The flow holds a marker, and its capture regions, for every
     equilibrium of the disc analysis; the portrait draws those in the
     view and seeds separatrices from them."""
+    if not isinstance(grid, int) or grid < 1:
+        raise InputError(f"grid must be an integer at least 1, not {grid!r}")
     disc = disc_equilibria(sys, positive_quadrant_only)
     flow = Flow(disc, disc_markers(disc, params))
     markers = [m for m in flow.markers if m.chart != "U3" or not disc.quadrant or in_positive_quadrant(m.record)]

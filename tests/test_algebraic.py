@@ -17,7 +17,7 @@ from pathlib import Path
 from hypothesis import given, strategies as st
 
 import pdisc.exactalg
-from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, MPoly, UPoly, isolate_real_roots
+from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, MPoly, Rur, UPoly, isolate_real_roots
 from pdisc.exactalg.algebraic import box_sign, refinements
 from pdisc.exactalg.roots import sturm_chain
 
@@ -45,8 +45,9 @@ def test_irrational_compare_decides_equality_by_gcd():
 def test_point_sign_leaves_a_box_that_holds_0_to_the_rur():
     # at (sqrt 2, 1) with the first isolating interval of sqrt 2, the box
     # holds 0 for x - 1.414 and x - 1.415, so their signs come from the RUR
-    t = UPoly.variable()
-    pt = AlgebraicPoint(_positive_irrational_root(t * t - 2), AlgebraicCoord.of(1))
+    t, one = UPoly.variable(), UPoly.const(1)
+    sqrt2 = _positive_irrational_root(t * t - 2)
+    pt = AlgebraicPoint(sqrt2, AlgebraicCoord.of(1), (Rur(t * t - 2, t, one, one), sqrt2.root))
     box = (pt.x.interval(), pt.y.interval())
     x, y = MPoly.var_x(), MPoly.var_y()
     near = [x - MPoly.const(F(1414, 1000)), x - MPoly.const(F(1415, 1000)), x * x - 2 * y]

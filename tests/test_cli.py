@@ -488,6 +488,13 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert "usage:" in err
 
 
+def test_unwritable_output_exits_2(model_file, tmp_path, capsys):
+    rc, out, err = _run(capsys, ["analyze", model_file, "--out", str(tmp_path / "missing" / "r.json")])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     rc, _, _ = _run(capsys, [])
     assert rc == 2

@@ -39,7 +39,7 @@ from pdisc.equilibria import (
     jacobian_at,
 )
 from pdisc.errors import InputError
-from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, UPoly, isolate_real_roots
+from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, Rur, UPoly, isolate_real_roots
 from pdisc.exactalg.algebraic import box_sign
 from pdisc.modelio import parse_system
 
@@ -408,5 +408,7 @@ def test_irrational_non_equilibrium_is_rejected():
     sys = parse_system("dx = x^2 - 2\ndy = y - 1\n")
     p = UPoly((F(-2), F(0), F(1)))
     root = [ri for ri in isolate_real_roots(p) if ri.lo > 0][0]
-    with pytest.raises(InputError):
-        classify_point(sys, AlgebraicPoint(AlgebraicCoord.from_root(p, root), AlgebraicCoord.of(0)))
+    rur = Rur(p, UPoly.variable(), UPoly.const(0), UPoly.const(1))
+    # (sqrt 2, 0) is rejected by the exact recheck of P and Q on the RUR
+    with pytest.raises(InputError, match="the point is not an equilibrium"):
+        classify_point(sys, AlgebraicPoint(AlgebraicCoord.from_root(p, root), AlgebraicCoord.of(0), (rur, root)))

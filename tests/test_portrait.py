@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from pdisc.cli import main
 from pdisc.compactify import SectorDecomposition, blowup_analysis, disc_equilibria, infinite_equilibria, to_chart
 from pdisc.equilibria import finite_equilibria
-from pdisc.errors import InputError
+from pdisc.errors import InputError, LineOfEquilibriaError
 from pdisc.exactalg import MPoly
 from pdisc.modelio import ParamBindings, leslie_system, parse_system
 from pdisc.capture import (
@@ -525,6 +525,24 @@ def test_orbit_input_validation():
         integrate_orbit(flow, disc_from_plane(2.0, 0.0), direction="up")
 
 
+@pytest.mark.parametrize("tmax", [0.0, -5.0, math.nan, math.inf])
+def test_integrate_orbit_rejects_a_horizon_not_positive_and_finite(tmax):
+    sys = leslie_system(F(1), F(1), F(1, 2))
+    flow = Flow(disc_equilibria(sys))
+    # an integrated seed and one on an invariant axis, decided exactly
+    for seed in (disc_from_plane(1.0, 1.0), disc_from_plane(2.0, 0.0)):
+        with pytest.raises(InputError, match="tmax"):
+            integrate_orbit(flow, seed, tmax=tmax)
+    with pytest.raises(InputError, match="tmax"):
+        build_portrait(sys, grid=1, tmax=tmax)
+
+
+@pytest.mark.parametrize("grid", [0, -3, 2.5, "4"])
+def test_build_portrait_rejects_a_grid_not_an_integer_at_least_1(grid):
+    with pytest.raises(InputError, match="grid"):
+        build_portrait(leslie_system(F(1), F(1), F(1, 2)), grid=grid)
+
+
 # ---------------------------------------------------------------------------
 # seeding
 
@@ -577,6 +595,25 @@ def test_leslie_infinite_sectors(leslie_doc):
     # hyperbolic finite points carry direct decompositions too
     assert by_id["E1"].sectors == SectorDecomposition(4, 0, 0, "resolved")
     assert by_id["Estar"].sectors == SectorDecomposition(0, 1, 0, "resolved")
+
+
+@pytest.mark.parametrize("quadrant", [True, False])
+def test_a_blowup_that_meets_a_line_of_equilibria_leaves_no_sectors(quadrant):
+    # at the U2 origin of this system one blow-up meets a curve of
+    # equilibria, so its markers keep no blow-up and draw no sectors
+    doc = build_portrait(parse_system("dx = (x^2-2)^2\ndy = y^2\n"), positive_quadrant_only=quadrant, grid=1)
+    entries = json.loads(render_portrait(doc)[1])["equilibria"]
+    ends = {"inf:U2+:0"} if quadrant else {"inf:U2+:0", "inf:U2-:0"}
+    seen = set()
+    for m, entry in zip(doc.markers, entries):
+        if m.marker_id in ends:
+            seen.add(m.marker_id)
+            assert m.classification == "degenerate-needs-blowup"
+            with pytest.raises(LineOfEquilibriaError):
+                blowup_analysis(m.system, m.record.point)
+            assert m.blowup is None and m.sectors is None
+            assert "sectors" not in entry
+    assert seen == ends
 
 
 def test_leslie_separatrix_count(leslie_doc):
