@@ -33,6 +33,7 @@ from pdisc.modelio import (
     leslie_system,
     leslie_transform,
     parse_bindings,
+    parse_rational,
     parse_system,
     seeded_parameter_triples,
 )
@@ -42,9 +43,10 @@ DEFAULT_BOUNDS = SearchBounds()
 
 
 def _fraction(text: str) -> Fraction:
+    """A flag's value, read as the value of a params: binding."""
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return parse_rational(text)
+    except ParseError as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 

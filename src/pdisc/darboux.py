@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from pdisc.errors import InternalInvariantError
 from pdisc.exactalg import MPoly, UPoly, isolate_real_roots, nullspace, resultant_wrt
@@ -105,18 +105,17 @@ def verify_invariant_curve(sys: PlanarSystem, f: MPoly) -> Optional[InvariantCur
 # invariant line search
 
 
-def _rational_roots(p: UPoly) -> List[Fraction]:
-    """Exact rational roots recovered by isolation + reconstruction."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    return [ri.exact for ri in isolate_real_roots(p) if ri.exact is not None]
-
-
-def _upoly_gcd_many(polys: Sequence[UPoly]) -> UPoly:
-    g = polys[0]
-    for p in polys[1:]:
-        g = g.gcd(p)
-    return g
+def _common_roots(polys: Iterable[MPoly], var: str) -> Optional[List[Fraction]]:
+    """The rational common roots of polynomials in `var` alone, exact
+    from isolation: None when every one is zero."""
+    g = UPoly.zero()
+    for p in polys:
+        g = g.gcd(UPoly.from_mpoly(p, var))
+    if g.is_zero:
+        return None
+    if g.degree < 1:
+        return []
+    return [ri.exact for ri in isolate_real_roots(g) if ri.exact is not None]
 
 
 def _substituted_conditions(sys: PlanarSystem) -> List[MPoly]:
@@ -157,15 +156,11 @@ def _representative_on(conds: Sequence[MPoly]) -> Optional[Tuple[Fraction, Fract
     exclude."""
     for var, other in (("x", "y"), ("y", "x")):
         for v0 in _SCAN:
-            restricted = [c.subst_x(v0) if var == "x" else c.subst_y(v0) for c in conds]
-            nonzero = [r for r in restricted if not r.is_zero]
-            w = Fraction(0)
-            if nonzero:
-                roots = _rational_roots(_upoly_gcd_many([UPoly.from_mpoly(r, other) for r in nonzero]))
-                if not roots:
-                    continue
-                w = roots[0]
-            return (v0, w) if var == "x" else (w, v0)
+            roots = _common_roots([c.subst_x(v0) if var == "x" else c.subst_y(v0) for c in conds], other)
+            if roots is None:
+                roots = [Fraction(0)]  # every value of the other coordinate
+            if roots:
+                return (v0, roots[0]) if var == "x" else (roots[0], v0)
     return None
 
 
@@ -190,15 +185,12 @@ def find_invariant_lines(sys: PlanarSystem) -> Tuple[List[InvariantCurve], List[
     notes: List[str] = []
 
     # vertical lines x = c: P(c, y) must vanish identically in y
-    if sys.P.is_zero:
+    roots = _common_roots(sys.P.coeffs_in("y"), "x")
+    if roots is None:
         lines.append(_must_verify(sys, MPoly.var_x()))
         notes.append("x - c invariant for every c")
     else:
-        pcols = [UPoly.from_mpoly(c, "x") for c in sys.P.coeffs_in("y")]
-        g = _upoly_gcd_many([u for u in pcols if not u.is_zero])
-        if g.degree >= 1:
-            for c in _rational_roots(g):
-                lines.append(_must_verify(sys, MPoly.var_x() - MPoly.const(c)))
+        lines.extend(_must_verify(sys, MPoly.var_x() - MPoly.const(c)) for c in roots)
 
     # non-vertical lines y = a x + b
     conds = _substituted_conditions(sys)
@@ -212,10 +204,8 @@ def find_invariant_lines(sys: PlanarSystem) -> Tuple[List[InvariantCurve], List[
         lines.extend(lines_ab)
         notes.extend(notes_ab)
 
-    seen: Dict[str, InvariantCurve] = {}
-    for cur in lines:
-        seen.setdefault(cur.f.format(), cur)
-    return sorted(seen.values(), key=lambda c: _line_sort_key(c.f)), sorted(notes)
+    # no line repeats: each root list is one isolation's, and the branches exclude one another
+    return sorted(lines, key=lambda c: _line_sort_key(c.f)), sorted(notes)
 
 
 def _line_sort_key(f: MPoly) -> Tuple:
@@ -241,34 +231,24 @@ def _solve_slant_conditions(
         lines.append(_must_verify(sys, _line(a0, b0)))
         notes.append(note)
 
-    with_b = [c for c in conds if c.degree_in("y") > 0]
-    with_a = [c for c in conds if c.degree_in("x") > 0]
-
-    if not with_a:
+    if all(c.degree_in("x") == 0 for c in conds):
         # conditions constrain b only: every a works at each root
-        g = _upoly_gcd_many([UPoly.from_mpoly(c, "y") for c in conds])
-        if g.degree >= 1:
-            for b0 in _rational_roots(g):
-                emit_family(Fraction(0), b0, f"y - a*x - ({b0}) invariant for every a")
+        for b0 in _common_roots(conds, "y") or []:
+            emit_family(Fraction(0), b0, f"y - a*x - ({b0}) invariant for every a")
         return lines, notes
 
     # eliminate b against a fixed generator of positive b-degree; a
     # condition in a alone is its own eliminant (Res_b(g0, c) = c^m adds
-    # nothing to the gcd); with no generator, each root a0 frees every b.
-    # No eliminant is zero: no condition is, and a zero resultant is dropped
-    pure_a = [c for c in conds if c.degree_in("y") == 0]
+    # nothing to the gcd), and a zero resultant adds nothing either
+    with_b = [c for c in conds if c.degree_in("y") > 0]
     g0 = min(with_b, key=lambda c: c.degree_in("y"), default=None)
-    eliminants: List[UPoly] = [UPoly.from_mpoly(c, "x") for c in pure_a]
-    for c in with_b:
-        if c is g0:
-            continue
-        r = resultant_wrt(g0, c, "y")
-        if not r.is_zero:
-            eliminants.append(UPoly.from_mpoly(r, "x"))
+    eliminants = [c for c in conds if c.degree_in("y") == 0]
+    eliminants += [resultant_wrt(g0, c, "y") for c in with_b if c is not g0]
+    a_roots = _common_roots(eliminants, "x")
 
-    if not eliminants:
-        # every resultant collapsed, or one condition in both a and b: a
-        # curve of invariant lines
+    if a_roots is None:
+        # no condition in a alone and every resultant collapsed, or one
+        # condition in both a and b: a curve of invariant lines
         point = _representative_on(conds)
         if point is None:
             raise InternalInvariantError(
@@ -282,22 +262,13 @@ def _solve_slant_conditions(
         emit_family(*point, f"{prefix}y - a*x - b invariant whenever {whenever}")
         return lines, notes
 
-    g = _upoly_gcd_many(eliminants)
-    if g.degree < 1:
-        return lines, notes
-    for a0 in _rational_roots(g):
-        restricted = [c.subst_x(a0) for c in conds]
-        nonzero = [r for r in restricted if not r.is_zero]
-        if not nonzero:
+    for a0 in a_roots:
+        b_roots = _common_roots([c.subst_x(a0) for c in conds], "y")
+        if b_roots is None:
             emit_family(a0, Fraction(0), f"y - ({a0})*x - b invariant for every b")
             continue
-        gb = _upoly_gcd_many([UPoly.from_mpoly(r, "y") for r in nonzero])
-        if gb.degree < 1:
-            continue
-        for b0 in _rational_roots(gb):
-            cur = verify_invariant_curve(sys, _line(a0, b0))
-            if cur is not None:
-                lines.append(cur)
+        # a common zero of every condition is an invariant line
+        lines.extend(_must_verify(sys, _line(a0, b0)) for b0 in b_roots)
     return lines, notes
 
 
@@ -447,10 +418,8 @@ def find_exponential_factors(
     high = [e for e in monomial_basis(d + deg_bound - 1) if e[0] + e[1] >= d]
     matrix = coefficient_rows(lie_of_basis, high)
     for vec in _kernel(matrix, len(expos)):
-        g = _from_vector(vec, expos)
-        if g.is_zero:
-            continue
-        g = g.monic()
+        # a kernel vector is 1 in its free column, so g is nonzero
+        g = _from_vector(vec, expos).monic()
         lco = sys.lie_derivative(g)
         if lco.degree > d - 1:
             raise InternalInvariantError("exponential-factor cofactor degree too high")
@@ -475,11 +444,8 @@ def find_exponential_factors(
         sols = _kernel(coefficient_rows(cols, rem_monos), len(g_expos))
         h_vec = [h.coeff(i, j) for (i, j) in g_expos]
         for vec in _quotient_span(sols, h_vec):
-            g = _from_vector(vec, g_expos)
-            if g.is_zero:
-                continue
-            # g is no multiple of h, so f keeps a positive power of cur.f
-            g, f = _coprime_form(g, cur.f, k - 1)
+            # g is nonzero and no multiple of h, so f keeps a positive power of cur.f
+            g, f = _coprime_form(_from_vector(vec, g_expos), cur.f, k - 1)
             num = sys.lie_derivative(g) * f - g * sys.lie_derivative(f)
             lco = num.exact_div(f * f)
             if lco is None:
@@ -512,10 +478,8 @@ def _coprime_form(g: MPoly, base: MPoly, power: int) -> Tuple[MPoly, MPoly]:
 def _quotient_span(
     vecs: List[List[Fraction]], drop: List[Fraction]
 ) -> List[List[Fraction]]:
-    """Basis of span(vecs) modulo span(drop)."""
-    pivot = next((i for i, c in enumerate(drop) if c != 0), None)
-    if pivot is None:
-        return vecs
+    """Basis of span(vecs) modulo span(drop), for a nonzero drop."""
+    pivot = next(i for i, c in enumerate(drop) if c != 0)
     out: List[List[Fraction]] = []
     for v in vecs:
         if v[pivot] != 0:

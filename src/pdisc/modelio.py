@@ -199,17 +199,22 @@ class _ExprParser:
                 raise self._fail("expected parameter name", name)
             if not self._accept("="):
                 raise self._fail("expected '=' after parameter name", self._peek())
-            sign = -1 if self._accept("-") else 1
-            value = self._next()
-            if value is None or value.kind != _TOK_NUMBER:
-                raise self._fail("expected rational value", value)
+            value = self.rational()
             if name.text in out:
                 raise self._fail(f"duplicate parameter {name.text!r}", name)
-            out[name.text] = sign * value.value
+            out[name.text] = value
             more = self._accept(",")
         extra = self._peek()
         if extra is not None:
             raise self._fail("expected ','", extra)
+
+    def rational(self) -> Fraction:
+        """Read the value of a params: binding, [-]RATIONAL."""
+        sign = -1 if self._accept("-") else 1
+        value = self._next()
+        if value is None or value.kind != _TOK_NUMBER:
+            raise self._fail("expected rational value", value)
+        return sign * value.value
 
     def _expr(self) -> MPoly:
         node = self._term()
@@ -268,6 +273,17 @@ def parse_bindings(text: str) -> Dict[str, Fraction]:
     out: Dict[str, Fraction] = {}
     _ExprParser(_tokenize_line(text, 1), {}, 1).bindings(out)
     return out
+
+
+def parse_rational(text: str) -> Fraction:
+    """The value [-]RATIONAL in `text`, read by the grammar of a params:
+    binding's right side; errors name a column of line 1."""
+    parser = _ExprParser(_tokenize_line(text, 1), {}, 1)
+    value = parser.rational()
+    extra = parser._peek()
+    if extra is not None:
+        raise parser._fail(f"unexpected token {extra.text!r}", extra)
+    return value
 
 
 def parse_system(

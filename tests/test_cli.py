@@ -105,6 +105,22 @@ def test_leslie_rejects_irrational_argument(capsys):
     assert "not a rational number" in err
 
 
+@pytest.mark.parametrize("value", ["0.5", "1e0"])
+def test_leslie_reads_flags_by_the_params_line_grammar(value, capsys):
+    # a flag takes what a params: binding takes, so no decimal or exponent
+    argv = ["leslie", "--r", value, "--k", "1", "--q", "1", "--s", "1", "--n", "1", "--c", "1"]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert f"argument --r: not a rational number: {value!r}" in err
+
+
+def test_leslie_flags_take_spaced_fractions_and_integers(capsys):
+    argv = ["leslie", "--r", " 1/2 ", "--k", "1", "--q", "1", "--s", "3", "--n", "1", "--c", "1"]
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    assert out.splitlines()[0] == "A=2, B=6, C=1"
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -236,6 +252,33 @@ def test_darboux_sample_requires_reduced_model(tmp_path, capsys):
     rc, _, err = _run(capsys, ["darboux", str(path), "--sample", "1"])
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        # the reduced model's bindings with another predator field
+        "params: A=1, B=1, C=1/2\ndx = x*(C+x)*(1-x-A*y)\ndy = B*y*(C+x-2*y)\n",
+        # the reduced model's field with bindings it rejects
+        "params: A=-1, B=1, C=1/2\ndx = x*(C+x)*(1-x-A*y)\ndy = B*y*(C+x-y)\n",
+    ],
+)
+def test_a_source_outside_the_reduced_model_has_no_regime(source, tmp_path, capsys):
+    path = tmp_path / "other.vf"
+    path.write_text(source, encoding="utf-8")
+    rc, out, _ = _run(capsys, ["analyze", str(path), "--quadrant", "--out", "-"])
+    assert rc == 0
+    report = json.loads(out)
+    assert report["regime"] is None
+    assert all("label" not in e for e in report["finite_equilibria"])
+    rc, out, _ = _run(capsys, ["portrait", str(path), "--grid", "1", "--tmax", "5"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["regime"] is None
+    assert all("label" not in e for e in doc["equilibria"])
+    rc, _, err = _run(capsys, ["darboux", str(path), "--sample", "1"])
+    assert rc == 2
+    assert "--sample requires the reduced predator-prey model" in err
 
 
 def test_darboux_rejects_bad_bounds(model_file, capsys):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import List, Sequence
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pdisc import integrability
 from pdisc.darboux import (
@@ -89,6 +89,53 @@ def test_find_invariant_lines_leslie_inventory():
 def test_no_invariant_lines_for_rotation():
     rotation = parse_system("dx = -y\ndy = x\n")
     assert find_invariant_lines(rotation) == ([], [])
+
+
+def test_the_zero_field_has_every_line_invariant():
+    # P = 0 frees every vertical line, and no slant condition is left
+    lines, notes = find_invariant_lines(parse_system("dx = 0\ndy = 0\n"))
+    assert [(c.f.format(), c.K.format()) for c in lines] == [("x", "0"), ("y", "0")]
+    assert notes == ["x - c invariant for every c", "y - a*x - b invariant for all (a, b)"]
+
+
+@st.composite
+def _planted(draw):
+    """A field of degree <= 2 and up to two rational lines planted in it:
+    x - c divides P, and y - a x - b divides Q - a P."""
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+    def poly(deg: int) -> MPoly:
+        terms = draw(st.dictionaries(
+            st.tuples(st.integers(0, deg), st.integers(0, deg)).filter(lambda e: sum(e) <= deg),
+            coeffs,
+            max_size=4,
+        ))
+        return MPoly(terms)
+
+    planted = [X - MPoly.const(c) for c in draw(st.lists(coeffs, max_size=2))]
+    p = poly(2 - len(planted))
+    for line in planted:
+        p = p * line
+    q = poly(2)
+    if len(planted) < 2 and draw(st.booleans()):
+        a, b = MPoly.const(draw(coeffs)), MPoly.const(draw(coeffs))
+        line = Y - a * X - b
+        q = a * p + line * poly(1)
+        planted.append(line)
+    return PlanarSystem(p, q), planted
+
+
+@settings(max_examples=100)
+@given(_planted())
+def test_every_planted_line_is_found(case):
+    sys, planted = case
+    lines, notes = find_invariant_lines(sys)
+    found = [c.f.format() for c in lines]
+    assert len(set(found)) == len(found)
+    for line in planted:
+        assert line.monic().format() in found or notes
+    for c in lines:
+        assert (sys.lie_derivative(c.f) - c.K * c.f).is_zero
 
 
 def _cofactor_det(rows: Sequence[Sequence[MPoly]]) -> MPoly:

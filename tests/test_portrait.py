@@ -808,6 +808,19 @@ def test_separatrix_seeds_respect_quadrant_filter(leslie_doc):
         assert s.disc[0] >= -1e-6 and s.disc[1] >= -1e-6
 
 
+def test_quadrant_view_keeps_the_equator_seeds_inside_it():
+    # the U1+ saddle-node's one separatrix seed lies at a chart point
+    # u < 0, just off the quadrant, which only the full disc keeps; the
+    # U2+ saddle's seed lies inside it
+    sys = parse_system("dx = x^2 - 2*x*y\ndy = x - y^2 + x*y\n")
+    seeds = {}
+    for quadrant in (True, False):
+        doc = build_portrait(sys, positive_quadrant_only=quadrant, grid=1, tmax=1.0)
+        seeds[quadrant] = sorted(t.seed_id for t in doc.trajectories if t.seed_id.startswith("sep:inf:"))
+    assert seeds[True] == ["sep:inf:U2+:0:0"]
+    assert seeds[False] == ["sep:inf:U1+:0:0", "sep:inf:U1-:0:0", "sep:inf:U2+:0:0", "sep:inf:U2-:0:0"]
+
+
 @pytest.mark.parametrize(
     "source",
     [
