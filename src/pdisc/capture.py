@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from pdisc.compactify import HYPERBOLIC, BlowupAnalysis, BlowupSystem
 from pdisc.equilibria import EquilibriumRecord
-from pdisc.exactalg import MPoly
+from pdisc.exactalg import MPoly, common_denominator
 from pdisc.modelio import PlanarSystem
 
 if TYPE_CHECKING:
@@ -204,12 +204,6 @@ def _affine(rows: List[List[int]], axis: int, a: int, b: int, m: int) -> List[Li
     return out if axis == 0 else [list(row) for row in zip(*out)]
 
 
-def _ratio(c: Fraction, h: Fraction) -> Tuple[int, int, int]:
-    """Integers (a, b, m) with c + h s = (a + b s)/m."""
-    m = math.lcm(c.denominator, h.denominator)
-    return c.numerator * (m // c.denominator), h.numerator * (m // h.denominator), m
-
-
 def positive_on(p: MPoly, xs: Tuple[Fraction, Fraction], ys: Tuple[Fraction, Fraction]) -> bool:
     """True when p > 0 on the closed box xs * ys is proved within
     _PROOF_BUDGET interval enclosures, by bisecting the side that is
@@ -235,7 +229,9 @@ def positive_on(p: MPoly, xs: Tuple[Fraction, Fraction], ys: Tuple[Fraction, Fra
     rows = [[0] * (ds + 1) for _ in range(dt + 1)]
     for (i, j), c in terms:
         rows[j][i] = c
-    rows = _affine(_affine(rows, 0, *_ratio(xs[0] + hx, hx)), 1, *_ratio(ys[0] + hy, hy))
+    # c + h s = (a + b s)/m for (a, b, m) = common_denominator(c, h)
+    rows = _affine(rows, 0, *common_denominator(xs[0] + hx, hx))
+    rows = _affine(rows, 1, *common_denominator(ys[0] + hy, hy))
     todo = [(rows, 0, 0)]
     for _ in range(_PROOF_BUDGET):
         if not todo:

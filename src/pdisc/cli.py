@@ -196,6 +196,8 @@ def darboux_report(
     seed: int = DEFAULT_SEED,
 ) -> Dict[str, object]:
     """Curves, factors, and verdict; optionally a seeded parameter sweep."""
+    if sample < 0:
+        raise InputError(f"sample count must be nonnegative, got {sample}")
     pipe = run_pipeline(sys, bounds)
     report: Dict[str, object] = {
         "system": format_system(sys),

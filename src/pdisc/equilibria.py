@@ -319,7 +319,7 @@ def _lift(
             yroot = _locate(yroots, boxes, 1)
             xroot = _locate(xroots, boxes, 0)
             if xroot in pending:
-                x_, y_ = AlgebraicCoord(poly=s, root=xroot), AlgebraicCoord(poly=r, root=yroot)
+                x_, y_ = AlgebraicCoord.from_root(s, xroot), AlgebraicCoord.from_root(r, yroot)
                 out.append(AlgebraicPoint(x_, y_, at))
     return out
 
@@ -426,14 +426,10 @@ def _table(det: Fraction, tr: Fraction, disc: Fraction) -> str:
 def _kernel_vector(
     a: Fraction, b: Fraction, c: Fraction, d: Fraction
 ) -> Tuple[Fraction, Fraction]:
-    """Kernel vector of the singular matrix [[a, b], [c, d]], scaled so
-    its first nonzero component is 1 (fixes the reported a2 scale)."""
-    if a != 0 or b != 0:
-        v = (b, -a)
-    elif c != 0 or d != 0:
-        v = (d, -c)
-    else:
-        return (Fraction(1), Fraction(0))
+    """Kernel vector of the singular nonzero matrix [[a, b], [c, d]],
+    scaled so its first nonzero component is 1 (fixes the reported a2
+    scale)."""
+    v = (b, -a) if a != 0 or b != 0 else (d, -c)
     lead = v[0] if v[0] != 0 else v[1]
     return (v[0] / lead, v[1] / lead)
 

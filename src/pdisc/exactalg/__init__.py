@@ -18,10 +18,9 @@ from pdisc.exactalg.matrix import (
     nullspace,
     resultant_wrt,
     solve_linear,
-    sylvester_resultant,
 )
 from pdisc.exactalg.mpoly import MPoly
-from pdisc.exactalg.roots import RootInterval, isolate_real_roots, refine_root, squarefree_roots
+from pdisc.exactalg.roots import RootInterval, common_denominator, isolate_real_roots, refine_root, squarefree_roots
 from pdisc.exactalg.upoly import UPoly
 
 __all__ = [
@@ -32,6 +31,7 @@ __all__ = [
     "Rur",
     "UPoly",
     "coefficient_rows",
+    "common_denominator",
     "ffdet",
     "isolate_real_roots",
     "monomial_basis",
@@ -40,5 +40,4 @@ __all__ = [
     "resultant_wrt",
     "solve_linear",
     "squarefree_roots",
-    "sylvester_resultant",
 ]

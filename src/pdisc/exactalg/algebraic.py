@@ -23,13 +23,12 @@ bits a decision needs, not with the bits themselves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from pdisc.exactalg.mpoly import MPoly
-from pdisc.exactalg.roots import RootInterval, refine_root
+from pdisc.exactalg.roots import RootInterval, common_denominator, refine_root
 from pdisc.exactalg.upoly import UPoly, linear_combination
 
 # a closed interval (lo, hi) with rational endpoints
@@ -59,13 +58,8 @@ class AlgebraicCoord:
     root: Optional[RootInterval] = None
 
     def __post_init__(self) -> None:
-        if self.exact is None:
-            if self.poly is None or self.root is None:
-                raise ValueError("interval coordinate needs poly and root")
-            if self.root.exact is not None:
-                object.__setattr__(self, "exact", self.root.exact)
-        elif not isinstance(self.exact, Fraction):
-            object.__setattr__(self, "exact", Fraction(self.exact))
+        if self.exact is None and (self.poly is None or self.root is None):
+            raise ValueError("interval coordinate needs poly and root")
 
     @staticmethod
     def of(value: Union[int, Fraction]) -> "AlgebraicCoord":
@@ -74,7 +68,8 @@ class AlgebraicCoord:
     @staticmethod
     def from_root(poly: UPoly, root: RootInterval) -> "AlgebraicCoord":
         """The root isolated by `root` of `poly`, which must be square-free
-        (as `squarefree_roots` returns it): it is stored as given."""
+        (as `squarefree_roots` returns it): an exact coordinate if the
+        root is exact, else stored as given."""
         if root.exact is not None:
             return AlgebraicCoord(exact=root.exact)
         return AlgebraicCoord(poly=poly, root=root)
@@ -152,13 +147,6 @@ def holds_root(g: UPoly, lo: Fraction, hi: Fraction) -> bool:
     return g.degree >= 1 and g.sign_at(lo) != g.sign_at(hi)
 
 
-def _scaled(e: Enclosure) -> Tuple[int, int, int]:
-    """(n, m, q) with e = [n/q, m/q] over the integers."""
-    lo, hi = e
-    q = math.lcm(lo.denominator, hi.denominator)
-    return lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator), q
-
-
 def _horner(coeffs: Sequence[Tuple[int, int]], e: Tuple[int, int, int]) -> Tuple[int, int]:
     """An enclosure of q^k * sum c_i t^i over t in [n/q, m/q], e = (n, m, q),
     for integer intervals c_i = (lo, hi) listed from i = 0 to k: interval
@@ -176,7 +164,7 @@ def _horner(coeffs: Sequence[Tuple[int, int]], e: Tuple[int, int, int]) -> Tuple
 def _enclosure(p: UPoly, r: RootInterval) -> Enclosure:
     """An enclosure of p over [r.lo, r.hi]: `_horner` on the primitive
     part of p, then the content and the power of the denominator."""
-    e = _scaled((r.lo, r.hi))
+    e = common_denominator(r.lo, r.hi)
     ints = p.int_coeffs()
     lo, hi = _horner([(c, c) for c in ints], e)
     c = p.content
@@ -194,8 +182,8 @@ def box_sign(f: MPoly, xs: Enclosure, ys: Enclosure) -> int:
     rows = [[0] * width for _ in range(f.degree_in("x") + 1)]
     for (i, j), c in f.int_terms():
         rows[i][j] = c
-    ey = _scaled(ys)
-    return _sign(_horner([_horner([(c, c) for c in row], ey) for row in rows], _scaled(xs)))
+    ey = common_denominator(*ys)
+    return _sign(_horner([_horner([(c, c) for c in row], ey) for row in rows], common_denominator(*xs)))
 
 
 def _sign(e: Tuple[Fraction, Fraction] | Tuple[int, int]) -> int:

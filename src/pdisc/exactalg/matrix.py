@@ -74,29 +74,6 @@ def _scaled(p: dict, m: int) -> dict:
     return p if m == 1 else {k: m * v for k, v in p.items()}
 
 
-def sylvester_resultant(fc: Sequence[MPoly], gc: Sequence[MPoly]) -> MPoly:
-    """Resultant of two polynomials given by coefficient lists (ascending,
-    entries in MPoly) with respect to their common main variable.
-
-    Trailing zero coefficients are ignored.  Conventions for degenerate
-    degrees: Res(0, g) = Res(f, 0) = 0; Res(c, g) = c^deg(g) for
-    constant f, and symmetrically.
-    """
-    f = _trim(fc)
-    g = _trim(gc)
-    if not f or not g:
-        return MPoly.zero()
-    m = len(f) - 1
-    n = len(g) - 1
-    if m == 0 and n == 0:
-        return MPoly.one()
-    if m == 0:
-        return f[0] ** n
-    if n == 0:
-        return g[0] ** m
-    return ffdet(_sylvester_rows(f, g, 0))
-
-
 def subresultant(p: MPoly, q: MPoly, var: str, j: int) -> List[MPoly]:
     """Coefficients [Sj0, ..., Sjj], ascending in v = var, of the j-th
     subresultant Sj = U*p + V*q, up to sign, for 1 <= j <= n = the smaller
@@ -132,18 +109,17 @@ def _sylvester_rows(f: List[MPoly], g: List[MPoly], j: int) -> List[List[MPoly]]
 
 
 def resultant_wrt(p: MPoly, q: MPoly, var: str) -> MPoly:
-    """Resultant of two bivariate polynomials, eliminating var ('x' or 'y').
-
-    The result is a polynomial in the other variable only.
-    """
-    return sylvester_resultant(p.coeffs_in(var), q.coeffs_in(var))
-
-
-def _trim(cs: Sequence[MPoly]) -> List[MPoly]:
-    out = list(cs)
-    while out and out[-1].is_zero:
-        out.pop()
-    return out
+    """Resultant of two bivariate polynomials, eliminating var ('x' or 'y'),
+    a polynomial in the other variable only.  Res(0, g) = Res(f, 0) = 0,
+    and Res(c, g) = c^deg(g) for f = c constant in var, and symmetrically."""
+    f, g = p.coeffs_in(var), q.coeffs_in(var)
+    if not f or not g:
+        return MPoly.zero()
+    if len(f) == 1:
+        return f[0] ** (len(g) - 1)
+    if len(g) == 1:
+        return g[0] ** (len(f) - 1)
+    return ffdet(_sylvester_rows(f, g, 0))
 
 
 def _row_echelon(

@@ -15,10 +15,10 @@ just right of it, so (lo, hi) holds V(lo) - V(hi) roots, less one when
 hi is a root, and an interval isolates a root only when neither endpoint
 is a root.  For the other roots, the rational root theorem: a rational
 root of s, as a primitive integer polynomial, is k/L for an integer k,
-where L is its leading coefficient.  Each isolating interval is refined
-to width at most 1/(2L), so it holds at most one such point, and that
-one candidate is tested for an exact zero.  A miss proves the root
-irrational.
+where L is its leading coefficient.  `refine_root` narrows each
+isolating interval to width at most 1/(2L), so it holds at most one such
+point, and that one candidate is tested for an exact zero.  A miss
+proves the root irrational.
 
 Everything runs on integers: bisection and refinement keep both
 endpoints as integer numerators over one shared denominator, doubling
@@ -108,18 +108,18 @@ def squarefree_roots(p: UPoly) -> Tuple[UPoly, List[RootInterval]]:
     bound = cauchy_bound(s)  # every root lies strictly inside (-bound, bound)
     n, d = bound.numerator, bound.denominator
     v_lo, v_hi = _variations(_signs(chain, -n, d)), _variations(_signs(chain, n, d))
-    intervals: List[Tuple[Fraction, Fraction]] = []
+    intervals: List[RootInterval] = []
     exact: List[Fraction] = []
     _bisect(chain, -n, n, d, (v_lo, False), (v_hi, False), intervals, exact)
     out = [RootInterval(lo=r, hi=r, exact=r) for r in exact]
-    out += [_identify(s, lo, hi) for lo, hi in intervals]
+    out += [_identify(s, ri) for ri in intervals]
     out.sort(key=lambda ri: (ri.lo, ri.hi))
     return s.monic(), out
 
 
 def _bisect(
     chain: List[UPoly], a: int, b: int, q: int, at_a: Tuple[int, bool], at_b: Tuple[int, bool],
-    found: List[Tuple[Fraction, Fraction]], exact: List[Fraction],
+    found: List[RootInterval], exact: List[Fraction],
 ) -> None:
     """Collect the roots in the open interval (a/q, b/q): isolating
     intervals in `found`, midpoints that are roots in `exact`.  at_a and
@@ -129,7 +129,7 @@ def _bisect(
     if count <= 0:
         return
     if count == 1 and not (a_root or b_root):
-        found.append((Fraction(a, q), Fraction(b, q)))
+        found.append(RootInterval(lo=Fraction(a, q), hi=Fraction(b, q)))
         return
     mid, q = a + b, 2 * q
     signs = _signs(chain, mid, q)
@@ -140,54 +140,48 @@ def _bisect(
     _bisect(chain, mid, 2 * b, q, at_mid, at_b, found, exact)
 
 
-def _identify(s: UPoly, lo: Fraction, hi: Fraction) -> RootInterval:
+def _identify(s: UPoly, ri: RootInterval) -> RootInterval:
     """Refine an isolating interval of s until it holds at most one k/L;
     return the root exactly if that candidate is it."""
     lead = abs(s.int_coeffs()[-1])
-    lo, hi = _refine_interval(s, lo, hi, Fraction(1, 2 * lead))
-    if lo == hi:
-        return RootInterval(lo=lo, hi=hi, exact=lo)
-    candidate = Fraction(math.ceil(lo * lead), lead)
-    if candidate <= hi and s.sign_at(candidate) == 0:
+    ri = refine_root(s, ri, Fraction(1, 2 * lead))
+    if ri.is_exact:
+        return ri
+    candidate = Fraction(math.ceil(ri.lo * lead), lead)
+    if candidate <= ri.hi and s.sign_at(candidate) == 0:
         return RootInterval(lo=candidate, hi=candidate, exact=candidate)
-    return RootInterval(lo=lo, hi=hi)
+    return ri
 
 
-def _refine_interval(
-    s: UPoly, lo: Fraction, hi: Fraction, width: Fraction
-) -> Tuple[Fraction, Fraction]:
-    """Bisection refinement; needs a sign change or an endpoint root."""
-    s_lo = s.sign_at(lo)
-    if s_lo == 0:
-        return lo, lo
-    if s.sign_at(hi) == 0:
-        return hi, hi
-    # lo = a/q and hi = b/q; a halving doubles a, b and q, and the
-    # midpoint a + b over the doubled q needs no reduction
+def common_denominator(lo: Fraction, hi: Fraction) -> Tuple[int, int, int]:
+    """Integers (n, m, q) with lo = n/q and hi = m/q, q the lcm of the
+    two denominators."""
     q = math.lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
-    wn, wd = width.numerator, width.denominator
-    while (b - a) * wd > wn * q:
-        mid = a + b
-        a, b, q = 2 * a, 2 * b, 2 * q
-        sm = s.sign_at_ratio(mid, q)
-        if sm == 0:
-            return Fraction(mid, q), Fraction(mid, q)
-        if sm == s_lo:
-            a = mid
-        else:
-            b = mid
-    return Fraction(a, q), Fraction(b, q)
+    return lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator), q
 
 
 def refine_root(p: UPoly, ri: RootInterval, width: _Scalar) -> RootInterval:
-    """Shrink an isolating interval of p to the given width; p must be
-    square-free (the bisection reads the sign changes of p itself).  An
+    """Shrink an isolating interval of p to the given width by bisection;
+    p must be square-free (the bisection reads the sign changes of p
+    itself).  The interval is returned exact if a midpoint is a root.  An
     interval already that narrow is returned as it is: its endpoints are
     not roots, so the bisection would return it unchanged."""
     if ri.is_exact or ri.width <= width:
         return ri
-    lo, hi = _refine_interval(p, ri.lo, ri.hi, Fraction(width))
-    if lo == hi:
-        return RootInterval(lo=lo, hi=hi, exact=lo)
-    return RootInterval(lo=lo, hi=hi)
+    # lo = a/q and hi = b/q; a halving doubles a, b and q, and the
+    # midpoint a + b over the doubled q needs no reduction
+    a, b, q = common_denominator(ri.lo, ri.hi)
+    s_lo = p.sign_at_ratio(a, q)
+    wn, wd = width.numerator, width.denominator
+    while (b - a) * wd > wn * q:
+        mid = a + b
+        a, b, q = 2 * a, 2 * b, 2 * q
+        sm = p.sign_at_ratio(mid, q)
+        if sm == 0:
+            root = Fraction(mid, q)
+            return RootInterval(lo=root, hi=root, exact=root)
+        if sm == s_lo:
+            a = mid
+        else:
+            b = mid
+    return RootInterval(lo=Fraction(a, q), hi=Fraction(b, q))

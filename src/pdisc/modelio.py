@@ -66,9 +66,6 @@ class PlanarSystem:
     def divergence(self) -> MPoly:
         return self.trace
 
-    def eval_rat(self, x: Fraction, y: Fraction) -> Tuple[Fraction, Fraction]:
-        return self.P.eval_rat(x, y), self.Q.eval_rat(x, y)
-
 
 def format_system(sys: PlanarSystem) -> str:
     """Canonical source text; parse_system(format_system(s)) == s."""

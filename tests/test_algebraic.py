@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
+import pytest
 from hypothesis import given, strategies as st
 
 import pdisc.exactalg
@@ -40,6 +41,21 @@ def test_irrational_compare_decides_equality_by_gcd():
     assert sqrt2_too.compare(sqrt3) == -1
     assert sqrt3.compare(sqrt2_too) == 1
     assert sqrt2.compare(sqrt3) == -1
+
+
+def test_from_root_makes_a_rational_root_an_exact_coordinate():
+    t = UPoly.variable()
+    p = (3 * t - 2) * (t * t - 2)
+    (root,) = [rt for rt in isolate_real_roots(p) if rt.exact is not None]
+    assert AlgebraicCoord.from_root(p, root) == AlgebraicCoord(exact=F(2, 3))
+
+
+def test_an_interval_coordinate_needs_its_poly_and_root():
+    t = UPoly.variable()
+    root = _positive_irrational_root(t * t - 2).root
+    for parts in ({}, {"poly": t * t - 2}, {"root": root}):
+        with pytest.raises(ValueError, match="interval coordinate needs poly and root"):
+            AlgebraicCoord(**parts)
 
 
 def test_point_sign_leaves_a_box_that_holds_0_to_the_rur():

@@ -8,11 +8,14 @@ usage errors, 3 internal invariant violations.
 import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from pdisc.cli import main, parse_param_overrides
+import pdisc.cli
+from pdisc.cli import darboux_report, main, parse_param_overrides
 from pdisc.errors import InputError, InternalInvariantError
+from pdisc.integrability import SearchBounds
 from pdisc.modelio import ParamBindings, leslie_source, leslie_system, parse_system
 
 ALL_ONES = ["--r", "1", "--k", "1", "--q", "1", "--s", "1", "--n", "1", "--c", "1"]
@@ -279,6 +282,27 @@ def test_a_source_outside_the_reduced_model_has_no_regime(source, tmp_path, caps
     rc, _, err = _run(capsys, ["darboux", str(path), "--sample", "1"])
     assert rc == 2
     assert "--sample requires the reduced predator-prey model" in err
+
+
+@pytest.mark.parametrize("source", [None, "dx = x\ndy = -y\n"])
+def test_darboux_rejects_a_negative_sample(source, model_file, tmp_path, capsys, monkeypatch):
+    # the bundled model, and a system outside it, which the CLI's own
+    # --sample check lets through: it reads only a positive count
+    path = Path(model_file)
+    if source is not None:
+        path = tmp_path / "saddle.vf"
+        path.write_text(source, encoding="utf-8")
+
+    def no_pipeline(*args):
+        raise AssertionError("the pipeline ran before the sample count was checked")
+
+    monkeypatch.setattr(pdisc.cli, "run_pipeline", no_pipeline)
+    rc, out, err = _run(capsys, ["darboux", str(path), "--sample", "-2"])
+    assert rc == 2 and out == ""
+    assert "sample count must be nonnegative, got -2" in err
+    sys_ = parse_system(path.read_text(encoding="utf-8"))
+    with pytest.raises(InputError, match="sample count must be nonnegative, got -1"):
+        darboux_report(sys_, SearchBounds(), sample=-1)
 
 
 def test_darboux_rejects_bad_bounds(model_file, capsys):

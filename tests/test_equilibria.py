@@ -31,8 +31,9 @@ from pdisc.equilibria import (
     in_positive_quadrant,
     leslie_labels,
 )
+from pdisc.cli import analyze_report
 from pdisc.errors import InputError, PositiveDimensionalError
-from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, MPoly, UPoly, isolate_real_roots
+from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, MPoly, UPoly, isolate_real_roots, resultant_wrt
 from pdisc.modelio import PlanarSystem, leslie_system, parse_system
 
 F = Fraction
@@ -231,6 +232,15 @@ def test_degenerate_input_errors():
         finite_equilibria(parse_system("dx = 0\ndy = y\n"))
     with pytest.raises(PositiveDimensionalError):
         finite_equilibria(parse_system("dx = x*y\ndy = x*y\n"))
+
+
+def test_no_point_above_a_root_where_both_leading_coefficients_vanish():
+    # Res_y(P, Q) = x has the rational root 0, where P = 1 and Q = 2: the
+    # gcd of the fiber is constant, so it holds no equilibrium
+    sys = parse_system("dx = x*y + 1\ndy = x*y + 2\n")
+    assert resultant_wrt(sys.P, sys.Q, "y") == MPoly.var_x()
+    assert finite_equilibria(sys) == []
+    assert analyze_report(sys)["finite_equilibria"] == []
 
 
 @pytest.mark.parametrize("source, named", [

@@ -175,9 +175,8 @@ def test_leslie_system_structure():
     assert sys.degree == 3
     assert sys.params == {"A": F(1), "B": F(1), "C": F(1, 2)}
     # dx = x(C+x)(1-x-Ay), dy = By(C+x-y) at A=B=1, C=1/2
-    assert sys.eval_rat(F(1, 4), F(3, 4)) == (F(0), F(0))
-    assert sys.eval_rat(F(1), F(0)) == (F(0), F(0))
-    assert sys.eval_rat(F(0), F(1, 2)) == (F(0), F(0))
+    for x0, y0 in ((F(1, 4), F(3, 4)), (F(1), F(0)), (F(0), F(1, 2))):
+        assert sys.P.eval_rat(x0, y0) == sys.Q.eval_rat(x0, y0) == 0
 
 
 def test_leslie_system_rejects_nonpositive():

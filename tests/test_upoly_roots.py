@@ -22,12 +22,12 @@ from pdisc.equilibria import finite_equilibria
 from pdisc.exactalg import (
     AlgebraicCoord,
     MPoly,
+    RootInterval,
     UPoly,
     isolate_real_roots,
     refine_root,
     resultant_wrt,
     squarefree_roots,
-    sylvester_resultant,
 )
 from pdisc.exactalg import roots as roots_module
 from pdisc.exactalg import upoly as upoly_module
@@ -317,16 +317,16 @@ def test_resultant_detects_common_factor():
     assert resultant_wrt(f, g, "x").is_zero
 
 
-def test_sylvester_matches_resultant_wrt():
-    x = MPoly.var_x()
-    y = MPoly.var_y()
-    f = x * x + y * x + MPoly.one()
-    g = 2 * x + y * y
-    direct = resultant_wrt(f, g, "x")
-    fc = f.coeffs_in("x")
-    gc = g.coeffs_in("x")
-    via_matrix = sylvester_resultant(fc, gc)
-    assert (direct - via_matrix).is_zero
+def test_resultant_of_constants_and_of_zero():
+    x, y = MPoly.var_x(), MPoly.var_y()
+    three, five = MPoly.const(3), MPoly.const(5)
+    assert resultant_wrt(three, five, "x") == MPoly.one()
+    # a side constant in the variable is raised to the other side's degree
+    assert resultant_wrt(y, x * x + 1, "x") == y * y
+    assert resultant_wrt(x * x + y, three, "y") == three
+    for f in (three, x * y + 1):
+        assert resultant_wrt(MPoly.zero(), f, "x").is_zero
+        assert resultant_wrt(f, MPoly.zero(), "y").is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +507,12 @@ def test_refine_root_matches_fraction_bisection(squares, roots, bits):
         got = refine_root(s, ri, width)
         assert (got.lo, got.hi) == _ref_refine_interval(rs, ri.lo, ri.hi, width)
         assert not got.is_exact and got.width <= width
+
+
+def test_refine_root_returns_a_midpoint_root_exactly():
+    # (0, 1) isolates the root 1/2 of 2t - 1, the first midpoint
+    got = refine_root(UPoly((-1, 2)), RootInterval(lo=Fraction(0), hi=Fraction(1)), Fraction(1, 8))
+    assert got == RootInterval(lo=Fraction(1, 2), hi=Fraction(1, 2), exact=Fraction(1, 2))
 
 
 def test_refine_root_returns_an_interval_already_narrow_enough(monkeypatch):
