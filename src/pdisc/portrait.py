@@ -5,9 +5,9 @@ from exact data; only the trajectory integration, here, and the tests
 of the capture regions it ends in (`Capture.hit` and `Capture.box` in
 `pdisc.capture`) compute in binary64.
 
-Every orbit off the invariant coordinate axes is integrated by one
-loop, an embedded Dormand-Prince 4(5) pair whose last stage is the
-next step's first (FSAL), in whichever chart is well scaled: the finite
+Every orbit off an invariant line is integrated by one loop, an
+embedded Dormand-Prince 4(5) pair whose last stage is the next
+step's first (FSAL), in whichever chart is well scaled: the finite
 chart while |x| + |y| stays small, the U1/U2 charts near infinity
 (switch out above 10, back below 5).  The step is straight-line code
 whose sums run in one fixed order, so every trajectory float is the
@@ -34,9 +34,10 @@ point.  Each region gets one box on the disc that holds the disc image
 of every point it accepts.  A state is tried only against the regions
 whose box holds its disc point, and only once that point is in the
 chart's gate, the union of those boxes, so most steps test no region
-at all.  An orbit seeded on an invariant coordinate axis is not
-integrated at all: its limit on the axis follows exactly from the sign
-of the field along it.
+at all.  An orbit seeded on an invariant line, one with rational
+coefficients that `pdisc.darboux.find_invariant_lines` finds, is not
+integrated at all: it carries the line as an exact tag, and its limit
+on the line follows exactly from the sign of the field along it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from pdisc.capture import Capture, marker_captures
 from pdisc.compactify import (
@@ -58,6 +59,7 @@ from pdisc.compactify import (
     direct_sectors,
     disc_equilibria,
 )
+from pdisc.darboux import find_invariant_lines
 from pdisc.equilibria import (
     EquilibriumRecord,
     equilibrium_fragment,
@@ -334,10 +336,11 @@ class Flow:
     `_disc_box`); and `gates` maps it to the union of those boxes, which
     the disc point of a state of the chart must be in before `capture`
     can find any of them.  `markers` default to every equilibrium of
-    `disc` (see `disc_markers`).  `axes` holds each invariant coordinate
-    axis as the field component along it, a polynomial in the axis
-    coordinate alone; its finite markers with their exact coordinates
-    along it; and its rim markers by side.
+    `disc` (see `disc_markers`).  `lines` maps each invariant line f
+    that `find_invariant_lines` finds to the field along it, that of
+    its parameter x, or y where f is vertical; its finite markers with
+    their exact parameter; its rim markers by side; and its unit
+    direction on the disc, in which the parameter grows.
     """
 
     def __init__(self, disc: DiscEquilibria, markers: Optional[Sequence["Marker"]] = None):
@@ -350,33 +353,28 @@ class Flow:
         boxes = [(*_disc_box(r), r) for r in self.captures]
         self.near = {c: [b for b in boxes if c != "U3" or b[4].chart == "U3"] for c in ("U3", "U1", "U2")}
         self.gates = {chart: _hull(near) for chart, near in self.near.items()}
-        # an axis is invariant when the transverse component vanishes on it
-        zero = Fraction(0)
-        self.axes: Dict[str, Tuple[MPoly, List[Tuple[AlgebraicCoord, Marker]], Dict[int, Marker]]] = {}
-        for axis, i, along, transverse, chart in (
-            ("x", 0, sys.P.subst_y(zero), sys.Q.subst_y(zero), "U1"),
-            ("y", 1, sys.Q.subst_x(zero), sys.P.subst_x(zero), "U2"),
-        ):
-            if not transverse.is_zero:
-                continue
-            stops, rim = [], {}
-            for m in self.markers:
-                pt = (m.record.point.x, m.record.point.y)
-                if m.chart == "U3" and pt[1 - i].exact == 0:
-                    stops.append((pt[i], m))
-                elif m.chart == chart and pt[0].exact == 0:
-                    rim[m.side] = m
-            self.axes[axis] = (along, stops, rim)
+        self.lines: Dict[MPoly, tuple] = {}
+        x, y = MPoly.var_x(), MPoly.var_y()
+        for f in (line.f for line in find_invariant_lines(sys)[0]):
+            a, b = f.coeff(1, 0), f.coeff(0, 1)
+            along = sys.P.subst(x, y - f * (1 / b)) if b else sys.Q.subst(x - f * (1 / a), y)
+            d = (1.0, float(-a / b)) if b else (0.0, 1.0)
+            forms = {chart: _in_chart(f, chart) for chart in ("U3", "U1", "U2")}
+            on = [m for m in self.markers if m.record.point.sign(forms[m.chart]) == 0]
+            stops = [(m.record.point.x if b else m.record.point.y, m) for m in on if m.chart == "U3"]
+            rim = {m.side: m for m in on if m.chart != "U3"}
+            self.lines[f] = (along, stops, rim, (d[0] / math.hypot(*d), d[1] / math.hypot(*d)))
 
-    def axis_limit(self, axis: str, s: float, sgn: float) -> Tuple[int, Optional["Marker"]]:
+    def line_limit(self, f: MPoly, x: float, y: float, sgn: float) -> Tuple[int, Optional["Marker"]]:
         """The direction (+1, -1, or 0 at an equilibrium) in which the
-        orbit of time sign `sgn` from coordinate s on an invariant axis
-        runs, and the marker it tends to: the next finite marker on the
-        axis that way, or else the rim marker on that side, if any."""
-        along, stops, rim = self.axes[axis]
-        v = Fraction(s)
-        f = along.eval_rat(v, v)
-        step = 0 if f == 0 else (1 if (f > 0) == (sgn > 0) else -1)
+        orbit of time sign `sgn` from the plane point (x, y) on the
+        invariant line f runs, read at its parameter, and the marker it
+        tends to: the next finite marker on the line that way, or else
+        the rim marker on that side, if any."""
+        along, stops, rim, _ = self.lines[f]
+        v = Fraction(x if f.coeff(0, 1) else y)
+        g = along.eval_rat(v, v)
+        step = 0 if g == 0 else (1 if (g > 0) == (sgn > 0) else -1)
         at = AlgebraicCoord.of(v)
         best: Optional[Tuple[AlgebraicCoord, Marker]] = None
         for c, m in stops:
@@ -438,16 +436,18 @@ def integrate_orbit(
     tmax: float = TMAX_DEFAULT,
     seed_id: str = "seed",
     role: str = "generic",
+    line: Optional[MPoly] = None,
 ) -> Trajectory:
     """Integrate one orbit of `flow` from a disc-coordinate seed.
 
-    A seed on an invariant coordinate axis is not integrated: its
-    polyline is the segment, on the axis and on the diameter that is its
-    image, to its exact limit (see `Flow.axis_limit`); it ends
-    `converged-to-equilibrium` at a finite marker, `reached-boundary` on
-    the rim.  Any other orbit is integrated; each accepted step hands
-    its last stage on as the next step's first, which is evaluated
-    afresh only after a chart switch, and a step whose error norm
+    A seed tagged with a `line` of the flow (see `Flow.lines`) is not
+    integrated: its polyline is the segment from the seed to its exact
+    limit on the line (see `Flow.line_limit`), or to the line's end on
+    the rim where no marker is; it ends `converged-to-equilibrium` at a
+    finite marker, `reached-boundary` on the rim.  Any other orbit, a
+    seed tagged with no line of the flow too, is integrated; each
+    accepted step hands its last stage on as the next step's first,
+    which is evaluated afresh only after a chart switch, and a step whose error norm
     overflows or is not a number is rejected.  The error norm's absolute
     tolerance is `ATOL_FINITE` in the finite chart, where the disc map is
     1-Lipschitz, and `ATOL_DEFAULT` in the charts at infinity, whose
@@ -471,15 +471,14 @@ def integrate_orbit(
         raise InputError(f"tmax must be a positive finite number, not {tmax!r}")
     x0, y0 = plane_from_disc(*seed)
     sgn = 1.0 if direction == "forward" else -1.0
-    p = disc_from_plane(x0, y0)
-    for axis, s, t in (("x", x0, y0), ("y", y0, x0)):
-        if t == 0.0 and axis in flow.axes:
-            step, m = flow.axis_limit(axis, s, sgn)
-            rim = (float(step), 0.0) if axis == "x" else (0.0, float(step))
-            end = m.disc if m is not None else (rim if step else p)
-            reason = REASON_BOUNDARY if step and (m is None or m.chart != "U3") else REASON_EQ
-            pts = [p] if end == p else [p, end]
-            return Trajectory(seed_id, role, direction, pts, reason, None if m is None else m.marker_id)
+    if line in flow.lines:
+        step, m = flow.line_limit(line, x0, y0, sgn)
+        p = disc_from_plane(x0, y0)
+        ux, uy = flow.lines[line][3]
+        end = m.disc if m is not None else ((step * ux, step * uy) if step else p)
+        reason = REASON_BOUNDARY if step and (m is None or m.chart != "U3") else REASON_EQ
+        pts = [p] if end == p else [p, end]
+        return Trajectory(seed_id, role, direction, pts, reason, None if m is None else m.marker_id)
 
     sqrt, hypot, tol, reach = math.sqrt, math.hypot, RTOL_DEFAULT, 0.9 * CHORD_MAX
     enter, capture = flow.enter, flow.capture
@@ -634,6 +633,7 @@ class SeedSpec:
     disc: Tuple[float, float]
     direction: str
     role: str
+    line: Optional[MPoly] = None  # the invariant line the seed lies on, where that is known exactly
 
 
 def _blowup(rec: EquilibriumRecord, sys: PlanarSystem) -> Optional[BlowupAnalysis]:
@@ -686,6 +686,25 @@ def _eig_directions(m: Marker) -> List[Tuple[float, Tuple[float, float]]]:
     return out
 
 
+def _in_chart(f: MPoly, chart: str) -> MPoly:
+    """The line f = a*x + b*y + c in `chart`: f itself in U3, and b*u +
+    c*v + a in U1 and a*u + c*v + b in U2, whose (u, v) is the plane
+    point (1/v, u/v) and (u/v, 1/v)."""
+    a, b, c = f.coeff(1, 0), f.coeff(0, 1), f.coeff(0, 0)
+    return MPoly(zip(((1, 0), (0, 1), (0, 0)), {"U3": (a, b, c), "U1": (b, c, a), "U2": (a, c, b)}[chart]))
+
+
+def _along_sign(m: Marker, f: MPoly) -> int:
+    """The exact sign of the eigenvalue of m's Jacobian J along the
+    invariant line f through m: of d.J.d, with d = (b, -a) for f = a*u
+    + b*v + c in m's chart.  d is an eigenvector there, as J^T grad f =
+    K grad f on the line."""
+    g = _in_chart(f, m.chart)
+    a, b = g.coeff(1, 0), g.coeff(0, 1)
+    (px, py), (qx, qy) = m.system.jacobian
+    return m.record.point.sign((px * b - py * a) * b - (qx * b - qy * a) * a)
+
+
 def _in_quadrant(chart: str, side: int, u: float, v: float) -> bool:
     tol = 1e-12
     if chart == "U3":
@@ -697,19 +716,24 @@ def _in_quadrant(chart: str, side: int, u: float, v: float) -> bool:
 def separatrix_seeds(
     markers: Sequence[Marker],
     positive_quadrant_only: bool = False,
+    lines: Mapping[MPoly, tuple] = {},
 ) -> List[SeedSpec]:
     """Seeds tracing the saddle and saddle-node separatrices of markers:
     offsets of EPS_SEPARATRIX along the relevant eigendirections, integrated
     away from the stable side and into the unstable one.  An equator
-    marker is seeded only on its own side of the equator (v * side > 0)."""
+    marker is seeded only on its own side of the equator (v * side > 0).
+    A seed is tagged with the line of `lines` (see `Flow.lines`) through
+    its marker along which the eigenvalue has its sign: a saddle's
+    eigenvalue's, 0 on a saddle-node's centre branch, the nonzero one's
+    on its strong one."""
     seeds: List[SeedSpec] = []
     for m in markers:
-        # (unit direction, offset sign, integration direction) in seed-id order
-        offsets: List[Tuple[Tuple[float, float], float, str]] = []
+        # (unit direction, offset sign, integration direction, eigenvalue sign) in seed-id order
+        offsets: List[Tuple[Tuple[float, float], float, str, int]] = []
         if m.classification == "saddle":
             for lam, vec in _eig_directions(m):
-                direction = "forward" if lam > 0 else "backward"
-                offsets += [(vec, 1.0, direction), (vec, -1.0, direction)]
+                direction, sign = ("forward", 1) if lam > 0 else ("backward", -1)
+                offsets += [(vec, 1.0, direction, sign), (vec, -1.0, direction, sign)]
         elif m.classification == "saddle-node" and m.record.reduction is not None:
             red = m.record.reduction
             cv = (float(red.center_vector[0]), float(red.center_vector[1]))
@@ -717,29 +741,33 @@ def separatrix_seeds(
             cv = (cv[0] / n, cv[1] / n)
             a2 = float(red.a2)
             for s in (1.0, -1.0):
-                offsets.append((cv, s, "forward" if (a2 > 0) == (s > 0) else "backward"))
+                offsets.append((cv, s, "forward" if (a2 > 0) == (s > 0) else "backward", 0))
             lam = float(red.nonzero_eigenvalue)
             strong = [p for p in _eig_directions(m) if abs(p[0] - lam) < 1e-9]
             for lamv, vec in strong[:1]:
-                direction = "backward" if lamv < 0 else "forward"
-                offsets += [(vec, 1.0, direction), (vec, -1.0, direction)]
+                direction, sign = ("backward", -1) if lamv < 0 else ("forward", 1)
+                offsets += [(vec, 1.0, direction, sign), (vec, -1.0, direction, sign)]
+        if not offsets:
+            continue
+        on = [f for f, (_, stops, rim, _) in lines.items() if m in rim.values() or m in (n for _, n in stops)]
+        tags = {_along_sign(m, f): f for f in on}
         k = 0
-        for vec, s, direction in offsets:
+        for vec, s, direction, sign in offsets:
             u = m.local[0] + s * EPS_SEPARATRIX * vec[0]
             v = m.local[1] + s * EPS_SEPARATRIX * vec[1]
             if m.chart != "U3" and v * m.side < 1e-15:
                 continue  # on the rim, or on the antipodal half, which its own marker seeds
             if positive_quadrant_only and not _in_quadrant(m.chart, m.side, u, v):
                 continue
-            seeds.append(
-                SeedSpec(f"sep:{m.marker_id}:{k}", _disc_from_chart(m.chart, u, v, m.side), direction, "separatrix")
-            )
+            disc = _disc_from_chart(m.chart, u, v, m.side)
+            seeds.append(SeedSpec(f"sep:{m.marker_id}:{k}", disc, direction, "separatrix", tags.get(sign)))
             k += 1
     return seeds
 
 
 def default_seeds(positive_quadrant_only: bool = True, grid: int = 8) -> List[SeedSpec]:
-    """Deterministic polar grid of generic seeds plus axis seeds."""
+    """Deterministic polar grid of generic seeds plus axis seeds, each
+    tagged with its axis."""
     seeds: List[SeedSpec] = []
     sectors = 1 if positive_quadrant_only else 4
     for i in range(grid):
@@ -748,12 +776,13 @@ def default_seeds(positive_quadrant_only: bool = True, grid: int = 8) -> List[Se
             theta = (j + 0.5) * (sectors * math.pi / 2.0) / (grid * sectors)
             p = (r * math.cos(theta), r * math.sin(theta))
             seeds.append(SeedSpec(f"grid:{i}:{j}", p, "forward", "generic"))
+    x, y = MPoly.var_x(), MPoly.var_y()
     for k, s in enumerate((0.25, 0.5, 1.5, 3.0)):
-        seeds.append(SeedSpec(f"axis:x:{k}", disc_from_plane(s, 0.0), "forward", "axis"))
-        seeds.append(SeedSpec(f"axis:y:{k}", disc_from_plane(0.0, s), "forward", "axis"))
+        seeds.append(SeedSpec(f"axis:x:{k}", disc_from_plane(s, 0.0), "forward", "axis", y))
+        seeds.append(SeedSpec(f"axis:y:{k}", disc_from_plane(0.0, s), "forward", "axis", x))
         if not positive_quadrant_only:
-            seeds.append(SeedSpec(f"axis:x:-{k}", disc_from_plane(-s, 0.0), "forward", "axis"))
-            seeds.append(SeedSpec(f"axis:y:-{k}", disc_from_plane(0.0, -s), "forward", "axis"))
+            seeds.append(SeedSpec(f"axis:x:-{k}", disc_from_plane(-s, 0.0), "forward", "axis", y))
+            seeds.append(SeedSpec(f"axis:y:-{k}", disc_from_plane(0.0, -s), "forward", "axis", x))
     return seeds
 
 
@@ -824,10 +853,10 @@ def build_portrait(
             )
 
     seeds = default_seeds(positive_quadrant_only, grid)
-    seeds.extend(separatrix_seeds(markers, positive_quadrant_only))
+    seeds.extend(separatrix_seeds(markers, positive_quadrant_only, flow.lines))
 
     trajectories = [
-        integrate_orbit(flow, seed.disc, seed.direction, tmax=tmax, seed_id=seed.seed_id, role=seed.role)
+        integrate_orbit(flow, seed.disc, seed.direction, tmax, seed.seed_id, seed.role, seed.line)
         for seed in seeds
     ]
     trajectories.sort(key=lambda tr: tr.seed_id)

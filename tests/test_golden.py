@@ -35,9 +35,13 @@ moves every polyline, while `LIMITS`, `NEWLY_DECIDED` and `REGIONS` held
 unedited.  They were re-recorded again, with the same three held, once a
 finite-chart step was sized by the chord it drew on the disc and the
 finite chart's absolute tolerance went from 1e-12 to 1e-9: fewer, longer
-steps move every polyline.  Their floats come from a fixed sequence of
-binary64 operations, so they match on every supported CPython; a change
-to the integrator that moves them must say so.
+steps move every polyline.  The bundled full disc and the two full-disc
+Leslie portraits, their `LIMITS` and the full-view count pins were
+re-recorded once every seed on an invariant line, not only on a
+coordinate axis, took its exact limit: the two centre branches of the
+saddle-node (-C, 0) moved, and nothing else.  Their floats come from a
+fixed sequence of binary64 operations, so they match on every supported
+CPython; a change to the integrator that moves them must say so.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ import functools
 import hashlib
 import json
 import re
-from fractions import Fraction
 
 import pytest
 
@@ -91,8 +94,8 @@ PORTRAITS = {
         "5537a285ab526f92c4f5c5c07a63e5b6ffca0a7b7a80e9a4d9d25fccd41e0b18",
     ),
     "full": (
-        "9eb421cc6448d4dc3ce53186214ca1d02755c6203e7a3425287e10c5387dc0ed",
-        "9b85d20ac95c86fb7546fa03dfbdf7350a8c262a0e838cdae575b3b1f673b968",
+        "21997e56dab29a46e473cfe01d28f08778ebd5a4b1bd5a0df1a5b6e9e59bd677",
+        "83f7efa0c5ac39ae7d4a78b896ea94072b1684a6ae40e5564e20b9a88e8e8c9f",
     ),
 }
 
@@ -212,14 +215,14 @@ LESLIE_PORTRAITS = {
     "zero-full": (
         ("2", "1", "1/2"),
         False,
-        "11f9ecb11ba62eb38d28144be2b07d25396c8075afa8aece2f96da884eb36415",
-        "b2e3648b428ef2b9d2027c384cbe9e180d7ea13ee76448616710a3f3c35371a8",
+        "4593eee8f6119f6a43549955a41c9f34bf822f4b2fdaab30577ef53856ff4ca9",
+        "b517c20bf8bf0fad6d7265e9f90943604f754f279d14315a37840692bf698ab7",
     ),
     "negative-full": (
         ("3", "1", "1/2"),
         False,
-        "4ff919ed8ad76bdff68a953b51588b87def4a8fe4096210ad647841182898a94",
-        "92e0865b34f5fbf0b0a02c77ae7f69917071623b8f3af3e51e159af4c88632e3",
+        "bca2b35ea8bd653ed8f457d581fc81056c55824c29a17343812cb8e0ccf5f3f8",
+        "575b3b3470b4575efb30d8fedd93ee3f3446b231ec534a67fc2d2aa682793bdc",
     ),
 }
 
@@ -235,12 +238,16 @@ def test_leslie_portrait_bytes(name):
 # polylines, and so the byte pins, but no orbit's end keeps these: the
 # length bound on slow steps did.  Larger capture regions keep every
 # decided limit and decide some orbits that ran out of time: the bundled
-# full disc was re-recorded for its NEWLY_DECIDED orbits alone.
+# full disc was re-recorded for its NEWLY_DECIDED orbits alone.  The
+# three full-disc Leslie pins were re-recorded once every seed on an
+# invariant line took its exact limit: the two centre branches of the
+# saddle-node (-C, 0), which ran out of time on the line x = -C, now end
+# reached-boundary at inf:U2+:0 and inf:U2-:0, and no other orbit moved.
 LIMITS = {
-    ("bundled", "full"): "5fdfa11255ac1a7d1cdcc96b7929a12c28f7aa0732693c2ca4b49e03e7736290",
+    ("bundled", "full"): "c4efff0f52f1d90dd94afc9ee87e3d34ad1a8c7cf3d6191ff111155f5bf6c881",
     ("bundled", "quadrant"): "d1d68d9774e773a989ca5e4d4a93e4fd10f3057c1aaeac8c71db306e0208675a",
-    ("leslie", "negative-full"): "1754891f83e07a416f21b84777f91881ef59f6197444584ff207e86d269e8741",
-    ("leslie", "zero-full"): "60fd97e0470dfeb1abbcc824b3bc9a391c049c57a1bf1412ceb88a849255e9f8",
+    ("leslie", "negative-full"): "08d8f9135c108eb9a24cfefe3d9a71da20123e4ce061b9ae4ed60954c5a400d2",
+    ("leslie", "zero-full"): "d4d965ce6e238e15dcf42babc7c696c55c60c233b7fca6ded3a4488a923375f4",
     ("leslie", "zero-quadrant"): "d7892f2851fb05485bd15ee0b4a3aada4ff2d894adbf637332d20cdd27ffb4cf",
     ("other", "chart-plan"): "13315d655a844d173f32cb640d3c2d0914e029260dbaa56fbc95548e05f9dd8f",
     ("other", "quartic"): "052542ffb294f65258056c9bf2d3b230ffc015a1aa35bdb48693eac61710523e",
@@ -284,31 +291,30 @@ def test_larger_regions_decide_the_bundled_orbits_that_ran_out_of_time():
     assert {s: ends[s] for s in NEWLY_DECIDED} == {s: (portrait.REASON_EQ, "inf:U2-:0") for s in NEWLY_DECIDED}
 
 
-def test_an_orbit_on_an_invariant_line_stays_on_it(monkeypatch):
-    # the backward separatrix sep:other:0 of (A, B, C) = (9/7, 1, 3/7) on
-    # the full disc is seeded on the invariant line x = -C, where y' =
-    # -B y^2: backward from y = 1/1000 it reaches y = 1/(1000 - 200) at t
-    # = 200 and stays on the line.  While every finite-chart step was
-    # checked to 1e-12 absolute, one step moved x 3 ulps off -C, and that
-    # offset grew like e^(0.612 t) backward until the orbit ended at
-    # inf:U1-:0, a limit it does not have.  The chart state of each disc
-    # point is recorded, as the disc map rounds x
-    states = {}
-    to_disc = portrait._disc_from_chart
-
-    def recorded(chart, u, v, side):
-        point = to_disc(chart, u, v, side)
-        states[point] = (chart, u, v)
-        return point
-
-    monkeypatch.setattr(portrait, "_disc_from_chart", recorded)
+def test_an_orbit_on_an_invariant_line_stays_on_it():
+    # the centre branches of the saddle-node (-C, 0) of (A, B, C) = (9/7,
+    # 1, 3/7) on the full disc are seeded on the invariant line x = -C,
+    # where y' = -B y^2.  Integrated, the backward branch sep:other:0,
+    # from y = 1/1000, had one step move x 3 ulps off -C while every
+    # finite-chart step was checked to 1e-12 absolute, and that offset
+    # grew like e^(0.612 t) backward until the orbit ended at inf:U1-:0,
+    # a limit it does not have; later it stayed on the line only to run
+    # out of time, as did the forward branch sep:other:1 from y =
+    # -1/1000.  Each seed is tagged with the line, so neither is
+    # integrated: its polyline is the segment from the seed to the
+    # line's end on the rim
     sys, params = _leslie(("9/7", "1", "3/7"))
     doc = build_portrait(sys, params, positive_quadrant_only=False, grid=2)
-    tr = next(t for t in doc.trajectories if t.seed_id == "sep:other:0")
-    assert (tr.direction, tr.reason, tr.limit) == ("backward", portrait.REASON_TMAX, None)
-    chart, x, y = states[tr.points[-1]]
-    assert chart == "U3" and x == float(Fraction(-3, 7))
-    assert abs(y - 1 / 800) < 1e-9
+    ends = {t.seed_id: t for t in doc.trajectories}
+    for seed_id, direction, limit, rim in (
+        ("sep:other:0", "backward", "inf:U2+:0", (0.0, 1.0)),
+        ("sep:other:1", "forward", "inf:U2-:0", (0.0, -1.0)),
+    ):
+        tr = ends[seed_id]
+        assert (tr.direction, tr.reason, tr.limit) == (direction, portrait.REASON_BOUNDARY, limit)
+        assert len(tr.points) == 2 and tr.points[1] == rim
+        x, y = portrait.plane_from_disc(*tr.points[0])
+        assert abs(x + 3 / 7) < 1e-15 and abs(abs(y) - 1 / 1000) < 1e-15
 
 
 # the capture regions of the flow of every golden portrait above, and of
@@ -455,8 +461,10 @@ def test_capture_regions_keep_their_class_and_do_not_shrink(group, name):
 # chart's `compile_step` kernel (45948 and 259796 at a relative
 # tolerance of 1e-9, whose shorter steps took more of them; 30960 and
 # 169808 while a finite-chart step that drew too long a chord was halved
-# and the finite chart's absolute tolerance was 1e-12)
-@pytest.mark.parametrize("view, evals", [("quadrant", 29016), ("full", 163532)], ids=["quadrant", "full"])
+# and the finite chart's absolute tolerance was 1e-12; 163532 for the
+# full disc while the centre branches of the saddle-node (-C, 0) were
+# integrated along their invariant line)
+@pytest.mark.parametrize("view, evals", [("quadrant", 29016), ("full", 163312)], ids=["quadrant", "full"])
 def test_bundled_portrait_evaluation_count(view, evals, monkeypatch):
     calls = {"fresh": 0, "steps": 0}
 
@@ -487,8 +495,10 @@ def test_bundled_portrait_evaluation_count(view, evals, monkeypatch):
 # and 7760 while every capture ladder started at 3/100, when the
 # quadrant's smaller disc boxes let fewer states through; 553 and 5979 at
 # a relative tolerance of 1e-9, with more accepted states near a region;
-# 395 and 4076 before finite-chart steps were sized by their chord)
-@pytest.mark.parametrize("view, hits", [("quadrant", 372), ("full", 4051)], ids=["quadrant", "full"])
+# 395 and 4076 before finite-chart steps were sized by their chord;
+# 4051 for the full disc while the centre branches of (-C, 0) were
+# integrated along their invariant line)
+@pytest.mark.parametrize("view, hits", [("quadrant", 372), ("full", 4042)], ids=["quadrant", "full"])
 def test_bundled_portrait_capture_test_count(view, hits, monkeypatch):
     calls = [0]
 
@@ -511,8 +521,10 @@ def test_bundled_portrait_capture_test_count(view, hits, monkeypatch):
 # loop makes one only for an accepted state whose disc point is in its
 # chart's gate (3780 and 27987 calls, one per accepted step, before the
 # gate; 1229 and 7846 at a relative tolerance of 1e-9, with more accepted
-# steps; 853 and 5335 before finite-chart steps were sized by their chord)
-@pytest.mark.parametrize("view, captures", [("quadrant", 778), ("full", 5101)], ids=["quadrant", "full"])
+# steps; 853 and 5335 before finite-chart steps were sized by their
+# chord; 5101 for the full disc while the centre branches of (-C, 0) were
+# integrated along their invariant line)
+@pytest.mark.parametrize("view, captures", [("quadrant", 778), ("full", 5083)], ids=["quadrant", "full"])
 def test_bundled_portrait_capture_call_count(view, captures, monkeypatch):
     calls = [0]
     original = portrait.Flow.capture
@@ -531,9 +543,11 @@ def test_bundled_portrait_capture_call_count(view, captures, monkeypatch):
 # a chart's step for a time sign is compiled when an orbit first runs
 # in the chart with that sign: a flow never integrated compiles none,
 # every orbit of the bundled quadrant portrait runs forward in the
-# finite chart, and the full disc runs in every chart both ways (3
-# compilations, one per chart, for either view, while k was an argument
-# of the step)
+# finite chart, and the full disc runs in every chart forward and in the
+# charts at infinity backward (3 compilations, one per chart, for either
+# view, while k was an argument of the step; the finite chart backward
+# too while the centre branch of (-C, 0) that runs backward was
+# integrated along its invariant line)
 def test_bundled_portrait_compiles_only_the_charts_it_enters(monkeypatch):
     charts = []
     original = portrait.compile_step
@@ -556,7 +570,7 @@ def test_bundled_portrait_compiles_only_the_charts_it_enters(monkeypatch):
     build_portrait(sys, params, positive_quadrant_only=False)
     u1, u2 = flow.fields.polys["U1"], flow.fields.polys["U2"]
     assert charts == [
-        (sys.P, sys.Q, 1.0), (*u2, 1.0), (sys.P, sys.Q, -1.0), (*u2, -1.0), (*u1, -1.0), (*u1, 1.0)
+        (sys.P, sys.Q, 1.0), (*u2, 1.0), (*u2, -1.0), (*u1, -1.0), (*u1, 1.0)
     ]
 
 

@@ -14,14 +14,14 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pdisc.cli import main
 from pdisc.compactify import SectorDecomposition, blowup_analysis, disc_equilibria, infinite_equilibria, to_chart
 from pdisc.equilibria import finite_equilibria
-from pdisc.errors import InputError, LineOfEquilibriaError
+from pdisc.errors import InputError, LineOfEquilibriaError, PositiveDimensionalError
 from pdisc.exactalg import MPoly
-from pdisc.modelio import ParamBindings, leslie_system, parse_system
+from pdisc.modelio import ParamBindings, PlanarSystem, leslie_system, parse_system
 from pdisc.capture import (
     _PROOF_BUDGET,
     CAPTURE_RADIUS,
@@ -489,13 +489,13 @@ def test_orbit_escapes_to_equator_node():
 
 def test_axis_orbits_stay_exactly_on_axis():
     flow = Flow(disc_equilibria(leslie_system(F(1), F(1), F(1, 2))))
-    tr = integrate_orbit(flow, disc_from_plane(3.0, 0.0))
+    tr = integrate_orbit(flow, disc_from_plane(3.0, 0.0), line=MPoly.var_y())
     assert all(p[1] == 0.0 for p in tr.points)
     assert tr.reason == REASON_EQ
     # on the positive x axis the flow is x' = x(C+x)(1-x): x -> 1
     assert _dist(tr.points[-1], disc_from_plane(1.0, 0.0)) < 1e-6
 
-    tr = integrate_orbit(flow, disc_from_plane(0.0, 2.0))
+    tr = integrate_orbit(flow, disc_from_plane(0.0, 2.0), line=MPoly.var_x())
     assert all(p[0] == 0.0 for p in tr.points)
     assert tr.reason == REASON_EQ
     # on the positive y axis the flow is y' = By(C-y): y -> C
@@ -956,17 +956,119 @@ def test_axis_orbits_end_at_their_exact_limit():
     seed = disc_from_plane(-0.5, 0.0)
     # the x axis is invariant and x' = x^2 > 0 on it: forward the orbit
     # creeps into the saddle-node, which a speed rule never caught
-    tr = integrate_orbit(flow, seed, tmax=50.0)
+    tr = integrate_orbit(flow, seed, tmax=50.0, line=MPoly.var_y())
     assert tr.points == [seed, m.disc]
     assert (tr.reason, tr.limit) == (REASON_EQ, m.marker_id)
     # backward it runs to the rim point of the negative x axis
-    tr = integrate_orbit(flow, seed, "backward")
+    tr = integrate_orbit(flow, seed, "backward", line=MPoly.var_y())
     assert tr.points == [seed, (-1.0, 0.0)]
     assert (tr.reason, tr.limit) == (REASON_BOUNDARY, "inf:U1-:0")
     # a seed at an equilibrium on an axis stays there
-    tr = integrate_orbit(flow, (0.0, 0.0))
+    tr = integrate_orbit(flow, (0.0, 0.0), line=MPoly.var_y())
     assert tr.points == [(0.0, 0.0)]
     assert (tr.reason, tr.limit) == (REASON_EQ, m.marker_id)
+
+
+def _on(f, disc):
+    """Whether the plane point of a disc point lies on the line f up to
+    the rounding of the disc map; a separatrix seed off f misses it by
+    about its offset of 1e-3."""
+    x, y = plane_from_disc(*disc)
+    a, b, c = (float(f.coeff(*e)) for e in ((1, 0), (0, 1), (0, 0)))
+    return abs(a * x + b * y + c) <= 1e-9 * (1.0 + abs(x) + abs(y))
+
+
+@st.composite
+def _line_through_a_saddle(draw):
+    """A quadratic field with a rational line L = a*x + b*y + c planted
+    through a rational point p, with the coefficients of the field in
+    s = L and t = b*(x - x0) - a*(y - y0): s' = s*(l1 + k1*s + k2*t),
+    so L is invariant, and t' = l2*t + e1*s + e2*t^2, so on L the flow
+    is t' = l2*t + e2*t^2, with equilibria p and, where l2*e2 != 0, t =
+    -l2/e2.  p has eigenvalues l1 and l2, l2 along L; it is a saddle
+    where l1*l2 < 0, and may be a saddle-node where one is 0."""
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    x0, y0, a, b = (draw(q) for _ in range(4))
+    assume(a or b)
+    l1, l2, k1, k2, e1, e2 = (draw(q) for _ in range(6))
+    shift_x, shift_y = MPoly.var_x() - MPoly.const(x0), MPoly.var_y() - MPoly.const(y0)
+    s = shift_x * a + shift_y * b
+    t = shift_x * b - shift_y * a
+    ds = s * (MPoly.const(l1) + s * k1 + t * k2)
+    dt = t * l2 + s * e1 + t * t * e2
+    n = a * a + b * b
+    sys = PlanarSystem((ds * a + dt * b) * (1 / n), (ds * b - dt * a) * (1 / n))
+    tstar = -l2 / e2 if l2 and e2 else None
+    return sys, (x0, y0), s, tstar
+
+
+@settings(max_examples=60, deadline=None)
+@given(_line_through_a_saddle())
+def test_a_seed_on_a_planted_line_takes_its_exact_limit(case):
+    # every tag names a line its seed lies on, and the planted saddle's
+    # seeds on L, and only those, carry L; each of those is not
+    # integrated but runs along L away from p, to the other equilibrium
+    # on L where that lies on its side, else to L's end on the rim
+    sys, (x0, y0), line, tstar = case
+    try:
+        flow = Flow(disc_equilibria(sys))
+    except (InputError, LineOfEquilibriaError, PositiveDimensionalError):
+        assume(False)
+    exact = {n.record.point.exact_pair(): n for n in flow.markers if n.chart == "U3" and n.record.point.is_exact}
+    m = exact[x0, y0]
+    assume(m.classification in ("saddle", "saddle-node"))
+    seeds = separatrix_seeds(flow.markers, False, flow.lines)
+    assert all(_on(sd.line, sd.disc) for sd in seeds if sd.line is not None)
+    mine = [sd for sd in seeds if sd.seed_id.startswith(f"sep:{m.marker_id}:")]
+    on = [sd for sd in mine if sd.line is not None and sd.line.monic() == line.monic()]
+    assert on and on == [sd for sd in mine if _on(line, sd.disc)]
+    a, b = line.coeff(1, 0), line.coeff(0, 1)
+    for sd in on:
+        x, y = plane_from_disc(*sd.disc)
+        side = 1.0 if float(b) * (x - float(x0)) - float(a) * (y - float(y0)) > 0 else -1.0
+        if tstar is not None and tstar * side > 0:
+            point = (x0 + b * tstar / (a * a + b * b), y0 - a * tstar / (a * a + b * b))
+            want = exact[point].disc, exact[point].marker_id
+        else:
+            norm = math.hypot(float(b), float(a))
+            rim = (side * float(b) / norm, -side * float(a) / norm)
+            ends = [n for n in flow.markers if n.chart != "U3" and _dist(n.disc, rim) < 1e-12]
+            want = (ends[0].disc, ends[0].marker_id) if ends else (rim, None)
+        tr = integrate_orbit(flow, sd.disc, sd.direction, line=sd.line)
+        assert len(tr.points) == 2 and _dist(tr.points[1], want[0]) < 1e-12 and tr.limit == want[1], sd.seed_id
+
+
+def test_an_equator_saddle_seeds_its_transverse_branch_on_a_finite_line():
+    # y is invariant for x' = x^2 - 1, y' = 3xy, and the equator points
+    # inf:U1+:0 and inf:U1-:0 at its ends are saddles whose transverse
+    # branch runs along it: from either side it ends at the node of its
+    # own sign, (1, 0) backward and (-1, 0) forward, since x' = x^2 - 1
+    flow = Flow(disc_equilibria(parse_system("dx = x^2 - 1\ndy = 3*x*y\n")))
+    seeds = separatrix_seeds(flow.markers, False, flow.lines)
+    markers = {m.marker_id: m for m in flow.markers}
+    ends = {"sep:inf:U1+:0:0": ("backward", "finite:1,0"), "sep:inf:U1-:0:0": ("forward", "finite:-1,0")}
+    assert [sd.seed_id for sd in seeds] == sorted(ends)
+    for sd in seeds:
+        direction, limit = ends[sd.seed_id]
+        assert (sd.direction, sd.line) == (direction, MPoly.var_y())
+        tr = integrate_orbit(flow, sd.disc, sd.direction, line=sd.line)
+        assert len(tr.points) == 2 and _dist(tr.points[0], sd.disc) < 1e-15
+        assert (tr.points[1], tr.reason, tr.limit) == (markers[limit].disc, REASON_EQ, limit)
+
+
+def test_a_family_of_invariant_lines_keeps_both_axes_exact():
+    # every line through the origin is invariant for x' = x, y' = y; the
+    # family's representative y and the vertical x are both lines of the
+    # flow, so every axis seed runs out to the rim of its axis, which
+    # holds no marker, as the equator consists of equilibria
+    doc = build_portrait(parse_system("dx = x\ndy = y\n"), positive_quadrant_only=False, grid=1)
+    axis = [t for t in doc.trajectories if t.role == "axis"]
+    assert len(axis) == 16
+    for tr in axis:
+        x, y = tr.points[0]
+        assert x == 0.0 or y == 0.0
+        rim = (math.copysign(1.0, x), 0.0) if y == 0.0 else (0.0, math.copysign(1.0, y))
+        assert tr.points[1:] == [rim] and (tr.reason, tr.limit) == (REASON_BOUNDARY, None)
 
 
 def test_capture_region_stops_short_of_a_nearby_saddle():
@@ -1389,11 +1491,6 @@ def _flow(sys, params, quadrant):
     return Flow(disc, disc_markers(disc, params))
 
 
-def _on_axis(flow, seed):
-    x, y = plane_from_disc(*seed)
-    return (y == 0.0 and "x" in flow.axes) or (x == 0.0 and "y" in flow.axes)
-
-
 @pytest.mark.parametrize(
     "case",
     [f"{r}:{v}" for r in LESLIE for v in ("quadrant", "full")] + sorted(OTHER),
@@ -1402,19 +1499,19 @@ def test_captured_orbits_reach_their_marker_without_capture(case):
     """An independent check of every capture region that fires: rerun
     one captured orbit per (marker, direction) with the flow's capture
     regions removed to t = 1e4; it must end within 1e-3 of the same
-    marker.  Orbits on an invariant axis end by the axis rule instead."""
+    marker.  Orbits on an invariant line end by the line rule instead."""
     sys, params, quadrant = _case(case)
     doc = build_portrait(sys, params, positive_quadrant_only=quadrant, grid=2)
+    flow = _flow(sys, params, quadrant)
     seeds = {
         s.seed_id: s
-        for s in default_seeds(quadrant, 2) + separatrix_seeds(doc.markers, quadrant)
+        for s in default_seeds(quadrant, 2) + separatrix_seeds(doc.markers, quadrant, flow.lines)
     }
-    flow = _flow(sys, params, quadrant)
     targets = {m.marker_id: m for m in flow.markers if m.classification in TARGETS}
     picked = {}
     for tr in doc.trajectories:
         m = targets.get(tr.limit)
-        if m is not None and tr.reason == REASON_EQ and not _on_axis(flow, seeds[tr.seed_id].disc):
+        if m is not None and tr.reason == REASON_EQ and seeds[tr.seed_id].line not in flow.lines:
             picked.setdefault((m.marker_id, tr.direction), (m, tr))
     if params is not None and not quadrant:
         assert picked
