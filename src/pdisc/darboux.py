@@ -277,7 +277,12 @@ def _solve_slant_conditions(
 
 
 def _exponent(f: MPoly, poly: MPoly) -> int:
-    """The exponent of f in a nonzero poly, by repeated exact division."""
+    """The exponent of f in a nonzero poly: for f = x or y the least
+    exponent of that variable over the terms, else by repeated exact
+    division."""
+    for k, v in enumerate((MPoly.var_x(), MPoly.var_y())):
+        if f == v:
+            return min(e[k] for e, _ in poly.int_terms())
     count = 0
     while True:
         q = poly.exact_div(f)

@@ -7,7 +7,9 @@ and points, fraction-free determinants and linear solves.  No floating
 point anywhere in this subpackage.  Values cross the API as `Fraction`s,
 and an enclosure as a pair (lo, hi) of them, but polynomial arithmetic,
 determinants, resultants, row echelon forms, Sturm chains and bisection
-run on Python `int`.
+run on Python `int`.  Products of bivariate polynomials with a dozen
+terms or more pack each row of terms into one `int`, so CPython's
+big-integer product multiplies them.
 """
 
 from pdisc.exactalg.algebraic import AlgebraicCoord, AlgebraicPoint, Rur

@@ -11,9 +11,14 @@ Python ints with coefficient gcd 1 and `content` a positive Fraction, so
 every sign is read from integers.  The representation is canonical, so
 equality and hashing read the pair.  Products multiply the integer dicts
 and the contents (a product of primitive polynomials is primitive, by
-Gauss's lemma); sums bring both sides to one denominator and take the
-content once; exact division runs on the primitive parts, where a
-quotient over Q is always over Z.  Values cross the API as `Fraction`s.
+Gauss's lemma).  Two dicts of at least _ROW_MIN_TERMS = 12 terms each
+multiply row by row (Kronecker substitution): a row, the terms with one
+exponent of x or of y, is packed into one int, one int product
+multiplies a pair of rows, and each output row is read back into
+coefficients; smaller or sparser dicts multiply term pair by term pair.
+Sums bring both sides to one denominator and take the content once;
+exact division runs on the primitive parts, where a quotient over Q is
+always over Z.  Values cross the API as `Fraction`s.
 
 `prim` keys each monomial x^i y^j by one int, (i + j) << 64 | j.  Adding
 two keys multiplies the monomials, and integer order on keys is the
@@ -387,6 +392,8 @@ _LOW = (1 << _SHIFT) - 1
 _MAX_DEGREE_BITS = 31
 _DX = 1 << _SHIFT  # key of x, subtracted to divide by x
 _DY = _DX + 1  # key of y
+# Products of two operands with this many terms or more go row by row (_mul_add)
+_ROW_MIN_TERMS = 12
 
 
 def _key(i: int, j: int) -> int:
@@ -409,10 +416,58 @@ def _negated(p: _Terms) -> _Terms:
 def _mul_add(acc: _Terms, a: _Terms, b: _Terms) -> None:
     """acc += a*b on packed integer term dicts.
 
-    Cancelled terms stay in acc with coefficient zero; the caller filters
-    them once, outside this loop.
+    Operands of _ROW_MIN_TERMS terms or more multiply row by row, unless
+    their rows could span more slots than there are term pairs.  A row
+    (the terms with one exponent of y, or of x, whichever makes fewer
+    row pairs), divided by its lowest power of the other variable and
+    evaluated at 2^w, is one int, so one int product multiplies a pair
+    of rows.  A coefficient of a*b sums at most min(len a, len b)
+    products, so w gives each a signed slot, read back as a balanced
+    digit.  Other operands multiply every pair of terms.  Cancelled
+    terms stay in acc with coefficient zero; the caller filters them
+    once, outside this loop.
     """
     get = acc.get
+    if len(a) >= _ROW_MIN_TERMS and len(b) >= _ROW_MIN_TERMS:
+        ja, jb = {k & _LOW for k in a}, {k & _LOW for k in b}
+        ia, ib = {(k >> _SHIFT) - (k & _LOW) for k in a}, {(k >> _SHIFT) - (k & _LOW) for k in b}
+        by_y = len(ja) * len(jb) <= len(ia) * len(ib)
+        (ra, pa), (rb, pb) = ((ja, ia), (jb, ib)) if by_y else ((ia, ja), (ib, jb))
+        if len(ra) * (max(pa) + 1) + len(rb) * (max(pb) + 1) <= len(a) * len(b):
+            w = (
+                max(map(abs, a.values())).bit_length()
+                + max(map(abs, b.values())).bit_length()
+                + min(len(a), len(b)).bit_length()
+                + 1
+            )
+            rows_b = _packed_rows(b, by_y, w)
+            out: dict = {}  # output row -> [lowest position, packed row]
+            for r1, lo1, v1 in _packed_rows(a, by_y, w):
+                for r2, lo2, v2 in rows_b:
+                    r, lo, v = r1 + r2, lo1 + lo2, v1 * v2
+                    cur = out.get(r)
+                    if cur is None:
+                        out[r] = [lo, v]
+                    elif lo >= cur[0]:
+                        cur[1] += v << (w * (lo - cur[0]))
+                    else:
+                        cur[:] = lo, (cur[1] << (w * (cur[0] - lo))) + v
+            # x^i y^j has key i*_DX + j*_DY; a row steps along the other variable
+            step, across = (_DX, _DY) if by_y else (_DY, _DX)
+            half, mask, full = 1 << (w - 1), (1 << w) - 1, 1 << w
+            for r, (lo, v) in out.items():
+                k = r * across + lo * step
+                while v:
+                    d = v & mask
+                    v >>= w
+                    if d >= half:
+                        d -= full
+                        v += 1
+                    if d:
+                        s = get(k)
+                        acc[k] = d if s is None else s + d
+                    k += step
+            return
     bl = list(b.items())
     for k1, c1 in a.items():
         for k2, c2 in bl:
@@ -420,6 +475,26 @@ def _mul_add(acc: _Terms, a: _Terms, b: _Terms) -> None:
             p = c1 * c2
             s = get(k)
             acc[k] = p if s is None else s + p
+
+
+def _packed_rows(p: _Terms, by_y: bool, w: int) -> list[Tuple[int, int, int]]:
+    """[(row, lowest position, packed row)] over the nonzero rows of p:
+    the terms with one exponent of y (by_y) or of x, at positions given
+    by the exponent of the other variable, divided by the lowest one's
+    power and evaluated at 2^w."""
+    rows: dict = {}
+    get = rows.get
+    for k, v in p.items():
+        j = k & _LOW
+        i = (k >> _SHIFT) - j
+        r, e = (j, i) if by_y else (i, j)
+        rows[r] = get(r, 0) + (v << (w * e))
+    out = []
+    for r, v in rows.items():
+        if v:
+            lo = ((v & -v).bit_length() - 1) // w
+            out.append((r, lo, v >> (w * lo)))
+    return out
 
 
 def _product(a: _Terms, b: _Terms) -> _Terms:

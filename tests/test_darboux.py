@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from pdisc import integrability
 from pdisc.darboux import (
     InvariantCurve,
+    _exponent,
     attach_multiplicities,
     darboux_fragment,
     extactic,
@@ -280,6 +281,21 @@ def _divisions(e: MPoly, f: MPoly) -> int:
     while (q := e.exact_div(f)) is not None:
         e, count = q, count + 1
     return count
+
+
+@given(
+    st.lists(st.tuples(st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(-5, 5)), min_size=1, max_size=6),
+    st.integers(0, 5),
+    st.integers(0, 5),
+)
+def test_axis_exponent_read_off_the_terms_matches_division(terms, a, b):
+    # x^e divides F exactly when every term has x-exponent >= e, so the
+    # exponent of x or y is read off the terms, not divided out
+    g = MPoly(terms)
+    assume(not g.is_zero)
+    f = MPoly.monomial(a, b) * g
+    for var in (MPoly.var_x(), MPoly.var_y()):
+        assert _exponent(var, f) == _divisions(f, var)
 
 
 @pytest.mark.parametrize(

@@ -8,13 +8,15 @@ verified against the definition of diff.
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
 
 import pdisc.exactalg
 from pdisc.exactalg import MPoly, UPoly
-from pdisc.exactalg.mpoly import _divide, _key
+from pdisc.exactalg import mpoly
+from pdisc.exactalg.mpoly import _ROW_MIN_TERMS, _divide, _key
 from pdisc.modelio import PlanarSystem
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -474,3 +476,90 @@ def test_canonical_zero_constants_and_negative_leads():
     assert next(negs[0].items()) == ((1, 0), -1) and negs[0].format() == "-1*x + 1"
     assert negs[0] != x - 1 and MPoly.const(-3) != MPoly.const(3)
     assert len({*zeros, *threes, *negs}) == 3
+
+
+# -- products row by row ------------------------------------------------
+#
+# `_mul_add` multiplies operands of _ROW_MIN_TERMS terms or more one row
+# at a time, a row packed into one int.  The oracle multiplies every
+# pair of terms; a spy on `_packed_rows` shows which way was taken.
+
+
+def _pair_products(acc: dict, a: dict, b: dict) -> dict:
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+    return acc
+
+
+def _mul_add_rows(acc: dict, a: dict, b: dict) -> bool:
+    """acc += a*b by `_mul_add`; whether it went row by row."""
+    with patch.object(mpoly, "_packed_rows", wraps=mpoly._packed_rows) as spy:
+        mpoly._mul_add(acc, a, b)
+    return spy.called
+
+
+def _nonzero(acc: dict) -> dict:
+    return {k: v for k, v in acc.items() if v}
+
+
+big_coefficients = st.one_of(st.integers(-3, 3), st.integers(2**64, 2**90), st.integers(-(2**90), -(2**64))).filter(bool)
+
+
+@st.composite
+def _row_operands(draw) -> dict:
+    """A term dict above the crossover: univariate in x or in y, or in at
+    most three rows of y; total degree up to 40, with gaps inside rows."""
+    shape = draw(st.sampled_from(["x", "y", "rows"]))
+    ys = [0] if shape != "rows" else draw(st.lists(st.integers(0, 10), min_size=1, max_size=3, unique=True))
+    cells = [(i, j) for j in ys for i in range(41 - j)]
+    exps = draw(st.lists(st.sampled_from(cells), min_size=16, max_size=40, unique=True))
+    if shape == "y":
+        exps = [(j, i) for i, j in exps]
+    return {_key(i, j): draw(big_coefficients) for i, j in exps}
+
+
+@given(_row_operands(), _row_operands(), st.lists(st.integers(0, 80), max_size=4), st.randoms(use_true_random=False))
+def test_row_products_match_the_pair_loop(a, b, others, rnd):
+    # acc starts with entries the product cancels to zero, as a Bareiss
+    # step's second product does, and with keys of its own; the zeros
+    # stay in place for the caller to filter
+    want = _pair_products({}, a, b)
+    cancelled = rnd.sample(sorted(want), min(3, len(want)))
+    acc = {k: -want[k] for k in cancelled}
+    acc.update({_key(i, 7): 1 for i in others})
+    expect = _pair_products(dict(acc), a, b)
+    assert _mul_add_rows(acc, a, b)
+    assert _nonzero(acc) == _nonzero(expect)
+    assert set(cancelled) <= set(acc) <= set(expect)
+
+
+@pytest.mark.parametrize("k", [11, 20, 31])
+def test_row_products_cancel_exactly(k):
+    # (1 + y)^k (1 - y)^k = (1 - y^2)^k and (x + 1 + y)^k (x + 1 - y)^k =
+    # ((x + 1)^2 - y^2)^k: every odd power of y cancels
+    x, y, one = MPoly.var_x(), MPoly.var_y(), MPoly.one()
+    for u in (one, x + 1):
+        a, b = _int_terms((u + y) ** k), _int_terms((u - y) ** k)
+        acc: dict = {}
+        assert _mul_add_rows(acc, a, b)
+        assert _nonzero(acc) == _nonzero(_pair_products({}, a, b)) == _int_terms((u * u - y * y) ** k)
+
+
+@pytest.mark.parametrize("n, rows", [(_ROW_MIN_TERMS - 1, False), (_ROW_MIN_TERMS, True)])
+def test_row_products_start_at_the_crossover(n, rows):
+    a = {_key(i, i % 2): (-1) ** i * (i + 1) ** 30 for i in range(n)}
+    b = {_key(i % 3, 2 * i): 3 * i - 7 for i in range(n)}
+    acc: dict = {}
+    assert _mul_add_rows(acc, a, b) is rows
+    assert _nonzero(acc) == _nonzero(_pair_products({}, a, b))
+
+
+def test_sparse_rows_multiply_term_pair_by_term_pair():
+    # a row spread over degree 10^6 would pack into an int of millions of
+    # bits, with as many slots to read back, for 144 term pairs
+    a = {_key(10**5 * i, 0): i + 1 for i in range(12)}
+    b = {_key(0, 10**5 * i): 1 - i for i in range(12)}
+    acc: dict = {}
+    assert not _mul_add_rows(acc, a, b)
+    assert acc == _pair_products({}, a, b)
