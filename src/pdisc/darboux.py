@@ -277,12 +277,43 @@ def _solve_slant_conditions(
 
 
 def _exponent(f: MPoly, poly: MPoly) -> int:
-    """The exponent of f in a nonzero poly: for f = x or y the least
-    exponent of that variable over the terms, else by repeated exact
-    division."""
-    for k, v in enumerate((MPoly.var_x(), MPoly.var_y())):
-        if f == v:
-            return min(e[k] for e, _ in poly.int_terms())
+    """The exponent of f in a nonzero poly.  For a line x - r it is the
+    least multiplicity of r over the rows of poly in y, each found by
+    integer synthetic division by the line's primitive form q*x - p; for
+    y - r the same with the variables exchanged.  Any other f divides
+    repeatedly."""
+    by_y = f.degree_in("x") == 0
+    if f.degree == 1 and (by_y or f.degree_in("y") == 0):
+        line = {e[by_y]: v for e, v in f.int_terms()}
+        q, p = (line[1], -line.get(0, 0)) if line[1] > 0 else (-line[1], line.get(0, 0))
+        rows: Dict[int, Dict[int, int]] = {}
+        for e, v in poly.int_terms():
+            rows.setdefault(e[not by_y], {})[e[by_y]] = v
+        least = poly.degree
+        for row in sorted(rows.values(), key=len):
+            # the row over its lowest power of the line's variable, which
+            # is prime to q*x - p unless p = 0, and then is its exponent
+            lo = min(row)
+            if not p:
+                least = min(least, lo)
+                continue
+            a = [row.get(i, 0) for i in range(max(row), lo - 1, -1)]
+            count = 0
+            while count < least:
+                # a = (q*x - p) * b + rem, the coefficients descending
+                b, carry = [], 0
+                for c in a[:-1]:
+                    carry, rem = divmod(c + p * carry, q)
+                    if rem:
+                        break
+                    b.append(carry)
+                else:
+                    rem = a[-1] + p * carry
+                if rem:
+                    break
+                a, count = b, count + 1
+            least = count
+        return least
     count = 0
     while True:
         q = poly.exact_div(f)

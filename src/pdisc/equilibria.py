@@ -191,7 +191,9 @@ def _without_line_factors(p: MPoly, q: MPoly) -> Tuple[MPoly, MPoly]:
                 raise PositiveDimensionalError(
                     f"a {axis} line of equilibria at an irrational {coord}"
                 )
-            factor = MPoly({(i, 0) if var == "x" else (0, i): c for i, c in enumerate(d.coeffs)})
+            factor = MPoly.from_int_terms(
+                (((i, 0) if var == "x" else (0, i), c) for i, c in enumerate(d.int_coeffs())), d.content
+            )
             p_, q_ = p.exact_div(factor), q.exact_div(factor)
             assert p_ is not None and q_ is not None
             p, q = p_, q_
@@ -349,10 +351,10 @@ def _locate(
 def jacobian_at(
     sys: PlanarSystem, p: AlgebraicPoint
 ) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
-    """Partial derivatives at the point: exact at a rational point, and
-    at an irrational one exact at the midpoint of its coordinate
-    intervals (width 2^-60 as classify_point refines it)."""
-    x0, y0 = ((lo + hi) / 2 for lo, hi in (p.x.interval(), p.y.interval()))
+    """Partial derivatives at the point, exact: an exact coordinate is
+    read as it is, and an irrational one at the midpoint of its interval
+    (width 2^-60 as classify_point refines it)."""
+    x0, y0 = (c.exact if c.exact is not None else sum(c.interval()) / 2 for c in (p.x, p.y))
     return tuple(
         tuple(f.eval_rat(x0, y0) for f in row) for row in sys.jacobian
     )  # type: ignore[return-value]

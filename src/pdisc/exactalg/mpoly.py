@@ -18,7 +18,10 @@ multiplies a pair of rows, and each output row is read back into
 coefficients; smaller or sparser dicts multiply term pair by term pair.
 Sums bring both sides to one denominator and take the content once;
 exact division runs on the primitive parts, where a quotient over Q is
-always over Z.  Values cross the API as `Fraction`s.
+always over Z.  Fixing a variable to a rational, evaluation, formatting
+and `univariate_ints` (which `UPoly.from_mpoly` carries over) read the
+integer terms with no Fraction per term.  Values cross the API as
+`Fraction`s.
 
 `prim` keys each monomial x^i y^j by one int, (i + j) << 64 | j.  Adding
 two keys multiplies the monomials, and integer order on keys is the
@@ -260,10 +263,13 @@ class MPoly:
     # -- evaluation / substitution --------------------------------------
 
     def eval_rat(self, x: _Scalar, y: _Scalar) -> Fraction:
+        """The value at a rational point: one integer sum over the terms,
+        made one Fraction with the content."""
         if not self._p:
             return Fraction(0)
-        terms, den = _homogenised(self._p, Fraction(x), Fraction(y))
-        return self._c * Fraction(sum(w for _, w in terms), den)
+        terms, den = _homogenised(self._p, x, y)
+        c = self._c
+        return Fraction(c.numerator * sum(w for _, w in terms), c.denominator * den)
 
     def subst(self, px: "MPoly", py: "MPoly") -> "MPoly":
         """Substitute polynomials for the two variables.  The contents of
@@ -289,11 +295,26 @@ class MPoly:
 
     def subst_x(self, value: _Scalar) -> "MPoly":
         """Fix the first variable to a rational; result involves only "y"."""
-        return self.subst(MPoly.const(value), _Y)
+        return self._fixed(value, 0)
 
     def subst_y(self, value: _Scalar) -> "MPoly":
         """Fix the second variable to a rational; result involves only "x"."""
-        return self.subst(_X, MPoly.const(value))
+        return self._fixed(value, 1)
+
+    def _fixed(self, value: _Scalar, var: int) -> "MPoly":
+        """The first (var 0) or second (var 1) variable fixed to value,
+        in one pass over the integer terms: each term's weight from
+        `_homogenised` adds into the monomial of the other variable."""
+        if not self._p:
+            return _ZERO
+        terms, den = _homogenised(self._p, *((value, 1) if var == 0 else (1, value)))
+        acc: _Terms = {}
+        get = acc.get
+        for k, w in terms:
+            j = k & _LOW
+            r = ((k >> _SHIFT) - j) << _SHIFT if var else (j << _SHIFT) | j
+            acc[r] = get(r, 0) + w
+        return _from_ints(acc, self._c / den)
 
     # -- conversions -----------------------------------------------------
 
@@ -309,12 +330,24 @@ class MPoly:
                 out[i][(j << _SHIFT) | j] = v
         return [_from_ints(d, self._c) for d in out]
 
+    def univariate_ints(self, var: str) -> list[int]:
+        """Dense ascending primitive integer coefficients when the
+        polynomial involves only `var`; times `content` they are the
+        polynomial's coefficients."""
+        by_y = _var_index(var)
+        out = [0] * (self.degree_in(var) + 1)
+        for k, v in self._p.items():
+            j = k & _LOW
+            i = (k >> _SHIFT) - j
+            if i if by_y else j:
+                raise ValueError(f"polynomial involves {'x' if by_y else 'y'}; not univariate in {var}")
+            out[j if by_y else i] = v
+        return out
+
     def univariate_coeffs(self, var: str) -> list[Fraction]:
-        """Dense Fraction coefficients when the polynomial involves only `var`."""
-        other = "y" if var == "x" else "x"
-        if self.degree_in(other) > 0:
-            raise ValueError(f"polynomial involves {other}; not univariate in {var}")
-        return [self.coeff(k, 0) if var == "x" else self.coeff(0, k) for k in range(self.degree_in(var) + 1)]
+        """Dense Fraction coefficients when the polynomial involves only
+        `var`: the content times `univariate_ints`."""
+        return [self._c * v for v in self.univariate_ints(var)]
 
     # -- formatting ---------------------------------------------------
 
@@ -328,11 +361,16 @@ class MPoly:
         """
         if not self._p:
             return "0"
+        cn, cd = self._c.numerator, self._c.denominator
         parts: list[str] = []
-        for (i, j), c in self.items():
-            mono = _format_monomial(i, j, names)
-            mag = abs(c)
-            body = f"{mag}*{mono}" if mono and mag != 1 else mono or f"{mag}"
+        for k in sorted(self._p, reverse=True):
+            c = self._p[k]
+            # cn * |c| / cd in lowest terms, as str(Fraction) writes it
+            g = gcd(c, cd)
+            num, den = cn * abs(c) // g, cd // g
+            mag = f"{num}/{den}" if den != 1 else f"{num}"
+            mono = _format_monomial(*_exponents(k), names)
+            body = f"{mag}*{mono}" if mono and mag != "1" else mono or mag
             if parts:
                 parts.append((" - " if c < 0 else " + ") + body)
             elif c < 0:
@@ -348,17 +386,18 @@ class MPoly:
         return f"MPoly({self.format()})"
 
 
-def _linear_combination(terms: Iterable[Tuple[_Scalar, MPoly]]) -> MPoly:
-    """sum c * p over the (c, p) terms: the integer dicts are added over
-    one common denominator and the content is extracted once."""
-    weighted = [(c * p._c, p._p) for c, p in terms if c and p._p]
+def _linear_combination(terms: Iterable[Tuple[int, MPoly]]) -> MPoly:
+    """sum c * p over the (c, p) terms, c an integer: the integer dicts
+    are added over one common denominator and the content is extracted
+    once."""
+    weighted = [(c * p._c.numerator, p._c.denominator, p._p) for c, p in terms if c and p._p]
     if not weighted:
         return _ZERO
-    den = lcm(*(w.denominator for w, _ in weighted))
+    den = lcm(*(d for _, d, _ in weighted))
     acc: _Terms = {}
     get = acc.get
-    for w, p in weighted:
-        m = w.numerator * (den // w.denominator)
+    for n, d, p in weighted:
+        m = n * (den // d)
         for k, v in p.items():
             s = get(k)
             acc[k] = m * v if s is None else s + m * v
@@ -379,9 +418,11 @@ def _from_ints(ints: _Terms, scale: Fraction) -> MPoly:
     if not ints or not scale:
         return _ZERO
     g = gcd(*ints.values())
-    if scale < 0:
+    if scale.numerator < 0:
         g = -g
-    return MPoly._make({k: v // g for k, v in ints.items()} if g != 1 else ints, scale * g)
+    if g == 1:
+        return MPoly._make(ints, scale)
+    return MPoly._make({k: v // g for k, v in ints.items()}, scale * g)
 
 
 # Keys: x^i y^j is (i + j) << _SHIFT | j.  _key refuses degrees from 2^31
@@ -503,7 +544,7 @@ def _product(a: _Terms, b: _Terms) -> _Terms:
     return {k: v for k, v in acc.items() if v}
 
 
-def _homogenised(p: _Terms, x: Fraction, y: Fraction) -> Tuple[list[Tuple[int, int]], int]:
+def _homogenised(p: _Terms, x: _Scalar, y: _Scalar) -> Tuple[list[Tuple[int, int]], int]:
     """([(k, w)], d) with p[k] x^i y^j = w / d for every term k of p: the
     terms over the common denominator d = den(x)^I den(y)^J, where I and J
     are the degrees of p in x and in y."""

@@ -4,8 +4,9 @@ A polynomial is content * prim: `prim` is a primitive tuple of Python
 ints (coefficient gcd 1; prim[k] multiplies t^k) and `content` a positive
 Fraction, so prim is a positive multiple of the polynomial and every sign
 is read from integers.  The representation is canonical, so equality
-compares the pair.  Products multiply the integer tuples and the contents
-(a product of primitive polynomials is primitive, by Gauss's lemma).
+compares the pair, and a univariate MPoly's integers and content are
+carried over as they are.  Products multiply the integer tuples and the
+contents (a product of primitive polynomials is primitive, by Gauss's lemma).
 Euclidean division keeps its meaning over Q but runs as pseudo-division
 over Z, scaling by only as much of the divisor's leading coefficient as
 each step needs and tracking that factor exactly.  One signed primitive
@@ -64,12 +65,9 @@ class UPoly:
 
     @classmethod
     def from_mpoly(cls, p: MPoly, var: str) -> "UPoly":
-        """p as a polynomial in `var`; p must not involve the other variable."""
-        return cls(p.univariate_coeffs(var))
-
-    @property
-    def coeffs(self) -> Tuple[Fraction, ...]:
-        return tuple(self._c * v for v in self._p)
+        """p as a polynomial in `var`; p must not involve the other variable.
+        A univariate MPoly's primitive ints and content are the UPoly's."""
+        return cls._make(tuple(p.univariate_ints(var)), p.content)
 
     @property
     def content(self) -> Fraction:
@@ -251,9 +249,11 @@ def _normalize(ints: List[int], scale: Fraction) -> Tuple[Tuple[int, ...], Fract
     if not ints or not scale:
         return (), _ZERO
     g = math.gcd(*ints)
-    if scale < 0:
+    if scale.numerator < 0:
         g = -g
-    return (tuple(v // g for v in ints) if g != 1 else tuple(ints)), scale * g
+    if g == 1:
+        return tuple(ints), scale
+    return tuple(v // g for v in ints), scale * g
 
 
 def _homogeneous(c: Sequence[int], n: int, d: int) -> int:

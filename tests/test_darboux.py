@@ -298,6 +298,41 @@ def test_axis_exponent_read_off_the_terms_matches_division(terms, a, b):
         assert _exponent(var, f) == _divisions(f, var)
 
 
+def _line_with_rows(line: MPoly, rows) -> MPoly:
+    """sum over rows (m, g) of y^j line^m g(x), j the row's index."""
+    out = MPoly.zero()
+    for j, (m, g) in enumerate(rows):
+        gx = sum((MPoly.monomial(i, 0, c) for i, c in enumerate(g)), MPoly.zero())
+        out = out + MPoly.monomial(0, j, 1) * line**m * gx
+    return out
+
+
+@given(
+    st.one_of(st.sampled_from([F(0), F(-2), F(1, 3), F(-5, 2), F(7, 4)]), st.fractions(-6, 6, max_denominator=9)),
+    st.sampled_from([F(1), F(-1), F(3, 2)]),
+    st.lists(st.tuples(st.integers(0, 4), st.lists(st.integers(-4, 4), min_size=1, max_size=3)), min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_line_exponent_by_rows_matches_division(r, scale, rows, swap):
+    # x - r divides F = sum_j y^j (x - r)^m_j g_j(x) as often as it
+    # divides its least divisible row; y - r is the same, swapped
+    line = (X - r) * scale
+    f = _line_with_rows(line, rows)
+    assume(not f.is_zero)
+    if swap:
+        line, f = line.swapped(), f.swapped()
+    assert _exponent(line, f) == _divisions(f, line)
+
+
+def test_line_exponent_takes_the_least_row():
+    line = X - F(2, 3)
+    f = _line_with_rows(line, [(4, [1]), (2, [1, 1]), (3, [-2, 0, 5])])
+    g = f + 5 * Y**3  # a constant row
+    for u, want in ((f, 2), (g, 0), (line**4, 4)):
+        assert _exponent(line, u) == _divisions(u, line) == want
+        assert _exponent(line.swapped(), u.swapped()) == want
+
+
 @pytest.mark.parametrize(
     "sys, exponents",
     [

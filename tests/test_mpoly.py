@@ -420,6 +420,63 @@ def test_calculus_and_substitution_match_reference(ta, tb, tc, pt):
             assert _agrees(row, want)
 
 
+# -- the integer seams ----------------------------------------------------
+#
+# Fixing one variable, conversion to UPoly, evaluation and formatting read
+# the integer terms directly.  Each is checked against the general route
+# or against one Fraction per term.
+
+fixed_values = st.one_of(st.sampled_from([Fraction(0), Fraction(-3), Fraction(-7, 4), Fraction(5, 3)]), rationals)
+
+
+@given(terms_lists, fixed_values, points)
+def test_integer_seams_match_the_general_routes(terms, r, pt):
+    a = MPoly(terms)
+    x, y = MPoly.var_x(), MPoly.var_y()
+    assert a.subst_x(r) == a.subst(MPoly.const(r), y)
+    assert a.subst_y(r) == a.subst(x, MPoly.const(r))
+    value = a.eval_rat(*pt)
+    assert type(value) is Fraction and value == sum((c * pt[0] ** i * pt[1] ** j for (i, j), c in a.items()), Fraction(0))
+    for var, p in (("y", a.subst_x(r)), ("x", a.subst_y(r))):
+        u = UPoly.from_mpoly(p, var)
+        assert u == UPoly(p.univariate_coeffs(var)) and type(u.content) is Fraction
+        assert [u.content * v for v in u.int_coeffs()] == p.univariate_coeffs(var)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(2, 1): -1, (1, 0): Fraction(3, 2), (0, 0): -1},
+        {(3, 0): -1, (0, 1): 1},
+        {(1, 0): 1, (0, 1): -1, (0, 0): 1},
+        {(1, 2): Fraction(-2, 9), (0, 1): Fraction(4, 3), (0, 0): Fraction(-5, 6)},
+        {(2, 0): Fraction(6, 7), (0, 2): Fraction(-12, 7)},
+        {(0, 0): Fraction(7, 5)},
+        {(0, 0): -1},
+    ],
+    ids=["negative-lead", "negative-unit-lead", "units", "content-with-denominator", "common-factor", "constant", "minus-one"],
+)
+def test_format_matches_one_fraction_per_term(terms):
+    p = MPoly(terms)
+    assert p.format() == _ref_format(_ref(terms.items()))
+    assert p.format(("u", "v")) == _ref_format(_ref(terms.items())).replace("x", "u").replace("y", "v")
+
+
+def test_fixing_a_variable_and_conversion_take_no_general_route(monkeypatch):
+    # subst_x, subst_y and UPoly.from_mpoly read the integer terms; neither
+    # the general substitution's products nor coeff() may come back
+    p = MPoly({(3, 1): Fraction(2, 3), (1, 2): -5, (0, 1): 1, (2, 0): Fraction(-1, 4), (0, 0): 7})
+    r, s = Fraction(-2, 5), Fraction(3)
+    want = (p.subst_x(r), p.subst_y(s), UPoly.from_mpoly(p.subst_x(r), "y"), UPoly.from_mpoly(p.subst_y(s), "x"))
+
+    def general(*args):
+        raise AssertionError("a general route was taken")
+
+    monkeypatch.setattr(mpoly, "_mul_add", general)
+    monkeypatch.setattr(MPoly, "coeff", general)
+    assert (p.subst_x(r), p.subst_y(s), UPoly.from_mpoly(p.subst_x(r), "y"), UPoly.from_mpoly(p.subst_y(s), "x")) == want
+
+
 @given(terms_lists, terms_lists, terms_lists)
 def test_division_matches_reference(ta, tb, tr):
     a, b = MPoly(ta), MPoly(tb)
