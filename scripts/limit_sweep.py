@@ -10,8 +10,9 @@ The sweep is the ROADMAP's: A and C in {1, ..., 10}/7 and B in {1, 1/3,
 3}, with B varying fastest, then C, then A, followed by (A, B, C) = (2, 1,
 1/2), (1/2, 1, 2) and (3, 1, 1/3); 303 triples in all.  ``--every K``
 keeps every K-th of them, starting with the first.  Each kept triple is
-built as a quadrant and as a full-disc portrait at ``--grid``, and the
-table is the sorted ``[view, A, B, C, seed_id, reason, limit]`` rows of
+built as a quadrant and as a full-disc portrait at ``--grid``, each orbit
+integrated up to the time ``--tmax`` (200, the portrait's default), and
+the table is the sorted ``[view, A, B, C, seed_id, reason, limit]`` rows of
 their orbits, one to a line, with a missing limit as null.
 
 An orbit is decided when it has a limit.  ``--compare OLD NEW`` prints,
@@ -23,13 +24,16 @@ C seed_id: old -> new`` with a missing limit as null.  It exits 1 if a
 decided limit changed or was lost, and 2 if the tables do not hold the
 same orbits.  To check a change to the integrator, write a
 table from each checkout (with ``PYTHONPATH`` at that checkout's
-``src``) and compare them.
+``src``) and compare them.  An orbit that one of them loses to the time
+horizon can be rechecked by comparing two tables written at a longer
+``--tmax``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -49,7 +53,7 @@ TRIPLES = [
 Row = Tuple[str, str, str, str, str, str, Optional[str]]
 
 
-def sweep(grid: int, every: int) -> List[Row]:
+def sweep(grid: int, every: int, tmax: float = 200.0) -> List[Row]:
     # imported here, so that --compare needs no pdisc on the path
     from pdisc.modelio import ParamBindings, leslie_system
     from pdisc.portrait import build_portrait
@@ -59,7 +63,7 @@ def sweep(grid: int, every: int) -> List[Row]:
         sys_ = leslie_system(a, b, c)
         params = ParamBindings(a, b, c)
         for view, quadrant in VIEWS:
-            doc = build_portrait(sys_, params, positive_quadrant_only=quadrant, grid=grid)
+            doc = build_portrait(sys_, params, positive_quadrant_only=quadrant, grid=grid, tmax=tmax)
             rows.extend((view, str(a), str(b), str(c), t.seed_id, t.reason, t.limit) for t in doc.trajectories)
     return sorted(rows)
 
@@ -101,13 +105,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--grid", type=int, default=2, help="seed grid resolution, as for `pdisc portrait` (default 2)")
     ap.add_argument("--every", type=int, default=1, help="keep every K-th sweep triple (default 1, all 303)")
+    ap.add_argument("--tmax", type=float, default=200.0, help="time horizon of every orbit (default 200)")
     ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two tables instead of sweeping")
     args = ap.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
     if args.grid < 1 or args.every < 1:
         ap.error("--grid and --every must be at least 1")
-    sys.stdout.write(dumps(sweep(args.grid, args.every)))
+    if not 0.0 < args.tmax < math.inf:
+        ap.error("--tmax must be a positive finite number")
+    sys.stdout.write(dumps(sweep(args.grid, args.every, args.tmax)))
     return 0
 
 

@@ -548,12 +548,32 @@ def _homogenised(p: _Terms, x: _Scalar, y: _Scalar) -> Tuple[list[Tuple[int, int
     """([(k, w)], d) with p[k] x^i y^j = w / d for every term k of p: the
     terms over the common denominator d = den(x)^I den(y)^J, where I and J
     are the degrees of p in x and in y."""
-    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-    di = max((k >> _SHIFT) - (k & _LOW) for k in p)
-    dj = max(k & _LOW for k in p)
-    xs = [xn**i * xd ** (di - i) for i in range(di + 1)]
-    ys = [yn**j * yd ** (dj - j) for j in range(dj + 1)]
-    return [(k, v * xs[(k >> _SHIFT) - (k & _LOW)] * ys[k & _LOW]) for k, v in p.items()], xd**di * yd**dj
+    di = dj = 0
+    for k in p:
+        j = k & _LOW
+        i = (k >> _SHIFT) - j
+        if i > di:
+            di = i
+        if j > dj:
+            dj = j
+    xs, xden = _power_table(x.numerator, x.denominator, di)
+    ys, yden = _power_table(y.numerator, y.denominator, dj)
+    return [(k, v * xs[(k >> _SHIFT) - (k & _LOW)] * ys[k & _LOW]) for k, v in p.items()], xden * yden
+
+
+def _power_table(n: int, d: int, top: int) -> Tuple[list[int], int]:
+    """([n^i d^(top - i) for i = 0..top], d^top), by running products:
+    the powers of d down the table, then those of n up it."""
+    table = [1] * (top + 1)
+    dpow = 1
+    for i in range(top, 0, -1):
+        dpow *= d
+        table[i - 1] = dpow
+    npow = 1
+    for i in range(1, top + 1):
+        npow *= n
+        table[i] *= npow
+    return table, dpow
 
 
 def _divide(terms: _Terms, divisor: _Terms, exact: bool) -> Optional[Tuple[_Terms, _Terms, int]]:

@@ -5,13 +5,13 @@ from exact data; only the trajectory integration, here, and the tests
 of the capture regions it ends in (`Capture.hit` and `Capture.box` in
 `pdisc.capture`) compute in binary64.
 
-Every orbit off an invariant line is integrated by one loop, an
-embedded Dormand-Prince 4(5) pair whose last stage is the next
-step's first (FSAL), in whichever chart is well scaled: the finite
+Every orbit off an invariant line is integrated by one loop, the
+embedded Tsitouras 5(4) pair, whose last stage is the next step's
+first (FSAL), in whichever chart is well scaled: the finite
 chart while |x| + |y| stays small, the U1/U2 charts near infinity
 (switch out above 10, back below 5).  The step is straight-line code
 whose sums run in one fixed order, so every trajectory float is the
-same on every supported interpreter.  One text of it, `_DP_STEP`, is
+same on every supported interpreter.  One text of it, `_TS_STEP`, is
 compiled for a chart of a `Flow` and a time sign, when an orbit first
 runs in that chart with that sign, with the chart's two Horner
 expressions written inline at every stage and the sign written in; the
@@ -71,7 +71,7 @@ from pdisc.errors import InputError, InternalInvariantError, LineOfEquilibriaErr
 from pdisc.exactalg import AlgebraicCoord, MPoly
 from pdisc.modelio import ParamBindings, PlanarSystem, format_system
 
-RTOL_DEFAULT = 1e-8
+RTOL_DEFAULT = 5e-8
 ATOL_DEFAULT = 1e-12
 ATOL_FINITE = 1e-9  # the finite chart's: the disc map is 1-Lipschitz
 CHORD_MAX = 0.05  # the most a finite-chart step moves the disc point
@@ -184,72 +184,75 @@ def compile_poly(p: MPoly) -> Callable[[float, float], float]:
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 4(5)
+# Tsitouras 5(4)
 
-# The one text of the tableau.  With the field components and k as
+# The one text of the tableau, the Tsitouras 5(4) pair (Tsitouras 2011,
+# Comput. Math. Appl. 62, 770-775).  With the field components and k as
 # arguments (args="fx, fy, k, ") it is the callable step that the tests
 # compare every kernel with; with each k * fx(a, b), k * fy(a, b)
 # replaced by a chart's Horner expressions at (a, b), times k where k is
 # not 1.0, it is that chart's kernel for k (see `compile_step`), which
 # gives the same floats.  Each product of h and a tableau entry is taken
 # once for both coordinates: h * a * k1x is (h * a) * k1x.
-_DP_STEP = '''
-def _dp_step({args}x, y, h, k1x, k1y):
+_TS_STEP = '''
+def _ts_step({args}x, y, h, k1x, k1y):
     """One embedded step of x' = k * fx, y' = k * fy from (x, y), given
     its first stage (k1x, k1y); returns (x5, y5, err_x, err_y, k7x, k7y).
 
     The seventh stage is taken at the fifth-order solution itself, so an
     accepted step hands it on as the next step's first stage (FSAL).
+    The error is the weighted sum of the stages with the weights of the
+    fifth-order solution less those of the embedded fourth-order one.
     Each sum runs left to right in tableau order, not through sum(),
     which CPython 3.12 made compensated; each weighted sum starts from
-    0.0 and keeps the zero weight of stage 2, so signed zeros,
-    infinities and NaNs come out as the tableau's loop gives them.
+    0.0, so signed zeros, infinities and NaNs come out as the tableau's
+    loop gives them.
     """
-    a21 = h * (1 / 5)
+    a21 = h * 0.161
     ax = x + a21 * k1x
     ay = y + a21 * k1y
     k2x = k * fx(ax, ay)
     k2y = k * fy(ax, ay)
-    a31, a32 = h * (3 / 40), h * (9 / 40)
+    a31, a32 = h * (-0.008480655492356989), h * 0.335480655492357
     ax = x + a31 * k1x + a32 * k2x
     ay = y + a31 * k1y + a32 * k2y
     k3x = k * fx(ax, ay)
     k3y = k * fy(ax, ay)
-    a41, a42, a43 = h * (44 / 45), h * (-56 / 15), h * (32 / 9)
+    a41, a42, a43 = h * 2.897153057105493, h * (-6.359448489975075), h * 4.3622954328695815
     ax = x + a41 * k1x + a42 * k2x + a43 * k3x
     ay = y + a41 * k1y + a42 * k2y + a43 * k3y
     k4x = k * fx(ax, ay)
     k4y = k * fy(ax, ay)
-    a51, a52 = h * (19372 / 6561), h * (-25360 / 2187)
-    a53, a54 = h * (64448 / 6561), h * (-212 / 729)
+    a51, a52 = h * 5.325864828439257, h * (-11.748883564062828)
+    a53, a54 = h * 7.4955393428898365, h * (-0.09249506636175525)
     ax = x + a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x
     ay = y + a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y
     k5x = k * fx(ax, ay)
     k5y = k * fy(ax, ay)
-    a61, a62, a63 = h * (9017 / 3168), h * (-355 / 33), h * (46732 / 5247)
-    a64, a65 = h * (49 / 176), h * (-5103 / 18656)
+    a61, a62, a63 = h * 5.86145544294642, h * (-12.92096931784711), h * 8.159367898576159
+    a64, a65 = h * (-0.071584973281401), h * (-0.028269050394068383)
     ax = x + a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x
     ay = y + a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y
     k6x = k * fx(ax, ay)
     k6y = k * fy(ax, ay)
-    x5 = x + h * (0.0 + (35 / 384) * k1x + 0.0 * k2x + (500 / 1113) * k3x
-                  + (125 / 192) * k4x + (-2187 / 6784) * k5x + (11 / 84) * k6x)
-    y5 = y + h * (0.0 + (35 / 384) * k1y + 0.0 * k2y + (500 / 1113) * k3y
-                  + (125 / 192) * k4y + (-2187 / 6784) * k5y + (11 / 84) * k6y)
+    x5 = x + h * (0.0 + 0.09646076681806523 * k1x + 0.01 * k2x + 0.4798896504144996 * k3x
+                  + 1.379008574103742 * k4x + (-3.290069515436081) * k5x + 2.324710524099774 * k6x)
+    y5 = y + h * (0.0 + 0.09646076681806523 * k1y + 0.01 * k2y + 0.4798896504144996 * k3y
+                  + 1.379008574103742 * k4y + (-3.290069515436081) * k5y + 2.324710524099774 * k6y)
     k7x = k * fx(x5, y5)
     k7y = k * fy(x5, y5)
-    x4 = x + h * (0.0 + (5179 / 57600) * k1x + 0.0 * k2x + (7571 / 16695) * k3x
-                  + (393 / 640) * k4x + (-92097 / 339200) * k5x + (187 / 2100) * k6x
-                  + (1 / 40) * k7x)
-    y4 = y + h * (0.0 + (5179 / 57600) * k1y + 0.0 * k2y + (7571 / 16695) * k3y
-                  + (393 / 640) * k4y + (-92097 / 339200) * k5y + (187 / 2100) * k6y
-                  + (1 / 40) * k7y)
-    return x5, y5, x5 - x4, y5 - y4, k7x, k7y
+    ex = h * (0.0 + (-0.001780011052225777) * k1x + (-0.0008164344596567469) * k2x
+              + 0.007880878010261995 * k3x + (-0.1447110071732629) * k4x + 0.5823571654525552 * k5x
+              + (-0.45808210592918697) * k6x + 0.015151515151515152 * k7x)
+    ey = h * (0.0 + (-0.001780011052225777) * k1y + (-0.0008164344596567469) * k2y
+              + 0.007880878010261995 * k3y + (-0.1447110071732629) * k4y + 0.5823571654525552 * k5y
+              + (-0.45808210592918697) * k6y + 0.015151515151515152 * k7y)
+    return x5, y5, ex, ey, k7x, k7y
 '''
 
 
 def compile_step(p: MPoly, q: MPoly, k: float) -> Callable[..., Tuple[float, float, float, float, float, float]]:
-    """The step of `_DP_STEP` for x' = k * p, y' = k * q, k a time sign
+    """The step of `_TS_STEP` for x' = k * p, y' = k * q, k a time sign
     1.0 or -1.0, with both Horner expressions written inline at each
     stage, each built once with format fields for the stage's point:
     step(x, y, h, k1x, k1y).  k is written in: for 1.0 as no product at
@@ -258,9 +261,9 @@ def compile_step(p: MPoly, q: MPoly, k: float) -> Callable[..., Tuple[float, flo
     fields = {"fx": _horner(p, "{0}", "{1}"), "fy": _horner(q, "{0}", "{1}")}
     times = "" if k == 1.0 else f"{k!r} * "
     stages = re.sub(
-        r"\bk \* (f[xy])\((\w+), (\w+)\)", lambda m: f"{times}({fields[m[1]].format(m[2], m[3])})", _DP_STEP
+        r"\bk \* (f[xy])\((\w+), (\w+)\)", lambda m: f"{times}({fields[m[1]].format(m[2], m[3])})", _TS_STEP
     )
-    return _define(stages.format(args=""), "_dp_step")
+    return _define(stages.format(args=""), "_ts_step")
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +282,7 @@ class Trajectory:
 
 class _ChartFields(dict):
     """chart -> (fx, fy), the chart's two field components, and
-    (chart, k) -> its Dormand-Prince step for the time sign k (see
+    (chart, k) -> its Tsitouras step for the time sign k (see
     `compile_step`), each compiled on its first lookup from the chart's
     (P, Q) in `polys`."""
 
@@ -328,7 +331,7 @@ class Flow:
     (see `pdisc.capture`).  `fields` maps the finite chart U3 and the
     charts U1/U2 at infinity to the field components, which give a
     first stage, and each (chart, time sign) to the chart's
-    Dormand-Prince step for that sign (see `compile_step`), each
+    Tsitouras step for that sign (see `compile_step`), each
     compiled on its first lookup, so a flow pays only for the charts
     and signs its orbits run in; `near` maps each
     chart to the regions tried from it, in `captures` order: from U3
@@ -486,7 +489,7 @@ def integrate_orbit(
     chart, x, y = "U3", x0, y0
     if abs(x) + abs(y) > CHART_OUT:
         chart, x, y = _leave_plane(x, y)
-    dp, k1x, k1y, atol, (gxlo, gxhi, gylo, gyhi), (px, py) = enter(chart, x, y, sgn)
+    kernel, k1x, k1y, atol, (gxlo, gxhi, gylo, gyhi), (px, py) = enter(chart, x, y, sgn)
     lx, ly = px, py
     pts = [(px, py)]
     reason = REASON_TMAX
@@ -509,7 +512,7 @@ def integrate_orbit(
                 h = 0.5
             elif speed * h > 0.5:
                 h = 0.5 / speed
-        nx, ny, ex, ey, k7x, k7y = dp(x, y, h, k1x, k1y)
+        nx, ny, ex, ey, k7x, k7y = kernel(x, y, h, k1x, k1y)
         a, b = abs(x), abs(nx)
         sx = atol + tol * (b if b > a else a)
         a, b = abs(y), abs(ny)
@@ -570,7 +573,7 @@ def integrate_orbit(
             chart = "U2" if chart == "U1" else "U1"
             x, y = 1.0 / x, y / x
         if chart != was:
-            dp, k1x, k1y, atol, (gxlo, gxhi, gylo, gyhi), (px, py) = enter(chart, x, y, sgn)
+            kernel, k1x, k1y, atol, (gxlo, gxhi, gylo, gyhi), (px, py) = enter(chart, x, y, sgn)
         elif chart == "U3":
             px, py = qx, qy
         else:

@@ -1,13 +1,15 @@
 """`scripts/limit_sweep.py --compare` on small hand-made tables: its exit
 codes, its counts and the line it prints for each orbit whose limit
-moved."""
+moved; and the horizon that a sweep hands to every portrait."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -88,3 +90,38 @@ def test_compare_runs_without_the_package(tmp_path):
     )
     assert run.returncode == 1, run.stderr
     assert run.stdout.splitlines()[-1] == "full 9/7 1 3/7 sep:other:0: \"inf:U1-:0\" -> null"
+
+
+@pytest.mark.parametrize("argv, tmax", [([], 200.0), (["--tmax", "400"], 400.0)])
+def test_the_sweep_passes_its_horizon_to_every_portrait(monkeypatch, capsys, argv, tmax):
+    # every 303rd triple is the first alone, built in both views
+    seen = []
+
+    def recording(sys_, params, positive_quadrant_only, grid, tmax):
+        seen.append((positive_quadrant_only, grid, tmax))
+        return SimpleNamespace(trajectories=[SimpleNamespace(seed_id="grid:0:0", reason=TMAX, limit=None)])
+
+    monkeypatch.setattr("pdisc.portrait.build_portrait", recording)
+    assert limit_sweep.main(["--grid", "3", "--every", "303", *argv]) == 0
+    assert seen == [(False, 3, tmax), (True, 3, tmax)]
+    assert json.loads(capsys.readouterr().out) == [
+        [view, "1/7", "1", "1/7", "grid:0:0", TMAX, None] for view in ("full", "quadrant")
+    ]
+
+
+def test_a_short_horizon_runs_orbits_out_of_time(capsys):
+    # the first triple at grid 1 to t = 1/2: no grid orbit reaches a
+    # capture region that soon, while the seeds on invariant lines take
+    # their exact limits whatever the horizon
+    assert limit_sweep.main(["--grid", "1", "--every", "303", "--tmax", "0.5"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    grid = [r for r in rows if r[4].startswith("grid:")]
+    assert grid and all(r[5:] == [TMAX, None] for r in grid)
+
+
+@pytest.mark.parametrize("tmax", ["0", "-1", "inf", "nan"])
+def test_a_horizon_not_positive_and_finite_exits_2(tmax, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        limit_sweep.main(["--every", "303", "--tmax", tmax])
+    assert exit_.value.code == 2
+    assert "--tmax must be a positive finite number" in capsys.readouterr().err

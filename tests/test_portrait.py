@@ -9,6 +9,8 @@ inventory.  Rendering must be byte-deterministic.
 import functools
 import json
 import math
+import re
+import statistics
 import struct
 from dataclasses import replace
 from fractions import Fraction as F
@@ -34,7 +36,7 @@ from pdisc.capture import (
     saddle_node_capture,
 )
 from pdisc.portrait import (
-    _DP_STEP,
+    _TS_STEP,
     EQUATOR_EPS,
     Flow,
     PortraitDoc,
@@ -64,7 +66,7 @@ REASON_BOUNDARY = "reached-boundary"
 
 # the one step text over callable field components and a time sign k:
 # the oracle that every compiled kernel is compared with
-_dp_step = _define(_DP_STEP.format(args="fx, fy, k, "), "_dp_step")
+_ts_step = _define(_TS_STEP.format(args="fx, fy, k, "), "_ts_step")
 
 
 def _dist(a, b):
@@ -144,7 +146,7 @@ def test_stepper_accuracy_on_rotation():
     fy = lambda x, y: -x
 
     def endpoint_error(h):
-        nx, ny, _, _, _, _ = _dp_step(fx, fy, 1.0, 1.0, 0.0, h, fx(1.0, 0.0), fy(1.0, 0.0))
+        nx, ny, _, _, _, _ = _ts_step(fx, fy, 1.0, 1.0, 0.0, h, fx(1.0, 0.0), fy(1.0, 0.0))
         return math.hypot(nx - math.cos(h), ny + math.sin(h))
 
     e_coarse = endpoint_error(0.2)
@@ -171,22 +173,108 @@ def test_stepper_reuses_its_last_stage():
 
     k1x, k1y = fx(0.3, -0.7), fy(0.3, -0.7)
     calls = {"x": [], "y": []}
-    nx, ny, _, _, k7x, k7y = _dp_step(fx, fy, 1.0, 0.3, -0.7, 0.05, k1x, k1y)
+    nx, ny, _, _, k7x, k7y = _ts_step(fx, fy, 1.0, 0.3, -0.7, 0.05, k1x, k1y)
     assert len(calls["x"]) == len(calls["y"]) == 6
     assert calls["x"][-1] == calls["y"][-1] == (nx, ny)
     assert (k7x, k7y) == (fx(nx, ny), fy(nx, ny))
 
 
-# the loop-form step the straight-line one replaced, kept as an oracle
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+# the nodes of the Tsitouras 5(4) pair, as published: an autonomous
+# field never reads them, so the step text does not hold them
+_TS_C = (0.0, 0.161, 0.327, 0.9, 0.9800255409045097, 1.0, 1.0)
+
+
+def _rooted_trees(n):
+    """The rooted trees of n nodes, each as the sorted tuple of its root's
+    subtrees, grown by adding a leaf at every node of those of n - 1."""
+
+    def grow(t):
+        yield tuple(sorted(t + ((),)))
+        for i, child in enumerate(t):
+            for g in grow(child):
+                yield tuple(sorted(t[:i] + (g,) + t[i + 1 :]))
+
+    trees = {()}
+    for _ in range(n - 1):
+        trees = {g for t in trees for g in grow(t)}
+    return trees
+
+
+def _tree_size(t):
+    return 1 + sum(_tree_size(sub) for sub in t)
+
+
+def _order_residuals(a, w, order):
+    """|w . Phi(t) - 1/gamma(t)| for every rooted tree t of `order`
+    nodes, in exact arithmetic on the floats of A and w."""
+
+    def phi(t):
+        # the stage-wise product, over the root's subtrees, of A Phi(subtree)
+        out = [F(1)] * len(a)
+        for sub in t:
+            p = phi(sub)
+            out = [o * sum(aij * pj for aij, pj in zip(row, p)) for o, row in zip(out, a)]
+        return out
+
+    def gamma(t):
+        return _tree_size(t) * math.prod(gamma(sub) for sub in t)
+
+    return [abs(sum(wi * pi for wi, pi in zip(w, phi(t))) - F(1, gamma(t))) for t in _rooted_trees(order)]
+
+
+def _weights(name):
+    """The weights of k1x, k2x, ... in the sum of the step text that
+    `name` = ... opens, one per stage, 0 for a stage the sum leaves out."""
+    text = _TS_STEP[_TS_STEP.index(f"    {name} = ") :]
+    text = text[: text.index(")\n")]
+    w = [F(0)] * 7
+    for v, i in re.findall(r"\(?(-?[0-9.e-]+)\)? \* k(\d)x", text):
+        w[int(i) - 1] = F(float(v))
+    return w
+
+
+def test_the_step_text_holds_a_pair_of_orders_5_and_4():
+    # A, b and e read from the one step text, as exact rationals of their
+    # floats: each row of A sums to its node, b meets the 17 conditions
+    # of order up to 5 and b^ = b - e the 8 of order up to 4, and b misses
+    # order 6, so a mistyped digit fails here
+    a = [[F(0)] * 7 for _ in range(7)]
+    for names, values in re.findall(r"\n    (a\d\d(?:, a\d\d)*) = (.*)", _TS_STEP):
+        for name, v in zip(names.split(", "), re.findall(r"h \* \(?(-?[0-9.e-]+)\)?", values)):
+            a[int(name[1]) - 1][int(name[2]) - 1] = F(float(v))
+    b, e = _weights("x5"), _weights("ex")
+    a[6] = b  # the seventh stage is taken at the fifth-order point
+    assert all(abs(sum(row) - F(c)) < 1e-15 for row, c in zip(a, _TS_C))
+    assert [len(_rooted_trees(n)) for n in range(1, 7)] == [1, 1, 2, 4, 9, 20]
+    assert max(r for n in range(1, 6) for r in _order_residuals(a, b, n)) < 1e-13
+    assert max(r for n in range(1, 5) for r in _order_residuals(a, [bi - ei for bi, ei in zip(b, e)], n)) < 1e-13
+    assert max(_order_residuals(a, b, 6)) > 1e-5
+    # the text's weights are the oracle's own copy
+    assert b[:6] == [F(v) for v in _TS_B] and b[6] == 0 and e == [F(v) for v in _TS_E]
+
+
+# the Tsitouras 5(4) step in loop form, with its own copy of the tableau:
+# the oracle that the straight-line step is compared with.  The rows of A
+# give the second to sixth stages; the fifth-order weights b are A's
+# seventh row, whose stage, at the new point, has weight 0 in b; e = b - b^
+# gives the error estimate.
+_TS_A = (
+    (0.161,),
+    (-0.008480655492356989, 0.335480655492357),
+    (2.897153057105493, -6.359448489975075, 4.3622954328695815),
+    (5.325864828439257, -11.748883564062828, 7.4955393428898365, -0.09249506636175525),
+    (5.86145544294642, -12.92096931784711, 8.159367898576159, -0.071584973281401, -0.028269050394068383),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_TS_B = (0.09646076681806523, 0.01, 0.4798896504144996, 1.379008574103742, -3.290069515436081, 2.324710524099774)
+_TS_E = (
+    -0.00178001105222577714,
+    -0.0008164344596567469,
+    0.007880878010261995,
+    -0.1447110071732629,
+    0.5823571654525552,
+    -0.45808210592918697,
+    1 / 66,
+)
 
 
 def _dot(b, k):
@@ -196,10 +284,10 @@ def _dot(b, k):
     return acc
 
 
-def _loop_dp_step(f, x, y, h, k1):
+def _loop_ts_step(f, x, y, h, k1):
     kx = [k1[0]]
     ky = [k1[1]]
-    for row in _DP_A:
+    for row in _TS_A:
         ax = x
         ay = y
         for a, px, py in zip(row, kx, ky):
@@ -208,21 +296,19 @@ def _loop_dp_step(f, x, y, h, k1):
         k = f(ax, ay)
         kx.append(k[0])
         ky.append(k[1])
-    x5 = x + h * _dot(_DP_B5, kx)
-    y5 = y + h * _dot(_DP_B5, ky)
+    x5 = x + h * _dot(_TS_B, kx)
+    y5 = y + h * _dot(_TS_B, ky)
     k7 = f(x5, y5)
     kx.append(k7[0])
     ky.append(k7[1])
-    x4 = x + h * _dot(_DP_B4, kx)
-    y4 = y + h * _dot(_DP_B4, ky)
-    return x5, y5, x5 - x4, y5 - y4, k7
+    return x5, y5, h * _dot(_TS_E, kx), h * _dot(_TS_E, ky), k7
 
 
 def _assert_same_step(fx, fy, k, x, y, h):
     # compared as bytes, so that -0.0 and NaN count
     k1x, k1y = k * fx(x, y), k * fy(x, y)
-    new = _dp_step(fx, fy, k, x, y, h, k1x, k1y)
-    x5, y5, ex, ey, k7 = _loop_dp_step(lambda a, b: (k * fx(a, b), k * fy(a, b)), x, y, h, (k1x, k1y))
+    new = _ts_step(fx, fy, k, x, y, h, k1x, k1y)
+    x5, y5, ex, ey, k7 = _loop_ts_step(lambda a, b: (k * fx(a, b), k * fy(a, b)), x, y, h, (k1x, k1y))
     assert struct.pack("<6d", *new) == struct.pack("<6d", x5, y5, ex, ey, *k7)
 
 
@@ -253,16 +339,18 @@ def test_straight_line_sums_start_from_zero():
         stages = iter([-0.0, -0.0, -0.0, 0.0, -0.0, -0.0])
         return lambda x, y: next(stages)
 
-    new = _dp_step(scripted(), scripted(), 1.0, -0.0, -0.0, 0.5, -0.0, -0.0)
+    new = _ts_step(scripted(), scripted(), 1.0, -0.0, -0.0, 0.5, -0.0, -0.0)
     fx, fy = scripted(), scripted()
-    x5, y5, ex, ey, k7 = _loop_dp_step(lambda a, b: (fx(a, b), fy(a, b)), -0.0, -0.0, 0.5, (-0.0, -0.0))
+    x5, y5, ex, ey, k7 = _loop_ts_step(lambda a, b: (fx(a, b), fy(a, b)), -0.0, -0.0, 0.5, (-0.0, -0.0))
     assert struct.pack("<6d", *new) == struct.pack("<6d", x5, y5, ex, ey, *k7)
     assert math.copysign(1.0, new[0]) == 1.0
 
 
 def _spike(x, y):
-    # infinite only near the second stage of a step of h = 0.5 from the origin
-    return math.inf if 0.05 < abs(x) < 0.15 else 1.0
+    # infinite only near the second stage of a step of h = 0.5 from the
+    # origin, and growing with the point elsewhere, so that the infinite
+    # points of the later stages give infinite stages too
+    return math.inf if 0.05 < abs(x) < 0.15 else 1.0 + x
 
 
 @pytest.mark.parametrize("k", [1.0, -1.0])
@@ -271,13 +359,14 @@ def _spike(x, y):
     [
         # overflows to inf at once, and then to NaN (inf - inf, 0 * inf)
         (_quadratic((1.0, 0.0, 1.0, 1e300, 0.0, 0.0)), _quadratic((0.0, -1.0, 0.0, 0.0, 0.0, -1e300)), 1e10, -1e10),
-        # only the zero weight of stage 2 makes the new point NaN
+        # every stage from the second is infinite, and a sum of them with
+        # weights of both signs meets inf - inf: NaN
         (_spike, _spike, 0.0, 0.0),
     ],
     ids=["overflow", "second-stage-inf"],
 )
 def test_straight_line_step_matches_the_loop_off_the_finite_floats(fx, fy, x, y, k):
-    new = _dp_step(fx, fy, k, x, y, 0.5, k * fx(x, y), k * fy(x, y))
+    new = _ts_step(fx, fy, k, x, y, 0.5, k * fx(x, y), k * fy(x, y))
     assert math.isnan(new[0])
     _assert_same_step(fx, fy, k, x, y, 0.5)
 
@@ -296,7 +385,7 @@ _state = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300, math.inf, math.nan
 def _assert_kernel_matches(dp, fx, fy, k, x, y, h):
     k1x, k1y = k * fx(x, y), k * fy(x, y)
     new = dp(x, y, h, k1x, k1y)
-    assert struct.pack("<6d", *new) == struct.pack("<6d", *_dp_step(fx, fy, k, x, y, h, k1x, k1y))
+    assert struct.pack("<6d", *new) == struct.pack("<6d", *_ts_step(fx, fy, k, x, y, h, k1x, k1y))
 
 
 @settings(max_examples=300)
@@ -376,12 +465,16 @@ def test_slow_steps_are_bounded_by_length(monkeypatch):
     # x' = -x/64, y' = -y/64 from (0.5, 0.3): the speed stays below 1/64,
     # so the length bound would let a step last up to 0.5 / |F| > 32
     # rather than 0.5 (104 kernel calls while every step was capped at
-    # 0.5, 19 at a relative tolerance of 1e-9).  The bound itself never
-    # binds here: the error controller sets every step, 10 of the 14
-    # longer than 0.5 (see `test_the_length_bound_binds` for where it
-    # does), and still keeps the endpoint on the exact flow e^(-t/64)
-    # (x0, y0): 5.8e-10 off at the finite chart's absolute tolerance of
-    # 1e-9, 4.1e-10 at 1e-12 and 4.3e-11 at a relative tolerance of 1e-9
+    # 0.5, 19 with the Dormand-Prince pair at a relative tolerance of
+    # 1e-9, 14 with it at 1e-8).  The bound itself never binds here: the
+    # error controller sets every step, 8 of the 12 longer than 0.5 (see
+    # `test_the_length_bound_binds` for where it does), and still keeps
+    # the endpoint on the exact flow e^(-t/64) (x0, y0): 6.4e-10 off at
+    # the finite chart's absolute tolerance of 1e-9, 6.2e-10 at 1e-12 and
+    # 7.5e-11 at a relative tolerance of 1e-9 (5.8e-10 with the
+    # Dormand-Prince pair at 1e-8).  This field is linear, so its error
+    # says little of the step's on a nonlinear one (see
+    # `test_leslie_orbits_keep_their_accuracy`)
     calls = [0]
 
     def counting(p, q, k):
@@ -399,10 +492,32 @@ def test_slow_steps_are_bounded_by_length(monkeypatch):
     x0, y0 = plane_from_disc(*seed)
     tr = integrate_orbit(Flow(disc_equilibria(sys), markers=[]), seed, tmax=50.0)
     assert tr.reason == REASON_TMAX
-    assert calls[0] == 14
+    assert calls[0] == 12
     x, y = plane_from_disc(*tr.points[-1])
     decay = math.exp(-50.0 / 64.0)
     assert math.hypot(x - decay * x0, y - decay * y0) < 1e-9
+
+
+def test_leslie_orbits_keep_their_accuracy(monkeypatch):
+    # the bundled Leslie field, nonlinear where `test_slow_steps_are_bounded_by_length`
+    # is linear: the 64 generic seeds of the full-disc grid 4, each run
+    # forward and backward to t = 1 with no marker to end it, against the
+    # same orbits at a relative tolerance of 1e-12.  The median disc
+    # distance of their end points was 4.0e-9 when recorded (4.0e-10 with
+    # the Dormand-Prince pair at 1e-8, 7.1e-10 with the Tsitouras pair at
+    # 1e-8); the bound is twice the recorded median, so a change to the
+    # tolerances or the tableau that costs more accuracy than that fails
+    flow = Flow(disc_equilibria(leslie_system(F(1), F(1), F(1, 2)), False), markers=[])
+    seeds = [s.disc for s in default_seeds(False, grid=4) if s.role == "generic"]
+
+    def ends():
+        return [integrate_orbit(flow, s, d, tmax=1.0).points[-1] for s in seeds for d in ("forward", "backward")]
+
+    got = ends()
+    monkeypatch.setattr("pdisc.portrait.RTOL_DEFAULT", 1e-12)
+    errors = [_dist(a, b) for a, b in zip(got, ends())]
+    assert len(errors) == 128
+    assert statistics.median(errors) < 8e-9
 
 
 @pytest.mark.parametrize(
@@ -419,7 +534,7 @@ def test_the_length_bound_binds(monkeypatch, source, plane, branch):
     # a near-constant field, on which the error controller alone would
     # let steps grow long: every step moves at most about 0.5 chart units,
     # h <= 0.5 or h * |F| <= 0.5 with |F| the speed at its start, and
-    # the bound sets h on some steps (10 of 47 kernel calls at h = 0.5
+    # the bound sets h on some steps (10 of 29 kernel calls at h = 0.5
     # for the fast field, 11 of 18 at h = 0.5 / |F| for the slow one)
     calls = []
 
@@ -1198,11 +1313,12 @@ def test_finite_marker_captures_from_a_chart_at_infinity():
 # ROADMAP's degree 4 and 5 systems, and the two irrational-saddle inputs,
 # each at a grid that passes over 1000 gated states to `Flow.capture`: the
 # quartic's capture regions, proved at up to 0.48, end its orbits so soon
-# that grid 2 passes about 300
+# that grid 2 passes about 300, and the quintic's grid 2 passes 985 with
+# the Tsitouras pair's longer steps (1,379 at grid 3)
 FULL_DISC = {
     "bundled": (leslie_system(F(1), F(1), F(1, 2)), ParamBindings(F(1), F(1), F(1, 2)), 8),
     "quartic": (parse_system("dx = x^4 - 3*x^2*y + y^2 - 2*x + 1\ndy = y^4 - x*y^2 + 2*x^2 - y - 3\n"), None, 16),
-    "quintic": (parse_system("dx = x^5 - 3*x^2*y^2 + y^3 - 2*x + 1\ndy = y^5 - x*y^3 + 2*x^2 - y - 3\n"), None, 2),
+    "quintic": (parse_system("dx = x^5 - 3*x^2*y^2 + y^3 - 2*x + 1\ndy = y^5 - x*y^3 + 2*x^2 - y - 3\n"), None, 3),
     "saddle-full": (parse_system("dx = x^2 - 2\ndy = y^2 - x*y - 3\n"), None, 8),
     "saddle-quadrant": (parse_system("dx = x^2 + y^2 - 3\ndy = x*y - 1\n"), None, 8),
 }
