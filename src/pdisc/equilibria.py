@@ -351,13 +351,12 @@ def _locate(
 def jacobian_at(
     sys: PlanarSystem, p: AlgebraicPoint
 ) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
-    """Partial derivatives at the point, exact: an exact coordinate is
-    read as it is, and an irrational one at the midpoint of its interval
-    (width 2^-60 as classify_point refines it)."""
+    """Partial derivatives at the point, exact, read from the 2-jets of P
+    and Q: an exact coordinate is read as it is, and an irrational one at
+    the midpoint of its interval (width 2^-60 as classify_point refines
+    it)."""
     x0, y0 = (c.exact if c.exact is not None else sum(c.interval()) / 2 for c in (p.x, p.y))
-    return tuple(
-        tuple(f.eval_rat(x0, y0) for f in row) for row in sys.jacobian
-    )  # type: ignore[return-value]
+    return tuple((g[1], g[2]) for g in (sys.P.jet2(x0, y0), sys.Q.jet2(x0, y0)))  # type: ignore[return-value]
 
 
 def _sqrt_fraction(v: Fraction) -> Optional[Fraction]:
@@ -375,23 +374,26 @@ def classify_point(sys: PlanarSystem, pt: AlgebraicPoint) -> EquilibriumRecord:
 
     `_table` classifies every point from the signs of det, trace and
     discriminant, except a rational one with det = 0 != tr whose
-    semi-hyperbolic reduction has a2 != 0, a saddle-node.  At an
-    irrational point both coordinates are refined to width 2^-60 first.
-    P and Q are read from the point's RUR, which decides their zeros;
-    det, trace and discriminant with `AlgebraicPoint.sign`, from the
-    enclosure over that box when it excludes 0, else from the RUR."""
+    semi-hyperbolic reduction has a2 != 0, a saddle-node.  At a rational
+    point the 2-jets of P and Q (`MPoly.jet2`) give their values, the
+    Jacobian and the a2 of the reduction.  At an irrational point both
+    coordinates are refined to width 2^-60 first.  P and Q are read from
+    the point's RUR, which decides their zeros; det, trace and
+    discriminant with `AlgebraicPoint.sign`, from the enclosure over that
+    box when it excludes 0, else from the RUR."""
     if pt.is_exact:
         x0, y0 = pt.exact_pair()
-        if sys.P.eval_rat(x0, y0) != 0 or sys.Q.eval_rat(x0, y0) != 0:
+        jets = sys.P.jet2(x0, y0), sys.Q.jet2(x0, y0)
+        if jets[0][0] or jets[1][0]:
             raise InputError(f"({x0}, {y0}) is not an equilibrium")
-        jac = jacobian_at(sys, pt)
+        jac = tuple((g[1], g[2]) for g in jets)
         (a, b), (c, d) = jac
         tr = a + d
         det = a * d - b * c
         disc = tr * tr - 4 * det
         rt = _sqrt_fraction(disc)
         eigs = None if rt is None else ((tr - rt) / 2, (tr + rt) / 2)
-        red = _semi_hyperbolic(sys, x0, y0, jac, tr) if det == 0 and tr != 0 else None
+        red = _semi_hyperbolic(jac, tr, [g[3:] for g in jets]) if det == 0 and tr != 0 else None
         cls = SADDLE_NODE if red is not None and red.a2 != 0 else _table(det, tr, disc)
         return EquilibriumRecord(pt, jac, tr, det, disc, eigs, cls, reduction=red)
 
@@ -436,19 +438,21 @@ def _kernel_vector(
     return (v[0] / lead, v[1] / lead)
 
 
-def _semi_hyperbolic(
-    sys: PlanarSystem, x0: Fraction, y0: Fraction, jac, lam: Fraction
-) -> SemiHyperbolicReduction:
-    """Quadratic coefficient of the flow along the center direction.
+def _semi_hyperbolic(jac, lam: Fraction, halves) -> SemiHyperbolicReduction:
+    """Quadratic coefficient of the flow along the center direction;
+    `halves` holds (f_xx/2, f_xy, f_yy/2) of P and of Q at the point, the
+    second half of their 2-jets.
 
     Translate to the equilibrium and send the (center, hyperbolic)
     eigenvectors v0, vl to the axes: (x, y) = (x0, y0) + T (u, w) with
     T = [v0 | vl], so u' = r0 . (P, Q) for r0 = (vl[1], -vl[0]) / det T
     the first row of T^-1.  Its linear part r0 J T vanishes because
     J v0 = 0 and J vl = lam vl, and its u^2 coefficient a2 is the t^2
-    coefficient of r0 . (P, Q) at (x0, y0) + t v0.  The center manifold
-    deviates from the axis at quadratic order, which perturbs u' only at
-    cubic order, so a2 is exactly the quadratic Taylor coefficient.
+    coefficient of r0 . (P, Q) at (x0, y0) + t v0, which is
+    r0 . (v0^T H_P v0 / 2, v0^T H_Q v0 / 2) for the Hessians H_P, H_Q.
+    The center manifold deviates from the axis at quadratic order, which
+    perturbs u' only at cubic order, so a2 is exactly the quadratic
+    Taylor coefficient.
     """
     (a, b), (c, d) = jac
     v0 = _kernel_vector(a, b, c, d)
@@ -461,9 +465,8 @@ def _semi_hyperbolic(
     if j_v0 != (0, 0) or j_vl != (lam * vl[0], lam * vl[1]):
         raise InternalInvariantError("center direction carries a linear term")
 
-    t = MPoly.var_x()
-    along = (t * v0[0] + x0, t * v0[1] + y0)
-    a2 = (sys.P * vl[1] - sys.Q * vl[0]).subst(*along).coeff(2, 0) / det_t
+    p2, q2 = (h[0] * v0[0] ** 2 + h[1] * v0[0] * v0[1] + h[2] * v0[1] ** 2 for h in halves)
+    a2 = (p2 * vl[1] - q2 * vl[0]) / det_t
     stability = "attractor" if lam < 0 else "repeller"
     return SemiHyperbolicReduction(
         a2=a2,

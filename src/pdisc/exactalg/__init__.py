@@ -6,8 +6,8 @@ positive rational content; real-root isolation, real algebraic numbers
 and points, fraction-free determinants and linear solves.  No floating
 point anywhere in this subpackage.  Values cross the API as `Fraction`s,
 and an enclosure as a pair (lo, hi) of them, but polynomial arithmetic,
-determinants, resultants, row echelon forms, Sturm chains and bisection
-run on Python `int`.  Products of bivariate polynomials with a dozen
+determinants, resultants, row echelon forms, Sturm chains, bisection
+and root refinement run on Python `int`.  Products of bivariate polynomials with a dozen
 terms or more pack each row of terms into one `int`, so CPython's
 big-integer product multiplies them.
 """

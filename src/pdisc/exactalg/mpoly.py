@@ -18,10 +18,10 @@ multiplies a pair of rows, and each output row is read back into
 coefficients; smaller or sparser dicts multiply term pair by term pair.
 Sums bring both sides to one denominator and take the content once;
 exact division runs on the primitive parts, where a quotient over Q is
-always over Z.  Fixing a variable to a rational, evaluation, formatting
-and `univariate_ints` (which `UPoly.from_mpoly` carries over) read the
-integer terms with no Fraction per term.  Values cross the API as
-`Fraction`s.
+always over Z.  Fixing a variable to a rational, evaluation and the
+2-jet, formatting and `univariate_ints` (which `UPoly.from_mpoly`
+carries over) read the integer terms with no Fraction per term.  Values
+cross the API as `Fraction`s.
 
 `prim` keys each monomial x^i y^j by one int, (i + j) << 64 | j.  Adding
 two keys multiplies the monomials, and integer order on keys is the
@@ -140,7 +140,7 @@ class MPoly:
     def int_terms(self) -> Iterator[Tuple[Exponents, int]]:
         """The primitive integer terms, in no fixed order: a positive
         multiple of the polynomial over the integers."""
-        return ((_exponents(k), v) for k, v in self._p.items())
+        return ((((k >> _SHIFT) - (k & _LOW), k & _LOW), v) for k, v in self._p.items())
 
     def term_count(self) -> int:
         return len(self._p)
@@ -270,6 +270,35 @@ class MPoly:
         terms, den = _homogenised(self._p, x, y)
         c = self._c
         return Fraction(c.numerator * sum(w for _, w in terms), c.denominator * den)
+
+    def jet2(self, x: _Scalar, y: _Scalar) -> Tuple[Fraction, ...]:
+        """(f, f_x, f_y, f_xx/2, f_xy, f_yy/2) at a rational point: six
+        integer sums in one pass over the terms, each over the common
+        denominator of `eval_rat`, whose power tables serve every
+        derivative (x^(i-1) over den(x)^I is n^(i-1) den(x)^(I-i+1))."""
+        p = self._p
+        if not p:
+            return (Fraction(0),) * 6
+        xs, ys, den = _power_tables(p, x, y)
+        f = fx = fy = fxx = fxy = fyy = 0
+        for k, v in p.items():
+            j = k & _LOW
+            i = (k >> _SHIFT) - j
+            y0 = v * ys[j]
+            f += y0 * xs[i]
+            if i:
+                fx += i * y0 * xs[i - 1]
+                if i > 1:
+                    fxx += (i * (i - 1) >> 1) * y0 * xs[i - 2]
+            if j:
+                y1 = j * v * ys[j - 1]
+                fy += y1 * xs[i]
+                if i:
+                    fxy += i * y1 * xs[i - 1]
+                if j > 1:
+                    fyy += (j * (j - 1) >> 1) * v * ys[j - 2] * xs[i]
+        n, d = self._c.numerator, self._c.denominator * den
+        return tuple(Fraction(n * s, d) for s in (f, fx, fy, fxx, fxy, fyy))
 
     def subst(self, px: "MPoly", py: "MPoly") -> "MPoly":
         """Substitute polynomials for the two variables.  The contents of
@@ -548,6 +577,13 @@ def _homogenised(p: _Terms, x: _Scalar, y: _Scalar) -> Tuple[list[Tuple[int, int
     """([(k, w)], d) with p[k] x^i y^j = w / d for every term k of p: the
     terms over the common denominator d = den(x)^I den(y)^J, where I and J
     are the degrees of p in x and in y."""
+    xs, ys, den = _power_tables(p, x, y)
+    return [(k, v * xs[(k >> _SHIFT) - (k & _LOW)] * ys[k & _LOW]) for k, v in p.items()], den
+
+
+def _power_tables(p: _Terms, x: _Scalar, y: _Scalar) -> Tuple[list[int], list[int], int]:
+    """(xs, ys, d) with x^i y^j = xs[i] ys[j] / d for every exponent of p,
+    d = den(x)^I den(y)^J as in `_homogenised`."""
     di = dj = 0
     for k in p:
         j = k & _LOW
@@ -558,7 +594,7 @@ def _homogenised(p: _Terms, x: _Scalar, y: _Scalar) -> Tuple[list[Tuple[int, int
             dj = j
     xs, xden = _power_table(x.numerator, x.denominator, di)
     ys, yden = _power_table(y.numerator, y.denominator, dj)
-    return [(k, v * xs[(k >> _SHIFT) - (k & _LOW)] * ys[k & _LOW]) for k, v in p.items()], xden * yden
+    return xs, ys, xden * yden
 
 
 def _power_table(n: int, d: int, top: int) -> Tuple[list[int], int]:

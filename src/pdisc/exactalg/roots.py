@@ -21,10 +21,10 @@ point, and that one candidate is tested for an exact zero.  A miss
 proves the root irrational.
 
 Everything runs on integers: bisection and refinement keep both
-endpoints as integer numerators over one shared denominator, doubling
-all three at each halving and reading signs at the unreduced midpoint by
-integer Horner.  The endpoints returned are the ones halving over
-Fraction gives.
+endpoints as integer numerators over one shared denominator and read
+values at unreduced points by integer Horner.  Refinement jumps along
+the bisection grid by secants (`refine_root`), far fewer evaluations
+than one per bit, and returns the endpoints halving over Fraction gives.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from pdisc.exactalg.upoly import UPoly, remainder_sequence
+from pdisc.exactalg.upoly import UPoly, _homogeneous, remainder_sequence
 
 _Scalar = Union[int, Fraction]
 
@@ -161,27 +161,68 @@ def common_denominator(lo: Fraction, hi: Fraction) -> Tuple[int, int, int]:
 
 
 def refine_root(p: UPoly, ri: RootInterval, width: _Scalar) -> RootInterval:
-    """Shrink an isolating interval of p to the given width by bisection;
-    p must be square-free (the bisection reads the sign changes of p
-    itself).  The interval is returned exact if a midpoint is a root.  An
-    interval already that narrow is returned as it is: its endpoints are
-    not roots, so the bisection would return it unchanged."""
+    """Shrink an isolating interval of p to the given width: the interval
+    bisection returns, or the root exactly when a bisection midpoint is
+    one; p must be square-free (its own sign changes are read).  An
+    interval already that narrow is returned as it is.
+
+    Quadratic interval refinement on the bisection grid (Abbott 2006): a
+    jump of k levels reads p at the grid point nearest the secant root of
+    the endpoint values and at its neighbour on the root's side.  A
+    bracket is a hit, and the next jump is twice as long; a miss takes
+    one bisection step and halves the jump.  No jump passes the level
+    where bisection stops, and a root at a grid point is read exactly."""
     if ri.is_exact or ri.width <= width:
         return ri
-    # lo = a/q and hi = b/q; a halving doubles a, b and q, and the
-    # midpoint a + b over the doubled q needs no reduction
+    # lo = a/q, hi = b/q, and point i of level k is (a*2^k + i*(b - a)) / (q*2^k).
+    # A value at n/q is q^deg p(n/q): an endpoint's carries over to level k
+    # times 2^(k*deg), and two over one q have p's ratio.  Bisection stops
+    # at the least level L with (b - a) / (q 2^L) <= width.
     a, b, q = common_denominator(ri.lo, ri.hi)
-    s_lo = p.sign_at_ratio(a, q)
-    wn, wd = width.numerator, width.denominator
-    while (b - a) * wd > wn * q:
+    ratio = -(-(b - a) * width.denominator // (width.numerator * q))
+    levels = (ratio - 1).bit_length()
+    c = p.int_coeffs()
+    deg = len(c) - 1
+    fa, fb = _homogeneous(c, a, q), None  # fb is read when a jump first needs it
+    jump = 1
+    while levels:
+        k = min(jump, levels)
+        if k > 1:
+            if fb is None:
+                fb = _homogeneous(c, b, q)
+            n, d, w = a << k, q << k, b - a
+            ends = {0: fa << (k * deg), 1 << k: fb << (k * deg)}
+            j = ((fa << (k + 1)) + fa - fb) // (2 * (fa - fb))  # round(2^k fa / (fa - fb))
+            fj = ends[j] if j in ends else _homogeneous(c, n + j * w, d)
+            if not fj:
+                return _exact_root(n + j * w, d)
+            i = j + 1 if (fj > 0) == (fa > 0) else j - 1
+            fi = ends[i] if i in ends else _homogeneous(c, n + i * w, d)
+            if not fi:
+                return _exact_root(n + i * w, d)
+            if (fi > 0) != (fj > 0):
+                e = min(i, j)
+                a, b, q = n + e * w, n + (e + 1) * w, d
+                fa, fb = (fj, fi) if j < i else (fi, fj)
+                levels -= k
+                jump *= 2
+                continue
+            jump //= 2
+        else:
+            jump *= 2
         mid = a + b
         a, b, q = 2 * a, 2 * b, 2 * q
-        sm = p.sign_at_ratio(mid, q)
-        if sm == 0:
-            root = Fraction(mid, q)
-            return RootInterval(lo=root, hi=root, exact=root)
-        if sm == s_lo:
-            a = mid
+        fm = _homogeneous(c, mid, q)
+        if not fm:
+            return _exact_root(mid, q)
+        if (fm > 0) == (fa > 0):
+            a, fa, fb = mid, fm, None if fb is None else fb << deg
         else:
-            b = mid
+            b, fa, fb = mid, fa << deg, fm
+        levels -= 1
     return RootInterval(lo=Fraction(a, q), hi=Fraction(b, q))
+
+
+def _exact_root(n: int, d: int) -> RootInterval:
+    root = Fraction(n, d)
+    return RootInterval(lo=root, hi=root, exact=root)

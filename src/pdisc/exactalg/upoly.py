@@ -189,12 +189,16 @@ class UPoly:
     def __str__(self) -> str:
         """Descending powers of t, unit coefficients left out: t^2 - t - 1."""
         out = ""
+        cn, cd = self._c.numerator, self._c.denominator
         for k in range(len(self._p) - 1, -1, -1):
-            c = self.coeff(k)
+            c = self._p[k]
             if not c:
                 continue
-            mag = abs(c)
-            body = str(mag) if k == 0 else ("" if mag == 1 else f"{mag}*") + ("t" if k == 1 else f"t^{k}")
+            # cn * |c| / cd in lowest terms with one gcd, as str(Fraction) writes it
+            g = math.gcd(c, cd)
+            num, den = cn * abs(c) // g, cd // g
+            mag = f"{num}/{den}" if den != 1 else f"{num}"
+            body = mag if k == 0 else ("" if mag == "1" else f"{mag}*") + ("t" if k == 1 else f"t^{k}")
             if out:
                 out += (" - " if c < 0 else " + ") + body
             else:

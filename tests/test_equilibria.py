@@ -177,6 +177,15 @@ def _planted_saddle_nodes(draw):
     )
 
 
+def _subst_a2(sys: PlanarSystem, x0: Fraction, y0: Fraction, red) -> Fraction:
+    """a2 as the t^2 coefficient of r0 . (P, Q) along (x0, y0) + t v0, by
+    one substitution, as the reduction read it before the 2-jet."""
+    v0, vl = red.center_vector, red.hyperbolic_vector
+    t = MPoly.var_x()
+    along = (t * v0[0] + x0, t * v0[1] + y0)
+    return (sys.P * vl[1] - sys.Q * vl[0]).subst(*along).coeff(2, 0) / (v0[0] * vl[1] - v0[1] * vl[0])
+
+
 @settings(max_examples=200)
 @given(_planted_saddle_nodes())
 def test_planted_saddle_node_normal_form_is_recovered(planted):
@@ -195,6 +204,8 @@ def test_planted_saddle_node_normal_form_is_recovered(planted):
     red = rec.reduction
     assert (red.a2, red.nonzero_eigenvalue, red.center_vector) == (a2, lam, v0)
     assert red.stability == ("attractor" if lam < 0 else "repeller")
+    # the 2-jet's a2 is the substitution's t^2 coefficient
+    assert red.a2 == _subst_a2(sys, x0, y0, red)
 
 
 def test_irrational_equilibria_paired_and_classified():

@@ -598,7 +598,9 @@ def test_bundled_portrait_compiles_only_the_charts_it_enters(monkeypatch):
 # zero test at an irrational point took an exact gcd.  The degree 9 and
 # 10 members were recorded while every sign at an irrational point was
 # read from its RUR image; each runs in seconds once a sign is read
-# from the refined coordinate box first.
+# from the refined coordinate box first.  The degree 11 member, where
+# root refinement runs deepest, was recorded while refinement still
+# bisected one level per evaluation.
 OTHER_ANALYZE = {
     "dense-6": (
         "dx = x^6 - 3*x^2*y^3 + y^4 - 2*x + 1\ndy = y^6 - x*y^4 + 2*x^2 - y - 3\n",
@@ -624,6 +626,11 @@ OTHER_ANALYZE = {
         "dx = x^10 - 3*x^2*y^7 + y^8 - 2*x + 1\ndy = y^10 - x*y^8 + 2*x^2 - y - 3\n",
         "36241ae2b413b3302a0c22d6c1cab7749930fcb0d66aaf864435dbd61c0beec2",
         "729068b899317a0dcda363d055c5a4ca0b8cf3631447d14f7f7dc802b9d84a01",
+    ),
+    "dense-11": (
+        "dx = x^11 - 3*x^2*y^8 + y^9 - 2*x + 1\ndy = y^11 - x*y^9 + 2*x^2 - y - 3\n",
+        "42c47e7e8293d4900be0bf3d61544f3c0bef9f897063d19c7d82a35887aebdeb",
+        "f854694f26cf1137ce784cd6648b091275457212b70ea3b10a645a3c98289ffd",
     ),
     "quartic": (
         "dx = x^4 - 3*x^2*y + y^2 - 2*x + 1\ndy = y^4 - x*y^2 + 2*x^2 - y - 3\n",

@@ -443,6 +443,20 @@ def test_integer_seams_match_the_general_routes(terms, r, pt):
         assert [u.content * v for v in u.int_coeffs()] == p.univariate_coeffs(var)
 
 
+@given(
+    st.one_of(terms_lists, st.sampled_from([[], [((0, 0), Fraction(-7, 3))], [((0, 0), 5)]])),
+    st.tuples(fixed_values, fixed_values),
+)
+def test_jet2_matches_derivatives_evaluated(terms, pt):
+    # (f, f_x, f_y, f_xx/2, f_xy, f_yy/2) from one pass over the terms
+    f = MPoly(terms)
+    fx, fy = f.diff("x"), f.diff("y")
+    want = (f, fx, fy, fx.diff("x") * Fraction(1, 2), fx.diff("y"), fy.diff("y") * Fraction(1, 2))
+    got = f.jet2(*pt)
+    assert all(type(v) is Fraction for v in got)
+    assert got == tuple(g.eval_rat(*pt) for g in want)
+
+
 @pytest.mark.parametrize(
     "terms",
     [

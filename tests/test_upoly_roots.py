@@ -16,7 +16,8 @@ from fractions import Fraction
 import math
 from typing import Tuple
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdisc.equilibria import finite_equilibria
 from pdisc.exactalg import (
@@ -290,6 +291,37 @@ def test_str_leaves_out_unit_coefficients():
     assert str(UPoly.zero()) == "0"
 
 
+def _ref_str(coeffs: Ref) -> str:
+    """The text form with one Fraction per coefficient, as UPoly wrote it
+    before it read the content and the integers."""
+    out = ""
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if not c:
+            continue
+        mag = abs(c)
+        body = str(mag) if k == 0 else ("" if mag == 1 else f"{mag}*") + ("t" if k == 1 else f"t^{k}")
+        out = out + (" - " if c < 0 else " + ") + body if out else ("-" if c < 0 else "") + body
+    return out or "0"
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (Fraction(1), Fraction(3, 2), Fraction(0), Fraction(-2)),
+        (Fraction(-1), Fraction(1), Fraction(-1)),
+        (Fraction(1), Fraction(-1), Fraction(0), Fraction(1)),
+        (Fraction(-5, 6), Fraction(4, 3), Fraction(0), Fraction(-2, 9)),
+        (Fraction(6, 7), Fraction(0), Fraction(-12, 7)),
+        (Fraction(7, 5),),
+        (Fraction(-1),),
+    ],
+    ids=["negative-lead", "negative-unit-lead", "units", "content-with-denominator", "common-factor", "constant", "minus-one"],
+)
+def test_str_matches_one_fraction_per_coefficient(coeffs):
+    assert str(UPoly(coeffs)) == _ref_str(_ref(coeffs))
+
+
 def test_sturm_counts_roots_in_window():
     p = from_roots([Fraction(-3), Fraction(0), Fraction(4)])
     chain = sturm_chain(p)
@@ -520,6 +552,47 @@ def test_refine_root_returns_a_midpoint_root_exactly():
     assert got == RootInterval(lo=Fraction(1, 2), hi=Fraction(1, 2), exact=Fraction(1, 2))
 
 
+def _counted_evaluations(monkeypatch) -> list:
+    """Record each integer evaluation `refine_root` makes."""
+    calls = []
+    run = roots_module._homogeneous
+
+    def counted(c, n, d):
+        calls.append((n, d))
+        return run(c, n, d)
+
+    monkeypatch.setattr(roots_module, "_homogeneous", counted)
+    return calls
+
+
+def test_refine_root_jump_lands_on_a_grid_root(monkeypatch):
+    # 11/32 is a point of level 5 of the grid on (0, 1); bisection to
+    # 2^-10 meets it as its fifth midpoint, after 6 evaluations.  The
+    # refinement bisects once to (0, 1/2), jumps 2 levels to (1/4, 3/8),
+    # and the 4-level jump from there reads 11/32 itself
+    calls = _counted_evaluations(monkeypatch)
+    p, width = UPoly((-11, 32)), Fraction(1, 2**10)
+    got = refine_root(p, RootInterval(lo=Fraction(0), hi=Fraction(1)), width)
+    assert got == RootInterval(lo=Fraction(11, 32), hi=Fraction(11, 32), exact=Fraction(11, 32))
+    assert (got.lo, got.hi) == _ref_refine_interval(_ref(_coeffs(p)), Fraction(0), Fraction(1), width)
+    assert Fraction(*calls[-1]) == Fraction(11, 32) and calls[-1][1] == 2**7 and len(calls) < 6
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 2999).filter(lambda k: math.isqrt(k) ** 2 != k), st.sampled_from([-1, 1]))
+def test_refine_root_takes_a_quarter_of_bisections_evaluations(k, sign):
+    # bisection reads the sign at lo and at each of L midpoints
+    s = UPoly((-k, 0, 1))
+    (ri,) = [r for r in isolate_real_roots(s) if (r.lo > 0) == (sign > 0)]
+    width = Fraction(1, 2**60)
+    levels = next(n for n in range(200) if ri.width / 2**n <= width)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counted_evaluations(mp)
+        got = refine_root(s, ri, width)
+    assert (got.lo, got.hi) == _ref_refine_interval(_ref(_coeffs(s)), ri.lo, ri.hi, width)
+    assert 4 * len(calls) <= levels + 1
+
+
 def test_refine_root_returns_an_interval_already_narrow_enough(monkeypatch):
     s = UPoly((-2, 0, 1))
     (ri,) = [r for r in isolate_real_roots(s) if r.hi > 0]
@@ -534,6 +607,7 @@ def test_refine_root_returns_an_interval_already_narrow_enough(monkeypatch):
 
     monkeypatch.setattr(UPoly, "sign_at", no_sign)
     monkeypatch.setattr(UPoly, "sign_at_ratio", no_sign)
+    monkeypatch.setattr(roots_module, "_homogeneous", no_sign)
     for w in (width, fine.width, Fraction(1)):
         assert refine_root(s, fine, w) is fine
     # approx() and text() refine their coordinate to 2^-60 once, not again
