@@ -439,9 +439,10 @@ def find_exponential_factors(
     is fixed to zero since constants only rescale the factor).
 
     Case f = h^(k-1) for each curve h of multiplicity k > 1: g with
-    deg g <= deg f must satisfy f | (X(g) - (k-1) K g), and the
-    cofactor is the exact quotient.  Solutions proportional to f itself
-    give the constant factor exp(1) and are quotiented out.
+    deg g <= deg f must satisfy X(g) - (k-1) K g = f q with deg q <=
+    d - 1, one homogeneous linear system in q and g; the cofactor is the
+    exact quotient.  Solutions proportional to f itself give the
+    constant factor exp(1) and are quotiented out.
     """
     if deg_bound < 1:
         raise ValueError("degree bound must be at least 1")
@@ -453,7 +454,7 @@ def find_exponential_factors(
     lie_of_basis = [sys.lie_derivative(MPoly.monomial(i, j)) for (i, j) in expos]
     high = [e for e in monomial_basis(d + deg_bound - 1) if e[0] + e[1] >= d]
     matrix = coefficient_rows(lie_of_basis, high)
-    for vec in _kernel(matrix, len(expos)):
+    for vec in nullspace(matrix):
         # a kernel vector is 1 in its free column, so g is nonzero
         g = _from_vector(vec, expos).monic()
         lco = sys.lie_derivative(g)
@@ -469,15 +470,15 @@ def find_exponential_factors(
         h = cur.f ** (k - 1)
         g_expos = monomial_basis(h.degree)
         scale = MPoly.const(Fraction(k - 1)) * cur.K
-        # rows: coefficients of the remainder of X(g) - (k-1) K g mod h
-        cols: List[MPoly] = []
+        # columns h*q for the monomials q of degree <= d - 1, then X(g) -
+        # (k-1) K g for the monomials g; the h*q columns are all pivots
+        cols = [h * MPoly.monomial(i, j) for (i, j) in monomial_basis(d - 1)]
+        n_q = len(cols)
         for (i, j) in g_expos:
             mono = MPoly.monomial(i, j)
-            expr = sys.lie_derivative(mono) - scale * mono
-            _, rem = expr.reduce_mod(h)
-            cols.append(rem)
-        rem_monos = sorted({e for c in cols for e, _ in c.int_terms()})
-        sols = _kernel(coefficient_rows(cols, rem_monos), len(g_expos))
+            cols.append(sys.lie_derivative(mono) - scale * mono)
+        matrix = coefficient_rows(cols, monomial_basis(h.degree + d - 1))
+        sols = [vec[n_q:] for vec in nullspace(matrix)]
         h_vec = [h.coeff(i, j) for (i, j) in g_expos]
         for vec in _quotient_span(sols, h_vec):
             # g is nonzero and no multiple of h, so f keeps a positive power of cur.f
@@ -490,14 +491,6 @@ def find_exponential_factors(
                 raise InternalInvariantError("exponential-factor cofactor degree too high")
             out.append(ExpFactor(g=g, f=f, L=lco))
     return out
-
-
-def _kernel(matrix: Sequence[Sequence[int]], n: int) -> List[List[Fraction]]:
-    """Right nullspace of a matrix with n columns; with no rows, nothing
-    constrains the unknowns and the n unit vectors span it."""
-    if matrix:
-        return nullspace(matrix)
-    return [[Fraction(1) if t == s else Fraction(0) for t in range(n)] for s in range(n)]
 
 
 def _coprime_form(g: MPoly, base: MPoly, power: int) -> Tuple[MPoly, MPoly]:

@@ -398,7 +398,7 @@ def classify_point(sys: PlanarSystem, pt: AlgebraicPoint) -> EquilibriumRecord:
         return EquilibriumRecord(pt, jac, tr, det, disc, eigs, cls, reduction=red)
 
     if pt.rur is None:
-        raise InputError("a point with two irrational coordinates needs its parametrization")
+        raise InputError("a point with an irrational coordinate needs its parametrization")
     # the stored point is refined for text(), approx() and jacobian_at
     pt = pt.refined(Fraction(1, 2**60))
     # P and Q are 0 at an equilibrium, where no box excludes 0

@@ -294,7 +294,7 @@ class AlgebraicPoint:
         if s or self.is_exact:
             return s
         if self.rur is None:
-            raise ValueError("a point with two irrational coordinates needs its RUR")
+            raise ValueError("a point with an irrational coordinate needs its RUR")
         return self.rur[0].sign(f, self.rur[1])
 
     def compare(self, other: "AlgebraicPoint") -> int:

@@ -46,10 +46,10 @@ def ffdet(rows: Sequence[Sequence[MPoly]]) -> MPoly:
                 if prev is None:
                     a[i][j] = {e: c for e, c in num.items() if c}
                     continue
-                out = _divide(num, prev, exact=True)
+                out = _divide(num, prev)
                 if out is None:
                     raise ArithmeticError("Bareiss division not exact")
-                a[i][j] = out[0]
+                a[i][j] = out
             a[i][k] = {}
         prev = akk
     return _from_ints(a[n - 1][n - 1], Fraction(sign, scale))

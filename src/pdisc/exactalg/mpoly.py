@@ -16,12 +16,14 @@ multiply row by row (Kronecker substitution): a row, the terms with one
 exponent of x or of y, is packed into one int, one int product
 multiplies a pair of rows, and each output row is read back into
 coefficients; smaller or sparser dicts multiply term pair by term pair.
-Sums bring both sides to one denominator and take the content once;
-exact division runs on the primitive parts, where a quotient over Q is
-always over Z.  Fixing a variable to a rational, evaluation and the
-2-jet, formatting and `univariate_ints` (which `UPoly.from_mpoly`
-carries over) read the integer terms with no Fraction per term.  Values
-cross the API as `Fraction`s.
+Sums bring both sides to one denominator and take the content once.
+Division is exact only: `exact_div` returns the quotient or None, and
+runs on the primitive parts, where a quotient over Q is always over Z;
+pseudo-division with a remainder is univariate (`UPoly.divmod`).
+Fixing a variable to a rational, evaluation and the 2-jet, formatting
+and `univariate_ints` (which `UPoly.from_mpoly` carries over) read the
+integer terms with no Fraction per term.  Values cross the API as
+`Fraction`s.
 
 `prim` keys each monomial x^i y^j by one int, (i + j) << 64 | j.  Adding
 two keys multiplies the monomials, and integer order on keys is the
@@ -235,19 +237,6 @@ class MPoly:
 
     # -- division ------------------------------------------------------
 
-    def reduce_mod(self, divisor: "MPoly") -> Tuple["MPoly", "MPoly"]:
-        """Single-divisor division: self = q*divisor + r.
-
-        Leading-term reduction under the graded-lex order; no term of r is
-        divisible by the divisor's leading monomial.  For a single divisor,
-        r == 0 is equivalent to exact divisibility.  With m * A = Q * B + R
-        for the primitive parts, q = cA / (cB * m) Q and r = (cA / m) R.
-        """
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        q, r, m = _divide(self._p, divisor._p, exact=False)
-        return _from_ints(q, self._c / (divisor._c * m)), _from_ints(r, self._c / m)
-
     def exact_div(self, divisor: "MPoly") -> Optional["MPoly"]:
         """Exact quotient self/divisor, or None when no exact quotient exists.
 
@@ -255,10 +244,10 @@ class MPoly:
         and the quotient is then primitive (Gauss's lemma)."""
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        out = _divide(self._p, divisor._p, exact=True)
-        if out is None:
+        q = _divide(self._p, divisor._p)
+        if q is None:
             return None
-        return MPoly._make(out[0], self._c / divisor._c) if out[0] else _ZERO
+        return MPoly._make(q, self._c / divisor._c) if q else _ZERO
 
     # -- evaluation / substitution --------------------------------------
 
@@ -612,18 +601,16 @@ def _power_table(n: int, d: int, top: int) -> Tuple[list[int], int]:
     return table, dpow
 
 
-def _divide(terms: _Terms, divisor: _Terms, exact: bool) -> Optional[Tuple[_Terms, _Terms, int]]:
-    """Leading-term pseudo-division of packed integer term dicts:
-    m * terms = q*divisor + r for a positive integer m.
+def _divide(terms: _Terms, divisor: _Terms) -> Optional[_Terms]:
+    """The exact quotient terms / divisor of packed integer term dicts,
+    or None when the divisor does not divide terms over Z.
 
     The running remainder's terms are popped from a heap in descending
     graded-lex order; every term the reduction creates lies below the
-    one being reduced, so each monomial is popped at most once.  A
-    coefficient that the divisor's leading coefficient does not divide
-    scales the remainder, q and r by only the factor it lacks, which m
-    collects; with exact=True it gives None, as does a term that the
-    divisor's leading monomial does not divide.  Zero coefficients in
-    `terms` are skipped.
+    one being reduced, so each monomial is popped at most once.  A term
+    that the divisor's leading monomial does not divide, or whose
+    coefficient the divisor's leading coefficient does not divide, gives
+    None.  Zero coefficients in `terms` are skipped.
     """
     lead = max(divisor)
     dc = divisor[lead]
@@ -634,8 +621,6 @@ def _divide(terms: _Terms, divisor: _Terms, exact: bool) -> Optional[Tuple[_Term
     heap = [-k for k in work]
     heapify(heap)
     q: _Terms = {}
-    r: _Terms = {}
-    m = 1
     get = work.get
     while heap:
         k = -heappop(heap)
@@ -644,20 +629,10 @@ def _divide(terms: _Terms, divisor: _Terms, exact: bool) -> Optional[Tuple[_Term
             continue
         j = k & _LOW
         if j < dj or (k >> _SHIFT) - j < di:
-            if exact:
-                return None
-            r[k] = c
-            continue
+            return None
         qc, rem = divmod(c, dc)
         if rem:
-            if exact:
-                return None
-            s = abs(dc) // gcd(c, dc)
-            for d in (work, q, r):
-                for t in d:
-                    d[t] *= s
-            m *= s
-            qc = c * s // dc
+            return None
         qk = k - lead
         q[qk] = qc
         for t, tc in tail:
@@ -668,7 +643,7 @@ def _divide(terms: _Terms, divisor: _Terms, exact: bool) -> Optional[Tuple[_Term
                 heappush(heap, -w)
             else:
                 work[w] = s - qc * tc
-    return q, r, m
+    return q
 
 
 def _var_index(var: str) -> int:

@@ -88,11 +88,6 @@ class UPoly:
         polynomial over the integers."""
         return self._p
 
-    def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self._p):
-            return self._c * self._p[k]
-        return _ZERO
-
     def monic(self) -> "UPoly":
         if not self._p:
             return self

@@ -18,7 +18,9 @@ from hypothesis import assume, given, settings, strategies as st
 from pdisc import integrability
 from pdisc.darboux import (
     InvariantCurve,
+    _coprime_form,
     _exponent,
+    _quotient_span,
     attach_multiplicities,
     darboux_fragment,
     extactic,
@@ -27,7 +29,7 @@ from pdisc.darboux import (
     verify_invariant_curve,
 )
 from pdisc.errors import InternalInvariantError
-from pdisc.exactalg import MPoly, ffdet
+from pdisc.exactalg import MPoly, ffdet, monomial_basis, nullspace
 from pdisc.integrability import SearchBounds, run_pipeline
 from pdisc.modelio import PlanarSystem, leslie_system, parse_system, seeded_parameter_triples
 
@@ -465,6 +467,99 @@ def test_exponential_factor_translation_flow():
             factor.f
         )
         assert (lhs - factor.L * factor.f * factor.f).is_zero
+
+
+def _remainder(f: MPoly, h: MPoly) -> dict:
+    """The remainder of f modulo h by leading-term reduction over
+    Fractions, under the kernel's graded-lex order (total degree, then
+    the exponent of y), as {(i, j): coefficient}."""
+    order = lambda e: (e[0] + e[1], e[1])  # noqa: E731
+    divisor = dict(h.items())
+    lead = max(divisor, key=order)
+    work, rem = dict(f.items()), {}
+    while work:
+        e = max(work, key=order)
+        c = work.pop(e)
+        if not c:
+            continue
+        if e[0] < lead[0] or e[1] < lead[1]:
+            rem[e] = c
+            continue
+        fac = c / divisor[lead]
+        for (i, j), v in divisor.items():
+            if (i, j) != lead:
+                t = (e[0] - lead[0] + i, e[1] - lead[1] + j)
+                work[t] = work.get(t, 0) - fac * v
+    return rem
+
+
+def _exp_factors_by_remainders(sys: PlanarSystem, curve: InvariantCurve) -> List[tuple]:
+    """(g, f) of each exp(g/f) factor of a multiple curve, found as the g
+    with deg g <= deg h whose X(g) - (k-1) K g leaves no remainder
+    modulo h = f^(k-1); with no remainder rows every g qualifies."""
+    k = curve.multiplicity
+    h = curve.f ** (k - 1)
+    g_expos = monomial_basis(h.degree)
+    rems = []
+    for i, j in g_expos:
+        mono = MPoly.monomial(i, j)
+        rems.append(_remainder(sys.lie_derivative(mono) - (k - 1) * curve.K * mono, h))
+    rows = sorted({e for r in rems for e in r})
+    if rows:
+        sols = nullspace([[r.get(e, 0) for r in rems] for e in rows])
+    else:
+        sols = [[F(int(t == s)) for t in range(len(g_expos))] for s in range(len(g_expos))]
+    out = []
+    for vec in _quotient_span(sols, [h.coeff(i, j) for i, j in g_expos]):
+        g = sum((MPoly.monomial(i, j, c) for (i, j), c in zip(g_expos, vec)), MPoly.zero())
+        out.append(_coprime_form(g, curve.f, k - 1))
+    return out
+
+
+@st.composite
+def _multiple_lines(draw):
+    """A field with a line of multiplicity m = 2 or 3 planted in it:
+    x - r to the m divides P, y - r to the m divides Q, or
+    (y - a x - r) to the m divides Q - a P; the curve carries m."""
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    def poly(deg: int) -> MPoly:
+        terms = draw(st.dictionaries(
+            st.tuples(st.integers(0, deg), st.integers(0, deg)).filter(lambda e: sum(e) <= deg),
+            coeffs,
+            max_size=4,
+        ))
+        return MPoly(terms)
+
+    m = draw(st.integers(2, 3))
+    r = MPoly.const(draw(coeffs))
+    kind = draw(st.sampled_from(["x", "y", "slant"]))
+    tail = poly(1)
+    if kind == "x":
+        line = X - r
+        p, q = line**m * tail, poly(2)
+    elif kind == "y":
+        line = Y - r
+        p, q = poly(2), line**m * tail
+    else:
+        a = MPoly.const(draw(coeffs))
+        line = Y - a * X - r
+        p = poly(2)
+        q = a * p + line**m * tail
+    sys = PlanarSystem(p, q)
+    curve = verify_invariant_curve(sys, line.monic())
+    assert curve is not None
+    return sys, InvariantCurve(curve.f, curve.K, m)
+
+
+@given(_multiple_lines())
+def test_exp_factors_of_a_multiple_line_match_the_remainder_formulation(case):
+    # one linear system in the coefficients of q and g, X(g) - (k-1) K g
+    # = h q, finds the factors that reduction modulo h finds
+    sys, curve = case
+    factors = find_exponential_factors(sys, [curve], deg_bound=1)
+    got = [(e.g, e.f) for e in factors if not e.f.is_constant]
+    assert got == _exp_factors_by_remainders(sys, curve)
 
 
 # Darboux test systems with exponential factors: exp(1/x) among them, and

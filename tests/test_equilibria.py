@@ -281,6 +281,20 @@ def test_classify_point_rejects_non_equilibrium():
         classify_point(sys, AlgebraicPoint(AlgebraicCoord.of(F(1)), AlgebraicCoord.of(F(1))))
 
 
+def test_a_point_with_one_irrational_coordinate_needs_its_rur():
+    # (sqrt 2, 0) of dx = x^2 - 2, dy = y, built without its RUR: one
+    # coordinate is irrational, and the messages say one, not two
+    sys = parse_system("dx = x^2 - 2\ndy = y\n")
+    p = UPoly.from_mpoly(sys.P, "x")
+    (root,) = [ri for ri in isolate_real_roots(p) if ri.lo >= 0]
+    pt = AlgebraicPoint(AlgebraicCoord.from_root(p, root), AlgebraicCoord.of(F(0)))
+    with pytest.raises(InputError, match="^a point with an irrational coordinate needs its parametrization$"):
+        classify_point(sys, pt)
+    # the box of the coordinate intervals holds the zero of P
+    with pytest.raises(ValueError, match="^a point with an irrational coordinate needs its RUR$"):
+        pt.sign(sys.P)
+
+
 def test_fragment_shape():
     a, b, c = F(1), F(1), F(1, 2)
     records = leslie_labels(finite_equilibria(leslie_system(a, b, c)), a, b, c)

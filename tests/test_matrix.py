@@ -120,7 +120,7 @@ def test_ffdet_reports_inexact_division(monkeypatch):
     x = MPoly.var_x()
     y = MPoly.var_y()
     m = [[x, y, MPoly.one()], [MPoly.one(), x * y, y], [y, MPoly.zero(), x]]
-    monkeypatch.setattr(matrix, "_divide", lambda terms, divisor, exact: None)
+    monkeypatch.setattr(matrix, "_divide", lambda terms, divisor: None)
     with pytest.raises(ArithmeticError):
         ffdet(m)
 
