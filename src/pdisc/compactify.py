@@ -103,7 +103,7 @@ class SectorDecomposition:
 # charts
 
 
-def _twist(f: MPoly, d: int, u_from: str) -> MPoly:
+def twist(f: MPoly, d: int, u_from: str) -> MPoly:
     """T1 (u_from = 'y') or T2 (u_from = 'x'): v^d f evaluated along the
     chart substitution, as a polynomial in (u, v)."""
     terms: List[Tuple[Tuple[int, int], int]] = []
@@ -123,8 +123,8 @@ def to_chart(sys: PlanarSystem, chart: str) -> ChartSystem:
     if d < 1:
         raise InputError("compactification needs degree at least 1")
     u_from = "y" if chart[1] == "1" else "x"
-    tp = _twist(sys.P, d, u_from)
-    tq = _twist(sys.Q, d, u_from)
+    tp = twist(sys.P, d, u_from)
+    tq = twist(sys.Q, d, u_from)
     if u_from == "x":
         # U2 is U1 with x and y exchanged: the twists of P and Q trade places
         tp, tq = tq, tp
@@ -157,11 +157,10 @@ def _axis_equilibria(
     # the irrational points share one representation: u = the coordinate
     rur = Rur(poly, u, zero, one) if along == "x" else Rur(poly, zero, u, one)
     out: List[EquilibriumRecord] = []
-    for rt in roots:
-        coord = AlgebraicCoord.from_root(poly, rt)
+    for coord in roots:
         if nonnegative and coord.sign() < 0:
             continue
-        at = None if coord.is_exact else (rur, rt)
+        at = None if coord.is_exact else (rur, coord)
         pt = AlgebraicPoint(coord, origin, at) if along == "x" else AlgebraicPoint(origin, coord, at)
         out.append(classify_point(sys, pt))
     return out

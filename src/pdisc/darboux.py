@@ -76,11 +76,18 @@ class ExtacticResult:
     and each line's multiplicity within E_1 (at order 1, the same dict)."""
 
     order: int
-    basis_size: int  # monomials of degree <= order
     E: MPoly
     multiplicities: Dict[str, int]
-    vanishes: bool
     line_multiplicities: Dict[str, int]
+
+    @property
+    def basis_size(self) -> int:
+        """The number of monomials of degree <= order."""
+        return (self.order + 1) * (self.order + 2) // 2
+
+    @property
+    def vanishes(self) -> bool:
+        return self.E.is_zero
 
 
 def verify_invariant_curve(sys: PlanarSystem, f: MPoly) -> Optional[InvariantCurve]:
@@ -391,15 +398,7 @@ def extactic(sys: PlanarSystem, m: int, curves: Sequence[InvariantCurve]) -> Ext
             raise InternalInvariantError(
                 f"invariant curve {key} does not divide a nonzero E_1"
             )
-    size = (m + 1) * (m + 2) // 2
-    return ExtacticResult(
-        order=m,
-        basis_size=size,
-        E=e,
-        multiplicities=mult,
-        vanishes=vanishes,
-        line_multiplicities=mult if m == 1 else lines,
-    )
+    return ExtacticResult(order=m, E=e, multiplicities=mult, line_multiplicities=mult if m == 1 else lines)
 
 
 def attach_multiplicities(

@@ -41,14 +41,14 @@ from pdisc.exactalg import (
     AlgebraicCoord,
     AlgebraicPoint,
     MPoly,
-    RootInterval,
     Rur,
     UPoly,
     isolate_real_roots,
     resultant_wrt,
     squarefree_roots,
 )
-from pdisc.exactalg.algebraic import Enclosure, holds_root
+from pdisc.exactalg.algebraic import Enclosure
+from pdisc.exactalg.roots import holds_root
 from pdisc.exactalg.matrix import subresultant
 from pdisc.modelio import PlanarSystem
 
@@ -77,8 +77,12 @@ class SemiHyperbolicReduction:
     a2: Fraction
     nonzero_eigenvalue: Fraction
     center_vector: Tuple[Fraction, Fraction]
-    stability: str  # "attractor" or "repeller" along the hyperbolic direction
     hyperbolic_vector: Tuple[Fraction, Fraction]  # eigenvector of nonzero_eigenvalue
+
+    @property
+    def stability(self) -> str:
+        """Along the hyperbolic direction: "attractor" or "repeller"."""
+        return "attractor" if self.nonzero_eigenvalue < 0 else "repeller"
 
 
 @dataclass(frozen=True)
@@ -103,12 +107,7 @@ class EquilibriumRecord:
         discriminant and the eigenvectors stay."""
         red = self.reduction
         if red is not None:
-            red = replace(
-                red,
-                a2=-red.a2,
-                nonzero_eigenvalue=-red.nonzero_eigenvalue,
-                stability="repeller" if red.stability == "attractor" else "attractor",
-            )
+            red = replace(red, a2=-red.a2, nonzero_eigenvalue=-red.nonzero_eigenvalue)
         return replace(
             self,
             jacobian=None if self.jacobian is None else tuple(tuple(-v for v in row) for row in self.jacobian),
@@ -211,18 +210,17 @@ def _eliminate(p: MPoly, q: MPoly, rx: MPoly) -> List[AlgebraicPoint]:
     each of these rules out finitely many t, so the bound below is never met."""
     if rx.is_constant:
         return []
-    ux, xroots = squarefree_roots(UPoly.from_mpoly(rx, "x"))
+    xroots = squarefree_roots(UPoly.from_mpoly(rx, "x"))[1]
     out = [pt for rt in xroots if rt.exact is not None for pt in _fiber_exact_x(p, q, rt.exact)]
     pending = [rt for rt in xroots if rt.exact is None]
     if not pending:
         return out
     # every ordinate is a root of Res_x(P, Q), which lies in the ideal (P, Q)
-    x_elim = (ux, xroots)
-    y_elim = squarefree_roots(UPoly.from_mpoly(resultant_wrt(p, q, "x"), "y"))
+    yroots = squarefree_roots(UPoly.from_mpoly(resultant_wrt(p, q, "x"), "y"))[1]
     dp, dq = p.degree, q.degree
     for k in range(dp + dq + dp * dq * (dp * dq - 1) // 2 + 2):
         t = (k + 1) // 2 * (-1) ** (k + 1)
-        found = _lift(p, q, t, x_elim, y_elim, pending)
+        found = _lift(p, q, t, xroots, yroots, pending)
         if found is not None:
             return out + found
     raise InternalInvariantError("no shear lifts the equilibria above an irrational abscissa")
@@ -240,22 +238,20 @@ def _fiber_exact_x(p: MPoly, q: MPoly, x0: Fraction) -> List[AlgebraicPoint]:
     xc = AlgebraicCoord.of(x0)
     g, roots = squarefree_roots(g)
     rur = Rur(g, UPoly.const(x0), UPoly.variable(), UPoly.const(1))
-    return [AlgebraicPoint(xc, AlgebraicCoord.from_root(g, rt), (rur, rt)) for rt in roots]
-
-
-_Eliminant = Tuple[UPoly, List[RootInterval]]
+    return [AlgebraicPoint(xc, rt, (rur, rt)) for rt in roots]
 
 
 def _lift(
     p: MPoly,
     q: MPoly,
     t: int,
-    x_elim: _Eliminant,
-    y_elim: _Eliminant,
-    pending: List[RootInterval],
+    xroots: List[AlgebraicCoord],
+    yroots: List[AlgebraicCoord],
+    pending: List[AlgebraicCoord],
 ) -> Optional[List[AlgebraicPoint]]:
-    """Points above the roots `pending` of x_elim, found in the coordinates
-    u = x + t*y; None if some u-root cannot be lifted.
+    """Points above the roots `pending` of the x-eliminant, whose roots
+    are `xroots`, found in the coordinates u = x + t*y; None if some
+    u-root cannot be lifted.
 
     With t = 0 the u-roots are the pending roots; with t != 0, all real
     roots of the sheared Res_y, so every real solution is lifted and
@@ -265,12 +261,10 @@ def _lift(
     power of a linear factor, the fiber holds the one point
     y = -Sj,j-1(a) / (j*Sjj(a)), which with x = a - t*y is the point's
     Rur.  Zero tests at a are a gcd with the u-eliminant and a sign
-    change.  Each point is certified by locating y among the roots of
-    y_elim and x = u - t*y among those of x_elim.
+    change.  Each point is certified by locating y among `yroots`, the
+    roots of the y-eliminant, and x = u - t*y among `xroots`.
     """
-    s, xroots = x_elim
-    r, yroots = y_elim
-    base, roots = s, pending
+    base, roots = pending[0].poly, pending  # the square-free x-eliminant
     if t:
         shear = (MPoly.var_x() - MPoly.const(t) * MPoly.var_y(), MPoly.var_y())
         p, q = p.subst(*shear), q.subst(*shear)
@@ -285,10 +279,10 @@ def _lift(
         y, d = -UPoly.from_mpoly(c[j - 1], "x"), UPoly.from_mpoly(c[j], "x") * j
         return Rur(base, UPoly.variable() * d - y * t, y, d)
 
-    def vanishes(c: MPoly, rt: RootInterval) -> bool:
+    def vanishes(c: MPoly, rt: AlgebraicCoord) -> bool:
         return holds_root(common(c), rt.lo, rt.hi)
 
-    def fiber_gcd(rt: RootInterval) -> Optional[List[MPoly]]:
+    def fiber_gcd(rt: AlgebraicCoord) -> Optional[List[MPoly]]:
         # a side without y is its own leading coefficient, zero at every root
         if any(vanishes(f.coeffs_in("y")[-1], rt) for f in (p, q)):
             return None
@@ -321,14 +315,13 @@ def _lift(
             yroot = _locate(yroots, boxes, 1)
             xroot = _locate(xroots, boxes, 0)
             if xroot in pending:
-                x_, y_ = AlgebraicCoord.from_root(s, xroot), AlgebraicCoord.from_root(r, yroot)
-                out.append(AlgebraicPoint(x_, y_, at))
+                out.append(AlgebraicPoint(xroot, yroot, at))
     return out
 
 
 def _locate(
-    roots: List[RootInterval], boxes: Iterator[Optional[Tuple[Enclosure, Enclosure]]], k: int
-) -> RootInterval:
+    roots: List[AlgebraicCoord], boxes: Iterator[Optional[Tuple[Enclosure, Enclosure]]], k: int
+) -> AlgebraicCoord:
     """The one of `roots`, known to hold coordinate k of the enclosed
     point, whose isolating interval alone meets that side of a box of the
     sequence."""
@@ -467,14 +460,7 @@ def _semi_hyperbolic(jac, lam: Fraction, halves) -> SemiHyperbolicReduction:
 
     p2, q2 = (h[0] * v0[0] ** 2 + h[1] * v0[0] * v0[1] + h[2] * v0[1] ** 2 for h in halves)
     a2 = (p2 * vl[1] - q2 * vl[0]) / det_t
-    stability = "attractor" if lam < 0 else "repeller"
-    return SemiHyperbolicReduction(
-        a2=a2,
-        nonzero_eigenvalue=lam,
-        center_vector=v0,
-        stability=stability,
-        hyperbolic_vector=vl,
-    )
+    return SemiHyperbolicReduction(a2=a2, nonzero_eigenvalue=lam, center_vector=v0, hyperbolic_vector=vl)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Sparse bivariate and dense univariate polynomials, each stored as a
 primitive integer part (a dict on packed monomial keys, a tuple) times a
-positive rational content; real-root isolation, real algebraic numbers
-and points, fraction-free determinants and linear solves.  No floating
+positive rational content; real algebraic numbers (`AlgebraicCoord`, the
+one type that root isolation returns and refinement takes) and points,
+fraction-free determinants and linear solves.  No floating
 point anywhere in this subpackage.  Values cross the API as `Fraction`s,
 and an enclosure as a pair (lo, hi) of them, but polynomial arithmetic,
 determinants, resultants, row echelon forms, Sturm chains, bisection
@@ -12,7 +13,7 @@ terms or more pack each row of terms into one `int`, so CPython's
 big-integer product multiplies them.
 """
 
-from pdisc.exactalg.algebraic import AlgebraicCoord, AlgebraicPoint, Rur
+from pdisc.exactalg.algebraic import AlgebraicPoint, Rur
 from pdisc.exactalg.matrix import (
     coefficient_rows,
     ffdet,
@@ -22,14 +23,13 @@ from pdisc.exactalg.matrix import (
     solve_linear,
 )
 from pdisc.exactalg.mpoly import MPoly
-from pdisc.exactalg.roots import RootInterval, common_denominator, isolate_real_roots, refine_root, squarefree_roots
+from pdisc.exactalg.roots import AlgebraicCoord, common_denominator, isolate_real_roots, refine_root, squarefree_roots
 from pdisc.exactalg.upoly import UPoly
 
 __all__ = [
     "AlgebraicCoord",
     "AlgebraicPoint",
     "MPoly",
-    "RootInterval",
     "Rur",
     "UPoly",
     "coefficient_rows",

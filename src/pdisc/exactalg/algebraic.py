@@ -1,150 +1,36 @@
-"""Real algebraic numbers and points.
+"""Real algebraic points.
 
-A coordinate is an exact rational, or a square-free defining polynomial
-plus an isolating interval, refinable on demand.  An irrational point
-also carries a rational univariate representation (RUR; Rouillier 1999,
-*AAECC* 9): x = X(a)/D(a), y = Y(a)/D(a) at one root a of a square-free
-s(u).  Elimination produces it, and a point with one rational coordinate
-has a trivial one.  Every sign at a point (`AlgebraicPoint.sign`) is
-read first from an enclosure of the polynomial over the box of the two
-coordinate intervals, which holds the point since each interval isolates
-its coordinate: a box that excludes 0 decides the sign.  Only when it
-holds 0 is the sign decided from the RUR: zero by the gcd of the image
-with s, a nonzero sign by refining a alone.
+A point is a pair of `AlgebraicCoord`s, the real algebraic numbers of
+`pdisc.exactalg.roots`.  An irrational point also carries a rational
+univariate representation (RUR; Rouillier 1999, *AAECC* 9):
+x = X(a)/D(a), y = Y(a)/D(a) at one root a of a square-free s(u), a
+held as an `AlgebraicCoord` of s.  Elimination produces it, and a point
+with one rational coordinate has a trivial one.  Every sign at a point
+(`AlgebraicPoint.sign`) is read first from an enclosure of the
+polynomial over the box of the two coordinate intervals, which holds the
+point since each interval isolates its coordinate: a box that excludes 0
+decides the sign.  Only when it holds 0 is the sign decided from the
+RUR: zero by the gcd of the image with s, a nonzero sign by refining a
+alone.
 
 Every enclosure here is one integer interval Horner scheme, `_horner`,
 over an interval scaled to integer endpoints: of a univariate polynomial
 over an interval, and of a bivariate one over a box, in y row by row and
-then in x.  Every refinement runs through `refinements`, which narrows
-an isolating interval by a factor that squares at each step (4, 16, 256,
-..., at most 2^64), so the number of steps grows with the log of the
-bits a decision needs, not with the bits themselves.
+then in x.  Every refinement of a runs through `roots.refinements`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from pdisc.exactalg.mpoly import MPoly
-from pdisc.exactalg.roots import RootInterval, common_denominator, refine_root
+from pdisc.exactalg.roots import AlgebraicCoord, common_denominator, holds_root, refinements
 from pdisc.exactalg.upoly import UPoly, linear_combination
 
 # a closed interval (lo, hi) with rational endpoints
 Enclosure = Tuple[Fraction, Fraction]
-
-
-def refinements(s: UPoly, a: RootInterval) -> Iterator[RootInterval]:
-    """a, then a refined to 1/4, 1/16, 1/256, ... of the last width (the
-    factor squared each time, capped at 2^64); a isolates an irrational
-    root of the square-free s."""
-    step = 4
-    while True:
-        yield a
-        a = refine_root(s, a, a.width / step)
-        step = min(step * step, 2**64)
-
-
-@dataclass(frozen=True)
-class AlgebraicCoord:
-    """A real algebraic number: exact rational, or a square-free
-    defining polynomial with an isolating interval.  isolate_real_roots
-    returns every rational root exactly, so an interval coordinate is
-    irrational and no refinement of it meets the root."""
-
-    exact: Optional[Fraction] = None
-    poly: Optional[UPoly] = None
-    root: Optional[RootInterval] = None
-
-    def __post_init__(self) -> None:
-        if self.exact is None and (self.poly is None or self.root is None):
-            raise ValueError("interval coordinate needs poly and root")
-
-    @staticmethod
-    def of(value: Union[int, Fraction]) -> "AlgebraicCoord":
-        return AlgebraicCoord(exact=Fraction(value))
-
-    @staticmethod
-    def from_root(poly: UPoly, root: RootInterval) -> "AlgebraicCoord":
-        """The root isolated by `root` of `poly`, which must be square-free
-        (as `squarefree_roots` returns it): an exact coordinate if the
-        root is exact, else stored as given."""
-        if root.exact is not None:
-            return AlgebraicCoord(exact=root.exact)
-        return AlgebraicCoord(poly=poly, root=root)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
-    def interval(self) -> Enclosure:
-        if self.exact is not None:
-            return self.exact, self.exact
-        assert self.root is not None
-        return self.root.lo, self.root.hi
-
-    def refined(self, width: Fraction) -> "AlgebraicCoord":
-        if self.exact is not None:
-            return self
-        assert self.poly is not None and self.root is not None
-        return AlgebraicCoord(poly=self.poly, root=refine_root(self.poly, self.root, width))
-
-    def approx(self) -> float:
-        if self.exact is not None:
-            return float(self.exact)
-        c = self.refined(Fraction(1, 2**60))
-        assert c.root is not None
-        return float((c.root.lo + c.root.hi) / 2)
-
-    def sign(self) -> int:
-        """Exact sign; zero only for the exact rational 0."""
-        return self.compare(AlgebraicCoord.of(0))
-
-    def compare(self, other: "AlgebraicCoord") -> int:
-        """Exact three-way comparison."""
-        if self.exact is not None and other.exact is not None:
-            return (self.exact > other.exact) - (self.exact < other.exact)
-        if self.exact is not None:
-            return -other._compare_to_rational(self.exact)
-        if other.exact is not None:
-            return self._compare_to_rational(other.exact)
-        return self._compare_irrational(other)
-
-    def _compare_to_rational(self, v: Fraction) -> int:
-        assert self.poly is not None and self.root is not None
-        for r in refinements(self.poly, self.root):
-            if not r.lo < v < r.hi:
-                # isolating endpoints are never roots, so the root is strictly inside
-                return 1 if v <= r.lo else -1
-
-    def _compare_irrational(self, other: "AlgebraicCoord") -> int:
-        assert self.poly is not None and self.root is not None
-        assert other.poly is not None and other.root is not None
-        g = None
-        for a, b in zip(refinements(self.poly, self.root), refinements(other.poly, other.root)):
-            if a.hi < b.lo:
-                return -1
-            if b.hi < a.lo:
-                return 1
-            if g is None:
-                g = self.poly.gcd(other.poly)
-            if holds_root(g, max(a.lo, b.lo), min(a.hi, b.hi)):
-                # the overlap holds a common root; each interval isolates
-                # exactly one root, so both coordinates equal it
-                return 0
-
-    def text(self) -> str:
-        if self.exact is not None:
-            return str(self.exact)
-        return f"~{self.approx():.12g} (root of {self.poly})"
-
-
-def holds_root(g: UPoly, lo: Fraction, hi: Fraction) -> bool:
-    """Whether g has a root in (lo, hi), where g divides a square-free
-    polynomial with one root there and none at lo or hi: then g has at
-    most that one root, a simple one, so a sign change finds it."""
-    return g.degree >= 1 and g.sign_at(lo) != g.sign_at(hi)
 
 
 def _horner(coeffs: Sequence[Tuple[int, int]], e: Tuple[int, int, int]) -> Tuple[int, int]:
@@ -161,7 +47,7 @@ def _horner(coeffs: Sequence[Tuple[int, int]], e: Tuple[int, int, int]) -> Tuple
     return lo, hi
 
 
-def _enclosure(p: UPoly, r: RootInterval) -> Enclosure:
+def _enclosure(p: UPoly, r: AlgebraicCoord) -> Enclosure:
     """An enclosure of p over [r.lo, r.hi]: `_horner` on the primitive
     part of p, then the content and the power of the denominator."""
     e = common_denominator(r.lo, r.hi)
@@ -234,12 +120,12 @@ class Rur:
             g = self._images[f] = (g % self.base) * f.content
         return g
 
-    def sign(self, f: MPoly, a: RootInterval) -> int:
+    def sign(self, f: MPoly, a: AlgebraicCoord) -> int:
         """The exact sign of f at the point above the irrational root a of s."""
         g = self._image(f)
         if g.is_zero:
             return 0
-        for r in refinements(self.base, a):
+        for r in refinements(a):
             # D(a) != 0, so once G(a) != 0 too both enclosures exclude 0 when narrow
             s_g, s_d = _sign(_enclosure(g, r)), _sign(_enclosure(self.D, r))
             if s_g and s_d:
@@ -249,11 +135,11 @@ class Rur:
             if holds_root(self._zeros[f], r.lo, r.hi):
                 return 0
 
-    def quotient_boxes(self, a: RootInterval) -> Iterator[Optional[Tuple[Enclosure, Enclosure]]]:
+    def quotient_boxes(self, a: AlgebraicCoord) -> Iterator[Optional[Tuple[Enclosure, Enclosure]]]:
         """Enclosures (lo, hi) of the coordinates of the point
         (X(a)/D(a), Y(a)/D(a)), one pair for each interval of
-        refinements(s, a); None while the enclosure of D(a) holds zero."""
-        for r in refinements(self.base, a):
+        refinements(a); None while the enclosure of D(a) holds zero."""
+        for r in refinements(a):
             d = _enclosure(self.D, r)
             yield (_quotient(_enclosure(self.X, r), d), _quotient(_enclosure(self.Y, r), d)) if _sign(d) else None
 
@@ -261,11 +147,12 @@ class Rur:
 @dataclass(frozen=True)
 class AlgebraicPoint:
     """A real algebraic point.  An irrational one carries the
-    representation it was built with and the interval of its root a."""
+    representation it was built with and its root a, a coordinate whose
+    polynomial is the representation's base."""
 
     x: AlgebraicCoord
     y: AlgebraicCoord
-    rur: Optional[Tuple[Rur, RootInterval]] = field(default=None, compare=False)
+    rur: Optional[Tuple[Rur, AlgebraicCoord]] = field(default=None, compare=False)
 
     @property
     def is_exact(self) -> bool:

@@ -1,9 +1,16 @@
-"""Real-root isolation for univariate rational polynomials.
+"""Real algebraic numbers and the isolation of real roots of univariate
+rational polynomials.
 
-Strategy: one Sturm chain and one bisection pass inside a window clipped
-to the Cauchy root bound.  The chain is the signed primitive remainder
-sequence of p and p' (`upoly.remainder_sequence`); its entries are
-positive multiples of the entries over Q, so they have the same sign
+`AlgebraicCoord` is the one type for a real algebraic number: a rational
+is the interval lo == hi, and an irrational the open isolating interval
+(lo, hi) of its root of a square-free polynomial.  Isolation returns its
+roots as such coordinates, refinement takes and returns them, and every
+comparison reads them through `refinements`.
+
+Isolation: one Sturm chain and one bisection pass inside a window
+clipped to the Cauchy root bound.  The chain is the signed primitive
+remainder sequence of p and p' (`upoly.remainder_sequence`); its entries
+are positive multiples of the entries over Q, so they have the same sign
 variations.  Its last entry is gcd(p, p'): only when that is not
 constant is p replaced by its square-free part s = p / gcd(p, p') and
 the chain built again.  `squarefree_roots` returns that square-free part
@@ -25,14 +32,18 @@ endpoints as integer numerators over one shared denominator and read
 values at unreduced points by integer Horner.  Refinement jumps along
 the bisection grid by secants (`refine_root`), far fewer evaluations
 than one per bit, and returns the endpoints halving over Fraction gives.
+Every other refinement runs through `refinements`, which narrows an
+interval by a factor that squares at each step (4, 16, 256, ..., at
+most 2^64), so the number of steps grows with the log of the bits a
+decision needs, not with the bits themselves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from pdisc.exactalg.upoly import UPoly, _homogeneous, remainder_sequence
 
@@ -40,23 +51,32 @@ _Scalar = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
-class RootInterval:
-    """One isolated real root of a square-free polynomial.
-
-    lo == hi == exact for roots known exactly; otherwise the open
-    interval (lo, hi) contains exactly one root and the endpoints are
-    not roots.
-    """
+class AlgebraicCoord:
+    """A real algebraic number: the rational lo when lo == hi, else the
+    one root in the open interval (lo, hi) of the square-free `poly`,
+    whose endpoints are not roots.  Isolation returns every rational
+    root exactly, so an interval coordinate is irrational and no
+    refinement of it meets the root.  `exact` is lo or None, set once;
+    two coordinates are equal when their intervals are."""
 
     lo: Fraction
     hi: Fraction
-    exact: Optional[Fraction] = None
+    poly: Optional[UPoly] = field(default=None, compare=False)
+    exact: Optional[Fraction] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError("root interval endpoints out of order")
-        if self.exact is not None and not (self.lo <= self.exact <= self.hi):
-            raise ValueError("exact root outside its interval")
+        if self.lo == self.hi:
+            exact = self.lo
+        elif self.lo < self.hi and self.poly is not None:
+            exact = None
+        else:
+            raise ValueError("an interval coordinate needs lo < hi and its polynomial")
+        object.__setattr__(self, "exact", exact)
+
+    @staticmethod
+    def of(value: _Scalar) -> "AlgebraicCoord":
+        v = Fraction(value)
+        return AlgebraicCoord(v, v)
 
     @property
     def is_exact(self) -> bool:
@@ -65,6 +85,75 @@ class RootInterval:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
+
+    def interval(self) -> Tuple[Fraction, Fraction]:
+        return self.lo, self.hi
+
+    def refined(self, width: Fraction) -> "AlgebraicCoord":
+        return self if self.exact is not None else refine_root(self, width)
+
+    def approx(self) -> float:
+        if self.exact is not None:
+            return float(self.exact)
+        c = refine_root(self, Fraction(1, 2**60))
+        return float((c.lo + c.hi) / 2)
+
+    def sign(self) -> int:
+        """Exact sign; zero only for the exact rational 0."""
+        return self.compare(AlgebraicCoord.of(0))
+
+    def compare(self, other: "AlgebraicCoord") -> int:
+        """Exact three-way comparison."""
+        if self.exact is not None and other.exact is not None:
+            return (self.exact > other.exact) - (self.exact < other.exact)
+        if self.exact is not None:
+            return -other._compare_to_rational(self.exact)
+        if other.exact is not None:
+            return self._compare_to_rational(other.exact)
+        return self._compare_irrational(other)
+
+    def _compare_to_rational(self, v: Fraction) -> int:
+        for r in refinements(self):
+            if not r.lo < v < r.hi:
+                # isolating endpoints are never roots, so the root is strictly inside
+                return 1 if v <= r.lo else -1
+
+    def _compare_irrational(self, other: "AlgebraicCoord") -> int:
+        assert self.poly is not None and other.poly is not None
+        g = None
+        for a, b in zip(refinements(self), refinements(other)):
+            if a.hi < b.lo:
+                return -1
+            if b.hi < a.lo:
+                return 1
+            if g is None:
+                g = self.poly.gcd(other.poly)
+            if holds_root(g, max(a.lo, b.lo), min(a.hi, b.hi)):
+                # the overlap holds a common root; each interval isolates
+                # exactly one root, so both coordinates equal it
+                return 0
+
+    def text(self) -> str:
+        if self.exact is not None:
+            return str(self.exact)
+        return f"~{self.approx():.12g} (root of {self.poly})"
+
+
+def refinements(a: AlgebraicCoord) -> Iterator[AlgebraicCoord]:
+    """a, then a refined to 1/4, 1/16, 1/256, ... of the last width (the
+    factor squared each time, capped at 2^64); a is irrational."""
+    step = 4
+    while True:
+        yield a
+        a = refine_root(a, a.width / step)
+        step = min(step * step, 2**64)
+
+
+def holds_root(g: UPoly, lo: Fraction, hi: Fraction) -> bool:
+    """Whether g has a root in (lo, hi), where g divides a square-free
+    polynomial with one root there and none at lo or hi: then g has at
+    most that one root, a simple one, so a sign change finds it."""
+    return g.degree >= 1 and g.sign_at(lo) != g.sign_at(hi)
 
 
 def cauchy_bound(p: UPoly) -> Fraction:
@@ -90,15 +179,16 @@ def _variations(signs: List[int]) -> int:
     return sum(a != b for a, b in zip(nonzero, nonzero[1:]))
 
 
-def isolate_real_roots(p: UPoly) -> List[RootInterval]:
-    """Disjoint isolating intervals for every distinct real root."""
+def isolate_real_roots(p: UPoly) -> List[AlgebraicCoord]:
+    """Every distinct real root, in increasing order, each with the
+    square-free part of p as its polynomial."""
     return squarefree_roots(p)[1]
 
 
-def squarefree_roots(p: UPoly) -> Tuple[UPoly, List[RootInterval]]:
-    """p / gcd(p, p'), made monic, and disjoint isolating intervals for
-    its real roots; when p is square-free, one remainder sequence yields
-    both."""
+def squarefree_roots(p: UPoly) -> Tuple[UPoly, List[AlgebraicCoord]]:
+    """p / gcd(p, p'), made monic, and its real roots in increasing
+    order, each with that polynomial; when p is square-free, one
+    remainder sequence yields both."""
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     s, chain = p, sturm_chain(p)
@@ -108,49 +198,51 @@ def squarefree_roots(p: UPoly) -> Tuple[UPoly, List[RootInterval]]:
     bound = cauchy_bound(s)  # every root lies strictly inside (-bound, bound)
     n, d = bound.numerator, bound.denominator
     v_lo, v_hi = _variations(_signs(chain, -n, d)), _variations(_signs(chain, n, d))
-    intervals: List[RootInterval] = []
-    exact: List[Fraction] = []
-    _bisect(chain, -n, n, d, (v_lo, False), (v_hi, False), intervals, exact)
-    out = [RootInterval(lo=r, hi=r, exact=r) for r in exact]
-    out += [_identify(s, ri) for ri in intervals]
-    out.sort(key=lambda ri: (ri.lo, ri.hi))
-    return s.monic(), out
+    found: List[Tuple[Fraction, Fraction]] = []
+    _bisect(chain, -n, n, d, (v_lo, False), (v_hi, False), found)
+    s = s.monic()
+    return s, [_identify(AlgebraicCoord(lo, hi, s)) for lo, hi in found]
 
 
 def _bisect(
     chain: List[UPoly], a: int, b: int, q: int, at_a: Tuple[int, bool], at_b: Tuple[int, bool],
-    found: List[RootInterval], exact: List[Fraction],
+    found: List[Tuple[Fraction, Fraction]],
 ) -> None:
-    """Collect the roots in the open interval (a/q, b/q): isolating
-    intervals in `found`, midpoints that are roots in `exact`.  at_a and
-    at_b hold each endpoint's sign variations and whether it is a root."""
+    """Append the roots in the open interval (a/q, b/q) to `found` in
+    increasing order: an isolating interval (lo, hi), or (r, r) for a
+    midpoint r that is a root.  at_a and at_b hold each endpoint's sign
+    variations and whether it is a root."""
     (v_a, a_root), (v_b, b_root) = at_a, at_b
     count = v_a - v_b - b_root
     if count <= 0:
         return
     if count == 1 and not (a_root or b_root):
-        found.append(RootInterval(lo=Fraction(a, q), hi=Fraction(b, q)))
+        found.append((Fraction(a, q), Fraction(b, q)))
         return
     mid, q = a + b, 2 * q
     signs = _signs(chain, mid, q)
     at_mid = (_variations(signs), not signs[0])
+    _bisect(chain, 2 * a, mid, q, at_a, at_mid, found)
     if not signs[0]:
-        exact.append(Fraction(mid, q))
-    _bisect(chain, 2 * a, mid, q, at_a, at_mid, found, exact)
-    _bisect(chain, mid, 2 * b, q, at_mid, at_b, found, exact)
+        root = Fraction(mid, q)
+        found.append((root, root))
+    _bisect(chain, mid, 2 * b, q, at_mid, at_b, found)
 
 
-def _identify(s: UPoly, ri: RootInterval) -> RootInterval:
-    """Refine an isolating interval of s until it holds at most one k/L;
+def _identify(a: AlgebraicCoord) -> AlgebraicCoord:
+    """Refine an isolating interval until it holds at most one k/L;
     return the root exactly if that candidate is it."""
+    if a.exact is not None:
+        return a
+    s = a.poly
     lead = abs(s.int_coeffs()[-1])
-    ri = refine_root(s, ri, Fraction(1, 2 * lead))
-    if ri.is_exact:
-        return ri
-    candidate = Fraction(math.ceil(ri.lo * lead), lead)
-    if candidate <= ri.hi and s.sign_at(candidate) == 0:
-        return RootInterval(lo=candidate, hi=candidate, exact=candidate)
-    return ri
+    a = refine_root(a, Fraction(1, 2 * lead))
+    if a.exact is not None:
+        return a
+    candidate = Fraction(math.ceil(a.lo * lead), lead)
+    if candidate <= a.hi and s.sign_at(candidate) == 0:
+        return AlgebraicCoord(candidate, candidate, s)
+    return a
 
 
 def common_denominator(lo: Fraction, hi: Fraction) -> Tuple[int, int, int]:
@@ -160,11 +252,11 @@ def common_denominator(lo: Fraction, hi: Fraction) -> Tuple[int, int, int]:
     return lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator), q
 
 
-def refine_root(p: UPoly, ri: RootInterval, width: _Scalar) -> RootInterval:
-    """Shrink an isolating interval of p to the given width: the interval
-    bisection returns, or the root exactly when a bisection midpoint is
-    one; p must be square-free (its own sign changes are read).  An
-    interval already that narrow is returned as it is.
+def refine_root(coord: AlgebraicCoord, width: _Scalar) -> AlgebraicCoord:
+    """Shrink the interval of a coordinate to the given width, keeping
+    its polynomial: the interval bisection returns, or the root exactly
+    when a bisection midpoint is one.  An exact coordinate, or an
+    interval already that narrow, is returned as it is.
 
     Quadratic interval refinement on the bisection grid (Abbott 2006): a
     jump of k levels reads p at the grid point nearest the secant root of
@@ -172,15 +264,16 @@ def refine_root(p: UPoly, ri: RootInterval, width: _Scalar) -> RootInterval:
     bracket is a hit, and the next jump is twice as long; a miss takes
     one bisection step and halves the jump.  No jump passes the level
     where bisection stops, and a root at a grid point is read exactly."""
-    if ri.is_exact or ri.width <= width:
-        return ri
+    if coord.width <= width:  # an exact coordinate has width 0
+        return coord
     # lo = a/q, hi = b/q, and point i of level k is (a*2^k + i*(b - a)) / (q*2^k).
     # A value at n/q is q^deg p(n/q): an endpoint's carries over to level k
     # times 2^(k*deg), and two over one q have p's ratio.  Bisection stops
     # at the least level L with (b - a) / (q 2^L) <= width.
-    a, b, q = common_denominator(ri.lo, ri.hi)
+    a, b, q = common_denominator(coord.lo, coord.hi)
     ratio = -(-(b - a) * width.denominator // (width.numerator * q))
     levels = (ratio - 1).bit_length()
+    p = coord.poly
     c = p.int_coeffs()
     deg = len(c) - 1
     fa, fb = _homogeneous(c, a, q), None  # fb is read when a jump first needs it
@@ -195,11 +288,15 @@ def refine_root(p: UPoly, ri: RootInterval, width: _Scalar) -> RootInterval:
             j = ((fa << (k + 1)) + fa - fb) // (2 * (fa - fb))  # round(2^k fa / (fa - fb))
             fj = ends[j] if j in ends else _homogeneous(c, n + j * w, d)
             if not fj:
-                return _exact_root(n + j * w, d)
+                a = b = n + j * w
+                q = d
+                break
             i = j + 1 if (fj > 0) == (fa > 0) else j - 1
             fi = ends[i] if i in ends else _homogeneous(c, n + i * w, d)
             if not fi:
-                return _exact_root(n + i * w, d)
+                a = b = n + i * w
+                q = d
+                break
             if (fi > 0) != (fj > 0):
                 e = min(i, j)
                 a, b, q = n + e * w, n + (e + 1) * w, d
@@ -214,15 +311,13 @@ def refine_root(p: UPoly, ri: RootInterval, width: _Scalar) -> RootInterval:
         a, b, q = 2 * a, 2 * b, 2 * q
         fm = _homogeneous(c, mid, q)
         if not fm:
-            return _exact_root(mid, q)
+            a = b = mid
+            break
         if (fm > 0) == (fa > 0):
             a, fa, fb = mid, fm, None if fb is None else fb << deg
         else:
             b, fa, fb = mid, fa << deg, fm
         levels -= 1
-    return RootInterval(lo=Fraction(a, q), hi=Fraction(b, q))
-
-
-def _exact_root(n: int, d: int) -> RootInterval:
-    root = Fraction(n, d)
-    return RootInterval(lo=root, hi=root, exact=root)
+    # a == b after a break: a grid point is the root
+    lo = Fraction(a, q)
+    return AlgebraicCoord(lo, lo if a == b else Fraction(b, q), p)

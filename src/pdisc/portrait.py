@@ -58,6 +58,7 @@ from pdisc.compactify import (
     blowup_analysis,
     direct_sectors,
     disc_equilibria,
+    twist,
 )
 from pdisc.darboux import find_invariant_lines
 from pdisc.equilibria import (
@@ -690,11 +691,9 @@ def _eig_directions(m: Marker) -> List[Tuple[float, Tuple[float, float]]]:
 
 
 def _in_chart(f: MPoly, chart: str) -> MPoly:
-    """The line f = a*x + b*y + c in `chart`: f itself in U3, and b*u +
-    c*v + a in U1 and a*u + c*v + b in U2, whose (u, v) is the plane
-    point (1/v, u/v) and (u/v, 1/v)."""
-    a, b, c = f.coeff(1, 0), f.coeff(0, 1), f.coeff(0, 0)
-    return MPoly(zip(((1, 0), (0, 1), (0, 0)), {"U3": (a, b, c), "U1": (b, c, a), "U2": (a, c, b)}[chart]))
+    """The line f = a*x + b*y + c in `chart`: f itself in U3, else its
+    chart twist of degree 1, b*u + c*v + a in U1 and a*u + c*v + b in U2."""
+    return f if chart == "U3" else twist(f, 1, "y" if chart == "U1" else "x")
 
 
 def _along_sign(m: Marker, f: MPoly) -> int:

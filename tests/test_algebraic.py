@@ -19,8 +19,8 @@ from hypothesis import given, strategies as st
 
 import pdisc.exactalg
 from pdisc.exactalg import AlgebraicCoord, AlgebraicPoint, MPoly, Rur, UPoly, isolate_real_roots
-from pdisc.exactalg.algebraic import box_sign, refinements
-from pdisc.exactalg.roots import sturm_chain
+from pdisc.exactalg.algebraic import box_sign
+from pdisc.exactalg.roots import refinements, sturm_chain
 
 from sturm import sign_variations
 
@@ -28,7 +28,7 @@ F = Fraction
 
 def _positive_irrational_root(p: UPoly) -> AlgebraicCoord:
     (root,) = [rt for rt in isolate_real_roots(p) if rt.exact is None and rt.lo >= 0]
-    return AlgebraicCoord.from_root(p, root)
+    return root
 
 
 def test_irrational_compare_decides_equality_by_gcd():
@@ -43,19 +43,22 @@ def test_irrational_compare_decides_equality_by_gcd():
     assert sqrt2.compare(sqrt3) == -1
 
 
-def test_from_root_makes_a_rational_root_an_exact_coordinate():
+def test_isolation_returns_a_rational_root_as_an_exact_coordinate():
     t = UPoly.variable()
     p = (3 * t - 2) * (t * t - 2)
-    (root,) = [rt for rt in isolate_real_roots(p) if rt.exact is not None]
-    assert AlgebraicCoord.from_root(p, root) == AlgebraicCoord(exact=F(2, 3))
+    roots = isolate_real_roots(p)
+    assert [rt.is_exact for rt in roots] == [False, True, False]
+    root = roots[1]
+    assert root.lo == root.hi == root.exact == F(2, 3)
+    assert root == AlgebraicCoord.of(F(2, 3))
 
 
-def test_an_interval_coordinate_needs_its_poly_and_root():
+def test_an_interval_coordinate_needs_its_poly_and_ordered_ends():
     t = UPoly.variable()
-    root = _positive_irrational_root(t * t - 2).root
-    for parts in ({}, {"poly": t * t - 2}, {"root": root}):
-        with pytest.raises(ValueError, match="interval coordinate needs poly and root"):
-            AlgebraicCoord(**parts)
+    assert AlgebraicCoord(F(1), F(2), t * t - 2).exact is None
+    for args in ((F(1), F(2)), (F(2), F(1)), (F(2), F(1), t * t - 2)):
+        with pytest.raises(ValueError, match="interval coordinate needs lo < hi and its polynomial"):
+            AlgebraicCoord(*args)
 
 
 def test_point_sign_leaves_a_box_that_holds_0_to_the_rur():
@@ -63,7 +66,7 @@ def test_point_sign_leaves_a_box_that_holds_0_to_the_rur():
     # holds 0 for x - 1.414 and x - 1.415, so their signs come from the RUR
     t, one = UPoly.variable(), UPoly.const(1)
     sqrt2 = _positive_irrational_root(t * t - 2)
-    pt = AlgebraicPoint(sqrt2, AlgebraicCoord.of(1), (Rur(t * t - 2, t, one, one), sqrt2.root))
+    pt = AlgebraicPoint(sqrt2, AlgebraicCoord.of(1), (Rur(t * t - 2, t, one, one), sqrt2))
     box = (pt.x.interval(), pt.y.interval())
     x, y = MPoly.var_x(), MPoly.var_y()
     near = [x - MPoly.const(F(1414, 1000)), x - MPoly.const(F(1415, 1000)), x * x - 2 * y]
@@ -97,7 +100,7 @@ def test_refinements_isolate_the_root_at_every_step(k, extra):
     (root,) = [rt for rt in isolate_real_roots(s) if rt.exact is None and rt.lo > 0]
     chain = sturm_chain(s)
     prev, step = None, 4
-    for r in islice(refinements(s, root), 8):
+    for r in islice(refinements(root), 8):
         assert r.exact is None
         assert sign_variations(chain, r.lo) - sign_variations(chain, r.hi) == 1
         assert r.lo * r.lo < k < r.hi * r.hi

@@ -360,7 +360,7 @@ def test_blowup_analysis_translation_and_irrational_guard():
 
     p = UPoly((F(-2), F(0), F(1)))
     root = [ri for ri in isolate_real_roots(p) if ri.hi > 0][0]
-    irr = AlgebraicPoint(AlgebraicCoord.from_root(p, root), AlgebraicCoord.of(F(0)))
+    irr = AlgebraicPoint(root, AlgebraicCoord.of(F(0)))
     assert blowup_analysis(sys, irr) is None
 
 

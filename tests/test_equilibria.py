@@ -222,16 +222,14 @@ def test_irrational_equilibria_paired_and_classified():
 
 def test_algebraic_coord_compare_against_bisection():
     p = UPoly((F(-2), F(0), F(1)))
-    root = [ri for ri in isolate_real_roots(p) if ri.hi > 0][0]
-    coord = AlgebraicCoord.from_root(p, root)
+    coord = [ri for ri in isolate_real_roots(p) if ri.hi > 0][0]
     assert coord.sign() == 1
     assert coord.compare(AlgebraicCoord.of(F(1))) == 1
     assert coord.compare(AlgebraicCoord.of(F(3, 2))) == -1
     assert coord.compare(AlgebraicCoord.of(F(141421356, 100000000))) == 1
-    twin = AlgebraicCoord.from_root(p, root)
+    twin = AlgebraicCoord(coord.lo, coord.hi, p)
     assert coord.compare(twin) == 0
-    neg = [ri for ri in isolate_real_roots(p) if ri.hi <= 0][0]
-    other = AlgebraicCoord.from_root(p, neg)
+    other = [ri for ri in isolate_real_roots(p) if ri.hi <= 0][0]
     assert coord.compare(other) == 1
     assert "root of" in coord.text()
 
@@ -287,7 +285,7 @@ def test_a_point_with_one_irrational_coordinate_needs_its_rur():
     sys = parse_system("dx = x^2 - 2\ndy = y\n")
     p = UPoly.from_mpoly(sys.P, "x")
     (root,) = [ri for ri in isolate_real_roots(p) if ri.lo >= 0]
-    pt = AlgebraicPoint(AlgebraicCoord.from_root(p, root), AlgebraicCoord.of(F(0)))
+    pt = AlgebraicPoint(root, AlgebraicCoord.of(F(0)))
     with pytest.raises(InputError, match="^a point with an irrational coordinate needs its parametrization$"):
         classify_point(sys, pt)
     # the box of the coordinate intervals holds the zero of P

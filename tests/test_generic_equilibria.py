@@ -411,4 +411,4 @@ def test_irrational_non_equilibrium_is_rejected():
     rur = Rur(p, UPoly.variable(), UPoly.const(0), UPoly.const(1))
     # (sqrt 2, 0) is rejected by the exact recheck of P and Q on the RUR
     with pytest.raises(InputError, match="the point is not an equilibrium"):
-        classify_point(sys, AlgebraicPoint(AlgebraicCoord.from_root(p, root), AlgebraicCoord.of(0), (rur, root)))
+        classify_point(sys, AlgebraicPoint(root, AlgebraicCoord.of(0), (rur, root)))

@@ -23,7 +23,6 @@ from pdisc.equilibria import finite_equilibria
 from pdisc.exactalg import (
     AlgebraicCoord,
     MPoly,
-    RootInterval,
     UPoly,
     isolate_real_roots,
     refine_root,
@@ -179,11 +178,40 @@ def test_isolation_on_dyadic_roots_matches_constructed_roots(nums, shift, k):
     assert all(a.hi < b.lo for a, b in zip(isolated, isolated[1:]))
 
 
+@given(
+    st.lists(st.just(Fraction(0)) | small_rationals, max_size=4),
+    small_rationals,
+    st.integers(2, 40).filter(lambda k: math.isqrt(k) ** 2 != k),
+    st.integers(1, 2),
+    st.integers(-5, 5).filter(bool),
+)
+def test_squarefree_roots_returns_coordinates_of_its_square_free_part(roots, m, k, power, lead):
+    # rational roots with multiplicities, 0 often, the first bisection
+    # midpoint; and m +- sqrt(k) from the irreducible quadratic (t - m)^2 - k
+    quad = UPoly((m * m - k, -2 * m, 1))
+    p = from_roots(roots) * UPoly.const(lead)
+    for _ in range(power):
+        p = p * quad
+    s, isolated = squarefree_roots(p)
+    assert [r.exact for r in isolated if r.is_exact] == sorted(set(roots))
+    assert all(r.poly == s for r in isolated)
+    for r in isolated:
+        if r.is_exact:
+            assert r.lo == r.hi == r.exact
+        else:
+            assert r.lo < r.hi and quad.sign_at(r.lo) * quad.sign_at(r.hi) == -1
+    assert sum(not r.is_exact for r in isolated) == 2
+    assert all(a.hi < b.lo for a, b in zip(isolated, isolated[1:]))
+    for r in isolated:
+        fine = refine_root(r, Fraction(1, 2**40))
+        assert fine.poly == s and fine.is_exact == r.is_exact and r.lo <= fine.lo <= fine.hi <= r.hi
+
+
 def test_refine_sqrt_two():
     p = UPoly((Fraction(-2), Fraction(0), Fraction(1)))
     pos = [ri for ri in isolate_real_roots(p) if ri.hi > 0]
     assert len(pos) == 1
-    ri = refine_root(p, pos[0], Fraction(1, 2**50))
+    ri = refine_root(pos[0], Fraction(1, 2**50))
     mid = (ri.lo + ri.hi) / 2
     assert abs(float(mid) ** 2 - 2.0) < 1e-12
     assert ri.hi - ri.lo <= Fraction(1, 2**50)
@@ -541,15 +569,15 @@ def test_refine_root_matches_fraction_bisection(squares, roots, bits):
     for ri in isolated:
         if ri.is_exact:
             continue
-        got = refine_root(s, ri, width)
+        got = refine_root(ri, width)
         assert (got.lo, got.hi) == _ref_refine_interval(rs, ri.lo, ri.hi, width)
         assert not got.is_exact and got.width <= width
 
 
 def test_refine_root_returns_a_midpoint_root_exactly():
     # (0, 1) isolates the root 1/2 of 2t - 1, the first midpoint
-    got = refine_root(UPoly((-1, 2)), RootInterval(lo=Fraction(0), hi=Fraction(1)), Fraction(1, 8))
-    assert got == RootInterval(lo=Fraction(1, 2), hi=Fraction(1, 2), exact=Fraction(1, 2))
+    got = refine_root(AlgebraicCoord(Fraction(0), Fraction(1), UPoly((-1, 2))), Fraction(1, 8))
+    assert got == AlgebraicCoord.of(Fraction(1, 2)) and got.exact == Fraction(1, 2)
 
 
 def _counted_evaluations(monkeypatch) -> list:
@@ -572,8 +600,8 @@ def test_refine_root_jump_lands_on_a_grid_root(monkeypatch):
     # and the 4-level jump from there reads 11/32 itself
     calls = _counted_evaluations(monkeypatch)
     p, width = UPoly((-11, 32)), Fraction(1, 2**10)
-    got = refine_root(p, RootInterval(lo=Fraction(0), hi=Fraction(1)), width)
-    assert got == RootInterval(lo=Fraction(11, 32), hi=Fraction(11, 32), exact=Fraction(11, 32))
+    got = refine_root(AlgebraicCoord(Fraction(0), Fraction(1), p), width)
+    assert got == AlgebraicCoord.of(Fraction(11, 32)) and got.exact == Fraction(11, 32)
     assert (got.lo, got.hi) == _ref_refine_interval(_ref(_coeffs(p)), Fraction(0), Fraction(1), width)
     assert Fraction(*calls[-1]) == Fraction(11, 32) and calls[-1][1] == 2**7 and len(calls) < 6
 
@@ -588,7 +616,7 @@ def test_refine_root_takes_a_quarter_of_bisections_evaluations(k, sign):
     levels = next(n for n in range(200) if ri.width / 2**n <= width)
     with pytest.MonkeyPatch.context() as mp:
         calls = _counted_evaluations(mp)
-        got = refine_root(s, ri, width)
+        got = refine_root(ri, width)
     assert (got.lo, got.hi) == _ref_refine_interval(_ref(_coeffs(s)), ri.lo, ri.hi, width)
     assert 4 * len(calls) <= levels + 1
 
@@ -597,7 +625,7 @@ def test_refine_root_returns_an_interval_already_narrow_enough(monkeypatch):
     s = UPoly((-2, 0, 1))
     (ri,) = [r for r in isolate_real_roots(s) if r.hi > 0]
     width = Fraction(1, 2**60)
-    fine = refine_root(s, ri, width)
+    fine = refine_root(ri, width)
     # the endpoints of an isolating interval are not roots, so bisecting
     # an interval already narrow enough hands back the same interval
     assert (fine.lo, fine.hi) == _ref_refine_interval(_ref(_coeffs(s)), fine.lo, fine.hi, width)
@@ -609,11 +637,10 @@ def test_refine_root_returns_an_interval_already_narrow_enough(monkeypatch):
     monkeypatch.setattr(UPoly, "sign_at_ratio", no_sign)
     monkeypatch.setattr(roots_module, "_homogeneous", no_sign)
     for w in (width, fine.width, Fraction(1)):
-        assert refine_root(s, fine, w) is fine
+        assert refine_root(fine, w) is fine
     # approx() and text() refine their coordinate to 2^-60 once, not again
-    c = AlgebraicCoord(poly=s, root=fine)
-    assert c.approx() == float((fine.lo + fine.hi) / 2)
-    assert c.text().startswith("~1.41421356237 ")
+    assert fine.approx() == float((fine.lo + fine.hi) / 2)
+    assert fine.text().startswith("~1.41421356237 ")
 
 
 def _sqrt_box(n: int, bits: int, sign: int) -> Tuple[Fraction, Fraction]:
