@@ -236,22 +236,6 @@ def disc_equilibria(sys: PlanarSystem, quadrant: bool = False) -> DiscEquilibria
 # blow-ups
 
 
-def _common_monomial(polys: Sequence[MPoly]) -> Tuple[int, int]:
-    ax: Optional[int] = None
-    ay: Optional[int] = None
-    for p in polys:
-        for (i, j), _ in p.int_terms():
-            ax = i if ax is None else min(ax, i)
-            ay = j if ay is None else min(ay, j)
-    return (0 if ax is None else ax, 0 if ay is None else ay)
-
-
-def _divide_monomial(p: MPoly, ax: int, ay: int) -> MPoly:
-    if ax == 0 and ay == 0:
-        return p
-    return MPoly.from_int_terms((((i - ax, j - ay), c) for (i, j), c in p.int_terms()), p.content)
-
-
 def directional_blowup(sys: PlanarSystem, direction: str) -> BlowupSystem:
     """Blow up a degenerate equilibrium at the origin in one direction,
     with uniform time rescaling by the maximal common monomial.  The
@@ -274,8 +258,9 @@ def directional_blowup(sys: PlanarSystem, direction: str) -> BlowupSystem:
     second = (sys.Q.subst(x, x * y) - y * first).exact_div(x)
     if second is None:
         raise InternalInvariantError("x-directional numerator not divisible by u")
-    ax, ay = _common_monomial([first, second])
-    first = _divide_monomial(first, ax, ay)
+    ax, ay = (min((p.multiplicity(v) for p in (first, second) if p), default=0) for v in (x, y))
+    mono = MPoly.monomial(ax, ay)
+    first, second = first.exact_div(mono), second.exact_div(mono)
     # the rescale strips every divisor power exactly when a curve of
     # equilibria (or a stationary direction field) passes through the
     # blow-up point, so one level of blow-up cannot isolate the dynamics
@@ -284,7 +269,7 @@ def directional_blowup(sys: PlanarSystem, direction: str) -> BlowupSystem:
             "the rescaled flow crosses the exceptional divisor: the "
             "blow-up point is not an isolated singularity"
         )
-    return BlowupSystem("x", "(x, y) = (u, u*w)", first, _divide_monomial(second, ax, ay), ax, ay)
+    return BlowupSystem("x", "(x, y) = (u, u*w)", first, second, ax, ay)
 
 
 def divisor_equilibria(bs: BlowupSystem) -> List[EquilibriumRecord]:

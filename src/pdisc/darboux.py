@@ -283,53 +283,6 @@ def _solve_slant_conditions(
 # extactic curves
 
 
-def _exponent(f: MPoly, poly: MPoly) -> int:
-    """The exponent of f in a nonzero poly.  For a line x - r it is the
-    least multiplicity of r over the rows of poly in y, each found by
-    integer synthetic division by the line's primitive form q*x - p; for
-    y - r the same with the variables exchanged.  Any other f divides
-    repeatedly."""
-    by_y = f.degree_in("x") == 0
-    if f.degree == 1 and (by_y or f.degree_in("y") == 0):
-        line = {e[by_y]: v for e, v in f.int_terms()}
-        q, p = (line[1], -line.get(0, 0)) if line[1] > 0 else (-line[1], line.get(0, 0))
-        rows: Dict[int, Dict[int, int]] = {}
-        for e, v in poly.int_terms():
-            rows.setdefault(e[not by_y], {})[e[by_y]] = v
-        least = poly.degree
-        for row in sorted(rows.values(), key=len):
-            # the row over its lowest power of the line's variable, which
-            # is prime to q*x - p unless p = 0, and then is its exponent
-            lo = min(row)
-            if not p:
-                least = min(least, lo)
-                continue
-            a = [row.get(i, 0) for i in range(max(row), lo - 1, -1)]
-            count = 0
-            while count < least:
-                # a = (q*x - p) * b + rem, the coefficients descending
-                b, carry = [], 0
-                for c in a[:-1]:
-                    carry, rem = divmod(c + p * carry, q)
-                    if rem:
-                        break
-                    b.append(carry)
-                else:
-                    rem = a[-1] + p * carry
-                if rem:
-                    break
-                a, count = b, count + 1
-            least = count
-        return least
-    count = 0
-    while True:
-        q = poly.exact_div(f)
-        if q is None:
-            return count
-        poly = q
-        count += 1
-
-
 def extactic(sys: PlanarSystem, m: int, curves: Sequence[InvariantCurve]) -> ExtacticResult:
     """Order-m extactic curve E_m, m <= 2, the multiplicity inside it of
     each given invariant curve of degree <= m, and inside E_1 that of
@@ -377,7 +330,7 @@ def extactic(sys: PlanarSystem, m: int, curves: Sequence[InvariantCurve]) -> Ext
     if not e1.is_zero:
         for cur in curves:
             if cur.f.degree <= 1:
-                lines[cur.f.format()] = _exponent(cur.f, e1)
+                lines[cur.f.format()] = e1.multiplicity(cur.f)
     mult: Dict[str, int] = {}
     vanishes = e.is_zero
     for cur in curves:
@@ -385,9 +338,9 @@ def extactic(sys: PlanarSystem, m: int, curves: Sequence[InvariantCurve]) -> Ext
             continue
         key = cur.f.format()
         if cur.f.degree > 1:
-            count = _exponent(cur.f, e)
+            count = e.multiplicity(cur.f)
         else:
-            count = lines[key] + (_exponent(cur.f, quotient) if m == 2 else 0)
+            count = lines[key] + (quotient.multiplicity(cur.f) if m == 2 else 0)
         if count == 0:
             raise InternalInvariantError(
                 f"invariant curve {key} does not divide a nonzero E_{m}"
@@ -440,8 +393,10 @@ def find_exponential_factors(
     Case f = h^(k-1) for each curve h of multiplicity k > 1: g with
     deg g <= deg f must satisfy X(g) - (k-1) K g = f q with deg q <=
     d - 1, one homogeneous linear system in q and g; the cofactor is the
-    exact quotient.  Solutions proportional to f itself give the
-    constant factor exp(1) and are quotiented out.
+    exact quotient.  g = f solves it and gives the constant factor
+    exp(1), so the first monomial of f, like the constant of case f = 1,
+    has no column: the solutions are then a basis modulo f, and none is
+    a multiple of f.  Each g/f is cancelled to lowest terms in h.
     """
     if deg_bound < 1:
         raise ValueError("degree bound must be at least 1")
@@ -468,6 +423,7 @@ def find_exponential_factors(
         k = cur.multiplicity
         h = cur.f ** (k - 1)
         g_expos = monomial_basis(h.degree)
+        g_expos.remove(next(e for e in g_expos if h.coeff(*e)))
         scale = MPoly.const(Fraction(k - 1)) * cur.K
         # columns h*q for the monomials q of degree <= d - 1, then X(g) -
         # (k-1) K g for the monomials g; the h*q columns are all pivots
@@ -477,11 +433,12 @@ def find_exponential_factors(
             mono = MPoly.monomial(i, j)
             cols.append(sys.lie_derivative(mono) - scale * mono)
         matrix = coefficient_rows(cols, monomial_basis(h.degree + d - 1))
-        sols = [vec[n_q:] for vec in nullspace(matrix)]
-        h_vec = [h.coeff(i, j) for (i, j) in g_expos]
-        for vec in _quotient_span(sols, h_vec):
-            # g is nonzero and no multiple of h, so f keeps a positive power of cur.f
-            g, f = _coprime_form(_from_vector(vec, g_expos), cur.f, k - 1)
+        for vec in nullspace(matrix):
+            # g is nonzero, as the h*q columns are pivots, and 0 at h's
+            # first monomial, so no multiple of h: f keeps a power of cur.f
+            g = _from_vector(vec[n_q:], g_expos)
+            e = g.multiplicity(cur.f)
+            g, f = g.exact_div(cur.f ** e), cur.f ** (k - 1 - e)
             num = sys.lie_derivative(g) * f - g * sys.lie_derivative(f)
             lco = num.exact_div(f * f)
             if lco is None:
@@ -489,32 +446,6 @@ def find_exponential_factors(
             if lco.degree > d - 1:
                 raise InternalInvariantError("exponential-factor cofactor degree too high")
             out.append(ExpFactor(g=g, f=f, L=lco))
-    return out
-
-
-def _coprime_form(g: MPoly, base: MPoly, power: int) -> Tuple[MPoly, MPoly]:
-    """Cancel common base factors from g / base**power."""
-    while power > 0:
-        q = g.exact_div(base)
-        if q is None:
-            break
-        g = q
-        power -= 1
-    return g, base ** power
-
-
-def _quotient_span(
-    vecs: List[List[Fraction]], drop: List[Fraction]
-) -> List[List[Fraction]]:
-    """Basis of span(vecs) modulo span(drop), for a nonzero drop."""
-    pivot = next(i for i, c in enumerate(drop) if c != 0)
-    out: List[List[Fraction]] = []
-    for v in vecs:
-        if v[pivot] != 0:
-            fac = v[pivot] / drop[pivot]
-            v = [a - fac * b for a, b in zip(v, drop)]
-        if any(c != 0 for c in v):
-            out.append(v)
     return out
 
 

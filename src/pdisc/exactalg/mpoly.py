@@ -20,6 +20,9 @@ Sums bring both sides to one denominator and take the content once.
 Division is exact only: `exact_div` returns the quotient or None, and
 runs on the primitive parts, where a quotient over Q is always over Z;
 pseudo-division with a remainder is univariate (`UPoly.divmod`).
+`multiplicity(f)`, the exponent of a factor f, reads that of a line
+x - r or y - r off the keys, r = 0 included, and divides any other f
+out one exact division at a time.
 Fixing a variable to a rational, evaluation and the 2-jet, formatting
 and `univariate_ints` (which `UPoly.from_mpoly` carries over) read the
 integer terms with no Fraction per term.  Values cross the API as
@@ -248,6 +251,19 @@ class MPoly:
         if q is None:
             return None
         return MPoly._make(q, self._c / divisor._c) if q else _ZERO
+
+    def multiplicity(self, f: "MPoly") -> int:
+        """The exponent of a nonconstant f in this nonzero polynomial."""
+        if not self._p or f.is_constant:
+            raise ValueError("multiplicity needs a nonzero polynomial and a nonconstant factor")
+        keys = f._p.keys()
+        for var, key in ((0, _DX), (1, _DY)):
+            if keys <= {key, 0}:
+                return _line_multiplicity(self._p, var, f._p[key], f._p.get(0, 0))
+        poly, count = self, 0
+        while (q := poly.exact_div(f)) is not None:
+            poly, count = q, count + 1
+        return count
 
     # -- evaluation / substitution --------------------------------------
 
@@ -644,6 +660,44 @@ def _divide(terms: _Terms, divisor: _Terms) -> Optional[_Terms]:
             else:
                 work[w] = s - qc * tc
     return q
+
+
+def _line_multiplicity(p: _Terms, var: int, a: int, b: int) -> int:
+    """The exponent of the line a*t + b in the nonzero p, t the first
+    (var 0) or second variable: for b = 0 the least exponent of t, else
+    the least over the rows of p (its terms with one exponent of the
+    other variable) of the times the row divides by q*t - r, the line
+    with q > 0, each found by integer synthetic division."""
+    if not b:
+        return min(k & _LOW for k in p) if var else min((k >> _SHIFT) - (k & _LOW) for k in p)
+    q, r = (a, -b) if a > 0 else (-a, b)
+    rows: dict = {}
+    for k, v in p.items():
+        j = k & _LOW
+        i = (k >> _SHIFT) - j
+        row, e = (j, i) if var == 0 else (i, j)
+        rows.setdefault(row, {})[e] = v
+    least = max(p) >> _SHIFT
+    for row in sorted(rows.values(), key=len):
+        # the row over its lowest power of t, which is prime to q*t - r
+        lo = min(row)
+        c = [row.get(e, 0) for e in range(max(row), lo - 1, -1)]
+        count = 0
+        while count < least:
+            # c = (q*t - r) * quotient + rem, the coefficients descending
+            quotient, carry = [], 0
+            for s in c[:-1]:
+                carry, rem = divmod(s + r * carry, q)
+                if rem:
+                    break
+                quotient.append(carry)
+            else:
+                rem = c[-1] + r * carry
+            if rem:
+                break
+            c, count = quotient, count + 1
+        least = count
+    return least
 
 
 def _var_index(var: str) -> int:

@@ -86,11 +86,16 @@ def cofactor_tests(
 
     The nullspace vectors with last entry 0 span that of M; the one with
     last entry 1, if any, is the integrating factor.  First integrals
-    touching a curve column are preferred.  No exponential factor has a
-    constant exponent (see `find_exponential_factors`), so every nonzero
-    vector of that nullspace is a first integral.  The matrix
-    has no row for a term above degree d - 1, so such a cofactor is an
-    input error and such a divergence an internal one.
+    touching a curve column are preferred.  Every nonzero vector of that
+    nullspace is a first integral, with no constant Darboux function: the
+    exp(g) exponents are independent with no constant term, and over each
+    multiple curve the exponents' numerators over f^(k-1) and f^(k-1)
+    itself are independent (see `find_exponential_factors`): a nonzero
+    combination of the exponents is not constant, and a product of
+    nonzero powers of distinct lines is neither a constant nor exp of a
+    rational function.  The matrix has no row for a term above degree
+    d - 1, so such a cofactor is an input error and such a divergence an
+    internal one.
     """
     labelled = [(cur.f.format(), cur.K) for cur in curves]
     labelled += [(f"exp({ef.exponent_text})", ef.L) for ef in factors]

@@ -18,9 +18,6 @@ from hypothesis import assume, given, settings, strategies as st
 from pdisc import integrability
 from pdisc.darboux import (
     InvariantCurve,
-    _coprime_form,
-    _exponent,
-    _quotient_span,
     attach_multiplicities,
     darboux_fragment,
     extactic,
@@ -29,7 +26,7 @@ from pdisc.darboux import (
     verify_invariant_curve,
 )
 from pdisc.errors import InternalInvariantError
-from pdisc.exactalg import MPoly, ffdet, monomial_basis, nullspace
+from pdisc.exactalg import MPoly, coefficient_rows, ffdet, monomial_basis, nullspace
 from pdisc.integrability import SearchBounds, run_pipeline
 from pdisc.modelio import PlanarSystem, leslie_system, parse_system, seeded_parameter_triples
 
@@ -297,7 +294,7 @@ def test_axis_exponent_read_off_the_terms_matches_division(terms, a, b):
     assume(not g.is_zero)
     f = MPoly.monomial(a, b) * g
     for var in (MPoly.var_x(), MPoly.var_y()):
-        assert _exponent(var, f) == _divisions(f, var)
+        assert f.multiplicity(var) == _divisions(f, var)
 
 
 def _line_with_rows(line: MPoly, rows) -> MPoly:
@@ -313,17 +310,18 @@ def _line_with_rows(line: MPoly, rows) -> MPoly:
     st.one_of(st.sampled_from([F(0), F(-2), F(1, 3), F(-5, 2), F(7, 4)]), st.fractions(-6, 6, max_denominator=9)),
     st.sampled_from([F(1), F(-1), F(3, 2)]),
     st.lists(st.tuples(st.integers(0, 4), st.lists(st.integers(-4, 4), min_size=1, max_size=3)), min_size=1, max_size=4),
-    st.booleans(),
+    st.sampled_from(["x", "y", "slant"]),
 )
-def test_line_exponent_by_rows_matches_division(r, scale, rows, swap):
+def test_line_exponent_by_rows_matches_division(r, scale, rows, kind):
     # x - r divides F = sum_j y^j (x - r)^m_j g_j(x) as often as it
-    # divides its least divisible row; y - r is the same, swapped
-    line = (X - r) * scale
+    # divides its least divisible row; y - r is the same, swapped; a
+    # slant line y - 2x - r divides as repeated exact division does
+    line = (X - r if kind != "slant" else Y - 2 * X - r) * scale
     f = _line_with_rows(line, rows)
     assume(not f.is_zero)
-    if swap:
+    if kind == "y":
         line, f = line.swapped(), f.swapped()
-    assert _exponent(line, f) == _divisions(f, line)
+    assert f.multiplicity(line) == _divisions(f, line)
 
 
 def test_line_exponent_takes_the_least_row():
@@ -331,8 +329,8 @@ def test_line_exponent_takes_the_least_row():
     f = _line_with_rows(line, [(4, [1]), (2, [1, 1]), (3, [-2, 0, 5])])
     g = f + 5 * Y**3  # a constant row
     for u, want in ((f, 2), (g, 0), (line**4, 4)):
-        assert _exponent(line, u) == _divisions(u, line) == want
-        assert _exponent(line.swapped(), u.swapped()) == want
+        assert u.multiplicity(line) == _divisions(u, line) == want
+        assert u.swapped().multiplicity(line.swapped()) == want
 
 
 @pytest.mark.parametrize(
@@ -493,10 +491,10 @@ def _remainder(f: MPoly, h: MPoly) -> dict:
     return rem
 
 
-def _exp_factors_by_remainders(sys: PlanarSystem, curve: InvariantCurve) -> List[tuple]:
-    """(g, f) of each exp(g/f) factor of a multiple curve, found as the g
-    with deg g <= deg h whose X(g) - (k-1) K g leaves no remainder
-    modulo h = f^(k-1); with no remainder rows every g qualifies."""
+def _exponent_space_by_remainders(sys: PlanarSystem, curve: InvariantCurve) -> List[MPoly]:
+    """A basis of the g with deg g <= deg h whose X(g) - (k-1) K g leaves
+    no remainder modulo h = f^(k-1), h itself among them; with no
+    remainder rows every g qualifies."""
     k = curve.multiplicity
     h = curve.f ** (k - 1)
     g_expos = monomial_basis(h.degree)
@@ -509,11 +507,13 @@ def _exp_factors_by_remainders(sys: PlanarSystem, curve: InvariantCurve) -> List
         sols = nullspace([[r.get(e, 0) for r in rems] for e in rows])
     else:
         sols = [[F(int(t == s)) for t in range(len(g_expos))] for s in range(len(g_expos))]
-    out = []
-    for vec in _quotient_span(sols, [h.coeff(i, j) for i, j in g_expos]):
-        g = sum((MPoly.monomial(i, j, c) for (i, j), c in zip(g_expos, vec)), MPoly.zero())
-        out.append(_coprime_form(g, curve.f, k - 1))
-    return out
+    return [sum((MPoly.monomial(i, j, c) for (i, j), c in zip(g_expos, vec)), MPoly.zero()) for vec in sols]
+
+
+def _rank(polys: Sequence[MPoly]) -> int:
+    """The dimension over Q of the span of nonempty polys."""
+    monos = monomial_basis(max(p.degree for p in polys))
+    return len(polys) - len(nullspace(coefficient_rows(polys, monos)))
 
 
 @st.composite
@@ -555,11 +555,16 @@ def _multiple_lines(draw):
 @given(_multiple_lines())
 def test_exp_factors_of_a_multiple_line_match_the_remainder_formulation(case):
     # one linear system in the coefficients of q and g, X(g) - (k-1) K g
-    # = h q, finds the factors that reduction modulo h finds
+    # = h q, finds the factors that reduction modulo h finds: each
+    # factor's numerator over h, g*h/f, and h span the same solutions,
+    # and are independent, so no combination of exponents is constant
     sys, curve = case
+    h = curve.f ** (curve.multiplicity - 1)
     factors = find_exponential_factors(sys, [curve], deg_bound=1)
-    got = [(e.g, e.f) for e in factors if not e.f.is_constant]
-    assert got == _exp_factors_by_remainders(sys, curve)
+    spanned = [e.g * h.exact_div(e.f) for e in factors if not e.f.is_constant] + [h]
+    oracle = _exponent_space_by_remainders(sys, curve)
+    assert _rank(spanned) == len(spanned)
+    assert _rank(oracle) == _rank(spanned) == _rank(oracle + spanned)
 
 
 # Darboux test systems with exponential factors: exp(1/x) among them, and

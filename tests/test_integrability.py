@@ -123,6 +123,20 @@ def test_integrating_factor_exponential():
     assert (combo + sys.divergence()).is_zero
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_double_line_gives_no_constant_first_integral(order):
+    # y + 2x - 2 has multiplicity 2 and one factor exp(g/(y + 2x - 2)):
+    # two proportional exponents would relate trivially and be reported
+    # as the first integral exp(0) = 1
+    sys = parse_system("dx = 2*y - x + 1\ndy = -2*y^2 - 8*x*y - 8*x^2 + 4*y + 18*x - 10\n")
+    pipe = run_pipeline(sys, SearchBounds(extactic_order=order))
+    assert [c.multiplicity for c in pipe.curves] == [2]
+    assert [ef.exponent_text for ef in pipe.factors] == ["x", "(y + 2*x)/(y + 2*x - 2)"]
+    assert pipe.verdict.verdict == INTEGRATING_FACTOR
+    assert pipe.verdict.darboux_function == "(y + 2*x - 2)^(-2) * exp((y + 2*x)/(y + 2*x - 2))^(5/4)"
+    assert (_certificate_combination(sys, pipe) + sys.divergence()).is_zero
+
+
 def test_not_liouvillian_spiral_focus():
     pipe = run_pipeline(parse_system("dx = x - y\ndy = x + y\n"))
     assert pipe.verdict.verdict == NOT_LIOUVILLIAN

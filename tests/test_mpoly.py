@@ -151,6 +151,16 @@ def test_exact_div_fails_after_several_steps():
     assert f.exact_div(g) is None
 
 
+def test_multiplicity_needs_a_nonzero_polynomial_and_a_nonconstant_factor():
+    # every power of f divides 0, and every power of a constant divides
+    # anything, so neither exponent is finite
+    x = MPoly.var_x()
+    with pytest.raises(ValueError):
+        MPoly.zero().multiplicity(x)
+    with pytest.raises(ValueError):
+        x.multiplicity(MPoly.const(2))
+
+
 def _int_terms(p: MPoly, scale: int = 1):
     return {_key(i, j): int(scale * c) for (i, j), c in p.items()}
 
