@@ -7,7 +7,19 @@ is the interval lo == hi, and an irrational the open isolating interval
 roots as such coordinates, refinement takes and returns them, and every
 comparison reads them through `refinements`.
 
-Isolation: one Sturm chain and one bisection pass inside a window
+Isolation first strips the power t^k from p's primitive integer
+coefficients; when k > 0, 0 is a root.  When the cofactor q has degree
+at most 2 and only rational real roots, they are read in closed form:
+-q0/q1 for a line, and for a quadratic with D = q1^2 - 4 q2 q0 none when
+D < 0, the double root -q1/(2 q2) when D = 0, and (-q1 -+ r)/(2 q2) when
+D = r^2 > 0 for an integer r.  Every other p, one of degree >= 3 after
+the strip or a quadratic whose discriminant is not a square, runs the
+Sturm path below on p as it is.  Both paths return the same square-free
+part and the same exact coordinates for a rational root, so the closed
+form changes no result; it saves the chain, the bisection and the
+refinement that the rational root theorem would need.
+
+The Sturm path: one Sturm chain and one bisection pass inside a window
 clipped to the Cauchy root bound.  The chain is the signed primitive
 remainder sequence of p and p' (`upoly.remainder_sequence`); its entries
 are positive multiples of the entries over Q, so they have the same sign
@@ -187,10 +199,46 @@ def isolate_real_roots(p: UPoly) -> List[AlgebraicCoord]:
 
 def squarefree_roots(p: UPoly) -> Tuple[UPoly, List[AlgebraicCoord]]:
     """p / gcd(p, p'), made monic, and its real roots in increasing
-    order, each with that polynomial; when p is square-free, one
-    remainder sequence yields both."""
+    order, each with that polynomial.  With t^k stripped from p, a
+    cofactor of degree <= 2 with only rational real roots gives both in
+    closed form, 0 included when k > 0; any other p takes the Sturm
+    path, where one remainder sequence yields both when p is
+    square-free."""
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
+    c = p.int_coeffs()
+    k = next(i for i, v in enumerate(c) if v)
+    closed = _closed_form(c[k:], k > 0)
+    return closed if closed is not None else _sturm_roots(p)
+
+
+def _closed_form(q: Tuple[int, ...], at_zero: bool) -> Optional[Tuple[UPoly, List[AlgebraicCoord]]]:
+    """The square-free part and the roots of t^k * q, for k > 0 when
+    `at_zero`, where q is a primitive integer polynomial with q(0) != 0;
+    None when q has degree >= 3 or an irrational real root."""
+    roots = [Fraction(0)] if at_zero else []
+    if len(q) == 2:
+        roots.append(Fraction(-q[0], q[1]))
+    elif len(q) == 3:
+        q0, q1, q2 = q
+        disc = q1 * q1 - 4 * q2 * q0
+        if disc == 0:
+            q = (q1, 2 * q2)  # the square-free part keeps one factor of the double root
+            roots.append(Fraction(-q1, 2 * q2))
+        elif disc > 0:
+            r = math.isqrt(disc)
+            if r * r != disc:
+                return None
+            roots += [Fraction(-q1 - r, 2 * q2), Fraction(-q1 + r, 2 * q2)]
+    elif len(q) > 3:
+        return None
+    s = UPoly(((0,) if at_zero else ()) + q).monic()
+    return s, [AlgebraicCoord(r, r, s) for r in sorted(roots)]
+
+
+def _sturm_roots(p: UPoly) -> Tuple[UPoly, List[AlgebraicCoord]]:
+    """`squarefree_roots` by one Sturm chain of the square-free part, one
+    bisection and `_identify` on each isolating interval."""
     s, chain = p, sturm_chain(p)
     if chain[-1].degree > 0:  # gcd(p, p') is not constant
         s = p // chain[-1]

@@ -17,7 +17,7 @@ import math
 from typing import Tuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pdisc.equilibria import finite_equilibria
 from pdisc.exactalg import (
@@ -205,6 +205,66 @@ def test_squarefree_roots_returns_coordinates_of_its_square_free_part(roots, m, 
     for r in isolated:
         fine = refine_root(r, Fraction(1, 2**40))
         assert fine.poly == s and fine.is_exact == r.is_exact and r.lo <= fine.lo <= fine.hi <= r.hi
+
+
+_T = UPoly.variable()
+
+# the factors a closed form reads: a constant, a line, a quadratic with
+# two rational roots or a rational double root, and one with no real root
+_low_degree_factors = st.one_of(
+    st.just(UPoly.const(1)),
+    small_rationals.map(lambda r: from_roots([r])),
+    st.lists(small_rationals, min_size=2, max_size=2, unique=True).map(from_roots),
+    small_rationals.map(lambda r: from_roots([r, r])),
+    st.builds(lambda m, e: UPoly((m * m + e * e, -2 * m, 1)), small_rationals, small_rationals.filter(bool)),
+)
+
+
+@given(
+    st.builds(
+        lambda c, k, f: f * UPoly((0,) * k + (c,)),
+        small_rationals.filter(bool),  # a negative c gives a negative leading coefficient
+        st.integers(0, 3),
+        _low_degree_factors,
+    )
+)
+@example(_T)
+@example(7 * _T * _T * _T)
+@example(-3 * _T * _T)
+@example((2 * _T - 1) * (2 * _T - 1))
+@example(_T * _T + 1)
+@example(_T * (4 * _T * _T - 1))
+@example(UPoly.const(5))
+def test_closed_form_matches_the_sturm_path(p):
+    # c t^k f, with f of degree <= 2 and only rational real roots, has a
+    # closed form; the Sturm path on the same p is the reference
+    s, roots = squarefree_roots(p)
+    ref_s, ref_roots = roots_module._sturm_roots(p)
+    assert s == ref_s
+    assert [(r.lo, r.hi, r.poly) for r in roots] == [(r.lo, r.hi, r.poly) for r in ref_roots]
+
+
+def test_closed_form_is_chosen_from_the_degree_after_the_strip_and_the_discriminant(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return sturm_chain(p)
+
+    monkeypatch.setattr(roots_module, "sturm_chain", counted)
+    closed = (
+        _T,
+        _T * _T * (7 * _T + 2),
+        _T * (_T * _T - Fraction(1, 4)),
+        _T * _T + 1,
+        (2 * _T - 1) * (2 * _T - 1),
+        _T * _T * _T - _T,  # t (t^2 - 1) after the strip
+    )
+    # t^2 - 2: the discriminant 8 is not a square; t^3 - 2: degree 3, no t to strip
+    for p, chains in [(p, 0) for p in closed] + [(_T * _T - 2, 1), (_T * _T * _T - 2, 1)]:
+        calls.clear()
+        squarefree_roots(p)
+        assert len(calls) == chains, p
 
 
 def test_refine_sqrt_two():
