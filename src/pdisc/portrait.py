@@ -12,16 +12,15 @@ chart while |x| + |y| stays small, the U1/U2 charts near infinity
 (switch out above 10, back below 5).  The step is straight-line code
 whose sums run in one fixed order, so every trajectory float is the
 same on every supported interpreter.  One text of it, `_TS_STEP`, is
-compiled for a chart of a `Flow` and a time sign, when an orbit first
-runs in that chart with that sign, with the chart's two Horner
-expressions written inline at every stage and the sign written in; the
-tests run the same text over callable field components as the oracle.
-An orbit's state is (chart, u, v) in local variables, converted only
-when a switch threshold is crossed.  In U1 and U2 its half of the
-equator is the sign of v, which no accepted step changes; for
-even-degree systems the chart polynomials reverse time on the v < 0
-half, which the step's time sign compensates, so drawn orbits always
-follow the true flow.
+compiled once for each chart of a `Flow` that an orbit enters, with the
+chart's two Horner expressions written inline at every stage; the tests
+run the same text over callable field components as the oracle.  An
+orbit runs backward in time by steps of negative length.  An orbit's
+state is (chart, u, v) in local variables, converted only when a switch
+threshold is crossed.  In U1 and U2 its half of the equator is the sign
+of v, which no accepted step changes; for even-degree systems the chart
+polynomials reverse time on the v < 0 half, which the sign of the step
+length compensates, so drawn orbits always follow the true flow.
 
 An orbit ends at an equilibrium only where that is proved.  Every
 marker gets capture regions from its exact local analysis (see
@@ -188,17 +187,21 @@ def compile_poly(p: MPoly) -> Callable[[float, float], float]:
 # Tsitouras 5(4)
 
 # The one text of the tableau, the Tsitouras 5(4) pair (Tsitouras 2011,
-# Comput. Math. Appl. 62, 770-775).  With the field components and k as
-# arguments (args="fx, fy, k, ") it is the callable step that the tests
-# compare every kernel with; with each k * fx(a, b), k * fy(a, b)
-# replaced by a chart's Horner expressions at (a, b), times k where k is
-# not 1.0, it is that chart's kernel for k (see `compile_step`), which
-# gives the same floats.  Each product of h and a tableau entry is taken
-# once for both coordinates: h * a * k1x is (h * a) * k1x.
+# Comput. Math. Appl. 62, 770-775).  With the field components as
+# arguments (args="fx, fy, ") it is the callable step that the tests
+# compare every kernel with; with each fx(a, b), fy(a, b) replaced by a
+# chart's Horner expressions at (a, b) it is that chart's kernel (see
+# `compile_step`), which gives the same floats.  Each product of h and a
+# tableau entry is taken once for both coordinates: h * a * k1x is
+# (h * a) * k1x.  A step back in time has length -h: as (-h) * a is
+# -(h * a) and rounding is symmetric, it gives the floats of a step of
+# length h of the negated field, with its stages negated, but for the
+# sign of an exact zero.
 _TS_STEP = '''
 def _ts_step({args}x, y, h, k1x, k1y):
-    """One embedded step of x' = k * fx, y' = k * fy from (x, y), given
-    its first stage (k1x, k1y); returns (x5, y5, err_x, err_y, k7x, k7y).
+    """One embedded step of x' = fx, y' = fy of length h, negative
+    backward in time, from (x, y), given its first stage (k1x, k1y);
+    returns (x5, y5, err_x, err_y, k7x, k7y).
 
     The seventh stage is taken at the fifth-order solution itself, so an
     accepted step hands it on as the next step's first stage (FSAL).
@@ -212,36 +215,36 @@ def _ts_step({args}x, y, h, k1x, k1y):
     a21 = h * 0.161
     ax = x + a21 * k1x
     ay = y + a21 * k1y
-    k2x = k * fx(ax, ay)
-    k2y = k * fy(ax, ay)
+    k2x = fx(ax, ay)
+    k2y = fy(ax, ay)
     a31, a32 = h * (-0.008480655492356989), h * 0.335480655492357
     ax = x + a31 * k1x + a32 * k2x
     ay = y + a31 * k1y + a32 * k2y
-    k3x = k * fx(ax, ay)
-    k3y = k * fy(ax, ay)
+    k3x = fx(ax, ay)
+    k3y = fy(ax, ay)
     a41, a42, a43 = h * 2.897153057105493, h * (-6.359448489975075), h * 4.3622954328695815
     ax = x + a41 * k1x + a42 * k2x + a43 * k3x
     ay = y + a41 * k1y + a42 * k2y + a43 * k3y
-    k4x = k * fx(ax, ay)
-    k4y = k * fy(ax, ay)
+    k4x = fx(ax, ay)
+    k4y = fy(ax, ay)
     a51, a52 = h * 5.325864828439257, h * (-11.748883564062828)
     a53, a54 = h * 7.4955393428898365, h * (-0.09249506636175525)
     ax = x + a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x
     ay = y + a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y
-    k5x = k * fx(ax, ay)
-    k5y = k * fy(ax, ay)
+    k5x = fx(ax, ay)
+    k5y = fy(ax, ay)
     a61, a62, a63 = h * 5.86145544294642, h * (-12.92096931784711), h * 8.159367898576159
     a64, a65 = h * (-0.071584973281401), h * (-0.028269050394068383)
     ax = x + a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x
     ay = y + a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y
-    k6x = k * fx(ax, ay)
-    k6y = k * fy(ax, ay)
+    k6x = fx(ax, ay)
+    k6y = fy(ax, ay)
     x5 = x + h * (0.0 + 0.09646076681806523 * k1x + 0.01 * k2x + 0.4798896504144996 * k3x
                   + 1.379008574103742 * k4x + (-3.290069515436081) * k5x + 2.324710524099774 * k6x)
     y5 = y + h * (0.0 + 0.09646076681806523 * k1y + 0.01 * k2y + 0.4798896504144996 * k3y
                   + 1.379008574103742 * k4y + (-3.290069515436081) * k5y + 2.324710524099774 * k6y)
-    k7x = k * fx(x5, y5)
-    k7y = k * fy(x5, y5)
+    k7x = fx(x5, y5)
+    k7y = fy(x5, y5)
     ex = h * (0.0 + (-0.001780011052225777) * k1x + (-0.0008164344596567469) * k2x
               + 0.007880878010261995 * k3x + (-0.1447110071732629) * k4x + 0.5823571654525552 * k5x
               + (-0.45808210592918697) * k6x + 0.015151515151515152 * k7x)
@@ -252,18 +255,13 @@ def _ts_step({args}x, y, h, k1x, k1y):
 '''
 
 
-def compile_step(p: MPoly, q: MPoly, k: float) -> Callable[..., Tuple[float, float, float, float, float, float]]:
-    """The step of `_TS_STEP` for x' = k * p, y' = k * q, k a time sign
-    1.0 or -1.0, with both Horner expressions written inline at each
-    stage, each built once with format fields for the stage's point:
-    step(x, y, h, k1x, k1y).  k is written in: for 1.0 as no product at
-    all, since 1.0 * v is v, and else as a product, which keeps the sign
-    of a NaN where a unary minus would flip it."""
+def compile_step(p: MPoly, q: MPoly) -> Callable[..., Tuple[float, float, float, float, float, float]]:
+    """The step of `_TS_STEP` for x' = p, y' = q, with both Horner
+    expressions written inline at each stage, each built once with format
+    fields for the stage's point: step(x, y, h, k1x, k1y), h negative
+    backward in time."""
     fields = {"fx": _horner(p, "{0}", "{1}"), "fy": _horner(q, "{0}", "{1}")}
-    times = "" if k == 1.0 else f"{k!r} * "
-    stages = re.sub(
-        r"\bk \* (f[xy])\((\w+), (\w+)\)", lambda m: f"{times}({fields[m[1]].format(m[2], m[3])})", _TS_STEP
-    )
+    stages = re.sub(r"\b(f[xy])\((\w+), (\w+)\)", lambda m: fields[m[1]].format(m[2], m[3]), _TS_STEP)
     return _define(stages.format(args=""), "_ts_step")
 
 
@@ -282,21 +280,17 @@ class Trajectory:
 
 
 class _ChartFields(dict):
-    """chart -> (fx, fy), the chart's two field components, and
-    (chart, k) -> its Tsitouras step for the time sign k (see
-    `compile_step`), each compiled on its first lookup from the chart's
-    (P, Q) in `polys`."""
+    """chart -> (step, fx, fy): the chart's Tsitouras step (see
+    `compile_step`) and its two field components, all three compiled on
+    the chart's first lookup from its (P, Q) in `polys`."""
 
     def __init__(self, polys: Dict[str, Tuple[MPoly, MPoly]]):
         super().__init__()
         self.polys = polys
 
-    def __missing__(self, key: str | Tuple[str, float]) -> tuple | Callable:
-        if isinstance(key, tuple):
-            entry = compile_step(*self.polys[key[0]], key[1])
-        else:
-            entry = tuple(map(compile_poly, self.polys[key]))
-        self[key] = entry
+    def __missing__(self, chart: str) -> tuple:
+        p, q = self.polys[chart]
+        entry = self[chart] = (compile_step(p, q), compile_poly(p), compile_poly(q))
         return entry
 
 
@@ -330,11 +324,10 @@ class Flow:
     """A system's vector field compiled once for every orbit of a
     portrait, the markers where orbits end, and their capture regions
     (see `pdisc.capture`).  `fields` maps the finite chart U3 and the
-    charts U1/U2 at infinity to the field components, which give a
-    first stage, and each (chart, time sign) to the chart's
-    Tsitouras step for that sign (see `compile_step`), each
-    compiled on its first lookup, so a flow pays only for the charts
-    and signs its orbits run in; `near` maps each
+    charts U1/U2 at infinity to the chart's Tsitouras step (see
+    `compile_step`) and its field components, which give a first stage,
+    compiled on the chart's first lookup, so a flow pays only for the
+    charts its orbits enter; `near` maps each
     chart to the regions tried from it, in `captures` order: from U3
     the finite ones, from U1 and U2 all, each with its disc box (see
     `_disc_box`); and `gates` maps it to the union of those boxes, which
@@ -421,16 +414,17 @@ class Flow:
 
     def enter(self, chart: str, u: float, v: float, sgn: float) -> tuple:
         """The orbit loop's values for a state (u, v) of `chart` and time
-        sign `sgn`: the chart's step, its first stage at (u, v), the error
-        norm's absolute tolerance, the chart's capture gate and the
-        state's disc point.  In U1 and U2 the state is on the half of the
-        sign of v; for even degree the step's time sign is -sgn if v < 0."""
+        sign `sgn`: the chart's step, the sign k of its steps' length, its
+        first stage at (u, v), the error norm's absolute tolerance, the
+        chart's capture gate and the state's disc point.  In U1 and U2 the
+        state is on the half of the sign of v; for even degree k is -sgn
+        if v < 0."""
         half = 1 if chart == "U3" or v > 0.0 else -1
         k = -sgn if half < 0 and self.even_degree else sgn
-        fx, fy = self.fields[chart]
+        step, fx, fy = self.fields[chart]
         atol = ATOL_FINITE if chart == "U3" else ATOL_DEFAULT
         disc = _disc_from_chart(chart, u, v, half)
-        return self.fields[chart, k], k * fx(u, v), k * fy(u, v), atol, self.gates[chart], disc
+        return step, k, fx(u, v), fy(u, v), atol, self.gates[chart], disc
 
 
 def integrate_orbit(
@@ -490,7 +484,7 @@ def integrate_orbit(
     chart, x, y = "U3", x0, y0
     if abs(x) + abs(y) > CHART_OUT:
         chart, x, y = _leave_plane(x, y)
-    kernel, k1x, k1y, atol, (gxlo, gxhi, gylo, gyhi), (px, py) = enter(chart, x, y, sgn)
+    kernel, k, k1x, k1y, atol, (gxlo, gxhi, gylo, gyhi), (px, py) = enter(chart, x, y, sgn)
     lx, ly = px, py
     pts = [(px, py)]
     reason = REASON_TMAX
@@ -507,13 +501,13 @@ def integrate_orbit(
         if 0.5 < h:
             # bound how far a step moves, about h * |F| chart units, by
             # 0.5: where |F| < 1 it may last up to 0.5 / |F|, and at
-            # |F| = 0 nothing binds; (k1x, k1y) is k * F at (x, y), |k| = 1
+            # |F| = 0 nothing binds; (k1x, k1y) is F at (x, y)
             speed = hypot(k1x, k1y)
             if not speed < 1.0:
                 h = 0.5
             elif speed * h > 0.5:
                 h = 0.5 / speed
-        nx, ny, ex, ey, k7x, k7y = kernel(x, y, h, k1x, k1y)
+        nx, ny, ex, ey, k7x, k7y = kernel(x, y, k * h, k1x, k1y)
         a, b = abs(x), abs(nx)
         sx = atol + tol * (b if b > a else a)
         a, b = abs(y), abs(ny)
@@ -574,7 +568,7 @@ def integrate_orbit(
             chart = "U2" if chart == "U1" else "U1"
             x, y = 1.0 / x, y / x
         if chart != was:
-            kernel, k1x, k1y, atol, (gxlo, gxhi, gylo, gyhi), (px, py) = enter(chart, x, y, sgn)
+            kernel, k, k1x, k1y, atol, (gxlo, gxhi, gylo, gyhi), (px, py) = enter(chart, x, y, sgn)
         elif chart == "U3":
             px, py = qx, qy
         else:

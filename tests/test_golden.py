@@ -551,38 +551,40 @@ def test_bundled_portrait_capture_call_count(view, captures, monkeypatch):
     assert calls[0] == captures
 
 
-# a chart's step for a time sign is compiled when an orbit first runs
-# in the chart with that sign: a flow never integrated compiles none,
-# every orbit of the bundled quadrant portrait runs forward in the
-# finite chart, and the full disc runs in every chart forward and in the
-# charts at infinity backward (3 compilations, one per chart, for either
-# view, while k was an argument of the step; the finite chart backward
-# too while the centre branch of (-C, 0) that runs backward was
-# integrated along its invariant line)
+# a chart's step is compiled, with its two field components, when an
+# orbit first enters the chart, and serves both time signs: a flow never
+# integrated compiles none, every orbit of the bundled quadrant portrait
+# runs in the finite chart, and the full disc runs in every chart (5
+# compilations for the full disc while each chart had one step per time
+# sign, the finite chart's backward one too while the centre branch of
+# (-C, 0) that runs backward was integrated along its invariant line)
 def test_bundled_portrait_compiles_only_the_charts_it_enters(monkeypatch):
-    charts = []
-    original = portrait.compile_step
+    charts, polys = [], []
+    original_step, original_poly = portrait.compile_step, portrait.compile_poly
 
-    def counted(p, q, k):
-        charts.append((p, q, k))
-        return original(p, q, k)
+    def counted_step(p, q):
+        charts.append((p, q))
+        return original_step(p, q)
 
-    monkeypatch.setattr(portrait, "compile_step", counted)
+    def counted_poly(p):
+        polys.append(p)
+        return original_poly(p)
+
+    monkeypatch.setattr(portrait, "compile_step", counted_step)
+    monkeypatch.setattr(portrait, "compile_poly", counted_poly)
     sys = parse_system(_source(*TRIPLES["bundled"]))
     params = ParamBindings(sys.params["A"], sys.params["B"], sys.params["C"])
     flow = portrait.Flow(disc_equilibria(sys))
-    assert charts == [] and dict(flow.fields) == {}
-    assert flow.fields["U1", -1.0] is flow.fields["U1", -1.0] and len(charts) == 1
-    assert len(flow.fields["U1"]) == 2 and len(charts) == 1
+    assert charts == [] and polys == [] and dict(flow.fields) == {}
+    u1, u2 = flow.fields.polys["U1"], flow.fields.polys["U2"]
+    assert flow.fields["U1"] is flow.fields["U1"] and len(flow.fields["U1"]) == 3
+    assert charts == [u1] and polys == list(u1)
     charts.clear()
     build_portrait(sys, params)
-    assert charts == [(sys.P, sys.Q, 1.0)]
+    assert charts == [(sys.P, sys.Q)]
     charts.clear()
     build_portrait(sys, params, positive_quadrant_only=False)
-    u1, u2 = flow.fields.polys["U1"], flow.fields.polys["U2"]
-    assert charts == [
-        (sys.P, sys.Q, 1.0), (*u2, 1.0), (*u2, -1.0), (*u1, -1.0), (*u1, 1.0)
-    ]
+    assert charts == [(sys.P, sys.Q), u2, u1]
 
 
 # sha256 of the `pdisc analyze` JSON (full disc, quadrant) of systems

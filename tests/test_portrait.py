@@ -64,9 +64,9 @@ REASON_EQ = "converged-to-equilibrium"
 REASON_TMAX = "reached-tmax"
 REASON_BOUNDARY = "reached-boundary"
 
-# the one step text over callable field components and a time sign k:
-# the oracle that every compiled kernel is compared with
-_ts_step = _define(_TS_STEP.format(args="fx, fy, k, "), "_ts_step")
+# the one step text over callable field components: the oracle that
+# every compiled kernel is compared with
+_ts_step = _define(_TS_STEP.format(args="fx, fy, "), "_ts_step")
 
 
 def _dist(a, b):
@@ -146,7 +146,7 @@ def test_stepper_accuracy_on_rotation():
     fy = lambda x, y: -x
 
     def endpoint_error(h):
-        nx, ny, _, _, _, _ = _ts_step(fx, fy, 1.0, 1.0, 0.0, h, fx(1.0, 0.0), fy(1.0, 0.0))
+        nx, ny, _, _, _, _ = _ts_step(fx, fy, 1.0, 0.0, h, fx(1.0, 0.0), fy(1.0, 0.0))
         return math.hypot(nx - math.cos(h), ny + math.sin(h))
 
     e_coarse = endpoint_error(0.2)
@@ -173,7 +173,7 @@ def test_stepper_reuses_its_last_stage():
 
     k1x, k1y = fx(0.3, -0.7), fy(0.3, -0.7)
     calls = {"x": [], "y": []}
-    nx, ny, _, _, k7x, k7y = _ts_step(fx, fy, 1.0, 0.3, -0.7, 0.05, k1x, k1y)
+    nx, ny, _, _, k7x, k7y = _ts_step(fx, fy, 0.3, -0.7, 0.05, k1x, k1y)
     assert len(calls["x"]) == len(calls["y"]) == 6
     assert calls["x"][-1] == calls["y"][-1] == (nx, ny)
     assert (k7x, k7y) == (fx(nx, ny), fy(nx, ny))
@@ -304,11 +304,11 @@ def _loop_ts_step(f, x, y, h, k1):
     return x5, y5, h * _dot(_TS_E, kx), h * _dot(_TS_E, ky), k7
 
 
-def _assert_same_step(fx, fy, k, x, y, h):
+def _assert_same_step(fx, fy, x, y, h):
     # compared as bytes, so that -0.0 and NaN count
-    k1x, k1y = k * fx(x, y), k * fy(x, y)
-    new = _ts_step(fx, fy, k, x, y, h, k1x, k1y)
-    x5, y5, ex, ey, k7 = _loop_ts_step(lambda a, b: (k * fx(a, b), k * fy(a, b)), x, y, h, (k1x, k1y))
+    k1x, k1y = fx(x, y), fy(x, y)
+    new = _ts_step(fx, fy, x, y, h, k1x, k1y)
+    x5, y5, ex, ey, k7 = _loop_ts_step(lambda a, b: (fx(a, b), fy(a, b)), x, y, h, (k1x, k1y))
     assert struct.pack("<6d", *new) == struct.pack("<6d", x5, y5, ex, ey, *k7)
 
 
@@ -317,18 +317,19 @@ def _quadratic(c):
 
 
 _coeffs = st.tuples(*[st.floats(min_value=-5.0, max_value=5.0)] * 6)
+# step lengths of both signs: a step back in time has a negative one
+_lengths = st.floats(min_value=1e-6, max_value=0.5) | st.floats(min_value=-0.5, max_value=-1e-6)
 
 
 @given(
     _coeffs,
     _coeffs,
-    st.sampled_from([1.0, -1.0]),
     st.floats(min_value=-3.0, max_value=3.0),
     st.floats(min_value=-3.0, max_value=3.0),
-    st.floats(min_value=1e-6, max_value=0.5),
+    _lengths,
 )
-def test_straight_line_step_is_bit_identical_to_the_loop(cx, cy, k, x, y, h):
-    _assert_same_step(_quadratic(cx), _quadratic(cy), k, x, y, h)
+def test_straight_line_step_is_bit_identical_to_the_loop(cx, cy, x, y, h):
+    _assert_same_step(_quadratic(cx), _quadratic(cy), x, y, h)
 
 
 def test_straight_line_sums_start_from_zero():
@@ -339,7 +340,7 @@ def test_straight_line_sums_start_from_zero():
         stages = iter([-0.0, -0.0, -0.0, 0.0, -0.0, -0.0])
         return lambda x, y: next(stages)
 
-    new = _ts_step(scripted(), scripted(), 1.0, -0.0, -0.0, 0.5, -0.0, -0.0)
+    new = _ts_step(scripted(), scripted(), -0.0, -0.0, 0.5, -0.0, -0.0)
     fx, fy = scripted(), scripted()
     x5, y5, ex, ey, k7 = _loop_ts_step(lambda a, b: (fx(a, b), fy(a, b)), -0.0, -0.0, 0.5, (-0.0, -0.0))
     assert struct.pack("<6d", *new) == struct.pack("<6d", x5, y5, ex, ey, *k7)
@@ -353,7 +354,7 @@ def _spike(x, y):
     return math.inf if 0.05 < abs(x) < 0.15 else 1.0 + x
 
 
-@pytest.mark.parametrize("k", [1.0, -1.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize(
     "fx, fy, x, y",
     [
@@ -365,10 +366,12 @@ def _spike(x, y):
     ],
     ids=["overflow", "second-stage-inf"],
 )
-def test_straight_line_step_matches_the_loop_off_the_finite_floats(fx, fy, x, y, k):
-    new = _ts_step(fx, fy, k, x, y, 0.5, k * fx(x, y), k * fy(x, y))
+def test_straight_line_step_matches_the_loop_off_the_finite_floats(fx, fy, x, y, sign):
+    # a step of length 0.5 forward in time, or backward
+    h = sign * 0.5
+    new = _ts_step(fx, fy, x, y, h, fx(x, y), fy(x, y))
     assert math.isnan(new[0])
-    _assert_same_step(fx, fy, k, x, y, 0.5)
+    _assert_same_step(fx, fy, x, y, h)
 
 
 # random polynomials, the zero polynomial and constants among them, with
@@ -382,16 +385,39 @@ _polys = st.one_of(
 _state = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300, math.inf, math.nan]), st.floats(-3.0, 3.0), st.floats())
 
 
-def _assert_kernel_matches(dp, fx, fy, k, x, y, h):
-    k1x, k1y = k * fx(x, y), k * fy(x, y)
+def _assert_kernel_matches(dp, fx, fy, x, y, h):
+    k1x, k1y = fx(x, y), fy(x, y)
     new = dp(x, y, h, k1x, k1y)
-    assert struct.pack("<6d", *new) == struct.pack("<6d", *_ts_step(fx, fy, k, x, y, h, k1x, k1y))
+    assert struct.pack("<6d", *new) == struct.pack("<6d", *_ts_step(fx, fy, x, y, h, k1x, k1y))
 
 
 @settings(max_examples=300)
-@given(_polys, _polys, st.sampled_from([1.0, -1.0]), _state, _state, st.floats(min_value=0.0, max_value=0.5))
-def test_compiled_step_is_bit_identical_to_the_callable_step(p, q, k, x, y, h):
-    _assert_kernel_matches(compile_step(p, q, k), compile_poly(p), compile_poly(q), k, x, y, h)
+@given(_polys, _polys, _state, _state, st.floats(min_value=-0.5, max_value=0.5))
+def test_compiled_step_is_bit_identical_to_the_callable_step(p, q, x, y, h):
+    _assert_kernel_matches(compile_step(p, q), compile_poly(p), compile_poly(q), x, y, h)
+
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+# one kernel serves both time signs: a step of length -h of the field F
+# is, float for float, the step of length h of -F, as (-h) * a is
+# -(h * a) and binary64 rounding is symmetric, with its stages, the last
+# one k7 among them, negated.  Only the sign of an exact zero can differ,
+# which a float comparison does not see.  No NaN reaches an accepted
+# state: every error weight is nonzero, so a NaN stage makes the error
+# NaN, and the orbit loop rejects the step.  Of an accepted step only a
+# -0.0 coordinate whose increment is exactly zero can differ: x + -0.0
+# is -0.0 where x + 0.0 is 0.0
+@settings(max_examples=300)
+@given(_polys, _polys, _state, _state, st.floats(min_value=0.0, max_value=0.5, exclude_min=True))
+def test_a_step_back_is_the_step_of_the_negated_field(p, q, x, y, h):
+    fx, fy = compile_poly(p), compile_poly(q)
+    back = compile_step(p, q)(x, y, -h, fx(x, y), fy(x, y))
+    gx, gy = (lambda a, b: -1.0 * fx(a, b)), (lambda a, b: -1.0 * fy(a, b))
+    want = _ts_step(gx, gy, x, y, h, gx(x, y), gy(x, y))
+    assert all(map(_same_float, back, want[:4] + (-want[4], -want[5]))), (back, want)
 
 
 # the Horner text that added every zero coefficient and row as + 0.0,
@@ -445,10 +471,9 @@ def _bundled_flow():
     return Flow(disc_equilibria(leslie_system(F(1), F(1), F(1, 2)), False))
 
 
-@given(st.sampled_from(["U3", "U1", "U2"]), st.sampled_from([1.0, -1.0]), _state, _state, st.floats(1e-6, 0.5))
-def test_each_charts_kernel_is_bit_identical_to_the_callable_step(chart, k, x, y, h):
-    fields = _bundled_flow().fields
-    _assert_kernel_matches(fields[chart, k], *fields[chart], k, x, y, h)
+@given(st.sampled_from(["U3", "U1", "U2"]), _state, _state, _lengths)
+def test_each_charts_kernel_is_bit_identical_to_the_callable_step(chart, x, y, h):
+    _assert_kernel_matches(*_bundled_flow().fields[chart], x, y, h)
 
 
 def test_orbit_matches_exponential_flow():
@@ -477,8 +502,8 @@ def test_slow_steps_are_bounded_by_length(monkeypatch):
     # `test_leslie_orbits_keep_their_accuracy`)
     calls = [0]
 
-    def counting(p, q, k):
-        step = compile_step(p, q, k)
+    def counting(p, q):
+        step = compile_step(p, q)
 
         def counted(*args):
             calls[0] += 1
@@ -538,11 +563,11 @@ def test_the_length_bound_binds(monkeypatch, source, plane, branch):
     # for the fast field, 11 of 18 at h = 0.5 / |F| for the slow one)
     calls = []
 
-    def recording(p, q, k):
-        step = compile_step(p, q, k)
+    def recording(p, q):
+        step = compile_step(p, q)
 
         def recorded(x, y, h, k1x, k1y):
-            calls.append((h, math.hypot(k1x, k1y)))
+            calls.append((abs(h), math.hypot(k1x, k1y)))
             return step(x, y, h, k1x, k1y)
 
         return recorded
@@ -566,7 +591,7 @@ def test_a_step_across_the_equator_is_retried_at_half_its_length():
     # invariant, so the step is retried from the same state at half its
     # length, and the orbit stays on its v > 0 half
     flow = Flow(disc_equilibria(parse_system("dx = x\ndy = 2*y\n")), markers=[])
-    step = flow.fields["U1", 1.0]
+    step, fx, fy = flow.fields["U1"]
     calls = []
 
     def crossing_once(x, y, h, k1x, k1y):
@@ -574,7 +599,7 @@ def test_a_step_across_the_equator_is_retried_at_half_its_length():
         nx, ny, ex, ey, k7x, k7y = step(x, y, h, k1x, k1y)
         return (nx, -ny, 0.0, 0.0, k7x, k7y) if len(calls) == 1 else (nx, ny, ex, ey, k7x, k7y)
 
-    flow.fields["U1", 1.0] = crossing_once
+    flow.fields["U1"] = (crossing_once, fx, fy)
     tr = integrate_orbit(flow, disc_from_plane(20.0, 1.0), tmax=5.0)
     assert len(calls) > 2
     assert calls[1] == (calls[0][0], calls[0][1], calls[0][2] / 2)
