@@ -260,21 +260,29 @@ def _bisect(
     increasing order: an isolating interval (lo, hi), or (r, r) for a
     midpoint r that is a root.  at_a and at_b hold each endpoint's sign
     variations and whether it is a root."""
-    (v_a, a_root), (v_b, b_root) = at_a, at_b
-    count = v_a - v_b - b_root
-    if count <= 0:
-        return
-    if count == 1 and not (a_root or b_root):
-        found.append((Fraction(a, q), Fraction(b, q)))
-        return
-    mid, q = a + b, 2 * q
-    signs = _signs(chain, mid, q)
-    at_mid = (_variations(signs), not signs[0])
-    _bisect(chain, 2 * a, mid, q, at_a, at_mid, found)
-    if not signs[0]:
-        root = Fraction(mid, q)
-        found.append((root, root))
-    _bisect(chain, mid, 2 * b, q, at_mid, at_b, found)
+    # the intervals still to search, the leftmost on top; an entry with
+    # no endpoint data is a midpoint root a/q, appended when it is reached
+    todo = [(a, b, q, at_a, at_b)]
+    while todo:
+        a, b, q, at_a, at_b = todo.pop()
+        if at_a is None:
+            root = Fraction(a, q)
+            found.append((root, root))
+            continue
+        (v_a, a_root), (v_b, b_root) = at_a, at_b
+        count = v_a - v_b - b_root
+        if count <= 0:
+            continue
+        if count == 1 and not (a_root or b_root):
+            found.append((Fraction(a, q), Fraction(b, q)))
+            continue
+        mid, q = a + b, 2 * q
+        signs = _signs(chain, mid, q)
+        at_mid = (_variations(signs), not signs[0])
+        todo.append((mid, 2 * b, q, at_mid, at_b))
+        if not signs[0]:
+            todo.append((mid, mid, q, None, None))
+        todo.append((2 * a, mid, q, at_a, at_mid))
 
 
 def _identify(a: AlgebraicCoord) -> AlgebraicCoord:

@@ -148,6 +148,11 @@ def _tokenize_line(text: str, line_no: int) -> List[_Token]:
 # ---------------------------------------------------------------------------
 # expression parser
 
+# the deepest nesting of parentheses an expression may have: each level
+# takes four calls of the recursive descent, well inside the interpreter's
+# recursion limit
+_MAX_NESTING = 100
+
 
 class _ExprParser:
     def __init__(self, toks: Sequence[_Token], symbols: Mapping[str, MPoly], line_no: int):
@@ -155,6 +160,7 @@ class _ExprParser:
         self.symbols = symbols
         self.line_no = line_no
         self.pos = 0
+        self.depth = 0  # parentheses open around the current token
 
     def _peek(self) -> Optional[_Token]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -225,27 +231,43 @@ class _ExprParser:
 
     def _term(self) -> MPoly:
         node = self._factor()
-        while self._accept("*"):
-            node = node * self._factor()
-        return node
+        while True:
+            op = self._peek()
+            if not self._accept("*"):
+                return node
+            factor = self._factor()
+            try:
+                node = node * factor
+            except OverflowError:
+                raise self._fail("degree beyond the polynomial kernel's range", op) from None
 
     def _factor(self) -> MPoly:
-        # unary minus binds looser than "^": -x^2 is -(x^2)
-        if self._accept("-"):
-            return -self._factor()
+        # unary minus binds looser than "^": -x^2 is -(x^2).  A run of
+        # minus signs is read in one loop, not one call each
+        negate = False
+        while self._accept("-"):
+            negate = not negate
         b = self._base()
-        if not self._accept("^"):
-            return b
-        e = self._next()
-        if e is None or e.kind != _TOK_NUMBER or e.value.denominator != 1:
-            raise self._fail("exponent must be a nonnegative integer", e)
-        return b ** int(e.value)
+        if self._accept("^"):
+            e = self._next()
+            if e is None or e.kind != _TOK_NUMBER or e.value.denominator != 1:
+                raise self._fail("exponent must be a nonnegative integer", e)
+            try:
+                b = b ** int(e.value)
+            except OverflowError:
+                raise self._fail("degree beyond the polynomial kernel's range", e) from None
+        return -b if negate else b
 
     def _base(self) -> MPoly:
+        t = self._peek()
         if self._accept("("):
+            if self.depth == _MAX_NESTING:
+                raise self._fail(f"parentheses nested deeper than {_MAX_NESTING}", t)
+            self.depth += 1
             inner = self._expr()
             if not self._accept(")"):
                 raise self._fail("expected ')'", self._peek())
+            self.depth -= 1
             return inner
         t = self._next()
         if t is None:

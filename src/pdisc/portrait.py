@@ -449,10 +449,8 @@ def integrate_orbit(
     overflows or is not a number is rejected.  The error norm's absolute
     tolerance is `ATOL_FINITE` in the finite chart, where the disc map is
     1-Lipschitz, and `ATOL_DEFAULT` in the charts at infinity, whose
-    `EQUATOR_EPS` needs it.  `tmax` is time.  Besides the error control,
-    a step is bounded by its length: it lasts at most 0.5, or 0.5 / |F|
-    where the speed |F| at its start is below 1, so it moves about 0.5
-    chart units at most; at |F| = 0 no bound applies.  In the finite
+    `EQUATOR_EPS` needs it.  `tmax` is time.  The error control sizes
+    every step, and each chart adds its own rule.  In the finite
     chart an accepted step moves the disc point at most `CHORD_MAX`: a
     step whose chord is longer is retried at 0.9 * CHORD_MAX / chord of
     its length, and after an accepted step the next is capped the same
@@ -498,15 +496,6 @@ def integrate_orbit(
         rest = tmax - t
         if rest < h:
             h = rest
-        if 0.5 < h:
-            # bound how far a step moves, about h * |F| chart units, by
-            # 0.5: where |F| < 1 it may last up to 0.5 / |F|, and at
-            # |F| = 0 nothing binds; (k1x, k1y) is F at (x, y)
-            speed = hypot(k1x, k1y)
-            if not speed < 1.0:
-                h = 0.5
-            elif speed * h > 0.5:
-                h = 0.5 / speed
         nx, ny, ex, ey, k7x, k7y = kernel(x, y, k * h, k1x, k1y)
         a, b = abs(x), abs(nx)
         sx = atol + tol * (b if b > a else a)

@@ -94,6 +94,13 @@ PARSE_ERRORS = [
     # a digit is what int() reads: a superscript is no digit
     ("dx = 2²*x\ndy = y\n", "line 1, column 7: unexpected character '²'"),
     ("params: A=²\ndx = x\ndy = y\n", "line 1, column 11: unexpected character '²'"),
+    # deep nesting is an error at the first parenthesis past the cap, not
+    # a RecursionError; 400 levels would take some 1600 calls
+    ("dx = " + "(" * 400 + "x" + ")" * 400 + "\ndy = y\n", "line 1, column 106: parentheses nested deeper than 100"),
+    # a degree the polynomial kernel cannot hold is an error at the
+    # exponent, or at the product, that makes it
+    ("dx = x^3000000000\ndy = y\n", "line 1, column 8: degree beyond the polynomial kernel's range"),
+    ("dx = x^2000000000*x^2000000000*x\ndy = y\n", "line 1, column 31: degree beyond the polynomial kernel's range"),
 ]
 
 
@@ -102,6 +109,15 @@ def test_parse_errors():
         with pytest.raises(ParseError) as info:
             parse_system(source)
         assert str(info.value) == message, source
+
+
+def test_nesting_up_to_the_cap_and_long_runs_of_minus_signs_parse():
+    x = MPoly.var_x()
+    assert parse_system("dx = " + "(" * 100 + "x" + ")" * 100 + "\ndy = y\n").P == x
+    # a run of unary minus signs is read in one loop: -x^2 is -(x^2)
+    # however many signs lead it
+    for n, sign in ((1200, 1), (1201, -1)):
+        assert parse_system("dx = " + "-" * n + "x^2\ndy = y\n").P == sign * x**2
 
 
 @pytest.mark.parametrize(

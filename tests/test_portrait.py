@@ -63,6 +63,7 @@ from enclosure import box_enclosure
 REASON_EQ = "converged-to-equilibrium"
 REASON_TMAX = "reached-tmax"
 REASON_BOUNDARY = "reached-boundary"
+REASON_UNDERFLOW = "step-underflow"
 
 # the one step text over callable field components: the oracle that
 # every compiled kernel is compared with
@@ -486,20 +487,9 @@ def test_orbit_matches_exponential_flow():
     assert _dist(tr.points[-1], want) < 1e-6
 
 
-def test_slow_steps_are_bounded_by_length(monkeypatch):
-    # x' = -x/64, y' = -y/64 from (0.5, 0.3): the speed stays below 1/64,
-    # so the length bound would let a step last up to 0.5 / |F| > 32
-    # rather than 0.5 (104 kernel calls while every step was capped at
-    # 0.5, 19 with the Dormand-Prince pair at a relative tolerance of
-    # 1e-9, 14 with it at 1e-8).  The bound itself never binds here: the
-    # error controller sets every step, 8 of the 12 longer than 0.5 (see
-    # `test_the_length_bound_binds` for where it does), and still keeps
-    # the endpoint on the exact flow e^(-t/64) (x0, y0): 6.4e-10 off at
-    # the finite chart's absolute tolerance of 1e-9, 6.2e-10 at 1e-12 and
-    # 7.5e-11 at a relative tolerance of 1e-9 (5.8e-10 with the
-    # Dormand-Prince pair at 1e-8).  This field is linear, so its error
-    # says little of the step's on a nonlinear one (see
-    # `test_leslie_orbits_keep_their_accuracy`)
+def _count_kernel_calls(monkeypatch):
+    """A one-item list that counts the calls of every step kernel
+    compiled from here on."""
     calls = [0]
 
     def counting(p, q):
@@ -512,6 +502,23 @@ def test_slow_steps_are_bounded_by_length(monkeypatch):
         return counted
 
     monkeypatch.setattr("pdisc.portrait.compile_step", counting)
+    return calls
+
+
+def test_slow_steps_are_sized_by_their_error(monkeypatch):
+    # x' = -x/64, y' = -y/64 from (0.5, 0.3): the speed stays below 1/64,
+    # and the error controller alone sizes every step, 8 of the 12 longer
+    # than 0.5 (104 kernel calls while every step was capped at 0.5, 19
+    # with the Dormand-Prince pair at a relative tolerance of 1e-9, 14
+    # with it at 1e-8).  The endpoint stays on the exact flow
+    # e^(-t/64) (x0, y0): 6.4e-10 off at the finite chart's absolute
+    # tolerance of 1e-9, 6.2e-10 at 1e-12 and 7.5e-11 at a relative
+    # tolerance of 1e-9 (5.8e-10 with the Dormand-Prince pair at 1e-8).
+    # This field is linear, so its error says little of the step's on a
+    # nonlinear one (see `test_leslie_orbits_keep_their_accuracy`), and
+    # it is slow everywhere (see `test_near_constant_fields_take_long_steps`
+    # for fields that are not)
+    calls = _count_kernel_calls(monkeypatch)
     sys = parse_system("dx = -1/64*x\ndy = -1/64*y\n")
     seed = disc_from_plane(0.5, 0.3)
     x0, y0 = plane_from_disc(*seed)
@@ -524,7 +531,7 @@ def test_slow_steps_are_bounded_by_length(monkeypatch):
 
 
 def test_leslie_orbits_keep_their_accuracy(monkeypatch):
-    # the bundled Leslie field, nonlinear where `test_slow_steps_are_bounded_by_length`
+    # the bundled Leslie field, nonlinear where `test_slow_steps_are_sized_by_their_error`
     # is linear: the 64 generic seeds of the full-disc grid 4, each run
     # forward and backward to t = 1 with no marker to end it, against the
     # same orbits at a relative tolerance of 1e-12.  The median disc
@@ -546,42 +553,28 @@ def test_leslie_orbits_keep_their_accuracy(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "source, plane, branch",
+    "source, plane, speed, calls_below",
     [
-        # |F| >= 1 in the finite chart, so a step there lasts at most 0.5
-        ("dx = 1\ndy = 1/1000000*y + 1/1000000\n", (5.0, 0.1), "0.5"),
-        # |F| is about 1/8, so a step lasts at most 0.5 / |F|, about 4
-        ("dx = 1/8\ndy = 1/1000000*y + 1/1000000\n", (2.0, 0.1), "0.5/|F|"),
+        ("dx = 1\ndy = 1/1000000*y + 1/1000000\n", (5.0, 0.1), 1.0, 29),
+        ("dx = 1/8\ndy = 1/1000000*y + 1/1000000\n", (2.0, 0.1), 1.0 / 8.0, 18),
     ],
     ids=["fast", "slow"],
 )
-def test_the_length_bound_binds(monkeypatch, source, plane, branch):
-    # a near-constant field, on which the error controller alone would
-    # let steps grow long: every step moves at most about 0.5 chart units,
-    # h <= 0.5 or h * |F| <= 0.5 with |F| the speed at its start, and
-    # the bound sets h on some steps (10 of 29 kernel calls at h = 0.5
-    # for the fast field, 11 of 18 at h = 0.5 / |F| for the slow one)
-    calls = []
-
-    def recording(p, q):
-        step = compile_step(p, q)
-
-        def recorded(x, y, h, k1x, k1y):
-            calls.append((abs(h), math.hypot(k1x, k1y)))
-            return step(x, y, h, k1x, k1y)
-
-        return recorded
-
-    monkeypatch.setattr("pdisc.portrait.compile_step", recording)
+def test_near_constant_fields_take_long_steps(monkeypatch, source, plane, speed, calls_below):
+    # a near-constant field, x' = speed and y' = (y + 1) / 10^6, on which
+    # the error controller lets steps grow long: the orbit is x = x0 + speed * t, y = (y0 + 1) e^(t/10^6) - 1.
+    # It takes fewer kernel calls than when a step moved at most 0.5
+    # chart units (29 for the fast field, 18 for the slow one; 17 and 10
+    # when recorded) and ends on the exact flow
+    calls = _count_kernel_calls(monkeypatch)
     flow = Flow(disc_equilibria(parse_system(source)), markers=[])
-    tr = integrate_orbit(flow, disc_from_plane(*plane), tmax=50.0)
+    tmax = 50.0
+    tr = integrate_orbit(flow, disc_from_plane(*plane), tmax=tmax)
     assert tr.reason == REASON_TMAX
-    above = math.nextafter(0.5, 1.0)
-    assert all(h <= 0.5 or h * speed <= above for h, speed in calls)
-    if branch == "0.5":
-        assert any(h == 0.5 and speed >= 1.0 for h, speed in calls)
-    else:
-        assert any(h > 0.5 and h == 0.5 / speed for h, speed in calls)
+    assert calls[0] < calls_below
+    x0, y0 = plane
+    want = disc_from_plane(x0 + speed * tmax, (y0 + 1.0) * math.exp(tmax / 1e6) - 1.0)
+    assert _dist(tr.points[-1], want) < 1e-9
 
 
 def test_a_step_across_the_equator_is_retried_at_half_its_length():
@@ -608,14 +601,27 @@ def test_a_step_across_the_equator_is_retried_at_half_its_length():
 
 
 def test_orbit_seeded_at_an_equilibrium_stays_there():
-    # the field is exactly 0.0 at the seed's plane point, so the speed
-    # sets no bound on a step: the orbit runs to tmax without moving
+    # the field is exactly 0.0 at the seed's plane point, so every
+    # step's error is 0: the orbit runs to tmax without moving
     seed = disc_from_plane(1.0, 1.0)
     x0, y0 = plane_from_disc(*seed)
     sys = parse_system(f"dx = x - {F(x0)}\ndy = y - {F(y0)}\n")
     tr = integrate_orbit(Flow(disc_equilibria(sys), markers=[]), seed, tmax=50.0)
     assert tr.reason == REASON_TMAX
     assert tr.points == [disc_from_plane(x0, y0)]
+
+
+def test_an_orbit_whose_every_step_overflows_ends_in_step_underflow():
+    # x' = 10^300 x from (0.5, 0.3): every stage past the first overflows,
+    # so each error norm is infinite and each step is retried shorter
+    # until it is below 1e-13, and the orbit ends where it started
+    seed = disc_from_plane(0.5, 0.3)
+    x0, y0 = plane_from_disc(*seed)
+    sys = parse_system("dx = 10^300*x\ndy = y\n")
+    tr = integrate_orbit(Flow(disc_equilibria(sys), markers=[]), seed)
+    assert tr.reason == REASON_UNDERFLOW
+    assert tr.points == [disc_from_plane(x0, y0)]
+    assert tr.limit is None
 
 
 def test_orbit_escapes_to_equator_node():

@@ -114,6 +114,21 @@ def test_isolation_builds_one_chain_and_records_midpoint_roots(monkeypatch):
             assert (ri.lo**2 - 2) * (ri.hi**2 - 2) < 0
 
 
+def test_isolation_parts_roots_below_the_recursion_limit():
+    # Res_x of dx = 10^150 x^2 - y, dy = 10^200 y + x - 1 is
+    # 10^550 y^2 - (2 * 10^350 + 1) y + 10^150, whose two roots near
+    # 10^-200 lie about 2e-375 apart: bisection parts them some 1240
+    # levels below the Cauchy bound, about 1, deeper than the interpreter
+    # would let one call per level go
+    p = UPoly((10**150, -(2 * 10**350 + 1), 10**550))
+    lo, hi = isolate_real_roots(p)
+    assert lo.hi <= hi.lo
+    for r in (lo, hi):
+        assert p.sign_at(r.lo) * p.sign_at(r.hi) == -1
+    sys = parse_system("dx = 10^150*x^2 - y\ndy = 10^200*y + x - 1\n")
+    assert [e.classification for e in finite_equilibria(sys)] == ["saddle", "unstable node"]
+
+
 def _count_remainder_sequences(monkeypatch) -> list:
     """Record the (a, b) pair of every remainder sequence run, in both
     modules that bind it, each up to a nonzero constant factor."""
