@@ -291,40 +291,45 @@ def extactic(sys: PlanarSystem, m: int, curves: Sequence[InvariantCurve]) -> Ext
 
     E_m is the Wronskian along the flow of the monomials of degree <= m,
     the determinant of X^0..X^(l-1) applied to them, read from a closed
-    form.  P = 0 zeroes the column of x, so E_m = 0; else
-    E_1 = P X(Q) - Q X(P).  On an orbit y(x), dx/dt = P, y^(k) = N_k /
-    P^(2k-1) with N_1 = Q, N_(k+1) = P X(N_k) - (2k-1) X(P) N_k, so
-    N_2 = E_1.  In x the Wronskian of (1, x, y, x^2, xy, y^2) is P^-15
-    E_2; expanded along the columns of 1, x and x^2 (one nonzero entry
-    each, 1, 1 and 2, the last with sign -1) it is -2 times the 3 x 3 on
-    (y, xy, y^2) of rows 3..5, which is 2 y'' times Monge's equation of
-    conics 9 y''^2 y^(5) - 45 y'' y^(3) y^(4) + 40 y^(3)^3.  Hence
-    E_2 = -4 E_1 M / P^3 with M = 9 N_2^2 N_5 - 45 N_2 N_3 N_4 + 40 N_3^3;
-    a remainder of M / P^3 is an internal error.  One recurrence gives
-    both E_1 and E_2.  A line is irreducible, so its exponent in
-    E_2 = -4 N_2 (M / P^3) is its exponent in N_2 plus that in M / P^3;
-    a conic may be reducible and is divided into E_2 itself.
+    form in a_i = X^i(P) and c_i = X^i(Q).  E_1 = P c_1 - Q a_1.  On an
+    orbit y(x), dx/dt = P and d/dx = X / P, so y'' = E_1 / P^3 and
+    y^(k) = N_k / P^(2k-1) with N_1 = Q, N_(k+1) = P X(N_k) - (2k-1)
+    a_1 N_k.  In x the Wronskian of
+    (1, x, y, x^2, xy, y^2) is P^-15 E_2; expanded along the columns of
+    1, x and x^2 (one nonzero entry each, 1, 1 and 2, the last with sign
+    -1) it is -2 times the 3 x 3 on (y, xy, y^2) of rows 3..5, which is
+    2 y'' times Monge's equation of conics
+    9 y''^2 y^(5) - 45 y'' y^(3) y^(4) + 40 y^(3)^3, so E_2 = -4 E_1 M /
+    P^3 with M = 9 N_2^2 N_5 - 45 N_2 N_3 N_4 + 40 N_3^3.  Monge's
+    expression is -(27/2) y''^(11/3) w''' for w = y''^(-2/3) =
+    P^2 E_1^(-2/3), and each x-derivative of w divides by P, yet every
+    power of P cancels.  With F = X(E_1) = P c_2 - Q a_2:
+    w' = -(2/3) E_1^(-5/3) N_3; w'' = -(2/9) E_1^(-8/3) G with
+    G = 3 E_1 (P c_3 - Q a_3 + 4 (a_1 c_2 - c_1 a_2)) - 5 F^2, P
+    cancelling since a_1 F - E_1 a_2 = P (a_1 c_2 - c_1 a_2); and
+    w''' = -(2/27) E_1^(-11/3) (3 E_1 X(G) - 8 F G) / P.  Hence
+    M / P^3 = 3 E_1 X(G) - 8 F G, with no N_4, N_5, M or division, and
+    P = 0 gives E_1 = F = G = 0, so E_2 = 0.  A line is irreducible, so
+    its exponent in E_2 = -4 E_1 (M / P^3) is its exponent in E_1 plus
+    that in M / P^3; a conic may be reducible and is divided into E_2
+    itself.
     """
     if m < 1:
         raise ValueError("extactic order must be at least 1")
     if m > 2:
         raise ValueError("extactic order capped at 2")
-    p = sys.P
-    e1 = e = quotient = MPoly.zero()
-    if not p.is_zero:
-        xp = sys.lie_derivative(p)
-        n = [sys.Q]
-        for k in range(1, 3 * m - 1):
-            n.append(p * sys.lie_derivative(n[-1]) - xp * n[-1] * (2 * k - 1))
-        e1 = e = n[1]
-        if m == 2:
-            _, n2, n3, n4, n5 = n
-            # Monge's M, grouped for fewer coefficient products
-            monge = n3 * (n3 * n3 * 40 - n2 * n4 * 45) + n2 * (n2 * n5) * 9
-            quotient = monge.exact_div(p * p * p)
-            if quotient is None:
-                raise InternalInvariantError("Monge's polynomial of E_2 leaves a remainder on division by P^3")
-            e = n2 * quotient * -4
+    lie = sys.lie_derivative
+    p, q = sys.P, sys.Q
+    a1, c1 = lie(p), lie(q)
+    e1 = e = p * c1 - q * a1
+    quotient = MPoly.zero()
+    if m == 2:
+        a2, c2 = lie(a1), lie(c1)
+        a3, c3 = lie(a2), lie(c2)
+        f = p * c2 - q * a2
+        g = e1 * (p * c3 - q * a3 + (a1 * c2 - c1 * a2) * 4) * 3 - f * f * 5
+        quotient = e1 * lie(g) * 3 - f * g * 8
+        e = e1 * quotient * -4
 
     lines: Dict[str, int] = {}
     if not e1.is_zero:

@@ -30,10 +30,12 @@ semi-hyperbolic point whose reduction is unavailable or degenerate).
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, replace
 from functools import cmp_to_key, lru_cache
 from fractions import Fraction
+from sys import float_info
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from pdisc.errors import InputError, InternalInvariantError, PositiveDimensionalError
@@ -517,11 +519,42 @@ def equilibrium_fragment(rec: EquilibriumRecord) -> Dict:
     return doc
 
 
+# six significant digits with no exponent bound, for `_g6`
+_WIDE = decimal.Context(prec=6, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
 def _eig_approx(tr: Fraction, disc: Fraction) -> List[str]:
-    t = float(tr)
-    d = float(disc)
+    try:
+        t = float(tr)
+        d = float(disc)
+    except OverflowError:
+        return _eig_approx_wide(tr, disc)
     if d >= 0:
         r = math.sqrt(d)
         return [f"{(t - r) / 2:.6g}", f"{(t + r) / 2:.6g}"]
     r = math.sqrt(-d)
     return [f"{t / 2:.6g}+{r / 2:.6g}i", f"{t / 2:.6g}-{r / 2:.6g}i"]
+
+
+def _eig_approx_wide(tr: Fraction, disc: Fraction) -> List[str]:
+    """`_eig_approx` past the float range, over the rationals: sqrt|disc|
+    to 128 bits, the real eigenvalue of larger magnitude as
+    (tr + sign(tr) sqrt(disc)) / 2, which cancels nothing, and the other
+    as det / it, det = (tr^2 - disc) / 4."""
+    r = Fraction(math.isqrt(abs(disc.numerator) * disc.denominator << 256), disc.denominator << 128)
+    if disc < 0:
+        return [f"{_g6(tr / 2)}{sign}{_g6(r / 2)}i" for sign in "+-"]
+    big = (tr + r if tr >= 0 else tr - r) / 2
+    return [_g6(v) for v in sorted(((tr * tr - disc) / 4 / big, big))]
+
+
+def _g6(v: Fraction) -> str:
+    """v under '.6g' in binary64; outside the normal float range, the
+    same six digits under '.5e' in decimal."""
+    try:
+        f = float(v)
+        if not v or abs(f) >= float_info.min:
+            return f"{f:.6g}"
+    except OverflowError:
+        pass
+    return format(_WIDE.divide(decimal.Decimal(v.numerator), v.denominator), ".5e")

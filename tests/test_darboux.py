@@ -3,8 +3,9 @@
 Oracles: cofactors are rebuilt from closed-form products and compared
 exactly; the extactic curve is recomputed by Laplace expansion of a
 hand-assembled Lie-derivative matrix, and by `ffdet` of its minor on
-drawn and named systems; multiplicities are certified by
-repeated exact division.
+drawn and named systems; E_2 is also rebuilt by the route of Monge's
+equation of conics (N_k up to N_5, Monge's M, an exact division by
+P^3); multiplicities are certified by repeated exact division.
 """
 
 from __future__ import annotations
@@ -214,9 +215,9 @@ def _extactic_minor_det(sys: PlanarSystem, m: int) -> MPoly:
 
 
 @st.composite
-def _systems(draw) -> PlanarSystem:
-    """Degree 1-4 systems; some P and Q share a factor, some P has a
-    squared factor."""
+def _systems(draw, max_degree: int = 4) -> PlanarSystem:
+    """Systems of degree 1 to max_degree; some P and Q share a factor,
+    some P has a squared factor."""
 
     def poly(deg: int) -> MPoly:
         terms = draw(st.dictionaries(
@@ -227,7 +228,7 @@ def _systems(draw) -> PlanarSystem:
         return MPoly(terms)
 
     shape = draw(st.sampled_from(["plain", "shared-factor", "squared-factor-of-P"]))
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, max_degree))
     if shape == "plain":
         p, q = poly(d), poly(d)
     elif shape == "shared-factor":
@@ -246,18 +247,18 @@ def test_extactic_matches_the_minor_determinant(sys):
         assert extactic(sys, m, []).E == _extactic_minor_det(sys, m)
 
 
-@pytest.mark.parametrize(
-    "source, vanishes",
-    [
-        ("dx = 0\ndy = y\n", (True, True)),  # P = 0
-        ("dx = y\ndy = 0\n", (True, True)),  # Q = 0
-        ("dx = x\ndy = y\n", (True, True)),  # E_1 = 0: a pencil of lines
-        ("dx = x^2\ndy = 1\n", (False, True)),  # E_2 = 0: the conics xy - cx + 1
-        ("dx = 1\ndy = x^3\n", (False, False)),  # P constant
-        ("dx = x^5 - 3*x^2*y^2 + y^3 - 2*x + 1\ndy = y^5 - x*y^3 + 2*x^2 - y - 3\n", (False, False)),
-    ],
-    ids=["P-zero", "Q-zero", "E1-zero", "E2-zero", "P-constant", "quintic"],
-)
+NAMED_SYSTEMS = [
+    ("dx = 0\ndy = y\n", (True, True)),  # P = 0
+    ("dx = y\ndy = 0\n", (True, True)),  # Q = 0
+    ("dx = x\ndy = y\n", (True, True)),  # E_1 = 0: a pencil of lines
+    ("dx = x^2\ndy = 1\n", (False, True)),  # E_2 = 0: the conics xy - cx + 1
+    ("dx = 1\ndy = x^3\n", (False, False)),  # P constant
+    ("dx = x^5 - 3*x^2*y^2 + y^3 - 2*x + 1\ndy = y^5 - x*y^3 + 2*x^2 - y - 3\n", (False, False)),
+]
+NAMED_IDS = ["P-zero", "Q-zero", "E1-zero", "E2-zero", "P-constant", "quintic"]
+
+
+@pytest.mark.parametrize("source, vanishes", NAMED_SYSTEMS, ids=NAMED_IDS)
 def test_extactic_matches_the_minor_determinant_on_named_systems(source, vanishes):
     sys = parse_system(source)
     for m, zero in zip((1, 2), vanishes):
@@ -266,12 +267,37 @@ def test_extactic_matches_the_minor_determinant_on_named_systems(source, vanishe
         assert e.is_zero == zero
 
 
-def test_extactic_reports_an_inexact_division_by_p_cubed(monkeypatch):
-    sys = leslie_system(F(1), F(1), F(1, 2))
-    monkeypatch.setattr(MPoly, "exact_div", lambda self, divisor: None)
-    assert not extactic(sys, 1, []).vanishes
-    with pytest.raises(InternalInvariantError):
-        extactic(sys, 2, [])
+def _monge_e2(sys: PlanarSystem) -> MPoly:
+    """E_2 = -4 N_2 (M / P^3) by the route of Monge's equation of conics:
+    N_1 = Q, N_(k+1) = P X(N_k) - (2k - 1) X(P) N_k up to N_5, Monge's
+    M = 9 N_2^2 N_5 - 45 N_2 N_3 N_4 + 40 N_3^3, and an exact division
+    of M by P^3; P = 0 gives E_2 = 0."""
+    p = sys.P
+    if p.is_zero:
+        return MPoly.zero()
+    xp = sys.lie_derivative(p)
+    n = [sys.Q]
+    for k in range(1, 5):
+        n.append(p * sys.lie_derivative(n[-1]) - xp * n[-1] * (2 * k - 1))
+    _, n2, n3, n4, n5 = n
+    monge = n2 * n2 * n5 * 9 - n2 * n3 * n4 * 45 + n3 * n3 * n3 * 40
+    quotient = monge.exact_div(p**3)
+    assert quotient is not None
+    return n2 * quotient * -4
+
+
+@given(_systems(max_degree=5))
+def test_e2_matches_the_monge_route(sys):
+    # degree 1-5, shared and squared factors included
+    assert extactic(sys, 2, []).E == _monge_e2(sys)
+
+
+@pytest.mark.parametrize("source, vanishes", NAMED_SYSTEMS, ids=NAMED_IDS)
+def test_e2_matches_the_monge_route_on_named_systems(source, vanishes):
+    sys = parse_system(source)
+    e = extactic(sys, 2, []).E
+    assert e == _monge_e2(sys)
+    assert e.is_zero == vanishes[1]
 
 
 def _divisions(e: MPoly, f: MPoly) -> int:

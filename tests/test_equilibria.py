@@ -1,7 +1,8 @@
 """Finite equilibria: exact location, linearization, classification.
 
 Oracles: Jacobians are rebuilt from closed forms, float eigenvalues come
-from the quadratic formula, algebraic coordinates are cross-checked by
+from the quadratic formula, and past the float range from 1500-digit
+decimal arithmetic, algebraic coordinates are cross-checked by
 interval bisection, and the semi-hyperbolic coefficient is compared with
 the closed-form value of the collapsed case and with a saddle-node normal
 form planted at random rational points.
@@ -9,12 +10,15 @@ form planted at random rational points.
 
 from __future__ import annotations
 
+import decimal
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdisc import equilibria
 from pdisc.equilibria import (
     CENTER_CANDIDATE,
     DEGENERATE,
@@ -314,3 +318,60 @@ def test_negative_determinant_is_a_saddle_whatever_the_trace():
     mixed = [rec for rec in records if rec.point.x.sign() != rec.point.y.sign()]
     assert len(mixed) == 2
     assert all(rec.classification == SADDLE for rec in mixed)
+
+
+def _oracle_eigenvalues(tr: Fraction, disc: Fraction):
+    """(tr -+ sqrt(disc)) / 2 in 1500-digit decimal arithmetic, enough for
+    the cancellation in the smaller root of the inputs below."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 1500, decimal.MAX_EMAX, decimal.MIN_EMIN
+        t = decimal.Decimal(tr.numerator) / tr.denominator
+        d = decimal.Decimal(disc.numerator) / disc.denominator
+        r = abs(d).sqrt()
+        if disc >= 0:
+            return [(F((t - r) / 2), F(0)), (F((t + r) / 2), F(0))]
+        return [(F(t / 2), F(r / 2)), (F(t / 2), F(-r / 2))]
+
+
+_NUMBER = r"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?"
+
+
+def _parsed(text: str):
+    if re.fullmatch(_NUMBER, text):
+        return F(text), F(0)
+    m = re.fullmatch(rf"({_NUMBER})([+-])({_NUMBER})i", text)
+    assert m, text
+    return F(m[1]), F(m[3]) * (1 if m[2] == "+" else -1)
+
+
+def _close(got: Fraction, want: Fraction) -> bool:
+    return abs(got - want) <= F(1, 10**5) * abs(want)
+
+
+def test_eigenvalues_past_the_float_range_are_approximated():
+    # disc = (2^1000 + 1)(2^1000 - 3) is past the float range: the
+    # eigenvalues are about 2^1000 and 1, the latter read as det / 2^1000
+    sys = parse_system("dx = 2^1000*x - y\ndy = x + y - 1\n")
+    (frag,) = analyze_report(sys)["finite_equilibria"]
+    got = [_parsed(s) for s in frag["eigenvalues_approx"]]
+    want = _oracle_eigenvalues(F(frag["trace"]), F(frag["discriminant"]))
+    assert all(_close(g[0], w[0]) for g, w in zip(got, want)), frag["eigenvalues_approx"]
+    assert abs(got[0][0] - 1) < F(1, 10**5) and _close(got[1][0], F(2**1000))
+
+
+@pytest.mark.parametrize(
+    "tr, disc",
+    [
+        (F(2**1100), F(0)),  # a double eigenvalue 2^1099
+        (F(2**1100), F(2**2200)),  # det = 0: eigenvalues 0 and 2^1100
+        (F(-(2**1100)), F(3)),  # two eigenvalues near -2^1099
+        (F(3), -F(2**2100)),  # a complex pair of imaginary part 2^1049
+        (-F(2**1030, 7), F(2**2000, 3)),  # both near -2^1030 / 14, with denominators
+        (F(2**1100), F(2**2200) - F(4, 2**100)),  # the other is 2^-1200, below the float range
+    ],
+)
+def test_eigenvalues_past_the_float_range_match_a_decimal_oracle(tr, disc):
+    got = [_parsed(s) for s in equilibria._eig_approx(tr, disc)]
+    want = _oracle_eigenvalues(tr, disc)
+    for (gre, gim), (wre, wim) in zip(got, want):
+        assert _close(gre, wre) and _close(gim, wim), (got, want)

@@ -789,6 +789,23 @@ def test_dumped_extactic_bytes(name, order):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DUMPED_DARBOUX[name][order - 1]
 
 
+# sha256 of the order-2 `pdisc darboux --dump-extactic` JSON of the dense
+# degree 8 and 10 members of OTHER_ANALYZE, whose E_2 has the most terms
+# of any pinned input.  Recorded while M / P^3 was still Monge's M,
+# built from N_2..N_5, divided by P^3.
+DUMPED_DENSE_E2 = {
+    "dense-8": "4c8af4c9b957dfc309a7e60e05472725c8809459dc5ae1dc626823f42a38114f",
+    "dense-10": "502dd6db40f489f50d4f7b34956ffa7f48ae4ef480a20eff65211b7ff144da47",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUMPED_DENSE_E2))
+def test_dumped_dense_e2_bytes(name):
+    report = darboux_report(parse_system(OTHER_ANALYZE[name][0]), SearchBounds(extactic_order=2), dump_extactic=True)
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DUMPED_DENSE_E2[name]
+
+
 # sha256 of the `pdisc darboux` JSON at extactic orders 1 and 2 of one
 # input per branch of the invariant-line search that reports a family of
 # lines, with the family note each verdict carries.  Recorded while a
